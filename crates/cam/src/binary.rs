@@ -1,7 +1,9 @@
 //! Exact-match (binary) CAM.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
 
 use crate::stats::CamStats;
 
@@ -36,17 +38,26 @@ impl Error for CamFullError {}
 /// duplicates (hardware does not either — the flow table searches before
 /// inserting). [`Cam::search`] on a duplicated key returns the lowest
 /// slot.
+///
+/// The single-cycle parallel compare is modelled on the host by an index
+/// from each resident key to its lowest occupied slot, so a search costs
+/// one hash-map lookup rather than a scan of every slot.
 #[derive(Debug, Clone)]
 pub struct Cam<K> {
     slots: Vec<Option<K>>,
     /// Free slot indices, kept sorted descending so `pop` yields the
     /// lowest index.
     free: Vec<usize>,
+    /// Each resident key → the lowest slot holding it (the priority
+    /// encoder's answer). Operations only probe it by key and never
+    /// iterate it, so the map's randomly seeded hasher cannot influence
+    /// any result.
+    index: HashMap<K, usize>,
     len: usize,
     stats: CamStats,
 }
 
-impl<K: Eq> Cam<K> {
+impl<K: Eq + Hash + Copy> Cam<K> {
     /// Creates a CAM with `capacity` slots.
     ///
     /// # Panics
@@ -57,6 +68,9 @@ impl<K: Eq> Cam<K> {
         Cam {
             slots: (0..capacity).map(|_| None).collect(),
             free: (0..capacity).rev().collect(),
+            // Sized for a full CAM of distinct keys, so filling it never
+            // reallocates.
+            index: HashMap::with_capacity(capacity),
             len: 0,
             stats: CamStats::default(),
         }
@@ -95,7 +109,7 @@ impl<K: Eq> Cam<K> {
     /// Parallel search; returns the lowest slot index holding `key`.
     pub fn search(&mut self, key: &K) -> Option<usize> {
         self.stats.searches += 1;
-        let hit = self.slots.iter().position(|s| s.as_ref() == Some(key));
+        let hit = self.peek(key);
         if hit.is_some() {
             self.stats.hits += 1;
         }
@@ -104,7 +118,7 @@ impl<K: Eq> Cam<K> {
 
     /// Search without statistics side-effects (for assertions and debug).
     pub fn peek(&self, key: &K) -> Option<usize> {
-        self.slots.iter().position(|s| s.as_ref() == Some(key))
+        self.index.get(key).copied()
     }
 
     /// Returns the key stored in `slot`, if any.
@@ -125,8 +139,7 @@ impl<K: Eq> Cam<K> {
         match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot].is_none());
-                self.slots[slot] = Some(key);
-                self.len += 1;
+                self.occupy(slot, key);
                 self.stats.inserts += 1;
                 self.stats.high_watermark = self.stats.high_watermark.max(self.len);
                 Ok(slot)
@@ -160,24 +173,14 @@ impl<K: Eq> Cam<K> {
             return Err("CAM free list out of sync");
         };
         self.free.remove(pos);
-        self.slots[slot] = Some(key);
-        self.len += 1;
+        self.occupy(slot, key);
         Ok(())
     }
 
     /// Removes `key` (lowest matching slot) and returns the slot index.
     pub fn delete(&mut self, key: &K) -> Option<usize> {
         let slot = self.peek(key)?;
-        self.slots[slot] = None;
-        self.len -= 1;
-        self.stats.deletes += 1;
-        // Keep the free list sorted descending so the lowest slot is
-        // reused first (deterministic like a hardware priority allocator).
-        let pos = self
-            .free
-            .binary_search_by(|probe| slot.cmp(probe))
-            .unwrap_err();
-        self.free.insert(pos, slot);
+        self.delete_slot(slot);
         Some(slot)
     }
 
@@ -190,11 +193,21 @@ impl<K: Eq> Cam<K> {
         let k = self.slots[slot].take()?;
         self.len -= 1;
         self.stats.deletes += 1;
+        // Keep the free list sorted descending so the lowest slot is
+        // reused first (deterministic like a hardware priority allocator).
         let pos = self
             .free
             .binary_search_by(|probe| slot.cmp(probe))
             .unwrap_err();
         self.free.insert(pos, slot);
+        // Only the indexed (lowest) copy moves the index: to the next
+        // duplicate above it, or out.
+        if self.index.get(&k) == Some(&slot) {
+            match self.slots[slot + 1..].iter().position(|s| *s == Some(k)) {
+                Some(offset) => self.index.insert(k, slot + 1 + offset),
+                None => self.index.remove(&k),
+            };
+        }
         Some(k)
     }
 
@@ -212,6 +225,7 @@ impl<K: Eq> Cam<K> {
             *s = None;
         }
         self.free = (0..self.capacity()).rev().collect();
+        self.index.clear();
         self.len = 0;
     }
 
@@ -225,6 +239,15 @@ impl<K: Eq> Cam<K> {
             }
         }
         removed
+    }
+
+    /// Stores `key` in the free `slot` and indexes it if `slot` is now
+    /// its lowest copy.
+    fn occupy(&mut self, slot: usize, key: K) {
+        self.slots[slot] = Some(key);
+        self.len += 1;
+        let lowest = self.index.entry(key).or_insert(slot);
+        *lowest = (*lowest).min(slot);
     }
 }
 

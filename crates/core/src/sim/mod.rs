@@ -195,7 +195,7 @@ pub struct FlowLutSim {
     match_bytes: Vec<u8>,
     /// Recycled `ReadAssembly::parts` buffers.
     parts_pool: Vec<Vec<Option<Vec<u8>>>>,
-    /// DLU bucket-serialisation buffer.
+    /// Bucket-serialisation buffer (DLU writes and storage flushes).
     write_buf: Vec<u8>,
     /// Lifecycle/housekeeping scan batch buffer.
     scan_scratch: Vec<(FlowId, FlowRecord)>,
@@ -338,13 +338,21 @@ impl FlowLutSim {
     }
 
     fn write_bucket_to_storage(&mut self, path: usize, bucket: u32) {
-        let slots = self.table.bucket_slots(PathId::from_index(path), bucket);
         let total = self.bursts_per_bucket as usize * self.burst_bytes;
-        let bytes = codec::serialize_bucket(&slots, self.cfg.table.entry_slot_bytes, total);
-        for j in 0..self.bursts_per_bucket {
-            let addr = u64::from(bucket) * u64::from(self.bursts_per_bucket) + u64::from(j);
-            let chunk = &bytes[j as usize * self.burst_bytes..(j as usize + 1) * self.burst_bytes];
-            self.paths[path].ctrl.storage_mut().write_burst(addr, chunk);
+        let slots = self
+            .table
+            .bucket_slots_ref(PathId::from_index(path), bucket)
+            .unwrap_or(&[]);
+        codec::serialize_bucket_into(
+            &mut self.write_buf,
+            slots,
+            self.cfg.table.entry_slot_bytes,
+            total,
+        );
+        let storage = self.paths[path].ctrl.storage_mut();
+        for (j, chunk) in self.write_buf.chunks_exact(self.burst_bytes).enumerate() {
+            let addr = u64::from(bucket) * u64::from(self.bursts_per_bucket) + j as u64;
+            storage.write_burst(addr, chunk);
         }
     }
 
@@ -981,12 +989,6 @@ impl FlowLutSim {
             return;
         };
         let key = self.descs[idx].desc.key;
-        // Duplicate-race guard (unreachable under the same-key waiting
-        // list, but kept as a correctness backstop).
-        if let Some(fid) = self.table.peek(&key) {
-            self.complete(idx, ResolvedVia::DuplicateRace, Some(fid));
-            return;
-        }
         let (b1, b2) = self.descs[idx].buckets;
         // The final miss was detected by the LU2 path's Flow Match, whose
         // Ins_req goes to its own Updt block: prefer that path's bucket.
@@ -1026,7 +1028,11 @@ impl FlowLutSim {
                     }
                 }
             },
-            Err(InsertError::Duplicate(_)) => unreachable!("peeked above"),
+            // Duplicate-race backstop: unreachable under the same-key
+            // waiting list, but a resident key must not be inserted twice.
+            Err(InsertError::Duplicate(fid)) => {
+                self.complete(idx, ResolvedVia::DuplicateRace, Some(fid));
+            }
         }
     }
 

@@ -351,22 +351,23 @@ impl HashCamTable {
 
     /// Lookup without statistics (for assertions).
     pub fn peek(&self, key: &FlowKey) -> Option<FlowId> {
-        if let Some(slot) = self.cam.peek(key) {
-            return Some(FlowId::encode(
-                Location::Cam(slot as u32),
-                self.cfg.entries_per_bucket,
-            ));
-        }
-        let (b1, b2) = self.hash_pair(key);
-        for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
-            if let Some(slot) = self.find_in_bucket(path, bucket, key) {
-                return Some(FlowId::encode(
+        self.cam_peek(key).or_else(|| {
+            let (b1, b2) = self.hash_pair(key);
+            self.find_in_buckets(key, b1, b2)
+        })
+    }
+
+    /// The Mem1-then-Mem2 half of [`peek`](Self::peek), on given buckets.
+    fn find_in_buckets(&self, key: &FlowKey, b1: u32, b2: u32) -> Option<FlowId> {
+        [(PathId::A, b1), (PathId::B, b2)]
+            .into_iter()
+            .find_map(|(path, bucket)| {
+                let slot = self.find_in_bucket(path, bucket, key)?;
+                Some(FlowId::encode(
                     Location::Mem { path, bucket, slot },
                     self.cfg.entries_per_bucket,
-                ));
-            }
-        }
-        None
+                ))
+            })
     }
 
     /// Inserts `key`, preferring its Mem1 bucket, then Mem2, then the CAM
@@ -378,10 +379,13 @@ impl HashCamTable {
     /// its existing ID); [`InsertError::TableFull`] if both buckets and
     /// the CAM are full.
     pub fn insert(&mut self, key: FlowKey) -> Result<FlowId, InsertError> {
-        if let Some(existing) = self.peek(&key) {
+        let (b1, b2) = self.hash_pair(&key);
+        let existing = self
+            .cam_peek(&key)
+            .or_else(|| self.find_in_buckets(&key, b1, b2));
+        if let Some(existing) = existing {
             return Err(InsertError::Duplicate(existing));
         }
-        let (b1, b2) = self.hash_pair(&key);
         self.insert_at(key, b1, b2)
     }
 
@@ -614,16 +618,9 @@ impl HashCamTable {
         Ok(FlowId::encode(loc, self.cfg.entries_per_bucket))
     }
 
-    /// The slots of a bucket (all-`None` for never-touched buckets).
-    pub fn bucket_slots(&self, path: PathId, bucket: u32) -> Bucket {
-        self.bucket_slots_ref(path, bucket)
-            .map(<[Option<FlowKey>]>::to_vec)
-            .unwrap_or_else(|| vec![None; usize::from(self.cfg.entries_per_bucket)])
-    }
-
-    /// Borrowing variant of [`bucket_slots`](Self::bucket_slots):
-    /// `None` for never-touched buckets (every slot empty — DRAM's
-    /// all-zero reset state), so steady-state readers never allocate.
+    /// The slots of a bucket: `None` for never-touched buckets (every
+    /// slot empty — DRAM's all-zero reset state), so readers never
+    /// allocate.
     pub fn bucket_slots_ref(&self, path: PathId, bucket: u32) -> Option<&[Option<FlowKey>]> {
         self.mems[path.index()].get(&bucket).map(Vec::as_slice)
     }
@@ -873,7 +870,7 @@ mod tests {
     #[test]
     fn bucket_slots_default_empty() {
         let t = table();
-        assert_eq!(t.bucket_slots(PathId::A, 9), vec![None, None]);
+        assert_eq!(t.bucket_slots_ref(PathId::A, 9), None);
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! the paper's "two pre-selected hash functions". Choosing independent
 //! `q` matrices yields the independent functions the two-choice table
 //! needs.
+//!
+//! The host model evaluates the circuit byte-sliced (Carter & Wegman,
+//! JCSS 1979; Ramakrishna, Fu & Bahcekapili, IEEE ToC 1997): since `h`
+//! is GF(2)-linear, the contribution of one key byte is the XOR of that
+//! byte's eight selected rows, which is precomputed for all 256 byte
+//! values. A hash is then one table lookup and one XOR per key byte,
+//! bit-identical to the per-bit XOR tree.
+
+use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,11 +27,23 @@ use crate::HashFunction;
 /// Keys shorter than `key_bits` are treated as zero-padded (XOR of
 /// nothing); keys longer than `key_bits` are rejected — the matrix is a
 /// synthesized circuit of fixed width, exactly as on an FPGA.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct H3Hash {
     /// One random word per key bit.
     matrix: Vec<u32>,
+    /// `tables[i][b]`: XOR of the rows of key byte `i` selected by the
+    /// set bits of `b`, one table per whole byte the width admits.
+    tables: Vec<[u32; 256]>,
     seed: u64,
+}
+
+impl fmt::Debug for H3Hash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("H3Hash")
+            .field("key_bits", &self.key_bits())
+            .field("seed", &self.seed)
+            .finish_non_exhaustive()
+    }
 }
 
 impl H3Hash {
@@ -52,7 +73,23 @@ impl H3Hash {
                 break;
             }
         }
-        H3Hash { matrix, seed }
+        let tables = matrix
+            .chunks_exact(8)
+            .map(|rows| {
+                let mut t = [0u32; 256];
+                for b in 1..256 {
+                    // The rows of `b` are those of `b` without its lowest
+                    // set bit (already built), plus that bit's row.
+                    t[b] = t[b & (b - 1)] ^ rows[b.trailing_zeros() as usize];
+                }
+                t
+            })
+            .collect();
+        H3Hash {
+            matrix,
+            tables,
+            seed,
+        }
     }
 
     const MAX_SCREEN_ATTEMPTS: u64 = 64;
@@ -125,13 +162,28 @@ impl HashFunction for H3Hash {
             key.len() * 8,
             self.matrix.len()
         );
+        key.iter()
+            .zip(&self.tables)
+            .fold(0, |acc, (&b, t)| acc ^ t[usize::from(b)])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The circuit read literally, one key bit at a time: the reference
+    /// the byte-sliced [`H3Hash::hash`] must equal.
+    fn hash_bit_serial(h: &H3Hash, key: &[u8]) -> u32 {
+        assert!(key.len() * 8 <= h.matrix.len());
         let mut acc = 0u32;
         for (byte_idx, &byte) in key.iter().enumerate() {
             let mut b = byte;
             let mut bit_idx = byte_idx * 8;
             while b != 0 {
                 if b & 1 != 0 {
-                    acc ^= self.matrix[bit_idx];
+                    acc ^= h.matrix[bit_idx];
                 }
                 b >>= 1;
                 bit_idx += 1;
@@ -139,11 +191,27 @@ impl HashFunction for H3Hash {
         }
         acc
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        /// Byte-sliced evaluation equals the bit-serial circuit for any
+        /// seed, any width (whole bytes or not), and every key length the
+        /// width admits, including the all-ones key that selects every row.
+        #[test]
+        fn byte_sliced_matches_bit_serial(
+            seed in any::<u64>(),
+            key_bits in 8usize..=512,
+            bytes in prop::collection::vec(any::<u8>(), 64),
+        ) {
+            let h = H3Hash::with_seed(key_bits, seed);
+            let max_len = key_bits / 8;
+            for len in 0..=max_len {
+                let key = &bytes[..len];
+                prop_assert_eq!(h.hash(key), hash_bit_serial(&h, key), "len {}", len);
+            }
+            let ones = vec![0xFF; max_len];
+            prop_assert_eq!(h.hash(&ones), hash_bit_serial(&h, &ones));
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {
