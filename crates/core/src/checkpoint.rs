@@ -173,6 +173,15 @@ impl<'a> ByteReader<'a> {
         ]))
     }
 
+    /// How many of `count` items, each at least `min_bytes` long, the
+    /// unread rest of the stream can hold: the most a reader may reserve
+    /// room for before reading a count-prefixed sequence, however large
+    /// the count the stream claims.
+    pub(crate) fn room_for(&self, count: u64, min_bytes: usize) -> usize {
+        let left = (self.buf.len() - self.pos) / min_bytes;
+        usize::try_from(count).map_or(left, |count| count.min(left))
+    }
+
     /// Asserts the stream was consumed exactly.
     ///
     /// # Errors
@@ -239,6 +248,10 @@ pub fn read_key(r: &mut ByteReader<'_>) -> Result<FlowKey, CheckpointError> {
     let bytes = r.take(len)?;
     FlowKey::new(bytes).map_err(|_| CheckpointError::Corrupt("flow key too long"))
 }
+
+/// Fewest bytes one placement (a [`write_location`] plus a
+/// [`write_key`]) takes: a CAM location (tag + `u32`) and a one-byte key.
+pub(crate) const MIN_PLACEMENT_BYTES: usize = 5 + 2;
 
 const LOC_TAG_MEM_A: u8 = 0;
 const LOC_TAG_MEM_B: u8 = 1;

@@ -131,6 +131,24 @@ impl FlowStateStore {
         assert!(prev.is_none(), "flow ID {id} reused while record live");
     }
 
+    /// Builds a store from pre-existing records in one bulk B-tree
+    /// build: the restore path's [`adopt`](Self::adopt), for records that
+    /// arrive in ID order (any order is accepted; sorted input sorts in
+    /// linear time).
+    ///
+    /// # Errors
+    ///
+    /// Returns an ID that appears more than once in `records`.
+    pub(crate) fn from_records(mut records: Vec<(FlowId, FlowRecord)>) -> Result<Self, FlowId> {
+        records.sort_unstable_by_key(|&(id, _)| id);
+        if let Some(pair) = records.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(pair[0].0);
+        }
+        Ok(FlowStateStore {
+            records: records.into_iter().collect(),
+        })
+    }
+
     /// Records a packet of an existing flow.
     ///
     /// # Panics
@@ -250,6 +268,10 @@ impl FlowStateStore {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::fid::Location;
     use flowlut_traffic::FiveTuple;
@@ -350,6 +372,39 @@ mod tests {
         assert_eq!(got.bytes, 1572);
         assert_eq!(got.first_seen_ns, 100);
         assert_eq!(got.last_touch_sys, 180);
+    }
+
+    fn contents(s: &FlowStateStore) -> Vec<(FlowId, FlowRecord)> {
+        s.iter().map(|(id, r)| (id, *r)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Building from a batch gives the store that adopting the same
+        /// records one at a time would, for IDs in any order; a repeated
+        /// ID is returned instead.
+        #[test]
+        fn from_records_matches_sequential_adopt(
+            ids in prop::collection::vec(0u32..400, 0..24),
+        ) {
+            let record = |i: u32| FlowRecord::first_packet(key(u64::from(i)), u64::from(i), 0, 72);
+            let mut seen = BTreeSet::new();
+            let repeated: BTreeSet<u32> = ids.iter().copied().filter(|&i| !seen.insert(i)).collect();
+            let result = FlowStateStore::from_records(ids.iter().map(|&i| (fid(i), record(i))).collect());
+            if repeated.is_empty() {
+                let store = result.expect("distinct IDs are accepted");
+                let mut sequential = FlowStateStore::new();
+                for &i in &ids {
+                    sequential.adopt(fid(i), record(i));
+                }
+                prop_assert_eq!(contents(&store), contents(&sequential));
+                prop_assert_eq!(store.len(), ids.len());
+            } else {
+                let id = result.expect_err("a repeated ID is rejected");
+                prop_assert!(repeated.iter().any(|&i| fid(i) == id), "{id} is not repeated");
+            }
+        }
     }
 
     #[test]

@@ -305,7 +305,9 @@ impl FlowLutSim {
     where
         I: IntoIterator<Item = FlowKey>,
     {
-        let mut touched: [HashSet<u32>; 2] = [HashSet::new(), HashSet::new()];
+        let keys = keys.into_iter();
+        self.table.reserve(keys.size_hint().0);
+        let mut touched: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
         let mut n = 0usize;
         let mut failure: Option<InsertError> = None;
         for key in keys {
@@ -319,21 +321,33 @@ impl FlowLutSim {
             if let Location::Mem { path, bucket, .. } =
                 fid.decode(self.cfg.table.entries_per_bucket)
             {
-                touched[path.index()].insert(bucket);
+                touched[path.index()].push(bucket);
             }
             self.flow_state.on_new_flow(fid, key, 0, self.now_sys, 0);
             n += 1;
         }
         // Flush even on failure: the keys accepted so far must be
         // readable from DRAM, or later lookups would see stale buckets.
-        for (p, buckets) in touched.iter().enumerate() {
-            for &bucket in buckets {
-                self.write_bucket_to_storage(p, bucket);
-            }
-        }
+        self.flush_buckets(&mut touched);
         match failure {
             Some(cause) => Err(PreloadError { inserted: n, cause }),
             None => Ok(n),
+        }
+    }
+
+    /// Writes each bucket listed in `touched` (per path, repeats allowed)
+    /// to its memory's storage once, in ascending bucket order.
+    fn flush_buckets(&mut self, touched: &mut [Vec<u32>; 2]) {
+        for (p, buckets) in touched.iter_mut().enumerate() {
+            buckets.sort_unstable();
+            buckets.dedup();
+            self.paths[p]
+                .ctrl
+                .storage_mut()
+                .reserve(buckets.len() * self.bursts_per_bucket as usize);
+            for &bucket in buckets.iter() {
+                self.write_bucket_to_storage(p, bucket);
+            }
         }
     }
 
@@ -1314,13 +1328,7 @@ impl FlowLutSim {
                 touched[path.index()].push(bucket);
             }
         }
-        for (p, buckets) in touched.iter_mut().enumerate() {
-            buckets.sort_unstable();
-            buckets.dedup();
-            for &bucket in buckets.iter() {
-                self.write_bucket_to_storage(p, bucket);
-            }
-        }
+        self.flush_buckets(&mut touched);
     }
 
     /// Serializes a consistent checkpoint of this (quiescent) simulator.
@@ -1432,6 +1440,13 @@ impl FlowLutSim {
         let k = table_cfg.entries_per_bucket;
         let mut sim = FlowLutSim::new(cfg);
         sim.now_sys = r.u64()?;
+        if sim
+            .now_sys
+            .checked_mul(u64::from(sim.mem_ticks_per_sys))
+            .is_none()
+        {
+            return Err(CheckpointError::Corrupt("clock overflows the memory clock"));
+        }
         sim.lb_acc = r.u32()?;
         sim.next_mem_id = r.u64()?;
         sim.next_asm_id = usize::try_from(r.u64()?)
@@ -1442,6 +1457,8 @@ impl FlowLutSim {
             return Err(CheckpointError::Corrupt("checkpointed mid-pipeline"));
         }
         let placements = r.u64()?;
+        sim.table
+            .reserve(r.room_for(placements, checkpoint::MIN_PLACEMENT_BYTES));
         for _ in 0..placements {
             let loc = checkpoint::read_location(&mut r, &table_cfg)?;
             let key = checkpoint::read_key(&mut r)?;
@@ -1449,16 +1466,30 @@ impl FlowLutSim {
                 .restore_at(key, loc)
                 .map_err(CheckpointError::Corrupt)?;
         }
+        // Records: exactly one per placement, each naming the key placed
+        // at its location (so every hit finds a record and no insert
+        // lands on a live one).
         let records = r.u64()?;
+        if records != placements {
+            return Err(CheckpointError::Corrupt(
+                "flow record count differs from placement count",
+            ));
+        }
+        // `placements` were all parsed above, so this reservation is
+        // bounded by the blob's length.
+        let mut batch = Vec::with_capacity(usize::try_from(records).unwrap_or(0));
         for _ in 0..records {
             let loc = checkpoint::read_location(&mut r, &table_cfg)?;
             let record = checkpoint::read_record(&mut r)?;
-            let fid = FlowId::encode(loc, k);
-            if sim.flow_state.get(fid).is_some() {
-                return Err(CheckpointError::Corrupt("duplicate flow record"));
+            if sim.table.key_at(loc) != Some(record.key) {
+                return Err(CheckpointError::Corrupt(
+                    "flow record disagrees with its placement",
+                ));
             }
-            sim.flow_state.adopt(fid, record);
+            batch.push((FlowId::encode(loc, k), record));
         }
+        sim.flow_state = FlowStateStore::from_records(batch)
+            .map_err(|_| CheckpointError::Corrupt("duplicate flow record"))?;
         let mut cursors = [None, None];
         for cursor in &mut cursors {
             *cursor = match r.u8()? {

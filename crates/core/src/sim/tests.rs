@@ -821,3 +821,143 @@ fn adopt_flow_rehomes_a_record_under_new_geometry() {
         assert!(r.packets >= 2, "preserved packet count plus the re-hit");
     }
 }
+
+/// A hand-built checkpoint of an idle simulator at cycle 0 that holds
+/// `placements` and `records` — which, unlike a real checkpoint's, need
+/// not agree — and no cursors, victims or events.
+fn hand_built_blob(
+    cfg: &SimConfig,
+    placements: &[(FlowKey, Location)],
+    records: &[(Location, FlowRecord)],
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u32(SIM_CHECKPOINT_MAGIC);
+    w.put_u32(SIM_CHECKPOINT_VERSION);
+    w.put_u64(sim_config_digest(cfg));
+    w.put_u64(0); // clock
+    w.put_u32(0x9E37_79B9); // load-balancer state
+    w.put_u64(0); // next memory request ID
+    w.put_u64(0); // next assembly ID
+    w.put_u64(0); // last completion cycle
+    checkpoint::write_stats(&mut w, &SimStats::default());
+    w.put_u64(placements.len() as u64);
+    for (key, loc) in placements {
+        checkpoint::write_location(&mut w, *loc);
+        checkpoint::write_key(&mut w, key);
+    }
+    w.put_u64(records.len() as u64);
+    for (loc, record) in records {
+        checkpoint::write_location(&mut w, *loc);
+        checkpoint::write_record(&mut w, record);
+    }
+    w.put_u8(0); // no expiry cursor
+    w.put_u8(0); // no pressure cursor
+    w.put_u64(0); // victims
+    w.put_u64(0); // events
+    w.into_bytes()
+}
+
+fn record_of((key, loc): (FlowKey, Location)) -> (Location, FlowRecord) {
+    (loc, FlowRecord::first_packet(key, 0, 0, 72))
+}
+
+#[test]
+fn restore_accepts_a_hand_built_blob_whose_records_match_its_placements() {
+    let cfg = SimConfig::test_small();
+    let a = (
+        key(1),
+        Location::Mem {
+            path: PathId::A,
+            bucket: 3,
+            slot: 0,
+        },
+    );
+    let b = (
+        key(2),
+        Location::Mem {
+            path: PathId::B,
+            bucket: 9,
+            slot: 1,
+        },
+    );
+    let c = (key(3), Location::Cam(2));
+    let blob = hand_built_blob(
+        &cfg,
+        &[a, b, c],
+        &[record_of(a), record_of(b), record_of(c)],
+    );
+    let sim = FlowLutSim::restore(cfg, &blob).expect("a consistent blob restores");
+    assert_eq!(sim.table().len(), 3);
+    assert_eq!(sim.flow_state().len(), 3);
+    for (key, loc) in [a, b, c] {
+        let fid = FlowId::encode(loc, 2);
+        assert_eq!(sim.table().key_at(loc), Some(key));
+        assert_eq!(sim.flow_state().get(fid).map(|r| r.key), Some(key));
+    }
+}
+
+#[test]
+fn restore_rejects_records_that_disagree_with_placements() {
+    let cfg = SimConfig::test_small();
+    let a = (
+        key(1),
+        Location::Mem {
+            path: PathId::A,
+            bucket: 3,
+            slot: 0,
+        },
+    );
+    let b = (
+        key(2),
+        Location::Mem {
+            path: PathId::B,
+            bucket: 9,
+            slot: 1,
+        },
+    );
+    let unplaced = Location::Mem {
+        path: PathId::A,
+        bucket: 4,
+        slot: 0,
+    };
+    let cases = [
+        (
+            "a placement with no record",
+            vec![a, b],
+            vec![record_of(a)],
+            "flow record count differs from placement count",
+        ),
+        (
+            "a record with no placement",
+            vec![a],
+            vec![record_of(a), record_of(b)],
+            "flow record count differs from placement count",
+        ),
+        (
+            "equal counts, a record at an unplaced location",
+            vec![a, b],
+            vec![record_of(a), record_of((key(2), unplaced))],
+            "flow record disagrees with its placement",
+        ),
+        (
+            "equal counts, a record naming another key",
+            vec![a, b],
+            vec![record_of(a), record_of((key(3), b.1))],
+            "flow record disagrees with its placement",
+        ),
+        (
+            "a repeated record ID",
+            vec![a, b],
+            vec![record_of(a), record_of(a)],
+            "duplicate flow record",
+        ),
+    ];
+    for (what, placements, records, expected) in cases {
+        let blob = hand_built_blob(&cfg, &placements, &records);
+        assert_eq!(
+            FlowLutSim::restore(cfg.clone(), &blob).err(),
+            Some(CheckpointError::Corrupt(expected)),
+            "{what}"
+        );
+    }
+}

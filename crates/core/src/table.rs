@@ -192,18 +192,26 @@ impl TableStats {
     }
 }
 
-/// One bucket: `K` optional entry slots.
-type Bucket = Vec<Option<FlowKey>>;
-
 /// The Hash-CAM table (functional layer).
 ///
 /// Buckets are stored sparsely, so an 8 M-entry configuration costs
-/// memory proportional to its *resident* flows, not its capacity.
+/// memory proportional to its *resident* flows, not its capacity. Each
+/// resident bucket owns a chunk of `K` slots in one shared slab; a
+/// bucket that deletion empties returns its chunk to a free list, which
+/// the next new bucket takes before the slab grows. The bucket maps keep
+/// the standard randomly seeded hasher: bucket indices are H3 hashes of
+/// outside flow keys under a known seed.
 #[derive(Debug)]
 pub struct HashCamTable {
     cfg: TableConfig,
     hasher: PairHasher,
-    mems: [HashMap<u32, Bucket>; 2],
+    /// Per memory: resident bucket index → its chunk of `slab`. Chunk
+    /// indices fit `u32` because [`FlowId`] keeps bucket × K below 2^30.
+    mems: [HashMap<u32, u32>; 2],
+    /// `K` slots per chunk, chunks back to back.
+    slab: Vec<Option<FlowKey>>,
+    /// Chunks of buckets that deletion emptied (every slot `None`).
+    free_chunks: Vec<u32>,
     mem_counts: [u64; 2],
     cam: Cam<FlowKey>,
     stats: TableStats,
@@ -223,6 +231,8 @@ impl HashCamTable {
             cfg,
             hasher: PairHasher::h3_pair(key_bits, cfg.hash_seed),
             mems: [HashMap::new(), HashMap::new()],
+            slab: Vec::new(),
+            free_chunks: Vec::new(),
             mem_counts: [0, 0],
             cam: Cam::new(cfg.cam_capacity),
             stats: TableStats::default(),
@@ -496,11 +506,9 @@ impl HashCamTable {
         key: FlowKey,
         order: [(PathId, u32); 2],
     ) -> Result<FlowId, InsertError> {
-        let k = usize::from(self.cfg.entries_per_bucket);
         for (path, bucket) in order {
-            let slots = self.mems[path.index()]
-                .entry(bucket)
-                .or_insert_with(|| vec![None; k]);
+            let chunk = self.claim_chunk(path, bucket);
+            let slots = self.chunk_mut(chunk);
             if let Some(free) = slots.iter().position(|s| s.is_none()) {
                 slots[free] = Some(key);
                 self.mem_counts[path.index()] += 1;
@@ -559,11 +567,13 @@ impl HashCamTable {
         }
         let (b1, b2) = self.hash_pair(key);
         for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
-            if let Some(slots) = self.mems[path.index()].get_mut(&bucket) {
+            if let Some(&chunk) = self.mems[path.index()].get(&bucket) {
+                let slots = self.chunk_mut(chunk);
                 if let Some(slot) = slots.iter().position(|s| s.as_ref() == Some(key)) {
                     slots[slot] = None;
                     if slots.iter().all(|s| s.is_none()) {
                         self.mems[path.index()].remove(&bucket);
+                        self.free_chunks.push(chunk);
                     }
                     self.mem_counts[path.index()] -= 1;
                     self.stats.deletes += 1;
@@ -604,10 +614,8 @@ impl HashCamTable {
                 if slot >= self.cfg.entries_per_bucket {
                     return Err("bucket slot out of range");
                 }
-                let k = usize::from(self.cfg.entries_per_bucket);
-                let slots = self.mems[path.index()]
-                    .entry(bucket)
-                    .or_insert_with(|| vec![None; k]);
+                let chunk = self.claim_chunk(path, bucket);
+                let slots = self.chunk_mut(chunk);
                 if slots[usize::from(slot)].is_some() {
                     return Err("bucket slot already occupied");
                 }
@@ -622,7 +630,41 @@ impl HashCamTable {
     /// slot empty — DRAM's all-zero reset state), so readers never
     /// allocate.
     pub fn bucket_slots_ref(&self, path: PathId, bucket: u32) -> Option<&[Option<FlowKey>]> {
-        self.mems[path.index()].get(&bucket).map(Vec::as_slice)
+        self.mems[path.index()]
+            .get(&bucket)
+            .map(|&chunk| self.chunk(chunk))
+    }
+
+    /// The key resident at `loc`, if any.
+    pub(crate) fn key_at(&self, loc: Location) -> Option<FlowKey> {
+        match loc {
+            Location::Cam(slot) => {
+                let slot = slot as usize;
+                if slot >= self.cam.capacity() {
+                    return None;
+                }
+                self.cam.entry(slot).copied()
+            }
+            Location::Mem { path, bucket, slot } => *self
+                .bucket_slots_ref(path, bucket)?
+                .get(usize::from(slot))?,
+        }
+    }
+
+    /// Reserves room for `additional` more resident flows, so a bulk load
+    /// of known size grows the bucket maps and the slab once. Each flow
+    /// may need a bucket of its own, so no more is reserved than the
+    /// table has buckets: per memory map, the buckets of one memory
+    /// (either may take every flow, as inserts prefer Mem1), and in the
+    /// slab, a chunk for each bucket of both.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let buckets = additional.min(self.cfg.buckets_per_mem as usize);
+        for mem in &mut self.mems {
+            mem.reserve(buckets);
+        }
+        let chunks = additional.min(2 * self.cfg.buckets_per_mem as usize);
+        self.slab
+            .reserve(chunks * usize::from(self.cfg.entries_per_bucket));
     }
 
     /// Iterates over every resident key with its location.
@@ -630,19 +672,22 @@ impl HashCamTable {
         let mem_iter = [PathId::A, PathId::B].into_iter().flat_map(move |path| {
             self.mems[path.index()]
                 .iter()
-                .flat_map(move |(&bucket, slots)| {
-                    slots.iter().enumerate().filter_map(move |(slot, s)| {
-                        s.map(|key| {
-                            (
-                                key,
-                                Location::Mem {
-                                    path,
-                                    bucket,
-                                    slot: slot as u8,
-                                },
-                            )
+                .flat_map(move |(&bucket, &chunk)| {
+                    self.chunk(chunk)
+                        .iter()
+                        .enumerate()
+                        .filter_map(move |(slot, s)| {
+                            s.map(|key| {
+                                (
+                                    key,
+                                    Location::Mem {
+                                        path,
+                                        bucket,
+                                        slot: slot as u8,
+                                    },
+                                )
+                            })
                         })
-                    })
                 })
         });
         let cam_iter = self
@@ -655,16 +700,44 @@ impl HashCamTable {
     /// Removes every flow.
     pub fn clear(&mut self) {
         self.mems = [HashMap::new(), HashMap::new()];
+        self.slab = Vec::new();
+        self.free_chunks = Vec::new();
         self.mem_counts = [0, 0];
         self.cam.clear();
     }
 
     fn find_in_bucket(&self, path: PathId, bucket: u32, key: &FlowKey) -> Option<u8> {
-        self.mems[path.index()]
-            .get(&bucket)?
+        self.bucket_slots_ref(path, bucket)?
             .iter()
             .position(|s| s.as_ref() == Some(key))
             .map(|s| s as u8)
+    }
+
+    fn chunk(&self, chunk: u32) -> &[Option<FlowKey>] {
+        let k = usize::from(self.cfg.entries_per_bucket);
+        let base = chunk as usize * k;
+        &self.slab[base..base + k]
+    }
+
+    fn chunk_mut(&mut self, chunk: u32) -> &mut [Option<FlowKey>] {
+        let k = usize::from(self.cfg.entries_per_bucket);
+        let base = chunk as usize * k;
+        &mut self.slab[base..base + k]
+    }
+
+    /// The chunk of `bucket` in `path`'s memory, claiming a free (all
+    /// `None`) one when the bucket is not resident yet.
+    fn claim_chunk(&mut self, path: PathId, bucket: u32) -> u32 {
+        let k = usize::from(self.cfg.entries_per_bucket);
+        let slab = &mut self.slab;
+        let free_chunks = &mut self.free_chunks;
+        *self.mems[path.index()].entry(bucket).or_insert_with(|| {
+            free_chunks.pop().unwrap_or_else(|| {
+                let chunk = (slab.len() / k) as u32;
+                slab.resize(slab.len() + k, None);
+                chunk
+            })
+        })
     }
 }
 
@@ -721,6 +794,21 @@ mod tests {
         // Re-insert lands in the same location (bucket unchanged).
         assert_eq!(t.insert(key(1)).unwrap(), id);
         assert_eq!(t.delete(&key(999)), None);
+    }
+
+    #[test]
+    fn reserve_is_capped_at_the_tables_buckets() {
+        let mut t = table();
+        t.reserve(usize::MAX);
+        let cfg = *t.config();
+        let chunks = 2 * cfg.buckets_per_mem as usize;
+        assert!(t.slab.capacity() <= chunks * usize::from(cfg.entries_per_bucket));
+        for mem in &t.mems {
+            // A `HashMap` rounds its room up to a power-of-two bucket
+            // array at 7/8 load, so it may hold up to twice what it was
+            // asked for.
+            assert!(mem.capacity() <= 2 * cfg.buckets_per_mem as usize);
+        }
     }
 
     #[test]
@@ -942,5 +1030,297 @@ mod tests {
             slot: t.config().entries_per_bucket,
         };
         assert!(t.restore_at(key(1), bad_slot).is_err());
+    }
+}
+
+#[cfg(test)]
+mod model {
+    //! The slab layout against a plain reference: every resident bucket
+    //! as its own `Vec`, and the CAM as a slot vector filled lowest-first.
+
+    use std::collections::HashMap;
+
+    use flowlut_traffic::{FiveTuple, FlowKey};
+    use proptest::prelude::*;
+
+    use super::*;
+
+    const KEYS: u64 = 16;
+    const BUCKETS: u32 = 4;
+    const K: u8 = 2;
+    const CAM: usize = 3;
+
+    fn config() -> TableConfig {
+        TableConfig {
+            buckets_per_mem: BUCKETS,
+            entries_per_bucket: K,
+            cam_capacity: CAM,
+            ..TableConfig::test_small()
+        }
+    }
+
+    fn key(i: u64) -> FlowKey {
+        FlowKey::from(FiveTuple::from_index(i))
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u64),
+        /// `insert_with_buckets_preferring` on forced buckets: few
+        /// buckets, so they fill, spill to the CAM, and empty on delete.
+        InsertForced(u64, u32, u32, PathId),
+        Delete(u64),
+        /// Includes out-of-range buckets, slots and CAM slots.
+        RestoreAt(u64, Location),
+        Clear,
+    }
+
+    fn path() -> impl Strategy<Value = PathId> {
+        prop_oneof![Just(PathId::A), Just(PathId::B)]
+    }
+
+    fn location() -> impl Strategy<Value = Location> {
+        prop_oneof![
+            (path(), 0..BUCKETS + 2, 0..K + 1).prop_map(|(path, bucket, slot)| Location::Mem {
+                path,
+                bucket,
+                slot
+            }),
+            (0..CAM as u32 + 2).prop_map(Location::Cam),
+        ]
+    }
+
+    /// Forced inserts and deletes are listed twice to weight them.
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0..KEYS).prop_map(Op::Insert),
+            (0..KEYS, 0..BUCKETS, 0..BUCKETS, path())
+                .prop_map(|(k, b1, b2, p)| Op::InsertForced(k, b1, b2, p)),
+            (0..KEYS, 0..BUCKETS, 0..BUCKETS, path())
+                .prop_map(|(k, b1, b2, p)| Op::InsertForced(k, b1, b2, p)),
+            (0..KEYS).prop_map(Op::Delete),
+            (0..KEYS).prop_map(Op::Delete),
+            (0..KEYS, location()).prop_map(|(k, loc)| Op::RestoreAt(k, loc)),
+            Just(Op::Clear),
+        ]
+    }
+
+    #[derive(Debug)]
+    struct Reference {
+        buckets: HashMap<(PathId, u32), Vec<Option<FlowKey>>>,
+        cam: Vec<Option<FlowKey>>,
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Reference {
+                buckets: HashMap::new(),
+                cam: vec![None; CAM],
+            }
+        }
+
+        fn peek(&self, (b1, b2): (u32, u32), key: &FlowKey) -> Option<Location> {
+            if let Some(slot) = self.cam.iter().position(|s| s.as_ref() == Some(key)) {
+                return Some(Location::Cam(slot as u32));
+            }
+            [(PathId::A, b1), (PathId::B, b2)]
+                .into_iter()
+                .find_map(|(path, bucket)| {
+                    let slots = self.buckets.get(&(path, bucket))?;
+                    let slot = slots.iter().position(|s| s.as_ref() == Some(key))? as u8;
+                    Some(Location::Mem { path, bucket, slot })
+                })
+        }
+
+        fn insert(&mut self, order: [(PathId, u32); 2], key: FlowKey) -> Option<Location> {
+            for (path, bucket) in order {
+                let slots = self
+                    .buckets
+                    .entry((path, bucket))
+                    .or_insert_with(|| vec![None; usize::from(K)]);
+                if let Some(free) = slots.iter().position(Option::is_none) {
+                    slots[free] = Some(key);
+                    let slot = free as u8;
+                    return Some(Location::Mem { path, bucket, slot });
+                }
+            }
+            let free = self.cam.iter().position(Option::is_none)?;
+            self.cam[free] = Some(key);
+            Some(Location::Cam(free as u32))
+        }
+
+        fn delete(&mut self, (b1, b2): (u32, u32), key: &FlowKey) -> Option<Location> {
+            if let Some(slot) = self.cam.iter().position(|s| s.as_ref() == Some(key)) {
+                self.cam[slot] = None;
+                return Some(Location::Cam(slot as u32));
+            }
+            for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
+                let Some(slots) = self.buckets.get_mut(&(path, bucket)) else {
+                    continue;
+                };
+                if let Some(slot) = slots.iter().position(|s| s.as_ref() == Some(key)) {
+                    slots[slot] = None;
+                    if slots.iter().all(Option::is_none) {
+                        self.buckets.remove(&(path, bucket));
+                    }
+                    let slot = slot as u8;
+                    return Some(Location::Mem { path, bucket, slot });
+                }
+            }
+            None
+        }
+
+        fn restore_at(&mut self, key: FlowKey, loc: Location) -> bool {
+            let target = match loc {
+                Location::Cam(slot) => self.cam.get_mut(slot as usize),
+                Location::Mem { path, bucket, slot } if bucket < BUCKETS && slot < K => self
+                    .buckets
+                    .entry((path, bucket))
+                    .or_insert_with(|| vec![None; usize::from(K)])
+                    .get_mut(usize::from(slot)),
+                Location::Mem { .. } => None,
+            };
+            match target {
+                Some(free @ None) => {
+                    *free = Some(key);
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn occupancy(&self) -> Occupancy {
+            let count = |path| {
+                self.buckets
+                    .iter()
+                    .filter(|((p, _), _)| *p == path)
+                    .map(|(_, slots)| slots.iter().flatten().count() as u64)
+                    .sum()
+            };
+            Occupancy {
+                mem_a: count(PathId::A),
+                mem_b: count(PathId::B),
+                cam: self.cam.iter().flatten().count() as u64,
+            }
+        }
+
+        fn placements(&self) -> Vec<(FlowKey, Location)> {
+            let mem = self.buckets.iter().flat_map(|(&(path, bucket), slots)| {
+                slots.iter().enumerate().filter_map(move |(slot, s)| {
+                    let slot = slot as u8;
+                    s.map(|key| (key, Location::Mem { path, bucket, slot }))
+                })
+            });
+            let cam = self
+                .cam
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, s)| s.map(|key| (key, Location::Cam(slot as u32))));
+            sorted(mem.chain(cam).collect())
+        }
+    }
+
+    fn sorted(mut placements: Vec<(FlowKey, Location)>) -> Vec<(FlowKey, Location)> {
+        placements.sort_by_key(|&(_, loc)| FlowId::encode(loc, K));
+        placements
+    }
+
+    fn id(loc: Location) -> FlowId {
+        FlowId::encode(loc, K)
+    }
+
+    /// Every chunk is owned by exactly one resident bucket or sits on the
+    /// free list, free chunks hold no key, and the slab never grew past
+    /// `peak` chunks (the most buckets resident at once), so emptied
+    /// chunks were reused.
+    fn assert_slab_consistent(t: &HashCamTable, peak: usize) {
+        let k = usize::from(K);
+        let mut chunks: Vec<u32> = t.mems.iter().flat_map(|m| m.values().copied()).collect();
+        chunks.extend(&t.free_chunks);
+        chunks.sort_unstable();
+        let all: Vec<u32> = (0..(t.slab.len() / k) as u32).collect();
+        assert_eq!(chunks, all, "chunks leaked or shared");
+        assert!(
+            all.len() <= peak,
+            "{} chunks for at most {peak} buckets",
+            all.len()
+        );
+        for &c in &t.free_chunks {
+            assert!(
+                t.chunk(c).iter().all(Option::is_none),
+                "free chunk {c} holds a key"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn slab_table_matches_per_bucket_reference(ops in prop::collection::vec(op(), 1..120)) {
+            let mut t = HashCamTable::new(config());
+            let mut r = Reference::new();
+            let mut peak = 0;
+            for op in ops {
+                match op {
+                    Op::Insert(i) => {
+                        let pair = t.hash_pair(&key(i));
+                        let expected = match r.peek(pair, &key(i)) {
+                            Some(loc) => Err(InsertError::Duplicate(id(loc))),
+                            None => r
+                                .insert([(PathId::A, pair.0), (PathId::B, pair.1)], key(i))
+                                .map(id)
+                                .ok_or(InsertError::TableFull),
+                        };
+                        prop_assert_eq!(t.insert(key(i)), expected);
+                    }
+                    Op::InsertForced(i, b1, b2, prefer) => {
+                        let expected = match r.peek(t.hash_pair(&key(i)), &key(i)) {
+                            Some(loc) => Err(InsertError::Duplicate(id(loc))),
+                            None => {
+                                let order = match prefer {
+                                    PathId::A => [(PathId::A, b1), (PathId::B, b2)],
+                                    PathId::B => [(PathId::B, b2), (PathId::A, b1)],
+                                };
+                                r.insert(order, key(i)).map(id).ok_or(InsertError::TableFull)
+                            }
+                        };
+                        let got = t.insert_with_buckets_preferring(key(i), b1, b2, prefer);
+                        prop_assert_eq!(got, expected);
+                    }
+                    Op::Delete(i) => {
+                        let expected = r.delete(t.hash_pair(&key(i)), &key(i)).map(id);
+                        prop_assert_eq!(t.delete(&key(i)), expected);
+                    }
+                    Op::RestoreAt(i, loc) => {
+                        let accepted = r.restore_at(key(i), loc);
+                        prop_assert_eq!(t.restore_at(key(i), loc).is_ok(), accepted, "{:?}", loc);
+                    }
+                    Op::Clear => {
+                        t.clear();
+                        r = Reference::new();
+                        peak = 0;
+                    }
+                }
+                peak = peak.max(r.buckets.len());
+                for path in [PathId::A, PathId::B] {
+                    for bucket in 0..BUCKETS {
+                        let expected = r.buckets.get(&(path, bucket)).map(Vec::as_slice);
+                        prop_assert_eq!(t.bucket_slots_ref(path, bucket), expected);
+                    }
+                }
+                for i in 0..KEYS {
+                    let expected = r.peek(t.hash_pair(&key(i)), &key(i)).map(id);
+                    prop_assert_eq!(t.peek(&key(i)), expected);
+                }
+                prop_assert_eq!(t.occupancy(), r.occupancy());
+                let placements = r.placements();
+                prop_assert_eq!(sorted(t.iter().collect()), placements.clone());
+                for (key, loc) in placements {
+                    prop_assert_eq!(t.key_at(loc), Some(key));
+                }
+                assert_slab_consistent(&t, peak);
+            }
+        }
     }
 }

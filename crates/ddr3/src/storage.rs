@@ -7,13 +7,23 @@
 //! state) for untouched locations — sufficient because the flow table
 //! treats an all-zero entry as invalid.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Sparse burst-addressed byte storage.
+///
+/// Written bursts sit back to back in one byte arena, found through a
+/// map from burst address to arena index, so writing a new burst appends
+/// to the arena instead of allocating a buffer of its own. The map keeps
+/// the standard randomly seeded hasher: burst addresses derive from hashes
+/// of outside flow keys under a known seed.
 #[derive(Debug, Clone, Default)]
 pub struct SparseStorage {
     burst_bytes: usize,
-    bursts: HashMap<u64, Vec<u8>>,
+    /// Burst address → index of that burst in `arena`.
+    index: HashMap<u64, usize>,
+    /// Every written burst, `burst_bytes` each, in first-write order.
+    arena: Vec<u8>,
 }
 
 impl SparseStorage {
@@ -27,7 +37,8 @@ impl SparseStorage {
         assert!(burst_bytes > 0, "burst size must be non-zero");
         SparseStorage {
             burst_bytes,
-            bursts: HashMap::new(),
+            index: HashMap::new(),
+            arena: Vec::new(),
         }
     }
 
@@ -40,15 +51,15 @@ impl SparseStorage {
     /// Number of bursts that have been written at least once.
     #[inline]
     pub fn resident_bursts(&self) -> usize {
-        self.bursts.len()
+        self.index.len()
     }
 
     /// Reads the burst at `addr`, returning zeroes for untouched bursts.
     pub fn read_burst(&self, addr: u64) -> Vec<u8> {
-        self.bursts
-            .get(&addr)
-            .cloned()
-            .unwrap_or_else(|| vec![0u8; self.burst_bytes])
+        match self.index.get(&addr) {
+            Some(&i) => self.arena[i * self.burst_bytes..(i + 1) * self.burst_bytes].to_vec(),
+            None => vec![0u8; self.burst_bytes],
+        }
     }
 
     /// Writes a full burst at `addr`.
@@ -64,12 +75,35 @@ impl SparseStorage {
             self.burst_bytes,
             "write must be exactly one burst"
         );
-        self.bursts.insert(addr, data.to_vec());
+        let next = self.index.len();
+        match self.index.entry(addr) {
+            Entry::Occupied(e) => {
+                let at = *e.get() * self.burst_bytes;
+                self.arena[at..at + self.burst_bytes].copy_from_slice(data);
+            }
+            Entry::Vacant(e) => {
+                e.insert(next);
+                self.arena.extend_from_slice(data);
+            }
+        }
+    }
+
+    /// Reserves room for at least `additional` more written bursts, so a
+    /// bulk load of known size grows the arena and its index once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new capacity overflows, like [`Vec::reserve`].
+    pub fn reserve(&mut self, additional: usize) {
+        self.index.reserve(additional);
+        self.arena
+            .reserve(additional.saturating_mul(self.burst_bytes));
     }
 
     /// Removes all contents.
     pub fn clear(&mut self) {
-        self.bursts.clear();
+        self.index.clear();
+        self.arena.clear();
     }
 }
 

@@ -1,12 +1,15 @@
 //! Property tests for the DDR3 model: address mapping bijectivity,
-//! scheduling liveness, bus-model monotonicity, and completion ordering.
+//! scheduling liveness, bus-model monotonicity, completion ordering, and
+//! the burst arena against a map of owned bursts.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use flowlut_ddr3::bus::{analytic_utilization, TurnaroundModel};
 use flowlut_ddr3::{
     AddressMapping, ControllerConfig, DramParams, Geometry, MemRequest, MemoryController,
-    SramParams, TimingPreset,
+    SparseStorage, SramParams, TimingPreset,
 };
 
 fn geometry_strategy() -> impl Strategy<Value = Geometry> {
@@ -203,5 +206,75 @@ proptest! {
             _ => broken.total_bursts = 0,
         }
         prop_assert!(broken.validate().is_err());
+    }
+}
+
+const BURST: usize = 32;
+/// Burst addresses the storage property draws from: a dense low range
+/// plus the top of the address space.
+const LOW_ADDRS: u64 = 24;
+
+#[derive(Debug, Clone)]
+enum StorageOp {
+    /// Writes (or overwrites) a burst filled from a seed byte.
+    Write(u64, u8),
+    Read(u64),
+    Reserve(usize),
+    Clear,
+}
+
+fn burst_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![0..LOW_ADDRS, (0..4u64).prop_map(|i| u64::MAX - i)]
+}
+
+fn storage_op() -> impl Strategy<Value = StorageOp> {
+    prop_oneof![
+        (burst_addr(), any::<u8>()).prop_map(|(a, b)| StorageOp::Write(a, b)),
+        (burst_addr(), any::<u8>()).prop_map(|(a, b)| StorageOp::Write(a, b)),
+        burst_addr().prop_map(StorageOp::Read),
+        (0usize..64).prop_map(StorageOp::Reserve),
+        Just(StorageOp::Clear),
+    ]
+}
+
+fn burst_from(seed: u8) -> Vec<u8> {
+    (0..BURST as u8)
+        .map(|j| seed.wrapping_mul(31).wrapping_add(j))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The burst arena reads back what a map of owned bursts holds, for
+    /// writes, overwrites, reads of unwritten bursts, reservations and
+    /// clears in any order.
+    #[test]
+    fn arena_storage_matches_owned_burst_map(ops in prop::collection::vec(storage_op(), 1..150)) {
+        let mut s = SparseStorage::new(BURST);
+        let mut reference: HashMap<u64, Vec<u8>> = HashMap::new();
+        let read = |reference: &HashMap<u64, Vec<u8>>, addr: u64| {
+            reference.get(&addr).cloned().unwrap_or_else(|| vec![0; BURST])
+        };
+        for op in ops {
+            match op {
+                StorageOp::Write(addr, seed) => {
+                    s.write_burst(addr, &burst_from(seed));
+                    reference.insert(addr, burst_from(seed));
+                }
+                StorageOp::Read(addr) => {
+                    prop_assert_eq!(s.read_burst(addr), read(&reference, addr));
+                }
+                StorageOp::Reserve(n) => s.reserve(n),
+                StorageOp::Clear => {
+                    s.clear();
+                    reference.clear();
+                }
+            }
+            prop_assert_eq!(s.resident_bursts(), reference.len());
+            for addr in (0..LOW_ADDRS).chain((0..4).map(|i| u64::MAX - i)) {
+                prop_assert_eq!(s.read_burst(addr), read(&reference, addr), "burst {}", addr);
+            }
+        }
     }
 }

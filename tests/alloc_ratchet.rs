@@ -5,9 +5,12 @@
 //! allocations performed while streaming a fixed descriptor batch
 //! through each steady-state surface — the single-channel simulator,
 //! the two-shard inline engine, and the service pump — after a warm-up
-//! batch has filled every lazily-grown buffer. The counts are pinned
-//! in `analysis/alloc_baseline.json`, within a small slack band
-//! (`workload.pin_slack_allocs`, ±0.03%):
+//! batch has filled every lazily-grown buffer. Two set-up cases count
+//! the allocations of building resident state in bulk: preloading
+//! Table II(B)'s 10K flows into one prototype channel, and restoring a
+//! two-shard prototype engine from a checkpoint of the trace's flows.
+//! The counts are pinned in `analysis/alloc_baseline.json`, within a
+//! small slack band (`workload.pin_slack_allocs`, ±0.03%):
 //!
 //! * measured > pinned + slack — a hot-path allocation regression: fix it.
 //! * measured < pinned − slack — an improvement: lower the committed
@@ -34,11 +37,13 @@ use std::alloc::System;
 
 use stats_alloc::StatsAlloc;
 
+use std::collections::HashSet;
+
 use flowlut::core::{FlowLutSim, SimConfig};
 use flowlut::engine::{EngineConfig, ExecutionMode, ShardedFlowLut};
 use flowlut::service::{FlowService, ServiceConfig};
 use flowlut::traffic::fabric::FabricTraceProfile;
-use flowlut::traffic::PacketDescriptor;
+use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 use flowlut::{FlowPipeline, Session};
 
 #[global_allocator]
@@ -50,6 +55,8 @@ static ALLOC: StatsAlloc<System> = StatsAlloc::new(System);
 const WARMUP: usize = 4_000;
 /// Descriptors streamed inside the measured window.
 const MEASURED: usize = 16_000;
+/// Flows the preload set-up case loads (Table II(B)'s table size).
+const SETUP_PRELOAD_FLOWS: u64 = 10_000;
 
 const BASELINE: &str = include_str!("../analysis/alloc_baseline.json");
 
@@ -108,24 +115,28 @@ fn service_feed(svc: &mut FlowService, descs: &[PacketDescriptor]) {
 }
 
 fn check(name: &str, measured: u64) {
-    let pin = pinned("baseline_allocs", name);
-    let slack = pinned("workload", "pin_slack_allocs");
     let per_1m = measured * 1_000_000 / MEASURED as u64;
     eprintln!("alloc_ratchet {name}: {measured} allocs / {MEASURED} descriptors ({per_1m} per 1M)");
+    check_pin(name, measured);
+}
+
+fn check_pin(name: &str, measured: u64) {
+    let pin = pinned("baseline_allocs", name);
+    let slack = pinned("workload", "pin_slack_allocs");
     if cfg!(debug_assertions) {
         // Debug builds: harness sanity only (see module docs).
         return;
     }
     assert!(
         measured <= pin + slack,
-        "{name}: {measured} steady-state allocations, baseline pins {pin} (+{slack} slack) — \
-         a hot-path allocation crept in; run `cargo xtask analyze` and fix or vet it"
+        "{name}: {measured} allocations, baseline pins {pin} (+{slack} slack) — \
+         an allocation crept in; run `cargo xtask analyze` and fix or vet it"
     );
     assert!(
         measured + slack >= pin,
-        "{name}: {measured} steady-state allocations, baseline pins {pin} (−{slack} slack) — \
-         improvement! lower baseline_allocs.{name} (and per_1m_descriptors) in \
-         analysis/alloc_baseline.json so the ratchet locks it in"
+        "{name}: {measured} allocations, baseline pins {pin} (−{slack} slack) — \
+         improvement! lower baseline_allocs.{name} (and per_1m_descriptors, for a \
+         steady-state case) in analysis/alloc_baseline.json so the ratchet locks it in"
     );
 }
 
@@ -160,6 +171,45 @@ fn service_pump_steady_state_allocations_match_baseline() {
     check("service_pump", ALLOC.thread_allocations() - before);
 }
 
+#[test]
+fn setup_preload_allocations_match_baseline() {
+    let keys: Vec<FlowKey> = (0..SETUP_PRELOAD_FLOWS)
+        .map(|i| FlowKey::from(FiveTuple::from_index(i)))
+        .collect();
+    let mut sim = FlowLutSim::new(SimConfig::default());
+    let before = ALLOC.thread_allocations();
+    sim.preload(keys)
+        .expect("10K flows fit the prototype table");
+    let measured = ALLOC.thread_allocations() - before;
+    eprintln!("alloc_ratchet setup_preload: {measured} allocs / {SETUP_PRELOAD_FLOWS} flows");
+    check_pin("setup_preload", measured);
+}
+
+#[test]
+fn setup_restore_allocations_match_baseline() {
+    let cfg = EngineConfig::prototype(2);
+    let mut engine = ShardedFlowLut::new(cfg.clone());
+    let mut seen = HashSet::new();
+    let flows = trace()
+        .into_iter()
+        .map(|d| d.key)
+        .filter(|k| seen.insert(*k));
+    engine
+        .preload(flows)
+        .expect("the trace's flows fit two prototype shards");
+    let blob = engine.checkpoint().expect("an idle engine checkpoints");
+    let before = ALLOC.thread_allocations();
+    let restored = ShardedFlowLut::restore(cfg, &blob).expect("a fresh checkpoint restores");
+    let measured = ALLOC.thread_allocations() - before;
+    drop(restored);
+    eprintln!(
+        "alloc_ratchet setup_restore: {measured} allocs / {} flows",
+        seen.len()
+    );
+    assert_eq!(seen.len() as u64, pinned("workload", "setup_restore_flows"));
+    check_pin("setup_restore", measured);
+}
+
 /// The committed baseline document itself stays well-formed: every
 /// section the ratchet reads is present with integer pins, and the
 /// derived per-1M figures agree with the raw pins and the measured
@@ -172,6 +222,10 @@ fn baseline_document_is_consistent() {
         "baseline was produced for a different measured window"
     );
     assert_eq!(pinned("workload", "warmup_descriptors"), WARMUP as u64);
+    assert_eq!(
+        pinned("workload", "setup_preload_flows"),
+        SETUP_PRELOAD_FLOWS
+    );
     // The jitter band must stay negligible relative to the pins —
     // anything wider would let real regressions hide inside it.
     let slack = pinned("workload", "pin_slack_allocs");
@@ -187,8 +241,16 @@ fn baseline_document_is_consistent() {
             pin * 1_000_000 / MEASURED as u64,
             "per_1m_descriptors.{name} out of sync with baseline_allocs.{name}"
         );
-        // The acceptance bar for this PR: the recorded pre-PR counts
-        // must not be beaten upward by the committed baseline.
+    }
+    // No pin may exceed its recorded `pre_pr_allocs` count.
+    for name in [
+        "sim",
+        "engine_2shard",
+        "service_pump",
+        "setup_preload",
+        "setup_restore",
+    ] {
+        let pin = pinned("baseline_allocs", name);
         let pre = pinned("pre_pr_allocs", name);
         assert!(
             pin <= pre,
