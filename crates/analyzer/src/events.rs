@@ -1,7 +1,7 @@
 //! The event engine: programmable detectors over flow-processor output.
 
 use flowlut_core::sim::{DescState, ResolvedVia, SimReport};
-use flowlut_core::{FlowId, FlowStateStore, HashCamTable};
+use flowlut_core::{FlowId, HashCamTable};
 
 /// Detector thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,12 +86,12 @@ impl EventEngine {
     }
 
     /// Per-descriptor hook: elephant detection (edge-triggered on the
-    /// byte threshold).
+    /// byte threshold), reading the flow's record from `table`.
     pub fn on_packet(
         &mut self,
         desc: &DescState,
         via: ResolvedVia,
-        flows: &FlowStateStore,
+        table: &HashCamTable,
         out: &mut Vec<Event>,
     ) {
         if !via.has_fid() {
@@ -101,7 +101,7 @@ impl EventEngine {
         if self.reported_elephants.contains(&fid) {
             return;
         }
-        if let Some(record) = flows.get(fid) {
+        if let Some(record) = table.record(fid) {
             if record.bytes >= self.thresholds.elephant_bytes {
                 self.reported_elephants.insert(fid);
                 self.raised_total += 1;

@@ -148,8 +148,7 @@ impl TrafficAnalyzer {
         for d in &self.sim.descriptors()[before_completed..] {
             let via = d.via.expect("run completed");
             self.stats.on_packet(d, via);
-            self.events
-                .on_packet(d, via, self.sim.flow_state(), &mut events);
+            self.events.on_packet(d, via, self.sim.table(), &mut events);
         }
         self.events
             .on_batch_end(&report, self.sim.table(), &mut events);

@@ -173,6 +173,22 @@ impl<'a> ByteReader<'a> {
         ]))
     }
 
+    /// Reads a statistics or request-ID counter: a little-endian `u64`
+    /// of at most [`MAX_COUNTER`], so the run a restore resumes can count
+    /// on without overflow.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Truncated`] at end of stream;
+    /// [`CheckpointError::Corrupt`] above [`MAX_COUNTER`].
+    pub fn counter(&mut self) -> Result<u64, CheckpointError> {
+        let v = self.u64()?;
+        if v > MAX_COUNTER {
+            return Err(CheckpointError::Corrupt("counter above 2^62"));
+        }
+        Ok(v)
+    }
+
     /// How many of `count` items, each at least `min_bytes` long, the
     /// unread rest of the stream can hold: the most a reader may reserve
     /// room for before reading a count-prefixed sequence, however large
@@ -195,6 +211,13 @@ impl<'a> ByteReader<'a> {
         }
     }
 }
+
+/// The largest counter a checkpoint may carry ([`ByteReader::counter`]):
+/// 2^62, which no run reaches — counting one per cycle of a 1 GHz clock
+/// takes over a century — and at which three restored counters still
+/// sum without overflow, as a two-shard engine's carried counters and
+/// its shards' do.
+pub const MAX_COUNTER: u64 = 1 << 62;
 
 /// Incremental FNV-1a (64-bit) digest, used to fingerprint the
 /// behaviour-relevant configuration a checkpoint was taken under.
@@ -381,38 +404,39 @@ pub fn write_stats(w: &mut ByteWriter, s: &SimStats) {
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Truncated`] at end of stream.
+/// [`CheckpointError::Truncated`] at end of stream;
+/// [`CheckpointError::Corrupt`] for a counter above [`MAX_COUNTER`].
 pub fn read_stats(r: &mut ByteReader<'_>) -> Result<SimStats, CheckpointError> {
     Ok(SimStats {
-        offered: r.u64()?,
-        admitted: r.u64()?,
-        completed: r.u64()?,
-        cam_hits: r.u64()?,
-        lu1_hits: r.u64()?,
-        lu2_hits: r.u64()?,
-        inserted_mem: r.u64()?,
-        inserted_cam: r.u64()?,
-        duplicate_races: r.u64()?,
-        drops: r.u64()?,
+        offered: r.counter()?,
+        admitted: r.counter()?,
+        completed: r.counter()?,
+        cam_hits: r.counter()?,
+        lu1_hits: r.counter()?,
+        lu2_hits: r.counter()?,
+        inserted_mem: r.counter()?,
+        inserted_cam: r.counter()?,
+        duplicate_races: r.counter()?,
+        drops: r.counter()?,
         lu1_per_path: {
-            let a = r.u64()?;
-            let b = r.u64()?;
+            let a = r.counter()?;
+            let b = r.counter()?;
             [a, b]
         },
-        reads_issued: r.u64()?,
-        writes_issued: r.u64()?,
-        filter_hold_cycles: r.u64()?,
-        input_stall_cycles: r.u64()?,
-        same_key_holds: r.u64()?,
-        bwr_count_releases: r.u64()?,
-        bwr_timeout_releases: r.u64()?,
-        deletes: r.u64()?,
-        housekeeping_expired: r.u64()?,
-        evictions: r.u64()?,
-        expired_ttl: r.u64()?,
-        pressure_evicted: r.u64()?,
-        total_latency_sys: r.u64()?,
-        max_latency_sys: r.u64()?,
+        reads_issued: r.counter()?,
+        writes_issued: r.counter()?,
+        filter_hold_cycles: r.counter()?,
+        input_stall_cycles: r.counter()?,
+        same_key_holds: r.counter()?,
+        bwr_count_releases: r.counter()?,
+        bwr_timeout_releases: r.counter()?,
+        deletes: r.counter()?,
+        housekeeping_expired: r.counter()?,
+        evictions: r.counter()?,
+        expired_ttl: r.counter()?,
+        pressure_evicted: r.counter()?,
+        total_latency_sys: r.counter()?,
+        max_latency_sys: r.counter()?,
     })
 }
 

@@ -75,7 +75,7 @@ pub use checkpoint::CheckpointError;
 pub use config::{ExpiryPolicy, LoadBalancerPolicy, PressurePolicy, SimConfig};
 pub use error::{ConfigError, FlowError, InsertError, PreloadError, RescaleError};
 pub use fid::{FlowId, Location, PathId};
-pub use flow_state::{FlowRecord, FlowStateStore};
+pub use flow_state::FlowRecord;
 pub use multipath::{MultiHashConfig, MultiHashStats, MultiHashTable, MultiLocation};
 pub use resource::{ResourceEstimate, ResourceModel};
 pub use sim::{FlowLutSim, SimReport, SimSnapshot, SimStats};

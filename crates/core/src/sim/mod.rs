@@ -42,7 +42,7 @@ use crate::codec;
 use crate::config::{FullTablePolicy, LoadBalancerPolicy, SimConfig};
 use crate::error::{InsertError, PreloadError};
 use crate::fid::{FlowId, Location, PathId};
-use crate::flow_state::{FlowRecord, FlowStateStore};
+use crate::flow_state::{FlowCounters, FlowRecord};
 use crate::table::{HashCamTable, Occupancy};
 
 /// A lookup read waiting in a DLU.
@@ -154,7 +154,6 @@ pub struct FlowLutSim {
     burst_bytes: usize,
     mem_ticks_per_sys: u32,
     table: HashCamTable,
-    flow_state: FlowStateStore,
     paths: [PathSim; 2],
     // Sequencer.
     seq_q: VecDeque<usize>,
@@ -197,7 +196,7 @@ pub struct FlowLutSim {
     parts_pool: Vec<Vec<Option<Vec<u8>>>>,
     /// Bucket-serialisation buffer (DLU writes and storage flushes).
     write_buf: Vec<u8>,
-    /// Lifecycle/housekeeping scan batch buffer.
+    /// Lifecycle scan batch buffer.
     scan_scratch: Vec<(FlowId, FlowRecord)>,
 }
 
@@ -223,7 +222,6 @@ impl FlowLutSim {
         };
         FlowLutSim {
             table: HashCamTable::new(cfg.table),
-            flow_state: FlowStateStore::new(),
             paths: [mk_path(), mk_path()],
             seq_q: VecDeque::new(),
             cam_pipe: VecDeque::new(),
@@ -263,14 +261,10 @@ impl FlowLutSim {
         &self.cfg
     }
 
-    /// The functional table (ground truth of resident flows).
+    /// The functional table: the ground truth of resident flows and
+    /// their records.
     pub fn table(&self) -> &HashCamTable {
         &self.table
-    }
-
-    /// Per-flow records.
-    pub fn flow_state(&self) -> &FlowStateStore {
-        &self.flow_state
     }
 
     /// Simulator counters.
@@ -310,8 +304,9 @@ impl FlowLutSim {
         let mut touched: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
         let mut n = 0usize;
         let mut failure: Option<InsertError> = None;
+        let counters = FlowCounters::first_packet(0, self.now_sys, 0);
         for key in keys {
-            let fid = match self.table.insert(key) {
+            let fid = match self.table.insert_flow(key, counters) {
                 Ok(fid) => fid,
                 Err(cause) => {
                     failure = Some(cause);
@@ -323,31 +318,30 @@ impl FlowLutSim {
             {
                 touched[path.index()].push(bucket);
             }
-            self.flow_state.on_new_flow(fid, key, 0, self.now_sys, 0);
             n += 1;
         }
         // Flush even on failure: the keys accepted so far must be
         // readable from DRAM, or later lookups would see stale buckets.
-        self.flush_buckets(&mut touched);
+        for (p, buckets) in touched.iter_mut().enumerate() {
+            buckets.sort_unstable();
+            buckets.dedup();
+            self.flush_buckets(p, buckets);
+        }
         match failure {
             Some(cause) => Err(PreloadError { inserted: n, cause }),
             None => Ok(n),
         }
     }
 
-    /// Writes each bucket listed in `touched` (per path, repeats allowed)
-    /// to its memory's storage once, in ascending bucket order.
-    fn flush_buckets(&mut self, touched: &mut [Vec<u32>; 2]) {
-        for (p, buckets) in touched.iter_mut().enumerate() {
-            buckets.sort_unstable();
-            buckets.dedup();
-            self.paths[p]
-                .ctrl
-                .storage_mut()
-                .reserve(buckets.len() * self.bursts_per_bucket as usize);
-            for &bucket in buckets.iter() {
-                self.write_bucket_to_storage(p, bucket);
-            }
+    /// Writes each of `buckets` (ascending, distinct) of memory `path`
+    /// to its storage.
+    fn flush_buckets(&mut self, path: usize, buckets: &[u32]) {
+        self.paths[path]
+            .ctrl
+            .storage_mut()
+            .reserve(buckets.len() * self.bursts_per_bucket as usize);
+        for &bucket in buckets {
+            self.write_bucket_to_storage(path, bucket);
         }
     }
 
@@ -674,15 +668,12 @@ impl FlowLutSim {
             ResolvedVia::DuplicateRace => self.stats.duplicate_races += 1,
             ResolvedVia::Dropped => self.stats.drops += 1,
         }
-        // Flow-state records.
+        // Flow-state records, in the slot the flow ID names.
         let now_ns = (now as f64 * self.cfg.sys_period_ns()) as u64;
         let frame = u64::from(self.descs[desc].desc.frame_bytes);
         if let Some(fid) = fid {
-            if via.is_new_flow() {
-                self.flow_state.on_new_flow(fid, key, now_ns, now, frame);
-            } else {
-                self.flow_state.on_packet(fid, now_ns, now, frame);
-            }
+            self.table
+                .record_packet(fid, &key, via.is_new_flow(), now_ns, now, frame);
         }
         self.in_flight -= 1;
         // Release the next same-key waiter into the CAM stage.
@@ -819,15 +810,16 @@ impl FlowLutSim {
         }
     }
 
+    /// Nominates every flow idle past the flow timeout for deletion, in
+    /// ID order. The update unit re-validates each nomination, so a flow
+    /// touched before its deletion is processed survives.
     fn housekeeping(&mut self) {
         let now_ns = (self.now_sys as f64 * self.cfg.sys_period_ns()) as u64;
-        let mut batch = std::mem::take(&mut self.scan_scratch);
-        self.flow_state
-            .idle_candidates_into(now_ns, self.cfg.flow_timeout_ns, &mut batch);
-        for (_, record) in batch.drain(..) {
-            self.del_q.push_back(DelReq::Expire(record.key));
+        for (_, record) in self.table.records_after(None) {
+            if record.idle_ns(now_ns) > self.cfg.flow_timeout_ns {
+                self.del_q.push_back(DelReq::Expire(record.key));
+            }
         }
-        self.scan_scratch = batch;
     }
 
     /// One stride of the incremental TTL scan ([`ExpiryPolicy`]): visits
@@ -843,7 +835,7 @@ impl FlowLutSim {
         };
         let mut batch = std::mem::take(&mut self.scan_scratch);
         self.expiry_cursor =
-            self.flow_state
+            self.table
                 .scan_after_into(self.expiry_cursor, policy.scan_stride, &mut batch);
         for (_, record) in batch.drain(..) {
             if self.now_sys.saturating_sub(record.last_touch_sys) <= policy.idle_timeout_cycles {
@@ -876,7 +868,7 @@ impl FlowLutSim {
         }
         let mut batch = std::mem::take(&mut self.scan_scratch);
         self.pressure_cursor =
-            self.flow_state
+            self.table
                 .scan_after_into(self.pressure_cursor, policy.scan_batch, &mut batch);
         let coldest = batch
             .drain(..)
@@ -932,11 +924,11 @@ impl FlowLutSim {
                 let Some(fid) = self.table.peek(&key) else {
                     return; // already gone
                 };
-                match self.flow_state.get(fid) {
+                match self.table.record(fid) {
                     Some(r)
                         if self.now_sys.saturating_sub(r.last_touch_sys)
                             > policy.idle_timeout_cycles => {}
-                    _ => return, // re-activated or record already gone
+                    _ => return, // re-activated
                 }
                 self.stats.expired_ttl += 1;
                 self.push_event(FlowEventKind::ExpiredTtl, key);
@@ -957,7 +949,7 @@ impl FlowLutSim {
                 if self.table.occupancy().cam < u64::from(policy.cam_high_water) {
                     return;
                 }
-                let Some(record) = self.flow_state.get(fid).copied() else {
+                let Some(record) = self.table.record(fid) else {
                     return;
                 };
                 if self.victims.len() >= policy.victim_cap {
@@ -978,9 +970,9 @@ impl FlowLutSim {
                     return; // already gone (duplicate candidate)
                 };
                 let now_ns = (self.now_sys as f64 * self.cfg.sys_period_ns()) as u64;
-                match self.flow_state.get(fid) {
+                match self.table.record(fid) {
                     Some(r) if r.idle_ns(now_ns) > self.cfg.flow_timeout_ns => {}
-                    _ => return, // re-activated or record already gone
+                    _ => return, // re-activated
                 }
                 self.stats.housekeeping_expired += 1;
                 key
@@ -989,7 +981,6 @@ impl FlowLutSim {
         };
         if let Some(fid) = self.table.delete(&key) {
             self.stats.deletes += 1;
-            let _ = self.flow_state.remove(fid);
             if let Location::Mem { path, bucket, .. } =
                 fid.decode(self.cfg.table.entries_per_bucket)
             {
@@ -1064,7 +1055,7 @@ impl FlowLutSim {
                 let Some(fid) = self.table.peek(&key) else {
                     continue;
                 };
-                let last_seen = self.flow_state.get(fid).map_or(0, |r| r.last_seen_ns);
+                let last_seen = self.table.record(fid).map_or(0, |r| r.last_seen_ns);
                 if best.is_none_or(|(b, _)| last_seen < b) {
                     best = Some((last_seen, key));
                 }
@@ -1322,13 +1313,13 @@ impl FlowLutSim {
             }
             self.paths[p].ctrl = ctrl;
         }
-        let mut touched: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
-        for (_, loc) in self.table.iter() {
-            if let Location::Mem { path, bucket, .. } = loc {
-                touched[path.index()].push(bucket);
-            }
+        let occupancy = self.table.occupancy();
+        let mut buckets = Vec::with_capacity(occupancy.mem_a.max(occupancy.mem_b) as usize);
+        for p in 0..2 {
+            buckets.clear();
+            buckets.extend(self.table.resident_buckets(PathId::from_index(p)));
+            self.flush_buckets(p, &buckets);
         }
-        self.flush_buckets(&mut touched);
     }
 
     /// Serializes a consistent checkpoint of this (quiescent) simulator.
@@ -1368,20 +1359,18 @@ impl FlowLutSim {
         w.put_u64(self.next_asm_id as u64);
         w.put_u64(self.last_completion_cycle);
         checkpoint::write_stats(&mut w, &self.stats);
-        // Resident placements, sorted by encoded ID for a canonical
-        // byte stream (the table iterates in hash-map order).
-        let mut placements: Vec<(FlowKey, Location)> = self.table.iter().collect();
-        placements.sort_by_key(|&(_, loc)| FlowId::encode(loc, k).raw());
-        w.put_u64(placements.len() as u64);
-        for &(key, loc) in &placements {
+        // Resident placements, then their records, each in ascending
+        // flow-ID order: the table walks in that order, so the byte
+        // stream is canonical.
+        w.put_u64(self.table.len());
+        for (key, loc) in self.table.iter() {
             checkpoint::write_location(&mut w, loc);
             checkpoint::write_key(&mut w, &key);
         }
-        // Per-flow records (BTreeMap order is already canonical).
-        w.put_u64(self.flow_state.len() as u64);
-        for (id, record) in self.flow_state.iter() {
+        w.put_u64(self.table.len());
+        for (id, record) in self.table.records_after(None) {
             checkpoint::write_location(&mut w, id.decode(k));
-            checkpoint::write_record(&mut w, record);
+            checkpoint::write_record(&mut w, &record);
         }
         // Lifecycle scan cursors.
         for cursor in [self.expiry_cursor, self.pressure_cursor] {
@@ -1448,8 +1437,8 @@ impl FlowLutSim {
             return Err(CheckpointError::Corrupt("clock overflows the memory clock"));
         }
         sim.lb_acc = r.u32()?;
-        sim.next_mem_id = r.u64()?;
-        sim.next_asm_id = usize::try_from(r.u64()?)
+        sim.next_mem_id = r.counter()?;
+        sim.next_asm_id = usize::try_from(r.counter()?)
             .map_err(|_| CheckpointError::Corrupt("assembly counter overflow"))?;
         sim.last_completion_cycle = r.u64()?;
         sim.stats = checkpoint::read_stats(&mut r)?;
@@ -1466,30 +1455,29 @@ impl FlowLutSim {
                 .restore_at(key, loc)
                 .map_err(CheckpointError::Corrupt)?;
         }
-        // Records: exactly one per placement, each naming the key placed
-        // at its location (so every hit finds a record and no insert
-        // lands on a live one).
+        // Records: as many as placements, in strictly ascending ID order
+        // (as `checkpoint` writes them), each naming the key placed at
+        // its location — together, exactly one record per placement.
         let records = r.u64()?;
         if records != placements {
             return Err(CheckpointError::Corrupt(
                 "flow record count differs from placement count",
             ));
         }
-        // `placements` were all parsed above, so this reservation is
-        // bounded by the blob's length.
-        let mut batch = Vec::with_capacity(usize::try_from(records).unwrap_or(0));
+        let mut last = None;
         for _ in 0..records {
-            let loc = checkpoint::read_location(&mut r, &table_cfg)?;
+            let fid = FlowId::encode(checkpoint::read_location(&mut r, &table_cfg)?, k);
             let record = checkpoint::read_record(&mut r)?;
-            if sim.table.key_at(loc) != Some(record.key) {
-                return Err(CheckpointError::Corrupt(
-                    "flow record disagrees with its placement",
-                ));
+            if last >= Some(fid) {
+                return Err(CheckpointError::Corrupt("flow records out of ID order"));
             }
-            batch.push((FlowId::encode(loc, k), record));
+            last = Some(fid);
+            *sim.table
+                .counters_mut(fid, &record.key)
+                .ok_or(CheckpointError::Corrupt(
+                    "flow record disagrees with its placement",
+                ))? = FlowCounters::of(&record);
         }
-        sim.flow_state = FlowStateStore::from_records(batch)
-            .map_err(|_| CheckpointError::Corrupt("duplicate flow record"))?;
         let mut cursors = [None, None];
         for cursor in &mut cursors {
             *cursor = match r.u8()? {
@@ -1547,11 +1535,12 @@ impl FlowLutSim {
     /// [`InsertError`] when the key is already resident or the table is
     /// full.
     pub fn adopt_flow(&mut self, record: FlowRecord) -> Result<FlowId, InsertError> {
-        let fid = self.table.insert(record.key)?;
+        let fid = self
+            .table
+            .insert_flow(record.key, FlowCounters::of(&record))?;
         if let Location::Mem { path, bucket, .. } = fid.decode(self.cfg.table.entries_per_bucket) {
             self.write_bucket_to_storage(path.index(), bucket);
         }
-        self.flow_state.adopt(fid, record);
         Ok(fid)
     }
 }

@@ -56,7 +56,7 @@ fn second_packet_of_flow_matches_first_insert() {
     // Per-flow order: completion times ordered.
     assert!(d[0].t_done.unwrap() <= d[1].t_done.unwrap());
     // The flow record has folded both packets.
-    let rec = sim.flow_state().get(d[0].fid.unwrap()).unwrap();
+    let rec = sim.table().record(d[0].fid.unwrap()).unwrap();
     assert_eq!(rec.packets, 2);
 }
 
@@ -294,7 +294,7 @@ fn housekeeping_expires_idle_flows() {
         "all flows idle past timeout must expire"
     );
     assert_eq!(sim.table().len(), 0);
-    assert!(sim.flow_state().is_empty());
+    assert_eq!(sim.table().records_after(None).next(), None);
 }
 
 #[test]
@@ -601,7 +601,7 @@ fn ttl_expiry_removes_idle_flows_and_raises_events() {
     }
     assert_eq!(sim.stats().expired_ttl, 6);
     assert_eq!(sim.table().len(), 0);
-    assert!(sim.flow_state().is_empty());
+    assert_eq!(sim.table().records_after(None).next(), None);
     let events = FlowPipeline::poll_events(&mut sim);
     assert_eq!(events.len(), 6);
     assert!(events
@@ -804,7 +804,7 @@ fn adopt_flow_rehomes_a_record_under_new_geometry() {
     let mut source = FlowLutSim::new(SimConfig::test_small());
     source.run(&descs(0..10));
     source.quiesce();
-    let records: Vec<FlowRecord> = source.flow_state().iter().map(|(_, r)| *r).collect();
+    let records: Vec<FlowRecord> = source.table().records_after(None).map(|(_, r)| r).collect();
     assert_eq!(records.len(), 10);
 
     let mut dest = FlowLutSim::warm_start(SimConfig::test_small(), source.now_sys());
@@ -817,7 +817,7 @@ fn adopt_flow_rehomes_a_record_under_new_geometry() {
     let report = dest.run(&descs(0..10));
     let s = report.stats;
     assert_eq!(s.cam_hits + s.lu1_hits + s.lu2_hits, 10, "{s:?}");
-    for (_, r) in dest.flow_state().iter() {
+    for (_, r) in dest.table().records_after(None) {
         assert!(r.packets >= 2, "preserved packet count plus the re-hit");
     }
 }
@@ -888,11 +888,9 @@ fn restore_accepts_a_hand_built_blob_whose_records_match_its_placements() {
     );
     let sim = FlowLutSim::restore(cfg, &blob).expect("a consistent blob restores");
     assert_eq!(sim.table().len(), 3);
-    assert_eq!(sim.flow_state().len(), 3);
     for (key, loc) in [a, b, c] {
         let fid = FlowId::encode(loc, 2);
-        assert_eq!(sim.table().key_at(loc), Some(key));
-        assert_eq!(sim.flow_state().get(fid).map(|r| r.key), Some(key));
+        assert_eq!(sim.table().record(fid), Some(record_of((key, loc)).1));
     }
 }
 
@@ -949,7 +947,13 @@ fn restore_rejects_records_that_disagree_with_placements() {
             "a repeated record ID",
             vec![a, b],
             vec![record_of(a), record_of(a)],
-            "duplicate flow record",
+            "flow records out of ID order",
+        ),
+        (
+            "records in descending ID order",
+            vec![a, b],
+            vec![record_of(b), record_of(a)],
+            "flow records out of ID order",
         ),
     ];
     for (what, placements, records, expected) in cases {
@@ -960,4 +964,57 @@ fn restore_rejects_records_that_disagree_with_placements() {
             "{what}"
         );
     }
+}
+
+/// Byte offsets in a simulator checkpoint: the memory request counter
+/// follows the magic, version, configuration digest, clock and
+/// load-balancer state; the statistics follow it, the assembly counter
+/// and the last completion cycle, field by field.
+const NEXT_MEM_ID_AT: usize = 28;
+const STATS_AT: usize = 52;
+const INSERTED_MEM_AT: usize = STATS_AT + 6 * 8;
+
+/// A checkpoint of a settled run of `descs(0..20)`.
+fn settled_blob() -> Vec<u8> {
+    let mut sim = FlowLutSim::new(SimConfig::test_small());
+    sim.run(&descs(0..20));
+    sim.quiesce();
+    let blob = sim.checkpoint().expect("a quiesced simulator checkpoints");
+    assert_eq!(blob[NEXT_MEM_ID_AT..][..8], sim.next_mem_id.to_le_bytes());
+    assert_eq!(
+        blob[INSERTED_MEM_AT..][..8],
+        sim.stats.inserted_mem.to_le_bytes()
+    );
+    blob
+}
+
+fn with_u64(mut blob: Vec<u8>, at: usize, value: u64) -> Vec<u8> {
+    blob[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    blob
+}
+
+/// A counter above 2^62 is refused; one at the bound restores, and the
+/// restored simulator hits, inserts and drains without overflowing it.
+fn assert_counter_bounded(at: usize) {
+    let cfg = SimConfig::test_small();
+    let hostile = with_u64(settled_blob(), at, u64::MAX);
+    assert_eq!(
+        FlowLutSim::restore(cfg.clone(), &hostile).err(),
+        Some(CheckpointError::Corrupt("counter above 2^62"))
+    );
+    let edge = with_u64(settled_blob(), at, checkpoint::MAX_COUNTER);
+    let mut sim = FlowLutSim::restore(cfg, &edge).expect("a counter at the bound restores");
+    let report = sim.run(&descs(10..30));
+    assert_eq!(report.completed, 20);
+    assert_eq!(report.stats.inserted_mem + report.stats.inserted_cam, 10);
+}
+
+#[test]
+fn restore_rejects_a_request_id_counter_above_2_62() {
+    assert_counter_bounded(NEXT_MEM_ID_AT);
+}
+
+#[test]
+fn restore_rejects_a_statistic_above_2_62() {
+    assert_counter_bounded(INSERTED_MEM_AT);
 }

@@ -21,6 +21,7 @@ use flowlut_traffic::FlowKey;
 
 use crate::error::{ConfigError, InsertError};
 use crate::fid::{FlowId, Location, PathId};
+use crate::flow_state::{FlowCounters, FlowRecord};
 
 /// Sizing and hashing parameters of a [`HashCamTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,6 +202,13 @@ impl TableStats {
 /// the next new bucket takes before the slab grows. The bucket maps keep
 /// the standard randomly seeded hasher: bucket indices are H3 hashes of
 /// outside flow keys under a known seed.
+///
+/// Each slot also holds its flow's [`FlowRecord`] counters, so the flow
+/// ID addresses per-flow state directly ([`record`](Self::record)), as
+/// FID_GEN intends. One bit per bucket of each memory and per CAM slot
+/// marks the resident ones; walks in flow-ID order
+/// ([`records_after`](Self::records_after)) sweep those bits by address,
+/// as the hardware's housekeeping sweeps flow-state memory.
 #[derive(Debug)]
 pub struct HashCamTable {
     cfg: TableConfig,
@@ -210,11 +218,109 @@ pub struct HashCamTable {
     mems: [HashMap<u32, u32>; 2],
     /// `K` slots per chunk, chunks back to back.
     slab: Vec<Option<FlowKey>>,
+    /// The counters of each slab slot's flow, indexed like `slab`.
+    counters: Vec<FlowCounters>,
     /// Chunks of buckets that deletion emptied (every slot `None`).
     free_chunks: Vec<u32>,
+    /// Resident buckets of Mem1 and Mem2, then occupied CAM slots.
+    occupied: [Occupied; 3],
     mem_counts: [u64; 2],
     cam: Cam<FlowKey>,
+    /// The counters of each CAM slot's flow, indexed by slot.
+    cam_counters: Vec<FlowCounters>,
     stats: TableStats,
+}
+
+/// Index of the CAM's bitmap in [`HashCamTable::occupied`], after the
+/// two memories'.
+const CAM_REGION: usize = 2;
+
+/// Where a resident flow's counters sit.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// In `cam_counters`, at this CAM slot.
+    Cam(usize),
+    /// In `counters`, at this slab index.
+    Slab(usize),
+}
+
+/// One bit per unit (a bucket, or a CAM slot), plus a summary bit per
+/// 64-unit word, so a walk skips an empty stretch of 4,096 units with
+/// one load. The bits are allocated on first need — by
+/// [`HashCamTable::reserve`] before a bulk load, or by the first unit
+/// set — so a table that never holds a flow pays nothing for them.
+#[derive(Debug)]
+struct Occupied {
+    units: usize,
+    /// Empty until allocated; then one bit per unit.
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl Occupied {
+    fn new(units: usize) -> Self {
+        Occupied {
+            units,
+            words: Vec::new(),
+            summary: Vec::new(),
+        }
+    }
+
+    /// Allocates the bits, all clear, unless they already are.
+    fn allocate(&mut self) {
+        if self.words.is_empty() {
+            let words = self.units.div_ceil(64);
+            self.words = vec![0; words];
+            self.summary = vec![0; words.div_ceil(64)];
+        }
+    }
+
+    fn insert(&mut self, unit: usize) {
+        self.allocate();
+        let word = unit / 64;
+        self.words[word] |= 1 << (unit % 64);
+        self.summary[word / 64] |= 1 << (word % 64);
+    }
+
+    fn remove(&mut self, unit: usize) {
+        let word = unit / 64;
+        // Unallocated bits hold no unit to clear.
+        let Some(bits) = self.words.get_mut(word) else {
+            return;
+        };
+        *bits &= !(1 << (unit % 64));
+        if *bits == 0 {
+            self.summary[word / 64] &= !(1 << (word % 64));
+        }
+    }
+
+    /// The first set unit at or after `from`.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let word = from / 64;
+        let bits = self.words.get(word)? & (!0 << (from % 64));
+        if bits != 0 {
+            return Some(word * 64 + bits.trailing_zeros() as usize);
+        }
+        // The next non-empty word, found through the summary.
+        let next = word + 1;
+        let mut at = next / 64;
+        let mut mask = !0 << (next % 64);
+        while let Some(&summary) = self.summary.get(at) {
+            let bits = summary & mask;
+            if bits != 0 {
+                let word = at * 64 + bits.trailing_zeros() as usize;
+                return Some(word * 64 + self.words[word].trailing_zeros() as usize);
+            }
+            at += 1;
+            mask = !0;
+        }
+        None
+    }
+
+    /// Set units in ascending order, from `from` on.
+    fn iter_from(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_from(from), move |&unit| self.next_from(unit + 1))
+    }
 }
 
 impl HashCamTable {
@@ -232,11 +338,23 @@ impl HashCamTable {
             hasher: PairHasher::h3_pair(key_bits, cfg.hash_seed),
             mems: [HashMap::new(), HashMap::new()],
             slab: Vec::new(),
+            counters: Vec::new(),
             free_chunks: Vec::new(),
+            occupied: Self::empty_bitmaps(&cfg),
             mem_counts: [0, 0],
             cam: Cam::new(cfg.cam_capacity),
+            cam_counters: vec![FlowCounters::default(); cfg.cam_capacity],
             stats: TableStats::default(),
         }
+    }
+
+    fn empty_bitmaps(cfg: &TableConfig) -> [Occupied; 3] {
+        let buckets = cfg.buckets_per_mem as usize;
+        [
+            Occupied::new(buckets),
+            Occupied::new(buckets),
+            Occupied::new(cfg.cam_capacity),
+        ]
     }
 
     /// Configuration in force.
@@ -389,6 +507,16 @@ impl HashCamTable {
     /// its existing ID); [`InsertError::TableFull`] if both buckets and
     /// the CAM are full.
     pub fn insert(&mut self, key: FlowKey) -> Result<FlowId, InsertError> {
+        self.insert_flow(key, FlowCounters::default())
+    }
+
+    /// [`insert`](Self::insert) with the flow's counters: preload and
+    /// rescale install flows whose record already exists.
+    pub(crate) fn insert_flow(
+        &mut self,
+        key: FlowKey,
+        counters: FlowCounters,
+    ) -> Result<FlowId, InsertError> {
         let (b1, b2) = self.hash_pair(&key);
         let existing = self
             .cam_peek(&key)
@@ -396,7 +524,7 @@ impl HashCamTable {
         if let Some(existing) = existing {
             return Err(InsertError::Duplicate(existing));
         }
-        self.insert_at(key, b1, b2)
+        self.insert_at_order(key, counters, [(PathId::A, b1), (PathId::B, b2)])
     }
 
     /// Inserts with externally supplied bucket indices (hash-override
@@ -452,10 +580,11 @@ impl HashCamTable {
         if let Some(existing) = self.peek(&key) {
             return Err(InsertError::Duplicate(existing));
         }
-        match prefer {
-            PathId::A => self.insert_at(key, b1, b2),
-            PathId::B => self.insert_at_order(key, [(PathId::B, b2), (PathId::A, b1)]),
-        }
+        let order = match prefer {
+            PathId::A => [(PathId::A, b1), (PathId::B, b2)],
+            PathId::B => [(PathId::B, b2), (PathId::A, b1)],
+        };
+        self.insert_at_order(key, FlowCounters::default(), order)
     }
 
     /// Lookup with externally supplied bucket indices (for flows inserted
@@ -498,19 +627,25 @@ impl HashCamTable {
     }
 
     fn insert_at(&mut self, key: FlowKey, b1: u32, b2: u32) -> Result<FlowId, InsertError> {
-        self.insert_at_order(key, [(PathId::A, b1), (PathId::B, b2)])
+        self.insert_at_order(
+            key,
+            FlowCounters::default(),
+            [(PathId::A, b1), (PathId::B, b2)],
+        )
     }
 
     fn insert_at_order(
         &mut self,
         key: FlowKey,
+        counters: FlowCounters,
         order: [(PathId, u32); 2],
     ) -> Result<FlowId, InsertError> {
         for (path, bucket) in order {
-            let chunk = self.claim_chunk(path, bucket);
-            let slots = self.chunk_mut(chunk);
+            let base = self.claim_chunk(path, bucket);
+            let slots = self.chunk_mut(base);
             if let Some(free) = slots.iter().position(|s| s.is_none()) {
                 slots[free] = Some(key);
+                self.counters[base + free] = counters;
                 self.mem_counts[path.index()] += 1;
                 self.stats.inserts += 1;
                 return Ok(FlowId::encode(
@@ -526,6 +661,8 @@ impl HashCamTable {
         // Both buckets full: spill to the CAM.
         match self.cam.insert(key) {
             Ok(slot) => {
+                self.cam_counters[slot] = counters;
+                self.occupied[CAM_REGION].insert(slot);
                 self.stats.inserts += 1;
                 self.stats.cam_spills += 1;
                 Ok(FlowId::encode(
@@ -559,6 +696,8 @@ impl HashCamTable {
     /// Removes `key`, returning its former ID.
     pub fn delete(&mut self, key: &FlowKey) -> Option<FlowId> {
         if let Some(slot) = self.cam.delete(key) {
+            self.cam_counters[slot] = FlowCounters::default();
+            self.occupied[CAM_REGION].remove(slot);
             self.stats.deletes += 1;
             return Some(FlowId::encode(
                 Location::Cam(slot as u32),
@@ -568,13 +707,16 @@ impl HashCamTable {
         let (b1, b2) = self.hash_pair(key);
         for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
             if let Some(&chunk) = self.mems[path.index()].get(&bucket) {
-                let slots = self.chunk_mut(chunk);
+                let base = self.chunk_base(chunk);
+                let slots = self.chunk_mut(base);
                 if let Some(slot) = slots.iter().position(|s| s.as_ref() == Some(key)) {
                     slots[slot] = None;
                     if slots.iter().all(|s| s.is_none()) {
                         self.mems[path.index()].remove(&bucket);
+                        self.occupied[path.index()].remove(bucket as usize);
                         self.free_chunks.push(chunk);
                     }
+                    self.counters[base + slot] = FlowCounters::default();
                     self.mem_counts[path.index()] -= 1;
                     self.stats.deletes += 1;
                     return Some(FlowId::encode(
@@ -606,6 +748,7 @@ impl HashCamTable {
         match loc {
             Location::Cam(slot) => {
                 self.cam.restore_at(slot as usize, key)?;
+                self.occupied[CAM_REGION].insert(slot as usize);
             }
             Location::Mem { path, bucket, slot } => {
                 if bucket >= self.cfg.buckets_per_mem {
@@ -614,8 +757,8 @@ impl HashCamTable {
                 if slot >= self.cfg.entries_per_bucket {
                     return Err("bucket slot out of range");
                 }
-                let chunk = self.claim_chunk(path, bucket);
-                let slots = self.chunk_mut(chunk);
+                let base = self.claim_chunk(path, bucket);
+                let slots = self.chunk_mut(base);
                 if slots[usize::from(slot)].is_some() {
                     return Err("bucket slot already occupied");
                 }
@@ -632,22 +775,171 @@ impl HashCamTable {
     pub fn bucket_slots_ref(&self, path: PathId, bucket: u32) -> Option<&[Option<FlowKey>]> {
         self.mems[path.index()]
             .get(&bucket)
-            .map(|&chunk| self.chunk(chunk))
+            .map(|&chunk| self.chunk(self.chunk_base(chunk)))
     }
 
-    /// The key resident at `loc`, if any.
-    pub(crate) fn key_at(&self, loc: Location) -> Option<FlowKey> {
-        match loc {
+    /// The resident buckets of `path`'s memory, ascending.
+    pub(crate) fn resident_buckets(&self, path: PathId) -> impl Iterator<Item = u32> + '_ {
+        self.occupied[path.index()]
+            .iter_from(0)
+            .map(|bucket| bucket as u32)
+    }
+
+    /// Where the slot `fid` names keeps its counters, with the key it
+    /// holds: a CAM slot, or an index into the slab.
+    fn locate(&self, fid: FlowId) -> Option<(FlowKey, Slot)> {
+        match fid.decode(self.cfg.entries_per_bucket) {
             Location::Cam(slot) => {
                 let slot = slot as usize;
                 if slot >= self.cam.capacity() {
                     return None;
                 }
-                self.cam.entry(slot).copied()
+                Some((*self.cam.entry(slot)?, Slot::Cam(slot)))
             }
-            Location::Mem { path, bucket, slot } => *self
-                .bucket_slots_ref(path, bucket)?
-                .get(usize::from(slot))?,
+            Location::Mem { path, bucket, slot } => {
+                let &chunk = self.mems[path.index()].get(&bucket)?;
+                let at = self.chunk_base(chunk) + usize::from(slot);
+                Some((self.slab[at]?, Slot::Slab(at)))
+            }
+        }
+    }
+
+    /// The record of the flow resident at `fid`: its key, and the
+    /// counters the simulator's completions have folded in (all zero for
+    /// a flow inserted through this functional layer).
+    pub fn record(&self, fid: FlowId) -> Option<FlowRecord> {
+        let (key, slot) = self.locate(fid)?;
+        let counters = match slot {
+            Slot::Cam(slot) => self.cam_counters[slot],
+            Slot::Slab(at) => self.counters[at],
+        };
+        Some(counters.with_key(key))
+    }
+
+    /// The counters of the flow at `fid`, if its slot holds `key`: the
+    /// restore path, which checks each record against its placement.
+    pub(crate) fn counters_mut(&mut self, fid: FlowId, key: &FlowKey) -> Option<&mut FlowCounters> {
+        match self.locate(fid)? {
+            (resident, _) if resident != *key => None,
+            (_, Slot::Cam(slot)) => Some(&mut self.cam_counters[slot]),
+            (_, Slot::Slab(at)) => Some(&mut self.counters[at]),
+        }
+    }
+
+    /// Folds one completed packet into the counters of the flow at
+    /// `fid`: the first packet of a new flow (`new_flow`) starts them
+    /// afresh, any later one updates them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `fid`'s slot holds `key`. A completion's flow ID is
+    /// the slot its lookup matched or its insert filled, and the flow
+    /// stays there until it completes: the same-key waiting list holds
+    /// its other descriptors, and the simulator's own deletions skip
+    /// keys in flight. A user deletion racing the flow's lookup read is
+    /// not held back, and reaches this panic.
+    pub(crate) fn record_packet(
+        &mut self,
+        fid: FlowId,
+        key: &FlowKey,
+        new_flow: bool,
+        now_ns: u64,
+        now_sys: u64,
+        frame_bytes: u64,
+    ) {
+        match self.counters_mut(fid, key) {
+            Some(counters) if new_flow => {
+                *counters = FlowCounters::first_packet(now_ns, now_sys, frame_bytes);
+            }
+            Some(counters) => counters.update(now_ns, now_sys, frame_bytes),
+            None => panic!("{fid} does not hold the completing key"),
+        }
+    }
+
+    /// Resident flows strictly after `cursor` (from the first when
+    /// `None`), in ascending [`FlowId`] order: Mem1 buckets ascending
+    /// (slots ascending within each), then Mem2, then CAM slots. A
+    /// cursor need not be resident.
+    pub fn records_after(
+        &self,
+        cursor: Option<FlowId>,
+    ) -> impl Iterator<Item = (FlowId, FlowRecord)> + '_ {
+        let k = self.cfg.entries_per_bucket;
+        // The first position the walk may yield: region, unit, slot.
+        let (region, unit, slot) = match cursor.map(|id| id.decode(k)) {
+            None => (0, 0, 0),
+            Some(Location::Mem { path, bucket, slot }) => {
+                (path.index(), bucket as usize, usize::from(slot) + 1)
+            }
+            Some(Location::Cam(slot)) => (CAM_REGION, slot as usize + 1, 0),
+        };
+        let start = move |r: usize| if r == region { (unit, slot) } else { (0, 0) };
+        let mems = [PathId::A, PathId::B]
+            .into_iter()
+            .filter(move |path| path.index() >= region)
+            .flat_map(move |path| {
+                let (first, first_slot) = start(path.index());
+                self.occupied[path.index()]
+                    .iter_from(first)
+                    .flat_map(move |bucket| {
+                        let from = if bucket == first { first_slot } else { 0 };
+                        self.bucket_records(path, bucket as u32, from)
+                    })
+            });
+        let cam = self.occupied[CAM_REGION]
+            .iter_from(start(CAM_REGION).0)
+            .filter_map(move |slot| {
+                let key = *self.cam.entry(slot)?;
+                let id = FlowId::encode(Location::Cam(slot as u32), k);
+                Some((id, self.cam_counters[slot].with_key(key)))
+            });
+        mems.chain(cam)
+    }
+
+    /// The records of `bucket`'s slots from `from` on.
+    fn bucket_records(
+        &self,
+        path: PathId,
+        bucket: u32,
+        from: usize,
+    ) -> impl Iterator<Item = (FlowId, FlowRecord)> + '_ {
+        let k = self.cfg.entries_per_bucket;
+        let base = self.mems[path.index()]
+            .get(&bucket)
+            .map(|&chunk| self.chunk_base(chunk));
+        base.into_iter().flat_map(move |base| {
+            (from..usize::from(k)).filter_map(move |slot| {
+                let key = self.slab[base + slot]?;
+                let loc = Location::Mem {
+                    path,
+                    bucket,
+                    slot: slot as u8,
+                };
+                Some((
+                    FlowId::encode(loc, k),
+                    self.counters[base + slot].with_key(key),
+                ))
+            })
+        })
+    }
+
+    /// Up to `stride` records strictly after `cursor`, in ID order, into
+    /// `out` (cleared first): one step of an incremental scan. Returns
+    /// the cursor to resume from — the last record returned when the
+    /// stride filled, `None` when the walk reached the end and should
+    /// wrap around.
+    pub(crate) fn scan_after_into(
+        &self,
+        cursor: Option<FlowId>,
+        stride: usize,
+        out: &mut Vec<(FlowId, FlowRecord)>,
+    ) -> Option<FlowId> {
+        out.clear();
+        out.extend(self.records_after(cursor).take(stride));
+        if out.len() < stride {
+            None
+        } else {
+            out.last().map(|(id, _)| *id)
         }
     }
 
@@ -656,54 +948,40 @@ impl HashCamTable {
     /// may need a bucket of its own, so no more is reserved than the
     /// table has buckets: per memory map, the buckets of one memory
     /// (either may take every flow, as inserts prefer Mem1), and in the
-    /// slab, a chunk for each bucket of both.
+    /// slab, a chunk for each bucket of both. A bulk load also allocates
+    /// the occupancy bitmaps up front, whatever its size.
     pub(crate) fn reserve(&mut self, additional: usize) {
+        for bits in &mut self.occupied {
+            bits.allocate();
+        }
         let buckets = additional.min(self.cfg.buckets_per_mem as usize);
         for mem in &mut self.mems {
             mem.reserve(buckets);
         }
-        let chunks = additional.min(2 * self.cfg.buckets_per_mem as usize);
-        self.slab
-            .reserve(chunks * usize::from(self.cfg.entries_per_bucket));
+        let slots = additional.min(2 * self.cfg.buckets_per_mem as usize)
+            * usize::from(self.cfg.entries_per_bucket);
+        self.slab.reserve(slots);
+        self.counters.reserve(slots);
     }
 
-    /// Iterates over every resident key with its location.
+    /// Iterates over every resident key with its location, in ascending
+    /// [`FlowId`] order (the order of [`records_after`](Self::records_after)).
     pub fn iter(&self) -> impl Iterator<Item = (FlowKey, Location)> + '_ {
-        let mem_iter = [PathId::A, PathId::B].into_iter().flat_map(move |path| {
-            self.mems[path.index()]
-                .iter()
-                .flat_map(move |(&bucket, &chunk)| {
-                    self.chunk(chunk)
-                        .iter()
-                        .enumerate()
-                        .filter_map(move |(slot, s)| {
-                            s.map(|key| {
-                                (
-                                    key,
-                                    Location::Mem {
-                                        path,
-                                        bucket,
-                                        slot: slot as u8,
-                                    },
-                                )
-                            })
-                        })
-                })
-        });
-        let cam_iter = self
-            .cam
-            .iter()
-            .map(|(slot, key)| (*key, Location::Cam(slot as u32)));
-        mem_iter.chain(cam_iter)
+        let k = self.cfg.entries_per_bucket;
+        self.records_after(None)
+            .map(move |(id, record)| (record.key, id.decode(k)))
     }
 
     /// Removes every flow.
     pub fn clear(&mut self) {
         self.mems = [HashMap::new(), HashMap::new()];
         self.slab = Vec::new();
+        self.counters = Vec::new();
         self.free_chunks = Vec::new();
+        self.occupied = Self::empty_bitmaps(&self.cfg);
         self.mem_counts = [0, 0];
         self.cam.clear();
+        self.cam_counters.fill(FlowCounters::default());
     }
 
     fn find_in_bucket(&self, path: PathId, bucket: u32, key: &FlowKey) -> Option<u8> {
@@ -713,31 +991,39 @@ impl HashCamTable {
             .map(|s| s as u8)
     }
 
-    fn chunk(&self, chunk: u32) -> &[Option<FlowKey>] {
-        let k = usize::from(self.cfg.entries_per_bucket);
-        let base = chunk as usize * k;
-        &self.slab[base..base + k]
+    /// Slab index of `chunk`'s first slot.
+    fn chunk_base(&self, chunk: u32) -> usize {
+        chunk as usize * usize::from(self.cfg.entries_per_bucket)
     }
 
-    fn chunk_mut(&mut self, chunk: u32) -> &mut [Option<FlowKey>] {
+    fn chunk(&self, base: usize) -> &[Option<FlowKey>] {
+        &self.slab[base..base + usize::from(self.cfg.entries_per_bucket)]
+    }
+
+    fn chunk_mut(&mut self, base: usize) -> &mut [Option<FlowKey>] {
         let k = usize::from(self.cfg.entries_per_bucket);
-        let base = chunk as usize * k;
         &mut self.slab[base..base + k]
     }
 
-    /// The chunk of `bucket` in `path`'s memory, claiming a free (all
-    /// `None`) one when the bucket is not resident yet.
-    fn claim_chunk(&mut self, path: PathId, bucket: u32) -> u32 {
+    /// Slab index of the first slot of `bucket`'s chunk in `path`'s
+    /// memory, claiming a free (all `None`) chunk when the bucket is not
+    /// resident yet.
+    fn claim_chunk(&mut self, path: PathId, bucket: u32) -> usize {
         let k = usize::from(self.cfg.entries_per_bucket);
         let slab = &mut self.slab;
+        let counters = &mut self.counters;
         let free_chunks = &mut self.free_chunks;
-        *self.mems[path.index()].entry(bucket).or_insert_with(|| {
+        let occupied = &mut self.occupied[path.index()];
+        let chunk = *self.mems[path.index()].entry(bucket).or_insert_with(|| {
+            occupied.insert(bucket as usize);
             free_chunks.pop().unwrap_or_else(|| {
                 let chunk = (slab.len() / k) as u32;
                 slab.resize(slab.len() + k, None);
+                counters.resize(slab.len(), FlowCounters::default());
                 chunk
             })
-        })
+        });
+        chunk as usize * k
     }
 }
 
@@ -799,7 +1085,13 @@ mod tests {
     #[test]
     fn reserve_is_capped_at_the_tables_buckets() {
         let mut t = table();
+        assert!(t.occupied.iter().all(|bits| bits.words.is_empty()));
         t.reserve(usize::MAX);
+        assert_eq!(
+            t.occupied[0].words.len(),
+            256 / 64,
+            "reserve allocates the bitmaps"
+        );
         let cfg = *t.config();
         let chunks = 2 * cfg.buckets_per_mem as usize;
         assert!(t.slab.capacity() <= chunks * usize::from(cfg.entries_per_bucket));
@@ -1036,9 +1328,11 @@ mod tests {
 #[cfg(test)]
 mod model {
     //! The slab layout against a plain reference: every resident bucket
-    //! as its own `Vec`, and the CAM as a slot vector filled lowest-first.
+    //! as its own `Vec`, the CAM as a slot vector filled lowest-first,
+    //! and the flow records in a `BTreeMap` keyed by flow ID.
 
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
+    use std::ops::Bound;
 
     use flowlut_traffic::{FiveTuple, FlowKey};
     use proptest::prelude::*;
@@ -1066,12 +1360,16 @@ mod model {
     #[derive(Debug, Clone)]
     enum Op {
         Insert(u64),
+        /// `insert_flow` with the counters of a first packet.
+        InsertFlow(u64),
         /// `insert_with_buckets_preferring` on forced buckets: few
         /// buckets, so they fill, spill to the CAM, and empty on delete.
         InsertForced(u64, u32, u32, PathId),
         Delete(u64),
         /// Includes out-of-range buckets, slots and CAM slots.
         RestoreAt(u64, Location),
+        /// A completion of a resident flow (skipped for an absent key).
+        Packet(u64, bool, u16),
         Clear,
     }
 
@@ -1090,10 +1388,12 @@ mod model {
         ]
     }
 
-    /// Forced inserts and deletes are listed twice to weight them.
+    /// Forced inserts, deletes and packets are listed twice to weight
+    /// them.
     fn op() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0..KEYS).prop_map(Op::Insert),
+            (0..KEYS).prop_map(Op::InsertFlow),
             (0..KEYS, 0..BUCKETS, 0..BUCKETS, path())
                 .prop_map(|(k, b1, b2, p)| Op::InsertForced(k, b1, b2, p)),
             (0..KEYS, 0..BUCKETS, 0..BUCKETS, path())
@@ -1101,6 +1401,8 @@ mod model {
             (0..KEYS).prop_map(Op::Delete),
             (0..KEYS).prop_map(Op::Delete),
             (0..KEYS, location()).prop_map(|(k, loc)| Op::RestoreAt(k, loc)),
+            (0..KEYS, any::<bool>(), 1..1500u16).prop_map(|(k, n, b)| Op::Packet(k, n, b)),
+            (0..KEYS, any::<bool>(), 1..1500u16).prop_map(|(k, n, b)| Op::Packet(k, n, b)),
             Just(Op::Clear),
         ]
     }
@@ -1109,6 +1411,7 @@ mod model {
     struct Reference {
         buckets: HashMap<(PathId, u32), Vec<Option<FlowKey>>>,
         cam: Vec<Option<FlowKey>>,
+        records: BTreeMap<FlowId, FlowRecord>,
     }
 
     impl Reference {
@@ -1116,6 +1419,7 @@ mod model {
             Reference {
                 buckets: HashMap::new(),
                 cam: vec![None; CAM],
+                records: BTreeMap::new(),
             }
         }
 
@@ -1132,7 +1436,18 @@ mod model {
                 })
         }
 
-        fn insert(&mut self, order: [(PathId, u32); 2], key: FlowKey) -> Option<Location> {
+        fn insert(
+            &mut self,
+            order: [(PathId, u32); 2],
+            key: FlowKey,
+            counters: FlowCounters,
+        ) -> Option<Location> {
+            let loc = self.place(order, key)?;
+            self.records.insert(id(loc), counters.with_key(key));
+            Some(loc)
+        }
+
+        fn place(&mut self, order: [(PathId, u32); 2], key: FlowKey) -> Option<Location> {
             for (path, bucket) in order {
                 let slots = self
                     .buckets
@@ -1150,6 +1465,12 @@ mod model {
         }
 
         fn delete(&mut self, (b1, b2): (u32, u32), key: &FlowKey) -> Option<Location> {
+            let loc = self.unplace((b1, b2), key)?;
+            self.records.remove(&id(loc));
+            Some(loc)
+        }
+
+        fn unplace(&mut self, (b1, b2): (u32, u32), key: &FlowKey) -> Option<Location> {
             if let Some(slot) = self.cam.iter().position(|s| s.as_ref() == Some(key)) {
                 self.cam[slot] = None;
                 return Some(Location::Cam(slot as u32));
@@ -1183,6 +1504,8 @@ mod model {
             match target {
                 Some(free @ None) => {
                     *free = Some(key);
+                    self.records
+                        .insert(id(loc), FlowCounters::default().with_key(key));
                     true
                 }
                 _ => false,
@@ -1216,23 +1539,43 @@ mod model {
                 .iter()
                 .enumerate()
                 .filter_map(|(slot, s)| s.map(|key| (key, Location::Cam(slot as u32))));
-            sorted(mem.chain(cam).collect())
+            let mut placements: Vec<_> = mem.chain(cam).collect();
+            placements.sort_by_key(|&(_, loc)| id(loc));
+            placements
         }
-    }
-
-    fn sorted(mut placements: Vec<(FlowKey, Location)>) -> Vec<(FlowKey, Location)> {
-        placements.sort_by_key(|&(_, loc)| FlowId::encode(loc, K));
-        placements
     }
 
     fn id(loc: Location) -> FlowId {
         FlowId::encode(loc, K)
     }
 
+    /// Every location of the model's geometry, plus cursors past the end
+    /// of each memory and of the CAM.
+    fn cursors() -> Vec<FlowId> {
+        let mut all = Vec::new();
+        for path in [PathId::A, PathId::B] {
+            for bucket in 0..=BUCKETS {
+                for slot in 0..K {
+                    all.push(id(Location::Mem { path, bucket, slot }));
+                }
+            }
+        }
+        all.extend((0..=CAM as u32).map(|slot| id(Location::Cam(slot))));
+        all
+    }
+
+    fn bit(bits: &Occupied, unit: usize) -> bool {
+        bits.words
+            .get(unit / 64)
+            .is_some_and(|word| word >> (unit % 64) & 1 == 1)
+    }
+
     /// Every chunk is owned by exactly one resident bucket or sits on the
     /// free list, free chunks hold no key, and the slab never grew past
     /// `peak` chunks (the most buckets resident at once), so emptied
-    /// chunks were reused.
+    /// chunks were reused. Empty slots hold zero counters, and each
+    /// bitmap bit is set exactly when its bucket or CAM slot is
+    /// resident, with a summary bit exactly over each non-empty word.
     fn assert_slab_consistent(t: &HashCamTable, peak: usize) {
         let k = usize::from(K);
         let mut chunks: Vec<u32> = t.mems.iter().flat_map(|m| m.values().copied()).collect();
@@ -1247,9 +1590,38 @@ mod model {
         );
         for &c in &t.free_chunks {
             assert!(
-                t.chunk(c).iter().all(Option::is_none),
+                t.chunk(t.chunk_base(c)).iter().all(Option::is_none),
                 "free chunk {c} holds a key"
             );
+        }
+        assert_eq!(t.counters.len(), t.slab.len());
+        for (at, key) in t.slab.iter().enumerate() {
+            if key.is_none() {
+                assert_eq!(t.counters[at], FlowCounters::default(), "empty slot {at}");
+            }
+        }
+        for slot in 0..CAM {
+            let resident = t.cam.entry(slot).is_some();
+            assert_eq!(
+                bit(&t.occupied[CAM_REGION], slot),
+                resident,
+                "CAM slot {slot}"
+            );
+            if !resident {
+                assert_eq!(t.cam_counters[slot], FlowCounters::default());
+            }
+        }
+        for path in [PathId::A, PathId::B] {
+            for bucket in 0..BUCKETS {
+                let resident = t.mems[path.index()].contains_key(&bucket);
+                let set = bit(&t.occupied[path.index()], bucket as usize);
+                assert_eq!(set, resident, "bucket {bucket} of {path}");
+            }
+        }
+        for bits in &t.occupied {
+            for (w, &word) in bits.words.iter().enumerate() {
+                assert_eq!(bits.summary[w / 64] >> (w % 64) & 1 == 1, word != 0);
+            }
         }
     }
 
@@ -1257,22 +1629,40 @@ mod model {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         #[test]
-        fn slab_table_matches_per_bucket_reference(ops in prop::collection::vec(op(), 1..120)) {
+        fn slab_table_matches_per_bucket_reference(
+            ops in prop::collection::vec(op(), 1..120),
+            strides in prop::collection::vec(1..6usize, 8),
+        ) {
             let mut t = HashCamTable::new(config());
             let mut r = Reference::new();
             let mut peak = 0;
-            for op in ops {
+            let mut out = Vec::new();
+            for (step, op) in ops.into_iter().enumerate() {
+                // A clock that never runs backwards, for the counters.
+                let now = step as u64 * 100;
                 match op {
                     Op::Insert(i) => {
                         let pair = t.hash_pair(&key(i));
                         let expected = match r.peek(pair, &key(i)) {
                             Some(loc) => Err(InsertError::Duplicate(id(loc))),
                             None => r
-                                .insert([(PathId::A, pair.0), (PathId::B, pair.1)], key(i))
+                                .insert([(PathId::A, pair.0), (PathId::B, pair.1)], key(i), FlowCounters::default())
                                 .map(id)
                                 .ok_or(InsertError::TableFull),
                         };
                         prop_assert_eq!(t.insert(key(i)), expected);
+                    }
+                    Op::InsertFlow(i) => {
+                        let counters = FlowCounters::first_packet(now, step as u64, i);
+                        let pair = t.hash_pair(&key(i));
+                        let expected = match r.peek(pair, &key(i)) {
+                            Some(loc) => Err(InsertError::Duplicate(id(loc))),
+                            None => r
+                                .insert([(PathId::A, pair.0), (PathId::B, pair.1)], key(i), counters)
+                                .map(id)
+                                .ok_or(InsertError::TableFull),
+                        };
+                        prop_assert_eq!(t.insert_flow(key(i), counters), expected);
                     }
                     Op::InsertForced(i, b1, b2, prefer) => {
                         let expected = match r.peek(t.hash_pair(&key(i)), &key(i)) {
@@ -1282,7 +1672,9 @@ mod model {
                                     PathId::A => [(PathId::A, b1), (PathId::B, b2)],
                                     PathId::B => [(PathId::B, b2), (PathId::A, b1)],
                                 };
-                                r.insert(order, key(i)).map(id).ok_or(InsertError::TableFull)
+                                r.insert(order, key(i), FlowCounters::default())
+                                    .map(id)
+                                    .ok_or(InsertError::TableFull)
                             }
                         };
                         let got = t.insert_with_buckets_preferring(key(i), b1, b2, prefer);
@@ -1295,6 +1687,18 @@ mod model {
                     Op::RestoreAt(i, loc) => {
                         let accepted = r.restore_at(key(i), loc);
                         prop_assert_eq!(t.restore_at(key(i), loc).is_ok(), accepted, "{:?}", loc);
+                    }
+                    Op::Packet(i, new_flow, bytes) => {
+                        if let Some(fid) = r.peek(t.hash_pair(&key(i)), &key(i)).map(id) {
+                            let bytes = u64::from(bytes);
+                            let record = r.records.get_mut(&fid).expect("placed flows have records");
+                            if new_flow {
+                                *record = FlowRecord::first_packet(key(i), now, step as u64, bytes);
+                            } else {
+                                record.update(now, step as u64, bytes);
+                            }
+                            t.record_packet(fid, &key(i), new_flow, now, step as u64, bytes);
+                        }
                     }
                     Op::Clear => {
                         t.clear();
@@ -1314,13 +1718,50 @@ mod model {
                     prop_assert_eq!(t.peek(&key(i)), expected);
                 }
                 prop_assert_eq!(t.occupancy(), r.occupancy());
-                let placements = r.placements();
-                prop_assert_eq!(sorted(t.iter().collect()), placements.clone());
-                for (key, loc) in placements {
-                    prop_assert_eq!(t.key_at(loc), Some(key));
+                prop_assert_eq!(t.iter().collect::<Vec<_>>(), r.placements());
+                let walk: Vec<_> = r.records.iter().map(|(&id, &r)| (id, r)).collect();
+                prop_assert_eq!(t.records_after(None).collect::<Vec<_>>(), walk);
+                for (n, cursor) in cursors().into_iter().enumerate() {
+                    prop_assert_eq!(t.record(cursor), r.records.get(&cursor).copied());
+                    let stride = strides[n % strides.len()];
+                    let resume = t.scan_after_into(Some(cursor), stride, &mut out);
+                    let expected: Vec<_> = r
+                        .records
+                        .range((Bound::Excluded(cursor), Bound::Unbounded))
+                        .take(stride)
+                        .map(|(&id, &r)| (id, r))
+                        .collect();
+                    prop_assert_eq!(&out, &expected, "stride {} after {}", stride, cursor);
+                    let full = expected.len() == stride;
+                    prop_assert_eq!(resume, expected.last().map(|(id, _)| *id).filter(|_| full));
                 }
                 assert_slab_consistent(&t, peak);
             }
+        }
+
+        /// The bitmap's next-set-unit search against a set, over enough
+        /// units to span several summary words.
+        #[test]
+        fn occupied_finds_the_next_set_unit(
+            ops in prop::collection::vec((any::<bool>(), 0..3 * 4096usize), 1..200),
+            probes in prop::collection::vec(0..3 * 4096 + 70usize, 16),
+        ) {
+            let mut bits = Occupied::new(3 * 4096 - 5);
+            let mut set = BTreeSet::new();
+            for (add, unit) in ops {
+                let unit = unit.min(3 * 4096 - 6);
+                if add {
+                    bits.insert(unit);
+                    set.insert(unit);
+                } else {
+                    bits.remove(unit);
+                    set.remove(&unit);
+                }
+                for &from in &probes {
+                    prop_assert_eq!(bits.next_from(from), set.range(from..).next().copied());
+                }
+            }
+            prop_assert_eq!(bits.iter_from(0).collect::<Vec<_>>(), set.into_iter().collect::<Vec<_>>());
         }
     }
 }

@@ -648,8 +648,8 @@ impl ShardedFlowLut {
             });
         }
         let now_sys = r.u64()?;
-        let offered = r.u64()?;
-        let splitter_stall_cycles = r.u64()?;
+        let offered = r.counter()?;
+        let splitter_stall_cycles = r.counter()?;
         let carried_stats = checkpoint::read_stats(&mut r)?;
         let mut sims = Vec::with_capacity(cfg.shards);
         for _ in 0..cfg.shards {
@@ -699,7 +699,7 @@ impl ShardedFlowLut {
         for lane in &self.lanes {
             let lane = lock(lane);
             retired_stats.merge(lane.sim.stats());
-            migrating.extend(lane.sim.flow_state().iter().map(|(_, r)| *r));
+            migrating.extend(lane.sim.table().records_after(None).map(|(_, r)| r));
         }
         // Build the doubled partition and warm destination shards at the
         // current cycle (canonical memory phase, clocks in lockstep).
@@ -1219,5 +1219,54 @@ mod tests {
         let b = threaded_engine.run(&work);
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "reports diverged");
         assert_eq!(inline_engine.snapshot(), threaded_engine.snapshot());
+    }
+
+    #[test]
+    fn restore_rejects_splitter_counters_above_2_62() {
+        // The splitter's offered and stall counters follow the magic,
+        // version, shard count, router seed and clock.
+        const OFFERED_AT: usize = 32;
+        const STALLS_AT: usize = 40;
+        let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
+        engine.run(&descs(0..40));
+        engine.quiesce();
+        let blob = engine.checkpoint().expect("a quiesced engine checkpoints");
+        assert_eq!(blob[OFFERED_AT..][..8], engine.offered.to_le_bytes());
+        assert_eq!(
+            blob[STALLS_AT..][..8],
+            engine.splitter_stall_cycles.to_le_bytes()
+        );
+        let with = |at: usize, value: u64| {
+            let mut blob = blob.clone();
+            blob[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            blob
+        };
+        for at in [OFFERED_AT, STALLS_AT] {
+            assert_eq!(
+                ShardedFlowLut::restore(EngineConfig::test_small(), &with(at, u64::MAX)).err(),
+                Some(CheckpointError::Corrupt("counter above 2^62")),
+                "counter at byte {at}"
+            );
+            // A staging cap of one batch, filled without ticking, makes
+            // the splitter stall, so both counters move.
+            let mut cfg = EngineConfig::test_small();
+            cfg.staging_cap = cfg.batch;
+            let edge = with(at, checkpoint::MAX_COUNTER);
+            let mut restored =
+                ShardedFlowLut::restore(cfg, &edge).expect("a counter at the bound restores");
+            let (offered, stalls) = (restored.offered, restored.splitter_stall_cycles);
+            for d in descs(20..60) {
+                while !FlowPipeline::push(&mut restored, d) {
+                    restored.tick();
+                }
+            }
+            FlowPipeline::drain(&mut restored);
+            assert_eq!(restored.offered, offered + 40, "counter at byte {at}");
+            assert!(
+                restored.splitter_stall_cycles > stalls,
+                "counter at byte {at}"
+            );
+            assert_eq!(restored.in_pipeline(), 0);
+        }
     }
 }

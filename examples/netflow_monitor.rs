@@ -48,7 +48,7 @@ fn main() {
     println!("  drops (table full)     : {}", report.stats.drops);
 
     // NetFlow-style top talkers.
-    let mut records: Vec<_> = sim.flow_state().iter().map(|(id, r)| (id, *r)).collect();
+    let mut records: Vec<_> = sim.table().records_after(None).collect();
     records.sort_by_key(|(_, r)| std::cmp::Reverse(r.packets));
     println!("\n== top 10 live flows by packets ==");
     println!(
@@ -65,10 +65,10 @@ fn main() {
         );
     }
 
-    let live = sim.flow_state().len();
+    let live = records.len() as u64;
     let table = sim.table().len();
     println!("\nlive flows: {live} (table holds {table})");
-    assert_eq!(live as u64, table, "records and table must agree");
+    assert_eq!(live, table, "records and table must agree");
 
     // Idle-time advance: no packets arrive, so every flow ages past the
     // 200 us idle timeout and the incremental scan sweeps them out,
@@ -82,7 +82,7 @@ fn main() {
         .count();
     println!(
         "after 1 ms idle: {} live flows, {} expiry events delivered, {} expired in total",
-        sim.flow_state().len(),
+        sim.table().len(),
         expiries,
         sim.stats().expired_ttl
     );
@@ -93,8 +93,11 @@ fn main() {
         );
     }
     assert!(
-        sim.flow_state().len() < live,
+        sim.table().len() < live,
         "idle flows must expire during the idle stretch"
     );
-    assert_eq!(sim.flow_state().len() as u64, sim.table().len());
+    assert_eq!(
+        sim.table().records_after(None).count() as u64,
+        sim.table().len()
+    );
 }

@@ -13,6 +13,7 @@
 
 use std::collections::HashSet;
 
+use flowlut::core::checkpoint::Fnv64;
 use flowlut::core::{ExpiryPolicy, FlowLutSim, PressurePolicy, SimConfig};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
@@ -46,7 +47,7 @@ fn trace(packets: usize) -> Vec<PacketDescriptor> {
 fn resident_keys(engine: &ShardedFlowLut) -> HashSet<FlowKey> {
     let mut keys = HashSet::new();
     for i in 0..engine.shard_count() {
-        keys.extend(engine.shard(i).flow_state().iter().map(|(_, r)| r.key));
+        keys.extend(engine.shard(i).table().iter().map(|(key, _)| key));
     }
     keys
 }
@@ -104,6 +105,39 @@ fn checkpoint_blob_round_trips_byte_identically() {
         .checkpoint()
         .expect("restored engine is quiescent by construction");
     assert_eq!(blob, again, "restore -> checkpoint must be a fixed point");
+}
+
+/// The bytes of one engine checkpoint, pinned by length and FNV-1a-64
+/// digest: a fixed fabric run with both lifecycle policies on, idled
+/// past the TTL so expiry runs, then run again so pressure evicts. Any
+/// change to placement, record order, counters, cursors or the format
+/// moves the digest.
+#[test]
+fn a_fixed_run_checkpoints_to_pinned_bytes() {
+    let descs = trace(6_000);
+    let (first, second) = descs.split_at(3_000);
+    let mut engine = ShardedFlowLut::new(config());
+    Session::new(&mut engine).run(first).expect("fresh session");
+    for _ in 0..40_000 {
+        engine.tick();
+    }
+    Session::new(&mut engine)
+        .run(second)
+        .expect("fresh session");
+    engine.quiesce();
+    let stats = engine.poll().stats;
+    assert!(
+        stats.expired_ttl > 0 && stats.pressure_evicted > 0,
+        "{stats:?}"
+    );
+    let blob = engine.checkpoint().expect("quiescent engine checkpoints");
+    let mut digest = Fnv64::new();
+    digest.write_bytes(&blob);
+    assert_eq!(
+        (blob.len(), digest.finish()),
+        (138_086, 0xc91a_e63f_cf76_bb37),
+        "checkpoint bytes moved"
+    );
 }
 
 #[test]

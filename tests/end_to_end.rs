@@ -45,8 +45,15 @@ fn fabric_trace_consistency() {
     }
 
     // 3. Flow records agree with the table and with packet conservation.
-    assert_eq!(sim.flow_state().len() as u64, sim.table().len());
-    let packet_sum: u64 = sim.flow_state().iter().map(|(_, r)| r.packets).sum();
+    assert_eq!(
+        sim.table().records_after(None).count() as u64,
+        sim.table().len()
+    );
+    let packet_sum: u64 = sim
+        .table()
+        .records_after(None)
+        .map(|(_, r)| r.packets)
+        .sum();
     assert_eq!(packet_sum, 10_000, "every packet accounted to one flow");
 
     // 4. The new-flow count matches the trace's distinct keys.
@@ -136,8 +143,9 @@ fn burst_of_same_flow_is_single_entry() {
     let report = sim.run(&burst);
     assert_eq!(report.completed, 200);
     assert_eq!(sim.table().len(), 1);
-    assert_eq!(sim.flow_state().len(), 1);
-    let (_, record) = sim.flow_state().iter().next().unwrap();
+    let records: Vec<_> = sim.table().records_after(None).collect();
+    assert_eq!(records.len(), 1);
+    let (_, record) = records[0];
     assert_eq!(record.packets, 200);
 }
 

@@ -233,7 +233,7 @@ mod sim_properties {
                 distinct.len() as u64
             );
             // Packet conservation in the flow records.
-            let packets: u64 = sim.flow_state().iter().map(|(_, r)| r.packets).sum();
+            let packets: u64 = sim.table().records_after(None).map(|(_, r)| r.packets).sum();
             prop_assert_eq!(packets, key_ids.len() as u64);
             // Per-flow completion order == arrival order.
             let mut last_done: HashMap<FlowKey, u64> = HashMap::new();

@@ -1,8 +1,9 @@
-//! Hostile checkpoint bytes against `FlowLutSim::restore`: every
-//! truncation, inflated values over every count-sized window, and random
-//! bit flips of a small valid checkpoint.
+//! Hostile checkpoint bytes against `FlowLutSim::restore` and
+//! `ShardedFlowLut::restore`: every truncation, inflated values over
+//! every count-sized window, and random bit flips of a small valid
+//! checkpoint of each.
 //!
-//! Each input must come back as an error or as a simulator whose table
+//! Each input must come back as an error or as simulators whose tables
 //! and flow records agree (as many records as placements, each record's
 //! key at its location) — never as a panic. A restore also may not ask
 //! the allocator for more than restoring an empty checkpoint costs plus
@@ -10,14 +11,19 @@
 //! must never size a reservation by itself. The prototype table's 8 M
 //! entries make such a reservation hundreds of megabytes, so the bound
 //! would show it.
+//!
+//! Restored statistics and request-ID counters are bounded too: above
+//! 2^62 restore refuses them, and at or below it the restored simulator
+//! counts on through a short stream without overflowing.
 
 use std::alloc::System;
-use std::collections::HashMap;
 
 use proptest::prelude::*;
 use stats_alloc::StatsAlloc;
 
+use flowlut::core::checkpoint::MAX_COUNTER;
 use flowlut::core::{CheckpointError, FlowLutSim, Location, SimConfig};
+use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
 #[global_allocator]
@@ -47,11 +53,10 @@ fn key(i: u64) -> FlowKey {
     FlowKey::from(FiveTuple::from_index(i))
 }
 
-/// A checkpoint holding flows in both memories and in the CAM: six keys
-/// forced onto one bucket pair fill it and spill two to the CAM.
-fn valid_blob() -> Vec<u8> {
-    let mut sim = FlowLutSim::new(config());
-    let descs: Vec<PacketDescriptor> = (0..14)
+/// Keys `0..14`; the first six are forced onto one bucket pair, which
+/// they fill, spilling two to the CAM.
+fn descs() -> Vec<PacketDescriptor> {
+    (0..14)
         .map(|i| {
             let d = PacketDescriptor::new(i, key(i));
             if i < 6 {
@@ -60,8 +65,13 @@ fn valid_blob() -> Vec<u8> {
                 d
             }
         })
-        .collect();
-    sim.run(&descs);
+        .collect()
+}
+
+/// A checkpoint holding flows in both memories and in the CAM.
+fn valid_blob() -> Vec<u8> {
+    let mut sim = FlowLutSim::new(config());
+    sim.run(&descs());
     sim.quiesce();
     let occupancy = sim.table().occupancy();
     assert!(occupancy.mem_a > 0 && occupancy.mem_b > 0 && occupancy.cam > 0);
@@ -99,16 +109,35 @@ fn restore_checked(blob: &[u8], empty_cost: u64) -> Result<(), CheckpointError> 
 
 fn assert_consistent(sim: &FlowLutSim) {
     let k = sim.config().table.entries_per_bucket;
-    assert_eq!(sim.table().len(), sim.flow_state().len() as u64);
-    let placed: HashMap<Location, FlowKey> =
-        sim.table().iter().map(|(key, loc)| (loc, key)).collect();
-    for (id, record) in sim.flow_state().iter() {
-        assert_eq!(
-            placed.get(&id.decode(k)),
-            Some(&record.key),
-            "record {id} does not sit at its placement"
-        );
+    let table = sim.table();
+    assert_eq!(table.records_after(None).count() as u64, table.len());
+    for (id, record) in table.records_after(None) {
+        let at_placement = match id.decode(k) {
+            Location::Mem { path, bucket, slot } => table
+                .bucket_slots_ref(path, bucket)
+                .is_some_and(|slots| slots[usize::from(slot)] == Some(record.key)),
+            Location::Cam(_) => table.cam_peek(&record.key) == Some(id),
+        };
+        assert!(at_placement, "record {id} does not sit at its placement");
+        assert_eq!(table.record(id), Some(record));
     }
+}
+
+/// Byte offsets of the counters in a simulator checkpoint: the memory
+/// request and assembly counters after the clock and load-balancer
+/// state, then (past the last completion cycle) 26 statistics.
+const REQUEST_IDS_AT: [usize; 2] = [28, 36];
+const STATS_AT: usize = 52;
+const STATS: usize = 26;
+/// The statistics restore checks against each other: offered and
+/// completed must be equal.
+const OFFERED_AT: usize = STATS_AT;
+const COMPLETED_AT: usize = STATS_AT + 2 * 8;
+
+/// Every counter window of a simulator checkpoint.
+fn counter_windows() -> Vec<usize> {
+    let stats = (0..STATS).map(|i| STATS_AT + 8 * i);
+    REQUEST_IDS_AT.into_iter().chain(stats).collect()
 }
 
 #[test]
@@ -157,6 +186,133 @@ fn a_clock_that_overflows_the_memory_clock_is_rejected() {
     );
 }
 
+/// Flips the bits `flips` pick (modulo the blob's length), sparing the
+/// high bits of the clocks at `clocks`.
+fn flip_bits(blob: &mut [u8], flips: &[u64], clocks: &[usize]) {
+    let bits = blob.len() * 8;
+    for &flip in flips {
+        let bit = (flip % bits as u64) as usize;
+        let costly = clocks
+            .iter()
+            .any(|&at| (at * 8 + CHEAP_CLOCK_BITS..(at + 8) * 8).contains(&bit));
+        if !costly {
+            blob[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}
+
+// --- The sharded engine ---------------------------------------------
+
+fn engine_config() -> EngineConfig {
+    EngineConfig::prototype(2)
+}
+
+/// Byte offset of the engine clock, after the magic, version, shard
+/// count and router seed; the shard blobs follow the splitter counters
+/// and 26 carried statistics, each prefixed by its length.
+const ENGINE_CLOCK_AT: usize = 24;
+const SHARD_BLOBS_AT: usize = 48 + 26 * 8;
+
+/// A two-shard checkpoint whose shards each hold flows in both
+/// memories and in the CAM, with the offsets of its three clocks.
+fn valid_engine_blob() -> (Vec<u8>, [usize; 3]) {
+    let mut engine = ShardedFlowLut::new(engine_config());
+    // Six keys per shard forced onto one bucket pair, and a few more.
+    let mut per_shard = [0; 2];
+    let mut descs = Vec::new();
+    for i in 0..64 {
+        let shard = engine.router().route(&key(i));
+        let d = PacketDescriptor::new(i, key(i));
+        per_shard[shard] += 1;
+        descs.push(match per_shard[shard] {
+            1..=6 => d.with_hash_override(7, 7),
+            7..=9 => d,
+            _ => continue,
+        });
+    }
+    engine.run(&descs);
+    engine.quiesce();
+    for i in 0..2 {
+        let occupancy = engine.shard(i).table().occupancy();
+        assert!(occupancy.mem_a > 0 && occupancy.mem_b > 0 && occupancy.cam > 0);
+    }
+    let blob = engine.checkpoint().expect("a quiesced engine checkpoints");
+    assert_eq!(blob[ENGINE_CLOCK_AT..][..8], engine.now_sys().to_le_bytes());
+    let len = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+    let first = SHARD_BLOBS_AT + 8;
+    let second = first + len(SHARD_BLOBS_AT) + 8;
+    let clocks = [ENGINE_CLOCK_AT, first + CLOCK_AT, second + CLOCK_AT];
+    for at in clocks {
+        assert_eq!(blob[at..at + 8], engine.now_sys().to_le_bytes());
+    }
+    (blob, clocks)
+}
+
+/// Heap bytes requested by restoring a checkpoint of an empty engine.
+fn empty_engine_restore_bytes() -> u64 {
+    let blob = ShardedFlowLut::new(engine_config())
+        .checkpoint()
+        .expect("an idle engine checkpoints");
+    requested_by(|| ShardedFlowLut::restore(engine_config(), &blob)).1
+}
+
+/// Restores `blob` as an engine and checks the contract in the module
+/// docs for each shard.
+fn restore_engine_checked(blob: &[u8], empty_cost: u64) -> Result<(), CheckpointError> {
+    let (restored, requested) = requested_by(|| ShardedFlowLut::restore(engine_config(), blob));
+    let allowed = empty_cost + HEAP_BYTES_PER_BLOB_BYTE * blob.len() as u64;
+    assert!(
+        requested <= allowed,
+        "restoring {} bytes requested {requested} heap bytes (bound {allowed})",
+        blob.len()
+    );
+    restored.map(|engine| {
+        for i in 0..engine.shard_count() {
+            assert_consistent(&engine.shard(i));
+        }
+    })
+}
+
+#[test]
+fn the_valid_engine_checkpoint_restores_within_the_bound() {
+    let (blob, _) = valid_engine_blob();
+    restore_engine_checked(&blob, empty_engine_restore_bytes())
+        .expect("the valid engine blob restores");
+}
+
+#[test]
+fn every_engine_truncation_is_rejected() {
+    let (blob, _) = valid_engine_blob();
+    let empty_cost = empty_engine_restore_bytes();
+    for len in 0..blob.len() {
+        assert!(
+            restore_engine_checked(&blob[..len], empty_cost).is_err(),
+            "a {len}-byte prefix restored"
+        );
+    }
+}
+
+#[test]
+fn inflated_values_in_every_engine_window_are_contained() {
+    let (blob, clocks) = valid_engine_blob();
+    let empty_cost = empty_engine_restore_bytes();
+    for at in 0..=blob.len() - 8 {
+        // A large shard clock is slow to restore (ROADMAP open item 6);
+        // the engine clock, which the shards' must equal, goes with it.
+        if clocks
+            .iter()
+            .any(|&clock| (clock.saturating_sub(7)..clock + 8).contains(&at))
+        {
+            continue;
+        }
+        for value in [u64::MAX, 1 << 40, 1 << 20, blob.len() as u64] {
+            let mut hostile = blob.clone();
+            hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let _ = restore_engine_checked(&hostile, empty_cost);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -164,14 +320,46 @@ proptest! {
     #[test]
     fn random_bit_flips_are_contained(flips in prop::collection::vec(any::<u64>(), 1..5)) {
         let mut blob = valid_blob();
-        let bits = blob.len() * 8;
-        let clock_bits = CLOCK_AT * 8 + CHEAP_CLOCK_BITS..(CLOCK_AT + 8) * 8;
-        for flip in flips {
-            let bit = (flip % bits as u64) as usize;
-            if !clock_bits.contains(&bit) {
-                blob[bit / 8] ^= 1 << (bit % 8);
-            }
-        }
+        flip_bits(&mut blob, &flips, &[CLOCK_AT]);
         let _ = restore_checked(&blob, empty_restore_bytes());
+    }
+
+    /// One to four random bit flips of an engine checkpoint, anywhere but
+    /// the high bits of its clocks.
+    #[test]
+    fn random_engine_bit_flips_are_contained(flips in prop::collection::vec(any::<u64>(), 1..5)) {
+        let (mut blob, clocks) = valid_engine_blob();
+        flip_bits(&mut blob, &flips, &clocks);
+        let _ = restore_engine_checked(&blob, empty_engine_restore_bytes());
+    }
+
+    /// Each counter a little above 2^62 is refused; at or a little below
+    /// it, the restored simulator hits its restored keys, inserts new
+    /// ones and drains. Offered and completed move together, as restore
+    /// requires them equal.
+    #[test]
+    fn counters_are_bounded_at_2_62(window in 0..2 + STATS, delta in 0..4u64, above in any::<bool>()) {
+        let at = counter_windows()[window];
+        let value = if above { MAX_COUNTER + 1 + delta } else { MAX_COUNTER - delta };
+        let mut blob = valid_blob();
+        let windows = if at == OFFERED_AT || at == COMPLETED_AT {
+            vec![OFFERED_AT, COMPLETED_AT]
+        } else {
+            vec![at]
+        };
+        for at in windows {
+            blob[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        let restored = FlowLutSim::restore(config(), &blob);
+        if above {
+            prop_assert_eq!(restored.err(), Some(CheckpointError::Corrupt("counter above 2^62")));
+        } else {
+            let mut sim = restored.expect("counters at or below the bound restore");
+            let fresh = (100..110).map(|i| PacketDescriptor::new(i, key(i)));
+            let stream: Vec<PacketDescriptor> = descs().into_iter().chain(fresh).collect();
+            let report = sim.run(&stream);
+            prop_assert_eq!(report.completed, stream.len() as u64);
+            prop_assert_eq!(report.stats.inserted_mem + report.stats.inserted_cam, 10);
+        }
     }
 }
