@@ -1,99 +1,80 @@
-//! Bucket wire format: how flow entries are laid out in DDR3 bursts.
+//! Slot wire format: how flow entries are laid out in DRAM bursts.
 //!
-//! A bucket holds `K` fixed-width entry slots. Each slot is
+//! A bucket holds `K` fixed-width entry slots, back to back. Each slot is
 //! `[len: u8][key bytes][zero padding]`; `len == 0` marks a free slot
 //! (DRAM's all-zero reset state is therefore "empty bucket", which is why
-//! the simulator never needs to initialise 512 MB of storage). The flow
-//! table reads/writes whole buckets, one or more BL8 bursts each — the
-//! unit the paper's DLU schedules.
+//! the simulator never needs to initialise 512 MB of storage). A slot of
+//! `slot_bytes` holds a key of 1 to `slot_bytes − 1` bytes.
+//!
+//! This is the one slot format: [`HashCamTable`](crate::HashCamTable)
+//! keeps each resident bucket in it, so a bucket's slots are its DRAM
+//! bytes before burst padding, and Flow Match searches the bursts a read
+//! returns with the same [`find_key`] the table searches its buckets
+//! with.
 
 use flowlut_traffic::FlowKey;
 
-/// Serialises `slots` into `slot_bytes`-wide records, padded to
-/// `total_len` bytes (a whole number of bursts).
-///
-/// # Panics
-///
-/// Panics if a key does not fit its slot (`key.len() + 1 > slot_bytes`)
-/// or if `total_len < slots.len() * slot_bytes`.
-pub fn serialize_bucket(slots: &[Option<FlowKey>], slot_bytes: usize, total_len: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    serialize_bucket_into(&mut out, slots, slot_bytes, total_len);
-    out
-}
+use crate::error::InsertError;
 
-/// [`serialize_bucket`] into a caller-provided buffer: `out` is cleared
-/// and refilled, so a steady-state writer (the simulator's DLU) reuses
-/// one allocation across buckets instead of allocating per write.
+/// Refuses a key that no `slot_bytes`-wide slot can hold: the empty
+/// key, which would read back as a free slot, and any key of
+/// `slot_bytes` bytes or more.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Same contract as [`serialize_bucket`].
-pub fn serialize_bucket_into(
-    out: &mut Vec<u8>,
-    slots: &[Option<FlowKey>],
-    slot_bytes: usize,
-    total_len: usize,
-) {
-    assert!(
-        total_len >= slots.len() * slot_bytes,
-        "bucket byte budget too small"
-    );
-    out.clear();
-    out.resize(total_len, 0u8);
-    for (i, slot) in slots.iter().enumerate() {
-        if let Some(key) = slot {
-            let k = key.as_bytes();
-            assert!(
-                k.len() < slot_bytes,
-                "key of {} bytes does not fit a {slot_bytes}-byte slot",
-                k.len()
-            );
-            let base = i * slot_bytes;
-            out[base] = k.len() as u8;
-            out[base + 1..base + 1 + k.len()].copy_from_slice(k);
-        }
+/// [`InsertError::KeyDoesNotFit`] for such a key.
+pub fn check_fit(key: &FlowKey, slot_bytes: usize) -> Result<(), InsertError> {
+    if key.is_empty() || key.len() >= slot_bytes {
+        return Err(InsertError::KeyDoesNotFit {
+            key_bytes: key.len(),
+            slot_bytes,
+        });
     }
+    Ok(())
 }
 
-/// Parses a serialised bucket back into slots.
+/// Writes `key` into `slot`: its length byte, its bytes, zero padding.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `bytes` is shorter than `k * slot_bytes` or a slot contains
-/// a length byte that exceeds the slot (corrupt storage — a simulator
-/// bug, not a runtime condition).
-pub fn deserialize_bucket(bytes: &[u8], slot_bytes: usize, k: usize) -> Vec<Option<FlowKey>> {
-    assert!(bytes.len() >= k * slot_bytes, "bucket bytes too short");
-    (0..k)
-        .map(|i| {
-            let base = i * slot_bytes;
-            let len = usize::from(bytes[base]);
-            if len == 0 {
-                None
-            } else {
-                assert!(len < slot_bytes, "corrupt slot length {len}");
-                Some(FlowKey::new(&bytes[base + 1..base + 1 + len]).expect("len bounded by slot"))
-            }
-        })
-        .collect()
+/// [`InsertError::KeyDoesNotFit`], leaving `slot` untouched, when
+/// [`check_fit`] refuses `key` for a slot of `slot.len()` bytes.
+pub fn write_slot(slot: &mut [u8], key: &FlowKey) -> Result<(), InsertError> {
+    check_fit(key, slot.len())?;
+    let k = key.as_bytes();
+    slot[0] = k.len() as u8;
+    slot[1..=k.len()].copy_from_slice(k);
+    slot[k.len() + 1..].fill(0);
+    Ok(())
 }
 
-/// Searches a serialised bucket for `key`; returns the slot index
-/// (the Flow Match comparison, operating directly on burst data).
+/// Frees `slot`: every byte zero, as DRAM resets.
+pub fn clear_slot(slot: &mut [u8]) {
+    slot.fill(0);
+}
+
+/// `true` when `slot` holds no key.
+pub fn is_free(slot: &[u8]) -> bool {
+    slot.first().is_none_or(|&len| len == 0)
+}
+
+/// The key `slot` holds: `None` for a free slot, and for bytes no
+/// [`write_slot`] of this width wrote (a length past the slot's end).
+pub fn read_slot(slot: &[u8]) -> Option<FlowKey> {
+    let len = usize::from(*slot.first()?);
+    FlowKey::new(slot.get(1..=len)?).ok()
+}
+
+/// Searches the first `k` slots of a bucket's bytes for `key`; returns
+/// the slot index (the Flow Match comparison, operating directly on
+/// burst data, and the table's bucket search).
 pub fn find_key(bytes: &[u8], slot_bytes: usize, k: usize, key: &FlowKey) -> Option<u8> {
     let kb = key.as_bytes();
-    for i in 0..k {
-        let base = i * slot_bytes;
-        if bytes.len() < base + slot_bytes {
-            return None;
-        }
-        let len = usize::from(bytes[base]);
-        if len == kb.len() && &bytes[base + 1..base + 1 + len] == kb {
-            return Some(i as u8);
-        }
-    }
-    None
+    bytes
+        .chunks_exact(slot_bytes)
+        .take(k)
+        .position(|slot| slot.get(1..=usize::from(slot[0])) == Some(kb))
+        .map(|i| i as u8)
 }
 
 #[cfg(test)]
@@ -105,33 +86,56 @@ mod tests {
         FlowKey::from(FiveTuple::from_index(i))
     }
 
+    /// `slots` written into `slot_bytes`-wide slots, back to back.
+    fn bucket(slots: &[Option<FlowKey>], slot_bytes: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; slots.len() * slot_bytes];
+        for (slot, key) in bytes.chunks_exact_mut(slot_bytes).zip(slots) {
+            if let Some(key) = key {
+                write_slot(slot, key).unwrap();
+            }
+        }
+        bytes
+    }
+
+    fn read_back(bytes: &[u8], slot_bytes: usize) -> Vec<Option<FlowKey>> {
+        bytes.chunks_exact(slot_bytes).map(read_slot).collect()
+    }
+
     #[test]
     fn roundtrip_full_bucket() {
         let slots = vec![Some(key(1)), Some(key(2))];
-        let bytes = serialize_bucket(&slots, 16, 32);
-        assert_eq!(bytes.len(), 32);
-        let back = deserialize_bucket(&bytes, 16, 2);
-        assert_eq!(back, slots);
+        assert_eq!(read_back(&bucket(&slots, 16), 16), slots);
     }
 
     #[test]
     fn roundtrip_with_holes() {
         let slots = vec![None, Some(key(9)), None, Some(key(3))];
-        let bytes = serialize_bucket(&slots, 16, 64);
-        let back = deserialize_bucket(&bytes, 16, 4);
-        assert_eq!(back, slots);
+        let bytes = bucket(&slots, 16);
+        assert_eq!(read_back(&bytes, 16), slots);
+        let free: Vec<bool> = bytes.chunks_exact(16).map(is_free).collect();
+        assert_eq!(free, [true, false, true, false]);
     }
 
     #[test]
     fn zero_bytes_is_empty_bucket() {
-        let back = deserialize_bucket(&[0u8; 32], 16, 2);
-        assert_eq!(back, vec![None, None]);
+        assert_eq!(read_back(&[0u8; 32], 16), vec![None, None]);
+        assert!([0u8; 16].chunks_exact(16).all(is_free));
+    }
+
+    #[test]
+    fn a_written_slot_is_zero_padded() {
+        let mut slot = [0xAA; 16];
+        write_slot(&mut slot, &key(5)).unwrap();
+        assert_eq!(slot[0], 13);
+        assert_eq!(&slot[1..14], key(5).as_bytes());
+        assert_eq!(slot[14..], [0, 0]);
+        clear_slot(&mut slot);
+        assert_eq!(slot, [0; 16]);
     }
 
     #[test]
     fn find_key_locates_slot() {
-        let slots = vec![Some(key(5)), Some(key(6))];
-        let bytes = serialize_bucket(&slots, 16, 32);
+        let bytes = bucket(&[Some(key(5)), Some(key(6))], 16);
         assert_eq!(find_key(&bytes, 16, 2, &key(6)), Some(1));
         assert_eq!(find_key(&bytes, 16, 2, &key(5)), Some(0));
         assert_eq!(find_key(&bytes, 16, 2, &key(7)), None);
@@ -141,22 +145,34 @@ mod tests {
     fn find_key_distinguishes_lengths() {
         let short = FlowKey::new(&[1, 2]).unwrap();
         let long = FlowKey::new(&[1, 2, 0]).unwrap();
-        let bytes = serialize_bucket(&[Some(short)], 16, 16);
+        let bytes = bucket(&[Some(short)], 16);
         assert_eq!(find_key(&bytes, 16, 1, &long), None);
         assert_eq!(find_key(&bytes, 16, 1, &short), Some(0));
     }
 
     #[test]
-    #[should_panic(expected = "does not fit")]
-    fn oversized_key_panics() {
-        let wide = FlowKey::new(&[7u8; 20]).unwrap();
-        let _ = serialize_bucket(&[Some(wide)], 16, 16);
+    fn oversized_key_is_refused() {
+        let wide = FlowKey::new(&[7u8; 16]).unwrap();
+        let mut slot = [0xAA; 16];
+        assert_eq!(
+            write_slot(&mut slot, &wide),
+            Err(InsertError::KeyDoesNotFit {
+                key_bytes: 16,
+                slot_bytes: 16
+            })
+        );
+        assert_eq!(
+            slot, [0xAA; 16],
+            "a refused write leaves the slot as it was"
+        );
+        assert!(write_slot(&mut slot, &FlowKey::default()).is_err());
+        assert!(check_fit(&FlowKey::new(&[7u8; 15]).unwrap(), 16).is_ok());
     }
 
     #[test]
-    fn padding_beyond_slots_allowed() {
-        let bytes = serialize_bucket(&[Some(key(1))], 16, 32);
-        assert_eq!(bytes.len(), 32);
-        assert!(bytes[16..].iter().all(|&b| b == 0));
+    fn a_length_past_the_slot_reads_as_no_key() {
+        let mut slot = [7u8; 16];
+        slot[0] = 16;
+        assert_eq!(read_slot(&slot), None);
     }
 }

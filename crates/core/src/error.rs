@@ -22,6 +22,14 @@ pub enum InsertError {
     /// relies on housekeeping (flow expiry) keeping this rare; callers
     /// typically drop the flow or evict.
     TableFull,
+    /// No slot can hold the key: a slot is a length byte and 1 to
+    /// `slot_bytes − 1` key bytes (see [`codec`](crate::codec)).
+    KeyDoesNotFit {
+        /// The key's length in bytes.
+        key_bytes: usize,
+        /// The slot width, `TableConfig::entry_slot_bytes`.
+        slot_bytes: usize,
+    },
 }
 
 impl fmt::Display for InsertError {
@@ -31,6 +39,13 @@ impl fmt::Display for InsertError {
             InsertError::TableFull => {
                 write!(f, "both hash buckets and the overflow CAM are full")
             }
+            InsertError::KeyDoesNotFit {
+                key_bytes,
+                slot_bytes,
+            } => write!(
+                f,
+                "a key of {key_bytes} bytes does not fit a {slot_bytes}-byte slot"
+            ),
         }
     }
 }

@@ -194,7 +194,7 @@ pub struct FlowLutSim {
     match_bytes: Vec<u8>,
     /// Recycled `ReadAssembly::parts` buffers.
     parts_pool: Vec<Vec<Option<Vec<u8>>>>,
-    /// Bucket-serialisation buffer (DLU writes and storage flushes).
+    /// Bucket-image buffer (DLU writes and storage writes).
     write_buf: Vec<u8>,
     /// Lifecycle scan batch buffer.
     scan_scratch: Vec<(FlowId, FlowRecord)>,
@@ -267,6 +267,12 @@ impl FlowLutSim {
         &self.table
     }
 
+    /// The memory model behind `path`; its storage holds the simulated
+    /// DRAM image of that path's buckets.
+    pub fn memory(&self, path: PathId) -> &dyn MemoryModel {
+        self.paths[path.index()].ctrl.as_ref()
+    }
+
     /// Simulator counters.
     pub fn stats(&self) -> &SimStats {
         &self.stats
@@ -290,77 +296,66 @@ impl FlowLutSim {
     /// # Errors
     ///
     /// Returns a [`PreloadError`] wrapping the first [`InsertError`]
-    /// encountered (duplicate key or table full) and the number of keys
-    /// loaded before it. Preload is not transactional: those earlier
-    /// keys remain fully loaded — in the table *and* in the simulated
-    /// DRAM, so a partially preloaded simulator still answers lookups
-    /// for them consistently.
+    /// encountered (duplicate key, table full, or a key no slot can
+    /// hold) and the number of keys loaded before it. Preload is not
+    /// transactional: those earlier keys remain fully loaded — in the
+    /// table *and* in the simulated DRAM, so a partially preloaded
+    /// simulator still answers lookups for them consistently.
     pub fn preload<I>(&mut self, keys: I) -> Result<usize, PreloadError>
     where
         I: IntoIterator<Item = FlowKey>,
     {
         let keys = keys.into_iter();
-        self.table.reserve(keys.size_hint().0);
-        let mut touched: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
-        let mut n = 0usize;
-        let mut failure: Option<InsertError> = None;
+        let additional = keys.size_hint().0;
+        self.table.reserve(additional);
+        // Each flow may land in a bucket of its own in either memory, as
+        // the table reserves.
+        let bursts = additional.min(self.cfg.table.buckets_per_mem as usize)
+            * self.bursts_per_bucket as usize;
+        for path in &mut self.paths {
+            path.ctrl.storage_mut().reserve(bursts);
+        }
         let counters = FlowCounters::first_packet(0, self.now_sys, 0);
+        let mut n = 0usize;
         for key in keys {
-            let fid = match self.table.insert_flow(key, counters) {
-                Ok(fid) => fid,
-                Err(cause) => {
-                    failure = Some(cause);
-                    break;
-                }
-            };
-            if let Location::Mem { path, bucket, .. } =
-                fid.decode(self.cfg.table.entries_per_bucket)
-            {
-                touched[path.index()].push(bucket);
-            }
+            self.place_flow(key, counters)
+                .map_err(|cause| PreloadError { inserted: n, cause })?;
             n += 1;
         }
-        // Flush even on failure: the keys accepted so far must be
-        // readable from DRAM, or later lookups would see stale buckets.
-        for (p, buckets) in touched.iter_mut().enumerate() {
-            buckets.sort_unstable();
-            buckets.dedup();
-            self.flush_buckets(p, buckets);
-        }
-        match failure {
-            Some(cause) => Err(PreloadError { inserted: n, cause }),
-            None => Ok(n),
-        }
+        Ok(n)
     }
 
-    /// Writes each of `buckets` (ascending, distinct) of memory `path`
-    /// to its storage.
-    fn flush_buckets(&mut self, path: usize, buckets: &[u32]) {
-        self.paths[path]
-            .ctrl
-            .storage_mut()
-            .reserve(buckets.len() * self.bursts_per_bucket as usize);
-        for &bucket in buckets {
-            self.write_bucket_to_storage(path, bucket);
+    /// Inserts `key` with `counters` through the table and writes the
+    /// bucket it lands in straight to storage, so DRAM holds each flow
+    /// as soon as the table does.
+    fn place_flow(&mut self, key: FlowKey, counters: FlowCounters) -> Result<FlowId, InsertError> {
+        let image_len = self.bursts_per_bucket as usize * self.burst_bytes;
+        let (fid, bytes) = self.table.insert_flow(key, counters)?;
+        if let Location::Mem { path, bucket, .. } = fid.decode(self.cfg.table.entries_per_bucket) {
+            load_image(&mut self.write_buf, bytes, image_len);
+            self.store_image(path.index(), bucket);
         }
+        Ok(fid)
     }
 
-    fn write_bucket_to_storage(&mut self, path: usize, bucket: u32) {
-        let total = self.bursts_per_bucket as usize * self.burst_bytes;
-        let slots = self
+    /// Fills `write_buf` with the image a write of `bucket` puts in
+    /// memory `path`.
+    fn load_bucket_image(&mut self, path: usize, bucket: u32) {
+        let bytes = self
             .table
-            .bucket_slots_ref(PathId::from_index(path), bucket)
+            .bucket_bytes(PathId::from_index(path), bucket)
             .unwrap_or(&[]);
-        codec::serialize_bucket_into(
-            &mut self.write_buf,
-            slots,
-            self.cfg.table.entry_slot_bytes,
-            total,
-        );
+        let image_len = self.bursts_per_bucket as usize * self.burst_bytes;
+        load_image(&mut self.write_buf, bytes, image_len);
+    }
+
+    /// Writes the image in `write_buf` to `bucket`'s bursts in memory
+    /// `path`'s storage, without simulated cycles.
+    fn store_image(&mut self, path: usize, bucket: u32) {
         let storage = self.paths[path].ctrl.storage_mut();
-        for (j, chunk) in self.write_buf.chunks_exact(self.burst_bytes).enumerate() {
+        for (j, burst) in self.write_buf.chunks_exact(self.burst_bytes).enumerate() {
             let addr = u64::from(bucket) * u64::from(self.bursts_per_bucket) + j as u64;
-            storage.write_burst(addr, chunk);
+            storage.write_burst(addr, burst);
         }
     }
 
@@ -1038,6 +1033,10 @@ impl FlowLutSim {
             Err(InsertError::Duplicate(fid)) => {
                 self.complete(idx, ResolvedVia::DuplicateRace, Some(fid));
             }
+            // A key no slot can hold is never placed.
+            Err(InsertError::KeyDoesNotFit { .. }) => {
+                self.complete(idx, ResolvedVia::Dropped, None);
+            }
         }
     }
 
@@ -1046,9 +1045,10 @@ impl FlowLutSim {
     /// race their completion).
     fn coldest_candidate(&self, b1: u32, b2: u32) -> Option<FlowKey> {
         let mut best: Option<(u64, FlowKey)> = None;
+        let slot_bytes = self.cfg.table.entry_slot_bytes;
         for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
-            for slot in self.table.bucket_slots_ref(path, bucket).unwrap_or(&[]) {
-                let Some(key) = *slot else { continue };
+            let bytes = self.table.bucket_bytes(path, bucket).unwrap_or(&[]);
+            for key in bytes.chunks_exact(slot_bytes).filter_map(codec::read_slot) {
                 if self.inflight_keys.contains(&key) {
                     continue;
                 }
@@ -1199,13 +1199,8 @@ impl FlowLutSim {
     }
 
     fn issue_bucket_write(&mut self, path: usize, w: WriteIntent) {
-        let total = self.bursts_per_bucket as usize * self.burst_bytes;
-        let mut bytes = std::mem::take(&mut self.write_buf);
-        let slots = self
-            .table
-            .bucket_slots_ref(PathId::from_index(path), w.bucket)
-            .unwrap_or(&[]);
-        codec::serialize_bucket_into(&mut bytes, slots, self.cfg.table.entry_slot_bytes, total);
+        self.load_bucket_image(path, w.bucket);
+        let bytes = std::mem::take(&mut self.write_buf);
         for j in 0..self.bursts_per_bucket {
             let id = self.next_mem_id;
             self.next_mem_id += 1;
@@ -1230,6 +1225,15 @@ impl FlowLutSim {
         }
         self.write_buf = bytes;
     }
+}
+
+/// Fills `image` with `bytes`, a bucket's slots as the table holds
+/// them, zero-padded to `len`, a whole number of bursts: what a write of
+/// the bucket puts in DRAM.
+fn load_image(image: &mut Vec<u8>, bytes: &[u8], len: usize) {
+    image.clear();
+    image.extend_from_slice(bytes);
+    image.resize(len, 0);
 }
 
 /// Magic bytes of a single-channel simulator checkpoint ("FLUT" LE).
@@ -1318,7 +1322,14 @@ impl FlowLutSim {
         for p in 0..2 {
             buckets.clear();
             buckets.extend(self.table.resident_buckets(PathId::from_index(p)));
-            self.flush_buckets(p, &buckets);
+            self.paths[p]
+                .ctrl
+                .storage_mut()
+                .reserve(buckets.len() * self.bursts_per_bucket as usize);
+            for &bucket in &buckets {
+                self.load_bucket_image(p, bucket);
+                self.store_image(p, bucket);
+            }
         }
     }
 
@@ -1526,7 +1537,7 @@ impl FlowLutSim {
 
     /// Adopts a migrating flow: inserts `record.key` through the
     /// functional table (fresh placement under *this* instance's
-    /// geometry), flushes the touched bucket to storage, and installs
+    /// geometry), writes its bucket to storage, and installs
     /// the preserved record under the new ID — the rescale rehoming
     /// primitive.
     ///
@@ -1535,13 +1546,7 @@ impl FlowLutSim {
     /// [`InsertError`] when the key is already resident or the table is
     /// full.
     pub fn adopt_flow(&mut self, record: FlowRecord) -> Result<FlowId, InsertError> {
-        let fid = self
-            .table
-            .insert_flow(record.key, FlowCounters::of(&record))?;
-        if let Location::Mem { path, bucket, .. } = fid.decode(self.cfg.table.entries_per_bucket) {
-            self.write_bucket_to_storage(path.index(), bucket);
-        }
-        Ok(fid)
+        self.place_flow(record.key, FlowCounters::of(&record))
     }
 }
 

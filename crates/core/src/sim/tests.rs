@@ -576,6 +576,86 @@ fn preload_partial_failure_reports_inserted_count() {
     assert_eq!(sim.table().len(), 2);
 }
 
+#[test]
+fn preload_refuses_a_key_wider_than_a_slot() {
+    let mut sim = FlowLutSim::new(SimConfig::default());
+    // The prototype's 16-byte slots hold keys of up to 15 bytes.
+    let wide = FlowKey::new(&[7u8; 20]).unwrap();
+    let err = sim
+        .preload([key(1), wide, key(2)])
+        .expect_err("no slot holds a 20-byte key");
+    assert_eq!(
+        err,
+        PreloadError {
+            inserted: 1,
+            cause: InsertError::KeyDoesNotFit {
+                key_bytes: 20,
+                slot_bytes: 16
+            },
+        }
+    );
+    assert_eq!(sim.table().len(), 1);
+    assert_eq!(sim.table().peek(&wide), None);
+    assert_dram_image(&sim);
+    let report = sim.run(&descs(1..2));
+    assert_eq!(report.stats.lu1_hits + report.stats.lu2_hits, 1);
+}
+
+/// Each path's storage holds, at every resident bucket's bursts, the
+/// table's bytes of the bucket zero-padded to whole bursts, and no other
+/// burst has been written.
+fn assert_dram_image(sim: &FlowLutSim) {
+    let bursts = u64::from(sim.bursts_per_bucket);
+    for path in [PathId::A, PathId::B] {
+        let storage = sim.memory(path).storage();
+        let mut resident = 0;
+        for bucket in sim.table().resident_buckets(path) {
+            let mut image = sim.table().bucket_bytes(path, bucket).unwrap().to_vec();
+            image.resize(bursts as usize * sim.burst_bytes, 0);
+            let dram: Vec<u8> = (0..bursts)
+                .flat_map(|j| storage.read_burst(u64::from(bucket) * bursts + j))
+                .collect();
+            assert_eq!(dram, image, "bucket {bucket} of {path}");
+            resident += 1;
+        }
+        assert_eq!(
+            storage.resident_bursts() as u64,
+            resident * bursts,
+            "bursts written outside the resident buckets of {path}"
+        );
+    }
+}
+
+#[test]
+fn the_dram_image_equals_the_table_after_set_up() {
+    let mut wide = SimConfig::test_small();
+    wide.table.entry_slot_bytes = 40; // three bursts per bucket, padded
+    for cfg in [SimConfig::test_small(), wide] {
+        // 400 flows into 2 × 256 buckets: more than 256 in Mem1, so some
+        // buckets take a second key, and some flows land in Mem2.
+        let mut sim = FlowLutSim::new(cfg.clone());
+        sim.preload((0..400).map(key)).unwrap();
+        let occupancy = sim.table().occupancy();
+        assert!(
+            occupancy.mem_b > 0 && occupancy.mem_a > 256,
+            "{occupancy:?}"
+        );
+        assert_dram_image(&sim);
+
+        let blob = sim.checkpoint().unwrap();
+        let restored = FlowLutSim::restore(cfg.clone(), &blob).unwrap();
+        assert_dram_image(&restored);
+
+        // The rescale path: a warm-started simulator adopting each flow.
+        let mut adopted = FlowLutSim::warm_start(cfg, restored.now_sys());
+        for (_, record) in restored.table().records_after(None) {
+            adopted.adopt_flow(record).unwrap();
+        }
+        assert_eq!(adopted.table().len(), 400);
+        assert_dram_image(&adopted);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Flow lifecycle: TTL expiry, pressure eviction, checkpoint/restore.
 // ---------------------------------------------------------------------

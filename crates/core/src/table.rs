@@ -19,6 +19,7 @@ use flowlut_cam::Cam;
 use flowlut_hash::PairHasher;
 use flowlut_traffic::FlowKey;
 
+use crate::codec;
 use crate::error::{ConfigError, InsertError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
@@ -197,11 +198,19 @@ impl TableStats {
 ///
 /// Buckets are stored sparsely, so an 8 M-entry configuration costs
 /// memory proportional to its *resident* flows, not its capacity. Each
-/// resident bucket owns a chunk of `K` slots in one shared slab; a
-/// bucket that deletion empties returns its chunk to a free list, which
-/// the next new bucket takes before the slab grows. The bucket maps keep
-/// the standard randomly seeded hasher: bucket indices are H3 hashes of
-/// outside flow keys under a known seed.
+/// resident bucket owns a chunk of `K` slots in one shared byte slab,
+/// each slot `entry_slot_bytes` wide in the [`codec`] wire format, so a
+/// chunk is its bucket's DRAM bytes before burst padding
+/// ([`bucket_bytes`](Self::bucket_bytes)). A bucket that deletion
+/// empties returns its chunk to a free list, which the next new bucket
+/// takes before the slab grows. The bucket maps keep the standard
+/// randomly seeded hasher: bucket indices are H3 hashes of outside flow
+/// keys under a known seed.
+///
+/// A key no slot can hold ([`codec::check_fit`]) is never resident:
+/// lookups answer `None` and inserts refuse it with
+/// [`InsertError::KeyDoesNotFit`], before H3, which is built for keys of
+/// up to `entry_slot_bytes − 1` bytes, sees it.
 ///
 /// Each slot also holds its flow's [`FlowRecord`] counters, so the flow
 /// ID addresses per-flow state directly ([`record`](Self::record)), as
@@ -216,11 +225,11 @@ pub struct HashCamTable {
     /// Per memory: resident bucket index → its chunk of `slab`. Chunk
     /// indices fit `u32` because [`FlowId`] keeps bucket × K below 2^30.
     mems: [HashMap<u32, u32>; 2],
-    /// `K` slots per chunk, chunks back to back.
-    slab: Vec<Option<FlowKey>>,
-    /// The counters of each slab slot's flow, indexed like `slab`.
+    /// `K` slots of `entry_slot_bytes` per chunk, chunks back to back.
+    slab: Vec<u8>,
+    /// The counters of each slab slot's flow, indexed by slot.
     counters: Vec<FlowCounters>,
-    /// Chunks of buckets that deletion emptied (every slot `None`).
+    /// Chunks of buckets that deletion emptied (every byte zero).
     free_chunks: Vec<u32>,
     /// Resident buckets of Mem1 and Mem2, then occupied CAM slots.
     occupied: [Occupied; 3],
@@ -419,50 +428,24 @@ impl HashCamTable {
         )
     }
 
-    /// Three-stage lookup with early exit.
+    /// The bucket pair of `key`, or `None` for a key no slot can hold,
+    /// which is never resident.
+    fn buckets_of(&self, key: &FlowKey) -> Option<(u32, u32)> {
+        codec::check_fit(key, self.cfg.entry_slot_bytes).ok()?;
+        Some(self.hash_pair(key))
+    }
+
+    /// Three-stage lookup with early exit: the CAM, then `key`'s Mem1
+    /// bucket, then its Mem2 bucket.
     pub fn lookup(&mut self, key: &FlowKey) -> Option<(FlowId, LookupStage)> {
-        self.stats.lookups += 1;
-        // Stage 1: CAM.
-        if let Some(slot) = self.cam.search(key) {
-            self.stats.hits_cam += 1;
-            return Some((
-                FlowId::encode(Location::Cam(slot as u32), self.cfg.entries_per_bucket),
-                LookupStage::Cam,
-            ));
+        match self.buckets_of(key) {
+            Some((b1, b2)) => self.lookup_with_buckets(key, b1, b2),
+            None => {
+                self.stats.lookups += 1;
+                self.stats.misses += 1;
+                None
+            }
         }
-        let (b1, b2) = self.hash_pair(key);
-        // Stage 2: Hash1 → Mem1.
-        if let Some(slot) = self.find_in_bucket(PathId::A, b1, key) {
-            self.stats.hits_mem_a += 1;
-            return Some((
-                FlowId::encode(
-                    Location::Mem {
-                        path: PathId::A,
-                        bucket: b1,
-                        slot,
-                    },
-                    self.cfg.entries_per_bucket,
-                ),
-                LookupStage::MemA,
-            ));
-        }
-        // Stage 3: Hash2 → Mem2.
-        if let Some(slot) = self.find_in_bucket(PathId::B, b2, key) {
-            self.stats.hits_mem_b += 1;
-            return Some((
-                FlowId::encode(
-                    Location::Mem {
-                        path: PathId::B,
-                        bucket: b2,
-                        slot,
-                    },
-                    self.cfg.entries_per_bucket,
-                ),
-                LookupStage::MemB,
-            ));
-        }
-        self.stats.misses += 1;
-        None
     }
 
     /// Stage-1-only search: is `key` resident in the overflow CAM?
@@ -480,7 +463,7 @@ impl HashCamTable {
     /// Lookup without statistics (for assertions).
     pub fn peek(&self, key: &FlowKey) -> Option<FlowId> {
         self.cam_peek(key).or_else(|| {
-            let (b1, b2) = self.hash_pair(key);
+            let (b1, b2) = self.buckets_of(key)?;
             self.find_in_buckets(key, b1, b2)
         })
     }
@@ -505,18 +488,24 @@ impl HashCamTable {
     ///
     /// [`InsertError::Duplicate`] if the key is already resident (with
     /// its existing ID); [`InsertError::TableFull`] if both buckets and
-    /// the CAM are full.
+    /// the CAM are full; [`InsertError::KeyDoesNotFit`] if no slot can
+    /// hold the key.
     pub fn insert(&mut self, key: FlowKey) -> Result<FlowId, InsertError> {
         self.insert_flow(key, FlowCounters::default())
+            .map(|(id, _)| id)
     }
 
     /// [`insert`](Self::insert) with the flow's counters: preload and
-    /// rescale install flows whose record already exists.
+    /// rescale install flows whose record already exists. Also returns
+    /// the bytes of the bucket the flow landed in (none for the CAM),
+    /// for the caller to write to DRAM without looking the bucket up
+    /// again.
     pub(crate) fn insert_flow(
         &mut self,
         key: FlowKey,
         counters: FlowCounters,
-    ) -> Result<FlowId, InsertError> {
+    ) -> Result<(FlowId, &[u8]), InsertError> {
+        codec::check_fit(&key, self.cfg.entry_slot_bytes)?;
         let (b1, b2) = self.hash_pair(&key);
         let existing = self
             .cam_peek(&key)
@@ -543,14 +532,7 @@ impl HashCamTable {
         b1: u32,
         b2: u32,
     ) -> Result<FlowId, InsertError> {
-        assert!(
-            b1 < self.cfg.buckets_per_mem && b2 < self.cfg.buckets_per_mem,
-            "bucket index out of range"
-        );
-        if let Some(existing) = self.peek(&key) {
-            return Err(InsertError::Duplicate(existing));
-        }
-        self.insert_at(key, b1, b2)
+        self.insert_with_buckets_preferring(key, b1, b2, PathId::A)
     }
 
     /// Inserts with externally supplied bucket indices, trying `prefer`'s
@@ -577,6 +559,7 @@ impl HashCamTable {
             b1 < self.cfg.buckets_per_mem && b2 < self.cfg.buckets_per_mem,
             "bucket index out of range"
         );
+        codec::check_fit(&key, self.cfg.entry_slot_bytes)?;
         if let Some(existing) = self.peek(&key) {
             return Err(InsertError::Duplicate(existing));
         }
@@ -585,6 +568,7 @@ impl HashCamTable {
             PathId::B => [(PathId::B, b2), (PathId::A, b1)],
         };
         self.insert_at_order(key, FlowCounters::default(), order)
+            .map(|(id, _)| id)
     }
 
     /// Lookup with externally supplied bucket indices (for flows inserted
@@ -608,10 +592,9 @@ impl HashCamTable {
             (PathId::B, b2, LookupStage::MemB),
         ] {
             if let Some(slot) = self.find_in_bucket(path, bucket, key) {
-                match stage {
-                    LookupStage::MemA => self.stats.hits_mem_a += 1,
-                    LookupStage::MemB => self.stats.hits_mem_b += 1,
-                    LookupStage::Cam => unreachable!(),
+                match path {
+                    PathId::A => self.stats.hits_mem_a += 1,
+                    PathId::B => self.stats.hits_mem_b += 1,
                 }
                 return Some((
                     FlowId::encode(
@@ -626,36 +609,33 @@ impl HashCamTable {
         None
     }
 
-    fn insert_at(&mut self, key: FlowKey, b1: u32, b2: u32) -> Result<FlowId, InsertError> {
-        self.insert_at_order(
-            key,
-            FlowCounters::default(),
-            [(PathId::A, b1), (PathId::B, b2)],
-        )
-    }
-
+    /// Places `key`, which every caller has checked fits a slot, in the
+    /// first free slot of `order`'s buckets, else in the CAM; returns its
+    /// ID and its bucket's bytes (none for the CAM).
     fn insert_at_order(
         &mut self,
         key: FlowKey,
         counters: FlowCounters,
         order: [(PathId, u32); 2],
-    ) -> Result<FlowId, InsertError> {
+    ) -> Result<(FlowId, &[u8]), InsertError> {
+        let slot_bytes = self.cfg.entry_slot_bytes;
         for (path, bucket) in order {
             let base = self.claim_chunk(path, bucket);
-            let slots = self.chunk_mut(base);
-            if let Some(free) = slots.iter().position(|s| s.is_none()) {
-                slots[free] = Some(key);
+            let free = self
+                .chunk(base)
+                .chunks_exact(slot_bytes)
+                .position(codec::is_free);
+            if let Some(free) = free {
+                codec::write_slot(self.slot_mut(base + free), &key)?;
                 self.counters[base + free] = counters;
                 self.mem_counts[path.index()] += 1;
                 self.stats.inserts += 1;
-                return Ok(FlowId::encode(
-                    Location::Mem {
-                        path,
-                        bucket,
-                        slot: free as u8,
-                    },
+                let slot = free as u8;
+                let id = FlowId::encode(
+                    Location::Mem { path, bucket, slot },
                     self.cfg.entries_per_bucket,
-                ));
+                );
+                return Ok((id, self.chunk(base)));
             }
         }
         // Both buckets full: spill to the CAM.
@@ -665,10 +645,8 @@ impl HashCamTable {
                 self.occupied[CAM_REGION].insert(slot);
                 self.stats.inserts += 1;
                 self.stats.cam_spills += 1;
-                Ok(FlowId::encode(
-                    Location::Cam(slot as u32),
-                    self.cfg.entries_per_bucket,
-                ))
+                let id = FlowId::encode(Location::Cam(slot as u32), self.cfg.entries_per_bucket);
+                Ok((id, &[]))
             }
             Err(_) => {
                 self.stats.full_rejections += 1;
@@ -684,13 +662,17 @@ impl HashCamTable {
     ///
     /// # Errors
     ///
-    /// [`InsertError::TableFull`] as for [`insert`](Self::insert).
+    /// [`InsertError::TableFull`] and [`InsertError::KeyDoesNotFit`] as
+    /// for [`insert`](Self::insert).
     pub fn lookup_or_insert(&mut self, key: FlowKey) -> Result<(FlowId, bool), InsertError> {
         if let Some((id, _)) = self.lookup(&key) {
             return Ok((id, false));
         }
+        codec::check_fit(&key, self.cfg.entry_slot_bytes)?;
         let (b1, b2) = self.hash_pair(&key);
-        self.insert_at(key, b1, b2).map(|id| (id, true))
+        let order = [(PathId::A, b1), (PathId::B, b2)];
+        self.insert_at_order(key, FlowCounters::default(), order)
+            .map(|(id, _)| (id, true))
     }
 
     /// Removes `key`, returning its former ID.
@@ -704,30 +686,30 @@ impl HashCamTable {
                 self.cfg.entries_per_bucket,
             ));
         }
-        let (b1, b2) = self.hash_pair(key);
+        let (b1, b2) = self.buckets_of(key)?;
+        let (k, slot_bytes) = (self.cfg.entries_per_bucket, self.cfg.entry_slot_bytes);
         for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
             if let Some(&chunk) = self.mems[path.index()].get(&bucket) {
                 let base = self.chunk_base(chunk);
-                let slots = self.chunk_mut(base);
-                if let Some(slot) = slots.iter().position(|s| s.as_ref() == Some(key)) {
-                    slots[slot] = None;
-                    if slots.iter().all(|s| s.is_none()) {
-                        self.mems[path.index()].remove(&bucket);
-                        self.occupied[path.index()].remove(bucket as usize);
-                        self.free_chunks.push(chunk);
-                    }
-                    self.counters[base + slot] = FlowCounters::default();
-                    self.mem_counts[path.index()] -= 1;
-                    self.stats.deletes += 1;
-                    return Some(FlowId::encode(
-                        Location::Mem {
-                            path,
-                            bucket,
-                            slot: slot as u8,
-                        },
-                        self.cfg.entries_per_bucket,
-                    ));
+                let Some(slot) = codec::find_key(self.chunk(base), slot_bytes, k.into(), key)
+                else {
+                    continue;
+                };
+                let at = base + usize::from(slot);
+                codec::clear_slot(self.slot_mut(at));
+                if self
+                    .chunk(base)
+                    .chunks_exact(slot_bytes)
+                    .all(codec::is_free)
+                {
+                    self.mems[path.index()].remove(&bucket);
+                    self.occupied[path.index()].remove(bucket as usize);
+                    self.free_chunks.push(chunk);
                 }
+                self.counters[at] = FlowCounters::default();
+                self.mem_counts[path.index()] -= 1;
+                self.stats.deletes += 1;
+                return Some(FlowId::encode(Location::Mem { path, bucket, slot }, k));
             }
         }
         None
@@ -743,8 +725,11 @@ impl HashCamTable {
     /// # Errors
     ///
     /// Returns a static description when the location is out of range or
-    /// already occupied.
+    /// already occupied, or when no slot can hold the key.
     pub fn restore_at(&mut self, key: FlowKey, loc: Location) -> Result<FlowId, &'static str> {
+        // Refused before anything is placed, in a bucket or in the CAM.
+        let refused = |_: InsertError| "flow key does not fit a slot";
+        codec::check_fit(&key, self.cfg.entry_slot_bytes).map_err(refused)?;
         match loc {
             Location::Cam(slot) => {
                 self.cam.restore_at(slot as usize, key)?;
@@ -757,22 +742,22 @@ impl HashCamTable {
                 if slot >= self.cfg.entries_per_bucket {
                     return Err("bucket slot out of range");
                 }
-                let base = self.claim_chunk(path, bucket);
-                let slots = self.chunk_mut(base);
-                if slots[usize::from(slot)].is_some() {
+                let at = self.claim_chunk(path, bucket) + usize::from(slot);
+                if !codec::is_free(self.slot(at)) {
                     return Err("bucket slot already occupied");
                 }
-                slots[usize::from(slot)] = Some(key);
+                codec::write_slot(self.slot_mut(at), &key).map_err(refused)?;
                 self.mem_counts[path.index()] += 1;
             }
         }
         Ok(FlowId::encode(loc, self.cfg.entries_per_bucket))
     }
 
-    /// The slots of a bucket: `None` for never-touched buckets (every
-    /// slot empty — DRAM's all-zero reset state), so readers never
+    /// A bucket's `K` slots in the [`codec`] wire format: its DRAM bytes
+    /// before burst padding. `None` for a bucket that holds no flow
+    /// (every slot free — DRAM's all-zero reset state), so readers never
     /// allocate.
-    pub fn bucket_slots_ref(&self, path: PathId, bucket: u32) -> Option<&[Option<FlowKey>]> {
+    pub fn bucket_bytes(&self, path: PathId, bucket: u32) -> Option<&[u8]> {
         self.mems[path.index()]
             .get(&bucket)
             .map(|&chunk| self.chunk(self.chunk_base(chunk)))
@@ -799,7 +784,7 @@ impl HashCamTable {
             Location::Mem { path, bucket, slot } => {
                 let &chunk = self.mems[path.index()].get(&bucket)?;
                 let at = self.chunk_base(chunk) + usize::from(slot);
-                Some((self.slab[at]?, Slot::Slab(at)))
+                Some((codec::read_slot(self.slot(at))?, Slot::Slab(at)))
             }
         }
     }
@@ -909,7 +894,7 @@ impl HashCamTable {
             .map(|&chunk| self.chunk_base(chunk));
         base.into_iter().flat_map(move |base| {
             (from..usize::from(k)).filter_map(move |slot| {
-                let key = self.slab[base + slot]?;
+                let key = codec::read_slot(self.slot(base + slot))?;
                 let loc = Location::Mem {
                     path,
                     bucket,
@@ -960,7 +945,7 @@ impl HashCamTable {
         }
         let slots = additional.min(2 * self.cfg.buckets_per_mem as usize)
             * usize::from(self.cfg.entries_per_bucket);
-        self.slab.reserve(slots);
+        self.slab.reserve(slots * self.cfg.entry_slot_bytes);
         self.counters.reserve(slots);
     }
 
@@ -985,31 +970,39 @@ impl HashCamTable {
     }
 
     fn find_in_bucket(&self, path: PathId, bucket: u32, key: &FlowKey) -> Option<u8> {
-        self.bucket_slots_ref(path, bucket)?
-            .iter()
-            .position(|s| s.as_ref() == Some(key))
-            .map(|s| s as u8)
+        let bytes = self.bucket_bytes(path, bucket)?;
+        let k = usize::from(self.cfg.entries_per_bucket);
+        codec::find_key(bytes, self.cfg.entry_slot_bytes, k, key)
     }
 
-    /// Slab index of `chunk`'s first slot.
+    /// Slot index of `chunk`'s first slot.
     fn chunk_base(&self, chunk: u32) -> usize {
         chunk as usize * usize::from(self.cfg.entries_per_bucket)
     }
 
-    fn chunk(&self, base: usize) -> &[Option<FlowKey>] {
-        &self.slab[base..base + usize::from(self.cfg.entries_per_bucket)]
+    /// The bytes of the `K` slots from slot index `base` on.
+    fn chunk(&self, base: usize) -> &[u8] {
+        let at = base * self.cfg.entry_slot_bytes;
+        &self.slab[at..at + self.cfg.bucket_bytes()]
     }
 
-    fn chunk_mut(&mut self, base: usize) -> &mut [Option<FlowKey>] {
-        let k = usize::from(self.cfg.entries_per_bucket);
-        &mut self.slab[base..base + k]
+    /// The bytes of the slot at slot index `at`.
+    fn slot(&self, at: usize) -> &[u8] {
+        let width = self.cfg.entry_slot_bytes;
+        &self.slab[at * width..(at + 1) * width]
     }
 
-    /// Slab index of the first slot of `bucket`'s chunk in `path`'s
-    /// memory, claiming a free (all `None`) chunk when the bucket is not
+    fn slot_mut(&mut self, at: usize) -> &mut [u8] {
+        let width = self.cfg.entry_slot_bytes;
+        &mut self.slab[at * width..(at + 1) * width]
+    }
+
+    /// Slot index of the first slot of `bucket`'s chunk in `path`'s
+    /// memory, claiming a free (all-zero) chunk when the bucket is not
     /// resident yet.
     fn claim_chunk(&mut self, path: PathId, bucket: u32) -> usize {
         let k = usize::from(self.cfg.entries_per_bucket);
+        let chunk_bytes = self.cfg.bucket_bytes();
         let slab = &mut self.slab;
         let counters = &mut self.counters;
         let free_chunks = &mut self.free_chunks;
@@ -1017,9 +1010,9 @@ impl HashCamTable {
         let chunk = *self.mems[path.index()].entry(bucket).or_insert_with(|| {
             occupied.insert(bucket as usize);
             free_chunks.pop().unwrap_or_else(|| {
-                let chunk = (slab.len() / k) as u32;
-                slab.resize(slab.len() + k, None);
-                counters.resize(slab.len(), FlowCounters::default());
+                let chunk = (counters.len() / k) as u32;
+                slab.resize(slab.len() + chunk_bytes, 0);
+                counters.resize(counters.len() + k, FlowCounters::default());
                 chunk
             })
         });
@@ -1094,7 +1087,8 @@ mod tests {
         );
         let cfg = *t.config();
         let chunks = 2 * cfg.buckets_per_mem as usize;
-        assert!(t.slab.capacity() <= chunks * usize::from(cfg.entries_per_bucket));
+        assert!(t.slab.capacity() <= chunks * cfg.bucket_bytes());
+        assert!(t.counters.capacity() <= chunks * usize::from(cfg.entries_per_bucket));
         for mem in &t.mems {
             // A `HashMap` rounds its room up to a power-of-two bucket
             // array at 7/8 load, so it may hold up to twice what it was
@@ -1248,9 +1242,59 @@ mod tests {
     }
 
     #[test]
-    fn bucket_slots_default_empty() {
-        let t = table();
-        assert_eq!(t.bucket_slots_ref(PathId::A, 9), None);
+    fn bucket_bytes_default_empty() {
+        let mut t = table();
+        let (b1, _) = t.hash_pair(&key(1));
+        assert_eq!(t.bucket_bytes(PathId::A, b1), None);
+        t.insert(key(1)).unwrap();
+        let bytes = t.bucket_bytes(PathId::A, b1).expect("resident");
+        assert_eq!(bytes.len(), 2 * 16);
+        assert_eq!(codec::read_slot(&bytes[..16]), Some(key(1)));
+        assert!(codec::is_free(&bytes[16..]));
+        t.delete(&key(1));
+        assert_eq!(t.bucket_bytes(PathId::A, b1), None, "emptied buckets leave");
+    }
+
+    #[test]
+    fn a_key_wider_than_a_slot_is_never_resident() {
+        let mut t = table();
+        // 16-byte slots hold keys of up to 15 bytes; H3 is built for
+        // those, and would panic on hashing a wider one.
+        let wide = FlowKey::new(&[7u8; 20]).unwrap();
+        let refused = InsertError::KeyDoesNotFit {
+            key_bytes: 20,
+            slot_bytes: 16,
+        };
+        assert_eq!(t.insert(wide), Err(refused));
+        assert_eq!(t.insert_with_buckets(wide, 1, 2), Err(refused));
+        assert_eq!(t.lookup_or_insert(wide), Err(refused));
+        assert_eq!(t.lookup(&wide), None);
+        assert_eq!(t.peek(&wide), None);
+        assert_eq!(t.delete(&wide), None);
+        let empty = FlowKey::default();
+        assert!(matches!(
+            t.insert(empty),
+            Err(InsertError::KeyDoesNotFit { key_bytes: 0, .. })
+        ));
+        for loc in [
+            Location::Cam(0),
+            Location::Mem {
+                path: PathId::B,
+                bucket: 3,
+                slot: 0,
+            },
+        ] {
+            assert_eq!(t.restore_at(wide, loc), Err("flow key does not fit a slot"));
+        }
+        assert!(t.is_empty());
+        assert_eq!(
+            t.bucket_bytes(PathId::B, 3),
+            None,
+            "a refusal claims no bucket"
+        );
+        let widest = FlowKey::new(&[7u8; 15]).unwrap();
+        assert!(t.insert(widest).is_ok());
+        assert!(t.peek(&widest).is_some());
     }
 
     #[test]
@@ -1328,8 +1372,10 @@ mod tests {
 #[cfg(test)]
 mod model {
     //! The slab layout against a plain reference: every resident bucket
-    //! as its own `Vec`, the CAM as a slot vector filled lowest-first,
-    //! and the flow records in a `BTreeMap` keyed by flow ID.
+    //! as its own `Vec` of slots, the CAM as a slot vector filled
+    //! lowest-first, and the flow records in a `BTreeMap` keyed by flow
+    //! ID. Each bucket's bytes are checked against the reference slots
+    //! encoded here, without `codec`.
 
     use std::collections::{BTreeMap, BTreeSet, HashMap};
     use std::ops::Bound;
@@ -1343,12 +1389,14 @@ mod model {
     const BUCKETS: u32 = 4;
     const K: u8 = 2;
     const CAM: usize = 3;
+    const SLOT_BYTES: usize = 16;
 
     fn config() -> TableConfig {
         TableConfig {
             buckets_per_mem: BUCKETS,
             entries_per_bucket: K,
             cam_capacity: CAM,
+            entry_slot_bytes: SLOT_BYTES,
             ..TableConfig::test_small()
         }
     }
@@ -1549,6 +1597,20 @@ mod model {
         FlowId::encode(loc, K)
     }
 
+    /// `slots` in the wire format: per slot a length byte, the key
+    /// bytes, zero padding.
+    fn encode(slots: &[Option<FlowKey>]) -> Vec<u8> {
+        let mut bytes = vec![0u8; slots.len() * SLOT_BYTES];
+        for (i, key) in slots.iter().enumerate() {
+            if let Some(key) = key {
+                let at = i * SLOT_BYTES;
+                bytes[at] = key.len() as u8;
+                bytes[at + 1..at + 1 + key.len()].copy_from_slice(key.as_bytes());
+            }
+        }
+        bytes
+    }
+
     /// Every location of the model's geometry, plus cursors past the end
     /// of each memory and of the CAM.
     fn cursors() -> Vec<FlowId> {
@@ -1571,17 +1633,18 @@ mod model {
     }
 
     /// Every chunk is owned by exactly one resident bucket or sits on the
-    /// free list, free chunks hold no key, and the slab never grew past
+    /// free list, free chunks are all zero, and the slab never grew past
     /// `peak` chunks (the most buckets resident at once), so emptied
-    /// chunks were reused. Empty slots hold zero counters, and each
-    /// bitmap bit is set exactly when its bucket or CAM slot is
-    /// resident, with a summary bit exactly over each non-empty word.
+    /// chunks were reused. Empty slots are all zero and hold zero
+    /// counters, and each bitmap bit is set exactly when its bucket or
+    /// CAM slot is resident, with a summary bit exactly over each
+    /// non-empty word.
     fn assert_slab_consistent(t: &HashCamTable, peak: usize) {
         let k = usize::from(K);
         let mut chunks: Vec<u32> = t.mems.iter().flat_map(|m| m.values().copied()).collect();
         chunks.extend(&t.free_chunks);
         chunks.sort_unstable();
-        let all: Vec<u32> = (0..(t.slab.len() / k) as u32).collect();
+        let all: Vec<u32> = (0..(t.counters.len() / k) as u32).collect();
         assert_eq!(chunks, all, "chunks leaked or shared");
         assert!(
             all.len() <= peak,
@@ -1590,13 +1653,14 @@ mod model {
         );
         for &c in &t.free_chunks {
             assert!(
-                t.chunk(t.chunk_base(c)).iter().all(Option::is_none),
-                "free chunk {c} holds a key"
+                t.chunk(t.chunk_base(c)).iter().all(|&b| b == 0),
+                "free chunk {c} is not all zero"
             );
         }
-        assert_eq!(t.counters.len(), t.slab.len());
-        for (at, key) in t.slab.iter().enumerate() {
-            if key.is_none() {
+        assert_eq!(t.slab.len(), t.counters.len() * SLOT_BYTES);
+        for at in 0..t.counters.len() {
+            if codec::is_free(t.slot(at)) {
+                assert!(t.slot(at).iter().all(|&b| b == 0), "empty slot {at}");
                 assert_eq!(t.counters[at], FlowCounters::default(), "empty slot {at}");
             }
         }
@@ -1662,7 +1726,12 @@ mod model {
                                 .map(id)
                                 .ok_or(InsertError::TableFull),
                         };
-                        prop_assert_eq!(t.insert_flow(key(i), counters), expected);
+                        let got = t.insert_flow(key(i), counters).map(|(id, bytes)| (id, bytes.to_vec()));
+                        let placed = |id: FlowId| match id.decode(K) {
+                            Location::Mem { path, bucket, .. } => encode(&r.buckets[&(path, bucket)]),
+                            Location::Cam(_) => Vec::new(),
+                        };
+                        prop_assert_eq!(got, expected.map(|id| (id, placed(id))));
                     }
                     Op::InsertForced(i, b1, b2, prefer) => {
                         let expected = match r.peek(t.hash_pair(&key(i)), &key(i)) {
@@ -1709,8 +1778,8 @@ mod model {
                 peak = peak.max(r.buckets.len());
                 for path in [PathId::A, PathId::B] {
                     for bucket in 0..BUCKETS {
-                        let expected = r.buckets.get(&(path, bucket)).map(Vec::as_slice);
-                        prop_assert_eq!(t.bucket_slots_ref(path, bucket), expected);
+                        let expected = r.buckets.get(&(path, bucket)).map(|slots| encode(slots));
+                        prop_assert_eq!(t.bucket_bytes(path, bucket), expected.as_deref());
                     }
                 }
                 for i in 0..KEYS {

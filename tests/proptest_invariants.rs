@@ -62,6 +62,9 @@ proptest! {
                     Err(InsertError::TableFull) => {
                         prop_assert!(false, "capacity exceeded with 64-key universe");
                     }
+                    Err(e @ InsertError::KeyDoesNotFit { .. }) => {
+                        prop_assert!(false, "a 13-byte key fits a 16-byte slot: {}", e);
+                    }
                 },
                 Op::Delete(k) => {
                     let table_had = table.delete(&k).is_some();
@@ -85,30 +88,59 @@ proptest! {
         }
     }
 
-    /// Bucket serialisation round-trips arbitrary slot patterns.
+    /// Slots of every width from 2 to 66 bytes round-trip each key that
+    /// fits and refuse, untouched, each key that does not; free slots
+    /// read back as no key, and `find_key` agrees with the slots.
     #[test]
     fn codec_roundtrip(
-        present in prop::collection::vec(any::<bool>(), 1..8),
-        base in 0u64..1_000_000,
-        slot_bytes in 16usize..32,
+        slot_bytes in 2usize..=66,
+        lens in prop::collection::vec(0usize..=64, 1..6),
+        seed in any::<u64>(),
     ) {
-        let slots: Vec<Option<FlowKey>> = present
-            .iter()
-            .enumerate()
-            .map(|(i, p)| p.then(|| FlowKey::from(FiveTuple::from_index(base + i as u64))))
-            .collect();
-        let total = (slots.len() * slot_bytes).next_multiple_of(32);
-        let bytes = codec::serialize_bucket(&slots, slot_bytes, total);
-        let back = codec::deserialize_bucket(&bytes, slot_bytes, slots.len());
-        prop_assert_eq!(&back, &slots);
-        // find_key agrees with the slot array.
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some(k) = slot {
-                prop_assert_eq!(codec::find_key(&bytes, slot_bytes, slots.len(), k), Some(i as u8));
+        // A key of `len` bytes from `seed`, distinct for distinct seeds.
+        let key_of = |len: usize, seed: u64| {
+            let bytes: Vec<u8> = seed.to_le_bytes().iter().copied().cycle().take(len).collect();
+            FlowKey::new(&bytes).unwrap()
+        };
+        let k = lens.len();
+        let mut bytes = vec![0u8; k * slot_bytes];
+        let mut held = Vec::new();
+        for (i, (&len, slot)) in lens.iter().zip(bytes.chunks_exact_mut(slot_bytes)).enumerate() {
+            // Length 0 leaves the slot free.
+            let key = (len > 0).then(|| key_of(len, seed.wrapping_add(i as u64)));
+            let Some(key) = key else {
+                held.push(None);
+                continue;
+            };
+            let fits = len < slot_bytes;
+            prop_assert_eq!(codec::check_fit(&key, slot_bytes).is_ok(), fits);
+            match codec::write_slot(slot, &key) {
+                Ok(()) => {
+                    prop_assert!(fits);
+                    prop_assert_eq!(usize::from(slot[0]), len);
+                    prop_assert_eq!(&slot[1..=len], key.as_bytes());
+                    prop_assert!(slot[len + 1..].iter().all(|&b| b == 0));
+                    held.push(Some(key));
+                }
+                Err(refused) => {
+                    prop_assert!(!fits);
+                    prop_assert_eq!(refused, InsertError::KeyDoesNotFit { key_bytes: len, slot_bytes });
+                    prop_assert!(slot.iter().all(|&b| b == 0), "a refused write left bytes");
+                    held.push(None);
+                }
             }
         }
-        let absent = FlowKey::from(FiveTuple::from_index(base + 1_000_000));
-        prop_assert_eq!(codec::find_key(&bytes, slot_bytes, slots.len(), &absent), None);
+        for (i, slot) in bytes.chunks_exact(slot_bytes).enumerate() {
+            prop_assert_eq!(codec::read_slot(slot), held[i]);
+            prop_assert_eq!(codec::is_free(slot), held[i].is_none());
+            if let Some(key) = held[i] {
+                // Lengths differ or seeds do, so keys are distinct.
+                prop_assert_eq!(codec::find_key(&bytes, slot_bytes, k, &key), Some(i as u8));
+            }
+        }
+        let absent = key_of(slot_bytes.min(65) - 1, seed.wrapping_add(k as u64));
+        prop_assert_eq!(codec::find_key(&bytes, slot_bytes, k, &absent), None);
+        prop_assert!(codec::check_fit(&FlowKey::default(), slot_bytes).is_err());
     }
 
     /// Flow-ID packing round-trips every representable location.

@@ -5,7 +5,8 @@
 //!
 //! Each input must come back as an error or as simulators whose tables
 //! and flow records agree (as many records as placements, each record's
-//! key at its location) — never as a panic. A restore also may not ask
+//! key at its location), with each resident bucket's bytes in DRAM —
+//! never as a panic. A restore also may not ask
 //! the allocator for more than restoring an empty checkpoint costs plus
 //! a bounded multiple of the blob's length: a count read from the blob
 //! must never size a reservation by itself. The prototype table's 8 M
@@ -22,7 +23,8 @@ use proptest::prelude::*;
 use stats_alloc::StatsAlloc;
 
 use flowlut::core::checkpoint::MAX_COUNTER;
-use flowlut::core::{CheckpointError, FlowLutSim, Location, SimConfig};
+use flowlut::core::codec;
+use flowlut::core::{CheckpointError, FlowLutSim, Location, PathId, SimConfig};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
@@ -109,17 +111,59 @@ fn restore_checked(blob: &[u8], empty_cost: u64) -> Result<(), CheckpointError> 
 
 fn assert_consistent(sim: &FlowLutSim) {
     let k = sim.config().table.entries_per_bucket;
+    let slot_bytes = sim.config().table.entry_slot_bytes;
     let table = sim.table();
     assert_eq!(table.records_after(None).count() as u64, table.len());
     for (id, record) in table.records_after(None) {
         let at_placement = match id.decode(k) {
-            Location::Mem { path, bucket, slot } => table
-                .bucket_slots_ref(path, bucket)
-                .is_some_and(|slots| slots[usize::from(slot)] == Some(record.key)),
+            Location::Mem { path, bucket, slot } => {
+                table
+                    .bucket_bytes(path, bucket)
+                    .and_then(|bytes| bytes.chunks_exact(slot_bytes).nth(usize::from(slot)))
+                    .and_then(codec::read_slot)
+                    == Some(record.key)
+            }
             Location::Cam(_) => table.cam_peek(&record.key) == Some(id),
         };
         assert!(at_placement, "record {id} does not sit at its placement");
         assert_eq!(table.record(id), Some(record));
+    }
+    assert_dram_image(sim);
+}
+
+/// Each path's storage holds, at every resident bucket's bursts, the
+/// table's bytes of the bucket zero-padded to whole bursts, and no other
+/// burst has been written.
+fn assert_dram_image(sim: &FlowLutSim) {
+    let cfg = sim.config();
+    let burst_bytes = cfg.mem_burst_bytes();
+    let bursts = u64::from(cfg.table.bursts_per_bucket(burst_bytes));
+    for path in [PathId::A, PathId::B] {
+        let storage = sim.memory(path).storage();
+        let mut resident: Vec<u32> = sim
+            .table()
+            .iter()
+            .filter_map(|(_, loc)| match loc {
+                Location::Mem {
+                    path: p, bucket, ..
+                } if p == path => Some(bucket),
+                _ => None,
+            })
+            .collect();
+        resident.dedup();
+        for &bucket in &resident {
+            let mut image = sim.table().bucket_bytes(path, bucket).unwrap().to_vec();
+            image.resize(bursts as usize * burst_bytes, 0);
+            let dram: Vec<u8> = (0..bursts)
+                .flat_map(|j| storage.read_burst(u64::from(bucket) * bursts + j))
+                .collect();
+            assert_eq!(dram, image, "bucket {bucket} of {path}");
+        }
+        assert_eq!(
+            storage.resident_bursts() as u64,
+            resident.len() as u64 * bursts,
+            "bursts written outside the resident buckets of {path}"
+        );
     }
 }
 
@@ -173,6 +217,47 @@ fn inflated_values_in_every_window_are_contained() {
             hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
             let _ = restore_checked(&hostile, empty_cost);
         }
+    }
+}
+
+/// `blob` with every `[13, key bytes]` of a 13-byte `key` (its placement
+/// and its record) widened to a 20-byte key: a consistent checkpoint of
+/// a flow too wide for the prototype's 16-byte slots.
+fn with_widened_key(blob: &[u8], key: &FlowKey) -> Vec<u8> {
+    let mut old = vec![13];
+    old.extend_from_slice(key.as_bytes());
+    let mut new = vec![20];
+    new.extend_from_slice(key.as_bytes());
+    new.extend_from_slice(&[0xEE; 7]);
+    let mut out = Vec::new();
+    let mut at = 0;
+    let mut widened = 0;
+    while at < blob.len() {
+        if blob[at..].starts_with(&old) {
+            out.extend_from_slice(&new);
+            at += old.len();
+            widened += 1;
+        } else {
+            out.push(blob[at]);
+            at += 1;
+        }
+    }
+    assert_eq!(widened, 2, "the key sits in one placement and one record");
+    out
+}
+
+#[test]
+fn a_key_wider_than_a_slot_is_rejected() {
+    let blob = valid_blob();
+    let empty_cost = empty_restore_bytes();
+    // Mem1, Mem2 and CAM placements alike.
+    for i in 0..14 {
+        let hostile = with_widened_key(&blob, &key(i));
+        assert_eq!(
+            restore_checked(&hostile, empty_cost).err(),
+            Some(CheckpointError::Corrupt("flow key does not fit a slot")),
+            "key {i}"
+        );
     }
 }
 
