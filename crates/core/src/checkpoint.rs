@@ -21,7 +21,7 @@ use std::fmt;
 use flowlut_traffic::FlowKey;
 
 use crate::fid::{Location, PathId};
-use crate::flow_state::FlowRecord;
+use crate::flow_state::{FlowCounters, FlowRecord};
 use crate::sim::SimStats;
 use crate::table::TableConfig;
 
@@ -214,9 +214,10 @@ impl<'a> ByteReader<'a> {
 
 /// The largest counter a checkpoint may carry ([`ByteReader::counter`]):
 /// 2^62, which no run reaches — counting one per cycle of a 1 GHz clock
-/// takes over a century — and at which three restored counters still
-/// sum without overflow, as a two-shard engine's carried counters and
-/// its shards' do.
+/// takes over a century — so a restored simulator counts on without
+/// overflow. An engine restore holds each statistic summed over its
+/// carried counters and all its shards to the same bound, since its
+/// merged view adds them up.
 pub const MAX_COUNTER: u64 = 1 << 62;
 
 /// Incremental FNV-1a (64-bit) digest, used to fingerprint the
@@ -267,9 +268,13 @@ pub fn write_key(w: &mut ByteWriter, key: &FlowKey) {
 ///
 /// [`CheckpointError`] on truncation or an unrepresentable key.
 pub fn read_key(r: &mut ByteReader<'_>) -> Result<FlowKey, CheckpointError> {
+    FlowKey::new(read_key_bytes(r)?).map_err(|_| CheckpointError::Corrupt("flow key too long"))
+}
+
+/// The bytes of a key written by [`write_key`], not made a [`FlowKey`].
+pub(crate) fn read_key_bytes<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], CheckpointError> {
     let len = usize::from(r.u8()?);
-    let bytes = r.take(len)?;
-    FlowKey::new(bytes).map_err(|_| CheckpointError::Corrupt("flow key too long"))
+    r.take(len)
 }
 
 /// Fewest bytes one placement (a [`write_location`] plus a
@@ -356,8 +361,14 @@ pub fn write_record(w: &mut ByteWriter, r: &FlowRecord) {
 ///
 /// [`CheckpointError`] on truncation or a corrupt key.
 pub fn read_record(r: &mut ByteReader<'_>) -> Result<FlowRecord, CheckpointError> {
-    Ok(FlowRecord {
-        key: read_key(r)?,
+    let key = read_key(r)?;
+    Ok(read_counters(r)?.with_key(key))
+}
+
+/// The counters of a record written by [`write_record`], read after its
+/// key.
+pub(crate) fn read_counters(r: &mut ByteReader<'_>) -> Result<FlowCounters, CheckpointError> {
+    Ok(FlowCounters {
         first_seen_ns: r.u64()?,
         last_seen_ns: r.u64()?,
         last_touch_sys: r.u64()?,
@@ -366,38 +377,13 @@ pub fn read_record(r: &mut ByteReader<'_>) -> Result<FlowRecord, CheckpointError
     })
 }
 
-/// Serializes [`SimStats`], field by field in declaration order.
+/// Serializes [`SimStats`]: its counters, then `max_latency_sys`.
 pub fn write_stats(w: &mut ByteWriter, s: &SimStats) {
-    for v in [
-        s.offered,
-        s.admitted,
-        s.completed,
-        s.cam_hits,
-        s.lu1_hits,
-        s.lu2_hits,
-        s.inserted_mem,
-        s.inserted_cam,
-        s.duplicate_races,
-        s.drops,
-        s.lu1_per_path[0],
-        s.lu1_per_path[1],
-        s.reads_issued,
-        s.writes_issued,
-        s.filter_hold_cycles,
-        s.input_stall_cycles,
-        s.same_key_holds,
-        s.bwr_count_releases,
-        s.bwr_timeout_releases,
-        s.deletes,
-        s.housekeeping_expired,
-        s.evictions,
-        s.expired_ttl,
-        s.pressure_evicted,
-        s.total_latency_sys,
-        s.max_latency_sys,
-    ] {
-        w.put_u64(v);
+    let mut s = *s;
+    for v in s.counters_mut() {
+        w.put_u64(*v);
     }
+    w.put_u64(s.max_latency_sys);
 }
 
 /// Reads [`SimStats`] written by [`write_stats`].
@@ -407,37 +393,12 @@ pub fn write_stats(w: &mut ByteWriter, s: &SimStats) {
 /// [`CheckpointError::Truncated`] at end of stream;
 /// [`CheckpointError::Corrupt`] for a counter above [`MAX_COUNTER`].
 pub fn read_stats(r: &mut ByteReader<'_>) -> Result<SimStats, CheckpointError> {
-    Ok(SimStats {
-        offered: r.counter()?,
-        admitted: r.counter()?,
-        completed: r.counter()?,
-        cam_hits: r.counter()?,
-        lu1_hits: r.counter()?,
-        lu2_hits: r.counter()?,
-        inserted_mem: r.counter()?,
-        inserted_cam: r.counter()?,
-        duplicate_races: r.counter()?,
-        drops: r.counter()?,
-        lu1_per_path: {
-            let a = r.counter()?;
-            let b = r.counter()?;
-            [a, b]
-        },
-        reads_issued: r.counter()?,
-        writes_issued: r.counter()?,
-        filter_hold_cycles: r.counter()?,
-        input_stall_cycles: r.counter()?,
-        same_key_holds: r.counter()?,
-        bwr_count_releases: r.counter()?,
-        bwr_timeout_releases: r.counter()?,
-        deletes: r.counter()?,
-        housekeeping_expired: r.counter()?,
-        evictions: r.counter()?,
-        expired_ttl: r.counter()?,
-        pressure_evicted: r.counter()?,
-        total_latency_sys: r.counter()?,
-        max_latency_sys: r.counter()?,
-    })
+    let mut s = SimStats::default();
+    for v in s.counters_mut() {
+        *v = r.counter()?;
+    }
+    s.max_latency_sys = r.counter()?;
+    Ok(s)
 }
 
 #[cfg(test)]

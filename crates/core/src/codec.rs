@@ -65,6 +65,13 @@ pub fn read_slot(slot: &[u8]) -> Option<FlowKey> {
     FlowKey::new(slot.get(1..=len)?).ok()
 }
 
+/// `true` when `slot` holds the key `key` (its bytes): its length byte
+/// and key bytes match, compared in place.
+pub(crate) fn holds(slot: &[u8], key: &[u8]) -> bool {
+    slot.first()
+        .is_some_and(|&len| slot.get(1..=usize::from(len)) == Some(key))
+}
+
 /// Searches the first `k` slots of a bucket's bytes for `key`; returns
 /// the slot index (the Flow Match comparison, operating directly on
 /// burst data, and the table's bucket search).
@@ -73,7 +80,7 @@ pub fn find_key(bytes: &[u8], slot_bytes: usize, k: usize, key: &FlowKey) -> Opt
     bytes
         .chunks_exact(slot_bytes)
         .take(k)
-        .position(|slot| slot.get(1..=usize::from(slot[0])) == Some(kb))
+        .position(|slot| holds(slot, kb))
         .map(|i| i as u8)
 }
 

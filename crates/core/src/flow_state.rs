@@ -64,11 +64,11 @@ impl FlowRecord {
 /// resident key.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct FlowCounters {
-    first_seen_ns: u64,
-    last_seen_ns: u64,
-    last_touch_sys: u64,
-    packets: u64,
-    bytes: u64,
+    pub(crate) first_seen_ns: u64,
+    pub(crate) last_seen_ns: u64,
+    pub(crate) last_touch_sys: u64,
+    pub(crate) packets: u64,
+    pub(crate) bytes: u64,
 }
 
 impl FlowCounters {
@@ -139,7 +139,6 @@ mod tests {
     fn create(t: &mut HashCamTable, i: u64, now: u64) -> FlowId {
         t.insert_flow(key(i), FlowCounters::first_packet(now, now / 5, 72))
             .expect("the small table has room")
-            .0
     }
 
     #[test]
@@ -225,7 +224,7 @@ mod tests {
         let mut t = table();
         let mut r = FlowRecord::first_packet(key(5), 100, 20, 72);
         r.update(900, 180, 1500);
-        let (id, _) = t.insert_flow(r.key, FlowCounters::of(&r)).unwrap();
+        let id = t.insert_flow(r.key, FlowCounters::of(&r)).unwrap();
         assert_eq!(t.record(id), Some(r));
         let got = t.record(id).unwrap();
         assert_eq!(got.packets, 2);

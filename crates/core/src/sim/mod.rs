@@ -151,7 +151,6 @@ pub struct SimReport {
 pub struct FlowLutSim {
     cfg: SimConfig,
     bursts_per_bucket: u32,
-    burst_bytes: usize,
     mem_ticks_per_sys: u32,
     table: HashCamTable,
     paths: [PathSim; 2],
@@ -194,8 +193,6 @@ pub struct FlowLutSim {
     match_bytes: Vec<u8>,
     /// Recycled `ReadAssembly::parts` buffers.
     parts_pool: Vec<Vec<Option<Vec<u8>>>>,
-    /// Bucket-image buffer (DLU writes and storage writes).
-    write_buf: Vec<u8>,
     /// Lifecycle scan batch buffer.
     scan_scratch: Vec<(FlowId, FlowRecord)>,
 }
@@ -221,7 +218,7 @@ impl FlowLutSim {
             bwr_first_cycle: None,
         };
         FlowLutSim {
-            table: HashCamTable::new(cfg.table),
+            table: HashCamTable::with_bursts(cfg.table, burst_bytes),
             paths: [mk_path(), mk_path()],
             seq_q: VecDeque::new(),
             cam_pipe: VecDeque::new(),
@@ -247,10 +244,8 @@ impl FlowLutSim {
             completions_scratch: Vec::new(),
             match_bytes: Vec::new(),
             parts_pool: Vec::new(),
-            write_buf: Vec::new(),
             scan_scratch: Vec::new(),
             bursts_per_bucket,
-            burst_bytes,
             mem_ticks_per_sys,
             cfg,
         }
@@ -268,7 +263,8 @@ impl FlowLutSim {
     }
 
     /// The memory model behind `path`; its storage holds the simulated
-    /// DRAM image of that path's buckets.
+    /// DRAM image of that path's buckets. After any set-up that storage
+    /// is a clone of the table's store, one line per resident bucket.
     pub fn memory(&self, path: PathId) -> &dyn MemoryModel {
         self.paths[path.index()].ctrl.as_ref()
     }
@@ -301,61 +297,55 @@ impl FlowLutSim {
     /// transactional: those earlier keys remain fully loaded — in the
     /// table *and* in the simulated DRAM, so a partially preloaded
     /// simulator still answers lookups for them consistently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bucket write is pending on either path: the DRAM is
+    /// then behind the table, which preload copies it from.
     pub fn preload<I>(&mut self, keys: I) -> Result<usize, PreloadError>
     where
         I: IntoIterator<Item = FlowKey>,
     {
-        let keys = keys.into_iter();
-        let additional = keys.size_hint().0;
-        self.table.reserve(additional);
-        // Each flow may land in a bucket of its own in either memory, as
-        // the table reserves.
-        let bursts = additional.min(self.cfg.table.buckets_per_mem as usize)
-            * self.bursts_per_bucket as usize;
-        for path in &mut self.paths {
-            path.ctrl.storage_mut().reserve(bursts);
-        }
         let counters = FlowCounters::first_packet(0, self.now_sys, 0);
-        let mut n = 0usize;
-        for key in keys {
-            self.place_flow(key, counters)
-                .map_err(|cause| PreloadError { inserted: n, cause })?;
-            n += 1;
-        }
-        Ok(n)
+        self.place_flows(keys.into_iter().map(|key| (key, counters)))
     }
 
-    /// Inserts `key` with `counters` through the table and writes the
-    /// bucket it lands in straight to storage, so DRAM holds each flow
-    /// as soon as the table does.
-    fn place_flow(&mut self, key: FlowKey, counters: FlowCounters) -> Result<FlowId, InsertError> {
-        let image_len = self.bursts_per_bucket as usize * self.burst_bytes;
-        let (fid, bytes) = self.table.insert_flow(key, counters)?;
-        if let Location::Mem { path, bucket, .. } = fid.decode(self.cfg.table.entries_per_bucket) {
-            load_image(&mut self.write_buf, bytes, image_len);
-            self.store_image(path.index(), bucket);
-        }
-        Ok(fid)
+    /// Inserts each flow with its counters through the table, then sets
+    /// each memory's image to a copy of the table's: the body of
+    /// [`preload`](Self::preload) and [`adopt_flows`](Self::adopt_flows).
+    fn place_flows(
+        &mut self,
+        mut flows: impl Iterator<Item = (FlowKey, FlowCounters)>,
+    ) -> Result<usize, PreloadError> {
+        assert!(
+            self.paths
+                .iter()
+                .all(|p| p.pending_write_buckets.is_empty()),
+            "set-up needs a simulator with no bucket write pending"
+        );
+        // Inserts prefer Mem1; Mem2 takes only the flows whose Mem1 bucket
+        // is full, and grows as it needs.
+        self.table.reserve(PathId::A, flows.size_hint().0);
+        let mut inserted = 0;
+        let placed = flows.try_for_each(|(key, counters)| {
+            self.table.insert_flow(key, counters)?;
+            inserted += 1;
+            Ok(())
+        });
+        self.copy_table_to_memory();
+        placed
+            .map(|()| inserted)
+            .map_err(|cause| PreloadError { inserted, cause })
     }
 
-    /// Fills `write_buf` with the image a write of `bucket` puts in
-    /// memory `path`.
-    fn load_bucket_image(&mut self, path: usize, bucket: u32) {
-        let bytes = self
-            .table
-            .bucket_bytes(PathId::from_index(path), bucket)
-            .unwrap_or(&[]);
-        let image_len = self.bursts_per_bucket as usize * self.burst_bytes;
-        load_image(&mut self.write_buf, bytes, image_len);
-    }
-
-    /// Writes the image in `write_buf` to `bucket`'s bursts in memory
-    /// `path`'s storage, without simulated cycles.
-    fn store_image(&mut self, path: usize, bucket: u32) {
-        let storage = self.paths[path].ctrl.storage_mut();
-        for (j, burst) in self.write_buf.chunks_exact(self.burst_bytes).enumerate() {
-            let addr = u64::from(bucket) * u64::from(self.bursts_per_bucket) + j as u64;
-            storage.write_burst(addr, burst);
+    /// Sets each memory model's storage to a copy of the table's store
+    /// for that memory, bucket-wide lines and all, without simulated
+    /// cycles. The copy is exact only while no bucket write is pending,
+    /// for then DRAM equals the table.
+    fn copy_table_to_memory(&mut self) {
+        for (p, path) in self.paths.iter_mut().enumerate() {
+            let image = self.table.store(PathId::from_index(p));
+            path.ctrl.storage_mut().clone_from(image);
         }
     }
 
@@ -462,9 +452,12 @@ impl FlowLutSim {
     }
 
     fn push_desc(&mut self, desc: PacketDescriptor) {
+        // A key no slot can hold is not hashed (H3 is built for the keys
+        // slots hold): the CAM stage drops it.
         let hashes = match desc.hash_override {
             Some(pair) => pair,
-            None => self.table.raw_hashes(&desc.key),
+            None if self.fits(&desc.key) => self.table.raw_hashes(&desc.key),
+            None => (0, 0),
         };
         let buckets = self.table.bucket_pair_from_hashes(hashes.0, hashes.1);
         let idx = self.descs.len();
@@ -736,6 +729,13 @@ impl FlowLutSim {
             self.complete(idx, ResolvedVia::CamHit, Some(fid));
             return;
         }
+        // No bucket holds a key no slot can hold, nor takes it in: drop
+        // it without a read.
+        if !self.fits(&key) {
+            self.cam_pipe.pop_front();
+            self.complete(idx, ResolvedVia::Dropped, None);
+            return;
+        }
         // The load balancer decides once; a full DLU stalls the pipe
         // rather than re-routing (hardware honours the configured split).
         let path = match self.descs[idx].first_path {
@@ -768,6 +768,11 @@ impl FlowLutSim {
             stage: LuStage::Lu1,
             bucket,
         });
+    }
+
+    /// `true` when a slot can hold `key` ([`codec::check_fit`]).
+    fn fits(&self, key: &FlowKey) -> bool {
+        codec::check_fit(key, self.cfg.table.entry_slot_bytes).is_ok()
     }
 
     fn choose_path(&mut self, desc: usize) -> PathId {
@@ -1033,9 +1038,8 @@ impl FlowLutSim {
             Err(InsertError::Duplicate(fid)) => {
                 self.complete(idx, ResolvedVia::DuplicateRace, Some(fid));
             }
-            // A key no slot can hold is never placed.
             Err(InsertError::KeyDoesNotFit { .. }) => {
-                self.complete(idx, ResolvedVia::Dropped, None);
+                unreachable!("the CAM stage drops keys no slot can hold")
             }
         }
     }
@@ -1199,14 +1203,13 @@ impl FlowLutSim {
     }
 
     fn issue_bucket_write(&mut self, path: usize, w: WriteIntent) {
-        self.load_bucket_image(path, w.bucket);
-        let bytes = std::mem::take(&mut self.write_buf);
+        // The table's store holds the bucket as DRAM will: padded to
+        // whole bursts, at the same burst addresses.
+        let image = self.table.store(PathId::from_index(path));
         for j in 0..self.bursts_per_bucket {
             let id = self.next_mem_id;
             self.next_mem_id += 1;
             let addr = u64::from(w.bucket) * u64::from(self.bursts_per_bucket) + u64::from(j);
-            let chunk =
-                bytes[j as usize * self.burst_bytes..(j as usize + 1) * self.burst_bytes].to_vec();
             let last = j + 1 == self.bursts_per_bucket;
             self.mem_tags.insert(
                 id,
@@ -1219,21 +1222,11 @@ impl FlowLutSim {
             );
             self.paths[path]
                 .ctrl
-                .enqueue(MemRequest::write(id, addr, chunk))
+                .enqueue(MemRequest::write(id, addr, image.read_burst(addr)))
                 .expect("DLU checked controller room");
             self.stats.writes_issued += 1;
         }
-        self.write_buf = bytes;
     }
-}
-
-/// Fills `image` with `bytes`, a bucket's slots as the table holds
-/// them, zero-padded to `len`, a whole number of bursts: what a write of
-/// the bucket puts in DRAM.
-fn load_image(image: &mut Vec<u8>, bytes: &[u8], len: usize) {
-    image.clear();
-    image.extend_from_slice(bytes);
-    image.resize(len, 0);
 }
 
 /// Magic bytes of a single-channel simulator checkpoint ("FLUT" LE).
@@ -1298,7 +1291,7 @@ impl FlowLutSim {
 
     /// Rebuilds both memory controllers in the *canonical* phase for the
     /// current cycle: a fresh controller idle-ticked to `now_sys`, with
-    /// the storage re-flushed from the functional table.
+    /// the storage copied from the functional table.
     ///
     /// Controller-internal device state (refresh countdowns, bus
     /// turnaround history) is traffic-dependent and not serializable
@@ -1317,20 +1310,7 @@ impl FlowLutSim {
             }
             self.paths[p].ctrl = ctrl;
         }
-        let occupancy = self.table.occupancy();
-        let mut buckets = Vec::with_capacity(occupancy.mem_a.max(occupancy.mem_b) as usize);
-        for p in 0..2 {
-            buckets.clear();
-            buckets.extend(self.table.resident_buckets(PathId::from_index(p)));
-            self.paths[p]
-                .ctrl
-                .storage_mut()
-                .reserve(buckets.len() * self.bursts_per_bucket as usize);
-            for &bucket in &buckets {
-                self.load_bucket_image(p, bucket);
-                self.store_image(p, bucket);
-            }
-        }
+        self.copy_table_to_memory();
     }
 
     /// Serializes a consistent checkpoint of this (quiescent) simulator.
@@ -1456,19 +1436,37 @@ impl FlowLutSim {
         if sim.stats.offered != sim.stats.completed {
             return Err(CheckpointError::Corrupt("checkpointed mid-pipeline"));
         }
+        // Placements in strictly ascending ID order, as `checkpoint`
+        // writes them, each keeping the slot it filled. So Mem1's come
+        // first, and Mem2's first reserves room for all that remain.
         let placements = r.u64()?;
-        sim.table
-            .reserve(r.room_for(placements, checkpoint::MIN_PLACEMENT_BYTES));
+        let room = r.room_for(placements, checkpoint::MIN_PLACEMENT_BYTES);
+        sim.table.reserve(PathId::A, room);
+        let mut placed = Vec::with_capacity(room);
+        let mut reserved = PathId::A;
         for _ in 0..placements {
             let loc = checkpoint::read_location(&mut r, &table_cfg)?;
             let key = checkpoint::read_key(&mut r)?;
-            sim.table
+            let fid = FlowId::encode(loc, k);
+            if placed.last().is_some_and(|&(last, _)| last >= fid) {
+                return Err(CheckpointError::Corrupt("placements out of ID order"));
+            }
+            if let Location::Mem { path, .. } = loc {
+                if path != reserved {
+                    sim.table.reserve(path, room.saturating_sub(placed.len()));
+                    reserved = path;
+                }
+            }
+            let slot = sim
+                .table
                 .restore_at(key, loc)
                 .map_err(CheckpointError::Corrupt)?;
+            placed.push((fid, slot));
         }
         // Records: as many as placements, in strictly ascending ID order
-        // (as `checkpoint` writes them), each naming the key placed at
-        // its location — together, exactly one record per placement.
+        // too, each naming the key placed at its location — together,
+        // exactly one record per placement. Both lists ascend, so each
+        // record is merged into the first placement not below its ID.
         let records = r.u64()?;
         if records != placements {
             return Err(CheckpointError::Corrupt(
@@ -1476,18 +1474,23 @@ impl FlowLutSim {
             ));
         }
         let mut last = None;
+        let mut unmatched = placed.iter();
         for _ in 0..records {
             let fid = FlowId::encode(checkpoint::read_location(&mut r, &table_cfg)?, k);
-            let record = checkpoint::read_record(&mut r)?;
+            // The key is compared with the placed one in place, not rebuilt.
+            let key = checkpoint::read_key_bytes(&mut r)?;
+            let counters = checkpoint::read_counters(&mut r)?;
             if last >= Some(fid) {
                 return Err(CheckpointError::Corrupt("flow records out of ID order"));
             }
             last = Some(fid);
-            *sim.table
-                .counters_mut(fid, &record.key)
+            let slot = unmatched
+                .find(|&&(id, _)| id >= fid)
+                .filter(|&&(id, slot)| id == fid && sim.table.holds(slot, key))
                 .ok_or(CheckpointError::Corrupt(
                     "flow record disagrees with its placement",
-                ))? = FlowCounters::of(&record);
+                ))?;
+            *sim.table.counters_at(slot.1) = counters;
         }
         let mut cursors = [None, None];
         for cursor in &mut cursors {
@@ -1535,18 +1538,19 @@ impl FlowLutSim {
         sim
     }
 
-    /// Adopts a migrating flow: inserts `record.key` through the
-    /// functional table (fresh placement under *this* instance's
-    /// geometry), writes its bucket to storage, and installs
-    /// the preserved record under the new ID — the rescale rehoming
-    /// primitive.
-    ///
-    /// # Errors
-    ///
-    /// [`InsertError`] when the key is already resident or the table is
-    /// full.
-    pub fn adopt_flow(&mut self, record: FlowRecord) -> Result<FlowId, InsertError> {
-        self.place_flow(record.key, FlowCounters::of(&record))
+    /// Adopts migrating flows, as [`preload`](Self::preload) loads keys
+    /// (with its errors and panics), each with its preserved counters
+    /// under a fresh placement in this instance's table — the rescale
+    /// rehoming primitive.
+    pub fn adopt_flows<I>(&mut self, records: I) -> Result<usize, PreloadError>
+    where
+        I: IntoIterator<Item = FlowRecord>,
+    {
+        self.place_flows(
+            records
+                .into_iter()
+                .map(|record| (record.key, FlowCounters::of(&record))),
+        )
     }
 }
 

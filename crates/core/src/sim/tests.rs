@@ -602,27 +602,80 @@ fn preload_refuses_a_key_wider_than_a_slot() {
 }
 
 /// Each path's storage holds, at every resident bucket's bursts, the
-/// table's bytes of the bucket zero-padded to whole bursts, and no other
-/// burst has been written.
+/// table's bytes of the bucket zero-padded to whole bursts, and holds no
+/// other burst: a line of a bucket that is not resident would count.
 fn assert_dram_image(sim: &FlowLutSim) {
     let bursts = u64::from(sim.bursts_per_bucket);
+    let burst_bytes = sim.config().mem_burst_bytes();
     for path in [PathId::A, PathId::B] {
         let storage = sim.memory(path).storage();
-        let mut resident = 0;
-        for bucket in sim.table().resident_buckets(path) {
+        let mut resident: Vec<u32> = sim
+            .table()
+            .iter()
+            .filter_map(|(_, loc)| match loc {
+                Location::Mem {
+                    path: p, bucket, ..
+                } if p == path => Some(bucket),
+                _ => None,
+            })
+            .collect();
+        resident.dedup();
+        for &bucket in &resident {
             let mut image = sim.table().bucket_bytes(path, bucket).unwrap().to_vec();
-            image.resize(bursts as usize * sim.burst_bytes, 0);
+            image.resize(bursts as usize * burst_bytes, 0);
             let dram: Vec<u8> = (0..bursts)
                 .flat_map(|j| storage.read_burst(u64::from(bucket) * bursts + j))
                 .collect();
             assert_eq!(dram, image, "bucket {bucket} of {path}");
-            resident += 1;
         }
         assert_eq!(
             storage.resident_bursts() as u64,
-            resident * bursts,
+            resident.len() as u64 * bursts,
             "bursts written outside the resident buckets of {path}"
         );
+    }
+}
+
+#[test]
+fn keys_no_slot_holds_are_dropped_at_the_cam_stage() {
+    // Wider than the prototype's 16-byte slots allow, and the empty key,
+    // which Flow Match would find in any free slot.
+    let wide = FlowKey::new(&[7u8; 20]).unwrap();
+    for bad in [wide, FlowKey::default()] {
+        for hashes in [None, Some((5, 9))] {
+            let desc = |seq| match hashes {
+                Some((h1, h2)) => PacketDescriptor::new(seq, bad).with_hash_override(h1, h2),
+                None => PacketDescriptor::new(seq, bad),
+            };
+            // Through `offer`, twice, around a key that fits.
+            let mut sim = FlowLutSim::new(SimConfig::default());
+            for d in [desc(0), PacketDescriptor::new(1, key(1)), desc(2)] {
+                assert!(sim.offer(d));
+            }
+            FlowPipeline::drain(&mut sim);
+            let via: Vec<_> = sim.descriptors().iter().map(|d| d.via).collect();
+            assert_eq!(via[0], Some(ResolvedVia::Dropped));
+            assert_eq!(via[2], Some(ResolvedVia::Dropped));
+            let s = sim.stats();
+            assert_eq!(s.drops, 2);
+            // The key that fits misses both buckets and is inserted: its
+            // two reads are the only ones.
+            assert_eq!((s.reads_issued, s.inserted_mem), (2, 1), "{s:?}");
+            assert_eq!(sim.table().len(), 1);
+
+            // Through a session.
+            let mut sim = FlowLutSim::new(SimConfig::default());
+            let mut session = Session::new(&mut sim);
+            for seq in 0..3 {
+                while !session.push(desc(seq)).unwrap() {
+                    session.tick();
+                }
+            }
+            session.drain().unwrap();
+            let s = session.finish().stats;
+            assert_eq!((s.completed, s.drops, s.reads_issued), (3, 3, 0), "{s:?}");
+            assert!(sim.table().is_empty());
+        }
     }
 }
 
@@ -646,14 +699,47 @@ fn the_dram_image_equals_the_table_after_set_up() {
         let restored = FlowLutSim::restore(cfg.clone(), &blob).unwrap();
         assert_dram_image(&restored);
 
-        // The rescale path: a warm-started simulator adopting each flow.
-        let mut adopted = FlowLutSim::warm_start(cfg, restored.now_sys());
-        for (_, record) in restored.table().records_after(None) {
-            adopted.adopt_flow(record).unwrap();
-        }
+        // The rescale path: a warm-started simulator adopting every flow
+        // at once.
+        let mut adopted = FlowLutSim::warm_start(cfg.clone(), restored.now_sys());
+        let records = restored.table().records_after(None).map(|(_, r)| r);
+        assert_eq!(adopted.adopt_flows(records), Ok(400));
         assert_eq!(adopted.table().len(), 400);
         assert_dram_image(&adopted);
+
+        // A checkpoint after deletions and new flows, once their bucket
+        // writes land: the table's store holds the lines that emptied
+        // buckets released, some taken again by the new flows' buckets,
+        // and the checkpoint copies it to DRAM as it is.
+        for i in (0..400).step_by(3) {
+            sim.delete_flow(key(i));
+        }
+        sim.quiesce();
+        sim.run(&descs(1000..1020));
+        sim.quiesce();
+        assert_eq!(sim.table().len(), 400 - 134 + 20);
+        let blob = sim.checkpoint().unwrap();
+        assert_dram_image(&sim);
+        let mut restored = FlowLutSim::restore(cfg, &blob).unwrap();
+        assert_dram_image(&restored);
+        assert_eq!(restored.checkpoint().unwrap(), blob);
     }
+}
+
+#[test]
+#[should_panic(expected = "no bucket write pending")]
+fn preload_refuses_a_simulator_with_a_bucket_write_pending() {
+    let mut sim = FlowLutSim::new(SimConfig::test_small());
+    sim.preload([key(1)]).unwrap();
+    sim.delete_flow(key(1));
+    sim.tick();
+    assert!(
+        sim.paths
+            .iter()
+            .any(|p| !p.pending_write_buckets.is_empty()),
+        "the deletion's bucket write is pending"
+    );
+    let _ = sim.preload([key(2)]);
 }
 
 // ---------------------------------------------------------------------
@@ -889,9 +975,7 @@ fn adopt_flow_rehomes_a_record_under_new_geometry() {
 
     let mut dest = FlowLutSim::warm_start(SimConfig::test_small(), source.now_sys());
     assert_eq!(dest.now_sys(), source.now_sys());
-    for r in &records {
-        dest.adopt_flow(*r).unwrap();
-    }
+    assert_eq!(dest.adopt_flows(records.iter().copied()), Ok(10));
     assert_eq!(dest.table().len(), 10);
     // Adopted flows hit — with per-flow history intact.
     let report = dest.run(&descs(0..10));
@@ -1041,6 +1125,43 @@ fn restore_rejects_records_that_disagree_with_placements() {
         assert_eq!(
             FlowLutSim::restore(cfg.clone(), &blob).err(),
             Some(CheckpointError::Corrupt(expected)),
+            "{what}"
+        );
+    }
+}
+
+#[test]
+fn restore_rejects_placements_out_of_id_order() {
+    let cfg = SimConfig::test_small();
+    let a = (
+        key(1),
+        Location::Mem {
+            path: PathId::A,
+            bucket: 3,
+            slot: 0,
+        },
+    );
+    let b = (
+        key(2),
+        Location::Mem {
+            path: PathId::B,
+            bucket: 9,
+            slot: 1,
+        },
+    );
+    let c = (key(3), Location::Cam(2));
+    for (what, placements) in [
+        ("a descending pair", vec![a, c, b]),
+        ("a repeated placement", vec![a, a]),
+        ("a repeated CAM placement", vec![c, c]),
+    ] {
+        let mut records: Vec<_> = placements.iter().map(|&p| record_of(p)).collect();
+        records.sort_by_key(|&(loc, _)| FlowId::encode(loc, 2));
+        records.dedup_by_key(|&mut (loc, _)| loc);
+        let blob = hand_built_blob(&cfg, &placements, &records);
+        assert_eq!(
+            FlowLutSim::restore(cfg.clone(), &blob).err(),
+            Some(CheckpointError::Corrupt("placements out of ID order")),
             "{what}"
         );
     }

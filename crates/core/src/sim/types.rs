@@ -138,36 +138,11 @@ impl SimStats {
     /// taken from `self` — correct per-run because the mark is reset by
     /// `FlowPipeline::start_run` at each session start.
     pub fn delta_since(&self, earlier: &SimStats) -> SimStats {
-        SimStats {
-            offered: self.offered - earlier.offered,
-            admitted: self.admitted - earlier.admitted,
-            completed: self.completed - earlier.completed,
-            cam_hits: self.cam_hits - earlier.cam_hits,
-            lu1_hits: self.lu1_hits - earlier.lu1_hits,
-            lu2_hits: self.lu2_hits - earlier.lu2_hits,
-            inserted_mem: self.inserted_mem - earlier.inserted_mem,
-            inserted_cam: self.inserted_cam - earlier.inserted_cam,
-            duplicate_races: self.duplicate_races - earlier.duplicate_races,
-            drops: self.drops - earlier.drops,
-            lu1_per_path: [
-                self.lu1_per_path[0] - earlier.lu1_per_path[0],
-                self.lu1_per_path[1] - earlier.lu1_per_path[1],
-            ],
-            reads_issued: self.reads_issued - earlier.reads_issued,
-            writes_issued: self.writes_issued - earlier.writes_issued,
-            filter_hold_cycles: self.filter_hold_cycles - earlier.filter_hold_cycles,
-            input_stall_cycles: self.input_stall_cycles - earlier.input_stall_cycles,
-            same_key_holds: self.same_key_holds - earlier.same_key_holds,
-            bwr_count_releases: self.bwr_count_releases - earlier.bwr_count_releases,
-            bwr_timeout_releases: self.bwr_timeout_releases - earlier.bwr_timeout_releases,
-            deletes: self.deletes - earlier.deletes,
-            housekeeping_expired: self.housekeeping_expired - earlier.housekeeping_expired,
-            evictions: self.evictions - earlier.evictions,
-            expired_ttl: self.expired_ttl - earlier.expired_ttl,
-            pressure_evicted: self.pressure_evicted - earlier.pressure_evicted,
-            total_latency_sys: self.total_latency_sys - earlier.total_latency_sys,
-            max_latency_sys: self.max_latency_sys,
+        let (mut delta, mut earlier) = (*self, *earlier);
+        for (d, e) in delta.counters_mut().into_iter().zip(earlier.counters_mut()) {
+            *d -= *e;
         }
+        delta
     }
 
     /// Fraction of LU1 dispatches sent to path A.
@@ -199,36 +174,50 @@ impl SimStats {
         }
     }
 
+    /// Every counter, in checkpoint order: all the statistics but the
+    /// `max_latency_sys` high-water mark, which a checkpoint writes after
+    /// them. [`merge`](Self::merge) adds these and
+    /// [`delta_since`](Self::delta_since) subtracts them.
+    pub fn counters_mut(&mut self) -> [&mut u64; 25] {
+        let [lu1_a, lu1_b] = &mut self.lu1_per_path;
+        [
+            &mut self.offered,
+            &mut self.admitted,
+            &mut self.completed,
+            &mut self.cam_hits,
+            &mut self.lu1_hits,
+            &mut self.lu2_hits,
+            &mut self.inserted_mem,
+            &mut self.inserted_cam,
+            &mut self.duplicate_races,
+            &mut self.drops,
+            lu1_a,
+            lu1_b,
+            &mut self.reads_issued,
+            &mut self.writes_issued,
+            &mut self.filter_hold_cycles,
+            &mut self.input_stall_cycles,
+            &mut self.same_key_holds,
+            &mut self.bwr_count_releases,
+            &mut self.bwr_timeout_releases,
+            &mut self.deletes,
+            &mut self.housekeeping_expired,
+            &mut self.evictions,
+            &mut self.expired_ttl,
+            &mut self.pressure_evicted,
+            &mut self.total_latency_sys,
+        ]
+    }
+
     /// Accumulates `other` into `self`, counter-wise. `max_latency_sys`
     /// takes the maximum (it is a high-water mark); `lu1_per_path` adds
     /// element-wise. Multi-channel aggregators use this to fold per-shard
     /// statistics into one system-level view.
     pub fn merge(&mut self, other: &SimStats) {
-        self.offered += other.offered;
-        self.admitted += other.admitted;
-        self.completed += other.completed;
-        self.cam_hits += other.cam_hits;
-        self.lu1_hits += other.lu1_hits;
-        self.lu2_hits += other.lu2_hits;
-        self.inserted_mem += other.inserted_mem;
-        self.inserted_cam += other.inserted_cam;
-        self.duplicate_races += other.duplicate_races;
-        self.drops += other.drops;
-        self.lu1_per_path[0] += other.lu1_per_path[0];
-        self.lu1_per_path[1] += other.lu1_per_path[1];
-        self.reads_issued += other.reads_issued;
-        self.writes_issued += other.writes_issued;
-        self.filter_hold_cycles += other.filter_hold_cycles;
-        self.input_stall_cycles += other.input_stall_cycles;
-        self.same_key_holds += other.same_key_holds;
-        self.bwr_count_releases += other.bwr_count_releases;
-        self.bwr_timeout_releases += other.bwr_timeout_releases;
-        self.deletes += other.deletes;
-        self.housekeeping_expired += other.housekeeping_expired;
-        self.evictions += other.evictions;
-        self.expired_ttl += other.expired_ttl;
-        self.pressure_evicted += other.pressure_evicted;
-        self.total_latency_sys += other.total_latency_sys;
+        let mut other = *other;
+        for (a, b) in self.counters_mut().into_iter().zip(other.counters_mut()) {
+            *a += *b;
+        }
         self.max_latency_sys = self.max_latency_sys.max(other.max_latency_sys);
     }
 }

@@ -12,10 +12,15 @@
 //! a key in the first free slot of its Mem1 bucket, then its Mem2 bucket,
 //! then the CAM; [`InsertError::TableFull`] reports exhaustion of all
 //! three.
-
-use std::collections::HashMap;
+//!
+//! Each memory's buckets live in one [`SparseStorage`] line store, one
+//! line per resident bucket. The simulator pads each line to whole
+//! bursts of its memory, so that store is the memory's DRAM image: each
+//! set-up ends by giving the memory model a clone of it, and the DLU's
+//! bucket writes read their bursts out of it.
 
 use flowlut_cam::Cam;
+use flowlut_ddr3::SparseStorage;
 use flowlut_hash::PairHasher;
 use flowlut_traffic::FlowKey;
 
@@ -198,14 +203,14 @@ impl TableStats {
 ///
 /// Buckets are stored sparsely, so an 8 M-entry configuration costs
 /// memory proportional to its *resident* flows, not its capacity. Each
-/// resident bucket owns a chunk of `K` slots in one shared byte slab,
-/// each slot `entry_slot_bytes` wide in the [`codec`] wire format, so a
-/// chunk is its bucket's DRAM bytes before burst padding
-/// ([`bucket_bytes`](Self::bucket_bytes)). A bucket that deletion
-/// empties returns its chunk to a free list, which the next new bucket
-/// takes before the slab grows. The bucket maps keep the standard
-/// randomly seeded hasher: bucket indices are H3 hashes of outside flow
-/// keys under a known seed.
+/// memory's resident buckets are lines of one [`SparseStorage`], the
+/// line number being the bucket index. A line holds the bucket's `K`
+/// slots, each `entry_slot_bytes` wide in the [`codec`] wire format
+/// ([`bucket_bytes`](Self::bucket_bytes)), then zero padding: none for
+/// a table built with [`new`](Self::new), and up to whole bursts of the
+/// memory for the simulator's, so that store is the memory's image. A
+/// bucket that deletion empties releases its line, which the next new
+/// bucket of that memory takes before the store grows.
 ///
 /// A key no slot can hold ([`codec::check_fit`]) is never resident:
 /// lookups answer `None` and inserts refuse it with
@@ -222,21 +227,15 @@ impl TableStats {
 pub struct HashCamTable {
     cfg: TableConfig,
     hasher: PairHasher,
-    /// Per memory: resident bucket index → its chunk of `slab`. Chunk
-    /// indices fit `u32` because [`FlowId`] keeps bucket × K below 2^30.
-    mems: [HashMap<u32, u32>; 2],
-    /// `K` slots of `entry_slot_bytes` per chunk, chunks back to back.
-    slab: Vec<u8>,
-    /// The counters of each slab slot's flow, indexed by slot.
-    counters: Vec<FlowCounters>,
-    /// Chunks of buckets that deletion emptied (every byte zero).
-    free_chunks: Vec<u32>,
+    /// Per memory: each resident bucket as the line of its index.
+    mems: [SparseStorage; 2],
+    /// The counters of each slot's flow: per memory, `K` per arena line
+    /// of its store (line × K + slot), then one per CAM slot.
+    counters: [Vec<FlowCounters>; 3],
     /// Resident buckets of Mem1 and Mem2, then occupied CAM slots.
     occupied: [Occupied; 3],
     mem_counts: [u64; 2],
     cam: Cam<FlowKey>,
-    /// The counters of each CAM slot's flow, indexed by slot.
-    cam_counters: Vec<FlowCounters>,
     stats: TableStats,
 }
 
@@ -244,13 +243,15 @@ pub struct HashCamTable {
 /// two memories'.
 const CAM_REGION: usize = 2;
 
-/// Where a resident flow's counters sit.
+/// Where a resident flow's key and counters sit, in 8 bytes: restore
+/// keeps one per placement. Arena lines fit `u32`, as a memory has at
+/// most `u32::MAX` buckets.
 #[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// In `cam_counters`, at this CAM slot.
-    Cam(usize),
-    /// In `counters`, at this slab index.
-    Slab(usize),
+pub(crate) enum Slot {
+    /// At this CAM slot.
+    Cam(u32),
+    /// At slot `slot` of arena line `line` of `path`'s store.
+    Mem { path: PathId, line: u32, slot: u8 },
 }
 
 /// One bit per unit (a bucket, or a CAM slot), plus a summary bit per
@@ -340,19 +341,32 @@ impl HashCamTable {
     /// Panics if the configuration is invalid; use
     /// [`TableConfig::validate`] first for fallible handling.
     pub fn new(cfg: TableConfig) -> Self {
+        Self::with_bursts(cfg, cfg.bucket_bytes())
+    }
+
+    /// A table whose stores pad each bucket to whole bursts of
+    /// `burst_bytes`, laid out as the simulated memory holds them.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new), and if `burst_bytes` is zero.
+    pub(crate) fn with_bursts(cfg: TableConfig, burst_bytes: usize) -> Self {
         cfg.validate().expect("invalid table configuration");
         let key_bits = 8 * (cfg.entry_slot_bytes - 1);
+        let bursts = cfg.bursts_per_bucket(burst_bytes);
+        let store = || SparseStorage::with_line_bursts(burst_bytes, bursts);
         HashCamTable {
             cfg,
             hasher: PairHasher::h3_pair(key_bits, cfg.hash_seed),
-            mems: [HashMap::new(), HashMap::new()],
-            slab: Vec::new(),
-            counters: Vec::new(),
-            free_chunks: Vec::new(),
+            mems: [store(), store()],
+            counters: [
+                Vec::new(),
+                Vec::new(),
+                vec![FlowCounters::default(); cfg.cam_capacity],
+            ],
             occupied: Self::empty_bitmaps(&cfg),
             mem_counts: [0, 0],
             cam: Cam::new(cfg.cam_capacity),
-            cam_counters: vec![FlowCounters::default(); cfg.cam_capacity],
             stats: TableStats::default(),
         }
     }
@@ -492,19 +506,15 @@ impl HashCamTable {
     /// hold the key.
     pub fn insert(&mut self, key: FlowKey) -> Result<FlowId, InsertError> {
         self.insert_flow(key, FlowCounters::default())
-            .map(|(id, _)| id)
     }
 
     /// [`insert`](Self::insert) with the flow's counters: preload and
-    /// rescale install flows whose record already exists. Also returns
-    /// the bytes of the bucket the flow landed in (none for the CAM),
-    /// for the caller to write to DRAM without looking the bucket up
-    /// again.
+    /// rescale install flows whose record already exists.
     pub(crate) fn insert_flow(
         &mut self,
         key: FlowKey,
         counters: FlowCounters,
-    ) -> Result<(FlowId, &[u8]), InsertError> {
+    ) -> Result<FlowId, InsertError> {
         codec::check_fit(&key, self.cfg.entry_slot_bytes)?;
         let (b1, b2) = self.hash_pair(&key);
         let existing = self
@@ -568,7 +578,6 @@ impl HashCamTable {
             PathId::B => [(PathId::B, b2), (PathId::A, b1)],
         };
         self.insert_at_order(key, FlowCounters::default(), order)
-            .map(|(id, _)| id)
     }
 
     /// Lookup with externally supplied bucket indices (for flows inserted
@@ -611,42 +620,37 @@ impl HashCamTable {
 
     /// Places `key`, which every caller has checked fits a slot, in the
     /// first free slot of `order`'s buckets, else in the CAM; returns its
-    /// ID and its bucket's bytes (none for the CAM).
+    /// ID.
     fn insert_at_order(
         &mut self,
         key: FlowKey,
         counters: FlowCounters,
         order: [(PathId, u32); 2],
-    ) -> Result<(FlowId, &[u8]), InsertError> {
-        let slot_bytes = self.cfg.entry_slot_bytes;
+    ) -> Result<FlowId, InsertError> {
+        let (k, slot_bytes) = (self.cfg.entries_per_bucket, self.cfg.entry_slot_bytes);
         for (path, bucket) in order {
-            let base = self.claim_chunk(path, bucket);
+            let line = self.claim_bucket(path, bucket);
             let free = self
-                .chunk(base)
+                .slots(path, line)
                 .chunks_exact(slot_bytes)
                 .position(codec::is_free);
-            if let Some(free) = free {
-                codec::write_slot(self.slot_mut(base + free), &key)?;
-                self.counters[base + free] = counters;
+            if let Some(slot) = free {
+                codec::write_slot(self.slot_mut(path, line, slot), &key)?;
+                self.counters[path.index()][line * usize::from(k) + slot] = counters;
                 self.mem_counts[path.index()] += 1;
                 self.stats.inserts += 1;
-                let slot = free as u8;
-                let id = FlowId::encode(
-                    Location::Mem { path, bucket, slot },
-                    self.cfg.entries_per_bucket,
-                );
-                return Ok((id, self.chunk(base)));
+                let slot = slot as u8;
+                return Ok(FlowId::encode(Location::Mem { path, bucket, slot }, k));
             }
         }
         // Both buckets full: spill to the CAM.
         match self.cam.insert(key) {
             Ok(slot) => {
-                self.cam_counters[slot] = counters;
+                self.counters[CAM_REGION][slot] = counters;
                 self.occupied[CAM_REGION].insert(slot);
                 self.stats.inserts += 1;
                 self.stats.cam_spills += 1;
-                let id = FlowId::encode(Location::Cam(slot as u32), self.cfg.entries_per_bucket);
-                Ok((id, &[]))
+                Ok(FlowId::encode(Location::Cam(slot as u32), k))
             }
             Err(_) => {
                 self.stats.full_rejections += 1;
@@ -672,13 +676,13 @@ impl HashCamTable {
         let (b1, b2) = self.hash_pair(&key);
         let order = [(PathId::A, b1), (PathId::B, b2)];
         self.insert_at_order(key, FlowCounters::default(), order)
-            .map(|(id, _)| (id, true))
+            .map(|id| (id, true))
     }
 
     /// Removes `key`, returning its former ID.
     pub fn delete(&mut self, key: &FlowKey) -> Option<FlowId> {
         if let Some(slot) = self.cam.delete(key) {
-            self.cam_counters[slot] = FlowCounters::default();
+            self.counters[CAM_REGION][slot] = FlowCounters::default();
             self.occupied[CAM_REGION].remove(slot);
             self.stats.deletes += 1;
             return Some(FlowId::encode(
@@ -689,33 +693,33 @@ impl HashCamTable {
         let (b1, b2) = self.buckets_of(key)?;
         let (k, slot_bytes) = (self.cfg.entries_per_bucket, self.cfg.entry_slot_bytes);
         for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
-            if let Some(&chunk) = self.mems[path.index()].get(&bucket) {
-                let base = self.chunk_base(chunk);
-                let Some(slot) = codec::find_key(self.chunk(base), slot_bytes, k.into(), key)
-                else {
-                    continue;
-                };
-                let at = base + usize::from(slot);
-                codec::clear_slot(self.slot_mut(at));
-                if self
-                    .chunk(base)
-                    .chunks_exact(slot_bytes)
-                    .all(codec::is_free)
-                {
-                    self.mems[path.index()].remove(&bucket);
-                    self.occupied[path.index()].remove(bucket as usize);
-                    self.free_chunks.push(chunk);
-                }
-                self.counters[at] = FlowCounters::default();
-                self.mem_counts[path.index()] -= 1;
-                self.stats.deletes += 1;
-                return Some(FlowId::encode(Location::Mem { path, bucket, slot }, k));
+            let Some(line) = self.mems[path.index()].line_index(u64::from(bucket)) else {
+                continue;
+            };
+            let bytes = self.slots(path, line);
+            let Some(slot) = codec::find_key(bytes, slot_bytes, k.into(), key) else {
+                continue;
+            };
+            codec::clear_slot(self.slot_mut(path, line, usize::from(slot)));
+            self.counters[path.index()][line * usize::from(k) + usize::from(slot)] =
+                FlowCounters::default();
+            if self
+                .slots(path, line)
+                .chunks_exact(slot_bytes)
+                .all(codec::is_free)
+            {
+                self.mems[path.index()].release_line(u64::from(bucket));
+                self.occupied[path.index()].remove(bucket as usize);
             }
+            self.mem_counts[path.index()] -= 1;
+            self.stats.deletes += 1;
+            return Some(FlowId::encode(Location::Mem { path, bucket, slot }, k));
         }
         None
     }
 
-    /// Places `key` at an exact `location`: the checkpoint-restore path.
+    /// Places `key` at an exact `location`, with zero counters: the
+    /// checkpoint-restore path. Returns the slot it filled.
     ///
     /// Bypasses hashing and statistics — the caller guarantees the
     /// placement came from an identically configured table, so the
@@ -726,7 +730,7 @@ impl HashCamTable {
     ///
     /// Returns a static description when the location is out of range or
     /// already occupied, or when no slot can hold the key.
-    pub fn restore_at(&mut self, key: FlowKey, loc: Location) -> Result<FlowId, &'static str> {
+    pub(crate) fn restore_at(&mut self, key: FlowKey, loc: Location) -> Result<Slot, &'static str> {
         // Refused before anything is placed, in a bucket or in the CAM.
         let refused = |_: InsertError| "flow key does not fit a slot";
         codec::check_fit(&key, self.cfg.entry_slot_bytes).map_err(refused)?;
@@ -734,6 +738,7 @@ impl HashCamTable {
             Location::Cam(slot) => {
                 self.cam.restore_at(slot as usize, key)?;
                 self.occupied[CAM_REGION].insert(slot as usize);
+                Ok(Slot::Cam(slot))
             }
             Location::Mem { path, bucket, slot } => {
                 if bucket >= self.cfg.buckets_per_mem {
@@ -742,15 +747,17 @@ impl HashCamTable {
                 if slot >= self.cfg.entries_per_bucket {
                     return Err("bucket slot out of range");
                 }
-                let at = self.claim_chunk(path, bucket) + usize::from(slot);
-                if !codec::is_free(self.slot(at)) {
+                let line = self.claim_bucket(path, bucket);
+                if !codec::is_free(self.slot_bytes(path, line, usize::from(slot))) {
                     return Err("bucket slot already occupied");
                 }
-                codec::write_slot(self.slot_mut(at), &key).map_err(refused)?;
+                let bytes = self.slot_mut(path, line, usize::from(slot));
+                codec::write_slot(bytes, &key).map_err(refused)?;
                 self.mem_counts[path.index()] += 1;
+                let line = line as u32;
+                Ok(Slot::Mem { path, line, slot })
             }
         }
-        Ok(FlowId::encode(loc, self.cfg.entries_per_bucket))
     }
 
     /// A bucket's `K` slots in the [`codec`] wire format: its DRAM bytes
@@ -758,33 +765,39 @@ impl HashCamTable {
     /// (every slot free — DRAM's all-zero reset state), so readers never
     /// allocate.
     pub fn bucket_bytes(&self, path: PathId, bucket: u32) -> Option<&[u8]> {
-        self.mems[path.index()]
-            .get(&bucket)
-            .map(|&chunk| self.chunk(self.chunk_base(chunk)))
+        let line = self.mems[path.index()].line_index(u64::from(bucket))?;
+        Some(self.slots(path, line))
     }
 
-    /// The resident buckets of `path`'s memory, ascending.
-    pub(crate) fn resident_buckets(&self, path: PathId) -> impl Iterator<Item = u32> + '_ {
-        self.occupied[path.index()]
-            .iter_from(0)
-            .map(|bucket| bucket as u32)
+    /// `path`'s store: each resident bucket as its line, padded as the
+    /// table was built to pad it.
+    pub(crate) fn store(&self, path: PathId) -> &SparseStorage {
+        &self.mems[path.index()]
     }
 
-    /// Where the slot `fid` names keeps its counters, with the key it
-    /// holds: a CAM slot, or an index into the slab.
-    fn locate(&self, fid: FlowId) -> Option<(FlowKey, Slot)> {
+    /// The slot `fid` names, if its bucket is resident (a CAM slot need
+    /// only be in range).
+    fn locate(&self, fid: FlowId) -> Option<Slot> {
         match fid.decode(self.cfg.entries_per_bucket) {
             Location::Cam(slot) => {
-                let slot = slot as usize;
-                if slot >= self.cam.capacity() {
-                    return None;
-                }
-                Some((*self.cam.entry(slot)?, Slot::Cam(slot)))
+                ((slot as usize) < self.cam.capacity()).then_some(Slot::Cam(slot))
             }
             Location::Mem { path, bucket, slot } => {
-                let &chunk = self.mems[path.index()].get(&bucket)?;
-                let at = self.chunk_base(chunk) + usize::from(slot);
-                Some((codec::read_slot(self.slot(at))?, Slot::Slab(at)))
+                let line = self.mems[path.index()].line_index(u64::from(bucket))? as u32;
+                Some(Slot::Mem { path, line, slot })
+            }
+        }
+    }
+
+    /// `true` when `at` holds the key `key` (its bytes).
+    pub(crate) fn holds(&self, at: Slot, key: &[u8]) -> bool {
+        match at {
+            Slot::Cam(slot) => self
+                .cam
+                .entry(slot as usize)
+                .is_some_and(|k| k.as_bytes() == key),
+            Slot::Mem { path, line, slot } => {
+                codec::holds(self.slot_bytes(path, line as usize, usize::from(slot)), key)
             }
         }
     }
@@ -793,22 +806,15 @@ impl HashCamTable {
     /// counters the simulator's completions have folded in (all zero for
     /// a flow inserted through this functional layer).
     pub fn record(&self, fid: FlowId) -> Option<FlowRecord> {
-        let (key, slot) = self.locate(fid)?;
-        let counters = match slot {
-            Slot::Cam(slot) => self.cam_counters[slot],
-            Slot::Slab(at) => self.counters[at],
+        let at = self.locate(fid)?;
+        let key = match at {
+            Slot::Cam(slot) => *self.cam.entry(slot as usize)?,
+            Slot::Mem { path, line, slot } => {
+                codec::read_slot(self.slot_bytes(path, line as usize, usize::from(slot)))?
+            }
         };
-        Some(counters.with_key(key))
-    }
-
-    /// The counters of the flow at `fid`, if its slot holds `key`: the
-    /// restore path, which checks each record against its placement.
-    pub(crate) fn counters_mut(&mut self, fid: FlowId, key: &FlowKey) -> Option<&mut FlowCounters> {
-        match self.locate(fid)? {
-            (resident, _) if resident != *key => None,
-            (_, Slot::Cam(slot)) => Some(&mut self.cam_counters[slot]),
-            (_, Slot::Slab(at)) => Some(&mut self.counters[at]),
-        }
+        let (region, i) = self.counter_index(at);
+        Some(self.counters[region][i].with_key(key))
     }
 
     /// Folds one completed packet into the counters of the flow at
@@ -832,12 +838,17 @@ impl HashCamTable {
         now_sys: u64,
         frame_bytes: u64,
     ) {
-        match self.counters_mut(fid, key) {
-            Some(counters) if new_flow => {
-                *counters = FlowCounters::first_packet(now_ns, now_sys, frame_bytes);
-            }
-            Some(counters) => counters.update(now_ns, now_sys, frame_bytes),
-            None => panic!("{fid} does not hold the completing key"),
+        let Some(at) = self
+            .locate(fid)
+            .filter(|&at| self.holds(at, key.as_bytes()))
+        else {
+            panic!("{fid} does not hold the completing key");
+        };
+        let counters = self.counters_at(at);
+        if new_flow {
+            *counters = FlowCounters::first_packet(now_ns, now_sys, frame_bytes);
+        } else {
+            counters.update(now_ns, now_sys, frame_bytes);
         }
     }
 
@@ -876,7 +887,7 @@ impl HashCamTable {
             .filter_map(move |slot| {
                 let key = *self.cam.entry(slot)?;
                 let id = FlowId::encode(Location::Cam(slot as u32), k);
-                Some((id, self.cam_counters[slot].with_key(key)))
+                Some((id, self.counters[CAM_REGION][slot].with_key(key)))
             });
         mems.chain(cam)
     }
@@ -889,20 +900,15 @@ impl HashCamTable {
         from: usize,
     ) -> impl Iterator<Item = (FlowId, FlowRecord)> + '_ {
         let k = self.cfg.entries_per_bucket;
-        let base = self.mems[path.index()]
-            .get(&bucket)
-            .map(|&chunk| self.chunk_base(chunk));
-        base.into_iter().flat_map(move |base| {
+        let line = self.mems[path.index()].line_index(u64::from(bucket));
+        line.into_iter().flat_map(move |line| {
             (from..usize::from(k)).filter_map(move |slot| {
-                let key = codec::read_slot(self.slot(base + slot))?;
-                let loc = Location::Mem {
-                    path,
-                    bucket,
-                    slot: slot as u8,
-                };
+                let key = codec::read_slot(self.slot_bytes(path, line, slot))?;
+                let counters = self.counters[path.index()][line * usize::from(k) + slot];
+                let slot = slot as u8;
                 Some((
-                    FlowId::encode(loc, k),
-                    self.counters[base + slot].with_key(key),
+                    FlowId::encode(Location::Mem { path, bucket, slot }, k),
+                    counters.with_key(key),
                 ))
             })
         })
@@ -928,25 +934,18 @@ impl HashCamTable {
         }
     }
 
-    /// Reserves room for `additional` more resident flows, so a bulk load
-    /// of known size grows the bucket maps and the slab once. Each flow
-    /// may need a bucket of its own, so no more is reserved than the
-    /// table has buckets: per memory map, the buckets of one memory
-    /// (either may take every flow, as inserts prefer Mem1), and in the
-    /// slab, a chunk for each bucket of both. A bulk load also allocates
-    /// the occupancy bitmaps up front, whatever its size.
-    pub(crate) fn reserve(&mut self, additional: usize) {
+    /// Reserves room for `additional` more resident flows in `path`'s
+    /// memory, so a bulk load of known size grows its store and counters
+    /// once: a line per flow, but no more lines than the memory has
+    /// buckets. A bulk load also allocates the occupancy bitmaps up
+    /// front, whatever its size.
+    pub(crate) fn reserve(&mut self, path: PathId, additional: usize) {
         for bits in &mut self.occupied {
             bits.allocate();
         }
-        let buckets = additional.min(self.cfg.buckets_per_mem as usize);
-        for mem in &mut self.mems {
-            mem.reserve(buckets);
-        }
-        let slots = additional.min(2 * self.cfg.buckets_per_mem as usize)
-            * usize::from(self.cfg.entries_per_bucket);
-        self.slab.reserve(slots * self.cfg.entry_slot_bytes);
-        self.counters.reserve(slots);
+        let lines = additional.min(self.cfg.buckets_per_mem as usize);
+        self.mems[path.index()].reserve(lines);
+        self.counters[path.index()].reserve(lines * usize::from(self.cfg.entries_per_bucket));
     }
 
     /// Iterates over every resident key with its location, in ascending
@@ -959,14 +958,14 @@ impl HashCamTable {
 
     /// Removes every flow.
     pub fn clear(&mut self) {
-        self.mems = [HashMap::new(), HashMap::new()];
-        self.slab = Vec::new();
-        self.counters = Vec::new();
-        self.free_chunks = Vec::new();
+        for (mem, counters) in self.mems.iter_mut().zip(&mut self.counters) {
+            mem.clear();
+            counters.clear();
+        }
+        self.counters[CAM_REGION].fill(FlowCounters::default());
         self.occupied = Self::empty_bitmaps(&self.cfg);
         self.mem_counts = [0, 0];
         self.cam.clear();
-        self.cam_counters.fill(FlowCounters::default());
     }
 
     fn find_in_bucket(&self, path: PathId, bucket: u32, key: &FlowKey) -> Option<u8> {
@@ -975,48 +974,51 @@ impl HashCamTable {
         codec::find_key(bytes, self.cfg.entry_slot_bytes, k, key)
     }
 
-    /// Slot index of `chunk`'s first slot.
-    fn chunk_base(&self, chunk: u32) -> usize {
-        chunk as usize * usize::from(self.cfg.entries_per_bucket)
+    /// The `K` slots of arena line `line` of `path`'s store: its bucket's
+    /// bytes before padding.
+    fn slots(&self, path: PathId, line: usize) -> &[u8] {
+        &self.mems[path.index()].line_at(line)[..self.cfg.bucket_bytes()]
     }
 
-    /// The bytes of the `K` slots from slot index `base` on.
-    fn chunk(&self, base: usize) -> &[u8] {
-        let at = base * self.cfg.entry_slot_bytes;
-        &self.slab[at..at + self.cfg.bucket_bytes()]
-    }
-
-    /// The bytes of the slot at slot index `at`.
-    fn slot(&self, at: usize) -> &[u8] {
+    /// The bytes of slot `slot` of arena line `line` of `path`'s store.
+    fn slot_bytes(&self, path: PathId, line: usize, slot: usize) -> &[u8] {
         let width = self.cfg.entry_slot_bytes;
-        &self.slab[at * width..(at + 1) * width]
+        &self.slots(path, line)[slot * width..(slot + 1) * width]
     }
 
-    fn slot_mut(&mut self, at: usize) -> &mut [u8] {
+    fn slot_mut(&mut self, path: PathId, line: usize, slot: usize) -> &mut [u8] {
         let width = self.cfg.entry_slot_bytes;
-        &mut self.slab[at * width..(at + 1) * width]
+        &mut self.mems[path.index()].line_at_mut(line)[slot * width..(slot + 1) * width]
     }
 
-    /// Slot index of the first slot of `bucket`'s chunk in `path`'s
-    /// memory, claiming a free (all-zero) chunk when the bucket is not
-    /// resident yet.
-    fn claim_chunk(&mut self, path: PathId, bucket: u32) -> usize {
+    /// Which of `counters` holds the counters of slot `at`, and where.
+    fn counter_index(&self, at: Slot) -> (usize, usize) {
+        match at {
+            Slot::Cam(slot) => (CAM_REGION, slot as usize),
+            Slot::Mem { path, line, slot } => {
+                let k = usize::from(self.cfg.entries_per_bucket);
+                (path.index(), line as usize * k + usize::from(slot))
+            }
+        }
+    }
+
+    /// The counters of the flow at `at`.
+    pub(crate) fn counters_at(&mut self, at: Slot) -> &mut FlowCounters {
+        let (region, i) = self.counter_index(at);
+        &mut self.counters[region][i]
+    }
+
+    /// The arena line of `bucket` in `path`'s store, claiming an all-zero
+    /// line, with zero counters, when the bucket is not resident yet.
+    fn claim_bucket(&mut self, path: PathId, bucket: u32) -> usize {
+        let p = path.index();
+        let line = self.mems[p].claim_line(u64::from(bucket));
+        self.occupied[p].insert(bucket as usize);
         let k = usize::from(self.cfg.entries_per_bucket);
-        let chunk_bytes = self.cfg.bucket_bytes();
-        let slab = &mut self.slab;
-        let counters = &mut self.counters;
-        let free_chunks = &mut self.free_chunks;
-        let occupied = &mut self.occupied[path.index()];
-        let chunk = *self.mems[path.index()].entry(bucket).or_insert_with(|| {
-            occupied.insert(bucket as usize);
-            free_chunks.pop().unwrap_or_else(|| {
-                let chunk = (counters.len() / k) as u32;
-                slab.resize(slab.len() + chunk_bytes, 0);
-                counters.resize(counters.len() + k, FlowCounters::default());
-                chunk
-            })
-        });
-        chunk as usize * k
+        if self.counters[p].len() <= line * k {
+            self.counters[p].resize((line + 1) * k, FlowCounters::default());
+        }
+        line
     }
 }
 
@@ -1079,22 +1081,24 @@ mod tests {
     fn reserve_is_capped_at_the_tables_buckets() {
         let mut t = table();
         assert!(t.occupied.iter().all(|bits| bits.words.is_empty()));
-        t.reserve(usize::MAX);
+        t.reserve(PathId::B, usize::MAX);
         assert_eq!(
             t.occupied[0].words.len(),
             256 / 64,
             "reserve allocates the bitmaps"
         );
+        // Only that memory reserves its store and counters, for no more
+        // lines than it has buckets. A `HashMap` rounds its room up to a
+        // power-of-two bucket array at 7/8 load, so its index may hold up
+        // to twice what it was asked for.
         let cfg = *t.config();
-        let chunks = 2 * cfg.buckets_per_mem as usize;
-        assert!(t.slab.capacity() <= chunks * cfg.bucket_bytes());
-        assert!(t.counters.capacity() <= chunks * usize::from(cfg.entries_per_bucket));
-        for mem in &t.mems {
-            // A `HashMap` rounds its room up to a power-of-two bucket
-            // array at 7/8 load, so it may hold up to twice what it was
-            // asked for.
-            assert!(mem.capacity() <= 2 * cfg.buckets_per_mem as usize);
-        }
+        let buckets = cfg.buckets_per_mem as usize;
+        let (arena, index) = t.mems[PathId::B.index()].capacity();
+        assert!(arena <= buckets && index <= 2 * buckets);
+        let slots = buckets * usize::from(cfg.entries_per_bucket);
+        assert!(t.counters[PathId::B.index()].capacity() <= slots);
+        assert_eq!(t.mems[PathId::A.index()].capacity(), (0, 0));
+        assert_eq!(t.counters[PathId::A.index()].capacity(), 0);
     }
 
     #[test]
@@ -1284,7 +1288,10 @@ mod tests {
                 slot: 0,
             },
         ] {
-            assert_eq!(t.restore_at(wide, loc), Err("flow key does not fit a slot"));
+            assert_eq!(
+                t.restore_at(wide, loc).err(),
+                Some("flow key does not fit a slot")
+            );
         }
         assert!(t.is_empty());
         assert_eq!(
@@ -1339,8 +1346,7 @@ mod tests {
 
         let mut restored = table();
         for &(k, loc) in &placements {
-            let fid = restored.restore_at(k, loc).expect("placement valid");
-            assert_eq!(fid, FlowId::encode(loc, 2));
+            restored.restore_at(k, loc).expect("placement valid");
         }
         assert_eq!(restored.occupancy().total(), live.occupancy().total());
         for (k, loc) in placements {
@@ -1371,7 +1377,7 @@ mod tests {
 
 #[cfg(test)]
 mod model {
-    //! The slab layout against a plain reference: every resident bucket
+    //! The line-store layout against a plain reference: every resident bucket
     //! as its own `Vec` of slots, the CAM as a slot vector filled
     //! lowest-first, and the flow records in a `BTreeMap` keyed by flow
     //! ID. Each bucket's bytes are checked against the reference slots
@@ -1632,36 +1638,40 @@ mod model {
             .is_some_and(|word| word >> (unit % 64) & 1 == 1)
     }
 
-    /// Every chunk is owned by exactly one resident bucket or sits on the
-    /// free list, free chunks are all zero, and the slab never grew past
-    /// `peak` chunks (the most buckets resident at once), so emptied
-    /// chunks were reused. Empty slots are all zero and hold zero
-    /// counters, and each bitmap bit is set exactly when its bucket or
-    /// CAM slot is resident, with a summary bit exactly over each
+    /// Each memory's resident buckets own distinct arena lines of its
+    /// store, and the arena never grew past `peak` lines (the most
+    /// buckets of that memory resident at once), so emptied lines were
+    /// reused. Empty slots, and so released lines, are all zero and hold
+    /// zero counters, and each bitmap bit is set exactly when its bucket
+    /// or CAM slot is resident, with a summary bit exactly over each
     /// non-empty word.
-    fn assert_slab_consistent(t: &HashCamTable, peak: usize) {
+    fn assert_slab_consistent(t: &HashCamTable, peak: [usize; 2]) {
         let k = usize::from(K);
-        let mut chunks: Vec<u32> = t.mems.iter().flat_map(|m| m.values().copied()).collect();
-        chunks.extend(&t.free_chunks);
-        chunks.sort_unstable();
-        let all: Vec<u32> = (0..(t.counters.len() / k) as u32).collect();
-        assert_eq!(chunks, all, "chunks leaked or shared");
-        assert!(
-            all.len() <= peak,
-            "{} chunks for at most {peak} buckets",
-            all.len()
-        );
-        for &c in &t.free_chunks {
-            assert!(
-                t.chunk(t.chunk_base(c)).iter().all(|&b| b == 0),
-                "free chunk {c} is not all zero"
-            );
-        }
-        assert_eq!(t.slab.len(), t.counters.len() * SLOT_BYTES);
-        for at in 0..t.counters.len() {
-            if codec::is_free(t.slot(at)) {
-                assert!(t.slot(at).iter().all(|&b| b == 0), "empty slot {at}");
-                assert_eq!(t.counters[at], FlowCounters::default(), "empty slot {at}");
+        for path in [PathId::A, PathId::B] {
+            let p = path.index();
+            let lines = t.counters[p].len() / k;
+            assert!(lines <= peak[p], "{lines} lines for {} buckets", peak[p]);
+            let mut owned = Vec::new();
+            for bucket in 0..BUCKETS {
+                let line = t.mems[p].line_index(u64::from(bucket));
+                let set = bit(&t.occupied[p], bucket as usize);
+                assert_eq!(set, line.is_some(), "bucket {bucket} of {path}");
+                owned.extend(line);
+            }
+            let resident = owned.len();
+            owned.sort_unstable();
+            owned.dedup();
+            assert_eq!(owned.len(), resident, "lines shared");
+            assert!(owned.iter().all(|&line| line < lines));
+            for line in 0..lines {
+                for slot in 0..k {
+                    let bytes = t.slot_bytes(path, line, slot);
+                    if codec::is_free(bytes) {
+                        assert!(bytes.iter().all(|&b| b == 0), "{path} line {line}");
+                        let counters = t.counters[p][line * k + slot];
+                        assert_eq!(counters, FlowCounters::default(), "{path} line {line}");
+                    }
+                }
             }
         }
         for slot in 0..CAM {
@@ -1672,14 +1682,7 @@ mod model {
                 "CAM slot {slot}"
             );
             if !resident {
-                assert_eq!(t.cam_counters[slot], FlowCounters::default());
-            }
-        }
-        for path in [PathId::A, PathId::B] {
-            for bucket in 0..BUCKETS {
-                let resident = t.mems[path.index()].contains_key(&bucket);
-                let set = bit(&t.occupied[path.index()], bucket as usize);
-                assert_eq!(set, resident, "bucket {bucket} of {path}");
+                assert_eq!(t.counters[CAM_REGION][slot], FlowCounters::default());
             }
         }
         for bits in &t.occupied {
@@ -1699,7 +1702,7 @@ mod model {
         ) {
             let mut t = HashCamTable::new(config());
             let mut r = Reference::new();
-            let mut peak = 0;
+            let mut peak = [0; 2];
             let mut out = Vec::new();
             for (step, op) in ops.into_iter().enumerate() {
                 // A clock that never runs backwards, for the counters.
@@ -1726,12 +1729,7 @@ mod model {
                                 .map(id)
                                 .ok_or(InsertError::TableFull),
                         };
-                        let got = t.insert_flow(key(i), counters).map(|(id, bytes)| (id, bytes.to_vec()));
-                        let placed = |id: FlowId| match id.decode(K) {
-                            Location::Mem { path, bucket, .. } => encode(&r.buckets[&(path, bucket)]),
-                            Location::Cam(_) => Vec::new(),
-                        };
-                        prop_assert_eq!(got, expected.map(|id| (id, placed(id))));
+                        prop_assert_eq!(t.insert_flow(key(i), counters), expected);
                     }
                     Op::InsertForced(i, b1, b2, prefer) => {
                         let expected = match r.peek(t.hash_pair(&key(i)), &key(i)) {
@@ -1772,10 +1770,13 @@ mod model {
                     Op::Clear => {
                         t.clear();
                         r = Reference::new();
-                        peak = 0;
+                        peak = [0; 2];
                     }
                 }
-                peak = peak.max(r.buckets.len());
+                for (p, path) in [PathId::A, PathId::B].into_iter().enumerate() {
+                    let resident = r.buckets.keys().filter(|&&(q, _)| q == path).count();
+                    peak[p] = peak[p].max(resident);
+                }
                 for path in [PathId::A, PathId::B] {
                     for bucket in 0..BUCKETS {
                         let expected = r.buckets.get(&(path, bucket)).map(|slots| encode(slots));

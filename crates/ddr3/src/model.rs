@@ -116,7 +116,8 @@ pub trait MemoryModel: std::fmt::Debug + Send {
     fn storage(&self) -> &SparseStorage;
 
     /// Direct access to the backing storage, bypassing timing — used to
-    /// preload table contents without paying simulated cycles.
+    /// set table contents up without paying simulated cycles, which may
+    /// replace the storage with one of wider lines.
     fn storage_mut(&mut self) -> &mut SparseStorage;
 
     /// Unified statistics snapshot.

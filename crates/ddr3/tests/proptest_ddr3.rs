@@ -1,6 +1,6 @@
 //! Property tests for the DDR3 model: address mapping bijectivity,
 //! scheduling liveness, bus-model monotonicity, completion ordering, and
-//! the burst arena against a map of owned bursts.
+//! the line store against a map of owned bursts.
 
 use std::collections::HashMap;
 
@@ -219,6 +219,13 @@ enum StorageOp {
     /// Writes (or overwrites) a burst filled from a seed byte.
     Write(u64, u8),
     Read(u64),
+    /// Claims the line holding a burst address.
+    Claim(u64),
+    /// Releases the line holding a burst address.
+    Release(u64),
+    /// Writes a burst to a clone of the store, which the store must not
+    /// see.
+    WriteClone(u64, u8),
     Reserve(usize),
     Clear,
 }
@@ -232,6 +239,10 @@ fn storage_op() -> impl Strategy<Value = StorageOp> {
         (burst_addr(), any::<u8>()).prop_map(|(a, b)| StorageOp::Write(a, b)),
         (burst_addr(), any::<u8>()).prop_map(|(a, b)| StorageOp::Write(a, b)),
         burst_addr().prop_map(StorageOp::Read),
+        burst_addr().prop_map(StorageOp::Claim),
+        burst_addr().prop_map(StorageOp::Release),
+        burst_addr().prop_map(StorageOp::Release),
+        (burst_addr(), any::<u8>()).prop_map(|(a, b)| StorageOp::WriteClone(a, b)),
         (0usize..64).prop_map(StorageOp::Reserve),
         Just(StorageOp::Clear),
     ]
@@ -243,37 +254,102 @@ fn burst_from(seed: u8) -> Vec<u8> {
         .collect()
 }
 
+/// The line store as plain maps: owned bursts by address, each claimed
+/// line's arena index, and released arena lines, reused last-released
+/// first before the arena grows.
+#[derive(Default)]
+struct LineReference {
+    bursts: HashMap<u64, Vec<u8>>,
+    lines: HashMap<u64, usize>,
+    free: Vec<usize>,
+    arena_lines: usize,
+}
+
+impl LineReference {
+    fn read(&self, addr: u64) -> Vec<u8> {
+        self.bursts
+            .get(&addr)
+            .cloned()
+            .unwrap_or_else(|| vec![0; BURST])
+    }
+
+    fn claim(&mut self, line: u64) -> usize {
+        let (free, arena_lines) = (&mut self.free, &mut self.arena_lines);
+        *self.lines.entry(line).or_insert_with(|| {
+            free.pop().unwrap_or_else(|| {
+                *arena_lines += 1;
+                *arena_lines - 1
+            })
+        })
+    }
+
+    fn release(&mut self, line: u64, bursts_per_line: u64) {
+        if let Some(i) = self.lines.remove(&line) {
+            self.free.push(i);
+            self.bursts.retain(|addr, _| addr / bursts_per_line != line);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The burst arena reads back what a map of owned bursts holds, for
-    /// writes, overwrites, reads of unwritten bursts, reservations and
-    /// clears in any order.
+    /// The line store reads back what a map of owned bursts holds, for
+    /// lines of one to three bursts, under writes, overwrites, reads of
+    /// unwritten bursts, line claims and releases, writes to a clone,
+    /// reservations and clears in any order. Each claimed line keeps its
+    /// arena line, and a claim takes the last released one first.
     #[test]
-    fn arena_storage_matches_owned_burst_map(ops in prop::collection::vec(storage_op(), 1..150)) {
-        let mut s = SparseStorage::new(BURST);
-        let mut reference: HashMap<u64, Vec<u8>> = HashMap::new();
-        let read = |reference: &HashMap<u64, Vec<u8>>, addr: u64| {
-            reference.get(&addr).cloned().unwrap_or_else(|| vec![0; BURST])
-        };
+    fn arena_storage_matches_owned_burst_map(
+        bursts_per_line in 1..=3u32,
+        ops in prop::collection::vec(storage_op(), 1..150),
+    ) {
+        let per_line = u64::from(bursts_per_line);
+        let mut s = SparseStorage::with_line_bursts(BURST, bursts_per_line);
+        let mut reference = LineReference::default();
         for op in ops {
             match op {
                 StorageOp::Write(addr, seed) => {
                     s.write_burst(addr, &burst_from(seed));
-                    reference.insert(addr, burst_from(seed));
+                    reference.claim(addr / per_line);
+                    reference.bursts.insert(addr, burst_from(seed));
                 }
                 StorageOp::Read(addr) => {
-                    prop_assert_eq!(s.read_burst(addr), read(&reference, addr));
+                    prop_assert_eq!(s.read_burst(addr), reference.read(addr));
+                }
+                StorageOp::Claim(addr) => {
+                    let line = addr / per_line;
+                    prop_assert_eq!(s.claim_line(line), reference.claim(line));
+                    // The top line of three bursts has one address: its
+                    // other bursts stay zero.
+                    let bursts = (0..per_line).flat_map(|j| {
+                        (line * per_line).checked_add(j).map_or(vec![0; BURST], |a| reference.read(a))
+                    });
+                    let at = s.line_index(line).expect("claimed");
+                    prop_assert_eq!(s.line_at(at), &bursts.collect::<Vec<u8>>()[..]);
+                }
+                StorageOp::Release(addr) => {
+                    s.release_line(addr / per_line);
+                    reference.release(addr / per_line, per_line);
+                }
+                StorageOp::WriteClone(addr, seed) => {
+                    let mut copy = s.clone();
+                    copy.write_burst(addr, &burst_from(seed));
+                    prop_assert_eq!(copy.read_burst(addr), burst_from(seed));
+                    prop_assert_eq!(s.read_burst(addr), reference.read(addr));
                 }
                 StorageOp::Reserve(n) => s.reserve(n),
                 StorageOp::Clear => {
                     s.clear();
-                    reference.clear();
+                    reference = LineReference::default();
                 }
             }
-            prop_assert_eq!(s.resident_bursts(), reference.len());
+            prop_assert_eq!(s.resident_bursts(), reference.lines.len() * bursts_per_line as usize);
+            for (&line, &i) in &reference.lines {
+                prop_assert_eq!(s.line_index(line), Some(i), "line {}", line);
+            }
             for addr in (0..LOW_ADDRS).chain((0..4).map(|i| u64::MAX - i)) {
-                prop_assert_eq!(s.read_burst(addr), read(&reference, addr), "burst {}", addr);
+                prop_assert_eq!(s.read_burst(addr), reference.read(addr), "burst {}", addr);
             }
         }
     }

@@ -372,6 +372,11 @@ impl ShardedFlowLut {
     /// those keys remain loaded on their owning shards; the keys routed
     /// after the failing one are not attempted. Callers that need
     /// all-or-nothing semantics should rebuild the engine on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard has a bucket write pending, as
+    /// [`FlowLutSim::preload`] does.
     pub fn preload<I>(&mut self, keys: I) -> Result<usize, PreloadError>
     where
         I: IntoIterator<Item = FlowKey>,
@@ -663,6 +668,18 @@ impl ShardedFlowLut {
             sims.push(sim);
         }
         r.finish()?;
+        // Summed over the engine, each statistic obeys one simulator's
+        // bound, so the engine's merged view counts on without overflow.
+        let mut sums = carried_stats;
+        for sim in &sims {
+            let mut stats = *sim.stats();
+            for (sum, v) in sums.counters_mut().into_iter().zip(stats.counters_mut()) {
+                *sum = sum
+                    .checked_add(*v)
+                    .filter(|&sum| sum <= checkpoint::MAX_COUNTER)
+                    .ok_or(CheckpointError::Corrupt("engine statistics sum above 2^62"))?;
+            }
+        }
         let mut engine = Self::assemble(cfg, sims);
         engine.now_sys = now_sys;
         engine.offered = offered;
@@ -692,36 +709,38 @@ impl ShardedFlowLut {
         let old_shards = self.lanes.len();
         let new_shards = old_shards * 2;
         let now_sys = self.now_sys;
-        // Collect migrating flows in deterministic order (shard-major,
-        // flow-ID order within a shard) and fold old-lane counters.
-        let mut migrating: Vec<FlowRecord> = Vec::new();
+        // Group migrating flows by destination under the doubled
+        // partition, each group in deterministic order (shard-major,
+        // flow-ID order within a shard), and fold old-lane counters.
+        let router = ShardRouter::new(new_shards, self.cfg.router_seed);
+        let mut migrating: Vec<Vec<FlowRecord>> = vec![Vec::new(); new_shards];
         let mut retired_stats = SimStats::default();
         for lane in &self.lanes {
             let lane = lock(lane);
             retired_stats.merge(lane.sim.stats());
-            migrating.extend(lane.sim.table().records_after(None).map(|(_, r)| r));
+            for (_, record) in lane.sim.table().records_after(None) {
+                migrating[router.route(&record.key)].push(record);
+            }
         }
-        // Build the doubled partition and warm destination shards at the
-        // current cycle (canonical memory phase, clocks in lockstep).
-        let router = ShardRouter::new(new_shards, self.cfg.router_seed);
-        let mut sims: Vec<FlowLutSim> = (0..new_shards)
-            .map(|_| FlowLutSim::warm_start(self.cfg.shard.clone(), now_sys))
-            .collect();
+        // Warm each destination shard at the current cycle (canonical
+        // memory phase, clocks in lockstep) and adopt its group at once.
+        let mut sims = Vec::with_capacity(new_shards);
         let mut migrated_flows = 0u64;
-        for record in migrating {
-            let dest = router.route(&record.key);
-            if sims[dest].adopt_flow(record).is_err() {
+        for (dest, records) in migrating.iter().enumerate() {
+            let mut sim = FlowLutSim::warm_start(self.cfg.shard.clone(), now_sys);
+            if let Err(e) = sim.adopt_flows(records.iter().copied()) {
                 return Err(RescaleError::ShardFull {
                     shard: dest,
                     cause: FullError {
                         table: ENGINE_BACKEND_NAME,
-                        key: record.key,
-                        occupancy: sims[dest].table().len(),
+                        key: records[e.inserted].key,
+                        occupancy: sim.table().len(),
                         capacity: self.cfg.shard.table.capacity(),
                     },
                 });
             }
-            migrated_flows += 1;
+            migrated_flows += records.len() as u64;
+            sims.push(sim);
         }
         // Commit: swap in the doubled engine (dropping the old engine
         // joins its worker pool).

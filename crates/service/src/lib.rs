@@ -435,6 +435,22 @@ mod tests {
     }
 
     #[test]
+    fn keys_no_slot_holds_are_dropped_not_panicked_on() {
+        let mut svc = small_service(16);
+        let h = svc.handle();
+        // Wider than the 16-byte slots allow, and the empty key.
+        let wide = FlowKey::new(&[7u8; 20]).unwrap();
+        for (seq, key) in [wide, FlowKey::default(), wide].into_iter().enumerate() {
+            assert_eq!(h.try_send(PacketDescriptor::new(seq as u64, key)), Ok(true));
+        }
+        h.try_send(desc(3)).unwrap();
+        svc.drain();
+        let s = svc.poll().stats;
+        assert_eq!((s.completed, s.drops, s.inserted_mem), (4, 3, 1), "{s:?}");
+        assert_eq!(svc.poll().occupancy.total(), 1);
+    }
+
+    #[test]
     fn pump_moves_ingest_through_the_engine() {
         let mut svc = small_service(256);
         let h = svc.handle();

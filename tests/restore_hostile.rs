@@ -24,7 +24,7 @@ use stats_alloc::StatsAlloc;
 
 use flowlut::core::checkpoint::MAX_COUNTER;
 use flowlut::core::codec;
-use flowlut::core::{CheckpointError, FlowLutSim, Location, PathId, SimConfig};
+use flowlut::core::{CheckpointError, FlowLutSim, FlowPipeline, Location, PathId, SimConfig};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
@@ -293,10 +293,12 @@ fn engine_config() -> EngineConfig {
 }
 
 /// Byte offset of the engine clock, after the magic, version, shard
-/// count and router seed; the shard blobs follow the splitter counters
-/// and 26 carried statistics, each prefixed by its length.
+/// count and router seed; the carried statistics follow the splitter
+/// counters, and the shard blobs follow their 26 statistics, each
+/// prefixed by its length.
 const ENGINE_CLOCK_AT: usize = 24;
-const SHARD_BLOBS_AT: usize = 48 + 26 * 8;
+const ENGINE_STATS_AT: usize = 48;
+const SHARD_BLOBS_AT: usize = ENGINE_STATS_AT + STATS * 8;
 
 /// A two-shard checkpoint whose shards each hold flows in both
 /// memories and in the CAM, with the offsets of its three clocks.
@@ -395,6 +397,60 @@ fn inflated_values_in_every_engine_window_are_contained() {
             hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
             let _ = restore_engine_checked(&hostile, empty_cost);
         }
+    }
+}
+
+/// A checkpoint of a `shards`-shard test engine whose offered and
+/// completed statistics are `carried` in the carried statistics and
+/// `per_shard` in every shard's blob.
+fn engine_blob_with_offered(shards: usize, carried: u64, per_shard: u64) -> Vec<u8> {
+    let cfg = EngineConfig {
+        shards,
+        ..EngineConfig::test_small()
+    };
+    let mut engine = ShardedFlowLut::new(cfg);
+    engine.run(&descs());
+    engine.quiesce();
+    let mut blob = engine.checkpoint().expect("a quiesced engine checkpoints");
+    let set = |blob: &mut [u8], stats_at: usize, value: u64| {
+        for at in [stats_at, stats_at + COMPLETED_AT - OFFERED_AT] {
+            blob[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+    };
+    set(&mut blob, ENGINE_STATS_AT, carried);
+    let mut at = SHARD_BLOBS_AT;
+    for _ in 0..shards {
+        set(&mut blob, at + 8 + OFFERED_AT, per_shard);
+        let len = u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        at += 8 + len as usize;
+    }
+    assert_eq!(at, blob.len());
+    blob
+}
+
+/// Each statistic of an engine, summed over its carried counters and
+/// every shard's, obeys one simulator's bound: above 2^62 the restore
+/// is refused (it used to overflow when the engine merged them), at it
+/// the engine restores and reports its merged statistics.
+#[test]
+fn engine_statistics_are_bounded_at_2_62_summed() {
+    for shards in [3, 4] {
+        let cfg = EngineConfig {
+            shards,
+            ..EngineConfig::test_small()
+        };
+        let each = engine_blob_with_offered(shards, MAX_COUNTER, MAX_COUNTER);
+        assert_eq!(
+            ShardedFlowLut::restore(cfg.clone(), &each).err(),
+            Some(CheckpointError::Corrupt("engine statistics sum above 2^62")),
+            "{shards} shards"
+        );
+        let share = MAX_COUNTER / 8;
+        let edge = MAX_COUNTER - share * shards as u64;
+        let at_bound = engine_blob_with_offered(shards, edge, share);
+        let engine = ShardedFlowLut::restore(cfg, &at_bound).expect("a sum at the bound restores");
+        let stats = FlowPipeline::poll(&engine).stats;
+        assert_eq!((stats.offered, stats.completed), (MAX_COUNTER, MAX_COUNTER));
     }
 }
 
