@@ -1,7 +1,7 @@
 //! The event engine: programmable detectors over flow-processor output.
 
-use flowlut_core::sim::{DescState, ResolvedVia, SimReport};
-use flowlut_core::{FlowId, HashCamTable};
+use flowlut_core::sim::{DescState, ResolvedVia};
+use flowlut_core::{FlowId, HashCamTable, RunReport};
 
 /// Detector thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,7 +114,7 @@ impl EventEngine {
     }
 
     /// Per-batch hook: surge, pressure and drop detection.
-    pub fn on_batch_end(&mut self, report: &SimReport, table: &HashCamTable, out: &mut Vec<Event>) {
+    pub fn on_batch_end(&mut self, report: &RunReport, table: &HashCamTable, out: &mut Vec<Event>) {
         if report.completed > 0 {
             let fraction = report.stats.miss_rate();
             if fraction > self.thresholds.surge_new_flow_fraction {

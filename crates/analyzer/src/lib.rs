@@ -50,7 +50,7 @@ pub use buffer::PacketBuffer;
 pub use events::{Event, EventEngine, EventThresholds};
 pub use stats::{FlowSizeClass, StatsEngine};
 
-use flowlut_core::{FlowLutSim, SimConfig};
+use flowlut_core::{FlowLutSim, FlowPipeline, SimConfig};
 use flowlut_traffic::PacketDescriptor;
 
 /// Configuration of the integrated analyzer.
@@ -140,7 +140,7 @@ impl TrafficAnalyzer {
             }
         }
         let before_completed = self.sim.descriptors().len();
-        let report = self.sim.run(&accepted);
+        let report = self.sim.start_run().run(&accepted).expect("fresh session");
         self.buffer.drain(accepted.len());
 
         // Fan out per-descriptor results.

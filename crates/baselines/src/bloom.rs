@@ -2,7 +2,8 @@
 //!
 //! References \[2–5\] of the paper. Bloom filters answer *approximate*
 //! membership — they cannot store flow IDs and they false-positive — so
-//! they are not [`FlowTable`](crate::FlowTable) implementations; they are
+//! they are not [`FlowStore`](flowlut_core::backend::FlowStore)
+//! implementations; they are
 //! comparators for the related-work benches (false-positive rate vs
 //! memory budget) and building blocks for
 //! [`BloomCamTable`](crate::BloomCamTable).

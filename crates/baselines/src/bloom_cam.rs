@@ -1,10 +1,11 @@
 //! Non-collision hashing via Bloom filter + CAM (Li, reference \[8\]).
 
 use flowlut_cam::Cam;
+use flowlut_core::backend::{FlowBackend, FlowStore};
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::{full_error, FullError, OpStats};
 
 /// Li's collision-free hash table: a single hash memory with
 /// single-entry cells, a Bloom-style occupancy summary kept on chip, and
@@ -57,12 +58,15 @@ impl BloomCamTable {
     }
 }
 
-impl FlowTable for BloomCamTable {
+impl FlowStore for BloomCamTable {
     fn name(&self) -> &'static str {
         "bloom+cam"
     }
 
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
         self.stats.inserts += 1;
         let c = self.cell_of(&key);
         if self.occupied[c] {
@@ -71,11 +75,11 @@ impl FlowTable for BloomCamTable {
                 Ok(_) => {
                     self.stats.cam_spills += 1;
                     self.len += 1;
-                    Ok(())
+                    Ok(true)
                 }
                 Err(_) => {
                     self.stats.rejected += 1;
-                    Err(self.full_error(key))
+                    Err(full_error(self, key))
                 }
             }
         } else {
@@ -83,7 +87,7 @@ impl FlowTable for BloomCamTable {
             self.cells[c] = Some(key);
             self.stats.mem_writes += 1;
             self.len += 1;
-            Ok(())
+            Ok(true)
         }
     }
 
@@ -123,18 +127,20 @@ impl FlowTable for BloomCamTable {
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        self.cells.len() + self.cam.capacity()
+    fn capacity(&self) -> u64 {
+        (self.cells.len() + self.cam.capacity()) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for BloomCamTable {}
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,10 @@
 //! Two-function cuckoo hashing with kick-out insertion.
 
+use flowlut_core::backend::{FlowBackend, FlowStore};
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::{full_error, FullError, OpStats};
 
 /// A two-table cuckoo hash (Thinh et al., the paper's reference \[7\]).
 ///
@@ -75,12 +76,15 @@ impl CuckooTable {
     }
 }
 
-impl FlowTable for CuckooTable {
+impl FlowStore for CuckooTable {
     fn name(&self) -> &'static str {
         "cuckoo"
     }
 
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
         self.stats.inserts += 1;
         let mut cur = key;
         let mut table = 0usize;
@@ -94,7 +98,7 @@ impl FlowTable for CuckooTable {
                     self.stats.mem_writes += 1;
                     self.len += 1;
                     self.worst_insert_kicks = self.worst_insert_kicks.max(kicks);
-                    return Ok(());
+                    return Ok(true);
                 }
                 Some(resident) => {
                     // Kick the resident out and continue with it in the
@@ -116,7 +120,7 @@ impl FlowTable for CuckooTable {
             self.stash.push(cur);
             self.stats.cam_spills += 1;
             self.len += 1; // the new key landed; the victim stays resident
-            Ok(())
+            Ok(true)
         } else {
             // Stash full: the chain tail is dropped, exactly as a
             // hardware pipeline with a full victim buffer would drop it.
@@ -124,7 +128,7 @@ impl FlowTable for CuckooTable {
             // lost, recorded in `lost_keys` (net length unchanged).
             self.lost_keys += 1;
             self.stats.rejected += 1;
-            Err(self.full_error(key))
+            Err(full_error(self, key))
         }
     }
 
@@ -159,18 +163,20 @@ impl FlowTable for CuckooTable {
         false
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        self.tables[0].len() + self.tables[1].len() + self.stash_capacity
+    fn capacity(&self) -> u64 {
+        (self.tables[0].len() + self.tables[1].len() + self.stash_capacity) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for CuckooTable {}
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,10 @@
 //! Multi-choice (d-left / balanced allocations) hashing.
 
+use flowlut_core::backend::{FlowBackend, FlowStore};
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::{full_error, FullError, OpStats};
 
 /// A d-choice hash table: `d` independent sub-tables, insertion into the
 /// least-loaded candidate bucket (ties to the leftmost sub-table — the
@@ -72,12 +73,15 @@ impl DLeftTable {
     }
 }
 
-impl FlowTable for DLeftTable {
+impl FlowStore for DLeftTable {
     fn name(&self) -> &'static str {
         "d-left"
     }
 
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
         self.stats.inserts += 1;
         // Read all candidate buckets (parallel in hardware, d probes of
         // bandwidth), pick the least loaded; ties go left.
@@ -93,7 +97,7 @@ impl FlowTable for DLeftTable {
         let (load, t, b) = best.expect("d >= 1");
         if load == self.k {
             self.stats.rejected += 1;
-            return Err(self.full_error(key));
+            return Err(full_error(self, key));
         }
         let slot = self.tables[t][b]
             .iter()
@@ -102,7 +106,7 @@ impl FlowTable for DLeftTable {
         self.tables[t][b][slot] = Some(key);
         self.stats.mem_writes += 1;
         self.len += 1;
-        Ok(())
+        Ok(true)
     }
 
     fn contains(&mut self, key: &FlowKey) -> bool {
@@ -131,18 +135,20 @@ impl FlowTable for DLeftTable {
         false
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        self.tables.iter().map(|t| t.len() * self.k).sum()
+    fn capacity(&self) -> u64 {
+        self.tables.iter().map(|t| t.len() * self.k).sum::<usize>() as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for DLeftTable {}
 
 #[cfg(test)]
 mod tests {
@@ -168,7 +174,7 @@ mod tests {
         // until failure; d-left must last longer.
         let mut single = crate::SingleHashTable::new(128, 2, 7);
         let mut dleft = DLeftTable::new(2, 64, 2, 7);
-        let fail_point = |t: &mut dyn FlowTable| {
+        let fail_point = |t: &mut dyn FlowStore| {
             for i in 0..256 {
                 if t.insert(key(i)).is_err() {
                     return i;

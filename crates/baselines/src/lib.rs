@@ -2,9 +2,11 @@
 //!
 //! The paper positions its DDR3 Hash-CAM scheme against the hash-table
 //! families of its related-work section. This crate implements each of
-//! them behind one [`FlowTable`] trait, instrumented with **memory-probe
-//! counters** — the metric that decides DDR3 suitability, because every
-//! bucket probe is a DRAM burst with row-cycle and turnaround cost:
+//! them behind the workspace-wide
+//! [`FlowStore`](flowlut_core::backend::FlowStore) trait, instrumented
+//! with **memory-probe counters** ([`OpStats`]) — the metric that
+//! decides DDR3 suitability, because every bucket probe is a DRAM burst
+//! with row-cycle and turnaround cost:
 //!
 //! * [`SingleHashTable`] — one hash function, K-entry buckets (the
 //!   "conventional single hash methods" with higher collision rates);
@@ -24,23 +26,24 @@
 //! * [`bloom`] — standard, counting and parallel Bloom filters (\[2–5\])
 //!   with false-positive measurement, as membership-only comparators.
 //!
-//! Every table here implements two traits: the crate-local low-level
-//! [`FlowTable`] (raw insert, exact probe accounting) and the
-//! workspace-wide [`FlowStore`](flowlut_core::backend::FlowStore) /
-//! [`FlowBackend`](flowlut_core::backend::FlowBackend) (upsert
-//! semantics), so one `Box<dyn FlowBackend>` registry can hold these
-//! baselines next to the paper's table and the timed simulators — see
+//! Every table here implements [`FlowStore`](flowlut_core::backend::FlowStore)
+//! (upsert `insert`: a resident key costs one membership probe and
+//! reports `Ok(false)`) and
+//! [`FlowBackend`](flowlut_core::backend::FlowBackend), so one
+//! `Box<dyn FlowBackend>` registry can hold these baselines next to the
+//! paper's table and the timed simulators — see
 //! `examples/baseline_comparison.rs`.
 //!
 //! ## Example
 //!
 //! ```
-//! use flowlut_baselines::{CuckooTable, FlowTable};
+//! use flowlut_baselines::CuckooTable;
+//! use flowlut_core::FlowStore;
 //! use flowlut_traffic::{FiveTuple, FlowKey};
 //!
 //! let mut t = CuckooTable::new(1024, 4, 500, 7);
 //! let key = FlowKey::from(FiveTuple::from_index(1));
-//! t.insert(key)?;
+//! assert!(t.insert(key)?, "a new key");
 //! assert!(t.contains(&key));
 //! println!("{} probes so far", t.op_stats().mem_reads);
 //! # Ok::<(), flowlut_baselines::FullError>(())
@@ -65,4 +68,4 @@ pub use dleft::DLeftTable;
 pub use one_move::OneMoveTable;
 pub use simul::SimultaneousHashCam;
 pub use single::SingleHashTable;
-pub use traits::{FlowTable, FullError, OpStats};
+pub use traits::{FullError, OpStats};

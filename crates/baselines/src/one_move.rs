@@ -1,10 +1,11 @@
 //! Kirsch–Mitzenmacher "power of one move" hashing.
 
 use flowlut_cam::Cam;
+use flowlut_core::backend::{FlowBackend, FlowStore};
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::{full_error, FullError, OpStats};
 
 /// The single-move multiple-choice hash table of the paper's reference
 /// \[9\] (Kirsch & Mitzenmacher, "The Power of One Move: Hashing Schemes
@@ -151,12 +152,15 @@ impl OneMoveTable {
     }
 }
 
-impl FlowTable for OneMoveTable {
+impl FlowStore for OneMoveTable {
     fn name(&self) -> &'static str {
         "one-move"
     }
 
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
         self.stats.inserts += 1;
         self.stats.mem_reads += self.hashes.len() as u64;
         if self.try_direct_insert(&key).is_some()
@@ -164,12 +168,12 @@ impl FlowTable for OneMoveTable {
             || self.try_move_to_cam(&key).is_some()
         {
             self.len += 1;
-            Ok(())
+            Ok(true)
         } else {
             // try_move_to_cam only fails when the CAM itself is full, so
             // there is nowhere left to place the key.
             self.stats.rejected += 1;
-            Err(self.full_error(key))
+            Err(full_error(self, key))
         }
     }
 
@@ -207,18 +211,20 @@ impl FlowTable for OneMoveTable {
         false
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        self.tables.iter().map(|t| t.len() * self.k).sum::<usize>() + self.cam.capacity()
+    fn capacity(&self) -> u64 {
+        (self.tables.iter().map(|t| t.len() * self.k).sum::<usize>() + self.cam.capacity()) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for OneMoveTable {}
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,11 @@
 //! Conventional simultaneous-lookup Hash-CAM (the early-exit ablation).
 
 use flowlut_cam::Cam;
+use flowlut_core::backend::{FlowBackend, FlowStore};
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::{full_error, FullError, OpStats};
 
 /// The *conventional* Hash-CAM table: identical storage layout to the
 /// paper's scheme (two-choice buckets in two memories plus an overflow
@@ -57,12 +58,15 @@ impl SimultaneousHashCam {
     }
 }
 
-impl FlowTable for SimultaneousHashCam {
+impl FlowStore for SimultaneousHashCam {
     fn name(&self) -> &'static str {
         "simultaneous-hashcam"
     }
 
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
         self.stats.inserts += 1;
         for mem in 0..2 {
             let b = self.bucket_of(mem, &key);
@@ -71,18 +75,18 @@ impl FlowTable for SimultaneousHashCam {
                 self.mems[mem][b][slot] = Some(key);
                 self.stats.mem_writes += 1;
                 self.len += 1;
-                return Ok(());
+                return Ok(true);
             }
         }
         match self.cam.insert(key) {
             Ok(_) => {
                 self.stats.cam_spills += 1;
                 self.len += 1;
-                Ok(())
+                Ok(true)
             }
             Err(_) => {
                 self.stats.rejected += 1;
-                Err(self.full_error(key))
+                Err(full_error(self, key))
             }
         }
     }
@@ -122,18 +126,20 @@ impl FlowTable for SimultaneousHashCam {
         false
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        2 * self.mems[0].len() * self.k + self.cam.capacity()
+    fn capacity(&self) -> u64 {
+        (2 * self.mems[0].len() * self.k + self.cam.capacity()) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for SimultaneousHashCam {}
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,10 @@
 //! Conventional single-hash bucket table.
 
+use flowlut_core::backend::{FlowBackend, FlowStore};
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::{full_error, FullError, OpStats};
 
 /// A single-hash-function table with `buckets` buckets of `k` slots.
 ///
@@ -43,12 +44,15 @@ impl SingleHashTable {
     }
 }
 
-impl FlowTable for SingleHashTable {
+impl FlowStore for SingleHashTable {
     fn name(&self) -> &'static str {
         "single-hash"
     }
 
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
         self.stats.inserts += 1;
         let b = self.bucket_of(&key);
         self.stats.mem_reads += 1; // read-modify-write of the bucket
@@ -56,10 +60,10 @@ impl FlowTable for SingleHashTable {
             self.buckets[b][slot] = Some(key);
             self.stats.mem_writes += 1;
             self.len += 1;
-            Ok(())
+            Ok(true)
         } else {
             self.stats.rejected += 1;
-            Err(self.full_error(key))
+            Err(full_error(self, key))
         }
     }
 
@@ -83,18 +87,20 @@ impl FlowTable for SingleHashTable {
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        self.buckets.len() * self.k
+    fn capacity(&self) -> u64 {
+        (self.buckets.len() * self.k) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for SingleHashTable {}
 
 #[cfg(test)]
 mod tests {

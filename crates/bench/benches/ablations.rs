@@ -12,8 +12,8 @@
 //! of running the simulations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flowlut_baselines::{FlowTable, SimultaneousHashCam};
-use flowlut_core::{FlowLutSim, HashCamTable, SimConfig, TableConfig};
+use flowlut_baselines::SimultaneousHashCam;
+use flowlut_core::{FlowLutSim, FlowPipeline, FlowStore, HashCamTable, SimConfig, TableConfig};
 use flowlut_traffic::workloads::MatchRateWorkload;
 use flowlut_traffic::{FiveTuple, FlowKey};
 
@@ -97,7 +97,10 @@ fn sim_mdesc(cfg: SimConfig, miss: f64) -> f64 {
     };
     let set = w.build();
     sim.preload(set.preload.iter().copied()).unwrap();
-    sim.run(&set.queries).mdesc_per_s
+    sim.start_run()
+        .run(&set.queries)
+        .expect("fresh session")
+        .mdesc_per_s
 }
 
 /// Bank selection on/off: simulated throughput at 50% miss.

@@ -3,10 +3,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowlut_baselines::{
-    BloomCamTable, CuckooTable, DLeftTable, FlowTable, OneMoveTable, SimultaneousHashCam,
-    SingleHashTable,
+    BloomCamTable, CuckooTable, DLeftTable, OneMoveTable, SimultaneousHashCam, SingleHashTable,
 };
-use flowlut_core::{HashCamTable, TableConfig};
+use flowlut_core::{FlowStore, HashCamTable, TableConfig};
 use flowlut_traffic::{FiveTuple, FlowKey};
 
 fn keys(range: std::ops::Range<u64>) -> Vec<FlowKey> {
@@ -18,7 +17,7 @@ fn keys(range: std::ops::Range<u64>) -> Vec<FlowKey> {
 /// ~8k-entry capacity for every structure, loaded to 50%.
 const LOAD: u64 = 4096;
 
-fn build_baselines() -> Vec<Box<dyn FlowTable>> {
+fn build_baselines() -> Vec<Box<dyn FlowStore>> {
     vec![
         Box::new(SingleHashTable::new(4096, 2, 1)),
         Box::new(DLeftTable::new(2, 2048, 2, 1)),

@@ -3,7 +3,7 @@
 //! the 8 M-flow steady-state argument, and the product comparison.
 
 use flowlut_bench::{print_comparison, Row};
-use flowlut_core::{FlowLutSim, SimConfig};
+use flowlut_core::{FlowLutSim, FlowPipeline, SimConfig};
 use flowlut_traffic::fabric::{new_flow_ratio, FabricTraceProfile};
 use flowlut_traffic::linerate::{EthernetLink, MIN_L1_PACKET_BYTES, STANDARD_IFG_BYTES};
 use flowlut_traffic::workloads::MatchRateWorkload;
@@ -19,7 +19,10 @@ fn measured_rate_at_miss(miss: f64) -> f64 {
     };
     let set = w.build();
     sim.preload(set.preload.iter().copied()).unwrap();
-    sim.run(&set.queries).mdesc_per_s
+    sim.start_run()
+        .run(&set.queries)
+        .expect("fresh session")
+        .mdesc_per_s
 }
 
 fn main() {

@@ -14,13 +14,16 @@
 use std::io::Write as _;
 
 use flowlut_bench::smoke_mode;
-use flowlut_engine::{EngineConfig, EngineReport, ShardedFlowLut};
+use flowlut_core::{FlowPipeline, RunReport};
+use flowlut_engine::{EngineConfig, EngineSnapshot, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
 
-/// One sweep point.
+/// One sweep point: the run's report and the engine's per-shard view
+/// after it (cumulative counters, so per-run on a fresh engine).
 struct Point {
     shards: usize,
-    report: EngineReport,
+    report: RunReport,
+    snapshot: EngineSnapshot,
 }
 
 fn quick_mode() -> bool {
@@ -87,8 +90,12 @@ fn main() {
         engine
             .preload(set.preload.iter().copied())
             .expect("preload fits the prototype table");
-        let report = engine.run(&set.queries);
-        points.push(Point { shards, report });
+        let report = engine.start_run().run(&set.queries).expect("fresh session");
+        points.push(Point {
+            shards,
+            report,
+            snapshot: engine.snapshot(),
+        });
     }
 
     let base = points[0].report.mdesc_per_s;
@@ -104,8 +111,8 @@ fn main() {
             p.report.mdesc_per_s,
             p.report.mdesc_per_s / base,
             p.report.mean_latency_ns,
-            p.report.imbalance(),
-            p.report.splitter_stall_cycles,
+            p.snapshot.imbalance(),
+            p.snapshot.splitter_stall_cycles,
         );
     }
 
@@ -170,8 +177,8 @@ fn write_json(
             r.mdesc_per_s,
             r.mdesc_per_s / base,
             r.mean_latency_ns,
-            r.imbalance(),
-            r.splitter_stall_cycles,
+            p.snapshot.imbalance(),
+            p.snapshot.splitter_stall_cycles,
             r.completed,
             if i + 1 == points.len() { "" } else { "," }
         )?;

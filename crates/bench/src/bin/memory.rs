@@ -19,8 +19,9 @@
 use std::io::Write as _;
 
 use flowlut_bench::smoke_mode;
+use flowlut_core::{FlowPipeline, RunReport};
 use flowlut_ddr3::MemoryKind;
-use flowlut_engine::{EngineConfig, EngineReport, ShardedFlowLut};
+use flowlut_engine::{EngineConfig, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
 
 /// 400 GbE at minimum-size (64 B) frames: 400e9 / ((64 + 20) * 8) bits.
@@ -33,7 +34,7 @@ struct Point {
     kind: MemoryKind,
     shards: usize,
     per_shard_rate_mhz: f64,
-    report: EngineReport,
+    report: RunReport,
 }
 
 impl Point {
@@ -115,7 +116,7 @@ fn main() {
             engine
                 .preload(set.preload.iter().copied())
                 .expect("preload fits the prototype table");
-            let report = engine.run(&set.queries);
+            let report = engine.start_run().run(&set.queries).expect("fresh session");
             points.push(Point {
                 kind,
                 shards,

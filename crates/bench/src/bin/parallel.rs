@@ -24,7 +24,8 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use flowlut_bench::smoke_mode;
-use flowlut_engine::{EngineConfig, EngineReport, ExecutionMode, ShardedFlowLut};
+use flowlut_core::{FlowPipeline, RunReport};
+use flowlut_engine::{EngineConfig, EngineSnapshot, ExecutionMode, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
 
 /// One sweep point: the same workload, inline versus threaded.
@@ -84,14 +85,17 @@ fn json_path(quick: bool) -> std::path::PathBuf {
     })
 }
 
+/// What one run computes: its report and the engine's state after it.
+type Outcome = (RunReport, EngineSnapshot);
+
 /// Builds an engine, preloads the workload, runs it, and returns the
-/// report plus the wall-clock seconds of the run itself (preload and
+/// outcome plus the wall-clock seconds of the run itself (preload and
 /// construction excluded).
 fn timed_run_once(
     shards: usize,
     execution: ExecutionMode,
     set: &flowlut_traffic::workloads::MatchRateSet,
-) -> (EngineReport, f64) {
+) -> (Outcome, f64) {
     let mut engine = ShardedFlowLut::new(EngineConfig {
         execution,
         ..EngineConfig::prototype(shards)
@@ -100,12 +104,13 @@ fn timed_run_once(
         .preload(set.preload.iter().copied())
         .expect("preload fits the prototype table");
     let start = Instant::now();
-    let report = engine.run(&set.queries);
-    (report, start.elapsed().as_secs_f64())
+    let report = engine.start_run().run(&set.queries).expect("fresh session");
+    let secs = start.elapsed().as_secs_f64();
+    ((report, engine.snapshot()), secs)
 }
 
 /// Best-of-`reps` wall time on a fresh engine each rep (first rep's
-/// report returned — every rep computes the identical one). One sample
+/// outcome returned — every rep computes the identical one). One sample
 /// of a ~0.1 s run is hostage to scheduler noise on a shared CI
 /// runner; the minimum over a few reps is the honest "how fast can
 /// this host actually execute it" number a gate can hold.
@@ -114,13 +119,13 @@ fn timed_run(
     execution: ExecutionMode,
     set: &flowlut_traffic::workloads::MatchRateSet,
     reps: u32,
-) -> (EngineReport, f64) {
-    let (report, mut best) = timed_run_once(shards, execution, set);
+) -> (Outcome, f64) {
+    let (outcome, mut best) = timed_run_once(shards, execution, set);
     for _ in 1..reps {
         let (_, secs) = timed_run_once(shards, execution, set);
         best = best.min(secs);
     }
-    (report, best)
+    (outcome, best)
 }
 
 fn main() {
@@ -151,12 +156,13 @@ fn main() {
     let mut points: Vec<Point> = Vec::new();
     for shards in [1usize, 2, 4, 8] {
         let threads = shards.min(4);
-        let (inline_report, inline_secs) = timed_run(shards, ExecutionMode::Inline, &set, reps);
-        let (threaded_report, threaded_secs) =
+        let (inline, inline_secs) = timed_run(shards, ExecutionMode::Inline, &set, reps);
+        let (threaded, threaded_secs) =
             timed_run(shards, ExecutionMode::Threaded(threads), &set, reps);
-        // Determinism cross-check while we have both reports in hand:
+        // Determinism cross-check while we have both outcomes in hand:
         // threading must never change what the engine computes.
-        let reports_identical = format!("{inline_report:?}") == format!("{threaded_report:?}");
+        let reports_identical = inline == threaded;
+        let (inline_report, threaded_report) = (inline.0, threaded.0);
         assert!(
             reports_identical,
             "threaded report diverged from inline at {shards} shards — determinism bug"

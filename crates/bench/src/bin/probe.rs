@@ -3,7 +3,7 @@
 //! during development.
 
 use flowlut_core::LoadBalancerPolicy;
-use flowlut_core::{FlowLutSim, SimConfig};
+use flowlut_core::{FlowLutSim, FlowPipeline, SimConfig};
 use flowlut_traffic::workloads::{HashPattern, HashPatternWorkload, MatchRateWorkload};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         };
         let set = w.build();
         sim.preload(set.preload.iter().copied()).unwrap();
-        let r = sim.run(&set.queries);
+        let r = sim.start_run().run(&set.queries).expect("fresh session");
         println!(
             "miss {:>5.0}% -> {:>6.2} Mdesc/s (lu1 {} lu2 {} ins {} cam {} drops {})",
             miss * 100.0,
@@ -54,7 +54,7 @@ fn main() {
             banks: 8,
             seed: 3,
         };
-        let r = sim.run(&w.build());
+        let r = sim.start_run().run(&w.build()).expect("fresh session");
         println!(
             "{name:>18}: {:>6.2} Mdesc/s (load A {:.1}%)",
             r.mdesc_per_s,

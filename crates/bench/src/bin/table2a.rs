@@ -7,7 +7,7 @@
 //! bank-increment pattern at path-A loads of 50 %, 25 % and 0 %.
 
 use flowlut_bench::{print_comparison, Row};
-use flowlut_core::{FlowLutSim, LoadBalancerPolicy, SimConfig};
+use flowlut_core::{FlowLutSim, FlowPipeline, LoadBalancerPolicy, SimConfig};
 use flowlut_traffic::workloads::{HashPattern, HashPatternWorkload};
 
 /// Runs one Table II(A) row: sweeps the input rate like the paper and
@@ -34,7 +34,7 @@ fn run_row(pattern: HashPattern, policy: LoadBalancerPolicy) -> (f64, f64) {
             banks,
             seed: 0xA11CE,
         };
-        let report = sim.run(&w.build());
+        let report = sim.start_run().run(&w.build()).expect("fresh session");
         if report.mdesc_per_s > best {
             best = report.mdesc_per_s;
             share = report.stats.load_share_a();

@@ -7,7 +7,7 @@
 //! an input sweep of 60–100 MHz.
 
 use flowlut_bench::{print_comparison, Row};
-use flowlut_core::{FlowLutSim, SimConfig};
+use flowlut_core::{FlowLutSim, FlowPipeline, SimConfig};
 use flowlut_traffic::workloads::MatchRateWorkload;
 
 fn run_row(miss_rate: f64) -> f64 {
@@ -33,7 +33,7 @@ fn run_row(miss_rate: f64) -> f64 {
         let set = w.build();
         sim.preload(set.preload.iter().copied())
             .expect("10k keys fit an 8M table");
-        let report = sim.run(&set.queries);
+        let report = sim.start_run().run(&set.queries).expect("fresh session");
         best = best.max(report.mdesc_per_s);
     }
     best

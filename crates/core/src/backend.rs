@@ -21,9 +21,9 @@
 //! on the handle, lifecycle misuse is either a compile error (the
 //! borrow prevents a second concurrent session; [`Session::finish`]
 //! consumes the handle) or a typed [`SessionError`] (push after drain).
-//! Every run produces a [`RunReport`], the common report both
-//! `SimReport` and the engine's report convert into. The free function
-//! [`run_session`] survives as a deprecated shim over the handle.
+//! Every run produces a [`RunReport`], the one report shape of every
+//! timed backend, and [`FlowPipeline::poll`] reads the same counters
+//! live as a [`SessionProgress`].
 //!
 //! ```
 //! use flowlut_core::backend::{FlowPipeline, RunReport};
@@ -225,9 +225,10 @@ pub trait FlowStore: fmt::Debug + Send {
     fn op_stats(&self) -> OpStats;
 }
 
-/// A point-in-time view of a streaming session, returned by
-/// [`FlowPipeline::poll`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A point-in-time view of a timed backend, returned by
+/// [`FlowPipeline::poll`]; the sharded engine's snapshot holds one per
+/// shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionProgress {
     /// Current system cycle of the pipeline.
     pub now_sys: u64,
@@ -321,8 +322,7 @@ impl Error for SessionError {}
 /// [`drain`](Self::drain) runs the pipeline dry. The typed [`Session`]
 /// handle opened by [`start_run`](Self::start_run) wraps exactly these
 /// verbs with compile-time lifecycle enforcement, and its
-/// [`Session::run`] is the canonical paced driver — the loop the batch
-/// `run` entry points wrap.
+/// [`Session::run`] is the canonical paced driver.
 pub trait FlowPipeline: FlowStore {
     /// Per-run reset hook: clears per-run watermarks (currently the
     /// [`SimStats::max_latency_sys`] high-water mark) so each run
@@ -589,8 +589,7 @@ impl<'a> Session<'a> {
 
     /// The canonical one-shot driver: [`offer`](Self::offer)s all of
     /// `descs` paced at the configured input rate, then
-    /// [`finish`](Self::finish)es. Batch `run` entry points and benches
-    /// wrap exactly this.
+    /// [`finish`](Self::finish)es.
     ///
     /// # Errors
     ///
@@ -620,10 +619,10 @@ pub trait FlowBackend: FlowStore {
     }
 }
 
-/// The unified end-to-end report of one streaming session, produced by
-/// [`run_session`]. Both `SimReport` and the multi-channel engine's
-/// report convert into it (`From` impls), so sweeps over heterogeneous
-/// backends tabulate one shape.
+/// The end-to-end report of one streaming session, produced by
+/// [`Session::finish`] and [`Session::run`]. Every timed backend reports
+/// in this one shape, so sweeps over heterogeneous backends tabulate it
+/// directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Name of the backend that produced the report.
@@ -673,30 +672,6 @@ impl RunReport {
             stats,
             occupancy: end.occupancy,
         }
-    }
-}
-
-/// Drives one paced streaming session end to end: offers `descs` at the
-/// pipeline's configured input rate, ticks every cycle, drains when
-/// input ends, and reports the run.
-///
-/// Deprecated shim: exactly equivalent to opening a typed [`Session`]
-/// and calling [`Session::run`] — which is where the canonical paced
-/// driver loop now lives, with compile-time lifecycle enforcement.
-///
-/// # Panics
-///
-/// Panics if the pipeline completes nothing for an implausibly long time
-/// (a scheduler deadlock — a bug, not a workload condition).
-#[deprecated(
-    since = "0.2.0",
-    note = "open a typed session instead: `pipe.start_run().run(descs)` \
-            (or `Session::new(pipe).run(descs)` on a `&mut dyn FlowPipeline`)"
-)]
-pub fn run_session(pipe: &mut dyn FlowPipeline, descs: &[PacketDescriptor]) -> RunReport {
-    match Session::new(pipe).run(descs) {
-        Ok(report) => report,
-        Err(_) => unreachable!("a freshly opened session is never drained"),
     }
 }
 

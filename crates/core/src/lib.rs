@@ -36,16 +36,19 @@
 //! ## Quick start (timed simulator)
 //!
 //! ```
-//! use flowlut_core::{FlowLutSim, SimConfig};
+//! use flowlut_core::{FlowLutSim, FlowPipeline, PathId, SimConfig};
 //! use flowlut_traffic::{FiveTuple, FlowKey, PacketDescriptor};
 //!
 //! let mut sim = FlowLutSim::new(SimConfig::test_small());
 //! let descs: Vec<PacketDescriptor> = (0..100)
 //!     .map(|i| PacketDescriptor::new(i, FlowKey::from(FiveTuple::from_index(i))))
 //!     .collect();
-//! let report = sim.run(&descs);
+//! let report = sim.start_run().run(&descs)?;
 //! assert_eq!(report.completed, 100);
 //! println!("{:.2} Mdesc/s", report.mdesc_per_s);
+//! // Per-path memory counters live on the memory models.
+//! println!("{:?}", sim.memory(PathId::A).mem_stats());
+//! # Ok::<(), flowlut_core::SessionError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,8 +68,6 @@ pub mod sim;
 pub mod sync;
 pub mod table;
 
-#[allow(deprecated)]
-pub use backend::run_session;
 pub use backend::{
     FlowBackend, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, RunReport,
     Session, SessionError, SessionProgress,
@@ -78,5 +79,5 @@ pub use fid::{FlowId, Location, PathId};
 pub use flow_state::FlowRecord;
 pub use multipath::{MultiHashConfig, MultiHashStats, MultiHashTable, MultiLocation};
 pub use resource::{ResourceEstimate, ResourceModel};
-pub use sim::{FlowLutSim, SimReport, SimSnapshot, SimStats};
+pub use sim::{FlowLutSim, SimStats};
 pub use table::{HashCamTable, LookupStage, Occupancy, TableConfig, TableStats};

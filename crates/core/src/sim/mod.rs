@@ -25,17 +25,17 @@
 
 mod types;
 
-pub use types::{DescState, LuStage, ResolvedVia, SimSnapshot, SimStats};
+pub use types::{DescState, LuStage, ResolvedVia, SimStats};
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use flowlut_ddr3::model::MemoryModel;
-use flowlut_ddr3::{AccessKind, Completion, MemRequest, MemStats};
+use flowlut_ddr3::{AccessKind, Completion, MemRequest};
 use flowlut_traffic::{FlowKey, PacketDescriptor};
 
 use crate::backend::{
-    FlowBackend, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, RunReport,
-    Session, SessionProgress,
+    FlowBackend, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats,
+    SessionProgress,
 };
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, Fnv64};
 use crate::codec;
@@ -43,7 +43,7 @@ use crate::config::{FullTablePolicy, LoadBalancerPolicy, SimConfig};
 use crate::error::{InsertError, PreloadError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
-use crate::table::{HashCamTable, Occupancy};
+use crate::table::HashCamTable;
 
 /// A lookup read waiting in a DLU.
 #[derive(Debug, Clone, Copy)]
@@ -121,29 +121,6 @@ struct PathSim {
     /// BWr_Gen accumulation: one entry per update intent (bucket index).
     bwr_pending: Vec<u32>,
     bwr_first_cycle: Option<u64>,
-}
-
-/// The end-to-end performance report of one simulated run.
-#[derive(Debug, Clone)]
-pub struct SimReport {
-    /// System-clock cycles simulated.
-    pub sys_cycles: u64,
-    /// Wall-clock time simulated, in nanoseconds.
-    pub elapsed_ns: f64,
-    /// Descriptors resolved (including drops).
-    pub completed: u64,
-    /// Processing rate in million descriptors per second — the unit of
-    /// Table II.
-    pub mdesc_per_s: f64,
-    /// Simulator counters.
-    pub stats: SimStats,
-    /// Final table occupancy.
-    pub table_occupancy: Occupancy,
-    /// Per-path memory statistics (A, B): scheduler and device counters
-    /// of whichever [`MemoryModel`] backed the run.
-    pub mem_stats: [MemStats; 2],
-    /// Mean admission→completion latency in nanoseconds.
-    pub mean_latency_ns: f64,
 }
 
 /// The timed flow lookup engine.
@@ -385,70 +362,6 @@ impl FlowLutSim {
     /// Descriptors offered but not yet resolved (queued or in flight).
     pub fn in_pipeline(&self) -> u64 {
         self.stats.offered - self.stats.completed
-    }
-
-    /// A point-in-time statistics snapshot of this instance, for external
-    /// aggregators stepping several instances in lockstep.
-    pub fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            now_sys: self.now_sys,
-            stats: self.stats,
-            occupancy: self.table.occupancy(),
-            in_pipeline: self.in_pipeline(),
-        }
-    }
-
-    /// Runs `descs` through the engine at the configured input rate and
-    /// returns the performance report. Completes when every offered
-    /// descriptor has resolved.
-    ///
-    /// This batch entry point is a thin wrapper over the streaming
-    /// session API (a [`Session`] driving this simulator as a
-    /// [`FlowPipeline`]) and is kept for the paper-artefact binaries
-    /// that need the rich [`SimReport`]. New code should prefer the
-    /// session API, whose [`RunReport`] is comparable across backends;
-    /// `tests/session_equivalence.rs` pins that both paths report
-    /// identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline makes no progress for an implausibly long
-    /// time (a scheduler deadlock — a bug, not a workload condition).
-    pub fn run(&mut self, descs: &[PacketDescriptor]) -> SimReport {
-        let start_cycle = self.now_sys;
-        let start_stats = self.stats;
-        let session = Session::new(self);
-        match session.run(descs) {
-            Ok(_) => {}
-            Err(_) => unreachable!("a freshly opened session is never drained"),
-        }
-        self.report(start_cycle, &start_stats, descs.len() as u64)
-    }
-
-    /// Per-run report: statistics are differenced against the run start,
-    /// so repeated `run` calls on one simulator report each run alone.
-    fn report(&self, start_cycle: u64, start_stats: &SimStats, completed: u64) -> SimReport {
-        let cycles = self.now_sys - start_cycle;
-        let elapsed_ns = cycles as f64 * self.cfg.sys_period_ns();
-        let stats = self.stats.delta_since(start_stats);
-        SimReport {
-            sys_cycles: cycles,
-            elapsed_ns,
-            completed,
-            mdesc_per_s: if elapsed_ns > 0.0 {
-                completed as f64 / (elapsed_ns / 1000.0)
-            } else {
-                0.0
-            },
-            stats,
-            table_occupancy: self.table.occupancy(),
-            mem_stats: [
-                self.paths[0].ctrl.mem_stats(),
-                self.paths[1].ctrl.mem_stats(),
-            ],
-            mean_latency_ns: self.stats.delta_since(start_stats).mean_latency_sys()
-                * self.cfg.sys_period_ns(),
-        }
     }
 
     fn push_desc(&mut self, desc: PacketDescriptor) {
@@ -1554,27 +1467,8 @@ impl FlowLutSim {
     }
 }
 
-/// Backend name of the single-channel timed simulator, shared by the
-/// [`FlowStore`] impl and the [`SimReport`] → [`RunReport`] conversion.
-pub(crate) const SIM_BACKEND_NAME: &str = "hashcam-sim";
-
-impl From<SimReport> for RunReport {
-    /// Projects the rich single-channel report onto the unified shape
-    /// (dropping the per-path controller/device detail).
-    fn from(r: SimReport) -> RunReport {
-        RunReport {
-            backend: SIM_BACKEND_NAME,
-            channels: 1,
-            sys_cycles: r.sys_cycles,
-            elapsed_ns: r.elapsed_ns,
-            completed: r.completed,
-            mdesc_per_s: r.mdesc_per_s,
-            mean_latency_ns: r.mean_latency_ns,
-            stats: r.stats,
-            occupancy: r.table_occupancy,
-        }
-    }
-}
+/// Backend name of the single-channel timed simulator.
+const SIM_BACKEND_NAME: &str = "hashcam-sim";
 
 impl FlowLutSim {
     /// Runs one descriptor through the timed pipeline to completion and

@@ -3,7 +3,6 @@
 use flowlut_traffic::PacketDescriptor;
 
 use crate::fid::{FlowId, PathId};
-use crate::table::Occupancy;
 
 /// Which lookup stage a memory read serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,9 +124,9 @@ pub struct SimStats {
     /// in system cycles.
     pub total_latency_sys: u64,
     /// Maximum admission→completion latency — a *per-run* high-water
-    /// mark, reset by `FlowPipeline::start_run` at each session start
-    /// (unlike every other field, which is cumulative), so repeated runs
-    /// on one instance each report their own worst case.
+    /// mark, reset by `FlowPipeline::begin_run` whenever a `Session`
+    /// opens (unlike every other field, which is cumulative), so
+    /// repeated runs on one instance each report their own worst case.
     pub max_latency_sys: u64,
 }
 
@@ -136,7 +135,7 @@ impl SimStats {
     /// a simulator that has already processed other work. `max_latency_sys`
     /// is not differenced (it is a high-water mark, not a counter) and is
     /// taken from `self` — correct per-run because the mark is reset by
-    /// `FlowPipeline::start_run` at each session start.
+    /// `FlowPipeline::begin_run` whenever a `Session` opens.
     pub fn delta_since(&self, earlier: &SimStats) -> SimStats {
         let (mut delta, mut earlier) = (*self, *earlier);
         for (d, e) in delta.counters_mut().into_iter().zip(earlier.counters_mut()) {
@@ -220,24 +219,6 @@ impl SimStats {
         }
         self.max_latency_sys = self.max_latency_sys.max(other.max_latency_sys);
     }
-}
-
-/// A point-in-time view of one simulator instance, cheap to take every
-/// cycle: the hook external aggregators (the multi-channel engine, live
-/// dashboards) use instead of waiting for a full [`SimReport`].
-///
-/// [`SimReport`]: crate::sim::SimReport
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimSnapshot {
-    /// Current system cycle of this instance.
-    pub now_sys: u64,
-    /// Counters accumulated since construction.
-    pub stats: SimStats,
-    /// Current table occupancy.
-    pub occupancy: Occupancy,
-    /// Descriptors offered but not yet resolved (in the sequencer queue
-    /// or in flight).
-    pub in_pipeline: u64,
 }
 
 #[cfg(test)]

@@ -5,93 +5,21 @@ use std::collections::VecDeque;
 use std::ops::Deref;
 
 use flowlut_core::backend::{
-    FlowBackend, FlowEvent, FlowPipeline, FlowStore, FullError, OpStats, RunReport, Session,
-    SessionProgress,
+    FlowBackend, FlowEvent, FlowPipeline, FlowStore, FullError, OpStats, SessionProgress,
 };
 use flowlut_core::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use flowlut_core::sync::{Arc, Mutex, MutexGuard};
-use flowlut_core::{
-    FlowLutSim, FlowRecord, Occupancy, PreloadError, RescaleError, SimSnapshot, SimStats,
-};
+use flowlut_core::{FlowLutSim, FlowRecord, Occupancy, PreloadError, RescaleError, SimStats};
 use flowlut_traffic::{FlowKey, PacketDescriptor};
 
 use crate::config::{EngineConfig, ExecutionMode};
 use crate::pool::WorkerPool;
 use crate::router::ShardRouter;
 
-/// Per-shard outcome of one engine run.
-#[derive(Debug, Clone)]
-pub struct ShardSummary {
-    /// Shard index.
-    pub shard: usize,
-    /// Descriptors this shard resolved during the run.
-    pub completed: u64,
-    /// This shard's processing rate over the run's wall-clock, in
-    /// million descriptors per second.
-    pub mdesc_per_s: f64,
-    /// Final table occupancy of this shard.
-    pub occupancy: Occupancy,
-    /// This shard's simulator counters, differenced over the run.
-    pub stats: SimStats,
-}
-
-/// The end-to-end performance report of one engine run.
-#[derive(Debug, Clone)]
-pub struct EngineReport {
-    /// Number of shards (channels).
-    pub shards: usize,
-    /// System-clock cycles simulated (all channels step in lockstep).
-    pub sys_cycles: u64,
-    /// Wall-clock time simulated, in nanoseconds.
-    pub elapsed_ns: f64,
-    /// Descriptors resolved across all shards.
-    pub completed: u64,
-    /// Aggregate processing rate in million descriptors per second.
-    pub mdesc_per_s: f64,
-    /// Mean admission→completion latency across all shards, in
-    /// nanoseconds (time staged at the splitter not included).
-    pub mean_latency_ns: f64,
-    /// Simulator counters summed across shards.
-    pub aggregate: SimStats,
-    /// Cycles the splitter stalled input because a shard's staging was
-    /// full (that channel was the bottleneck).
-    pub splitter_stall_cycles: u64,
-    /// Per-shard breakdown.
-    pub per_shard: Vec<ShardSummary>,
-}
-
-impl EngineReport {
-    /// Total table occupancy summed over shards.
-    pub fn occupancy(&self) -> Occupancy {
-        self.per_shard
-            .iter()
-            .fold(Occupancy::default(), |mut acc, s| {
-                acc += s.occupancy;
-                acc
-            })
-    }
-
-    /// Largest per-shard completion count over the mean — `1.0` is a
-    /// perfectly balanced run, `N` (the shard count) a run where one
-    /// shard did everything. An all-idle (or empty) run reports `1.0`,
-    /// so short runs with idle shards stay finite and comparable.
-    pub fn imbalance(&self) -> f64 {
-        let n = self.per_shard.len();
-        let total: u64 = self.per_shard.iter().map(|s| s.completed).sum();
-        if n == 0 || total == 0 {
-            return 1.0;
-        }
-        let max = self
-            .per_shard
-            .iter()
-            .map(|s| s.completed)
-            .max()
-            .unwrap_or(0);
-        max as f64 * n as f64 / total as f64
-    }
-}
-
-/// A point-in-time view of the whole engine.
+/// A point-in-time view of the whole engine: the splitter's counters
+/// and each live shard's progress. Every counter is cumulative over the
+/// shard's life, so on a fresh engine it covers exactly the runs since
+/// construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineSnapshot {
     /// Engine cycle (equals every shard's cycle — lockstep).
@@ -100,8 +28,27 @@ pub struct EngineSnapshot {
     pub offered: u64,
     /// Descriptors currently staged at the splitter.
     pub staged: u64,
-    /// Per-shard snapshots.
-    pub per_shard: Vec<SimSnapshot>,
+    /// Cycles the splitter stalled input because a shard's staging was
+    /// full (that channel was the bottleneck).
+    pub splitter_stall_cycles: u64,
+    /// Per-shard progress, in shard order.
+    pub per_shard: Vec<SessionProgress>,
+}
+
+impl EngineSnapshot {
+    /// Largest per-shard completion count over the mean — `1.0` is a
+    /// perfectly balanced engine, `N` (the shard count) one where one
+    /// shard did everything. An engine that completed nothing reports
+    /// `1.0`, so short runs with idle shards stay finite and comparable.
+    pub fn imbalance(&self) -> f64 {
+        let completed = || self.per_shard.iter().map(|s| s.stats.completed);
+        let total: u64 = completed().sum();
+        if total == 0 {
+            return 1.0;
+        }
+        let max = completed().max().unwrap_or(0);
+        max as f64 * self.per_shard.len() as f64 / total as f64
+    }
 }
 
 /// One channel of the engine: the shard's simulator plus the splitter's
@@ -351,12 +298,13 @@ impl ShardedFlowLut {
         for lane in &self.lanes {
             let lane = lock(lane);
             staged += lane.staging.len() as u64;
-            per_shard.push(lane.sim.snapshot());
+            per_shard.push(lane.sim.poll());
         }
         EngineSnapshot {
             now_sys: self.now_sys,
             offered: self.offered,
             staged,
+            splitter_stall_cycles: self.splitter_stall_cycles,
             per_shard,
         }
     }
@@ -462,82 +410,6 @@ impl ShardedFlowLut {
             agg.merge(lock(lane).sim.stats());
         }
         agg
-    }
-
-    /// Runs `descs` through the engine at the configured aggregate input
-    /// rate and returns the performance report. Completes when every
-    /// offered descriptor has resolved.
-    ///
-    /// This batch entry point is a thin wrapper over the streaming
-    /// session API (a [`Session`] driving this engine as a
-    /// [`FlowPipeline`]) and is kept for callers that need the rich
-    /// per-shard [`EngineReport`]. New code should prefer the session
-    /// API, whose [`RunReport`] is comparable across backends;
-    /// `tests/session_equivalence.rs` pins that both paths report
-    /// identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no shard makes progress for an implausibly long time
-    /// (a scheduler deadlock — a bug, not a workload condition).
-    pub fn run(&mut self, descs: &[PacketDescriptor]) -> EngineReport {
-        let start_cycle = self.now_sys;
-        let start_stats: Vec<SimStats> = self.lanes.iter().map(|l| *lock(l).sim.stats()).collect();
-        let start_stalls = self.splitter_stall_cycles;
-        match Session::new(self).run(descs) {
-            Ok(_) => {}
-            Err(_) => unreachable!("a freshly opened session is never drained"),
-        }
-        self.report(start_cycle, &start_stats, start_stalls)
-    }
-
-    /// Per-run report: shard statistics are differenced against the run
-    /// start, so repeated `run` calls report each run alone.
-    fn report(
-        &self,
-        start_cycle: u64,
-        start_stats: &[SimStats],
-        start_stalls: u64,
-    ) -> EngineReport {
-        let cycles = self.now_sys - start_cycle;
-        let elapsed_ns = cycles as f64 * self.cfg.sys_period_ns();
-        let mut aggregate = SimStats::default();
-        let per_shard: Vec<ShardSummary> = self
-            .lanes
-            .iter()
-            .enumerate()
-            .map(|(i, lane)| {
-                let lane = lock(lane);
-                let stats = lane.sim.stats().delta_since(&start_stats[i]);
-                aggregate.merge(&stats);
-                ShardSummary {
-                    shard: i,
-                    completed: stats.completed,
-                    mdesc_per_s: if elapsed_ns > 0.0 {
-                        stats.completed as f64 / (elapsed_ns / 1000.0)
-                    } else {
-                        0.0
-                    },
-                    occupancy: lane.sim.table().occupancy(),
-                    stats,
-                }
-            })
-            .collect();
-        EngineReport {
-            shards: self.lanes.len(),
-            sys_cycles: cycles,
-            elapsed_ns,
-            completed: aggregate.completed,
-            mdesc_per_s: if elapsed_ns > 0.0 {
-                aggregate.completed as f64 / (elapsed_ns / 1000.0)
-            } else {
-                0.0
-            },
-            mean_latency_ns: aggregate.mean_latency_sys() * self.cfg.sys_period_ns(),
-            splitter_stall_cycles: self.splitter_stall_cycles - start_stalls,
-            aggregate,
-            per_shard,
-        }
     }
 
     /// `true` when every lane's staging is empty and every shard's
@@ -767,28 +639,8 @@ const ENGINE_CHECKPOINT_MAGIC: u32 = 0x474E4546;
 /// Current engine checkpoint format version.
 const ENGINE_CHECKPOINT_VERSION: u32 = 1;
 
-/// Backend name of the sharded engine, shared by the [`FlowStore`] impl
-/// and the [`EngineReport`] → [`RunReport`] conversion.
+/// Backend name of the sharded engine.
 const ENGINE_BACKEND_NAME: &str = "hashcam-sharded";
-
-impl From<EngineReport> for RunReport {
-    /// Projects the engine report onto the unified shape (dropping the
-    /// per-shard breakdown and splitter-stall detail).
-    fn from(r: EngineReport) -> RunReport {
-        let occupancy = r.occupancy();
-        RunReport {
-            backend: ENGINE_BACKEND_NAME,
-            channels: r.shards,
-            sys_cycles: r.sys_cycles,
-            elapsed_ns: r.elapsed_ns,
-            completed: r.completed,
-            mdesc_per_s: r.mdesc_per_s,
-            mean_latency_ns: r.mean_latency_ns,
-            stats: r.aggregate,
-            occupancy,
-        }
-    }
-}
 
 impl FlowStore for ShardedFlowLut {
     fn name(&self) -> &'static str {
@@ -845,7 +697,11 @@ impl FlowStore for ShardedFlowLut {
 }
 
 impl FlowPipeline for ShardedFlowLut {
+    /// Resets every live shard's latency mark and the mark carried from
+    /// shards a rescale retired, so a run after a rescale reports its
+    /// own worst case.
     fn begin_run(&mut self) {
+        self.carried_stats.max_latency_sys = 0;
         for lane in &self.lanes {
             FlowPipeline::begin_run(&mut lock(lane).sim);
         }
@@ -951,6 +807,7 @@ impl FlowBackend for ShardedFlowLut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowlut_core::backend::RunReport;
     use flowlut_core::InsertError;
     use flowlut_traffic::FiveTuple;
 
@@ -965,15 +822,17 @@ mod tests {
             .collect()
     }
 
+    /// Runs `descs` through one fresh session on `engine`.
+    fn run(engine: &mut ShardedFlowLut, descs: &[PacketDescriptor]) -> RunReport {
+        engine.start_run().run(descs).expect("fresh session")
+    }
+
     #[test]
     fn run_completes_everything_and_partitions_flows() {
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-        let report = engine.run(&descs(0..400));
+        let report = run(&mut engine, &descs(0..400));
         assert_eq!(report.completed, 400);
-        assert_eq!(
-            report.aggregate.inserted_mem + report.aggregate.inserted_cam,
-            400
-        );
+        assert_eq!(report.stats.inserted_mem + report.stats.inserted_cam, 400);
         assert_eq!(engine.len(), 400);
         // Every key is resident exactly on its routed shard.
         for i in 0..400 {
@@ -991,7 +850,7 @@ mod tests {
     #[test]
     fn shards_step_in_lockstep() {
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-        engine.run(&descs(0..100));
+        run(&mut engine, &descs(0..100));
         let snap = engine.snapshot();
         for s in &snap.per_shard {
             assert_eq!(s.now_sys, snap.now_sys, "channel clocks diverged");
@@ -1006,11 +865,8 @@ mod tests {
         assert_eq!(engine.preload(keys.iter().copied()).unwrap(), 200);
         assert_eq!(engine.occupancy().total(), 200);
         // A run over the same keys produces only hits, no new flows.
-        let report = engine.run(&descs(0..200));
-        assert_eq!(
-            report.aggregate.inserted_mem + report.aggregate.inserted_cam,
-            0
-        );
+        let report = run(&mut engine, &descs(0..200));
+        assert_eq!(report.stats.inserted_mem + report.stats.inserted_cam, 0);
         assert_eq!(engine.len(), 200);
     }
 
@@ -1045,9 +901,9 @@ mod tests {
                 engine.shard(s).table().peek(k).is_some()
             }));
         assert_eq!(probe.len() as u64, engine.len());
-        let report = engine.run(&probe);
+        let report = run(&mut engine, &probe);
         assert_eq!(
-            report.aggregate.inserted_mem + report.aggregate.inserted_cam,
+            report.stats.inserted_mem + report.stats.inserted_cam,
             0,
             "keys loaded before the failure must be resident and readable"
         );
@@ -1056,12 +912,12 @@ mod tests {
     #[test]
     fn delete_flow_reaches_the_owning_shard() {
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-        engine.run(&descs(0..50));
+        run(&mut engine, &descs(0..50));
         assert_eq!(engine.len(), 50);
         engine.delete_flow(key(7));
         // Deletions are asynchronous: give the update units some cycles
         // by running unrelated traffic.
-        engine.run(&descs(1000..1001));
+        run(&mut engine, &descs(1000..1001));
         assert_eq!(engine.len(), 50, "delete of 7 offset by insert of 1000");
         let owner = engine.router().route(&key(7));
         assert!(engine.shard(owner).table().peek(&key(7)).is_none());
@@ -1075,7 +931,7 @@ mod tests {
         let work: Vec<PacketDescriptor> = (0..300)
             .map(|i| PacketDescriptor::new(i, key(i % 7)))
             .collect();
-        let report = engine.run(&work);
+        let report = run(&mut engine, &work);
         assert_eq!(report.completed, 300);
         for s in 0..engine.shard_count() {
             let shard = engine.shard(s);
@@ -1093,19 +949,20 @@ mod tests {
     #[test]
     fn report_decomposes_by_shard() {
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-        let report = engine.run(&descs(0..500));
-        let sum: u64 = report.per_shard.iter().map(|s| s.completed).sum();
+        let report = run(&mut engine, &descs(0..500));
+        let snap = engine.snapshot();
+        let sum: u64 = snap.per_shard.iter().map(|s| s.stats.completed).sum();
         assert_eq!(sum, report.completed);
-        assert_eq!(report.occupancy().total(), engine.len());
+        assert_eq!(report.occupancy.total(), engine.len());
         assert!(report.mdesc_per_s > 0.0);
-        assert!(report.imbalance() < 2.0, "imbalance {}", report.imbalance());
+        assert!(snap.imbalance() < 2.0, "imbalance {}", snap.imbalance());
     }
 
     #[test]
     fn repeated_runs_report_independently() {
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-        let r1 = engine.run(&descs(0..100));
-        let r2 = engine.run(&descs(100..200));
+        let r1 = run(&mut engine, &descs(0..100));
+        let r2 = run(&mut engine, &descs(100..200));
         assert_eq!(r1.completed, 100);
         assert_eq!(r2.completed, 100);
         assert_eq!(engine.len(), 200);
@@ -1115,61 +972,58 @@ mod tests {
     fn max_latency_does_not_leak_across_runs() {
         // Run 1 saturates the engine (high queueing latency); run 2 is a
         // single warm hit. Before the per-run watermark, run 2's report
-        // carried run 1's lifetime maximum.
+        // carried run 1's lifetime maximum; the rescale between them
+        // retires run 1's shards, whose mark the engine carries.
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-        let r1 = engine.run(&descs(0..400));
-        assert!(r1.aggregate.max_latency_sys > 0);
-        let r2 = engine.run(&descs(0..1));
+        let r1 = run(&mut engine, &descs(0..400));
+        assert!(r1.stats.max_latency_sys > 0);
+        engine
+            .rescale_double()
+            .expect("doubled shards hold every flow");
+        let r2 = run(&mut engine, &descs(0..1));
         assert!(
-            r2.aggregate.max_latency_sys < r1.aggregate.max_latency_sys,
+            r2.stats.max_latency_sys < r1.stats.max_latency_sys,
             "run 2 max {} should not inherit run 1 max {}",
-            r2.aggregate.max_latency_sys,
-            r1.aggregate.max_latency_sys
+            r2.stats.max_latency_sys,
+            r1.stats.max_latency_sys
         );
     }
 
     #[test]
     fn empty_run_returns_zeroes() {
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-        let report = engine.run(&[]);
+        let report = run(&mut engine, &[]);
         assert_eq!(report.completed, 0);
         assert_eq!(report.sys_cycles, 0);
         assert_eq!(report.mdesc_per_s, 0.0);
     }
 
-    fn summary(shard: usize, completed: u64) -> ShardSummary {
-        ShardSummary {
-            shard,
-            completed,
-            mdesc_per_s: 0.0,
-            occupancy: Occupancy::default(),
-            stats: SimStats::default(),
-        }
-    }
-
-    fn report_with_completions(completions: &[u64]) -> EngineReport {
-        EngineReport {
-            shards: completions.len(),
-            sys_cycles: 100,
-            elapsed_ns: 500.0,
-            completed: completions.iter().sum(),
-            mdesc_per_s: 0.0,
-            mean_latency_ns: 0.0,
-            aggregate: SimStats::default(),
+    fn snapshot_with_completions(completions: &[u64]) -> EngineSnapshot {
+        EngineSnapshot {
+            now_sys: 100,
+            offered: completions.iter().sum(),
+            staged: 0,
             splitter_stall_cycles: 0,
             per_shard: completions
                 .iter()
-                .enumerate()
-                .map(|(i, &c)| summary(i, c))
+                .map(|&completed| SessionProgress {
+                    now_sys: 100,
+                    stats: SimStats {
+                        completed,
+                        ..SimStats::default()
+                    },
+                    in_pipeline: 0,
+                    occupancy: Occupancy::default(),
+                })
                 .collect(),
         }
     }
 
     #[test]
     fn imbalance_is_max_over_mean() {
-        let r = report_with_completions(&[100, 100, 100, 100]);
+        let r = snapshot_with_completions(&[100, 100, 100, 100]);
         assert!((r.imbalance() - 1.0).abs() < 1e-12);
-        let r = report_with_completions(&[300, 100, 100, 100]);
+        let r = snapshot_with_completions(&[300, 100, 100, 100]);
         // max 300, mean 150 → 2.0
         assert!((r.imbalance() - 2.0).abs() < 1e-12, "{}", r.imbalance());
     }
@@ -1177,20 +1031,21 @@ mod tests {
     #[test]
     fn imbalance_stays_finite_with_idle_shards() {
         // One shard idle: the old max/min definition collapsed to +inf.
-        let r = report_with_completions(&[90, 0, 90]);
+        let r = snapshot_with_completions(&[90, 0, 90]);
         assert!(r.imbalance().is_finite());
         assert!((r.imbalance() - 1.5).abs() < 1e-12, "{}", r.imbalance());
         // One shard did everything: imbalance equals the shard count.
-        let r = report_with_completions(&[0, 0, 120]);
+        let r = snapshot_with_completions(&[0, 0, 120]);
         assert!((r.imbalance() - 3.0).abs() < 1e-12, "{}", r.imbalance());
     }
 
     #[test]
     fn imbalance_of_an_empty_run_is_one() {
-        let r = report_with_completions(&[0, 0]);
+        let r = snapshot_with_completions(&[0, 0]);
         assert_eq!(r.imbalance(), 1.0);
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-        let live = engine.run(&[]);
+        run(&mut engine, &[]);
+        let live = engine.snapshot();
         assert_eq!(live.imbalance(), 1.0, "empty run must stay comparable");
     }
 
@@ -1234,9 +1089,9 @@ mod tests {
         let mut inline_engine = ShardedFlowLut::new(inline_cfg);
         let mut threaded_engine = ShardedFlowLut::new(threaded_cfg);
         let work = descs(0..300);
-        let a = inline_engine.run(&work);
-        let b = threaded_engine.run(&work);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "reports diverged");
+        let a = run(&mut inline_engine, &work);
+        let b = run(&mut threaded_engine, &work);
+        assert_eq!(a, b, "reports diverged");
         assert_eq!(inline_engine.snapshot(), threaded_engine.snapshot());
     }
 
@@ -1247,7 +1102,7 @@ mod tests {
         const OFFERED_AT: usize = 32;
         const STALLS_AT: usize = 40;
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-        engine.run(&descs(0..40));
+        run(&mut engine, &descs(0..40));
         engine.quiesce();
         let blob = engine.checkpoint().expect("a quiesced engine checkpoints");
         assert_eq!(blob[OFFERED_AT..][..8], engine.offered.to_le_bytes());

@@ -15,9 +15,12 @@
 //!   `router` docs and DESIGN.md §Multi-channel scaling).
 //! * [`ShardedFlowLut`] — the engine: an aggregate-rate splitter stages
 //!   descriptors per shard and hands them to each channel's sequencer in
-//!   batches, preserving the paper's burst-grouping within each channel;
-//!   [`EngineReport`] aggregates occupancy, throughput and latency
-//!   across shards.
+//!   batches, preserving the paper's burst-grouping within each channel.
+//!   A run reports one [`RunReport`](flowlut_core::RunReport) with
+//!   occupancy, throughput and latency merged across shards;
+//!   [`ShardedFlowLut::snapshot`] returns an [`EngineSnapshot`] with
+//!   each shard's counters, the splitter's stalls and the shard
+//!   imbalance.
 //! * [`ExecutionMode`] — inline or threaded shard stepping: because
 //!   shards share no state, `Threaded(n)` spreads the per-cycle shard
 //!   work across a persistent worker pool with **bit-identical**
@@ -27,6 +30,7 @@
 //! ## Quick start
 //!
 //! ```
+//! use flowlut_core::FlowPipeline;
 //! use flowlut_engine::{EngineConfig, ShardedFlowLut};
 //! use flowlut_traffic::{FiveTuple, FlowKey, PacketDescriptor};
 //!
@@ -34,9 +38,11 @@
 //! let descs: Vec<PacketDescriptor> = (0..200)
 //!     .map(|i| PacketDescriptor::new(i, FlowKey::from(FiveTuple::from_index(i))))
 //!     .collect();
-//! let report = engine.run(&descs);
+//! let report = engine.start_run().run(&descs)?;
 //! assert_eq!(report.completed, 200);
-//! println!("{} shards: {:.2} Mdesc/s", report.shards, report.mdesc_per_s);
+//! println!("{} shards: {:.2} Mdesc/s", report.channels, report.mdesc_per_s);
+//! println!("imbalance {:.2}", engine.snapshot().imbalance());
+//! # Ok::<(), flowlut_core::SessionError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,8 +55,6 @@ pub mod pool;
 mod router;
 
 pub use config::{EngineConfig, ExecutionMode};
-pub use engine::{
-    EngineReport, EngineSnapshot, RescaleReport, ShardRef, ShardSummary, ShardedFlowLut,
-};
+pub use engine::{EngineSnapshot, RescaleReport, ShardRef, ShardedFlowLut};
 pub use pool::WorkerPool;
 pub use router::ShardRouter;

@@ -144,7 +144,9 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<PacketDescriptor>> {
         fnv.update(buf);
         Ok(())
     };
-    let mut out = Vec::with_capacity(count.min(1 << 20) as usize);
+    // The header's count is untrusted, so it sizes nothing: the vector
+    // grows with the records actually read.
+    let mut out = Vec::new();
     for _ in 0..count {
         let mut head = [0u8; 12];
         take(&mut r, &mut head)?;

@@ -13,6 +13,7 @@ use flowlut::core::{FlowLutSim, SimConfig};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::linerate::{EthernetLink, MIN_L1_PACKET_BYTES, STANDARD_IFG_BYTES};
 use flowlut::traffic::workloads::{MatchRateSet, MatchRateWorkload};
+use flowlut::FlowPipeline;
 
 /// The paper's steady-state operating point: a warm table and the <2 %
 /// new-flow ratio of Figure 6's large windows.
@@ -51,7 +52,7 @@ fn main() {
     };
     let mut single = FlowLutSim::new(cfg);
     single.preload(set.preload.iter().copied()).unwrap();
-    let r = single.run(&set.queries);
+    let r = single.start_run().run(&set.queries).expect("fresh session");
     println!(
         "single channel, saturating offer, 2% miss: {:>8.2} Mdesc/s  [{}]",
         r.mdesc_per_s,
@@ -70,7 +71,7 @@ fn main() {
         cfg.input_rate_mhz = shards as f64 * 200.0;
         let mut engine = ShardedFlowLut::new(cfg);
         engine.preload(set.preload.iter().copied()).unwrap();
-        let report = engine.run(&set.queries);
+        let report = engine.start_run().run(&set.queries).expect("fresh session");
         let gbps = EthernetLink::achievable_gbps(
             report.mdesc_per_s,
             MIN_L1_PACKET_BYTES,
@@ -91,13 +92,13 @@ fn main() {
     cfg.input_rate_mhz = required;
     let mut engine = ShardedFlowLut::new(cfg);
     engine.preload(set.preload.iter().copied()).unwrap();
-    let report = engine.run(&set.queries);
+    let report = engine.start_run().run(&set.queries).expect("fresh session");
     let sustained = report.mdesc_per_s >= 0.99 * required.min(line_rate_cap(&set, required));
     println!(
         "\n4 shards offered exactly {required:.2} Mpps: {:.2} Mdesc/s sustained, \
          {} splitter stalls  [{}]",
         report.mdesc_per_s,
-        report.splitter_stall_cycles,
+        engine.snapshot().splitter_stall_cycles,
         if sustained {
             "line rate held"
         } else {

@@ -10,6 +10,7 @@
 use flowlut::core::{FlowLutSim, SimConfig};
 use flowlut::traffic::linerate::{EthernetLink, MIN_L1_PACKET_BYTES, STANDARD_IFG_BYTES};
 use flowlut::traffic::workloads::MatchRateWorkload;
+use flowlut::FlowPipeline;
 
 fn main() {
     let link = EthernetLink::forty_gbe();
@@ -35,7 +36,7 @@ fn main() {
         }
         .build();
         sim.preload(set.preload.iter().copied()).unwrap();
-        let report = sim.run(&set.queries);
+        let report = sim.start_run().run(&set.queries).expect("fresh session");
         let gbps = EthernetLink::achievable_gbps(
             report.mdesc_per_s,
             MIN_L1_PACKET_BYTES,

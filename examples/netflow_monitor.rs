@@ -31,7 +31,7 @@ fn main() {
         "streaming {} packets from the synthetic fabric trace...",
         trace.len()
     );
-    let report = sim.run(&trace);
+    let report = sim.start_run().run(&trace).expect("fresh session");
 
     println!("\n== engine report ==");
     println!("  processing rate : {:.2} Mdesc/s", report.mdesc_per_s);

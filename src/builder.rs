@@ -306,7 +306,8 @@ impl Builder {
     }
 
     /// Builds the single-channel timed prototype (typed escape hatch for
-    /// callers that need the rich `SimReport`).
+    /// callers that read its per-path memory models through
+    /// [`FlowLutSim::memory`]).
     ///
     /// # Errors
     ///
@@ -319,8 +320,9 @@ impl Builder {
     }
 
     /// Builds the sharded multi-channel engine (typed escape hatch for
-    /// callers that need the per-shard `EngineReport`). Uses
-    /// [`shards`](Self::shards) (default 2).
+    /// callers that read per-shard counters through
+    /// [`ShardedFlowLut::snapshot`]). Uses [`shards`](Self::shards)
+    /// (default 2).
     ///
     /// # Errors
     ///

@@ -7,6 +7,7 @@ use flowlut::core::{FlowLutSim, LoadBalancerPolicy, SimConfig};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::workloads::MatchRateWorkload;
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
+use flowlut::FlowPipeline;
 
 fn small_cfg() -> SimConfig {
     let mut cfg = SimConfig::test_small();
@@ -23,7 +24,7 @@ fn small_cfg() -> SimConfig {
 fn fabric_trace_consistency() {
     let mut sim = FlowLutSim::new(small_cfg());
     let trace = FabricTraceProfile::european_2012().generate(10_000);
-    let report = sim.run(&trace);
+    let report = sim.start_run().run(&trace).expect("fresh session");
     assert_eq!(report.completed, 10_000);
     assert_eq!(report.stats.drops, 0, "table sized for the trace");
 
@@ -77,7 +78,7 @@ fn realised_miss_rate_matches_workload() {
         }
         .build();
         sim.preload(set.preload.iter().copied()).unwrap();
-        let report = sim.run(&set.queries);
+        let report = sim.start_run().run(&set.queries).expect("fresh session");
         // Matching queries repeat keys, so duplicates of a *fresh* key
         // can also match; compare against the workload's realised rate.
         let measured_miss = report.stats.miss_rate();
@@ -96,7 +97,7 @@ fn simulation_is_deterministic() {
     let run = || {
         let mut sim = FlowLutSim::new(small_cfg());
         let trace = FabricTraceProfile::european_2012().generate(3_000);
-        let r = sim.run(&trace);
+        let r = sim.start_run().run(&trace).expect("fresh session");
         (r.sys_cycles, r.stats, sim.table().len())
     };
     let a = run();
@@ -122,7 +123,7 @@ fn load_balancers_agree_on_semantics() {
         let mut cfg = small_cfg();
         cfg.load_balancer = policy;
         let mut sim = FlowLutSim::new(cfg);
-        let report = sim.run(&trace);
+        let report = sim.start_run().run(&trace).expect("fresh session");
         // Semantics: identical new-flow count and zero drops regardless
         // of which path looked first.
         results.push((
@@ -140,7 +141,7 @@ fn burst_of_same_flow_is_single_entry() {
     let mut sim = FlowLutSim::new(small_cfg());
     let key = FlowKey::from(FiveTuple::from_index(42));
     let burst: Vec<PacketDescriptor> = (0..200).map(|s| PacketDescriptor::new(s, key)).collect();
-    let report = sim.run(&burst);
+    let report = sim.start_run().run(&burst).expect("fresh session");
     assert_eq!(report.completed, 200);
     assert_eq!(sim.table().len(), 1);
     let records: Vec<_> = sim.table().records_after(None).collect();
@@ -161,7 +162,7 @@ fn deletes_interleaved_with_traffic() {
         .enumerate()
         .map(|(s, k)| PacketDescriptor::new(s as u64, *k))
         .collect();
-    sim.run(&descs);
+    sim.start_run().run(&descs).expect("fresh session");
     assert_eq!(sim.table().len(), 100);
 
     // Delete the even keys while re-offering the odd ones.
@@ -175,7 +176,7 @@ fn deletes_interleaved_with_traffic() {
         .enumerate()
         .map(|(s, k)| PacketDescriptor::new(s as u64, *k))
         .collect();
-    let report = sim.run(&odd);
+    let report = sim.start_run().run(&odd).expect("fresh session");
     // Drain any remaining deletes.
     for _ in 0..2_000 {
         sim.tick();

@@ -2,9 +2,9 @@
 //!
 //! `ExecutionMode::Threaded(n)` only changes which host thread runs each
 //! shard's per-cycle body; shards share no state, so every observable —
-//! the unified [`RunReport`], the rich per-shard `EngineReport`, and the
-//! complete post-run [`EngineSnapshot`] — must be **bit-identical** to
-//! inline execution. These tests (including a property test over shard
+//! the [`RunReport`] and the complete post-run [`EngineSnapshot`] with
+//! its per-shard counters — must be **bit-identical** to inline
+//! execution. These tests (including a property test over shard
 //! counts, thread counts and trace lengths on the seeded fabric trace)
 //! are the acceptance bar for the threaded engine: any scheduling-order
 //! dependence, shared-state leak, or barrier bug shows up as a diverging
@@ -12,10 +12,10 @@
 
 use proptest::prelude::*;
 
-use flowlut::engine::{EngineConfig, ExecutionMode, ShardedFlowLut};
+use flowlut::engine::{EngineConfig, EngineSnapshot, ExecutionMode, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::PacketDescriptor;
-use flowlut::{Builder, RunReport, Session};
+use flowlut::{Builder, FlowPipeline, RunReport, Session};
 
 fn trace(packets: usize) -> Vec<PacketDescriptor> {
     FabricTraceProfile::european_2012().generate(packets)
@@ -30,29 +30,22 @@ fn engine(shards: usize, execution: ExecutionMode) -> ShardedFlowLut {
     })
 }
 
+/// Runs `descs` through one session and returns the report with the
+/// engine's state after it.
+fn run(engine: &mut ShardedFlowLut, descs: &[PacketDescriptor]) -> (RunReport, EngineSnapshot) {
+    let report = engine.start_run().run(descs).expect("fresh session");
+    (report, engine.snapshot())
+}
+
 /// Runs the same descriptors through an inline and a threaded engine
 /// and asserts every observable is bit-identical.
 fn assert_bit_identical(shards: usize, threads: usize, descs: &[PacketDescriptor]) {
     let mut inline_engine = engine(shards, ExecutionMode::Inline);
     let mut threaded_engine = engine(shards, ExecutionMode::Threaded(threads));
-    let a = inline_engine.run(descs);
-    let b = threaded_engine.run(descs);
-    // The rich report, including every per-shard counter. EngineReport
-    // carries f64 rates; Debug prints full precision, so equal strings
-    // mean equal bits for the integer state and equal values for the
-    // derived floats.
     assert_eq!(
-        format!("{a:?}"),
-        format!("{b:?}"),
-        "EngineReport diverged at {shards} shards / {threads} threads"
-    );
-    let ua: RunReport = a.into();
-    let ub: RunReport = b.into();
-    assert_eq!(ua, ub, "RunReport diverged");
-    assert_eq!(
-        inline_engine.snapshot(),
-        threaded_engine.snapshot(),
-        "post-run engine state diverged"
+        run(&mut inline_engine, descs),
+        run(&mut threaded_engine, descs),
+        "diverged at {shards} shards / {threads} threads"
     );
 }
 
@@ -76,13 +69,12 @@ fn threaded_is_bit_identical_across_repeated_runs() {
     let second: Vec<PacketDescriptor> = trace(1_600).split_off(800);
     let mut inline_engine = engine(3, ExecutionMode::Inline);
     let mut threaded_engine = engine(3, ExecutionMode::Threaded(3));
-    let a1 = inline_engine.run(&first);
-    let b1 = threaded_engine.run(&first);
-    assert_eq!(format!("{a1:?}"), format!("{b1:?}"));
-    let a2 = inline_engine.run(&second);
-    let b2 = threaded_engine.run(&second);
-    assert_eq!(format!("{a2:?}"), format!("{b2:?}"));
-    assert_eq!(inline_engine.snapshot(), threaded_engine.snapshot());
+    for descs in [&first, &second] {
+        assert_eq!(
+            run(&mut inline_engine, descs),
+            run(&mut threaded_engine, descs)
+        );
+    }
 }
 
 #[test]

@@ -227,6 +227,7 @@ mod sim_properties {
     use super::*;
     use flowlut::core::{FlowLutSim, SimConfig};
     use flowlut::traffic::PacketDescriptor;
+    use flowlut::FlowPipeline;
 
     fn sim_cfg() -> SimConfig {
         let mut cfg = SimConfig::test_small();
@@ -254,7 +255,7 @@ mod sim_properties {
                     FlowKey::from(FiveTuple::from_index(i)),
                 ))
                 .collect();
-            let report = sim.run(&descs);
+            let report = sim.start_run().run(&descs).expect("fresh session");
             prop_assert_eq!(report.completed, descs.len() as u64);
             prop_assert_eq!(report.stats.drops, 0);
 
@@ -294,7 +295,7 @@ mod sim_properties {
                     FlowKey::from(FiveTuple::from_index(i)),
                 ))
                 .collect();
-            sim.run(&descs);
+            sim.start_run().run(&descs).expect("fresh session");
             let mut kept = 0u64;
             for &i in &keys {
                 if delete_mask[i as usize] {

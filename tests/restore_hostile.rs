@@ -16,6 +16,9 @@
 //! Restored statistics and request-ID counters are bounded too: above
 //! 2^62 restore refuses them, and at or below it the restored simulator
 //! counts on through a short stream without overflowing.
+//!
+//! The FLTR trace reader obeys the same heap bound: a header's record
+//! count sizes no reservation.
 
 use std::alloc::System;
 
@@ -26,6 +29,7 @@ use flowlut::core::checkpoint::MAX_COUNTER;
 use flowlut::core::codec;
 use flowlut::core::{CheckpointError, FlowLutSim, FlowPipeline, Location, PathId, SimConfig};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
+use flowlut::traffic::trace_io::{read_trace, write_trace};
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
 #[global_allocator]
@@ -73,7 +77,7 @@ fn descs() -> Vec<PacketDescriptor> {
 /// A checkpoint holding flows in both memories and in the CAM.
 fn valid_blob() -> Vec<u8> {
     let mut sim = FlowLutSim::new(config());
-    sim.run(&descs());
+    sim.start_run().run(&descs()).expect("fresh session");
     sim.quiesce();
     let occupancy = sim.table().occupancy();
     assert!(occupancy.mem_a > 0 && occupancy.mem_b > 0 && occupancy.cam > 0);
@@ -286,6 +290,30 @@ fn flip_bits(blob: &mut [u8], flips: &[u64], clocks: &[usize]) {
     }
 }
 
+// --- FLTR traces ---------------------------------------------------
+
+#[test]
+fn a_trace_header_sizes_no_reservation() {
+    let mut header = Vec::new();
+    write_trace(&mut header, &[]).expect("a vector takes the bytes");
+    header.truncate(header.len() - 8); // the checksum
+    for count in [1u64 << 10, 1 << 20, 1 << 33] {
+        // The record count follows the magic and the version.
+        header[6..14].copy_from_slice(&count.to_le_bytes());
+        let (read, requested) = requested_by(|| read_trace(header.as_slice()));
+        assert!(read.is_err(), "a header claiming {count} records");
+        assert!(
+            requested <= HEAP_BYTES_PER_BLOB_BYTE * header.len() as u64,
+            "a header claiming {count} records requested {requested} heap bytes"
+        );
+    }
+    let mut trace = Vec::new();
+    write_trace(&mut trace, &descs()).expect("a vector takes the bytes");
+    let (read, requested) = requested_by(|| read_trace(trace.as_slice()));
+    assert_eq!(read.expect("a valid trace reads"), descs());
+    assert!(requested <= HEAP_BYTES_PER_BLOB_BYTE * trace.len() as u64);
+}
+
 // --- The sharded engine ---------------------------------------------
 
 fn engine_config() -> EngineConfig {
@@ -317,7 +345,7 @@ fn valid_engine_blob() -> (Vec<u8>, [usize; 3]) {
             _ => continue,
         });
     }
-    engine.run(&descs);
+    engine.start_run().run(&descs).expect("fresh session");
     engine.quiesce();
     for i in 0..2 {
         let occupancy = engine.shard(i).table().occupancy();
@@ -409,7 +437,7 @@ fn engine_blob_with_offered(shards: usize, carried: u64, per_shard: u64) -> Vec<
         ..EngineConfig::test_small()
     };
     let mut engine = ShardedFlowLut::new(cfg);
-    engine.run(&descs());
+    engine.start_run().run(&descs()).expect("fresh session");
     engine.quiesce();
     let mut blob = engine.checkpoint().expect("a quiesced engine checkpoints");
     let set = |blob: &mut [u8], stats_at: usize, value: u64| {
@@ -498,7 +526,7 @@ proptest! {
             let mut sim = restored.expect("counters at or below the bound restore");
             let fresh = (100..110).map(|i| PacketDescriptor::new(i, key(i)));
             let stream: Vec<PacketDescriptor> = descs().into_iter().chain(fresh).collect();
-            let report = sim.run(&stream);
+            let report = sim.start_run().run(&stream).expect("fresh session");
             prop_assert_eq!(report.completed, stream.len() as u64);
             prop_assert_eq!(report.stats.inserted_mem + report.stats.inserted_cam, 10);
         }

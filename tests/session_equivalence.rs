@@ -1,12 +1,11 @@
-//! The legacy batch entry points (`FlowLutSim::run`,
-//! `ShardedFlowLut::run`) are thin wrappers over the typed streaming
-//! [`Session`]. These tests pin the behavioural equivalence: on a fixed
-//! seeded fabric trace, the wrapper, a hand-driven session, and the
-//! deprecated `run_session` shim all produce *identical* [`RunReport`]s
-//! — same cycle counts, same counters, same occupancy — for both the
-//! single-channel simulator and the sharded engine.
+//! The typed streaming [`Session`] is the one batch driver of the timed
+//! backends, and [`RunReport`] its one report. These tests pin a second
+//! run on a warm simulator and on a warm engine to golden reports —
+//! cycle counts, every counter, occupancy — whether the run is driven
+//! by hand (`offer` + `finish`) or by [`Session::run`], and check that
+//! misuse of a drained session is a typed error.
 
-use flowlut::core::{FlowLutSim, SimConfig};
+use flowlut::core::{FlowLutSim, Occupancy, SimConfig, SimStats};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::PacketDescriptor;
@@ -16,83 +15,98 @@ fn trace(packets: usize) -> Vec<PacketDescriptor> {
     FabricTraceProfile::european_2012().generate(packets)
 }
 
-#[test]
-fn sim_legacy_run_equals_streaming_session() {
-    let descs = trace(2_000);
-    let mut legacy = FlowLutSim::new(SimConfig::test_small());
-    let mut session = FlowLutSim::new(SimConfig::test_small());
-
-    let legacy_report: RunReport = legacy.run(&descs).into();
-    // Hand-driven: offer the batch, then finish (which drains).
-    let mut s = session.start_run();
-    s.offer(&descs).expect("fresh session");
-    let session_report = s.finish();
-
-    assert_eq!(legacy_report, session_report);
-    assert_eq!(legacy_report.channels, 1);
-    assert_eq!(legacy_report.completed, 2_000);
-    assert!(legacy_report.sys_cycles > 0);
-}
-
-#[test]
-fn engine_legacy_run_equals_streaming_session() {
-    let descs = trace(2_000);
-    let mut legacy = ShardedFlowLut::new(EngineConfig::test_small());
-    let mut session = ShardedFlowLut::new(EngineConfig::test_small());
-
-    let legacy_report: RunReport = legacy.run(&descs).into();
-    let session_report = session.start_run().run(&descs).expect("fresh session");
-
-    assert_eq!(legacy_report, session_report);
-    assert_eq!(legacy_report.channels, 2);
-    assert_eq!(legacy_report.completed, 2_000);
-}
-
-#[test]
-fn deprecated_run_session_shim_matches_typed_session() {
-    // The 0.2 migration shim must stay byte-for-byte equivalent to the
-    // session it wraps until it is removed.
-    let descs = trace(1_500);
-    let mut via_shim = FlowLutSim::new(SimConfig::test_small());
-    let mut via_session = FlowLutSim::new(SimConfig::test_small());
-    #[allow(deprecated)]
-    let shim_report = flowlut::run_session(&mut via_shim, &descs);
-    let session_report = via_session.start_run().run(&descs).expect("fresh session");
-    assert_eq!(shim_report, session_report);
+/// Runs 1 000 fabric packets on `pipe`, then reports a second session
+/// over the next 1 000, driven by hand or by [`Session::run`].
+fn second_run(pipe: &mut dyn FlowPipeline, by_hand: bool) -> RunReport {
+    let first = trace(1_000);
+    let second: Vec<PacketDescriptor> = trace(2_000).split_off(1_000);
+    Session::new(pipe).run(&first).expect("fresh session");
+    let mut session = Session::new(pipe);
+    if by_hand {
+        session.offer(&second).expect("fresh session");
+        session.finish()
+    } else {
+        session.run(&second).expect("fresh session")
+    }
 }
 
 #[test]
 fn equivalence_holds_across_repeated_runs() {
-    // The session differences statistics against the run start; a second
-    // session on a warm instance must report the second run alone, just
-    // as the legacy wrapper does.
-    let first = trace(1_000);
-    let second: Vec<PacketDescriptor> = trace(2_000).split_off(1_000);
-
-    let mut legacy = FlowLutSim::new(SimConfig::test_small());
-    let mut session = FlowLutSim::new(SimConfig::test_small());
-    legacy.run(&first);
-    session.start_run().run(&first).expect("fresh session");
-
-    let legacy_report: RunReport = legacy.run(&second).into();
-    let session_report = session.start_run().run(&second).expect("fresh session");
-    assert_eq!(legacy_report, session_report);
-    assert_eq!(legacy_report.completed, 1_000);
-}
-
-#[test]
-fn session_report_matches_engine_report_projection() {
-    // The unified report is a faithful projection of the rich engine
-    // report: aggregate counters, cycles and occupancy all agree.
-    let descs = trace(1_500);
-    let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
-    let rich = engine.run(&descs);
-    let unified: RunReport = rich.clone().into();
-
-    assert_eq!(unified.stats, rich.aggregate);
-    assert_eq!(unified.sys_cycles, rich.sys_cycles);
-    assert_eq!(unified.occupancy, rich.occupancy());
-    assert_eq!(unified.mdesc_per_s, rich.mdesc_per_s);
+    // The session differences statistics against the run start, so the
+    // second session on a warm instance reports the second run alone.
+    let sim = RunReport {
+        backend: "hashcam-sim",
+        channels: 1,
+        sys_cycles: 3798,
+        elapsed_ns: 18990.0,
+        completed: 1000,
+        mdesc_per_s: 52.65929436545551,
+        mean_latency_ns: 840.455,
+        stats: SimStats {
+            offered: 1000,
+            admitted: 1000,
+            completed: 1000,
+            cam_hits: 2,
+            lu1_hits: 15,
+            lu2_hits: 538,
+            inserted_mem: 285,
+            drops: 160,
+            lu1_per_path: [460, 538],
+            reads_issued: 1981,
+            writes_issued: 283,
+            filter_hold_cycles: 2480,
+            same_key_holds: 307,
+            bwr_count_releases: 12,
+            bwr_timeout_releases: 47,
+            total_latency_sys: 168091,
+            max_latency_sys: 706,
+            ..SimStats::default()
+        },
+        occupancy: Occupancy {
+            mem_a: 416,
+            mem_b: 447,
+            cam: 16,
+        },
+    };
+    let engine = RunReport {
+        backend: "hashcam-sharded",
+        channels: 2,
+        sys_cycles: 2904,
+        elapsed_ns: 14520.0,
+        completed: 1000,
+        mdesc_per_s: 68.87052341597796,
+        mean_latency_ns: 607.27,
+        stats: SimStats {
+            offered: 1000,
+            admitted: 1000,
+            completed: 1000,
+            lu1_hits: 8,
+            lu2_hits: 553,
+            inserted_mem: 415,
+            inserted_cam: 24,
+            lu1_per_path: [461, 539],
+            reads_issued: 1992,
+            writes_issued: 412,
+            filter_hold_cycles: 2875,
+            same_key_holds: 314,
+            bwr_count_releases: 22,
+            bwr_timeout_releases: 49,
+            total_latency_sys: 121454,
+            max_latency_sys: 489,
+            ..SimStats::default()
+        },
+        occupancy: Occupancy {
+            mem_a: 470,
+            mem_b: 540,
+            cam: 26,
+        },
+    };
+    for by_hand in [true, false] {
+        let mut s = FlowLutSim::new(SimConfig::test_small());
+        assert_eq!(second_run(&mut s, by_hand), sim, "by hand: {by_hand}");
+        let mut e = ShardedFlowLut::new(EngineConfig::test_small());
+        assert_eq!(second_run(&mut e, by_hand), engine, "by hand: {by_hand}");
+    }
 }
 
 #[test]

@@ -6,6 +6,7 @@
 
 use flowlut::core::{FlowLutSim, HashCamTable, SimConfig, TableConfig};
 use flowlut::traffic::{FlowKey, PacketDescriptor};
+use flowlut::FlowPipeline;
 
 /// A synthetic IPv6-style 37-byte tuple.
 fn wide_key(i: u64) -> FlowKey {
@@ -60,7 +61,7 @@ fn sim_handles_multi_burst_buckets() {
     let descs: Vec<PacketDescriptor> = (0..300)
         .map(|i| PacketDescriptor::new(i, wide_key(i % 100)))
         .collect();
-    let report = sim.run(&descs);
+    let report = sim.start_run().run(&descs).expect("fresh session");
     assert_eq!(report.completed, 300);
     assert_eq!(report.stats.drops, 0);
     assert_eq!(sim.table().len(), 100);
@@ -83,7 +84,7 @@ fn sim_preload_and_requery_wide_keys() {
         .enumerate()
         .map(|(s, k)| PacketDescriptor::new(s as u64, *k))
         .collect();
-    let report = sim.run(&descs);
+    let report = sim.start_run().run(&descs).expect("fresh session");
     let s = report.stats;
     assert_eq!(
         s.cam_hits + s.lu1_hits + s.lu2_hits,
@@ -107,14 +108,20 @@ fn wide_and_narrow_tables_have_comparable_throughput_shape() {
                 PacketDescriptor::new(i, FlowKey::from(flowlut::traffic::FiveTuple::from_index(i)))
             })
             .collect();
-        sim.run(&descs).mdesc_per_s
+        sim.start_run()
+            .run(&descs)
+            .expect("fresh session")
+            .mdesc_per_s
     };
     let wide = {
         let mut sim = FlowLutSim::new(wide_config());
         let descs: Vec<PacketDescriptor> = (0..1000)
             .map(|i| PacketDescriptor::new(i, wide_key(i)))
             .collect();
-        sim.run(&descs).mdesc_per_s
+        sim.start_run()
+            .run(&descs)
+            .expect("fresh session")
+            .mdesc_per_s
     };
     assert!(
         wide < narrow,
