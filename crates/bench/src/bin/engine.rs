@@ -13,7 +13,7 @@
 
 use std::io::Write as _;
 
-use flowlut_bench::smoke_mode;
+use flowlut_bench::{json_path, quick_mode, smoke_mode};
 use flowlut_core::{FlowPipeline, RunReport};
 use flowlut_engine::{EngineConfig, EngineSnapshot, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
@@ -24,42 +24,6 @@ struct Point {
     shards: usize,
     report: RunReport,
     snapshot: EngineSnapshot,
-}
-
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// `--json-out PATH` argument, if present.
-fn json_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Resolution order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`.
-/// Without either, only `--quick` (the mode CI snapshots and the
-/// committed trajectory uses) writes to the working directory;
-/// smoke/full runs land in `./paper-results` with the CSVs, so a casual
-/// `--smoke` from the repo root cannot clobber the committed
-/// `BENCH_engine.json` with not-comparable numbers.
-fn json_path(quick: bool) -> std::path::PathBuf {
-    json_out_arg().unwrap_or_else(|| {
-        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                if quick {
-                    std::path::PathBuf::new()
-                } else {
-                    std::path::PathBuf::from("paper-results")
-                }
-            });
-        dir.join("BENCH_engine.json")
-    })
 }
 
 fn main() {
@@ -129,7 +93,7 @@ fn main() {
         if meets { "met" } else { "NOT met" }
     );
 
-    let path = json_path(mode == "quick");
+    let path = json_path("BENCH_engine.json", mode == "quick");
     match write_json(&path, mode, &workload, &points, base, meets) {
         Ok(()) => println!("(saved {})", path.display()),
         Err(e) => {

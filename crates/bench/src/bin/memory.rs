@@ -18,7 +18,7 @@
 
 use std::io::Write as _;
 
-use flowlut_bench::smoke_mode;
+use flowlut_bench::{json_path, quick_mode, smoke_mode};
 use flowlut_core::{FlowPipeline, RunReport};
 use flowlut_ddr3::MemoryKind;
 use flowlut_engine::{EngineConfig, ShardedFlowLut};
@@ -45,42 +45,6 @@ impl Point {
     fn holds_line_rate(&self) -> bool {
         self.report.mdesc_per_s >= LINE_RATE_MPPS
     }
-}
-
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// `--json-out PATH` argument, if present.
-fn json_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Resolution order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`.
-/// Without either, only `--quick` (the mode CI snapshots and the
-/// committed trajectory uses) writes to the working directory;
-/// smoke/full runs land in `./paper-results`, so a casual `--smoke`
-/// from the repo root cannot clobber the committed `BENCH_memory.json`
-/// with not-comparable numbers.
-fn json_path(quick: bool) -> std::path::PathBuf {
-    json_out_arg().unwrap_or_else(|| {
-        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                if quick {
-                    std::path::PathBuf::new()
-                } else {
-                    std::path::PathBuf::from("paper-results")
-                }
-            });
-        dir.join("BENCH_memory.json")
-    })
 }
 
 fn main() {
@@ -178,7 +142,7 @@ fn main() {
         if sram_ge_ddr3 { "yes" } else { "NO" }
     );
 
-    let path = json_path(mode == "quick");
+    let path = json_path("BENCH_memory.json", mode == "quick");
     match write_json(&path, mode, &workload, &points, &verdicts, sram_ge_ddr3) {
         Ok(()) => println!("(saved {})", path.display()),
         Err(e) => {

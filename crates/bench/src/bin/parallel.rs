@@ -5,17 +5,17 @@
 //! execution is bit-identical by construction. This sweep records what
 //! threading *does* change: **host wall-clock** throughput. For 1 / 2 /
 //! 4 / 8 shards it runs the same workload through an inline engine and
-//! a threaded one (`min(shards, 4)` executor threads), times both, and
-//! cross-checks that the two reports are byte-identical while timing
-//! them.
+//! a threaded one (`Threaded(min(shards, 4))`, which the engine clamps
+//! to the host's cores; the `threads` column reports the executors it
+//! actually used), times both, and cross-checks that the two reports
+//! are byte-identical while timing them.
 //!
 //! Writes the machine-readable `BENCH_parallel.json` consumed by the
 //! perf-snapshot CI step, which gates on ≥ 1.5× wall-clock speedup at
 //! 4 shards. The gate only means something on a multicore host, so the
 //! JSON also records `host_parallelism` and an `acceptance_applicable`
-//! flag — a single-core container (like the one that generated the
-//! committed snapshot) reports its honest slowdown and marks the gate
-//! not applicable.
+//! flag — a single-core host reports its honest slowdown and marks the
+//! gate not applicable.
 //!
 //! Modes: default (full sweep), `--quick` (CI perf snapshot), `--smoke`
 //! (run-check only; numbers not meaningful).
@@ -23,7 +23,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use flowlut_bench::smoke_mode;
+use flowlut_bench::{json_path, quick_mode, smoke_mode};
 use flowlut_core::{FlowPipeline, RunReport};
 use flowlut_engine::{EngineConfig, EngineSnapshot, ExecutionMode, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
@@ -49,53 +49,17 @@ impl Point {
     }
 }
 
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// `--json-out PATH` argument, if present.
-fn json_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Resolution order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`.
-/// Without either, only `--quick` (the mode CI snapshots and the
-/// committed trajectory uses) writes to the working directory;
-/// smoke/full runs land in `./paper-results`, so a casual `--smoke`
-/// from the repo root cannot clobber the committed `BENCH_parallel.json`
-/// with not-comparable numbers.
-fn json_path(quick: bool) -> std::path::PathBuf {
-    json_out_arg().unwrap_or_else(|| {
-        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                if quick {
-                    std::path::PathBuf::new()
-                } else {
-                    std::path::PathBuf::from("paper-results")
-                }
-            });
-        dir.join("BENCH_parallel.json")
-    })
-}
-
 /// What one run computes: its report and the engine's state after it.
 type Outcome = (RunReport, EngineSnapshot);
 
 /// Builds an engine, preloads the workload, runs it, and returns the
-/// outcome plus the wall-clock seconds of the run itself (preload and
-/// construction excluded).
+/// outcome, the wall-clock seconds of the run itself (preload and
+/// construction excluded) and the engine's executor count.
 fn timed_run_once(
     shards: usize,
     execution: ExecutionMode,
     set: &flowlut_traffic::workloads::MatchRateSet,
-) -> (Outcome, f64) {
+) -> (Outcome, f64, usize) {
     let mut engine = ShardedFlowLut::new(EngineConfig {
         execution,
         ..EngineConfig::prototype(shards)
@@ -106,7 +70,7 @@ fn timed_run_once(
     let start = Instant::now();
     let report = engine.start_run().run(&set.queries).expect("fresh session");
     let secs = start.elapsed().as_secs_f64();
-    ((report, engine.snapshot()), secs)
+    ((report, engine.snapshot()), secs, engine.executor_count())
 }
 
 /// Best-of-`reps` wall time on a fresh engine each rep (first rep's
@@ -119,13 +83,13 @@ fn timed_run(
     execution: ExecutionMode,
     set: &flowlut_traffic::workloads::MatchRateSet,
     reps: u32,
-) -> (Outcome, f64) {
-    let (outcome, mut best) = timed_run_once(shards, execution, set);
+) -> (Outcome, f64, usize) {
+    let (outcome, mut best, executors) = timed_run_once(shards, execution, set);
     for _ in 1..reps {
-        let (_, secs) = timed_run_once(shards, execution, set);
+        let (_, secs, _) = timed_run_once(shards, execution, set);
         best = best.min(secs);
     }
-    (outcome, best)
+    (outcome, best, executors)
 }
 
 fn main() {
@@ -155,10 +119,9 @@ fn main() {
     let reps = if mode == "smoke" { 1 } else { 3 };
     let mut points: Vec<Point> = Vec::new();
     for shards in [1usize, 2, 4, 8] {
-        let threads = shards.min(4);
-        let (inline, inline_secs) = timed_run(shards, ExecutionMode::Inline, &set, reps);
-        let (threaded, threaded_secs) =
-            timed_run(shards, ExecutionMode::Threaded(threads), &set, reps);
+        let (inline, inline_secs, _) = timed_run(shards, ExecutionMode::Inline, &set, reps);
+        let (threaded, threaded_secs, threads) =
+            timed_run(shards, ExecutionMode::Threaded(shards.min(4)), &set, reps);
         // Determinism cross-check while we have both outcomes in hand:
         // threading must never change what the engine computes.
         let reports_identical = inline == threaded;
@@ -212,7 +175,7 @@ fn main() {
         }
     );
 
-    let path = json_path(mode == "quick");
+    let path = json_path("BENCH_parallel.json", mode == "quick");
     match write_json(
         &path,
         mode,

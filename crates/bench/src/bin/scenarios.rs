@@ -27,43 +27,7 @@ use std::io::Write as _;
 use flowlut::core::{SimConfig, TableConfig};
 use flowlut::scenarios::{Scenario, ScenarioReport, ScenarioRunner};
 use flowlut::{BaselineKind, Builder, FlowBackend};
-use flowlut_bench::smoke_mode;
-
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// `--json-out PATH` argument, if present.
-fn json_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Resolution order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`.
-/// Without either, only `--quick` (the mode CI snapshots and the
-/// committed trajectory uses) writes to the working directory;
-/// smoke/full runs land in `./paper-results`, so a casual `--smoke`
-/// from the repo root cannot clobber the committed
-/// `BENCH_scenarios.json` with not-comparable numbers.
-fn json_path(quick: bool) -> std::path::PathBuf {
-    json_out_arg().unwrap_or_else(|| {
-        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                if quick {
-                    std::path::PathBuf::new()
-                } else {
-                    std::path::PathBuf::from("paper-results")
-                }
-            });
-        dir.join("BENCH_scenarios.json")
-    })
-}
+use flowlut_bench::{json_path, quick_mode, smoke_mode};
 
 /// All nine backends, capacity-matched on `TableConfig::test_small`.
 fn registry() -> Vec<Box<dyn FlowBackend>> {
@@ -194,7 +158,7 @@ fn main() {
         hashcam_drop,
     );
 
-    let path = json_path(mode == "quick");
+    let path = json_path("BENCH_scenarios.json", mode == "quick");
     match write_json(
         &path,
         mode,

@@ -23,7 +23,7 @@
 
 use std::io::Write as _;
 
-use flowlut_bench::smoke_mode;
+use flowlut_bench::{json_path, quick_mode, smoke_mode};
 use flowlut_core::{ExpiryPolicy, PressurePolicy, SimConfig, TableConfig};
 use flowlut_engine::EngineConfig;
 use flowlut_service::{FlowService, ServiceConfig};
@@ -187,41 +187,6 @@ fn churn_run(shards: usize, profile: Profile, w: &ChurnWorkload) -> Row {
     }
 }
 
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// `--json-out PATH` argument, if present.
-fn json_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Resolution order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`.
-/// Without either, only `--quick` (the mode the committed snapshot
-/// uses) writes to the working directory; smoke/full runs land in
-/// `./paper-results`, so a casual `--smoke` from the repo root cannot
-/// clobber the committed `BENCH_service.json`.
-fn json_path(quick: bool) -> std::path::PathBuf {
-    json_out_arg().unwrap_or_else(|| {
-        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                if quick {
-                    std::path::PathBuf::new()
-                } else {
-                    std::path::PathBuf::from("paper-results")
-                }
-            });
-        dir.join("BENCH_service.json")
-    })
-}
-
 fn main() {
     let (mode, workload) = if smoke_mode() {
         (
@@ -327,7 +292,7 @@ fn main() {
         if meets { "met" } else { "NOT met" }
     );
 
-    let path = json_path(mode == "quick");
+    let path = json_path("BENCH_service.json", mode == "quick");
     match write_json(&path, mode, &workload, &rows, meets) {
         Ok(()) => println!("(saved {})", path.display()),
         Err(e) => {

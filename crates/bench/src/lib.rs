@@ -11,12 +11,14 @@
 //! | `fig3` | Figure 3 — DQ bus utilization vs burst count |
 //! | `fig6` | Figure 6 — new-flow ratio vs packet window |
 //! | `discussion` | §V-B — 40 GbE feasibility and product comparison |
-//! | `probe` | development calibration probe (not a paper artefact) |
+//! | `ablations` | the design choices DESIGN.md §Ablations defends, writes `BENCH_ablations.json` |
 //! | `engine` | beyond the paper: multi-channel scaling sweep, writes `BENCH_engine.json` |
 //!
-//! Criterion benches under `benches/` cover the functional table, the
-//! baselines, the ablations DESIGN.md calls out, and the multi-channel
-//! engine.
+//! The `BENCH_*.json` writers (`ablations`, `engine`, `parallel`,
+//! `memory`, `service`, `scenarios`) share [`quick_mode`] and
+//! [`json_path`]; the committed snapshots at the repo root are what CI
+//! regenerates and checks. Host costs are priced by the separate
+//! `perfbench` package, not here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -70,6 +72,45 @@ pub fn scaled(n: usize) -> usize {
     } else {
         n
     }
+}
+
+/// True when the binary was invoked with `--quick`: the mode the
+/// committed `BENCH_*.json` snapshots and CI's perf-snapshot job use.
+pub fn quick_mode() -> bool {
+    std::env::args().any(|a| a == "--quick")
+}
+
+/// `--json-out PATH` argument, if present.
+fn json_out_arg() -> Option<std::path::PathBuf> {
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == "--json-out" {
+            return args.next().map(std::path::PathBuf::from);
+        }
+    }
+    None
+}
+
+/// Where a bench binary writes its `file_name` snapshot. Resolution
+/// order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`. Without either,
+/// only `quick` (the mode CI snapshots and the committed trajectory
+/// use) writes to the working directory; smoke/full runs land in
+/// `./paper-results` with the CSVs, so a casual `--smoke` from the repo
+/// root cannot clobber a committed snapshot with not-comparable
+/// numbers.
+pub fn json_path(file_name: &str, quick: bool) -> std::path::PathBuf {
+    json_out_arg().unwrap_or_else(|| {
+        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
+            .map(std::path::PathBuf::from)
+            .unwrap_or_else(|| {
+                if quick {
+                    std::path::PathBuf::new()
+                } else {
+                    std::path::PathBuf::from("paper-results")
+                }
+            });
+        dir.join(file_name)
+    })
 }
 
 /// Prints a standard comparison table.

@@ -1,7 +1,8 @@
-//! CI smoke tests for the paper-artefact harness: every bench binary is
+//! CI smoke tests for the paper-artefact harness: bench binaries are
 //! executed in `--smoke` mode (drastically scaled-down workloads), so
-//! all 10 bin targets (8 paper artefacts + the multi-channel engine
-//! sweep + the threaded wall-clock sweep) are run-checked — not just compiled — on every `cargo test`.
+//! the paper artefacts, the ablations, the multi-channel engine sweep
+//! and the threaded wall-clock sweep are run-checked — not just
+//! compiled — on every `cargo test`.
 //! Each test asserts a successful exit and the report heading that
 //! proves the artefact was actually constructed.
 
@@ -60,8 +61,8 @@ fn discussion_smoke() {
 }
 
 #[test]
-fn probe_smoke() {
-    run_smoke(env!("CARGO_BIN_EXE_probe"), "probe");
+fn ablations_smoke() {
+    run_smoke(env!("CARGO_BIN_EXE_ablations"), "Ablations");
 }
 
 #[test]

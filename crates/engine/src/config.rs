@@ -20,7 +20,8 @@ pub enum ExecutionMode {
     /// Shards partitioned round-robin across `n` executor threads (the
     /// calling thread plus `n − 1` long-lived workers), synchronised by
     /// a per-cycle generation barrier. `n` is clamped to the shard
-    /// count; `Threaded(1)` degenerates to `Inline`.
+    /// count and the host's cores; `Threaded(1)` degenerates to
+    /// `Inline`.
     Threaded(usize),
 }
 

@@ -8,7 +8,7 @@ use flowlut_core::backend::{
     FlowBackend, FlowEvent, FlowPipeline, FlowStore, FullError, OpStats, SessionProgress,
 };
 use flowlut_core::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
-use flowlut_core::sync::{Arc, Mutex, MutexGuard};
+use flowlut_core::sync::{thread, Arc, Mutex, MutexGuard};
 use flowlut_core::{FlowLutSim, FlowRecord, Occupancy, PreloadError, RescaleError, SimStats};
 use flowlut_traffic::{FlowKey, PacketDescriptor};
 
@@ -201,9 +201,14 @@ impl ShardedFlowLut {
                 }))
             })
             .collect();
+        // More executors than shards or host cores only adds barrier
+        // waits; the host is asked only when threads are requested.
         let executors = match cfg.execution {
             ExecutionMode::Inline => 1,
-            ExecutionMode::Threaded(n) => n.clamp(1, cfg.shards),
+            ExecutionMode::Threaded(n) => {
+                let cores = thread::available_parallelism().map_or(1, |c| c.get());
+                n.clamp(1, cfg.shards.min(cores))
+            }
         };
         // Worker `e` owns the lanes whose index is `e` modulo
         // `executors`; the engine's `tick` (executor 0) steps the
@@ -257,7 +262,8 @@ impl ShardedFlowLut {
     }
 
     /// Executor threads stepping shards each cycle: 1 in inline mode,
-    /// the (clamped) configured count in threaded mode.
+    /// in threaded mode the configured count clamped to the shard count
+    /// and the host's cores.
     pub fn executor_count(&self) -> usize {
         self.executors
     }
@@ -1070,15 +1076,25 @@ mod tests {
 
     #[test]
     fn threaded_engine_spawns_and_clamps_executors() {
-        let mut cfg = EngineConfig::test_small();
-        cfg.execution = ExecutionMode::Threaded(8);
-        let engine = ShardedFlowLut::new(cfg);
-        assert_eq!(
-            engine.executor_count(),
-            engine.shard_count(),
-            "executors clamp to the shard count"
-        );
-        // Dropping the engine joins the pool (hang here = shutdown bug).
+        // Each case leaves only one clamp binding, on any host: one
+        // shard caps 16 threads at 1, and one more shard and thread than
+        // the host has cores caps them at the cores.
+        let cores = thread::available_parallelism().map_or(1, |c| c.get());
+        for (shards, threads, want, clamp) in [
+            (1, 16, 1, "the shard count"),
+            (cores + 1, cores + 1, cores, "the host's cores"),
+        ] {
+            let mut cfg = EngineConfig::test_small();
+            cfg.shards = shards;
+            cfg.execution = ExecutionMode::Threaded(threads);
+            let engine = ShardedFlowLut::new(cfg);
+            assert_eq!(
+                engine.executor_count(),
+                want,
+                "{threads} threads over {shards} shards clamp to {clamp}"
+            );
+            // Dropping the engine joins the pool (hang = shutdown bug).
+        }
     }
 
     #[test]

@@ -54,6 +54,17 @@ impl CollisionMiner {
         PairHasher::h3_pair(8 * (self.slot_bytes - 1), self.hash_seed)
     }
 
+    /// Candidates [`mine`](Self::mine) tries for `count` keys: 64× the
+    /// expected cost plus a floor, saturating rather than overflowing
+    /// for a region too small to mine.
+    fn budget(&self, count: usize) -> u64 {
+        let ratio = u64::from(self.table_buckets / self.target_buckets) + 1;
+        (count as u64)
+            .saturating_mul(ratio.saturating_mul(ratio))
+            .saturating_mul(64)
+            .saturating_add(65_536)
+    }
+
     /// Mines `count` distinct keys whose bucket pairs both land in the
     /// target region. `salt` offsets the candidate space so different
     /// scenarios mine disjoint key sets.
@@ -70,11 +81,7 @@ impl CollisionMiner {
             "target region must be within the table"
         );
         let hasher = self.hasher();
-        let ratio = u64::from(self.table_buckets / self.target_buckets) + 1;
-        let budget = (count as u64)
-            .saturating_mul(ratio * ratio)
-            .saturating_mul(64)
-            .saturating_add(65_536);
+        let budget = self.budget(count);
         let mut out = Vec::with_capacity(count);
         let salt = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         for i in 0..budget {
@@ -129,6 +136,22 @@ mod tests {
         let distinct: std::collections::HashSet<_> = a.iter().collect();
         assert_eq!(distinct.len(), 16);
         assert_ne!(a, miner.mine(16, 2), "salt shifts the candidate space");
+    }
+
+    #[test]
+    fn budget_saturates_for_a_one_bucket_region_of_the_widest_table() {
+        // table / target + 1 = 2^32, whose square does not fit in u64.
+        let miner = CollisionMiner {
+            table_buckets: u32::MAX,
+            target_buckets: 1,
+            hash_seed: 1,
+            slot_bytes: 16,
+        };
+        assert_eq!(miner.budget(1), u64::MAX);
+        assert_eq!(
+            CollisionMiner::for_table(&small_cfg(), 4).budget(24),
+            24 * 65 * 65 * 64 + 65_536
+        );
     }
 
     /// The attack works: mined keys overflow the targeted region into

@@ -10,7 +10,7 @@
 use flowlut_core::table::TableConfig;
 use flowlut_traffic::fabric::FabricTraceProfile;
 use flowlut_traffic::generators::{BurstWorkload, ChurnWorkload, ElephantMiceWorkload};
-use flowlut_traffic::{FiveTuple, FlowKey, PacketDescriptor};
+use flowlut_traffic::{FiveTuple, FlowKey, PacketDescriptor, MAX_KEY_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,6 +84,10 @@ pub enum StageSpec {
     },
 }
 
+/// The mined adversarial keys are 13-byte 5-tuples; a slot holds a
+/// length byte plus the key, and no key is wider than `MAX_KEY_BYTES`.
+const SLOT_BYTES: std::ops::RangeInclusive<usize> = 14..=MAX_KEY_BYTES + 1;
+
 impl StageSpec {
     /// Packets this stage contributes to the stream.
     pub fn packets(&self) -> usize {
@@ -109,11 +113,63 @@ impl StageSpec {
         }
     }
 
+    /// The first parameter outside this stage's generator domain, as
+    /// `(key, reason)`. The TOML parser refuses such a stage at the
+    /// key's line; [`generate`](Self::generate) panics on it.
+    pub(crate) fn out_of_domain(&self) -> Option<(&'static str, &'static str)> {
+        const NON_ZERO: &str = "must be non-zero";
+        const FRACTION: &str = "must be within [0, 1]";
+        let fraction = |x: f64| (0.0..=1.0).contains(&x);
+        match *self {
+            StageSpec::Uniform { flows: 0, .. }
+            | StageSpec::Zipf { flows: 0, .. }
+            | StageSpec::Burst { flows: 0, .. } => Some(("flows", NON_ZERO)),
+            StageSpec::Burst { max_burst: 0, .. } => Some(("max_burst", NON_ZERO)),
+            StageSpec::ElephantMice { elephants: 0, .. } => Some(("elephants", NON_ZERO)),
+            StageSpec::ElephantMice { mice: 0, .. } => Some(("mice", NON_ZERO)),
+            StageSpec::ElephantMice {
+                elephants, mice, ..
+            } if elephants.checked_add(mice).is_none() => {
+                Some(("mice", "plus `elephants` must fit in 64 bits"))
+            }
+            StageSpec::ElephantMice { elephant_share, .. } if !fraction(elephant_share) => {
+                Some(("elephant_share", FRACTION))
+            }
+            StageSpec::Churn { live_flows: 0, .. } => Some(("live_flows", NON_ZERO)),
+            StageSpec::Churn { churn_rate, .. } if !fraction(churn_rate) => {
+                Some(("churn_rate", FRACTION))
+            }
+            StageSpec::Adversarial { repeats: 0, .. } => Some(("repeats", NON_ZERO)),
+            StageSpec::Adversarial { keys, repeats, .. } if keys.checked_mul(repeats).is_none() => {
+                Some(("repeats", "overflows the stage's packet count"))
+            }
+            StageSpec::Adversarial {
+                table_buckets: 0, ..
+            } => Some(("table_buckets", NON_ZERO)),
+            StageSpec::Adversarial {
+                target_buckets,
+                table_buckets,
+                ..
+            } if target_buckets == 0 || target_buckets > table_buckets => {
+                Some(("target_buckets", "must be within 1..=table_buckets"))
+            }
+            StageSpec::Adversarial { slot_bytes, .. } if !SLOT_BYTES.contains(&slot_bytes) => {
+                Some((
+                    "slot_bytes",
+                    "must be within 14..=65 (a length byte plus a 5-tuple key, up to the widest key)",
+                ))
+            }
+            _ => None,
+        }
+    }
+
     /// Generates this stage's descriptors from the given sub-seed.
-    fn generate(&self, seed: u64) -> Vec<PacketDescriptor> {
+    pub(crate) fn generate(&self, seed: u64) -> Vec<PacketDescriptor> {
+        if let Some((key, reason)) = self.out_of_domain() {
+            panic!("{} stage: `{key}` {reason}", self.kind());
+        }
         match *self {
             StageSpec::Uniform { flows, packets } => {
-                assert!(flows > 0, "flow population must be non-empty");
                 let mut rng = StdRng::seed_from_u64(seed);
                 let salt = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
                 (0..packets)
@@ -177,7 +233,6 @@ impl StageSpec {
                 slot_bytes,
                 repeats,
             } => {
-                assert!(repeats >= 1, "repeats must be at least 1");
                 let miner = CollisionMiner {
                     table_buckets,
                     target_buckets,
@@ -316,7 +371,7 @@ impl Scenario {
 
 /// Sub-seed of stage `index` (SplitMix64 finalizer over seed ⊕ index, so
 /// reordering or editing one stage never perturbs the others).
-fn stage_seed(seed: u64, index: usize) -> u64 {
+pub(crate) fn stage_seed(seed: u64, index: usize) -> u64 {
     let mut z = (seed ^ (index as u64).wrapping_mul(0xA076_1D64_78BD_642F))
         .wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -28,7 +28,10 @@
 //! floats, and `#` comments (full-line or trailing). Unknown sections,
 //! unknown keys, duplicate keys and type mismatches are hard errors
 //! with line numbers — a misspelled parameter must never silently fall
-//! back to a default.
+//! back to a default. So are an integer out of its field's range, a
+//! parameter outside its generator's domain (the one `StageSpec` checks
+//! and [`Scenario::generate`] asserts), and a packet count that
+//! overflows `usize`.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -96,23 +99,28 @@ impl Table {
         }
     }
 
-    fn require_int(&mut self, key: &str) -> Result<u64, ScenarioParseError> {
+    /// An unsigned integer that must fit its field's type `T`.
+    fn int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<Option<T>, ScenarioParseError> {
         match self.take(key) {
-            Some((Value::Int(v), _)) => Ok(v),
+            Some((Value::Int(v), line)) => T::try_from(v)
+                .map(Some)
+                .map_err(|_| err(line, format!("`{key}` = {v} is out of range"))),
             Some((_, line)) => Err(err(line, format!("`{key}` must be an unsigned integer"))),
-            None => Err(err(
-                self.header_line,
-                format!("missing required key `{key}`"),
-            )),
+            None => Ok(None),
         }
     }
 
-    fn optional_int(&mut self, key: &str, default: u64) -> Result<u64, ScenarioParseError> {
-        match self.take(key) {
-            Some((Value::Int(v), _)) => Ok(v),
-            Some((_, line)) => Err(err(line, format!("`{key}` must be an unsigned integer"))),
-            None => Ok(default),
-        }
+    fn require_int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, ScenarioParseError> {
+        self.int(key)?
+            .ok_or_else(|| err(self.header_line, format!("missing required key `{key}`")))
+    }
+
+    fn optional_int<T: TryFrom<u64>>(
+        &mut self,
+        key: &str,
+        default: T,
+    ) -> Result<T, ScenarioParseError> {
+        Ok(self.int(key)?.unwrap_or(default))
     }
 
     fn require_float(&mut self, key: &str) -> Result<f64, ScenarioParseError> {
@@ -176,42 +184,49 @@ fn parse_value(raw: &str, line: usize) -> Result<Value, ScenarioParseError> {
     ))
 }
 
-/// Builds a [`StageSpec`] from a parsed `[[stage]]` table.
-fn build_stage(mut t: Table) -> Result<StageSpec, ScenarioParseError> {
+/// Builds a [`StageSpec`] from a parsed `[[stage]]` table and adds its
+/// packets to `total`.
+fn build_stage(mut t: Table, total: &mut usize) -> Result<StageSpec, ScenarioParseError> {
+    // Key lines, for the domain checks made after the values are taken.
+    let lines: BTreeMap<String, usize> = t
+        .entries
+        .iter()
+        .map(|(k, (_, line))| (k.clone(), *line))
+        .collect();
     let kind = t.require_str("kind")?;
     let stage = match kind.as_str() {
         "uniform" => StageSpec::Uniform {
             flows: t.require_int("flows")?,
-            packets: t.require_int("packets")? as usize,
+            packets: t.require_int("packets")?,
         },
         "zipf" => StageSpec::Zipf {
             flows: t.require_int("flows")?,
             exponent: t.require_float("exponent")?,
-            packets: t.require_int("packets")? as usize,
+            packets: t.require_int("packets")?,
         },
         "elephant-mice" => StageSpec::ElephantMice {
             elephants: t.require_int("elephants")?,
             mice: t.require_int("mice")?,
             elephant_share: t.require_float("elephant_share")?,
-            packets: t.require_int("packets")? as usize,
+            packets: t.require_int("packets")?,
         },
         "churn" => StageSpec::Churn {
-            live_flows: t.require_int("live_flows")? as usize,
+            live_flows: t.require_int("live_flows")?,
             churn_rate: t.require_float("churn_rate")?,
-            packets: t.require_int("packets")? as usize,
+            packets: t.require_int("packets")?,
         },
         "burst" => StageSpec::Burst {
             flows: t.require_int("flows")?,
-            max_burst: t.require_int("max_burst")? as usize,
-            packets: t.require_int("packets")? as usize,
+            max_burst: t.require_int("max_burst")?,
+            packets: t.require_int("packets")?,
         },
         "adversarial" => StageSpec::Adversarial {
-            keys: t.require_int("keys")? as usize,
-            target_buckets: t.require_int("target_buckets")? as u32,
-            table_buckets: t.require_int("table_buckets")? as u32,
+            keys: t.require_int("keys")?,
+            target_buckets: t.require_int("target_buckets")?,
+            table_buckets: t.require_int("table_buckets")?,
             hash_seed: t.require_int("hash_seed")?,
-            slot_bytes: t.optional_int("slot_bytes", 16)? as usize,
-            repeats: t.optional_int("repeats", 1)? as usize,
+            slot_bytes: t.optional_int("slot_bytes", 16)?,
+            repeats: t.optional_int("repeats", 1)?,
         },
         other => {
             return Err(err(
@@ -224,6 +239,20 @@ fn build_stage(mut t: Table) -> Result<StageSpec, ScenarioParseError> {
         }
     };
     t.reject_unknown(&format!("`{kind}` stage"))?;
+    let line_of = |key: &str| lines.get(key).copied().unwrap_or(t.header_line);
+    if let Some((key, reason)) = stage.out_of_domain() {
+        return Err(err(line_of(key), format!("`{key}` {reason}")));
+    }
+    let key = match stage {
+        StageSpec::Adversarial { .. } => "repeats",
+        _ => "packets",
+    };
+    *total = total.checked_add(stage.packets()).ok_or_else(|| {
+        err(
+            line_of(key),
+            format!("`{key}` overflows the scenario's packet count"),
+        )
+    })?;
     Ok(stage)
 }
 
@@ -232,8 +261,9 @@ fn build_stage(mut t: Table) -> Result<StageSpec, ScenarioParseError> {
 /// # Errors
 ///
 /// [`ScenarioParseError`] (with a line number) on any syntax error,
-/// unknown section/key/kind, duplicate key, type mismatch, or a spec
-/// with no stages.
+/// unknown section/key/kind, duplicate key, type mismatch, integer out
+/// of its field's range, parameter outside its generator's domain,
+/// packet count that overflows `usize`, or a spec with no stages.
 pub fn parse_scenario(text: &str) -> Result<Scenario, ScenarioParseError> {
     #[derive(PartialEq)]
     enum Section {
@@ -307,8 +337,9 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScenarioParseError> {
         return Err(err(0, "scenario has no [[stage]] sections"));
     }
     let mut scenario = Scenario::new(name, seed);
+    let mut packets = 0usize;
     for t in stage_tables {
-        scenario = scenario.stage(build_stage(t)?);
+        scenario = scenario.stage(build_stage(t, &mut packets)?);
     }
     Ok(scenario)
 }
@@ -316,6 +347,7 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScenarioParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::stage_seed;
 
     const FULL: &str = r#"
 # A scenario exercising every stage kind.
@@ -430,6 +462,111 @@ repeats = 2
                 "input {toml:?}: error {e} does not mention {want:?}"
             );
         }
+    }
+
+    /// A one-stage spec: `[scenario]`, `name` and `[[stage]]` take
+    /// lines 1–3, so `body` starts on line 4.
+    fn one_stage(body: &str) -> String {
+        format!("[scenario]\nname = \"h\"\n[[stage]]\n{body}")
+    }
+
+    #[test]
+    fn specs_that_would_panic_in_generate_are_refused_at_their_line() {
+        let adversarial = |tail: &str| {
+            format!(
+                "kind = \"adversarial\"\nkeys = 4\ntarget_buckets = 4\ntable_buckets = 64\n\
+                 hash_seed = 1\n{tail}"
+            )
+        };
+        let cases: Vec<(String, usize, &str)> = vec![
+            ("kind = \"uniform\"\nflows = 0\npackets = 9\n".into(), 5, "`flows` must be non-zero"),
+            ("kind = \"zipf\"\nflows = 0\nexponent = 0.9\npackets = 9\n".into(), 5, "`flows`"),
+            ("kind = \"burst\"\nflows = 0\nmax_burst = 4\npackets = 9\n".into(), 5, "`flows`"),
+            ("kind = \"burst\"\nflows = 4\nmax_burst = 0\npackets = 9\n".into(), 6, "`max_burst`"),
+            ("kind = \"churn\"\nlive_flows = 0\nchurn_rate = 0.1\npackets = 9\n".into(), 5, "`live_flows`"),
+            ("kind = \"churn\"\nlive_flows = 8\nchurn_rate = 2.0\npackets = 9\n".into(), 6, "`churn_rate` must be within [0, 1]"),
+            ("kind = \"elephant-mice\"\nelephants = 0\nmice = 9\nelephant_share = 0.5\npackets = 9\n".into(), 5, "`elephants`"),
+            ("kind = \"elephant-mice\"\nelephants = 2\nmice = 9\nelephant_share = 2.0\npackets = 9\n".into(), 7, "`elephant_share`"),
+            ("kind = \"elephant-mice\"\nelephants = 2\nmice = 0\nelephant_share = 0.5\npackets = 9\n".into(), 6, "`mice`"),
+            (adversarial("repeats = 0\n"), 9, "`repeats` must be non-zero"),
+            (adversarial("slot_bytes = 0\n"), 9, "`slot_bytes`"),
+            (adversarial("slot_bytes = 13\n"), 9, "`slot_bytes`"),
+            (adversarial("repeats = 9223372036854775807\n"), 9, "`repeats` overflows"),
+            (adversarial("").replace("table_buckets = 64", "table_buckets = 0"), 7, "`table_buckets`"),
+            (adversarial("").replace("target_buckets = 4", "target_buckets = 0"), 6, "`target_buckets`"),
+            (adversarial("").replace("target_buckets = 4", "target_buckets = 65"), 6, "`target_buckets`"),
+            (adversarial("").replace("target_buckets = 4", "target_buckets = 4294967300"), 6, "= 4294967300 is out of range"),
+            (
+                format!("kind = \"uniform\"\nflows = 1\npackets = {}\n[[stage]]\nkind = \"uniform\"\nflows = 1\npackets = 1\n", usize::MAX),
+                10,
+                "`packets` overflows",
+            ),
+        ];
+        for (body, line, want) in cases {
+            let spec = one_stage(&body);
+            let e = parse_scenario(&spec).unwrap_err();
+            assert_eq!(e.line, line, "{spec:?}: {e}");
+            assert!(
+                e.message.contains(want),
+                "{spec:?}: {e} does not mention {want:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_region_too_small_to_mine_is_in_domain() {
+        // Accepted: every parameter is in its generator's domain. Mining
+        // one key into 1 of 2^32 − 1 buckets never ends; the miner's
+        // budget saturates instead of overflowing (see `adversarial`).
+        let spec = one_stage(
+            "kind = \"adversarial\"\nkeys = 1\ntarget_buckets = 1\n\
+             table_buckets = 4294967295\nhash_seed = 1\n",
+        );
+        let scenario = parse_scenario(&spec).expect("in domain");
+        assert_eq!(scenario.packets(), 1);
+    }
+
+    #[test]
+    fn single_bit_flips_of_digits_parse_to_err_or_generate() {
+        let zeroed = FULL.replace("target_buckets = 4", "target_buckets = 0");
+        assert!(parse_scenario(&zeroed).is_err());
+        // A stage is a pure function of its spec and sub-seed, so past
+        // the unflipped spec only the stages a flip changed need
+        // generating (the adversarial stage's mining dominates).
+        let base = parse_scenario(FULL).unwrap();
+        base.generate();
+        let (mut refused, mut generated) = (0, 0);
+        for (i, byte) in FULL.bytes().enumerate() {
+            if !byte.is_ascii_digit() {
+                continue;
+            }
+            for bit in 0..8 {
+                let mut bytes = FULL.as_bytes().to_vec();
+                bytes[i] ^= 1 << bit;
+                let Ok(text) = String::from_utf8(bytes) else {
+                    continue;
+                };
+                let Ok(scenario) = parse_scenario(&text) else {
+                    refused += 1;
+                    continue;
+                };
+                let run = std::panic::catch_unwind(|| {
+                    scenario.packets();
+                    for (index, stage) in scenario.stages.iter().enumerate() {
+                        if scenario.seed != base.seed || *stage != base.stages[index] {
+                            stage.generate(stage_seed(scenario.seed, index));
+                        }
+                    }
+                });
+                let line = text[..i].lines().count();
+                assert!(run.is_ok(), "flip of bit {bit} on line {line} panicked");
+                generated += 1;
+            }
+        }
+        assert!(
+            refused > 0 && generated > 0,
+            "{refused} refused, {generated} generated"
+        );
     }
 
     #[test]

@@ -509,7 +509,8 @@ mod tests {
             engine.config().execution,
             flowlut_engine::ExecutionMode::Threaded(2)
         );
-        assert_eq!(engine.executor_count(), 2);
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(engine.executor_count(), cores.min(2));
         let inline = Builder::new()
             .sim_config(SimConfig::test_small())
             .shards(2)

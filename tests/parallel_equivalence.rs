@@ -37,11 +37,28 @@ fn run(engine: &mut ShardedFlowLut, descs: &[PacketDescriptor]) -> (RunReport, E
     (report, engine.snapshot())
 }
 
+/// A threaded engine, checked to run as many executors as the clamp
+/// allows: `threads` capped by the shard count and the host's cores.
+/// So the partitions these tests cover depend on the host: with fewer
+/// cores than `threads`, fewer executors run; on one core, the
+/// threaded engine runs inline.
+fn threaded(shards: usize, threads: usize) -> ShardedFlowLut {
+    let engine = engine(shards, ExecutionMode::Threaded(threads));
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let executors = engine.executor_count();
+    assert_eq!(executors, threads.min(shards).min(cores));
+    assert!(
+        shards == 1 || cores == 1 || executors > 1,
+        "{shards} shards on {cores} cores must run threaded"
+    );
+    engine
+}
+
 /// Runs the same descriptors through an inline and a threaded engine
 /// and asserts every observable is bit-identical.
 fn assert_bit_identical(shards: usize, threads: usize, descs: &[PacketDescriptor]) {
     let mut inline_engine = engine(shards, ExecutionMode::Inline);
-    let mut threaded_engine = engine(shards, ExecutionMode::Threaded(threads));
+    let mut threaded_engine = threaded(shards, threads);
     assert_eq!(
         run(&mut inline_engine, descs),
         run(&mut threaded_engine, descs),
@@ -68,7 +85,7 @@ fn threaded_is_bit_identical_across_repeated_runs() {
     let first = trace(800);
     let second: Vec<PacketDescriptor> = trace(1_600).split_off(800);
     let mut inline_engine = engine(3, ExecutionMode::Inline);
-    let mut threaded_engine = engine(3, ExecutionMode::Threaded(3));
+    let mut threaded_engine = threaded(3, 3);
     for descs in [&first, &second] {
         assert_eq!(
             run(&mut inline_engine, descs),

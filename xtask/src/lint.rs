@@ -542,6 +542,14 @@ fn required_keys(bench: &str) -> &'static [&'static str] {
             "results",
             "acceptance_expiry_sustained_ge_0p9x_off",
         ],
+        "ablations" => &[
+            "bench",
+            "results",
+            "acceptance_early_exit_fewer_reads",
+            "acceptance_bank_selection_faster",
+            "acceptance_bwr_default_no_slower_than_1",
+            "acceptance_spill_falls_as_k_grows",
+        ],
         "scenarios" => &[
             "bench",
             "mode",
@@ -554,11 +562,13 @@ fn required_keys(bench: &str) -> &'static [&'static str] {
     }
 }
 
-/// Keys every `results` row must keep, per bench name. All benches
+/// Keys every `results` row must keep, per bench name. The sweeps
 /// identify shard count and completion total; the memory sweep also
-/// names its model and line-rate verdict per row.
+/// names its model and line-rate verdict per row, and an ablation row
+/// names its ablation, variant, value and unit.
 fn required_row_keys(bench: &str) -> &'static [&'static str] {
     match bench {
+        "ablations" => &["ablation", "variant", "value", "unit"],
         "memory" => &[
             "model",
             "shards",
@@ -589,8 +599,8 @@ fn required_row_keys(bench: &str) -> &'static [&'static str] {
 }
 
 /// `bench-schema`: `path` must parse as JSON and keep the schema keys
-/// for its `bench` kind; every `results` row must identify its shard
-/// count and completion total.
+/// for its `bench` kind; every `results` row must keep that kind's row
+/// keys.
 pub fn check_bench_schema(path: &str, text: &str) -> Vec<Violation> {
     let doc = match parse_json(text) {
         Ok(doc) => doc,
@@ -686,6 +696,7 @@ mod tests {
             "BENCH_memory.json",
             "BENCH_service.json",
             "BENCH_scenarios.json",
+            "BENCH_ablations.json",
         ] {
             let text = std::fs::read_to_string(format!("{root}/../{name}")).unwrap();
             assert_eq!(check_bench_schema(name, &text), vec![], "{name}");
@@ -844,6 +855,28 @@ mod tests {
         assert!(v
             .iter()
             .any(|x| x.msg.contains("results[0] is missing key `overflow_rate`")));
+        assert_eq!(v.len(), 2);
+    }
+
+    #[test]
+    fn dropped_ablations_schema_key_flagged() {
+        // Seeded violation: an ablations snapshot missing one acceptance
+        // key and a row without its value must fail on both counts.
+        let text = r#"{"bench": "ablations",
+            "acceptance_early_exit_fewer_reads": true,
+            "acceptance_bank_selection_faster": true,
+            "acceptance_bwr_default_no_slower_than_1": true,
+            "results": [{"ablation": "early_exit", "variant": "early_exit",
+                "value": 1.548, "unit": "DRAM reads per lookup"},
+                {"ablation": "bank_selection", "variant": "on",
+                "unit": "Mdesc/s at 50% miss"}]}"#;
+        let v = check_bench_schema("BENCH_ablations.json", text);
+        assert!(v.iter().any(|x| x
+            .msg
+            .contains("missing schema key `acceptance_spill_falls_as_k_grows`")));
+        assert!(v
+            .iter()
+            .any(|x| x.msg.contains("results[1] is missing key `value`")));
         assert_eq!(v.len(), 2);
     }
 
