@@ -134,8 +134,10 @@ impl EventEngine {
             });
         }
         // Expired elephants may return; forget flows no longer resident.
+        // The slot a flow ID names is read directly: a key placed by a
+        // hash override is not where its own hashes point.
         self.reported_elephants
-            .retain(|fid| table.iter().any(|(k, _)| table.peek(&k) == Some(*fid)));
+            .retain(|&fid| table.record(fid).is_some());
     }
 }
 
@@ -174,6 +176,43 @@ mod tests {
             .events
             .iter()
             .all(|e| !matches!(e, Event::ElephantFlow { .. })));
+    }
+
+    #[test]
+    fn override_placed_elephant_is_reported_once() {
+        // Four batches of four 1 500-byte packets of one flow, placed by
+        // its hashes and by a hash override: each crosses 1 000 bytes in
+        // the first batch and is reported then only.
+        let key = FlowKey::from(FiveTuple::from_index(3));
+        for hashes in [None, Some((5, 9))] {
+            let mut a = TrafficAnalyzer::new(AnalyzerConfig {
+                sim: SimConfig::test_small(),
+                thresholds: EventThresholds {
+                    elephant_bytes: 1000,
+                    ..EventThresholds::default()
+                },
+                ..AnalyzerConfig::default()
+            });
+            let packet = |seq| {
+                let d = PacketDescriptor::new(seq, key).with_frame_bytes(1500);
+                match hashes {
+                    Some((h1, h2)) => d.with_hash_override(h1, h2),
+                    None => d,
+                }
+            };
+            let per_batch: Vec<usize> = (0..4u64)
+                .map(|batch| {
+                    let pkts: Vec<PacketDescriptor> =
+                        (0..4).map(|i| packet(batch * 4 + i)).collect();
+                    a.process(&pkts)
+                        .events
+                        .iter()
+                        .filter(|e| matches!(e, Event::ElephantFlow { .. }))
+                        .count()
+                })
+                .collect();
+            assert_eq!(per_batch, [1, 0, 0, 0], "hash override {hashes:?}");
+        }
     }
 
     #[test]

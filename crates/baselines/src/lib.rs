@@ -22,9 +22,7 @@
 //! * [`SimultaneousHashCam`] — the *conventional* Hash-CAM that queries
 //!   the CAM and both hash memories at once: the ablation baseline for
 //!   the paper's early-exit pipeline (it always pays two memory reads
-//!   per lookup);
-//! * [`bloom`] — standard, counting and parallel Bloom filters (\[2–5\])
-//!   with false-positive measurement, as membership-only comparators.
+//!   per lookup).
 //!
 //! Every table here implements [`FlowStore`](flowlut_core::backend::FlowStore)
 //! (upsert `insert`: a resident key costs one membership probe and
@@ -53,7 +51,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bloom;
 mod bloom_cam;
 mod cuckoo;
 mod dleft;

@@ -229,18 +229,6 @@ impl<K: Eq + Hash + Copy> Cam<K> {
         self.len = 0;
     }
 
-    /// Removes all entries for which `pred` returns `true`, returning the
-    /// removed keys (used by flow housekeeping to expire timed-out flows).
-    pub fn drain_filter(&mut self, mut pred: impl FnMut(&K) -> bool) -> Vec<K> {
-        let mut removed = Vec::new();
-        for slot in 0..self.slots.len() {
-            if self.slots[slot].as_ref().is_some_and(&mut pred) {
-                removed.push(self.delete_slot(slot).expect("checked occupied"));
-            }
-        }
-        removed
-    }
-
     /// Stores `key` in the free `slot` and indexes it if `slot` is now
     /// its lowest copy.
     fn occupy(&mut self, slot: usize, key: K) {
@@ -312,19 +300,6 @@ mod tests {
         cam.delete(&1);
         cam.delete(&2);
         assert_eq!(cam.stats().high_watermark, 2);
-    }
-
-    #[test]
-    fn drain_filter_expires_matching() {
-        let mut cam: Cam<u32> = Cam::new(8);
-        for k in 0..6 {
-            cam.insert(k).unwrap();
-        }
-        let removed = cam.drain_filter(|k| k % 2 == 0);
-        assert_eq!(removed, vec![0, 2, 4]);
-        assert_eq!(cam.len(), 3);
-        assert_eq!(cam.peek(&1), Some(1));
-        assert_eq!(cam.peek(&2), None);
     }
 
     #[test]

@@ -4,15 +4,12 @@
 //! small on-chip CAM that is searched in the *first* pipeline stage of
 //! every lookup (Figure 1). This crate models that block:
 //!
-//! * [`Cam`]: an exact-match (binary) CAM with single-cycle parallel
-//!   search semantics, priority encoding (lowest index wins), a hardware
-//!   style free-list allocator, and occupancy statistics. The flow table
-//!   sizes this block and reports it in the Table I resource model.
-//! * [`Tcam`]: a ternary CAM (per-entry masks) supporting the paper's
-//!   "scalable in the number of tuples" discussion — wildcarded tuple
-//!   fields are exactly what a TCAM provides.
+//! [`Cam`] is an exact-match (binary) CAM with single-cycle parallel
+//! search semantics, priority encoding (lowest index wins), a hardware
+//! style free-list allocator, and occupancy statistics. The flow table
+//! sizes this block and reports it in the Table I resource model.
 //!
-//! Both types are cycle-free data structures: latency modelling (one
+//! It is a cycle-free data structure: latency modelling (one
 //! system-clock cycle per search) is handled by the simulator in
 //! `flowlut-core`, which simply accounts a constant per search.
 //!
@@ -33,8 +30,6 @@
 
 mod binary;
 mod stats;
-mod ternary;
 
 pub use binary::{Cam, CamFullError};
 pub use stats::CamStats;
-pub use ternary::{Tcam, TcamEntry};

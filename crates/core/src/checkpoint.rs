@@ -377,10 +377,23 @@ pub(crate) fn read_counters(r: &mut ByteReader<'_>) -> Result<FlowCounters, Chec
     })
 }
 
-/// Serializes [`SimStats`]: its counters, then `max_latency_sys`.
+/// Where the statistics of a checkpoint keep two retired words, always
+/// zero: the counters of the stop-the-world housekeeping sweep and the
+/// full-table eviction retry, which the simulator no longer has. They
+/// keep their place so version 1 blobs keep their bytes.
+const RETIRED_STATS_AT: usize = 20;
+const RETIRED_STATS: usize = 2;
+
+/// Serializes [`SimStats`]: its counters, with the two retired zero
+/// words after the first 20, then `max_latency_sys`.
 pub fn write_stats(w: &mut ByteWriter, s: &SimStats) {
     let mut s = *s;
-    for v in s.counters_mut() {
+    for (i, v) in s.counters_mut().into_iter().enumerate() {
+        if i == RETIRED_STATS_AT {
+            for _ in 0..RETIRED_STATS {
+                w.put_u64(0);
+            }
+        }
         w.put_u64(*v);
     }
     w.put_u64(s.max_latency_sys);
@@ -391,10 +404,18 @@ pub fn write_stats(w: &mut ByteWriter, s: &SimStats) {
 /// # Errors
 ///
 /// [`CheckpointError::Truncated`] at end of stream;
-/// [`CheckpointError::Corrupt`] for a counter above [`MAX_COUNTER`].
+/// [`CheckpointError::Corrupt`] for a counter above [`MAX_COUNTER`] or a
+/// retired word that is not zero.
 pub fn read_stats(r: &mut ByteReader<'_>) -> Result<SimStats, CheckpointError> {
     let mut s = SimStats::default();
-    for v in s.counters_mut() {
+    for (i, v) in s.counters_mut().into_iter().enumerate() {
+        if i == RETIRED_STATS_AT {
+            for _ in 0..RETIRED_STATS {
+                if r.u64()? != 0 {
+                    return Err(CheckpointError::Corrupt("retired statistics word not zero"));
+                }
+            }
+        }
         *v = r.counter()?;
     }
     s.max_latency_sys = r.counter()?;
@@ -523,17 +544,18 @@ mod tests {
             bwr_count_releases: 18,
             bwr_timeout_releases: 19,
             deletes: 20,
-            housekeeping_expired: 21,
-            evictions: 22,
-            expired_ttl: 23,
-            pressure_evicted: 24,
-            total_latency_sys: 25,
-            max_latency_sys: 26,
+            expired_ttl: 21,
+            pressure_evicted: 22,
+            total_latency_sys: 23,
+            max_latency_sys: 24,
         };
         let mut w = ByteWriter::new();
         write_stats(&mut w, &s);
         let bytes = w.into_bytes();
+        // 23 counters, two retired zero words after the first 20, and
+        // the high-water mark.
         assert_eq!(bytes.len(), 26 * 8);
+        assert_eq!(bytes[20 * 8..22 * 8], [0; 16]);
         let mut r = ByteReader::new(&bytes);
         assert_eq!(read_stats(&mut r).unwrap(), s);
         r.finish().unwrap();

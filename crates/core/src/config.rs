@@ -32,25 +32,11 @@ pub enum LoadBalancerPolicy {
     QueueDepth,
 }
 
-/// What the update unit does when a new flow finds both candidate
-/// buckets *and* the overflow CAM full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum FullTablePolicy {
-    /// Drop the new flow (the prototype's behaviour: housekeeping is
-    /// expected to keep the table from filling). Default.
-    #[default]
-    Drop,
-    /// Evict the least-recently-seen flow from the new flow's candidate
-    /// buckets and take its slot — the bounded-loss policy NetFlow-class
-    /// monitors use, so a full table sheds its *coldest* flows instead of
-    /// refusing *new* ones.
-    EvictIdlest,
-}
-
 /// Engine-level flow aging: expire flows idle longer than a TTL,
 /// found by an amortized incremental scan driven from `tick` (a few
-/// records per cycle — never a stop-the-world epoch).
+/// records per cycle — never a stop-the-world epoch). This is the
+/// paper's Flow State housekeeping, which "periodically checks and
+/// removes timeout flow entries".
 ///
 /// Expired flows are deleted through the simulator's normal delete path
 /// (so the DRAM bucket rewrite is modelled), counted in
@@ -174,14 +160,8 @@ pub struct SimConfig {
     pub input_rate_mhz: f64,
     /// Enable periodic DRAM refresh.
     pub refresh_enabled: bool,
-    /// Flow idle timeout for housekeeping, in nanoseconds.
-    pub flow_timeout_ns: u64,
-    /// Housekeeping scan period in system cycles (`0` disables the scan).
-    pub housekeeping_period_sys: u64,
     /// Maximum descriptors in flight past the sequencer (pipeline depth).
     pub max_in_flight: usize,
-    /// Behaviour when an insertion finds table and CAM full.
-    pub full_table_policy: FullTablePolicy,
     /// Which memory technology backs each path. The default
     /// ([`MemorySpec::Ddr3`]) builds the paper's DDR3 controller from
     /// the `timing`/`geometry`/`mapping`/`clock_ratio` fields above —
@@ -217,10 +197,7 @@ impl Default for SimConfig {
             cam_latency_sys: 1,
             input_rate_mhz: 100.0,
             refresh_enabled: true,
-            flow_timeout_ns: 1_000_000_000,
-            housekeeping_period_sys: 0,
             max_in_flight: 256,
-            full_table_policy: FullTablePolicy::Drop,
             memory: MemorySpec::Ddr3,
             expiry: None,
             pressure: None,

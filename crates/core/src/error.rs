@@ -19,8 +19,9 @@ pub enum InsertError {
     /// The key is already resident; carries its existing [`FlowId`].
     Duplicate(FlowId),
     /// Both candidate buckets and the CAM are full. The paper's scheme
-    /// relies on housekeeping (flow expiry) keeping this rare; callers
-    /// typically drop the flow or evict.
+    /// relies on housekeeping (flow expiry,
+    /// [`ExpiryPolicy`](crate::config::ExpiryPolicy)) keeping this rare;
+    /// the simulator drops the flow.
     TableFull,
     /// No slot can hold the key: a slot is a length byte and 1 to
     /// `slot_bytes − 1` key bytes (see [`codec`](crate::codec)).

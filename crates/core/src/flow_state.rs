@@ -1,4 +1,4 @@
-//! Per-flow state and housekeeping (the paper's "Flow State" block).
+//! Per-flow state (the paper's "Flow State" block).
 //!
 //! The prototype stores 512 bits of per-flow information addressed by the
 //! flow ID, and a housekeeping function "periodically checks and removes
@@ -7,9 +7,11 @@
 //! information (NetFlow-style counters). As in the hardware, the flow ID
 //! addresses it directly: [`HashCamTable`](crate::HashCamTable) keeps each
 //! resident flow's counters beside its key, in the slot the ID names
-//! ([`HashCamTable::record`](crate::HashCamTable::record)), and the
-//! housekeeping and lifecycle scans sweep resident slots in ID order
-//! ([`HashCamTable::records_after`](crate::HashCamTable::records_after)).
+//! ([`HashCamTable::record`](crate::HashCamTable::record)). The
+//! housekeeping is [`ExpiryPolicy`](crate::config::ExpiryPolicy): its
+//! scan, like the pressure scan, sweeps resident slots in ID order
+//! ([`HashCamTable::records_after`](crate::HashCamTable::records_after))
+//! and queues a deletion for each flow idle past the timeout.
 
 use flowlut_traffic::FlowKey;
 
@@ -47,11 +49,6 @@ impl FlowRecord {
         let mut counters = FlowCounters::of(self);
         counters.update(now_ns, now_sys, frame_bytes);
         *self = counters.with_key(self.key);
-    }
-
-    /// Nanoseconds since the last packet.
-    pub fn idle_ns(&self, now_ns: u64) -> u64 {
-        now_ns.saturating_sub(self.last_seen_ns)
     }
 
     /// Flow duration so far.
@@ -149,7 +146,7 @@ mod tests {
         assert_eq!(r.packets, 3);
         assert_eq!(r.bytes, 244);
         assert_eq!(r.duration_ns(), 4000);
-        assert_eq!(r.idle_ns(6000), 1000);
+        assert_eq!(r.last_seen_ns, 5000);
         assert_eq!(r.last_touch_sys, 1000);
     }
 
@@ -176,9 +173,12 @@ mod tests {
         let idle = create(&mut t, 1, 0); // idle since 0
         let busy = create(&mut t, 2, 0);
         t.record_packet(busy, &key(2), false, 9_000, 1_800, 72); // refreshed
+
+        // The expiry scan's rule: idle for more than the timeout, in
+        // system cycles.
         let expired: Vec<FlowId> = t
             .records_after(None)
-            .filter(|(_, r)| r.idle_ns(10_000) > 5_000)
+            .filter(|(_, r)| 2_000 - r.last_touch_sys > 1_000)
             .map(|(id, _)| id)
             .collect();
         assert_eq!(expired, vec![idle]);

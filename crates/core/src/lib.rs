@@ -13,8 +13,10 @@
 //!    request reordering (DLU), RAW-hazard filtering, and burst-grouped
 //!    update writes ([`sim::FlowLutSim`], cycle-accurate against the
 //!    [`flowlut_ddr3`] memory model);
-//! 3. **flow-state housekeeping** that expires idle flows to keep the
-//!    table absorbing new ones ([`flow_state`]).
+//! 3. **flow-state housekeeping**, which "periodically checks and removes
+//!    timeout flow entries" to keep the table absorbing new ones: the
+//!    amortized idle-TTL scan of [`config::ExpiryPolicy`] over the
+//!    per-flow records of [`flow_state`].
 //!
 //! Use the functional layer if you want the data structure; use the
 //! simulator if you want the paper's performance experiments.

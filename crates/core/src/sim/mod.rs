@@ -39,7 +39,7 @@ use crate::backend::{
 };
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, Fnv64};
 use crate::codec;
-use crate::config::{FullTablePolicy, LoadBalancerPolicy, SimConfig};
+use crate::config::{LoadBalancerPolicy, SimConfig};
 use crate::error::{InsertError, PreloadError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
@@ -64,10 +64,6 @@ struct WriteIntent {
 /// A deletion request queued for the update unit.
 #[derive(Debug, Clone, Copy)]
 enum DelReq {
-    /// Housekeeping-nominated expiry: re-validated for idleness at
-    /// processing time (the flow may have received traffic since the
-    /// scan).
-    Expire(FlowKey),
     /// TTL-expiry nominated by the incremental [`ExpiryPolicy`] scan:
     /// re-validated in *cycle* time at processing (the flow may have
     /// been touched since the scan stride visited it).
@@ -137,7 +133,6 @@ pub struct FlowLutSim {
     wait_by_key: HashMap<FlowKey, VecDeque<usize>>,
     inflight_keys: HashSet<FlowKey>,
     lb_acc: u32,
-    in_flight: usize,
     // Update unit.
     ins_q: VecDeque<usize>,
     del_q: VecDeque<DelReq>,
@@ -202,7 +197,6 @@ impl FlowLutSim {
             wait_by_key: HashMap::new(),
             inflight_keys: HashSet::new(),
             lb_acc: 0x9E37_79B9, // xorshift state; any non-zero seed
-            in_flight: 0,
             ins_q: VecDeque::new(),
             del_q: VecDeque::new(),
             expiry_cursor: None,
@@ -347,18 +341,6 @@ impl FlowLutSim {
         true
     }
 
-    /// Batch-ingests descriptors into the sequencer queue, preserving
-    /// order, until the queue fills. Returns how many were accepted; the
-    /// caller re-offers the remainder on a later cycle.
-    pub fn offer_batch(&mut self, descs: &[PacketDescriptor]) -> usize {
-        let room = self.cfg.sequencer_depth.saturating_sub(self.seq_q.len());
-        let take = room.min(descs.len());
-        for desc in &descs[..take] {
-            self.push_desc(*desc);
-        }
-        take
-    }
-
     /// Descriptors offered but not yet resolved (queued or in flight).
     pub fn in_pipeline(&self) -> u64 {
         self.stats.offered - self.stats.completed
@@ -410,16 +392,8 @@ impl FlowLutSim {
             self.handle_mem_completion(p, c);
         }
         self.completions_scratch = completions;
-        // 3. Housekeeping scan.
-        if self.cfg.housekeeping_period_sys > 0
-            && self
-                .now_sys
-                .is_multiple_of(self.cfg.housekeeping_period_sys)
-        {
-            self.housekeeping();
-        }
-        // 3b. Flow-lifecycle scans (inert unless the policies are set):
-        //     amortized incremental strides, never a stop-the-world walk.
+        // 3. Flow-lifecycle scans (inert unless the policies are set):
+        //    amortized incremental strides, never a stop-the-world walk.
         self.expiry_scan();
         self.pressure_scan();
         // 4. Update unit (Req_Arb: one deletion, one insertion per cycle).
@@ -441,7 +415,7 @@ impl FlowLutSim {
     /// Advances `cycles` system-clock cycles in one call — the
     /// epoch-batched form of [`tick`](Self::tick) for drivers that know
     /// no input will arrive for a stretch (idle-time advancement for
-    /// housekeeping, fixed-length warm-up, coarse-grained co-simulation).
+    /// flow expiry, fixed-length warm-up, coarse-grained co-simulation).
     pub fn tick_many(&mut self, cycles: u64) {
         for _ in 0..cycles {
             self.tick();
@@ -576,7 +550,6 @@ impl FlowLutSim {
             self.table
                 .record_packet(fid, &key, via.is_new_flow(), now_ns, now, frame);
         }
-        self.in_flight -= 1;
         // Release the next same-key waiter into the CAM stage.
         self.inflight_keys.remove(&key);
         if let Some(waiters) = self.wait_by_key.get_mut(&key) {
@@ -597,13 +570,14 @@ impl FlowLutSim {
         self.inflight_keys.insert(key);
         self.descs[desc].t_admit = self.now_sys;
         self.stats.admitted += 1;
-        self.in_flight += 1;
         self.cam_pipe
             .push_back((self.now_sys + self.cfg.cam_latency_sys, desc));
     }
 
     fn admit_from_queue(&mut self) {
-        if self.in_flight >= self.cfg.max_in_flight {
+        // The same-key filter admits one descriptor per key, so the
+        // in-flight keys count the descriptors in flight.
+        if self.inflight_keys.len() >= self.cfg.max_in_flight {
             return;
         }
         let Some(idx) = self.seq_q.pop_front() else {
@@ -719,18 +693,6 @@ impl FlowLutSim {
                 } else {
                     PathId::B
                 }
-            }
-        }
-    }
-
-    /// Nominates every flow idle past the flow timeout for deletion, in
-    /// ID order. The update unit re-validates each nomination, so a flow
-    /// touched before its deletion is processed survives.
-    fn housekeeping(&mut self) {
-        let now_ns = (self.now_sys as f64 * self.cfg.sys_period_ns()) as u64;
-        for (_, record) in self.table.records_after(None) {
-            if record.idle_ns(now_ns) > self.cfg.flow_timeout_ns {
-                self.del_q.push_back(DelReq::Expire(record.key));
             }
         }
     }
@@ -873,23 +835,6 @@ impl FlowLutSim {
                 self.push_event(FlowEventKind::EvictedPressure, key);
                 key
             }
-            DelReq::Expire(key) => {
-                // Re-validate: the flow may have received traffic (or a
-                // same-key descriptor may be in flight) since the scan.
-                if self.inflight_keys.contains(&key) {
-                    return;
-                }
-                let Some(fid) = self.table.peek(&key) else {
-                    return; // already gone (duplicate candidate)
-                };
-                let now_ns = (self.now_sys as f64 * self.cfg.sys_period_ns()) as u64;
-                match self.table.record(fid) {
-                    Some(r) if r.idle_ns(now_ns) > self.cfg.flow_timeout_ns => {}
-                    _ => return, // re-activated
-                }
-                self.stats.housekeeping_expired += 1;
-                key
-            }
             DelReq::User(key) => key,
         };
         if let Some(fid) = self.table.delete(&key) {
@@ -927,25 +872,11 @@ impl FlowLutSim {
                     self.complete(idx, ResolvedVia::InsertedCam, Some(fid));
                 }
             },
-            Err(InsertError::TableFull) => match self.cfg.full_table_policy {
-                FullTablePolicy::Drop => {
-                    self.complete(idx, ResolvedVia::Dropped, None);
-                }
-                FullTablePolicy::EvictIdlest => {
-                    if let Some(victim) = self.coldest_candidate(b1, b2) {
-                        // Evict the victim now, then retry this insert on
-                        // a later cycle (the eviction's bucket write must
-                        // be ordered first).
-                        self.del_q.push_back(DelReq::User(victim));
-                        self.stats.evictions += 1;
-                        self.ins_q.push_front(idx);
-                    } else {
-                        // Candidates are all CAM-resident or in flight:
-                        // nothing safely evictable.
-                        self.complete(idx, ResolvedVia::Dropped, None);
-                    }
-                }
-            },
+            // A full table drops the new flow, as the prototype does; a
+            // `PressurePolicy`, when set, sheds cold flows as the CAM fills.
+            Err(InsertError::TableFull) => {
+                self.complete(idx, ResolvedVia::Dropped, None);
+            }
             // Duplicate-race backstop: unreachable under the same-key
             // waiting list, but a resident key must not be inserted twice.
             Err(InsertError::Duplicate(fid)) => {
@@ -955,30 +886,6 @@ impl FlowLutSim {
                 unreachable!("the CAM stage drops keys no slot can hold")
             }
         }
-    }
-
-    /// The least-recently-seen resident of the two candidate buckets,
-    /// skipping keys with in-flight descriptors (evicting those would
-    /// race their completion).
-    fn coldest_candidate(&self, b1: u32, b2: u32) -> Option<FlowKey> {
-        let mut best: Option<(u64, FlowKey)> = None;
-        let slot_bytes = self.cfg.table.entry_slot_bytes;
-        for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
-            let bytes = self.table.bucket_bytes(path, bucket).unwrap_or(&[]);
-            for key in bytes.chunks_exact(slot_bytes).filter_map(codec::read_slot) {
-                if self.inflight_keys.contains(&key) {
-                    continue;
-                }
-                let Some(fid) = self.table.peek(&key) else {
-                    continue;
-                };
-                let last_seen = self.table.record(fid).map_or(0, |r| r.last_seen_ns);
-                if best.is_none_or(|(b, _)| last_seen < b) {
-                    best = Some((last_seen, key));
-                }
-            }
-        }
-        best.map(|(_, k)| k)
     }
 
     fn add_update_intent(&mut self, path: usize, bucket: u32) {
@@ -1549,7 +1456,7 @@ impl FlowStore for FlowLutSim {
     /// Unified accounting from the simulator counters: one `mem_read` /
     /// `mem_write` is one *bucket* access (burst counts divided by
     /// bursts-per-bucket), every admitted descriptor searches the CAM
-    /// once, and full-table evictions count as relocations.
+    /// once, and no flow is ever relocated.
     fn op_stats(&self) -> OpStats {
         let s = &self.stats;
         let bpb = u64::from(self.bursts_per_bucket);
@@ -1557,7 +1464,7 @@ impl FlowStore for FlowLutSim {
             mem_reads: s.reads_issued / bpb,
             mem_writes: s.writes_issued / bpb,
             cam_searches: s.admitted,
-            relocations: s.evictions,
+            relocations: 0,
             lookups: s.completed,
             inserts: s.inserted_mem + s.inserted_cam + s.drops,
             rejected: s.drops,
@@ -1610,7 +1517,7 @@ impl FlowPipeline for FlowLutSim {
                 self.now_sys - self.last_completion_cycle < 2_000_000,
                 "no completion for 2M cycles: {} in flight, {} queued, {} waiting, \
                  {} in insert queue — pipeline deadlock",
-                self.in_flight,
+                self.inflight_keys.len(),
                 self.seq_q.len(),
                 self.wait_by_key.values().map(VecDeque::len).sum::<usize>(),
                 self.ins_q.len(),

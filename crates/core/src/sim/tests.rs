@@ -284,26 +284,6 @@ fn delete_flow_frees_the_entry() {
 }
 
 #[test]
-fn housekeeping_expires_idle_flows() {
-    let mut cfg = SimConfig::test_small();
-    cfg.housekeeping_period_sys = 200;
-    cfg.flow_timeout_ns = 2_000; // 400 sys cycles at 5 ns
-    let mut sim = FlowLutSim::new(cfg);
-    run(&mut sim, &descs(0..4));
-    assert_eq!(sim.table().len(), 4);
-    for _ in 0..2_000 {
-        sim.tick();
-    }
-    assert_eq!(
-        sim.stats().housekeeping_expired,
-        4,
-        "all flows idle past timeout must expire"
-    );
-    assert_eq!(sim.table().len(), 0);
-    assert_eq!(sim.table().records_after(None).next(), None);
-}
-
-#[test]
 fn report_throughput_is_positive_and_bounded() {
     let mut sim = FlowLutSim::new(SimConfig::test_small());
     let report = run(&mut sim, &descs(0..200));
@@ -411,65 +391,6 @@ fn run_twice_accumulates() {
 }
 
 #[test]
-fn evict_idlest_policy_sheds_cold_flows_instead_of_dropping() {
-    // A one-bucket-per-memory table: every key naturally collides, so
-    // eviction can always locate its victims by re-hashing.
-    let tiny = |policy| {
-        let mut cfg = SimConfig::test_small();
-        cfg.table.buckets_per_mem = 1;
-        cfg.table.entries_per_bucket = 1;
-        cfg.table.cam_capacity = 1;
-        cfg.full_table_policy = policy;
-        cfg
-    };
-    // Capacity is 2 memory slots + 1 CAM = 3; offer 6 distinct keys.
-    let mut sim = FlowLutSim::new(tiny(crate::config::FullTablePolicy::EvictIdlest));
-    let report = run(&mut sim, &descs(0..6));
-    assert_eq!(report.completed, 6);
-    assert!(report.stats.evictions > 0, "{:?}", report.stats);
-    let drops_evict = report.stats.drops;
-
-    let mut sim2 = FlowLutSim::new(tiny(crate::config::FullTablePolicy::Drop));
-    let drops_plain = run(&mut sim2, &descs(0..6)).stats.drops;
-    assert!(
-        drops_evict < drops_plain,
-        "eviction must shed drops: {drops_evict} vs {drops_plain}"
-    );
-    // The most recent arrivals survive; the coldest were evicted.
-    assert!(sim.table().peek(&key(5)).is_some());
-}
-
-#[test]
-fn evict_idlest_victims_are_the_oldest() {
-    let mut cfg = SimConfig::test_small();
-    cfg.table.entries_per_bucket = 2;
-    cfg.table.cam_capacity = 1;
-    cfg.full_table_policy = crate::config::FullTablePolicy::EvictIdlest;
-    let mut sim = FlowLutSim::new(cfg);
-    // Fill the table with hash-placed keys (no overrides, so eviction can
-    // find victims), then a second wave that collides.
-    let wave1 = descs(0..4);
-    run(&mut sim, &wave1);
-    // Refresh key 0 so it is warm; keys 1..3 stay cold.
-    run(&mut sim, &[PacketDescriptor::new(0, key(0))]);
-    // Force collisions: override into key 0..3's buckets is not possible
-    // without hash knowledge; instead shrink the table is already tiny.
-    // Just verify the mechanism end-to-end with natural hashing at
-    // capacity: insert many more keys than capacity.
-    let wave2 = descs(100..400);
-    let report = run(&mut sim, &wave2);
-    // With eviction enabled, the run completes and the engine prefers
-    // evicting over dropping wherever a victim exists.
-    assert_eq!(report.completed, 300);
-    assert!(
-        report.stats.evictions >= report.stats.drops,
-        "evictions {} < drops {}",
-        report.stats.evictions,
-        report.stats.drops
-    );
-}
-
-#[test]
 fn offer_and_tick_drive_the_pipeline_without_run() {
     let mut sim = FlowLutSim::new(SimConfig::test_small());
     let work = descs(0..20);
@@ -494,14 +415,14 @@ fn offer_batch_respects_sequencer_depth() {
     cfg.sequencer_depth = 8;
     let mut sim = FlowLutSim::new(cfg);
     let work = descs(0..20);
-    let taken = sim.offer_batch(&work);
-    assert_eq!(taken, 8, "sequencer depth bounds the batch");
+    let taken = work.iter().take_while(|&&d| sim.offer(d)).count();
+    assert_eq!(taken, 8, "sequencer depth bounds the queue");
     assert!(!sim.offer(work[taken]), "queue full rejects single offers");
     // Drain, then the remainder fits.
     let mut rest = taken;
     let mut guard = 0u64;
     while sim.stats().completed < 20 {
-        rest += sim.offer_batch(&work[rest..]);
+        rest += work[rest..].iter().take_while(|&&d| sim.offer(d)).count();
         sim.tick();
         guard += 1;
         assert!(guard < 1_000_000, "externally driven pipeline stalled");
@@ -535,8 +456,9 @@ fn sim_is_send() {
 fn tick_many_equals_repeated_tick() {
     let mut one_by_one = FlowLutSim::new(SimConfig::test_small());
     let mut batched = FlowLutSim::new(SimConfig::test_small());
-    one_by_one.offer_batch(&descs(0..8));
-    batched.offer_batch(&descs(0..8));
+    for d in descs(0..8) {
+        assert!(one_by_one.offer(d) && batched.offer(d));
+    }
     for _ in 0..500 {
         one_by_one.tick();
     }
@@ -836,6 +758,40 @@ fn expiry_scan_is_amortized_not_stop_the_world() {
         "stride-1 scan expired {per_cycle_max}/cycle"
     );
     assert!(sim.now_sys() > t0 + 20, "expiries spread over many cycles");
+
+    // 500 idle flows under a 64-record stride: a flow is queued for
+    // deletion at most once, so the queue never holds more deletions
+    // than there are resident flows, and the simulator settles soon
+    // after the last flow expires.
+    let mut cfg = SimConfig::test_small();
+    cfg.expiry = Some(ExpiryPolicy {
+        idle_timeout_cycles: 20,
+        scan_stride: 64,
+    });
+    let settle_bound = 2 * cfg.bwr_timeout_sys;
+    let mut sim = FlowLutSim::new(cfg);
+    sim.preload((0..500).map(key)).unwrap();
+    let mut emptied = None;
+    while emptied.is_none() || !sim.is_quiescent() {
+        sim.tick();
+        assert!(
+            sim.del_q.len() as u64 <= sim.table().len(),
+            "{} deletions queued for {} flows at cycle {}",
+            sim.del_q.len(),
+            sim.table().len(),
+            sim.now_sys()
+        );
+        if sim.table().is_empty() {
+            emptied.get_or_insert(sim.now_sys());
+        }
+        assert!(sim.now_sys() < 10_000, "expiry did not settle");
+    }
+    assert_eq!(sim.stats().expired_ttl, 500);
+    let settle = sim.now_sys() - emptied.unwrap();
+    assert!(
+        settle <= settle_bound,
+        "quiescent {settle} cycles after the last expiry"
+    );
 }
 
 #[test]
@@ -900,7 +856,9 @@ fn pressure_eviction_respects_victim_cap() {
 #[test]
 fn checkpoint_requires_quiescence() {
     let mut sim = FlowLutSim::new(SimConfig::test_small());
-    sim.offer_batch(&descs(0..8));
+    for d in descs(0..8) {
+        assert!(sim.offer(d));
+    }
     let err = sim.checkpoint().unwrap_err();
     assert!(matches!(err, CheckpointError::NotQuiescent { .. }), "{err}");
     sim.quiesce();

@@ -110,10 +110,6 @@ pub struct SimStats {
     pub bwr_timeout_releases: u64,
     /// Deletions processed by the update unit.
     pub deletes: u64,
-    /// Flows expired by housekeeping.
-    pub housekeeping_expired: u64,
-    /// Flows evicted by the full-table policy.
-    pub evictions: u64,
     /// Flows expired by the incremental idle-TTL scan
     /// (`SimConfig::expiry`).
     pub expired_ttl: u64,
@@ -177,7 +173,7 @@ impl SimStats {
     /// `max_latency_sys` high-water mark, which a checkpoint writes after
     /// them. [`merge`](Self::merge) adds these and
     /// [`delta_since`](Self::delta_since) subtracts them.
-    pub fn counters_mut(&mut self) -> [&mut u64; 25] {
+    pub fn counters_mut(&mut self) -> [&mut u64; 23] {
         let [lu1_a, lu1_b] = &mut self.lu1_per_path;
         [
             &mut self.offered,
@@ -200,8 +196,6 @@ impl SimStats {
             &mut self.bwr_count_releases,
             &mut self.bwr_timeout_releases,
             &mut self.deletes,
-            &mut self.housekeeping_expired,
-            &mut self.evictions,
             &mut self.expired_ttl,
             &mut self.pressure_evicted,
             &mut self.total_latency_sys,

@@ -222,7 +222,7 @@ impl TableStats {
 /// FID_GEN intends. One bit per bucket of each memory and per CAM slot
 /// marks the resident ones; walks in flow-ID order
 /// ([`records_after`](Self::records_after)) sweep those bits by address,
-/// as the hardware's housekeeping sweeps flow-state memory.
+/// as the expiry scan sweeps flow-state memory.
 #[derive(Debug)]
 pub struct HashCamTable {
     cfg: TableConfig,

@@ -1,11 +1,10 @@
 //! # flowlut-hash — hardware-style hash functions for flow keys
 //!
 //! The paper's lookup table hashes each packet's n-tuple with "two
-//! pre-selected hash functions" to index its two memory halves. On FPGAs
-//! the usual choices are CRC circuits, the H3 universal family (XOR of
-//! key-bit-selected random words), and — in NIC practice — the Toeplitz
-//! RSS hash. This crate implements all three behind one object-safe
-//! trait, plus the [`PairHasher`] combinator that yields the two
+//! pre-selected hash functions" to index its two memory halves. This
+//! crate implements them as two seeds of the H3 universal family (XOR of
+//! key-bit-selected random words, the textbook FPGA choice) behind one
+//! object-safe trait, plus the [`PairHasher`] that yields the two
 //! independent bucket indices the two-choice scheme needs.
 //!
 //! Hash *quality* matters for the reproduction: Table II(A) contrasts
@@ -17,9 +16,9 @@
 //! ## Example
 //!
 //! ```
-//! use flowlut_hash::{Crc32, HashFunction, PairHasher, H3Hash};
+//! use flowlut_hash::PairHasher;
 //!
-//! let pair = PairHasher::new(Box::new(Crc32::ieee()), Box::new(H3Hash::with_seed(104, 7)));
+//! let pair = PairHasher::h3_pair(104, 7);
 //! let key = [10, 0, 0, 1, 192, 168, 0, 1, 0x1F, 0x90, 0x00, 0x50, 6];
 //! let (b1, b2) = pair.bucket_pair(&key, 1 << 20);
 //! assert!(b1 < (1 << 20) && b2 < (1 << 20));
@@ -29,16 +28,12 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod crc;
 mod h3;
 mod pair;
 pub mod quality;
-mod toeplitz;
 
-pub use crc::Crc32;
 pub use h3::H3Hash;
 pub use pair::PairHasher;
-pub use toeplitz::ToeplitzHash;
 
 /// A 32-bit hardware hash function over byte-string keys.
 ///
@@ -70,9 +65,8 @@ mod tests {
     #[test]
     fn trait_is_object_safe() {
         let fns: Vec<Box<dyn HashFunction>> = vec![
-            Box::new(Crc32::ieee()),
             Box::new(H3Hash::with_seed(64, 1)),
-            Box::new(ToeplitzHash::with_seed(40, 2)),
+            Box::new(H3Hash::with_seed(40, 2)),
         ];
         for f in &fns {
             let _ = f.hash(b"abc");
@@ -81,7 +75,7 @@ mod tests {
 
     #[test]
     fn bucket_reduction_in_range() {
-        let f = Crc32::ieee();
+        let f = H3Hash::with_seed(24, 3);
         for buckets in [1u32, 2, 3, 7, 1024, u32::MAX] {
             for key in [&b"a"[..], b"bb", b"ccc"] {
                 assert!(f.bucket(key, buckets) < buckets);
@@ -92,6 +86,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_buckets_panics() {
-        Crc32::ieee().bucket(b"x", 0);
+        H3Hash::with_seed(8, 1).bucket(b"x", 0);
     }
 }

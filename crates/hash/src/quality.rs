@@ -1,7 +1,7 @@
 //! Hash-quality measurements: avalanche and bucket uniformity.
 //!
-//! These are offline analysis helpers (used by tests and the ablation
-//! benches), not part of the datapath. They quantify the properties the
+//! These are offline analysis helpers (used by the tests), not part of
+//! the datapath. They quantify the properties the
 //! flow table's collision behaviour depends on.
 
 use crate::HashFunction;
@@ -75,16 +75,10 @@ pub fn uniformity_chi2<K: AsRef<[u8]>>(f: &dyn HashFunction, keys: &[K], buckets
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Crc32, H3Hash, HashFunction, ToeplitzHash};
+    use crate::{H3Hash, HashFunction};
 
     fn sequential_keys(n: usize) -> Vec<[u8; 8]> {
         (0..n as u64).map(|i| i.to_le_bytes()).collect()
-    }
-
-    #[test]
-    fn crc32_avalanche_near_half() {
-        let s = avalanche_score(&Crc32::ieee(), 8, 32, 1);
-        assert!((s - 0.5).abs() < 0.05, "avalanche {s}");
     }
 
     #[test]
@@ -94,23 +88,12 @@ mod tests {
     }
 
     #[test]
-    fn toeplitz_avalanche_near_half() {
-        let s = avalanche_score(&ToeplitzHash::with_seed(8, 4), 8, 32, 3);
-        assert!((s - 0.5).abs() < 0.06, "avalanche {s}");
-    }
-
-    #[test]
     fn uniformity_good_for_real_hashes() {
         let keys = sequential_keys(16_384);
-        for f in [
-            &Crc32::ieee() as &dyn HashFunction,
-            &H3Hash::with_seed(64, 9),
-        ] {
-            let chi = uniformity_chi2(f, &keys, 256);
-            // Normalised chi-squared for a uniform distribution
-            // concentrates near 1; allow generous slack.
-            assert!(chi < 1.6, "chi2/df = {chi}");
-        }
+        let chi = uniformity_chi2(&H3Hash::with_seed(64, 9), &keys, 256);
+        // Normalised chi-squared for a uniform distribution concentrates
+        // near 1; allow generous slack.
+        assert!(chi < 1.6, "chi2/df = {chi}");
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //!   large windows). See DESIGN.md for the substitution rationale.
 //! * [`linerate`]: Layer-1 Ethernet arithmetic reproducing the discussion
 //!   section's 59.52 / 68.49 Mpps requirements for 40 GbE.
-//! * [`shard`]: shard-aware splitting of workloads and traces for the
-//!   multi-channel engine (`flowlut-engine`).
 //! * [`trace_io`]: compact binary capture/replay of descriptor traces,
 //!   so one generated stimulus can be replayed identically across
 //!   experiments.
@@ -44,7 +42,6 @@ pub mod fabric;
 pub mod generators;
 mod key;
 pub mod linerate;
-pub mod shard;
 pub mod trace_io;
 pub mod workloads;
 

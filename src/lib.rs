@@ -21,8 +21,8 @@
 //!   [`HashCamTable`](flowlut_core::HashCamTable) and the cycle-stepped
 //!   [`FlowLutSim`](flowlut_core::FlowLutSim);
 //! * [`ddr3`] — the DDR3 device + controller timing model;
-//! * [`cam`] — binary/ternary CAM models;
-//! * [`hash`] — CRC-32 / H3 / Toeplitz hardware hashes;
+//! * [`cam`] — the exact-match CAM model;
+//! * [`hash`] — the H3 hardware hash pair;
 //! * [`traffic`] — flow keys, workloads, the synthetic
 //!   fabric trace, and Ethernet line-rate arithmetic;
 //! * [`baselines`] — related-work comparators;

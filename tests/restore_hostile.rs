@@ -15,7 +15,8 @@
 //!
 //! Restored statistics and request-ID counters are bounded too: above
 //! 2^62 restore refuses them, and at or below it the restored simulator
-//! counts on through a short stream without overflowing.
+//! counts on through a short stream without overflowing. The two retired
+//! statistics words must be zero.
 //!
 //! The FLTR trace reader obeys the same heap bound: a header's record
 //! count sizes no reservation.
@@ -173,10 +174,14 @@ fn assert_dram_image(sim: &FlowLutSim) {
 
 /// Byte offsets of the counters in a simulator checkpoint: the memory
 /// request and assembly counters after the clock and load-balancer
-/// state, then (past the last completion cycle) 26 statistics.
+/// state, then (past the last completion cycle) 26 statistics words.
 const REQUEST_IDS_AT: [usize; 2] = [28, 36];
 const STATS_AT: usize = 52;
 const STATS: usize = 26;
+/// The two statistics words retired in format version 1, always zero.
+const RETIRED_AT: [usize; 2] = [STATS_AT + 20 * 8, STATS_AT + 21 * 8];
+/// The request-ID counters and the live statistics.
+const COUNTERS: usize = REQUEST_IDS_AT.len() + STATS - RETIRED_AT.len();
 /// The statistics restore checks against each other: offered and
 /// completed must be equal.
 const OFFERED_AT: usize = STATS_AT;
@@ -184,7 +189,9 @@ const COMPLETED_AT: usize = STATS_AT + 2 * 8;
 
 /// Every counter window of a simulator checkpoint.
 fn counter_windows() -> Vec<usize> {
-    let stats = (0..STATS).map(|i| STATS_AT + 8 * i);
+    let stats = (0..STATS)
+        .map(|i| STATS_AT + 8 * i)
+        .filter(|at| !RETIRED_AT.contains(at));
     REQUEST_IDS_AT.into_iter().chain(stats).collect()
 }
 
@@ -262,6 +269,23 @@ fn a_key_wider_than_a_slot_is_rejected() {
             Some(CheckpointError::Corrupt("flow key does not fit a slot")),
             "key {i}"
         );
+    }
+}
+
+#[test]
+fn a_retired_counter_word_must_be_zero() {
+    let blob = valid_blob();
+    for at in RETIRED_AT {
+        assert_eq!(blob[at..at + 8], [0; 8]);
+        for value in [1, MAX_COUNTER] {
+            let mut hostile = blob.clone();
+            hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            assert_eq!(
+                FlowLutSim::restore(config(), &hostile).err(),
+                Some(CheckpointError::Corrupt("retired statistics word not zero")),
+                "{value} at byte {at}"
+            );
+        }
     }
 }
 
@@ -507,7 +531,7 @@ proptest! {
     /// ones and drains. Offered and completed move together, as restore
     /// requires them equal.
     #[test]
-    fn counters_are_bounded_at_2_62(window in 0..2 + STATS, delta in 0..4u64, above in any::<bool>()) {
+    fn counters_are_bounded_at_2_62(window in 0..COUNTERS, delta in 0..4u64, above in any::<bool>()) {
         let at = counter_windows()[window];
         let value = if above { MAX_COUNTER + 1 + delta } else { MAX_COUNTER - delta };
         let mut blob = valid_blob();
