@@ -8,7 +8,7 @@
 //!
 //! This is the one slot format: [`HashCamTable`](crate::HashCamTable)
 //! keeps each resident bucket in it, so a bucket's slots are its DRAM
-//! bytes before burst padding, and Flow Match searches the bursts a read
+//! bytes before burst padding, and Flow Match searches the bucket a read
 //! returns with the same [`find_key`] the table searches its buckets
 //! with.
 
@@ -73,8 +73,8 @@ pub(crate) fn holds(slot: &[u8], key: &[u8]) -> bool {
 }
 
 /// Searches the first `k` slots of a bucket's bytes for `key`; returns
-/// the slot index (the Flow Match comparison, operating directly on
-/// burst data, and the table's bucket search).
+/// the slot index (the Flow Match comparison and the table's bucket
+/// search).
 pub fn find_key(bytes: &[u8], slot_bytes: usize, k: usize, key: &FlowKey) -> Option<u8> {
     let kb = key.as_bytes();
     bytes

@@ -56,8 +56,8 @@ impl Error for InsertError {}
 /// Preloading stopped early.
 ///
 /// Preload is *not* transactional: the keys accepted before the failing
-/// one remain loaded (in the table **and** in the simulated DRAM
-/// contents), and `inserted` says exactly how many those are, so callers
+/// one remain loaded in the table, which DRAM reads see, and `inserted`
+/// says exactly how many those are, so callers
 /// can log the partial load, top up, or tear down deliberately instead
 /// of guessing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

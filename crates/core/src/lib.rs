@@ -67,6 +67,7 @@ pub mod flow_state;
 pub mod multipath;
 pub mod resource;
 pub mod sim;
+mod storage;
 pub mod sync;
 pub mod table;
 

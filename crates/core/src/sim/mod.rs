@@ -22,6 +22,12 @@
 //!   same-flow completions leave in arrival order.
 //! * **No stale reads**: a bucket with a pending (batched or in-flight)
 //!   write blocks lookup reads to that bucket until the write lands.
+//!
+//! The memory models time bursts but carry no data. Flow Match reads a
+//! bucket as DRAM holds it: the table's line, or, while a write of the
+//! bucket is pending, the line saved before the first update that write
+//! carries. A read the filter failed to hold therefore sees stale bytes,
+//! as it would in DRAM.
 
 mod types;
 
@@ -43,6 +49,7 @@ use crate::config::{LoadBalancerPolicy, SimConfig};
 use crate::error::{InsertError, PreloadError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
+use crate::storage::SparseStorage;
 use crate::table::HashCamTable;
 
 /// A lookup read waiting in a DLU.
@@ -61,7 +68,10 @@ struct WriteIntent {
     covers: u32,
 }
 
-/// A deletion request queued for the update unit.
+/// A deletion request queued for the update unit. A lifecycle
+/// nomination names the slot the scan found the flow in, which need not
+/// be one of its key's hash buckets (a hash override places flows
+/// elsewhere).
 #[derive(Debug, Clone, Copy)]
 enum DelReq {
     /// TTL-expiry nominated by the incremental [`ExpiryPolicy`] scan:
@@ -69,13 +79,13 @@ enum DelReq {
     /// been touched since the scan stride visited it).
     ///
     /// [`ExpiryPolicy`]: crate::config::ExpiryPolicy
-    ExpireTtl(FlowKey),
+    ExpireTtl(FlowId, FlowKey),
     /// Pressure eviction nominated by the [`PressurePolicy`] scan when
     /// CAM occupancy crossed the high-water mark; the victim's record is
     /// preserved on the bounded victim list.
     ///
     /// [`PressurePolicy`]: crate::config::PressurePolicy
-    Evict(FlowKey),
+    Evict(FlowId, FlowKey),
     /// Unconditional user deletion (the Figure 2 "Flow delete" input).
     User(FlowKey),
 }
@@ -84,7 +94,7 @@ enum DelReq {
 #[derive(Debug, Clone, Copy)]
 enum MemTag {
     /// One burst of a bucket read for a lookup.
-    LookupPart { asm: usize, part: u32 },
+    LookupPart { asm: usize },
     /// One burst of a bucket write; `last` carries the filter release.
     WritePart {
         path: usize,
@@ -94,14 +104,14 @@ enum MemTag {
     },
 }
 
-/// Reassembly of a multi-burst bucket read.
+/// A multi-burst bucket read, complete when all its bursts are.
 #[derive(Debug)]
 struct ReadAssembly {
     desc: usize,
     stage: LuStage,
     path: usize,
     bucket: u32,
-    parts: Vec<Option<Vec<u8>>>,
+    /// Bursts completed so far.
     got: u32,
 }
 
@@ -114,6 +124,10 @@ struct PathSim {
     /// Buckets with pending (batched or in-flight) writes → outstanding
     /// update-intent count. Reads to these buckets are held (Req Filter).
     pending_write_buckets: HashMap<u32, u32>,
+    /// For each bucket in `pending_write_buckets`, the line DRAM holds
+    /// until the writes land: the bucket before the first update they
+    /// carry. Lines are one bucket wide; released as the bucket leaves.
+    saved: SparseStorage,
     /// BWr_Gen accumulation: one entry per update intent (bucket index).
     bwr_pending: Vec<u32>,
     bwr_first_cycle: Option<u64>,
@@ -141,9 +155,9 @@ pub struct FlowLutSim {
     expiry_cursor: Option<FlowId>,
     /// Resume point of the pressure scan.
     pressure_cursor: Option<FlowId>,
-    /// Keys with a queued lifecycle deletion, so repeated scan passes
+    /// Flows with a queued lifecycle deletion, so repeated scan passes
     /// don't grow `del_q` without bound.
-    lifecycle_pending: HashSet<FlowKey>,
+    lifecycle_pending: HashSet<FlowId>,
     /// Bounded list of pressure-eviction victims awaiting collection.
     victims: VecDeque<FlowRecord>,
     /// Bounded queue of lifecycle events awaiting [`FlowPipeline::poll_events`].
@@ -161,10 +175,6 @@ pub struct FlowLutSim {
     // allocation-free; pure transients, never part of simulator state).
     /// Per-tick memory-completion staging buffer.
     completions_scratch: Vec<(usize, Completion)>,
-    /// Flow Match bucket-assembly byte buffer.
-    match_bytes: Vec<u8>,
-    /// Recycled `ReadAssembly::parts` buffers.
-    parts_pool: Vec<Vec<Option<Vec<u8>>>>,
     /// Lifecycle scan batch buffer.
     scan_scratch: Vec<(FlowId, FlowRecord)>,
 }
@@ -178,19 +188,19 @@ impl FlowLutSim {
     /// [`SimConfig::validate`] first for fallible handling.
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate().expect("invalid simulator configuration");
-        let burst_bytes = cfg.mem_burst_bytes();
-        let bursts_per_bucket = cfg.table.bursts_per_bucket(burst_bytes);
+        let bursts_per_bucket = cfg.table.bursts_per_bucket(cfg.mem_burst_bytes());
         let mem_ticks_per_sys = cfg.mem_ticks_per_sys();
         let mk_path = || PathSim {
             ctrl: cfg.build_memory(),
             read_q: VecDeque::new(),
             write_q: VecDeque::new(),
             pending_write_buckets: HashMap::new(),
+            saved: SparseStorage::with_line_bytes(cfg.table.bucket_bytes()),
             bwr_pending: Vec::new(),
             bwr_first_cycle: None,
         };
         FlowLutSim {
-            table: HashCamTable::with_bursts(cfg.table, burst_bytes),
+            table: HashCamTable::new(cfg.table),
             paths: [mk_path(), mk_path()],
             seq_q: VecDeque::new(),
             cam_pipe: VecDeque::new(),
@@ -213,8 +223,6 @@ impl FlowLutSim {
             stats: SimStats::default(),
             last_completion_cycle: 0,
             completions_scratch: Vec::new(),
-            match_bytes: Vec::new(),
-            parts_pool: Vec::new(),
             scan_scratch: Vec::new(),
             bursts_per_bucket,
             mem_ticks_per_sys,
@@ -228,14 +236,13 @@ impl FlowLutSim {
     }
 
     /// The functional table: the ground truth of resident flows and
-    /// their records.
+    /// their records, and the one copy of each bucket's bytes.
     pub fn table(&self) -> &HashCamTable {
         &self.table
     }
 
-    /// The memory model behind `path`; its storage holds the simulated
-    /// DRAM image of that path's buckets. After any set-up that storage
-    /// is a clone of the table's store, one line per resident bucket.
+    /// The memory model behind `path`: the timing of its bursts, and its
+    /// statistics. It holds no data; the table holds every bucket.
     pub fn memory(&self, path: PathId) -> &dyn MemoryModel {
         self.paths[path.index()].ctrl.as_ref()
     }
@@ -256,23 +263,17 @@ impl FlowLutSim {
         &self.descs
     }
 
-    /// Preloads flows into the table *and* the simulated DRAM contents
-    /// without spending simulated cycles — the "table occupied with 10K
-    /// entries" setup of Table II(B).
+    /// Preloads flows into the table, which DRAM reads see, without
+    /// spending simulated cycles — the "table occupied with 10K entries"
+    /// setup of Table II(B).
     ///
     /// # Errors
     ///
     /// Returns a [`PreloadError`] wrapping the first [`InsertError`]
     /// encountered (duplicate key, table full, or a key no slot can
     /// hold) and the number of keys loaded before it. Preload is not
-    /// transactional: those earlier keys remain fully loaded — in the
-    /// table *and* in the simulated DRAM, so a partially preloaded
-    /// simulator still answers lookups for them consistently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bucket write is pending on either path: the DRAM is
-    /// then behind the table, which preload copies it from.
+    /// transactional: those earlier keys remain loaded, so a partially
+    /// preloaded simulator still answers lookups for them.
     pub fn preload<I>(&mut self, keys: I) -> Result<usize, PreloadError>
     where
         I: IntoIterator<Item = FlowKey>,
@@ -281,43 +282,24 @@ impl FlowLutSim {
         self.place_flows(keys.into_iter().map(|key| (key, counters)))
     }
 
-    /// Inserts each flow with its counters through the table, then sets
-    /// each memory's image to a copy of the table's: the body of
-    /// [`preload`](Self::preload) and [`adopt_flows`](Self::adopt_flows).
+    /// Inserts each flow with its counters through the table: the body
+    /// of [`preload`](Self::preload) and [`adopt_flows`](Self::adopt_flows).
     fn place_flows(
         &mut self,
         mut flows: impl Iterator<Item = (FlowKey, FlowCounters)>,
     ) -> Result<usize, PreloadError> {
-        assert!(
-            self.paths
-                .iter()
-                .all(|p| p.pending_write_buckets.is_empty()),
-            "set-up needs a simulator with no bucket write pending"
-        );
         // Inserts prefer Mem1; Mem2 takes only the flows whose Mem1 bucket
         // is full, and grows as it needs.
         self.table.reserve(PathId::A, flows.size_hint().0);
         let mut inserted = 0;
-        let placed = flows.try_for_each(|(key, counters)| {
-            self.table.insert_flow(key, counters)?;
-            inserted += 1;
-            Ok(())
-        });
-        self.copy_table_to_memory();
-        placed
+        flows
+            .try_for_each(|(key, counters)| {
+                self.table.insert_flow(key, counters)?;
+                inserted += 1;
+                Ok(())
+            })
             .map(|()| inserted)
             .map_err(|cause| PreloadError { inserted, cause })
-    }
-
-    /// Sets each memory model's storage to a copy of the table's store
-    /// for that memory, bucket-wide lines and all, without simulated
-    /// cycles. The copy is exact only while no bucket write is pending,
-    /// for then DRAM equals the table.
-    fn copy_table_to_memory(&mut self) {
-        for (p, path) in self.paths.iter_mut().enumerate() {
-            let image = self.table.store(PathId::from_index(p));
-            path.ctrl.storage_mut().clone_from(image);
-        }
     }
 
     /// Requests deletion of `key` (the Figure 2 "Flow delete" input).
@@ -382,9 +364,7 @@ impl FlowLutSim {
         let mut completions = std::mem::take(&mut self.completions_scratch);
         for p in 0..2 {
             for _ in 0..self.mem_ticks_per_sys {
-                for c in self.paths[p].ctrl.tick() {
-                    completions.push((p, c));
-                }
+                completions.extend(self.paths[p].ctrl.tick().iter().map(|&c| (p, c)));
             }
         }
         // 2. Flow Match / write retirement.
@@ -428,12 +408,11 @@ impl FlowLutSim {
             .remove(&c.id)
             .expect("completion for unknown request");
         match tag {
-            MemTag::LookupPart { asm, part } => {
+            MemTag::LookupPart { asm } => {
                 let done = {
                     let a = self.assemblies.get_mut(&asm).expect("live assembly");
                     debug_assert_eq!(a.path, path);
                     debug_assert_eq!(c.kind, AccessKind::Read);
-                    a.parts[part as usize] = Some(c.data.expect("reads carry data"));
                     a.got += 1;
                     a.got == self.bursts_per_bucket
                 };
@@ -450,36 +429,47 @@ impl FlowLutSim {
             } => {
                 debug_assert_eq!(wpath, path);
                 if last {
-                    let remaining = self.paths[path]
+                    let p = &mut self.paths[path];
+                    let remaining = p
                         .pending_write_buckets
                         .get_mut(&bucket)
                         .expect("write completion for unmarked bucket");
                     *remaining = remaining.saturating_sub(covers);
                     if *remaining == 0 {
-                        self.paths[path].pending_write_buckets.remove(&bucket);
+                        // DRAM now holds the table's line.
+                        p.pending_write_buckets.remove(&bucket);
+                        p.saved.release_line(u64::from(bucket));
                     }
                 }
             }
         }
     }
 
-    /// The Flow Match block: compare the assembled bucket against the
-    /// descriptor's key; on LU1 miss redirect to the other path, on LU2
-    /// miss raise an insertion.
-    fn flow_match(&mut self, mut a: ReadAssembly) {
-        let mut bytes = std::mem::take(&mut self.match_bytes);
-        bytes.clear();
-        for part in &a.parts {
-            bytes.extend_from_slice(part.as_deref().expect("assembly complete"));
+    /// `bucket` of `path` as DRAM holds it: the line saved for it while
+    /// a write of it is pending, else the table's line. `None` for a
+    /// bucket that holds no key.
+    fn dram_line(&self, path: usize, bucket: u32) -> Option<&[u8]> {
+        let p = &self.paths[path];
+        if p.pending_write_buckets.contains_key(&bucket) {
+            p.saved
+                .line_index(u64::from(bucket))
+                .map(|i| p.saved.line_at(i))
+        } else {
+            self.table.bucket_bytes(PathId::from_index(path), bucket)
         }
-        // Recycle the parts buffer for the next issue_bucket_read.
-        let mut parts = std::mem::take(&mut a.parts);
-        parts.clear();
-        self.parts_pool.push(parts);
-        let ds = &self.descs[a.desc];
-        let key = ds.desc.key;
+    }
+
+    /// The Flow Match block: compare the bucket the read returned against
+    /// the descriptor's key; on LU1 miss redirect to the other path, on
+    /// LU2 miss raise an insertion.
+    fn flow_match(&mut self, a: ReadAssembly) {
+        let key = self.descs[a.desc].desc.key;
         let k = usize::from(self.cfg.table.entries_per_bucket);
-        match codec::find_key(&bytes, self.cfg.table.entry_slot_bytes, k, &key) {
+        let slot_bytes = self.cfg.table.entry_slot_bytes;
+        let found = self
+            .dram_line(a.path, a.bucket)
+            .and_then(|bytes| codec::find_key(bytes, slot_bytes, k, &key));
+        match found {
             Some(slot) => {
                 let path = PathId::from_index(a.path);
                 let fid = FlowId::encode(
@@ -515,7 +505,6 @@ impl FlowLutSim {
                 }
             },
         }
-        self.match_bytes = bytes;
     }
 
     fn complete(&mut self, desc: usize, via: ResolvedVia, fid: Option<FlowId>) {
@@ -712,17 +701,15 @@ impl FlowLutSim {
         self.expiry_cursor =
             self.table
                 .scan_after_into(self.expiry_cursor, policy.scan_stride, &mut batch);
-        for (_, record) in batch.drain(..) {
+        for (id, record) in batch.drain(..) {
             if self.now_sys.saturating_sub(record.last_touch_sys) <= policy.idle_timeout_cycles {
                 continue;
             }
-            if self.inflight_keys.contains(&record.key)
-                || self.lifecycle_pending.contains(&record.key)
-            {
+            if self.inflight_keys.contains(&record.key) || self.lifecycle_pending.contains(&id) {
                 continue;
             }
-            self.lifecycle_pending.insert(record.key);
-            self.del_q.push_back(DelReq::ExpireTtl(record.key));
+            self.lifecycle_pending.insert(id);
+            self.del_q.push_back(DelReq::ExpireTtl(id, record.key));
         }
         self.scan_scratch = batch;
     }
@@ -747,13 +734,13 @@ impl FlowLutSim {
                 .scan_after_into(self.pressure_cursor, policy.scan_batch, &mut batch);
         let coldest = batch
             .drain(..)
-            .filter(|(_, r)| {
-                !self.inflight_keys.contains(&r.key) && !self.lifecycle_pending.contains(&r.key)
+            .filter(|(id, r)| {
+                !self.inflight_keys.contains(&r.key) && !self.lifecycle_pending.contains(id)
             })
             .min_by_key(|(id, r)| (r.last_touch_sys, id.raw()));
-        if let Some((_, record)) = coldest {
-            self.lifecycle_pending.insert(record.key);
-            self.del_q.push_back(DelReq::Evict(record.key));
+        if let Some((id, record)) = coldest {
+            self.lifecycle_pending.insert(id);
+            self.del_q.push_back(DelReq::Evict(id, record.key));
         }
         self.scan_scratch = batch;
     }
@@ -785,46 +772,42 @@ impl FlowLutSim {
         let Some(req) = self.del_q.pop_front() else {
             return;
         };
-        let key = match req {
-            DelReq::ExpireTtl(key) => {
-                self.lifecycle_pending.remove(&key);
+        let (fid, key) = match req {
+            DelReq::ExpireTtl(fid, key) => {
+                self.lifecycle_pending.remove(&fid);
                 let Some(policy) = self.cfg.expiry else {
                     return;
                 };
                 // Re-validate in cycle time: the flow may have been
-                // touched (or completed against) since the scan stride.
+                // touched (or completed against) since the scan stride,
+                // or have left its slot.
                 if self.inflight_keys.contains(&key) {
                     return;
                 }
-                let Some(fid) = self.table.peek(&key) else {
-                    return; // already gone
-                };
                 match self.table.record(fid) {
                     Some(r)
-                        if self.now_sys.saturating_sub(r.last_touch_sys)
-                            > policy.idle_timeout_cycles => {}
-                    _ => return, // re-activated
+                        if r.key == key
+                            && self.now_sys.saturating_sub(r.last_touch_sys)
+                                > policy.idle_timeout_cycles => {}
+                    _ => return, // gone or re-activated
                 }
                 self.stats.expired_ttl += 1;
                 self.push_event(FlowEventKind::ExpiredTtl, key);
-                key
+                (fid, key)
             }
-            DelReq::Evict(key) => {
-                self.lifecycle_pending.remove(&key);
+            DelReq::Evict(fid, key) => {
+                self.lifecycle_pending.remove(&fid);
                 let Some(policy) = self.cfg.pressure else {
                     return;
                 };
                 if self.inflight_keys.contains(&key) {
                     return;
                 }
-                let Some(fid) = self.table.peek(&key) else {
-                    return;
-                };
                 // Pressure may have eased since the nomination.
                 if self.table.occupancy().cam < u64::from(policy.cam_high_water) {
                     return;
                 }
-                let Some(record) = self.table.record(fid) else {
+                let Some(record) = self.table.record(fid).filter(|r| r.key == key) else {
                     return;
                 };
                 if self.victims.len() >= policy.victim_cap {
@@ -833,16 +816,25 @@ impl FlowLutSim {
                 self.victims.push_back(record);
                 self.stats.pressure_evicted += 1;
                 self.push_event(FlowEventKind::EvictedPressure, key);
-                key
+                (fid, key)
             }
-            DelReq::User(key) => key,
+            DelReq::User(key) => match self.table.peek(&key) {
+                Some(fid) => (fid, key),
+                None => return,
+            },
         };
-        if let Some(fid) = self.table.delete(&key) {
+        let bucket = match fid.decode(self.cfg.table.entries_per_bucket) {
+            Location::Mem { path, bucket, .. } => Some((path.index(), bucket)),
+            Location::Cam(_) => None,
+        };
+        if let Some((path, bucket)) = bucket {
+            // DRAM keeps the bucket as it is until the write lands.
+            self.save_line(path, bucket);
+        }
+        if self.table.delete_at(fid, &key) {
             self.stats.deletes += 1;
-            if let Location::Mem { path, bucket, .. } =
-                fid.decode(self.cfg.table.entries_per_bucket)
-            {
-                self.add_update_intent(path.index(), bucket);
+            if let Some((path, bucket)) = bucket {
+                self.add_update_intent(path, bucket);
             }
         }
     }
@@ -864,7 +856,14 @@ impl FlowLutSim {
             .insert_with_buckets_preferring(key, b1, b2, prefer)
         {
             Ok(fid) => match fid.decode(self.cfg.table.entries_per_bucket) {
-                Location::Mem { path, bucket, .. } => {
+                Location::Mem { path, bucket, slot } => {
+                    // DRAM keeps the bucket without the new flow until
+                    // the write lands.
+                    let width = self.cfg.table.entry_slot_bytes;
+                    if let Some(line) = self.save_line(path.index(), bucket) {
+                        let at = usize::from(slot) * width;
+                        codec::clear_slot(&mut line[at..at + width]);
+                    }
                     self.add_update_intent(path.index(), bucket);
                     self.complete(idx, ResolvedVia::InsertedMem(path), Some(fid));
                 }
@@ -886,6 +885,26 @@ impl FlowLutSim {
                 unreachable!("the CAM stage drops keys no slot can hold")
             }
         }
+    }
+
+    /// Saves the table's line of `bucket` of `path` as the line DRAM
+    /// holds until the bucket's writes land, unless a write of it is
+    /// pending already: DRAM then still holds the line saved before the
+    /// first. Returns the line when it saved one. A bucket's line is
+    /// saved just before it enters the hold set
+    /// ([`add_update_intent`](Self::add_update_intent)).
+    fn save_line(&mut self, path: usize, bucket: u32) -> Option<&mut [u8]> {
+        let p = &mut self.paths[path];
+        if p.pending_write_buckets.contains_key(&bucket) {
+            return None;
+        }
+        let i = p.saved.claim_line(u64::from(bucket));
+        let line = p.saved.line_at_mut(i);
+        match self.table.bucket_bytes(PathId::from_index(path), bucket) {
+            Some(bytes) => line.copy_from_slice(bytes),
+            None => line.fill(0),
+        }
+        Some(line)
     }
 
     fn add_update_intent(&mut self, path: usize, bucket: u32) {
@@ -993,10 +1012,6 @@ impl FlowLutSim {
     fn issue_bucket_read(&mut self, path: usize, r: ReadIntent) {
         let asm = self.next_asm_id;
         self.next_asm_id += 1;
-        // Reuse a retired assembly's parts buffer when one is pooled
-        // (pooled buffers are cleared; resize refills with `None`).
-        let mut parts = self.parts_pool.pop().unwrap_or_default();
-        parts.resize(self.bursts_per_bucket as usize, None);
         self.assemblies.insert(
             asm,
             ReadAssembly {
@@ -1004,7 +1019,6 @@ impl FlowLutSim {
                 stage: r.stage,
                 path,
                 bucket: r.bucket,
-                parts,
                 got: 0,
             },
         );
@@ -1012,8 +1026,7 @@ impl FlowLutSim {
             let id = self.next_mem_id;
             self.next_mem_id += 1;
             let addr = u64::from(r.bucket) * u64::from(self.bursts_per_bucket) + u64::from(j);
-            self.mem_tags
-                .insert(id, MemTag::LookupPart { asm, part: j });
+            self.mem_tags.insert(id, MemTag::LookupPart { asm });
             self.paths[path]
                 .ctrl
                 .enqueue(MemRequest::read(id, addr))
@@ -1023,9 +1036,6 @@ impl FlowLutSim {
     }
 
     fn issue_bucket_write(&mut self, path: usize, w: WriteIntent) {
-        // The table's store holds the bucket as DRAM will: padded to
-        // whole bursts, at the same burst addresses.
-        let image = self.table.store(PathId::from_index(path));
         for j in 0..self.bursts_per_bucket {
             let id = self.next_mem_id;
             self.next_mem_id += 1;
@@ -1042,7 +1052,7 @@ impl FlowLutSim {
             );
             self.paths[path]
                 .ctrl
-                .enqueue(MemRequest::write(id, addr, image.read_burst(addr)))
+                .enqueue(MemRequest::write(id, addr))
                 .expect("DLU checked controller room");
             self.stats.writes_issued += 1;
         }
@@ -1071,7 +1081,9 @@ fn sim_config_digest(cfg: &SimConfig) -> u64 {
 
 impl FlowLutSim {
     /// `true` when nothing is queued, staged, batched, or in flight —
-    /// the state [`checkpoint`](Self::checkpoint) requires.
+    /// the state [`checkpoint`](Self::checkpoint) requires — so that
+    /// DRAM holds every bucket as the table does: no bucket is held by
+    /// the Request Filter, and no line is saved.
     pub fn is_quiescent(&self) -> bool {
         self.in_pipeline() == 0
             && self.del_q.is_empty()
@@ -1080,6 +1092,7 @@ impl FlowLutSim {
                 p.read_q.is_empty()
                     && p.write_q.is_empty()
                     && p.pending_write_buckets.is_empty()
+                    && p.saved.is_empty()
                     && p.bwr_pending.is_empty()
             })
     }
@@ -1110,8 +1123,7 @@ impl FlowLutSim {
     }
 
     /// Rebuilds both memory controllers in the *canonical* phase for the
-    /// current cycle: a fresh controller idle-ticked to `now_sys`, with
-    /// the storage copied from the functional table.
+    /// current cycle: a fresh controller idle-ticked to `now_sys`.
     ///
     /// Controller-internal device state (refresh countdowns, bus
     /// turnaround history) is traffic-dependent and not serializable
@@ -1130,7 +1142,6 @@ impl FlowLutSim {
             }
             self.paths[p].ctrl = ctrl;
         }
-        self.copy_table_to_memory();
     }
 
     /// Serializes a consistent checkpoint of this (quiescent) simulator.
@@ -1359,7 +1370,7 @@ impl FlowLutSim {
     }
 
     /// Adopts migrating flows, as [`preload`](Self::preload) loads keys
-    /// (with its errors and panics), each with its preserved counters
+    /// (with its errors), each with its preserved counters
     /// under a fresh placement in this instance's table — the rescale
     /// rehoming primitive.
     pub fn adopt_flows<I>(&mut self, records: I) -> Result<usize, PreloadError>

@@ -303,7 +303,7 @@ fn report_throughput_is_positive_and_bounded() {
 #[test]
 fn storage_and_table_agree_after_mixed_run() {
     // End-to-end consistency: after inserts and deletes settle, the
-    // bytes in simulated DRAM decode to exactly the table's contents.
+    // buckets Flow Match reads hold exactly the table's flows.
     let mut cfg = SimConfig::test_small();
     cfg.bwr_timeout_sys = 8; // flush writes promptly
     let mut sim = FlowLutSim::new(cfg);
@@ -524,44 +524,9 @@ fn preload_refuses_a_key_wider_than_a_slot() {
     );
     assert_eq!(sim.table().len(), 1);
     assert_eq!(sim.table().peek(&wide), None);
-    assert_dram_image(&sim);
+    assert!(sim.is_quiescent());
     let report = run(&mut sim, &descs(1..2));
     assert_eq!(report.stats.lu1_hits + report.stats.lu2_hits, 1);
-}
-
-/// Each path's storage holds, at every resident bucket's bursts, the
-/// table's bytes of the bucket zero-padded to whole bursts, and holds no
-/// other burst: a line of a bucket that is not resident would count.
-fn assert_dram_image(sim: &FlowLutSim) {
-    let bursts = u64::from(sim.bursts_per_bucket);
-    let burst_bytes = sim.config().mem_burst_bytes();
-    for path in [PathId::A, PathId::B] {
-        let storage = sim.memory(path).storage();
-        let mut resident: Vec<u32> = sim
-            .table()
-            .iter()
-            .filter_map(|(_, loc)| match loc {
-                Location::Mem {
-                    path: p, bucket, ..
-                } if p == path => Some(bucket),
-                _ => None,
-            })
-            .collect();
-        resident.dedup();
-        for &bucket in &resident {
-            let mut image = sim.table().bucket_bytes(path, bucket).unwrap().to_vec();
-            image.resize(bursts as usize * burst_bytes, 0);
-            let dram: Vec<u8> = (0..bursts)
-                .flat_map(|j| storage.read_burst(u64::from(bucket) * bursts + j))
-                .collect();
-            assert_eq!(dram, image, "bucket {bucket} of {path}");
-        }
-        assert_eq!(
-            storage.resident_bursts() as u64,
-            resident.len() as u64 * bursts,
-            "bursts written outside the resident buckets of {path}"
-        );
-    }
 }
 
 #[test]
@@ -607,10 +572,12 @@ fn keys_no_slot_holds_are_dropped_at_the_cam_stage() {
     }
 }
 
+/// After any set-up, DRAM holds each bucket as the table does: no bucket
+/// is held by the Request Filter and no line is saved.
 #[test]
 fn the_dram_image_equals_the_table_after_set_up() {
     let mut wide = SimConfig::test_small();
-    wide.table.entry_slot_bytes = 40; // three bursts per bucket, padded
+    wide.table.entry_slot_bytes = 40; // three bursts per bucket
     for cfg in [SimConfig::test_small(), wide] {
         // 400 flows into 2 × 256 buckets: more than 256 in Mem1, so some
         // buckets take a second key, and some flows land in Mem2.
@@ -621,11 +588,11 @@ fn the_dram_image_equals_the_table_after_set_up() {
             occupancy.mem_b > 0 && occupancy.mem_a > 256,
             "{occupancy:?}"
         );
-        assert_dram_image(&sim);
+        assert!(sim.is_quiescent());
 
         let blob = sim.checkpoint().unwrap();
         let restored = FlowLutSim::restore(cfg.clone(), &blob).unwrap();
-        assert_dram_image(&restored);
+        assert!(restored.is_quiescent());
 
         // The rescale path: a warm-started simulator adopting every flow
         // at once.
@@ -633,12 +600,11 @@ fn the_dram_image_equals_the_table_after_set_up() {
         let records = restored.table().records_after(None).map(|(_, r)| r);
         assert_eq!(adopted.adopt_flows(records), Ok(400));
         assert_eq!(adopted.table().len(), 400);
-        assert_dram_image(&adopted);
+        assert!(adopted.is_quiescent());
 
         // A checkpoint after deletions and new flows, once their bucket
         // writes land: the table's store holds the lines that emptied
-        // buckets released, some taken again by the new flows' buckets,
-        // and the checkpoint copies it to DRAM as it is.
+        // buckets released, some taken again by the new flows' buckets.
         for i in (0..400).step_by(3) {
             sim.delete_flow(key(i));
         }
@@ -647,27 +613,101 @@ fn the_dram_image_equals_the_table_after_set_up() {
         sim.quiesce();
         assert_eq!(sim.table().len(), 400 - 134 + 20);
         let blob = sim.checkpoint().unwrap();
-        assert_dram_image(&sim);
+        assert!(sim.is_quiescent());
         let mut restored = FlowLutSim::restore(cfg, &blob).unwrap();
-        assert_dram_image(&restored);
+        assert!(restored.is_quiescent());
         assert_eq!(restored.checkpoint().unwrap(), blob);
     }
 }
 
+/// Whether `bytes`, a bucket, holds `key` in `slot`.
+fn holds_at(sim: &FlowLutSim, bytes: Option<&[u8]>, key: &FlowKey, slot: u8) -> bool {
+    let t = sim.config().table;
+    let k = usize::from(t.entries_per_bucket);
+    bytes.and_then(|b| codec::find_key(b, t.entry_slot_bytes, k, key)) == Some(slot)
+}
+
 #[test]
-#[should_panic(expected = "no bucket write pending")]
-fn preload_refuses_a_simulator_with_a_bucket_write_pending() {
+fn dram_keeps_the_saved_line_until_the_bucket_write_lands() {
     let mut sim = FlowLutSim::new(SimConfig::test_small());
-    sim.preload([key(1)]).unwrap();
-    sim.delete_flow(key(1));
-    sim.tick();
-    assert!(
-        sim.paths
-            .iter()
-            .any(|p| !p.pending_write_buckets.is_empty()),
-        "the deletion's bucket write is pending"
+    let k = sim.config().table.entries_per_bucket;
+    let no_line_saved = |sim: &FlowLutSim| sim.paths.iter().all(|p| p.saved.is_empty());
+
+    // A new flow, placed by a hash override: once its descriptor
+    // completes, the table holds it, while its bucket write waits in
+    // BWr_Gen (up to `bwr_timeout_sys` for a lone update).
+    let new = key(1);
+    assert!(sim.offer(PacketDescriptor::new(0, new).with_hash_override(5 << 24, 9 << 24)));
+    while sim.descriptors()[0].t_done.is_none() {
+        sim.tick();
+    }
+    let fid = sim.descriptors()[0].fid.expect("inserted");
+    let Location::Mem { path, bucket, slot } = fid.decode(k) else {
+        panic!("{fid} is not in memory");
+    };
+    assert!(bucket == 5 || bucket == 9, "{fid}");
+    assert!(holds_at(
+        &sim,
+        sim.table().bucket_bytes(path, bucket),
+        &new,
+        slot
+    ));
+    assert!(!holds_at(
+        &sim,
+        sim.dram_line(path.index(), bucket),
+        &new,
+        slot
+    ));
+    sim.quiesce();
+    assert_eq!(
+        sim.dram_line(path.index(), bucket),
+        sim.table().bucket_bytes(path, bucket)
     );
-    let _ = sim.preload([key(2)]);
+    assert!(holds_at(
+        &sim,
+        sim.dram_line(path.index(), bucket),
+        &new,
+        slot
+    ));
+    assert!(no_line_saved(&sim));
+
+    // A deleted flow: the table drops it at once, DRAM once the write
+    // lands.
+    let gone = key(2);
+    run(&mut sim, &[PacketDescriptor::new(1, gone)]);
+    sim.quiesce();
+    let fid = sim.table().peek(&gone).expect("inserted");
+    let Location::Mem { path, bucket, slot } = fid.decode(k) else {
+        panic!("{fid} is not in memory");
+    };
+    sim.delete_flow(gone);
+    while sim.table().peek(&gone).is_some() {
+        sim.tick();
+    }
+    assert!(!holds_at(
+        &sim,
+        sim.table().bucket_bytes(path, bucket),
+        &gone,
+        slot
+    ));
+    assert!(holds_at(
+        &sim,
+        sim.dram_line(path.index(), bucket),
+        &gone,
+        slot
+    ));
+    sim.quiesce();
+    assert_eq!(
+        sim.dram_line(path.index(), bucket),
+        sim.table().bucket_bytes(path, bucket)
+    );
+    assert!(!holds_at(
+        &sim,
+        sim.dram_line(path.index(), bucket),
+        &gone,
+        slot
+    ));
+    assert!(no_line_saved(&sim));
 }
 
 // ---------------------------------------------------------------------
@@ -703,6 +743,64 @@ fn ttl_expiry_removes_idle_flows_and_raises_events() {
         .all(|e| e.kind == FlowEventKind::ExpiredTtl && e.now_sys > 500));
     // A second poll drains nothing new.
     assert!(FlowPipeline::poll_events(&mut sim).is_empty());
+}
+
+/// A descriptor of `key(i)` placed by a hash override on Mem1 bucket 5
+/// and Mem2 bucket 9 of a `test_small` table, outside its key's own hash
+/// buckets.
+fn override_placed(seq: u64, i: u64) -> PacketDescriptor {
+    PacketDescriptor::new(seq, key(i)).with_hash_override(5 << 24, 9 << 24)
+}
+
+#[test]
+fn ttl_expiry_finds_a_flow_a_hash_override_placed() {
+    let mut cfg = SimConfig::test_small();
+    cfg.expiry = Some(ExpiryPolicy {
+        idle_timeout_cycles: 50,
+        scan_stride: 64,
+    });
+    let mut sim = FlowLutSim::new(cfg);
+    run(
+        &mut sim,
+        &[override_placed(0, 1), PacketDescriptor::new(1, key(2))],
+    );
+    assert_eq!(sim.table().len(), 2);
+    assert_eq!(
+        sim.table().peek(&key(1)),
+        None,
+        "placed outside its buckets"
+    );
+    for _ in 0..2_000 {
+        sim.tick();
+    }
+    assert_eq!(sim.stats().expired_ttl, 2, "{:?}", sim.stats());
+    assert!(sim.table().is_empty());
+}
+
+#[test]
+fn pressure_eviction_finds_a_flow_a_hash_override_placed() {
+    let mut cfg = SimConfig::test_small();
+    cfg.pressure = Some(PressurePolicy {
+        cam_high_water: 4,
+        scan_batch: 64,
+        victim_cap: 16,
+    });
+    let mut sim = FlowLutSim::new(cfg);
+    // The coldest flow, placed by override; then ten flows on one bucket
+    // pair, four in memory and six in the CAM, past the high-water mark.
+    run(&mut sim, &[override_placed(0, 1)]);
+    let fid = sim.descriptors()[0].fid.expect("inserted");
+    let crowd: Vec<PacketDescriptor> = (10..20)
+        .map(|i| PacketDescriptor::new(i, key(i)).with_hash_override(0, 0))
+        .collect();
+    run(&mut sim, &crowd);
+    for _ in 0..2_000 {
+        sim.tick();
+    }
+    assert!(sim.table().occupancy().cam < 4, "{:?}", sim.stats());
+    let victims = sim.take_victims();
+    assert_eq!(victims.first().map(|r| r.key), Some(key(1)), "{victims:?}");
+    assert_eq!(sim.table().record(fid), None);
 }
 
 #[test]

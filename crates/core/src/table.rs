@@ -13,14 +13,13 @@
 //! then the CAM; [`InsertError::TableFull`] reports exhaustion of all
 //! three.
 //!
-//! Each memory's buckets live in one [`SparseStorage`] line store, one
-//! line per resident bucket. The simulator pads each line to whole
-//! bursts of its memory, so that store is the memory's DRAM image: each
-//! set-up ends by giving the memory model a clone of it, and the DLU's
-//! bucket writes read their bursts out of it.
+//! Each memory's buckets live in one line store, one line per resident
+//! bucket, in the [`codec`] wire format. That is the one copy of each
+//! bucket: the simulator's memory models carry no data, and its Flow
+//! Match reads a bucket's line here unless a write of the bucket has
+//! not landed yet.
 
 use flowlut_cam::Cam;
-use flowlut_ddr3::SparseStorage;
 use flowlut_hash::PairHasher;
 use flowlut_traffic::FlowKey;
 
@@ -28,6 +27,7 @@ use crate::codec;
 use crate::error::{ConfigError, InsertError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
+use crate::storage::SparseStorage;
 
 /// Sizing and hashing parameters of a [`HashCamTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,12 +203,10 @@ impl TableStats {
 ///
 /// Buckets are stored sparsely, so an 8 M-entry configuration costs
 /// memory proportional to its *resident* flows, not its capacity. Each
-/// memory's resident buckets are lines of one [`SparseStorage`], the
-/// line number being the bucket index. A line holds the bucket's `K`
+/// memory's resident buckets are lines of one sparse line store, the
+/// line number being the bucket index. A line is the bucket's `K`
 /// slots, each `entry_slot_bytes` wide in the [`codec`] wire format
-/// ([`bucket_bytes`](Self::bucket_bytes)), then zero padding: none for
-/// a table built with [`new`](Self::new), and up to whole bursts of the
-/// memory for the simulator's, so that store is the memory's image. A
+/// ([`bucket_bytes`](Self::bucket_bytes)): the bucket's DRAM bytes. A
 /// bucket that deletion empties releases its line, which the next new
 /// bucket of that memory takes before the store grows.
 ///
@@ -341,20 +339,9 @@ impl HashCamTable {
     /// Panics if the configuration is invalid; use
     /// [`TableConfig::validate`] first for fallible handling.
     pub fn new(cfg: TableConfig) -> Self {
-        Self::with_bursts(cfg, cfg.bucket_bytes())
-    }
-
-    /// A table whose stores pad each bucket to whole bursts of
-    /// `burst_bytes`, laid out as the simulated memory holds them.
-    ///
-    /// # Panics
-    ///
-    /// As [`new`](Self::new), and if `burst_bytes` is zero.
-    pub(crate) fn with_bursts(cfg: TableConfig, burst_bytes: usize) -> Self {
         cfg.validate().expect("invalid table configuration");
         let key_bits = 8 * (cfg.entry_slot_bytes - 1);
-        let bursts = cfg.bursts_per_bucket(burst_bytes);
-        let store = || SparseStorage::with_line_bursts(burst_bytes, bursts);
+        let store = || SparseStorage::with_line_bytes(cfg.bucket_bytes());
         HashCamTable {
             cfg,
             hasher: PairHasher::h3_pair(key_bits, cfg.hash_seed),
@@ -681,41 +668,44 @@ impl HashCamTable {
 
     /// Removes `key`, returning its former ID.
     pub fn delete(&mut self, key: &FlowKey) -> Option<FlowId> {
-        if let Some(slot) = self.cam.delete(key) {
-            self.counters[CAM_REGION][slot] = FlowCounters::default();
-            self.occupied[CAM_REGION].remove(slot);
-            self.stats.deletes += 1;
-            return Some(FlowId::encode(
-                Location::Cam(slot as u32),
-                self.cfg.entries_per_bucket,
-            ));
-        }
-        let (b1, b2) = self.buckets_of(key)?;
-        let (k, slot_bytes) = (self.cfg.entries_per_bucket, self.cfg.entry_slot_bytes);
-        for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
-            let Some(line) = self.mems[path.index()].line_index(u64::from(bucket)) else {
-                continue;
-            };
-            let bytes = self.slots(path, line);
-            let Some(slot) = codec::find_key(bytes, slot_bytes, k.into(), key) else {
-                continue;
-            };
-            codec::clear_slot(self.slot_mut(path, line, usize::from(slot)));
-            self.counters[path.index()][line * usize::from(k) + usize::from(slot)] =
-                FlowCounters::default();
-            if self
-                .slots(path, line)
-                .chunks_exact(slot_bytes)
-                .all(codec::is_free)
-            {
-                self.mems[path.index()].release_line(u64::from(bucket));
-                self.occupied[path.index()].remove(bucket as usize);
+        let fid = self.peek(key)?;
+        self.delete_at(fid, key).then_some(fid)
+    }
+
+    /// Removes the flow at `fid` if that slot holds `key`, without
+    /// hashing the key: a flow placed by a hash override sits outside
+    /// its key's hash buckets. Returns whether it removed the flow.
+    pub(crate) fn delete_at(&mut self, fid: FlowId, key: &FlowKey) -> bool {
+        let Some(at) = self
+            .locate(fid)
+            .filter(|&at| self.holds(at, key.as_bytes()))
+        else {
+            return false;
+        };
+        *self.counters_at(at) = FlowCounters::default();
+        match at {
+            Slot::Cam(slot) => {
+                self.cam.delete_slot(slot as usize);
+                self.occupied[CAM_REGION].remove(slot as usize);
             }
-            self.mem_counts[path.index()] -= 1;
-            self.stats.deletes += 1;
-            return Some(FlowId::encode(Location::Mem { path, bucket, slot }, k));
+            Slot::Mem { path, line, slot } => {
+                let line = line as usize;
+                codec::clear_slot(self.slot_mut(path, line, usize::from(slot)));
+                let emptied = self
+                    .slots(path, line)
+                    .chunks_exact(self.cfg.entry_slot_bytes)
+                    .all(codec::is_free);
+                if let (true, Location::Mem { bucket, .. }) =
+                    (emptied, fid.decode(self.cfg.entries_per_bucket))
+                {
+                    self.mems[path.index()].release_line(u64::from(bucket));
+                    self.occupied[path.index()].remove(bucket as usize);
+                }
+                self.mem_counts[path.index()] -= 1;
+            }
         }
-        None
+        self.stats.deletes += 1;
+        true
     }
 
     /// Places `key` at an exact `location`, with zero counters: the
@@ -767,12 +757,6 @@ impl HashCamTable {
     pub fn bucket_bytes(&self, path: PathId, bucket: u32) -> Option<&[u8]> {
         let line = self.mems[path.index()].line_index(u64::from(bucket))?;
         Some(self.slots(path, line))
-    }
-
-    /// `path`'s store: each resident bucket as its line, padded as the
-    /// table was built to pad it.
-    pub(crate) fn store(&self, path: PathId) -> &SparseStorage {
-        &self.mems[path.index()]
     }
 
     /// The slot `fid` names, if its bucket is resident (a CAM slot need
@@ -974,10 +958,9 @@ impl HashCamTable {
         codec::find_key(bytes, self.cfg.entry_slot_bytes, k, key)
     }
 
-    /// The `K` slots of arena line `line` of `path`'s store: its bucket's
-    /// bytes before padding.
+    /// The `K` slots of arena line `line` of `path`'s store.
     fn slots(&self, path: PathId, line: usize) -> &[u8] {
-        &self.mems[path.index()].line_at(line)[..self.cfg.bucket_bytes()]
+        self.mems[path.index()].line_at(line)
     }
 
     /// The bytes of slot `slot` of arena line `line` of `path`'s store.

@@ -132,7 +132,6 @@ pub fn simulate_utilization(
         // tCCD exactly as the closed-form model assumes.
         cmd_interval: 1,
     };
-    let burst_bytes = geometry.burst_bytes();
     let mut ctrl = MemoryController::new(cfg);
     let mapping = AddressMapping::RowBankCol;
 
@@ -153,7 +152,7 @@ pub fn simulate_utilization(
                 let req = if dir == 0 {
                     MemRequest::read(id, addr)
                 } else {
-                    MemRequest::write(id, addr, vec![0u8; burst_bytes])
+                    MemRequest::write(id, addr)
                 };
                 id += 1;
                 ctrl.enqueue(req).expect("queue sized for whole run");

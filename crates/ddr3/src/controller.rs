@@ -3,13 +3,12 @@
 //! The controller plays the role of the "DDR3 Controller" block in
 //! Figure 4 of the paper (the prototype uses Altera's quarter-rate UniPhy
 //! IP). It owns one [`Ddr3Device`] and schedules commands under these
-//! policies:
+//! policies. It models timing only: requests carry no data.
 //!
 //! * **Per-bank FIFO queues.** Requests to the same bank complete in
-//!   arrival order (which also makes same-address hazards impossible to
-//!   reorder at this level); requests to *different* banks are freely
-//!   interleaved — that is precisely the freedom the paper's Bank Selector
-//!   exploits.
+//!   arrival order, so same-address requests do too; requests to
+//!   *different* banks are freely interleaved — that is precisely the
+//!   freedom the paper's Bank Selector exploits.
 //! * **Open-page, row-hit-first.** Among bank-queue heads, a request whose
 //!   row is already open wins over one that needs an activate.
 //! * **Same-direction grouping.** The controller keeps issuing reads (or
@@ -29,7 +28,6 @@ use crate::address::{AddressMapping, Geometry, MemAddress};
 use crate::device::{Command, Ddr3Device};
 use crate::error::EnqueueError;
 use crate::stats::ControllerStats;
-use crate::storage::SparseStorage;
 use crate::timing::TimingParams;
 
 /// Direction of a memory request.
@@ -42,8 +40,9 @@ pub enum AccessKind {
     Write,
 }
 
-/// A burst-granular memory request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A burst-granular memory request. It carries no data: the models
+/// time bursts, and the caller keeps what they move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Caller-chosen identifier returned with the [`Completion`].
     pub id: u64,
@@ -51,9 +50,6 @@ pub struct MemRequest {
     pub kind: AccessKind,
     /// Linear burst address (`0..geometry.total_bursts()`).
     pub addr: u64,
-    /// Write payload; must be exactly one burst for writes, `None` for
-    /// reads.
-    pub data: Option<Vec<u8>>,
 }
 
 impl MemRequest {
@@ -63,23 +59,21 @@ impl MemRequest {
             id,
             kind: AccessKind::Read,
             addr,
-            data: None,
         }
     }
 
-    /// Creates a write request carrying one burst of data.
-    pub fn write(id: u64, addr: u64, data: Vec<u8>) -> Self {
+    /// Creates a write request.
+    pub fn write(id: u64, addr: u64) -> Self {
         MemRequest {
             id,
             kind: AccessKind::Write,
             addr,
-            data: Some(data),
         }
     }
 }
 
 /// A finished request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// Identifier from the originating [`MemRequest`].
     pub id: u64,
@@ -87,8 +81,6 @@ pub struct Completion {
     pub kind: AccessKind,
     /// Linear burst address.
     pub addr: u64,
-    /// Burst read data (reads only).
-    pub data: Option<Vec<u8>>,
     /// Cycle the request entered the controller.
     pub enqueued_at: u64,
     /// Cycle the last data beat left the device.
@@ -184,17 +176,18 @@ struct InFlight {
     done_at: u64,
 }
 
-/// The memory controller: wraps a [`Ddr3Device`] and a [`SparseStorage`]
-/// and turns burst-granular requests into legal command streams.
+/// The memory controller: wraps a [`Ddr3Device`] and turns
+/// burst-granular requests into legal command streams.
 #[derive(Debug)]
 pub struct MemoryController {
     cfg: ControllerConfig,
     device: Ddr3Device,
-    storage: SparseStorage,
     now: u64,
     queues: Vec<VecDeque<QueuedReq>>,
     queued: usize,
     in_flight: Vec<InFlight>,
+    /// This cycle's completions, cleared by each [`tick`](Self::tick).
+    done: Vec<Completion>,
     /// Direction of the last issued column command and the run length.
     last_dir: Option<AccessKind>,
     dir_run: u32,
@@ -222,17 +215,16 @@ impl MemoryController {
         assert!(cfg.group_limit > 0, "group limit must be non-zero");
         assert!(cfg.cmd_interval > 0, "command interval must be non-zero");
         let device = Ddr3Device::new(cfg.timing, cfg.geometry);
-        let storage = SparseStorage::new(cfg.geometry.burst_bytes());
         let banks = cfg.geometry.banks as usize;
         let t_refi = cfg.timing.t_refi;
         MemoryController {
             cfg,
             device,
-            storage,
             now: 0,
             queues: (0..banks).map(|_| VecDeque::new()).collect(),
             queued: 0,
             in_flight: Vec::new(),
+            done: Vec::new(),
             last_dir: None,
             dir_run: 0,
             read_extra_ok_at: 0,
@@ -286,17 +278,6 @@ impl MemoryController {
         self.queued == 0 && self.in_flight.is_empty()
     }
 
-    /// Direct access to the backing storage, bypassing timing — used to
-    /// preload table contents without paying simulated cycles.
-    pub fn storage_mut(&mut self) -> &mut SparseStorage {
-        &mut self.storage
-    }
-
-    /// Read-only view of the backing storage.
-    pub fn storage(&self) -> &SparseStorage {
-        &self.storage
-    }
-
     /// Queues a request.
     ///
     /// # Errors
@@ -306,25 +287,14 @@ impl MemoryController {
     ///
     /// # Panics
     ///
-    /// Panics if the address is outside the geometry, if a write carries
-    /// anything other than exactly one burst of data, or if a read
-    /// carries data — these are caller bugs, not runtime conditions.
+    /// Panics if the address is outside the geometry — a caller bug, not
+    /// a runtime condition.
     pub fn enqueue(&mut self, req: MemRequest) -> Result<(), EnqueueError> {
         assert!(
             req.addr < self.cfg.geometry.total_bursts(),
             "address {} out of range",
             req.addr
         );
-        match (req.kind, &req.data) {
-            (AccessKind::Write, Some(d)) => assert_eq!(
-                d.len(),
-                self.cfg.geometry.burst_bytes(),
-                "write payload must be exactly one burst"
-            ),
-            (AccessKind::Write, None) => panic!("write request without data"),
-            (AccessKind::Read, Some(_)) => panic!("read request carries data"),
-            (AccessKind::Read, None) => {}
-        }
         if self.queued >= self.cfg.queue_capacity {
             self.stats.rejected += 1;
             return Err(EnqueueError {
@@ -343,7 +313,8 @@ impl MemoryController {
         Ok(())
     }
 
-    /// Advances one controller cycle, returning any completions.
+    /// Advances one controller cycle, returning its completions in a
+    /// buffer the next tick reuses.
     ///
     /// At most one command issues per cycle (single command bus).
     ///
@@ -352,9 +323,9 @@ impl MemoryController {
     /// Panics if the scheduler makes no progress for an implausibly long
     /// time while work is queued (a deadlock would otherwise hang the
     /// simulation silently).
-    pub fn tick(&mut self) -> Vec<Completion> {
+    pub fn tick(&mut self) -> &[Completion] {
         self.now += 1;
-        let done = self.collect_completions();
+        self.collect_completions();
 
         if self.queued == 0 && self.in_flight.is_empty() {
             self.stats.idle_cycles += 1;
@@ -387,7 +358,7 @@ impl MemoryController {
             );
         }
 
-        done
+        &self.done
     }
 
     /// Runs until every queued request completes or `max_cycles` elapse.
@@ -399,7 +370,7 @@ impl MemoryController {
     pub fn drain(&mut self, max_cycles: u64) -> Vec<Completion> {
         let mut out = Vec::new();
         for _ in 0..max_cycles {
-            out.extend(self.tick());
+            out.extend_from_slice(self.tick());
             if self.is_drained() {
                 return out;
             }
@@ -411,9 +382,9 @@ impl MemoryController {
         );
     }
 
-    fn collect_completions(&mut self) -> Vec<Completion> {
+    fn collect_completions(&mut self) {
         let now = self.now;
-        let mut done = Vec::new();
+        self.done.clear();
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].done_at <= now {
@@ -425,14 +396,13 @@ impl MemoryController {
                 let lat = f.completion.latency();
                 self.stats.total_latency_cycles += lat;
                 self.stats.max_latency_cycles = self.stats.max_latency_cycles.max(lat);
-                done.push(f.completion);
+                self.done.push(f.completion);
             } else {
                 i += 1;
             }
         }
         // Deliver in enqueue order for determinism.
-        done.sort_by_key(|c| (c.enqueued_at, c.id));
-        done
+        self.done.sort_by_key(|c| (c.enqueued_at, c.id));
     }
 
     fn service_refresh(&mut self) {
@@ -598,16 +568,6 @@ impl MemoryController {
             .expect("column legality checked");
         self.device.stats_mut().row_hits += 1;
 
-        // Apply data effects in command order.
-        let data = match q.req.kind {
-            AccessKind::Read => Some(self.storage.read_burst(q.req.addr)),
-            AccessKind::Write => {
-                let d = q.req.data.as_deref().expect("validated at enqueue");
-                self.storage.write_burst(q.req.addr, d);
-                None
-            }
-        };
-
         // Update direction run and extra-turnaround fences.
         let t = &self.cfg.timing;
         let burst = t.burst_cycles();
@@ -637,7 +597,6 @@ impl MemoryController {
                 id: q.req.id,
                 kind: q.req.kind,
                 addr: q.req.addr,
-                data,
                 enqueued_at: q.enqueued_at,
                 completed_at: done_at,
             },
@@ -661,28 +620,35 @@ mod tests {
     }
 
     #[test]
-    fn single_read_completes_with_zero_data() {
+    fn single_read_completes() {
         let mut c = MemoryController::new(small_cfg());
         c.enqueue(MemRequest::read(7, 5)).unwrap();
         let done = c.drain(1000);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, 7);
-        assert_eq!(done[0].data.as_deref(), Some(&[0u8; 32][..]));
+        assert_eq!((done[0].kind, done[0].addr), (AccessKind::Read, 5));
         // Latency at least ACT + tRCD + CL + burst.
         let t = c.config().timing;
         assert!(done[0].latency() >= t.t_rcd + t.cl + t.burst_cycles());
     }
 
-    #[test]
-    fn write_then_read_same_address_returns_written_data() {
-        let mut c = MemoryController::new(small_cfg());
-        let payload = vec![0xAB; 32];
-        c.enqueue(MemRequest::write(1, 9, payload.clone())).unwrap();
+    /// Drains a write then a read of one address, under `policy`, and
+    /// checks that they complete in that order.
+    fn assert_write_then_read_in_order(policy: PagePolicy) {
+        let mut cfg = small_cfg();
+        cfg.page_policy = policy;
+        let mut c = MemoryController::new(cfg);
+        c.enqueue(MemRequest::write(1, 9)).unwrap();
         c.enqueue(MemRequest::read(2, 9)).unwrap();
-        let done = c.drain(2000);
-        assert_eq!(done.len(), 2);
-        let read = done.iter().find(|c| c.id == 2).unwrap();
-        assert_eq!(read.data.as_deref(), Some(&payload[..]));
+        let done = c.drain(5000);
+        let ids: Vec<u64> = done.iter().map(|c| c.id).collect();
+        assert_eq!(ids, [1, 2]);
+        assert!(done[0].completed_at < done[1].completed_at, "{done:?}");
+    }
+
+    #[test]
+    fn write_then_read_same_address_complete_in_order() {
+        assert_write_then_read_in_order(PagePolicy::Open);
     }
 
     #[test]
@@ -810,18 +776,7 @@ mod tests {
 
     #[test]
     fn closed_page_policy_still_correct() {
-        let mut cfg = small_cfg();
-        cfg.page_policy = PagePolicy::Closed;
-        let mut c = MemoryController::new(cfg);
-        let payload = vec![0x5A; 32];
-        c.enqueue(MemRequest::write(1, 3, payload.clone())).unwrap();
-        c.enqueue(MemRequest::read(2, 3)).unwrap();
-        let done = c.drain(5000);
-        assert_eq!(done.len(), 2);
-        assert_eq!(
-            done.iter().find(|x| x.id == 2).unwrap().data.as_deref(),
-            Some(&payload[..])
-        );
+        assert_write_then_read_in_order(PagePolicy::Closed);
     }
 
     #[test]
@@ -854,8 +809,7 @@ mod tests {
                     col: 8 + i / 4,
                 },
             );
-            c.enqueue(MemRequest::write(id, waddr, vec![0; 32]))
-                .unwrap();
+            c.enqueue(MemRequest::write(id, waddr)).unwrap();
             id += 1;
         }
         c.drain(1_000_000);
@@ -874,13 +828,6 @@ mod tests {
         let mut c = MemoryController::new(small_cfg());
         let max = c.config().geometry.total_bursts();
         let _ = c.enqueue(MemRequest::read(0, max));
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly one burst")]
-    fn short_write_payload_panics() {
-        let mut c = MemoryController::new(small_cfg());
-        let _ = c.enqueue(MemRequest::write(0, 0, vec![0; 4]));
     }
 
     #[test]

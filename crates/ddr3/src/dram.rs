@@ -17,10 +17,11 @@
 //! The model is closed-page only (every column command auto-precharges)
 //! because the flow LUT's bucket accesses are random at row granularity
 //! — the same reason `flowlut_core::sim` runs the DDR3 controller with
-//! `PagePolicy::Closed`. Requests are burst-granular against one shared
-//! [`SparseStorage`]; addresses interleave channel-first then
-//! bank-first so consecutive bucket bursts spread across the
-//! parallelism the device actually has. Completions are returned sorted
+//! `PagePolicy::Closed`. Requests are burst-granular and carry no data;
+//! addresses interleave channel-first then bank-first so consecutive
+//! bucket bursts spread across the parallelism the device actually has.
+//! An address maps to one bank, whose queue is FIFO, so same-address
+//! requests complete in arrival order. Completions are returned sorted
 //! by `(enqueued_at, id)`, matching the DDR3 controller's deterministic
 //! delivery contract.
 
@@ -30,7 +31,6 @@ use crate::controller::{AccessKind, Completion, MemRequest};
 use crate::error::{ConfigError, EnqueueError};
 use crate::model::{MemStats, MemoryModel};
 use crate::stats::{ControllerStats, DeviceStats};
-use crate::storage::SparseStorage;
 
 /// Timing and geometry of a bank-grouped, multi-channel DRAM device.
 ///
@@ -362,7 +362,6 @@ struct InFlight {
     req: MemRequest,
     enqueued_at: u64,
     done_at: u64,
-    data: Option<Vec<u8>>,
 }
 
 /// The bank-grouped, multi-channel, closed-page DRAM model. Construct
@@ -378,7 +377,8 @@ pub struct GroupedDramModel {
     queued: usize,
     channels: Vec<Channel>,
     in_flight: Vec<InFlight>,
-    storage: SparseStorage,
+    /// This cycle's completions, cleared by each tick.
+    done: Vec<Completion>,
     ctrl_stats: ControllerStats,
     dev_stats: DeviceStats,
     last_progress_at: u64,
@@ -416,7 +416,7 @@ impl GroupedDramModel {
                 .map(|_| Channel::new(&params))
                 .collect(),
             in_flight: Vec::new(),
-            storage: SparseStorage::new(params.burst_bytes()),
+            done: Vec::new(),
             ctrl_stats: ControllerStats::default(),
             dev_stats: DeviceStats::default(),
             last_progress_at: 0,
@@ -443,10 +443,11 @@ impl GroupedDramModel {
         bank / self.params.banks_per_group as usize
     }
 
-    /// Pops completions due this cycle, sorted by `(enqueued_at, id)`.
-    fn collect_completions(&mut self) -> Vec<Completion> {
+    /// Moves completions due this cycle into `done`, sorted by
+    /// `(enqueued_at, id)`.
+    fn collect_completions(&mut self) {
         let now = self.now;
-        let mut done: Vec<Completion> = Vec::new();
+        self.done.clear();
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].done_at <= now {
@@ -459,11 +460,10 @@ impl GroupedDramModel {
                     AccessKind::Read => self.ctrl_stats.reads_done += 1,
                     AccessKind::Write => self.ctrl_stats.writes_done += 1,
                 }
-                done.push(Completion {
+                self.done.push(Completion {
                     id: fin.req.id,
                     kind: fin.req.kind,
                     addr: fin.req.addr,
-                    data: fin.data,
                     enqueued_at: fin.enqueued_at,
                     completed_at: now,
                 });
@@ -471,11 +471,10 @@ impl GroupedDramModel {
                 i += 1;
             }
         }
-        done.sort_by_key(|c| (c.enqueued_at, c.id));
-        if !done.is_empty() {
+        self.done.sort_by_key(|c| (c.enqueued_at, c.id));
+        if !self.done.is_empty() {
             self.last_progress_at = self.now;
         }
-        done
     }
 
     /// Tries to issue one refresh / column / activate command on
@@ -566,22 +565,6 @@ impl GroupedDramModel {
             .expect("column candidate had a queued head");
         self.queued -= 1;
         let kind = entry.req.kind;
-
-        // Data phase + storage effect at issue time (arrival order per
-        // address is preserved because each bank queue is FIFO and the
-        // address maps to exactly one bank).
-        let data = match kind {
-            AccessKind::Read => Some(self.storage.read_burst(entry.req.addr)),
-            AccessKind::Write => {
-                let payload = entry
-                    .req
-                    .data
-                    .as_deref()
-                    .expect("controller-validated write carries a payload");
-                self.storage.write_burst(entry.req.addr, payload);
-                None
-            }
-        };
         let done_at = match kind {
             AccessKind::Read => now + p.cl + burst,
             AccessKind::Write => now + p.cwl + burst,
@@ -590,7 +573,6 @@ impl GroupedDramModel {
             req: entry.req,
             enqueued_at: entry.enqueued_at,
             done_at,
-            data,
         });
 
         // Fences and bank auto-precharge bookkeeping.
@@ -707,16 +689,6 @@ impl MemoryModel for GroupedDramModel {
             req.addr,
             self.params.total_bursts()
         );
-        match req.kind {
-            AccessKind::Write => {
-                let ok = req
-                    .data
-                    .as_ref()
-                    .is_some_and(|d| d.len() == self.params.burst_bytes());
-                assert!(ok, "write payload must be exactly one burst");
-            }
-            AccessKind::Read => assert!(req.data.is_none(), "read must not carry a payload"),
-        }
         if self.queued >= self.queue_capacity {
             self.ctrl_stats.rejected += 1;
             return Err(EnqueueError {
@@ -734,9 +706,9 @@ impl MemoryModel for GroupedDramModel {
         Ok(())
     }
 
-    fn tick(&mut self) -> Vec<Completion> {
+    fn tick(&mut self) -> &[Completion] {
         self.now += 1;
-        let done = self.collect_completions();
+        self.collect_completions();
         let mut issued_any = false;
         let mut had_work = false;
         for ch in 0..self.channels.len() {
@@ -756,7 +728,7 @@ impl MemoryModel for GroupedDramModel {
             self.name,
             self.queued
         );
-        done
+        &self.done
     }
 
     fn queued_len(&self) -> usize {
@@ -765,14 +737,6 @@ impl MemoryModel for GroupedDramModel {
 
     fn in_flight_len(&self) -> usize {
         self.in_flight.len()
-    }
-
-    fn storage(&self) -> &SparseStorage {
-        &self.storage
-    }
-
-    fn storage_mut(&mut self) -> &mut SparseStorage {
-        &mut self.storage
     }
 
     fn mem_stats(&self) -> MemStats {
@@ -954,17 +918,16 @@ mod tests {
     }
 
     #[test]
-    fn write_then_read_returns_written_data() {
+    fn write_then_read_complete_in_arrival_order() {
         for p in [DramParams::ddr4_2400(), DramParams::hbm2_2gbps()] {
             let mut m = model(p);
-            let payload = vec![0x5Au8; p.burst_bytes()];
-            m.enqueue(MemRequest::write(1, 7, payload.clone())).unwrap();
+            m.enqueue(MemRequest::write(1, 7)).unwrap();
             m.enqueue(MemRequest::read(2, 7)).unwrap();
             let done = m.drain(1_000_000);
             assert_eq!(done.len(), 2);
             assert_eq!(done[0].id, 1);
             assert_eq!(done[1].id, 2);
-            assert_eq!(done[1].data.as_deref(), Some(&payload[..]));
+            assert!(done[0].completed_at < done[1].completed_at, "{done:?}");
             let s = m.mem_stats();
             assert_eq!(s.controller.reads_done, 1);
             assert_eq!(s.controller.writes_done, 1);

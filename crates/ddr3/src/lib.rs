@@ -52,7 +52,7 @@
 //! ctrl.enqueue(MemRequest::read(1, 0x40)).unwrap();
 //! let mut done = Vec::new();
 //! while done.is_empty() {
-//!     done.extend(ctrl.tick());
+//!     done.extend_from_slice(ctrl.tick());
 //! }
 //! assert_eq!(done[0].id, 1);
 //! ```
@@ -71,7 +71,6 @@ pub mod error;
 pub mod model;
 pub mod sram;
 pub mod stats;
-pub mod storage;
 pub mod timing;
 
 pub use address::{AddressMapping, Geometry, MemAddress};
@@ -85,5 +84,4 @@ pub use error::{ConfigError, EnqueueError, TimingViolation};
 pub use model::{MemStats, MemoryKind, MemoryModel, MemorySpec};
 pub use sram::{SramModel, SramParams};
 pub use stats::{ControllerStats, DeviceStats};
-pub use storage::SparseStorage;
 pub use timing::{TimingParams, TimingPreset};

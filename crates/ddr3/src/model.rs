@@ -4,8 +4,9 @@
 //! The paper's flow LUT is DDR3-bound by construction; everything the
 //! pipeline needs from a memory, though, is a small transactional
 //! surface: enqueue burst-granular read/write requests, advance cycles,
-//! drain, expose occupancy and statistics, and allow zero-cost preload
-//! into the backing storage. [`MemoryModel`] captures exactly that
+//! drain, and expose occupancy and statistics. The models are timing
+//! only: requests carry no data, and the caller keeps what a burst
+//! moves. [`MemoryModel`] captures exactly that
 //! surface as an object-safe trait — mirroring how `FlowBackend`
 //! unified the workspace's flow structures — so the simulator, engine
 //! and facade can ask the 2026 question ("which memory technology holds
@@ -28,7 +29,6 @@ use crate::dram::{DramParams, GroupedDramModel};
 use crate::error::{ConfigError, EnqueueError};
 use crate::sram::{SramModel, SramParams};
 use crate::stats::{ControllerStats, DeviceStats};
-use crate::storage::SparseStorage;
 
 /// Unified statistics of one memory model: scheduler-level counters
 /// plus device-level command counters. Models without a command-level
@@ -52,8 +52,10 @@ pub struct MemStats {
 /// * [`tick`](Self::tick) advances one **memory** clock cycle and
 ///   returns finished requests sorted by `(enqueued_at, id)`, so
 ///   completion order is deterministic.
-/// * Same-address requests complete in arrival order (no stale data).
-/// * [`storage_mut`](Self::storage_mut) bypasses timing for preload.
+/// * Every request completes exactly once.
+/// * Same-address requests *start* in arrival order. The DRAM models
+///   (DDR3, DDR4, HBM2) also *complete* them in arrival order; SRAM
+///   does not, as its write latency is shorter than its read latency.
 pub trait MemoryModel: std::fmt::Debug + Send {
     /// Short technology name (e.g. `"ddr3"`).
     fn name(&self) -> &'static str;
@@ -69,8 +71,9 @@ pub trait MemoryModel: std::fmt::Debug + Send {
     /// the caller should retry on a later cycle (back-pressure).
     fn enqueue(&mut self, req: MemRequest) -> Result<(), EnqueueError>;
 
-    /// Advances one memory-clock cycle, returning any completions.
-    fn tick(&mut self) -> Vec<Completion>;
+    /// Advances one memory-clock cycle, returning its completions in a
+    /// buffer the model clears and reuses on the next tick.
+    fn tick(&mut self) -> &[Completion];
 
     /// Requests queued but not yet issued.
     fn queued_len(&self) -> usize;
@@ -98,7 +101,7 @@ pub trait MemoryModel: std::fmt::Debug + Send {
     fn drain(&mut self, max_cycles: u64) -> Vec<Completion> {
         let mut out = Vec::new();
         for _ in 0..max_cycles {
-            out.extend(self.tick());
+            out.extend_from_slice(self.tick());
             if self.is_drained() {
                 return out;
             }
@@ -111,14 +114,6 @@ pub trait MemoryModel: std::fmt::Debug + Send {
             self.in_flight_len()
         );
     }
-
-    /// Read-only view of the backing storage.
-    fn storage(&self) -> &SparseStorage;
-
-    /// Direct access to the backing storage, bypassing timing — used to
-    /// set table contents up without paying simulated cycles, which may
-    /// replace the storage with one of wider lines.
-    fn storage_mut(&mut self) -> &mut SparseStorage;
 
     /// Unified statistics snapshot.
     fn mem_stats(&self) -> MemStats;
@@ -137,7 +132,7 @@ impl MemoryModel for MemoryController {
         MemoryController::enqueue(self, req)
     }
 
-    fn tick(&mut self) -> Vec<Completion> {
+    fn tick(&mut self) -> &[Completion] {
         MemoryController::tick(self)
     }
 
@@ -155,14 +150,6 @@ impl MemoryModel for MemoryController {
 
     fn drain(&mut self, max_cycles: u64) -> Vec<Completion> {
         MemoryController::drain(self, max_cycles)
-    }
-
-    fn storage(&self) -> &SparseStorage {
-        MemoryController::storage(self)
-    }
-
-    fn storage_mut(&mut self) -> &mut SparseStorage {
-        MemoryController::storage_mut(self)
     }
 
     fn mem_stats(&self) -> MemStats {
@@ -364,18 +351,6 @@ mod tests {
             assert_eq!(done.len(), 1, "{}", kind.name());
             assert_eq!(done[0].id, 1);
             assert_eq!(m.mem_stats().controller.reads_done, 1);
-        }
-    }
-
-    #[test]
-    fn preload_via_storage_is_visible_to_reads() {
-        for kind in MemoryKind::ALL {
-            let mut m = kind.default_spec().build(legacy_cfg());
-            let burst = vec![0xA5u8; m.storage().burst_bytes()];
-            m.storage_mut().write_burst(5, &burst);
-            m.enqueue(MemRequest::read(9, 5)).unwrap();
-            let done = m.drain(1_000_000);
-            assert_eq!(done[0].data.as_deref(), Some(&burst[..]), "{}", kind.name());
         }
     }
 

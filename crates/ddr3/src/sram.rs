@@ -11,6 +11,11 @@
 //! No command scheduling, no refresh, zeroed [`DeviceStats`](crate::stats::DeviceStats) — any gap
 //! between this bound and the DRAM models is attributable to memory
 //! technology, not the pipeline.
+//!
+//! Requests start strictly in arrival order, but a write's latency is
+//! shorter than a read's: a write can complete before a read of the
+//! same address that started before it. Same-address requests therefore
+//! *start*, not complete, in arrival order.
 
 use std::collections::VecDeque;
 
@@ -18,7 +23,6 @@ use crate::controller::{AccessKind, Completion, MemRequest};
 use crate::error::{ConfigError, EnqueueError};
 use crate::model::{MemStats, MemoryModel};
 use crate::stats::ControllerStats;
-use crate::storage::SparseStorage;
 
 /// Parameters of the idealized SRAM. Preset:
 /// [`SramParams::ideal_200mhz`]; provenance in DESIGN.md §Calibration.
@@ -93,7 +97,6 @@ struct InFlight {
     req: MemRequest,
     enqueued_at: u64,
     done_at: u64,
-    data: Option<Vec<u8>>,
 }
 
 /// The idealized fixed-latency SRAM model. Construct via
@@ -106,7 +109,8 @@ pub struct SramModel {
     now: u64,
     queue: VecDeque<(MemRequest, u64)>,
     in_flight: Vec<InFlight>,
-    storage: SparseStorage,
+    /// This cycle's completions, cleared by each tick.
+    done: Vec<Completion>,
     stats: ControllerStats,
 }
 
@@ -128,7 +132,7 @@ impl SramModel {
             now: 0,
             queue: VecDeque::new(),
             in_flight: Vec::new(),
-            storage: SparseStorage::new(params.burst_bytes),
+            done: Vec::new(),
             stats: ControllerStats::default(),
         }
     }
@@ -155,16 +159,6 @@ impl MemoryModel for SramModel {
             req.addr,
             self.params.total_bursts
         );
-        match req.kind {
-            AccessKind::Write => {
-                let ok = req
-                    .data
-                    .as_ref()
-                    .is_some_and(|d| d.len() == self.params.burst_bytes);
-                assert!(ok, "write payload must be exactly one burst");
-            }
-            AccessKind::Read => assert!(req.data.is_none(), "read must not carry a payload"),
-        }
         if self.queue.len() >= self.queue_capacity {
             self.stats.rejected += 1;
             return Err(EnqueueError {
@@ -177,12 +171,12 @@ impl MemoryModel for SramModel {
         Ok(())
     }
 
-    fn tick(&mut self) -> Vec<Completion> {
+    fn tick(&mut self) -> &[Completion] {
         self.now += 1;
         let now = self.now;
 
         // Completions due this cycle, in deterministic order.
-        let mut done: Vec<Completion> = Vec::new();
+        self.done.clear();
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].done_at <= now {
@@ -194,11 +188,10 @@ impl MemoryModel for SramModel {
                     AccessKind::Read => self.stats.reads_done += 1,
                     AccessKind::Write => self.stats.writes_done += 1,
                 }
-                done.push(Completion {
+                self.done.push(Completion {
                     id: fin.req.id,
                     kind: fin.req.kind,
                     addr: fin.req.addr,
-                    data: fin.data,
                     enqueued_at: fin.enqueued_at,
                     completed_at: now,
                 });
@@ -206,41 +199,29 @@ impl MemoryModel for SramModel {
                 i += 1;
             }
         }
-        done.sort_by_key(|c| (c.enqueued_at, c.id));
+        self.done.sort_by_key(|c| (c.enqueued_at, c.id));
 
-        // Start up to `ports` requests, strictly FIFO: data effects
-        // apply at start, so same-address ordering is arrival order.
+        // Start up to `ports` requests, strictly FIFO.
         let mut started = 0;
         while started < self.params.ports {
             let Some((req, enqueued_at)) = self.queue.pop_front() else {
                 break;
             };
-            let (data, done_at) = match req.kind {
-                AccessKind::Read => (
-                    Some(self.storage.read_burst(req.addr)),
-                    now + self.params.read_latency,
-                ),
-                AccessKind::Write => {
-                    let payload = req
-                        .data
-                        .as_deref()
-                        .expect("enqueue-validated write carries a payload");
-                    self.storage.write_burst(req.addr, payload);
-                    (None, now + self.params.write_latency)
-                }
+            let done_at = match req.kind {
+                AccessKind::Read => now + self.params.read_latency,
+                AccessKind::Write => now + self.params.write_latency,
             };
             self.in_flight.push(InFlight {
                 req,
                 enqueued_at,
                 done_at,
-                data,
             });
             started += 1;
         }
         if started == 0 && self.queue.is_empty() && self.in_flight.is_empty() {
             self.stats.idle_cycles += 1;
         }
-        done
+        &self.done
     }
 
     fn queued_len(&self) -> usize {
@@ -249,14 +230,6 @@ impl MemoryModel for SramModel {
 
     fn in_flight_len(&self) -> usize {
         self.in_flight.len()
-    }
-
-    fn storage(&self) -> &SparseStorage {
-        &self.storage
-    }
-
-    fn storage_mut(&mut self) -> &mut SparseStorage {
-        &mut self.storage
     }
 
     fn mem_stats(&self) -> MemStats {
@@ -328,16 +301,15 @@ mod tests {
     }
 
     #[test]
-    fn write_then_read_round_trips() {
+    fn read_then_write_start_in_arrival_order() {
         let p = SramParams::ideal_200mhz();
         let mut m = SramModel::new(p, 8);
-        let payload = vec![0xEEu8; p.burst_bytes];
-        m.enqueue(MemRequest::write(1, 3, payload.clone())).unwrap();
-        m.enqueue(MemRequest::read(2, 3)).unwrap();
+        m.enqueue(MemRequest::read(1, 3)).unwrap();
+        m.enqueue(MemRequest::write(2, 3)).unwrap();
         let done = m.drain(1_000);
-        assert_eq!(done.len(), 2);
-        let read = done.iter().find(|c| c.id == 2).unwrap();
-        assert_eq!(read.data.as_deref(), Some(&payload[..]));
+        // Both start on cycle 1; the shorter write completes first.
+        let at: Vec<(u64, u64)> = done.iter().map(|c| (c.id, c.completed_at)).collect();
+        assert_eq!(at, [(2, 1 + p.write_latency), (1, 1 + p.read_latency)]);
         let s = m.mem_stats();
         assert_eq!(s.controller.reads_done, 1);
         assert_eq!(s.controller.writes_done, 1);

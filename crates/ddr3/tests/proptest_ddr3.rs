@@ -1,15 +1,13 @@
-//! Property tests for the DDR3 model: address mapping bijectivity,
-//! scheduling liveness, bus-model monotonicity, completion ordering, and
-//! the line store against a map of owned bursts.
-
-use std::collections::HashMap;
+//! Property tests for the memory models: address mapping bijectivity,
+//! scheduling liveness, bus-model monotonicity, and completion ordering,
+//! of the DDR3 controller and of every model behind `MemoryModel`.
 
 use proptest::prelude::*;
 
 use flowlut_ddr3::bus::{analytic_utilization, TurnaroundModel};
 use flowlut_ddr3::{
-    AddressMapping, ControllerConfig, DramParams, Geometry, MemRequest, MemoryController,
-    SparseStorage, SramParams, TimingPreset,
+    AccessKind, AddressMapping, Completion, ControllerConfig, DramParams, Geometry, MemRequest,
+    MemoryController, MemoryKind, SramParams, TimingPreset,
 };
 
 fn geometry_strategy() -> impl Strategy<Value = Geometry> {
@@ -68,7 +66,7 @@ proptest! {
         for (i, a) in addrs.into_iter().enumerate() {
             let addr = a % g.total_bursts();
             let req = if i % 3 == 0 {
-                MemRequest::write(i as u64, addr, vec![i as u8; 32])
+                MemRequest::write(i as u64, addr)
             } else {
                 MemRequest::read(i as u64, addr)
             };
@@ -209,147 +207,102 @@ proptest! {
     }
 }
 
-const BURST: usize = 32;
-/// Burst addresses the storage property draws from: a dense low range
-/// plus the top of the address space.
-const LOW_ADDRS: u64 = 24;
-
+/// One step of the order property: a request to one of a few addresses,
+/// enqueued after some idle ticks.
 #[derive(Debug, Clone)]
-enum StorageOp {
-    /// Writes (or overwrites) a burst filled from a seed byte.
-    Write(u64, u8),
-    Read(u64),
-    /// Claims the line holding a burst address.
-    Claim(u64),
-    /// Releases the line holding a burst address.
-    Release(u64),
-    /// Writes a burst to a clone of the store, which the store must not
-    /// see.
-    WriteClone(u64, u8),
-    Reserve(usize),
-    Clear,
+struct Step {
+    idle: u64,
+    addr: u64,
+    write: bool,
 }
 
-fn burst_addr() -> impl Strategy<Value = u64> {
-    prop_oneof![0..LOW_ADDRS, (0..4u64).prop_map(|i| u64::MAX - i)]
-}
-
-fn storage_op() -> impl Strategy<Value = StorageOp> {
-    prop_oneof![
-        (burst_addr(), any::<u8>()).prop_map(|(a, b)| StorageOp::Write(a, b)),
-        (burst_addr(), any::<u8>()).prop_map(|(a, b)| StorageOp::Write(a, b)),
-        burst_addr().prop_map(StorageOp::Read),
-        burst_addr().prop_map(StorageOp::Claim),
-        burst_addr().prop_map(StorageOp::Release),
-        burst_addr().prop_map(StorageOp::Release),
-        (burst_addr(), any::<u8>()).prop_map(|(a, b)| StorageOp::WriteClone(a, b)),
-        (0usize..64).prop_map(StorageOp::Reserve),
-        Just(StorageOp::Clear),
-    ]
-}
-
-fn burst_from(seed: u8) -> Vec<u8> {
-    (0..BURST as u8)
-        .map(|j| seed.wrapping_mul(31).wrapping_add(j))
-        .collect()
-}
-
-/// The line store as plain maps: owned bursts by address, each claimed
-/// line's arena index, and released arena lines, reused last-released
-/// first before the arena grows.
-#[derive(Default)]
-struct LineReference {
-    bursts: HashMap<u64, Vec<u8>>,
-    lines: HashMap<u64, usize>,
-    free: Vec<usize>,
-    arena_lines: usize,
-}
-
-impl LineReference {
-    fn read(&self, addr: u64) -> Vec<u8> {
-        self.bursts
-            .get(&addr)
-            .cloned()
-            .unwrap_or_else(|| vec![0; BURST])
-    }
-
-    fn claim(&mut self, line: u64) -> usize {
-        let (free, arena_lines) = (&mut self.free, &mut self.arena_lines);
-        *self.lines.entry(line).or_insert_with(|| {
-            free.pop().unwrap_or_else(|| {
-                *arena_lines += 1;
-                *arena_lines - 1
-            })
-        })
-    }
-
-    fn release(&mut self, line: u64, bursts_per_line: u64) {
-        if let Some(i) = self.lines.remove(&line) {
-            self.free.push(i);
-            self.bursts.retain(|addr, _| addr / bursts_per_line != line);
-        }
-    }
+fn step() -> impl Strategy<Value = Step> {
+    (
+        prop_oneof![0u64..4, 0u64..40, Just(2_000)],
+        0u64..4,
+        any::<bool>(),
+    )
+        .prop_map(|(idle, addr, write)| Step { idle, addr, write })
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The line store reads back what a map of owned bursts holds, for
-    /// lines of one to three bursts, under writes, overwrites, reads of
-    /// unwritten bursts, line claims and releases, writes to a clone,
-    /// reservations and clears in any order. Each claimed line keeps its
-    /// arena line, and a claim takes the last released one first.
+    /// What the caller may rely on, with the models carrying no data:
+    /// every request completes exactly once; the DRAM models complete
+    /// same-address requests in arrival order; SRAM starts them in
+    /// arrival order (its shorter write latency lets a write complete
+    /// before a read of the same address that started first). Requests
+    /// go to a few addresses, with idle ticks between enqueues, refresh
+    /// on.
     #[test]
-    fn arena_storage_matches_owned_burst_map(
-        bursts_per_line in 1..=3u32,
-        ops in prop::collection::vec(storage_op(), 1..150),
+    fn same_address_requests_keep_arrival_order(
+        steps in prop::collection::vec(step(), 1..48),
     ) {
-        let per_line = u64::from(bursts_per_line);
-        let mut s = SparseStorage::with_line_bursts(BURST, bursts_per_line);
-        let mut reference = LineReference::default();
-        for op in ops {
-            match op {
-                StorageOp::Write(addr, seed) => {
-                    s.write_burst(addr, &burst_from(seed));
-                    reference.claim(addr / per_line);
-                    reference.bursts.insert(addr, burst_from(seed));
+        let legacy = ControllerConfig {
+            timing: TimingPreset::Ddr3_1066E.params(),
+            geometry: Geometry::tiny(),
+            queue_capacity: 64,
+            refresh_enabled: true,
+            ..ControllerConfig::default()
+        };
+        for kind in MemoryKind::ALL {
+            let mut m = kind.default_spec().build(legacy.clone());
+            let mut done: Vec<Completion> = Vec::new();
+            for (id, s) in steps.iter().enumerate() {
+                for _ in 0..s.idle {
+                    done.extend_from_slice(m.tick());
                 }
-                StorageOp::Read(addr) => {
-                    prop_assert_eq!(s.read_burst(addr), reference.read(addr));
-                }
-                StorageOp::Claim(addr) => {
-                    let line = addr / per_line;
-                    prop_assert_eq!(s.claim_line(line), reference.claim(line));
-                    // The top line of three bursts has one address: its
-                    // other bursts stay zero.
-                    let bursts = (0..per_line).flat_map(|j| {
-                        (line * per_line).checked_add(j).map_or(vec![0; BURST], |a| reference.read(a))
-                    });
-                    let at = s.line_index(line).expect("claimed");
-                    prop_assert_eq!(s.line_at(at), &bursts.collect::<Vec<u8>>()[..]);
-                }
-                StorageOp::Release(addr) => {
-                    s.release_line(addr / per_line);
-                    reference.release(addr / per_line, per_line);
-                }
-                StorageOp::WriteClone(addr, seed) => {
-                    let mut copy = s.clone();
-                    copy.write_burst(addr, &burst_from(seed));
-                    prop_assert_eq!(copy.read_burst(addr), burst_from(seed));
-                    prop_assert_eq!(s.read_burst(addr), reference.read(addr));
-                }
-                StorageOp::Reserve(n) => s.reserve(n),
-                StorageOp::Clear => {
-                    s.clear();
-                    reference = LineReference::default();
-                }
+                let req = if s.write {
+                    MemRequest::write(id as u64, s.addr)
+                } else {
+                    MemRequest::read(id as u64, s.addr)
+                };
+                m.enqueue(req).expect("the queue holds every request");
             }
-            prop_assert_eq!(s.resident_bursts(), reference.lines.len() * bursts_per_line as usize);
-            for (&line, &i) in &reference.lines {
-                prop_assert_eq!(s.line_index(line), Some(i), "line {}", line);
+            done.extend(m.drain(10_000_000));
+
+            // Each request once, with its own address and kind.
+            let mut ids: Vec<u64> = done.iter().map(|c| c.id).collect();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..steps.len() as u64).collect::<Vec<_>>(), "{}", kind.name());
+            for c in &done {
+                let s = &steps[c.id as usize];
+                let want = if s.write { AccessKind::Write } else { AccessKind::Read };
+                prop_assert_eq!((c.addr, c.kind), (s.addr, want), "{}", kind.name());
             }
-            for addr in (0..LOW_ADDRS).chain((0..4).map(|i| u64::MAX - i)) {
-                prop_assert_eq!(s.read_burst(addr), reference.read(addr), "burst {}", addr);
+
+            // Per address, in arrival (ID) order: when each completed,
+            // or for SRAM, when each started.
+            let sram = SramParams::ideal_200mhz();
+            let mut order: Vec<(u64, u64, u64)> = done
+                .iter()
+                .enumerate()
+                .map(|(at, c)| {
+                    let when = match kind {
+                        MemoryKind::Sram => {
+                            let latency = match c.kind {
+                                AccessKind::Read => sram.read_latency,
+                                AccessKind::Write => sram.write_latency,
+                            };
+                            c.completed_at - latency
+                        }
+                        // Position in the completion stream: ticks in
+                        // order, each tick's completions as returned.
+                        _ => at as u64,
+                    };
+                    (c.addr, c.id, when)
+                })
+                .collect();
+            order.sort_unstable();
+            for w in order.windows(2) {
+                if w[0].0 == w[1].0 {
+                    prop_assert!(
+                        w[0].2 <= w[1].2,
+                        "{}: request {} to address {} finished ahead of request {}",
+                        kind.name(), w[1].1, w[0].0, w[0].1
+                    );
+                }
             }
         }
     }

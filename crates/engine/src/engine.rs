@@ -315,8 +315,9 @@ impl ShardedFlowLut {
         }
     }
 
-    /// Preloads flows into the owning shards' tables and simulated DRAM
-    /// without spending cycles (the Table II(B) setup, sharded).
+    /// Preloads flows into the owning shards' tables, which their DRAM
+    /// reads see, without spending cycles (the Table II(B) setup,
+    /// sharded).
     ///
     /// # Errors
     ///
@@ -326,11 +327,6 @@ impl ShardedFlowLut {
     /// those keys remain loaded on their owning shards; the keys routed
     /// after the failing one are not attempted. Callers that need
     /// all-or-nothing semantics should rebuild the engine on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard has a bucket write pending, as
-    /// [`FlowLutSim::preload`] does.
     pub fn preload<I>(&mut self, keys: I) -> Result<usize, PreloadError>
     where
         I: IntoIterator<Item = FlowKey>,

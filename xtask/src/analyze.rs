@@ -8,8 +8,9 @@
 //! 1. **hot-alloc** — allocation sites (`Vec::…`/`vec![…]`/`Box::new`/
 //!    `String::…`/`HashMap::…`/`.to_vec()`/`.clone()`/`.collect()`/
 //!    `format!` plus direct `alloc::` use) transitively reachable from
-//!    the steady-state entry points, minus the vetted cold-path /
-//!    site allow-list in `xtask/analyze_allow.txt`;
+//!    the steady-state entry points, past the vetted cold-path barriers
+//!    in `xtask/analyze_allow.txt`. A reachable allocation is always a
+//!    finding: it can be fixed, not vetted;
 //! 2. **hot-panic** — `.unwrap()`/`.expect(`/`panic!(` sites reachable
 //!    from the same entry points, vetted through the same
 //!    `xtask/lint_allow.txt` entries the line-level `no-panic` rule
@@ -90,7 +91,7 @@ pub enum Call {
 pub struct Site {
     /// 1-based source line.
     pub line: usize,
-    /// `"alloc"` or `"panic"`.
+    /// Always `"panic"`: allocations cannot be vetted.
     pub kind: &'static str,
     /// Human description of the matched pattern.
     pub what: String,
@@ -453,7 +454,7 @@ pub fn scan_body(toks: &[Tok], body: (usize, usize)) -> BodyScan {
 }
 
 // ---------------------------------------------------------------------
-// Allow-list: cold barriers + vetted sites
+// Allow-list: cold barriers
 // ---------------------------------------------------------------------
 
 /// Parsed `xtask/analyze_allow.txt`.
@@ -465,9 +466,6 @@ pub struct AnalyzeAllow {
     /// `coldfile <path-substring>`: every function in a matching file is a
     /// cold barrier (for whole modules reached only via dyn-widening).
     pub coldfiles: Vec<String>,
-    /// `site <path-suffix> :: <line-substring>`: vetted hot-path
-    /// allocation sites — the open-item-3 work list.
-    pub sites: Vec<(String, String)>,
     /// Malformed lines, reported as findings.
     pub errors: Vec<(usize, String)>,
 }
@@ -484,20 +482,9 @@ pub fn parse_analyze_allow(text: &str) -> AnalyzeAllow {
             out.cold.push(rest.trim().to_string());
         } else if let Some(rest) = line.strip_prefix("coldfile ") {
             out.coldfiles.push(rest.trim().to_string());
-        } else if let Some(rest) = line.strip_prefix("site ") {
-            match rest.split_once(" :: ") {
-                Some((p, frag)) => out
-                    .sites
-                    .push((p.trim().to_string(), frag.trim().to_string())),
-                None => out
-                    .errors
-                    .push((i + 1, "`site` entry needs `path :: substring`".to_string())),
-            }
         } else {
-            out.errors.push((
-                i + 1,
-                "expected `cold …`, `coldfile …`, or `site … :: …`".to_string(),
-            ));
+            out.errors
+                .push((i + 1, "expected `cold …` or `coldfile …`".to_string()));
         }
     }
     out
@@ -567,14 +554,14 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// A vetted site that stayed on the hot path (the work list).
+/// A vetted panic site that stayed on the hot path.
 #[derive(Debug, Clone)]
 pub struct VettedSite {
     /// Repo-relative path.
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// `"alloc"` or `"panic"`.
+    /// Always `"panic"`: allocations cannot be vetted.
     pub kind: &'static str,
     /// The matched pattern.
     pub what: String,
@@ -596,7 +583,7 @@ pub struct AnalyzeResult {
     pub reachable: usize,
     /// Violations (empty on a clean tree).
     pub findings: Vec<Finding>,
-    /// Vetted hot-path sites (allocs + panics) — the residual work list.
+    /// Vetted hot-path panic sites.
     pub vetted: Vec<VettedSite>,
     /// Cold barriers the BFS actually hit.
     pub cold_hits: Vec<String>,
@@ -803,10 +790,8 @@ pub fn analyze_sources(
         names.join(" → ")
     };
 
-    // Findings: sites inside reachable functions, minus vetted entries.
+    // Findings: sites inside reachable functions, minus vetted panics.
     let mut vetted: Vec<VettedSite> = Vec::new();
-    let mut site_used = vec![false; allow.sites.len()];
-    let mut panic_used = vec![false; panic_allow.len()];
     for (id, it) in items.iter().enumerate() {
         if !seen[id] {
             continue;
@@ -814,18 +799,15 @@ pub fn analyze_sources(
         let file_lines = &lines[it.file.as_str()];
         for site in &scans[id].sites {
             let text = file_lines.get(site.line - 1).copied().unwrap_or_default();
-            let (rule, list, used): (&'static str, &[(String, String)], &mut Vec<bool>) =
-                match site.kind {
-                    "alloc" => ("hot-alloc", &allow.sites, &mut site_used),
-                    _ => ("hot-panic", panic_allow, &mut panic_used),
-                };
-            let mut allowed = false;
-            for (i, (p, frag)) in list.iter().enumerate() {
-                if it.file.ends_with(p.as_str()) && text.contains(frag.as_str()) {
-                    used[i] = true;
-                    allowed = true;
-                }
-            }
+            let rule = if site.kind == "alloc" {
+                "hot-alloc"
+            } else {
+                "hot-panic"
+            };
+            let allowed = site.kind != "alloc"
+                && panic_allow
+                    .iter()
+                    .any(|(p, frag)| it.file.ends_with(p.as_str()) && text.contains(frag.as_str()));
             if allowed {
                 vetted.push(VettedSite {
                     file: it.file.clone(),
@@ -846,7 +828,7 @@ pub fn analyze_sources(
                         site.what,
                         it.display(),
                         if site.kind == "alloc" {
-                            "hoist to a scratch buffer, or vet it in xtask/analyze_allow.txt"
+                            "hoist to a scratch buffer"
                         } else {
                             "return an error, or vet the invariant in xtask/lint_allow.txt"
                         }
@@ -880,19 +862,6 @@ pub fn analyze_sources(
                 rule: "stale-allow",
                 chain: String::new(),
                 msg: format!("`coldfile {p}` was never reached from an entry point — prune it"),
-            });
-        }
-    }
-    for (i, (p, frag)) in allow.sites.iter().enumerate() {
-        if !site_used[i] {
-            findings.push(Finding {
-                file: "xtask/analyze_allow.txt".to_string(),
-                line: 0,
-                rule: "stale-allow",
-                chain: String::new(),
-                msg: format!(
-                    "`site {p} :: {frag}` matches no reachable allocation site — prune it"
-                ),
             });
         }
     }
@@ -1099,23 +1068,25 @@ mod tests {
     }
 
     #[test]
-    fn vetted_site_is_reported_as_worklist_not_finding() {
+    fn hot_alloc_is_a_finding_whatever_the_allow_file_says() {
         let src = "impl FlowLutSim {\n    pub fn tick(&mut self) { let b = chunk.to_vec(); push(b); }\n}\nfn push(_b: u8) {}\n";
-        let mut allow = AnalyzeAllow::default();
-        allow.sites.push((
+        // The `site` form that once vetted an allocation is a parse error.
+        let allow = parse_analyze_allow("site crates/core/src/sim/mod.rs :: chunk.to_vec()\n");
+        assert_eq!(allow.errors.len(), 1, "{:?}", allow.errors);
+        // A panic entry naming the allocation's line does not vet it either.
+        let panic_allow = vec![(
             "crates/core/src/sim/mod.rs".to_string(),
             "chunk.to_vec()".to_string(),
-        ));
+        )];
         let res = analyze_sources(
             &files(&[("crates/core/src/sim/mod.rs", src)]),
             &entry_tick(),
             &allow,
-            &[],
+            &panic_allow,
         );
-        assert!(res.findings.is_empty(), "{:?}", res.findings);
-        assert_eq!(res.vetted.len(), 1);
-        assert_eq!(res.vetted[0].kind, "alloc");
-        assert_eq!(res.vetted[0].func, "FlowLutSim::tick");
+        let rules: Vec<&str> = res.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, ["hot-alloc", "allow-syntax"], "{:?}", res.findings);
+        assert!(res.vetted.is_empty(), "{:?}", res.vetted);
     }
 
     #[test]
@@ -1144,10 +1115,6 @@ mod tests {
         allow
             .coldfiles
             .push("crates/baselines/src/dead.rs".to_string());
-        allow.sites.push((
-            "crates/core/src/sim/mod.rs".to_string(),
-            "nothing here".to_string(),
-        ));
         let res = analyze_sources(
             &files(&[("crates/core/src/sim/mod.rs", src)]),
             &entry_tick(),
@@ -1159,7 +1126,7 @@ mod tests {
             .iter()
             .filter(|f| f.rule == "stale-allow")
             .collect();
-        assert_eq!(stale.len(), 3, "{:?}", res.findings);
+        assert_eq!(stale.len(), 2, "{:?}", res.findings);
     }
 
     #[test]
@@ -1231,13 +1198,11 @@ mod tests {
 
     #[test]
     fn allow_parser_flags_malformed_lines() {
-        let a = parse_analyze_allow(
-            "cold A::b\ncoldfile x.rs\nsite p.rs :: frag\nbogus line\nsite missing-sep\n",
-        );
+        let a = parse_analyze_allow("cold A::b\ncoldfile x.rs\nbogus line\ncoldfilex.rs\n");
         assert_eq!(a.cold, vec!["A::b"]);
         assert_eq!(a.coldfiles, vec!["x.rs"]);
-        assert_eq!(a.sites.len(), 1);
-        assert_eq!(a.errors.len(), 2);
+        let lines: Vec<usize> = a.errors.iter().map(|(n, _)| *n).collect();
+        assert_eq!(lines, [3, 4]);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! panic site transitively reachable from the steady-state entry
 //! points (`FlowLutSim::tick`, `Session::offer`, `ShardedFlowLut::tick`,
 //! `FlowService::pump`, and the `FlowPipeline` impls' `push`/`poll`),
-//! minus the vetted cold-path/site allow-list in
-//! `xtask/analyze_allow.txt`. `--json <path>` additionally writes a
+//! past the vetted cold-path barriers in `xtask/analyze_allow.txt`.
+//! Every reachable allocation is a finding; a reachable panic site may
+//! be vetted in `xtask/lint_allow.txt`. `--json <path>` additionally writes a
 //! machine-readable report (CI uploads it as an artifact).
 //!
 //! Pure `std` — no external dependencies — so both commands run in the
