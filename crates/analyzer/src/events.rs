@@ -1,6 +1,6 @@
 //! The event engine: programmable detectors over flow-processor output.
 
-use flowlut_core::sim::{DescState, ResolvedVia};
+use flowlut_core::sim::CompletionRecord;
 use flowlut_core::{FlowId, HashCamTable, RunReport};
 
 /// Detector thresholds.
@@ -89,15 +89,13 @@ impl EventEngine {
     /// byte threshold), reading the flow's record from `table`.
     pub fn on_packet(
         &mut self,
-        desc: &DescState,
-        via: ResolvedVia,
+        record: &CompletionRecord,
         table: &HashCamTable,
         out: &mut Vec<Event>,
     ) {
-        if !via.has_fid() {
+        let Some(fid) = record.fid else {
             return;
-        }
-        let fid = desc.fid.expect("has_fid checked");
+        };
         if self.reported_elephants.contains(&fid) {
             return;
         }

@@ -17,7 +17,8 @@
 //!   histogram, flow-size distribution, top talkers (the stats engine
 //!   block);
 //! * [`TrafficAnalyzer`] — the integration: drives descriptors through a
-//!   [`FlowLutSim`] and fans results out to both engines.
+//!   [`FlowLutSim`] and fans its completion records out to both engines,
+//!   emptying the simulator's bounded completion queue after each batch.
 //!
 //! ## Example
 //!
@@ -101,8 +102,16 @@ impl TrafficAnalyzer {
     ///
     /// # Panics
     ///
-    /// Panics if the simulator configuration is invalid.
+    /// Panics if the simulator configuration is invalid, or if
+    /// `buffer_depth` exceeds [`FlowLutSim::COMPLETION_CAPACITY`]: a
+    /// batch's completion records must all fit the simulator's queue.
     pub fn new(cfg: AnalyzerConfig) -> Self {
+        assert!(
+            cfg.buffer_depth <= FlowLutSim::COMPLETION_CAPACITY,
+            "buffer depth {} exceeds the {} completion records a batch can leave",
+            cfg.buffer_depth,
+            FlowLutSim::COMPLETION_CAPACITY
+        );
         TrafficAnalyzer {
             buffer: PacketBuffer::new(cfg.buffer_depth),
             sim: FlowLutSim::new(cfg.sim),
@@ -127,8 +136,9 @@ impl TrafficAnalyzer {
     }
 
     /// Ingests a batch of packets: buffers them (tail-dropping on
-    /// overflow), runs the flow processor, and fans completions out to
-    /// the stats and event engines.
+    /// overflow), runs the flow processor, and fans the batch's
+    /// completion records out to the stats and event engines, draining
+    /// the simulator's completion queue.
     pub fn process(&mut self, packets: &[PacketDescriptor]) -> BatchOutcome {
         // Packet buffer stage: everything beyond the buffer depth within
         // one batch is tail-dropped (the buffer drains into the flow
@@ -139,17 +149,17 @@ impl TrafficAnalyzer {
                 accepted.push(*p);
             }
         }
-        let before_completed = self.sim.descriptors().len();
         let report = self.sim.start_run().run(&accepted).expect("fresh session");
         self.buffer.drain(accepted.len());
 
-        // Fan out per-descriptor results.
+        // Fan out per-descriptor results, in completion order, then empty
+        // the queue: it holds this batch's records, and no more.
         let mut events = Vec::new();
-        for d in &self.sim.descriptors()[before_completed..] {
-            let via = d.via.expect("run completed");
-            self.stats.on_packet(d, via);
-            self.events.on_packet(d, via, self.sim.table(), &mut events);
+        for record in self.sim.completions() {
+            self.stats.on_packet(record);
+            self.events.on_packet(record, self.sim.table(), &mut events);
         }
+        self.sim.drain_completions();
         self.events
             .on_batch_end(&report, self.sim.table(), &mut events);
 
@@ -197,6 +207,16 @@ mod tests {
         let out = a.process(&pkts(0..250, 10));
         assert_eq!(out.processed, 100);
         assert_eq!(out.buffer_drops, 150);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 32768 completion records")]
+    fn a_buffer_deeper_than_the_completion_queue_is_refused() {
+        TrafficAnalyzer::new(AnalyzerConfig {
+            sim: SimConfig::test_small(),
+            buffer_depth: FlowLutSim::COMPLETION_CAPACITY + 1,
+            ..AnalyzerConfig::default()
+        });
     }
 
     #[test]

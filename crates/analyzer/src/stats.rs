@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use flowlut_core::sim::{DescState, ResolvedVia};
+use flowlut_core::sim::{CompletionRecord, ResolvedVia};
 use flowlut_core::FlowId;
 
 /// Flow-size classes for the flow-size distribution (mice → elephants).
@@ -65,29 +65,29 @@ impl StatsEngine {
     }
 
     /// Folds one resolved descriptor into the aggregates.
-    pub fn on_packet(&mut self, desc: &DescState, via: ResolvedVia) {
+    pub fn on_packet(&mut self, record: &CompletionRecord) {
         self.total_packets += 1;
-        self.total_bytes += u64::from(desc.desc.frame_bytes);
+        self.total_bytes += u64::from(record.desc.frame_bytes);
         // The canonical wire layout stores the protocol in the last byte.
-        if let Some(&proto) = desc.desc.key.as_bytes().last() {
+        if let Some(&proto) = record.desc.key.as_bytes().last() {
             *self.protocols.entry(proto).or_insert(0) += 1;
         }
-        let size = desc.desc.frame_bytes;
+        let size = record.desc.frame_bytes;
         let bucket = SIZE_BUCKETS
             .iter()
             .position(|&(lo, hi)| size >= lo && size <= hi)
             .expect("buckets cover u16");
         self.size_histogram[bucket] += 1;
 
-        match via {
+        match record.via {
             ResolvedVia::Dropped => self.dropped += 1,
             v if v.is_new_flow() => {
                 self.new_flows += 1;
-                self.flow_packets.insert(desc.fid.expect("new flow"), 1);
+                self.flow_packets.insert(record.fid.expect("new flow"), 1);
             }
             _ => {
                 self.matched += 1;
-                if let Some(fid) = desc.fid {
+                if let Some(fid) = record.fid {
                     *self.flow_packets.entry(fid).or_insert(0) += 1;
                 }
             }

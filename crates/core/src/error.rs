@@ -85,6 +85,27 @@ impl Error for PreloadError {
     }
 }
 
+/// A user deletion refused: the update unit's queue already holds
+/// `capacity` user deletions. It takes one deletion a cycle, so tick the
+/// simulator and retry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeleteQueueFull {
+    /// User deletions the queue holds.
+    pub capacity: usize,
+}
+
+impl fmt::Display for DeleteQueueFull {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} user deletions are queued for the update unit already",
+            self.capacity
+        )
+    }
+}
+
+impl Error for DeleteQueueFull {}
+
 /// Configuration rejected by [`TableConfig::validate`](crate::table::TableConfig::validate)
 /// or [`SimConfig::validate`](crate::config::SimConfig::validate).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,6 +297,8 @@ mod tests {
         };
         assert!(p.to_string().contains("after 7 keys"), "{p}");
         assert!(std::error::Error::source(&p).is_some());
+        let full = DeleteQueueFull { capacity: 256 };
+        assert!(full.to_string().contains("256 user deletions"), "{full}");
     }
 
     #[test]
@@ -285,6 +308,7 @@ mod tests {
         assert_send_sync::<ConfigError>();
         assert_send_sync::<PreloadError>();
         assert_send_sync::<RescaleError>();
+        assert_send_sync::<DeleteQueueFull>();
         assert_send_sync::<FlowError>();
     }
 

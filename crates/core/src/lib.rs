@@ -77,7 +77,7 @@ pub use backend::{
 };
 pub use checkpoint::CheckpointError;
 pub use config::{ExpiryPolicy, LoadBalancerPolicy, PressurePolicy, SimConfig};
-pub use error::{ConfigError, FlowError, InsertError, PreloadError, RescaleError};
+pub use error::{ConfigError, DeleteQueueFull, FlowError, InsertError, PreloadError, RescaleError};
 pub use fid::{FlowId, Location, PathId};
 pub use flow_state::FlowRecord;
 pub use multipath::{MultiHashConfig, MultiHashStats, MultiHashTable, MultiLocation};

@@ -23,6 +23,12 @@
 //! * **No stale reads**: a bucket with a pending (batched or in-flight)
 //!   write blocks lookup reads to that bucket until the write lands.
 //!
+//! A descriptor's state lives in one reused slab slot while it is in
+//! the pipeline. The queues, the waiting lists (threaded through the
+//! slab behind one map of the keys in flight) and the memory requests
+//! (a bucket read's ID is its slot) all name that slot. A completed
+//! descriptor leaves a [`CompletionRecord`] on a bounded queue.
+//!
 //! The memory models time bursts but carry no data. Flow Match reads a
 //! bucket as DRAM holds it: the table's line, or, while a write of the
 //! bucket is pending, the line saved before the first update that write
@@ -31,9 +37,10 @@
 
 mod types;
 
-pub use types::{DescState, LuStage, ResolvedVia, SimStats};
+pub use types::{CompletionRecord, ResolvedVia, SimStats};
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{vec_deque, HashMap, HashSet, VecDeque};
 
 use flowlut_ddr3::model::MemoryModel;
 use flowlut_ddr3::{AccessKind, Completion, MemRequest};
@@ -46,18 +53,43 @@ use crate::backend::{
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, Fnv64};
 use crate::codec;
 use crate::config::{LoadBalancerPolicy, SimConfig};
-use crate::error::{InsertError, PreloadError};
+use crate::error::{DeleteQueueFull, InsertError, PreloadError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
 use crate::storage::SparseStorage;
 use crate::table::HashCamTable;
 
-/// A lookup read waiting in a DLU.
+/// Which lookup stage a memory read serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LuStage {
+    /// First lookup, on the load-balancer-chosen path.
+    Lu1,
+    /// Second lookup, on the other path after an LU1 miss.
+    Lu2,
+}
+
+/// A descriptor's state while it is in the pipeline. Its slot is freed
+/// at completion, when no queue holds it and every burst of its last
+/// read has landed, so a reused slot needs no generation tag.
 #[derive(Debug, Clone, Copy)]
-struct ReadIntent {
-    desc: usize,
+struct Slot {
+    desc: PacketDescriptor,
+    /// Raw 32-bit hash pair (from the hasher or the override).
+    hashes: (u32, u32),
+    /// Bucket index in each path's memory (Mem1/path A, Mem2/path B).
+    buckets: [u32; 2],
+    /// Path chosen by the load balancer for LU1 (set at dispatch).
+    first_path: Option<PathId>,
+    /// System cycle the descriptor entered the sequencer queue.
+    t_offer: u64,
+    /// System cycle it passed admission (same-key ordering released).
+    t_admit: u64,
+    /// The lookup its bucket read, queued or in memory, serves.
     stage: LuStage,
-    bucket: u32,
+    /// Bursts of that read landed so far.
+    landed: u32,
+    /// The descriptor of the same key waiting next behind this one.
+    next_waiter: Option<usize>,
 }
 
 /// A released bucket write waiting for controller room.
@@ -86,40 +118,21 @@ enum DelReq {
     ///
     /// [`PressurePolicy`]: crate::config::PressurePolicy
     Evict(FlowId, FlowKey),
-    /// Unconditional user deletion (the Figure 2 "Flow delete" input).
-    User(FlowKey),
+    /// User deletion (the Figure 2 "Flow delete" input) of the flow
+    /// FID_GEN named, guarded by its key.
+    User(FlowId, FlowKey),
 }
 
-/// Context attached to an outstanding memory request.
-#[derive(Debug, Clone, Copy)]
-enum MemTag {
-    /// One burst of a bucket read for a lookup.
-    LookupPart { asm: usize },
-    /// One burst of a bucket write; `last` carries the filter release.
-    WritePart {
-        path: usize,
-        bucket: u32,
-        covers: u32,
-        last: bool,
-    },
-}
-
-/// A multi-burst bucket read, complete when all its bursts are.
-#[derive(Debug)]
-struct ReadAssembly {
-    desc: usize,
-    stage: LuStage,
-    path: usize,
-    bucket: u32,
-    /// Bursts completed so far.
-    got: u32,
-}
+/// User deletions the update unit's queue holds; past it,
+/// [`FlowLutSim::delete_flow`] refuses.
+const USER_DELETE_CAP: usize = 256;
 
 /// One lookup path: its memory model plus the DLU state in front of it.
 #[derive(Debug)]
 struct PathSim {
     ctrl: Box<dyn MemoryModel>,
-    read_q: VecDeque<ReadIntent>,
+    /// Slots waiting for a bucket read.
+    read_q: VecDeque<usize>,
     write_q: VecDeque<WriteIntent>,
     /// Buckets with pending (batched or in-flight) writes → outstanding
     /// update-intent count. Reads to these buckets are held (Req Filter).
@@ -144,8 +157,10 @@ pub struct FlowLutSim {
     // Sequencer.
     seq_q: VecDeque<usize>,
     cam_pipe: VecDeque<(u64, usize)>,
-    wait_by_key: HashMap<FlowKey, VecDeque<usize>>,
-    inflight_keys: HashSet<FlowKey>,
+    /// The Request Filter: each key with a descriptor in flight, and the
+    /// last slot of its chain, the one in flight and then its waiting
+    /// list, linked through `Slot::next_waiter`.
+    same_key: HashMap<FlowKey, usize>,
     lb_acc: u32,
     // Update unit.
     ins_q: VecDeque<usize>,
@@ -162,12 +177,12 @@ pub struct FlowLutSim {
     victims: VecDeque<FlowRecord>,
     /// Bounded queue of lifecycle events awaiting [`FlowPipeline::poll_events`].
     events: VecDeque<FlowEvent>,
-    // Descriptor slab and memory bookkeeping.
-    descs: Vec<DescState>,
-    mem_tags: HashMap<u64, MemTag>,
-    assemblies: HashMap<usize, ReadAssembly>,
-    next_mem_id: u64,
-    next_asm_id: usize,
+    /// Descriptors in the pipeline, by slot; `free_slots` lists the
+    /// slots free for the next offer.
+    slots: Vec<Slot>,
+    free_slots: Vec<usize>,
+    /// Records of the latest completions, oldest first.
+    completed: VecDeque<CompletionRecord>,
     now_sys: u64,
     stats: SimStats,
     last_completion_cycle: u64,
@@ -180,6 +195,10 @@ pub struct FlowLutSim {
 }
 
 impl FlowLutSim {
+    /// Completion records [`completions`](Self::completions) keeps: more
+    /// than any batch a caller in this workspace runs between drains.
+    pub const COMPLETION_CAPACITY: usize = 1 << 15;
+
     /// Builds a simulator.
     ///
     /// # Panics
@@ -204,8 +223,7 @@ impl FlowLutSim {
             paths: [mk_path(), mk_path()],
             seq_q: VecDeque::new(),
             cam_pipe: VecDeque::new(),
-            wait_by_key: HashMap::new(),
-            inflight_keys: HashSet::new(),
+            same_key: HashMap::new(),
             lb_acc: 0x9E37_79B9, // xorshift state; any non-zero seed
             ins_q: VecDeque::new(),
             del_q: VecDeque::new(),
@@ -214,11 +232,9 @@ impl FlowLutSim {
             lifecycle_pending: HashSet::new(),
             victims: VecDeque::new(),
             events: VecDeque::new(),
-            descs: Vec::new(),
-            mem_tags: HashMap::new(),
-            assemblies: HashMap::new(),
-            next_mem_id: 0,
-            next_asm_id: 0,
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            completed: VecDeque::new(),
             now_sys: 0,
             stats: SimStats::default(),
             last_completion_cycle: 0,
@@ -257,10 +273,17 @@ impl FlowLutSim {
         self.now_sys
     }
 
-    /// Completed descriptor states (resolution, timing, flow IDs), in
-    /// slab order (= offer order).
-    pub fn descriptors(&self) -> &[DescState] {
-        &self.descs
+    /// Records of the latest completions, oldest first, at most
+    /// [`COMPLETION_CAPACITY`](Self::COMPLETION_CAPACITY) (the oldest
+    /// drop). Same-key records leave in offer order.
+    pub fn completions(&self) -> &VecDeque<CompletionRecord> {
+        &self.completed
+    }
+
+    /// Takes the completion records, oldest first, leaving the queue
+    /// empty.
+    pub fn drain_completions(&mut self) -> vec_deque::Drain<'_, CompletionRecord> {
+        self.completed.drain(..)
     }
 
     /// Preloads flows into the table, which DRAM reads see, without
@@ -302,10 +325,24 @@ impl FlowLutSim {
             .map_err(|cause| PreloadError { inserted, cause })
     }
 
-    /// Requests deletion of `key` (the Figure 2 "Flow delete" input).
-    /// Processed asynchronously by the update unit.
-    pub fn delete_flow(&mut self, key: FlowKey) {
-        self.del_q.push_back(DelReq::User(key));
+    /// Requests deletion of the flow FID_GEN named `fid` (a
+    /// [`CompletionRecord::fid`]), guarded by its `key`: the Figure 2
+    /// "Flow delete" input. The update unit deletes it asynchronously if
+    /// that slot still holds `key`.
+    ///
+    /// # Errors
+    ///
+    /// [`DeleteQueueFull`] when the queue is full; tick and retry.
+    pub fn delete_flow(&mut self, fid: FlowId, key: FlowKey) -> Result<(), DeleteQueueFull> {
+        // `lifecycle_pending` names the queued lifecycle nominations;
+        // every other queued deletion is a user's.
+        if self.del_q.len() - self.lifecycle_pending.len() >= USER_DELETE_CAP {
+            return Err(DeleteQueueFull {
+                capacity: USER_DELETE_CAP,
+            });
+        }
+        self.del_q.push_back(DelReq::User(fid, key));
+        Ok(())
     }
 
     /// Offers one descriptor directly into the sequencer queue, bypassing
@@ -336,20 +373,24 @@ impl FlowLutSim {
             None if self.fits(&desc.key) => self.table.raw_hashes(&desc.key),
             None => (0, 0),
         };
-        let buckets = self.table.bucket_pair_from_hashes(hashes.0, hashes.1);
-        let idx = self.descs.len();
-        self.descs.push(DescState {
+        let (b1, b2) = self.table.bucket_pair_from_hashes(hashes.0, hashes.1);
+        let state = Slot {
             desc,
             hashes,
-            buckets,
+            buckets: [b1, b2],
             first_path: None,
             t_offer: self.now_sys,
             t_admit: 0,
-            t_done: None,
-            via: None,
-            fid: None,
-        });
-        self.seq_q.push_back(idx);
+            stage: LuStage::Lu1,
+            landed: 0,
+            next_waiter: None,
+        };
+        let slot = self.free_slots.pop().unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(state);
+        }
+        self.slots[slot] = state;
+        self.seq_q.push_back(slot);
         self.stats.offered += 1;
     }
 
@@ -402,46 +443,37 @@ impl FlowLutSim {
         }
     }
 
+    /// A read's ID is its descriptor's slot; a write's is the number of
+    /// update intents it retires. The address gives the bucket.
     fn handle_mem_completion(&mut self, path: usize, c: Completion) {
-        let tag = self
-            .mem_tags
-            .remove(&c.id)
-            .expect("completion for unknown request");
-        match tag {
-            MemTag::LookupPart { asm } => {
-                let done = {
-                    let a = self.assemblies.get_mut(&asm).expect("live assembly");
-                    debug_assert_eq!(a.path, path);
-                    debug_assert_eq!(c.kind, AccessKind::Read);
-                    a.got += 1;
-                    a.got == self.bursts_per_bucket
-                };
-                if done {
-                    let a = self.assemblies.remove(&asm).expect("live assembly");
-                    self.flow_match(a);
+        let bursts = u64::from(self.bursts_per_bucket);
+        let bucket = (c.addr / bursts) as u32;
+        match c.kind {
+            AccessKind::Read => {
+                let slot = c.id as usize;
+                let s = &mut self.slots[slot];
+                s.landed += 1;
+                if s.landed == self.bursts_per_bucket {
+                    s.landed = 0;
+                    self.flow_match(slot, path, bucket);
                 }
             }
-            MemTag::WritePart {
-                path: wpath,
-                bucket,
-                covers,
-                last,
-            } => {
-                debug_assert_eq!(wpath, path);
-                if last {
-                    let p = &mut self.paths[path];
-                    let remaining = p
-                        .pending_write_buckets
-                        .get_mut(&bucket)
-                        .expect("write completion for unmarked bucket");
-                    *remaining = remaining.saturating_sub(covers);
-                    if *remaining == 0 {
-                        // DRAM now holds the table's line.
-                        p.pending_write_buckets.remove(&bucket);
-                        p.saved.release_line(u64::from(bucket));
-                    }
+            // The bucket's last-numbered burst carries the filter release.
+            AccessKind::Write if c.addr % bursts == bursts - 1 => {
+                let covers = c.id as u32;
+                let p = &mut self.paths[path];
+                let remaining = p
+                    .pending_write_buckets
+                    .get_mut(&bucket)
+                    .expect("write completion for unmarked bucket");
+                *remaining = remaining.saturating_sub(covers);
+                if *remaining == 0 {
+                    // DRAM now holds the table's line.
+                    p.pending_write_buckets.remove(&bucket);
+                    p.saved.release_line(u64::from(bucket));
                 }
             }
+            AccessKind::Write => {}
         }
     }
 
@@ -459,68 +491,63 @@ impl FlowLutSim {
         }
     }
 
-    /// The Flow Match block: compare the bucket the read returned against
-    /// the descriptor's key; on LU1 miss redirect to the other path, on
-    /// LU2 miss raise an insertion.
-    fn flow_match(&mut self, a: ReadAssembly) {
-        let key = self.descs[a.desc].desc.key;
+    /// The Flow Match block: compare `bucket` of `path`, which the read
+    /// of `slot` returned, against the descriptor's key; on LU1 miss
+    /// redirect to the other path, on LU2 miss raise an insertion.
+    fn flow_match(&mut self, slot: usize, path: usize, bucket: u32) {
+        let key = self.slots[slot].desc.key;
         let k = usize::from(self.cfg.table.entries_per_bucket);
         let slot_bytes = self.cfg.table.entry_slot_bytes;
         let found = self
-            .dram_line(a.path, a.bucket)
+            .dram_line(path, bucket)
             .and_then(|bytes| codec::find_key(bytes, slot_bytes, k, &key));
+        let stage = self.slots[slot].stage;
         match found {
-            Some(slot) => {
-                let path = PathId::from_index(a.path);
+            Some(entry) => {
+                let path = PathId::from_index(path);
                 let fid = FlowId::encode(
                     Location::Mem {
                         path,
-                        bucket: a.bucket,
-                        slot,
+                        bucket,
+                        slot: entry,
                     },
                     self.cfg.table.entries_per_bucket,
                 );
-                let via = match a.stage {
+                let via = match stage {
                     LuStage::Lu1 => ResolvedVia::Lu1Hit(path),
                     LuStage::Lu2 => ResolvedVia::Lu2Hit(path),
                 };
-                self.complete(a.desc, via, Some(fid));
+                self.complete(slot, via, Some(fid));
             }
-            None => match a.stage {
+            None => match stage {
                 LuStage::Lu1 => {
-                    let other = a.path ^ 1;
-                    let bucket = if other == 0 {
-                        self.descs[a.desc].buckets.0
-                    } else {
-                        self.descs[a.desc].buckets.1
-                    };
-                    self.paths[other].read_q.push_back(ReadIntent {
-                        desc: a.desc,
-                        stage: LuStage::Lu2,
-                        bucket,
-                    });
+                    self.slots[slot].stage = LuStage::Lu2;
+                    self.paths[path ^ 1].read_q.push_back(slot);
                 }
                 LuStage::Lu2 => {
-                    self.ins_q.push_back(a.desc);
+                    self.ins_q.push_back(slot);
                 }
             },
         }
     }
 
-    fn complete(&mut self, desc: usize, via: ResolvedVia, fid: Option<FlowId>) {
+    /// `true` when no queue holds `slot` and no read of it is partly
+    /// landed: the state [`complete`](Self::complete) frees it in.
+    fn unreferenced(&self, slot: usize) -> bool {
+        self.slots[slot].landed == 0
+            && !self.seq_q.contains(&slot)
+            && !self.ins_q.contains(&slot)
+            && self.cam_pipe.iter().all(|&(_, s)| s != slot)
+            && self.paths.iter().all(|p| !p.read_q.contains(&slot))
+    }
+
+    fn complete(&mut self, slot: usize, via: ResolvedVia, fid: Option<FlowId>) {
+        debug_assert!(self.unreferenced(slot), "slot {slot} freed while in use");
         let now = self.now_sys;
-        let key;
-        {
-            let ds = &mut self.descs[desc];
-            debug_assert!(ds.t_done.is_none(), "descriptor completed twice");
-            ds.t_done = Some(now);
-            ds.via = Some(via);
-            ds.fid = fid;
-            key = ds.desc.key;
-            let latency = now - ds.t_admit;
-            self.stats.total_latency_sys += latency;
-            self.stats.max_latency_sys = self.stats.max_latency_sys.max(latency);
-        }
+        let Slot { desc, t_admit, .. } = self.slots[slot];
+        let latency = now - t_admit;
+        self.stats.total_latency_sys += latency;
+        self.stats.max_latency_sys = self.stats.max_latency_sys.max(latency);
         self.stats.completed += 1;
         self.last_completion_cycle = now;
         match via {
@@ -534,52 +561,62 @@ impl FlowLutSim {
         }
         // Flow-state records, in the slot the flow ID names.
         let now_ns = (now as f64 * self.cfg.sys_period_ns()) as u64;
-        let frame = u64::from(self.descs[desc].desc.frame_bytes);
         if let Some(fid) = fid {
+            let frame = u64::from(desc.frame_bytes);
             self.table
-                .record_packet(fid, &key, via.is_new_flow(), now_ns, now, frame);
+                .record_packet(fid, &desc.key, via.is_new_flow(), now_ns, now, frame);
         }
-        // Release the next same-key waiter into the CAM stage.
-        self.inflight_keys.remove(&key);
-        if let Some(waiters) = self.wait_by_key.get_mut(&key) {
-            if let Some(next) = waiters.pop_front() {
-                if waiters.is_empty() {
-                    self.wait_by_key.remove(&key);
-                }
-                self.admit(next);
-            } else {
-                self.wait_by_key.remove(&key);
+        if self.completed.len() >= Self::COMPLETION_CAPACITY {
+            self.completed.pop_front();
+        }
+        self.completed.push_back(CompletionRecord {
+            desc,
+            via,
+            fid,
+            t_offer: self.slots[slot].t_offer,
+            t_admit,
+            t_done: now,
+        });
+        self.free_slots.push(slot);
+        // Release the next same-key waiter into the CAM stage; with none
+        // waiting, the key leaves the filter.
+        match self.slots[slot].next_waiter {
+            Some(next) => self.admit(next),
+            None => {
+                self.same_key.remove(&desc.key);
             }
         }
     }
 
-    fn admit(&mut self, desc: usize) {
-        let key = self.descs[desc].desc.key;
-        debug_assert!(!self.inflight_keys.contains(&key));
-        self.inflight_keys.insert(key);
-        self.descs[desc].t_admit = self.now_sys;
+    /// Sends `slot`, whose key the filter holds, into the CAM stage.
+    fn admit(&mut self, slot: usize) {
+        self.slots[slot].t_admit = self.now_sys;
         self.stats.admitted += 1;
         self.cam_pipe
-            .push_back((self.now_sys + self.cfg.cam_latency_sys, desc));
+            .push_back((self.now_sys + self.cfg.cam_latency_sys, slot));
     }
 
     fn admit_from_queue(&mut self) {
-        // The same-key filter admits one descriptor per key, so the
-        // in-flight keys count the descriptors in flight.
-        if self.inflight_keys.len() >= self.cfg.max_in_flight {
+        // The same-key filter admits one descriptor per key, so the keys
+        // in flight count the descriptors in flight.
+        if self.same_key.len() >= self.cfg.max_in_flight {
             return;
         }
-        let Some(idx) = self.seq_q.pop_front() else {
+        let Some(slot) = self.seq_q.pop_front() else {
             return;
         };
-        let key = self.descs[idx].desc.key;
-        if self.inflight_keys.contains(&key) {
+        match self.same_key.entry(self.slots[slot].desc.key) {
+            Entry::Vacant(entry) => {
+                entry.insert(slot);
+                self.admit(slot);
+            }
             // Request Filter waiting list: same-flow order preservation.
-            self.stats.same_key_holds += 1;
-            self.wait_by_key.entry(key).or_default().push_back(idx);
-            return;
+            Entry::Occupied(mut entry) => {
+                self.stats.same_key_holds += 1;
+                let last = std::mem::replace(entry.get_mut(), slot);
+                self.slots[last].next_waiter = Some(slot);
+            }
         }
-        self.admit(idx);
     }
 
     /// Pops at most one descriptor whose CAM-stage latency has elapsed:
@@ -598,34 +635,34 @@ impl FlowLutSim {
         if !ready {
             return;
         }
-        let (_, idx) = *self.cam_pipe.front().expect("checked non-empty");
-        let key = self.descs[idx].desc.key;
+        let (_, slot) = *self.cam_pipe.front().expect("checked non-empty");
+        let key = self.slots[slot].desc.key;
         if let Some(fid) = self.table.cam_peek(&key) {
             self.cam_pipe.pop_front();
-            self.complete(idx, ResolvedVia::CamHit, Some(fid));
+            self.complete(slot, ResolvedVia::CamHit, Some(fid));
             return;
         }
         // No bucket holds a key no slot can hold, nor takes it in: drop
         // it without a read.
         if !self.fits(&key) {
             self.cam_pipe.pop_front();
-            self.complete(idx, ResolvedVia::Dropped, None);
+            self.complete(slot, ResolvedVia::Dropped, None);
             return;
         }
         // The load balancer decides once; a full DLU stalls the pipe
         // rather than re-routing (hardware honours the configured split).
-        let path = match self.descs[idx].first_path {
+        let path = match self.slots[slot].first_path {
             Some(p) => p,
             None => {
-                let p = self.choose_path(idx);
-                self.descs[idx].first_path = Some(p);
+                let p = self.choose_path(slot);
+                self.slots[slot].first_path = Some(p);
                 p
             }
         };
         if self.paths[path.index()]
             .read_q
             .iter()
-            .filter(|r| r.stage == LuStage::Lu1)
+            .filter(|&&r| self.slots[r].stage == LuStage::Lu1)
             .count()
             >= self.cfg.dlu_queue_depth
         {
@@ -635,15 +672,7 @@ impl FlowLutSim {
         }
         self.cam_pipe.pop_front();
         self.stats.lu1_per_path[path.index()] += 1;
-        let bucket = match path {
-            PathId::A => self.descs[idx].buckets.0,
-            PathId::B => self.descs[idx].buckets.1,
-        };
-        self.paths[path.index()].read_q.push_back(ReadIntent {
-            desc: idx,
-            stage: LuStage::Lu1,
-            bucket,
-        });
+        self.paths[path.index()].read_q.push_back(slot);
     }
 
     /// `true` when a slot can hold `key` ([`codec::check_fit`]).
@@ -651,10 +680,10 @@ impl FlowLutSim {
         codec::check_fit(key, self.cfg.table.entry_slot_bytes).is_ok()
     }
 
-    fn choose_path(&mut self, desc: usize) -> PathId {
+    fn choose_path(&mut self, slot: usize) -> PathId {
         match self.cfg.load_balancer {
             LoadBalancerPolicy::HashSplit => {
-                if self.descs[desc].hashes.0 & 1 == 0 {
+                if self.slots[slot].hashes.0 & 1 == 0 {
                     PathId::A
                 } else {
                     PathId::B
@@ -705,7 +734,7 @@ impl FlowLutSim {
             if self.now_sys.saturating_sub(record.last_touch_sys) <= policy.idle_timeout_cycles {
                 continue;
             }
-            if self.inflight_keys.contains(&record.key) || self.lifecycle_pending.contains(&id) {
+            if self.same_key.contains_key(&record.key) || self.lifecycle_pending.contains(&id) {
                 continue;
             }
             self.lifecycle_pending.insert(id);
@@ -735,7 +764,7 @@ impl FlowLutSim {
         let coldest = batch
             .drain(..)
             .filter(|(id, r)| {
-                !self.inflight_keys.contains(&r.key) && !self.lifecycle_pending.contains(id)
+                !self.same_key.contains_key(&r.key) && !self.lifecycle_pending.contains(id)
             })
             .min_by_key(|(id, r)| (r.last_touch_sys, id.raw()));
         if let Some((id, record)) = coldest {
@@ -768,61 +797,56 @@ impl FlowLutSim {
         self.victims.drain(..).collect()
     }
 
+    /// Re-validates a deletion at the slot its flow ID names (a hash
+    /// override may place a flow outside its buckets) and deletes there.
     fn process_delete(&mut self) {
         let Some(req) = self.del_q.pop_front() else {
             return;
         };
-        let (fid, key) = match req {
-            DelReq::ExpireTtl(fid, key) => {
-                self.lifecycle_pending.remove(&fid);
-                let Some(policy) = self.cfg.expiry else {
-                    return;
-                };
+        let (DelReq::ExpireTtl(fid, key) | DelReq::Evict(fid, key) | DelReq::User(fid, key)) = req;
+        if !matches!(req, DelReq::User(..)) {
+            self.lifecycle_pending.remove(&fid);
+            // Lifecycle deletions skip a key in flight.
+            if self.same_key.contains_key(&key) {
+                return;
+            }
+        }
+        // The flow may have left its slot since it was named.
+        let Some(record) = self.table.record(fid).filter(|r| r.key == key) else {
+            return;
+        };
+        match req {
+            DelReq::ExpireTtl(..) => {
                 // Re-validate in cycle time: the flow may have been
-                // touched (or completed against) since the scan stride,
-                // or have left its slot.
-                if self.inflight_keys.contains(&key) {
+                // touched since the scan stride visited it.
+                let idle = self.now_sys.saturating_sub(record.last_touch_sys);
+                if self
+                    .cfg
+                    .expiry
+                    .is_none_or(|policy| idle <= policy.idle_timeout_cycles)
+                {
                     return;
-                }
-                match self.table.record(fid) {
-                    Some(r)
-                        if r.key == key
-                            && self.now_sys.saturating_sub(r.last_touch_sys)
-                                > policy.idle_timeout_cycles => {}
-                    _ => return, // gone or re-activated
                 }
                 self.stats.expired_ttl += 1;
                 self.push_event(FlowEventKind::ExpiredTtl, key);
-                (fid, key)
             }
-            DelReq::Evict(fid, key) => {
-                self.lifecycle_pending.remove(&fid);
+            DelReq::Evict(..) => {
                 let Some(policy) = self.cfg.pressure else {
                     return;
                 };
-                if self.inflight_keys.contains(&key) {
-                    return;
-                }
                 // Pressure may have eased since the nomination.
                 if self.table.occupancy().cam < u64::from(policy.cam_high_water) {
                     return;
                 }
-                let Some(record) = self.table.record(fid).filter(|r| r.key == key) else {
-                    return;
-                };
                 if self.victims.len() >= policy.victim_cap {
                     self.victims.pop_front();
                 }
                 self.victims.push_back(record);
                 self.stats.pressure_evicted += 1;
                 self.push_event(FlowEventKind::EvictedPressure, key);
-                (fid, key)
             }
-            DelReq::User(key) => match self.table.peek(&key) {
-                Some(fid) => (fid, key),
-                None => return,
-            },
-        };
+            DelReq::User(..) => {}
+        }
         let bucket = match fid.decode(self.cfg.table.entries_per_bucket) {
             Location::Mem { path, bucket, .. } => Some((path.index(), bucket)),
             Location::Cam(_) => None,
@@ -840,14 +864,14 @@ impl FlowLutSim {
     }
 
     fn process_insert(&mut self) {
-        let Some(idx) = self.ins_q.pop_front() else {
+        let Some(slot) = self.ins_q.pop_front() else {
             return;
         };
-        let key = self.descs[idx].desc.key;
-        let (b1, b2) = self.descs[idx].buckets;
+        let key = self.slots[slot].desc.key;
+        let [b1, b2] = self.slots[slot].buckets;
         // The final miss was detected by the LU2 path's Flow Match, whose
         // Ins_req goes to its own Updt block: prefer that path's bucket.
-        let prefer = self.descs[idx]
+        let prefer = self.slots[slot]
             .first_path
             .expect("inserting descriptor was dispatched")
             .other();
@@ -856,30 +880,34 @@ impl FlowLutSim {
             .insert_with_buckets_preferring(key, b1, b2, prefer)
         {
             Ok(fid) => match fid.decode(self.cfg.table.entries_per_bucket) {
-                Location::Mem { path, bucket, slot } => {
+                Location::Mem {
+                    path,
+                    bucket,
+                    slot: entry,
+                } => {
                     // DRAM keeps the bucket without the new flow until
                     // the write lands.
                     let width = self.cfg.table.entry_slot_bytes;
                     if let Some(line) = self.save_line(path.index(), bucket) {
-                        let at = usize::from(slot) * width;
+                        let at = usize::from(entry) * width;
                         codec::clear_slot(&mut line[at..at + width]);
                     }
                     self.add_update_intent(path.index(), bucket);
-                    self.complete(idx, ResolvedVia::InsertedMem(path), Some(fid));
+                    self.complete(slot, ResolvedVia::InsertedMem(path), Some(fid));
                 }
                 Location::Cam(_) => {
-                    self.complete(idx, ResolvedVia::InsertedCam, Some(fid));
+                    self.complete(slot, ResolvedVia::InsertedCam, Some(fid));
                 }
             },
             // A full table drops the new flow, as the prototype does; a
             // `PressurePolicy`, when set, sheds cold flows as the CAM fills.
             Err(InsertError::TableFull) => {
-                self.complete(idx, ResolvedVia::Dropped, None);
+                self.complete(slot, ResolvedVia::Dropped, None);
             }
             // Duplicate-race backstop: unreachable under the same-key
             // waiting list, but a resident key must not be inserted twice.
             Err(InsertError::Duplicate(fid)) => {
-                self.complete(idx, ResolvedVia::DuplicateRace, Some(fid));
+                self.complete(slot, ResolvedVia::DuplicateRace, Some(fid));
             }
             Err(InsertError::KeyDoesNotFit { .. }) => {
                 unreachable!("the CAM stage drops keys no slot can hold")
@@ -985,51 +1013,34 @@ impl FlowLutSim {
         // Reads: scan the queue once, holding filtered buckets.
         let n = self.paths[path].read_q.len();
         for _ in 0..n {
-            let Some(r) = self.paths[path].read_q.pop_front() else {
+            let Some(slot) = self.paths[path].read_q.pop_front() else {
                 break;
             };
-            if self.paths[path]
-                .pending_write_buckets
-                .contains_key(&r.bucket)
-            {
+            let bucket = self.slots[slot].buckets[path];
+            if self.paths[path].pending_write_buckets.contains_key(&bucket) {
                 // Request Filter: a write to this bucket is pending.
                 self.stats.filter_hold_cycles += 1;
-                self.paths[path].read_q.push_back(r);
+                self.paths[path].read_q.push_back(slot);
                 continue;
             }
             let room = self.cfg.controller_queue >= self.paths[path].ctrl.queued_len() + bursts;
             if !room {
-                self.paths[path].read_q.push_front(r);
+                self.paths[path].read_q.push_front(slot);
                 break;
             }
-            self.issue_bucket_read(path, r);
+            self.issue_bucket_read(path, slot, bucket);
             if serialize {
                 return;
             }
         }
     }
 
-    fn issue_bucket_read(&mut self, path: usize, r: ReadIntent) {
-        let asm = self.next_asm_id;
-        self.next_asm_id += 1;
-        self.assemblies.insert(
-            asm,
-            ReadAssembly {
-                desc: r.desc,
-                stage: r.stage,
-                path,
-                bucket: r.bucket,
-                got: 0,
-            },
-        );
+    fn issue_bucket_read(&mut self, path: usize, slot: usize, bucket: u32) {
         for j in 0..self.bursts_per_bucket {
-            let id = self.next_mem_id;
-            self.next_mem_id += 1;
-            let addr = u64::from(r.bucket) * u64::from(self.bursts_per_bucket) + u64::from(j);
-            self.mem_tags.insert(id, MemTag::LookupPart { asm });
+            let addr = u64::from(bucket) * u64::from(self.bursts_per_bucket) + u64::from(j);
             self.paths[path]
                 .ctrl
-                .enqueue(MemRequest::read(id, addr))
+                .enqueue(MemRequest::read(slot as u64, addr))
                 .expect("DLU checked controller room");
             self.stats.reads_issued += 1;
         }
@@ -1037,22 +1048,10 @@ impl FlowLutSim {
 
     fn issue_bucket_write(&mut self, path: usize, w: WriteIntent) {
         for j in 0..self.bursts_per_bucket {
-            let id = self.next_mem_id;
-            self.next_mem_id += 1;
             let addr = u64::from(w.bucket) * u64::from(self.bursts_per_bucket) + u64::from(j);
-            let last = j + 1 == self.bursts_per_bucket;
-            self.mem_tags.insert(
-                id,
-                MemTag::WritePart {
-                    path,
-                    bucket: w.bucket,
-                    covers: w.covers,
-                    last,
-                },
-            );
             self.paths[path]
                 .ctrl
-                .enqueue(MemRequest::write(id, addr))
+                .enqueue(MemRequest::write(u64::from(w.covers), addr))
                 .expect("DLU checked controller room");
             self.stats.writes_issued += 1;
         }
@@ -1087,9 +1086,9 @@ impl FlowLutSim {
     pub fn is_quiescent(&self) -> bool {
         self.in_pipeline() == 0
             && self.del_q.is_empty()
-            && self.mem_tags.is_empty()
             && self.paths.iter().all(|p| {
-                p.read_q.is_empty()
+                p.ctrl.is_drained()
+                    && p.read_q.is_empty()
                     && p.write_q.is_empty()
                     && p.pending_write_buckets.is_empty()
                     && p.saved.is_empty()
@@ -1155,9 +1154,10 @@ impl FlowLutSim {
     /// behaviour-preserving normalization that makes live and restored
     /// instances indistinguishable.
     ///
-    /// Not captured: completed-descriptor history
-    /// ([`descriptors`](Self::descriptors)) and table/CAM
-    /// micro-statistics, which do not influence future behaviour.
+    /// Not captured: completion records and table/CAM micro-statistics,
+    /// which do not influence future behaviour. The two words after the
+    /// load-balancer state, once request counters, are bursts and bucket
+    /// reads issued, derived from the statistics.
     ///
     /// # Errors
     ///
@@ -1177,8 +1177,8 @@ impl FlowLutSim {
         w.put_u64(sim_config_digest(&self.cfg));
         w.put_u64(self.now_sys);
         w.put_u32(self.lb_acc);
-        w.put_u64(self.next_mem_id);
-        w.put_u64(self.next_asm_id as u64);
+        w.put_u64(self.stats.reads_issued + self.stats.writes_issued);
+        w.put_u64(self.stats.reads_issued / u64::from(self.bursts_per_bucket));
         w.put_u64(self.last_completion_cycle);
         checkpoint::write_stats(&mut w, &self.stats);
         // Resident placements, then their records, each in ascending
@@ -1259,9 +1259,10 @@ impl FlowLutSim {
             return Err(CheckpointError::Corrupt("clock overflows the memory clock"));
         }
         sim.lb_acc = r.u32()?;
-        sim.next_mem_id = r.counter()?;
-        sim.next_asm_id = usize::try_from(r.counter()?)
-            .map_err(|_| CheckpointError::Corrupt("assembly counter overflow"))?;
+        // The two request-counter words are derived from the statistics
+        // (see `checkpoint`): bounded, then ignored.
+        r.counter()?;
+        r.counter()?;
         sim.last_completion_cycle = r.u64()?;
         sim.stats = checkpoint::read_stats(&mut r)?;
         if sim.stats.offered != sim.stats.completed {
@@ -1393,21 +1394,23 @@ impl FlowLutSim {
     /// returns how it resolved — the primitive behind the functional
     /// [`FlowStore`] view of the simulator.
     fn run_one(&mut self, desc: PacketDescriptor) -> ResolvedVia {
-        let idx = self.descs.len();
         self.last_completion_cycle = self.now_sys;
         while !self.offer(desc) {
             self.tick();
         }
-        while self.descs[idx].t_done.is_none() {
+        loop {
             self.tick();
+            // Its record, once it completes, is among this cycle's.
+            let now = self.now_sys;
+            let mut this_cycle = self.completed.iter().rev().take_while(|r| r.t_done == now);
+            if let Some(record) = this_cycle.find(|r| r.desc.seq == desc.seq) {
+                return record.via;
+            }
             assert!(
                 self.now_sys - self.last_completion_cycle < 2_000_000,
                 "functional op made no progress for 2M cycles — pipeline deadlock",
             );
         }
-        self.descs[idx]
-            .via
-            .expect("completed descriptor has resolution")
     }
 }
 
@@ -1420,7 +1423,7 @@ impl FlowStore for FlowLutSim {
     /// until it resolves, so the insert pays the same sequencing, DRAM
     /// and update-unit costs a streamed descriptor would.
     fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
-        let seq = self.descs.len() as u64;
+        let seq = self.stats.offered;
         match self.run_one(PacketDescriptor::new(seq, key)) {
             via if via.is_new_flow() => Ok(true),
             ResolvedVia::Dropped => Err(FullError {
@@ -1440,13 +1443,18 @@ impl FlowStore for FlowLutSim {
         self.table.peek(key).is_some()
     }
 
+    /// Deletes through the update unit: the key is all the caller has,
+    /// so its flow ID comes from the key's hash buckets and the CAM.
     fn remove(&mut self, key: &FlowKey) -> bool {
-        if self.table.peek(key).is_none() {
+        let Some(fid) = self.table.peek(key) else {
             return false;
+        };
+        // The update unit takes a queued deletion every cycle.
+        while self.delete_flow(fid, *key).is_err() {
+            self.tick();
         }
-        self.delete_flow(*key);
         let start = self.now_sys;
-        while self.table.peek(key).is_some() {
+        while self.table.record(fid).is_some_and(|r| r.key == *key) {
             self.tick();
             assert!(
                 self.now_sys - start < 2_000_000,
@@ -1524,13 +1532,14 @@ impl FlowPipeline for FlowLutSim {
         self.last_completion_cycle = self.now_sys;
         while self.in_pipeline() > 0 {
             FlowLutSim::tick(self);
+            // A descriptor in the pipeline is queued, in flight (one per
+            // key in the filter) or waiting.
+            let (in_flight, queued) = (self.same_key.len(), self.seq_q.len());
             assert!(
                 self.now_sys - self.last_completion_cycle < 2_000_000,
-                "no completion for 2M cycles: {} in flight, {} queued, {} waiting, \
+                "no completion for 2M cycles: {in_flight} in flight, {queued} queued, {} waiting, \
                  {} in insert queue — pipeline deadlock",
-                self.inflight_keys.len(),
-                self.seq_q.len(),
-                self.wait_by_key.values().map(VecDeque::len).sum::<usize>(),
+                self.in_pipeline() - (in_flight + queued) as u64,
                 self.ins_q.len(),
             );
         }

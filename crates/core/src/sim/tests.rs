@@ -21,6 +21,13 @@ fn run(sim: &mut FlowLutSim, descs: &[PacketDescriptor]) -> RunReport {
     sim.start_run().run(descs).expect("fresh session")
 }
 
+/// Queues the user deletion of `key`'s flow, at the flow ID its hash
+/// buckets or the CAM hold it at.
+fn delete(sim: &mut FlowLutSim, key: FlowKey) {
+    let fid = sim.table().peek(&key).expect("a resident flow");
+    sim.delete_flow(fid, key).expect("room for a user deletion");
+}
+
 #[test]
 fn preloaded_key_hits_on_lookup() {
     let mut sim = FlowLutSim::new(SimConfig::test_small());
@@ -40,7 +47,7 @@ fn miss_inserts_and_reports_new_flow() {
     assert_eq!(report.stats.inserted_mem + report.stats.inserted_cam, 5);
     assert_eq!(sim.table().len(), 5);
     // Every descriptor got a flow ID and the table agrees.
-    for d in sim.descriptors() {
+    for d in sim.completions() {
         let fid = d.fid.expect("no drops expected");
         assert_eq!(sim.table().peek(&d.desc.key), Some(fid));
     }
@@ -55,12 +62,12 @@ fn second_packet_of_flow_matches_first_insert() {
     ];
     let report = run(&mut sim, &two);
     assert_eq!(report.completed, 2);
-    let d = sim.descriptors();
-    assert!(d[0].via.unwrap().is_new_flow(), "{:?}", d[0].via);
-    assert!(!d[1].via.unwrap().is_new_flow(), "{:?}", d[1].via);
+    let d = sim.completions();
+    // Per-flow order: the records leave in offer order.
+    assert_eq!((d[0].desc.seq, d[1].desc.seq), (0, 1));
+    assert!(d[0].via.is_new_flow(), "{:?}", d[0].via);
+    assert!(!d[1].via.is_new_flow(), "{:?}", d[1].via);
     assert_eq!(d[0].fid, d[1].fid, "same flow, same ID");
-    // Per-flow order: completion times ordered.
-    assert!(d[0].t_done.unwrap() <= d[1].t_done.unwrap());
     // The flow record has folded both packets.
     let rec = sim.table().record(d[0].fid.unwrap()).unwrap();
     assert_eq!(rec.packets, 2);
@@ -72,14 +79,12 @@ fn many_packets_same_flow_complete_in_order() {
     let burst: Vec<PacketDescriptor> = (0..20).map(|s| PacketDescriptor::new(s, key(7))).collect();
     let report = run(&mut sim, &burst);
     assert_eq!(report.completed, 20);
-    let times: Vec<u64> = sim
-        .descriptors()
-        .iter()
-        .map(|d| d.t_done.unwrap())
-        .collect();
-    for w in times.windows(2) {
-        assert!(w[0] <= w[1], "same-flow completion reordered: {times:?}");
-    }
+    let order: Vec<u64> = sim.completions().iter().map(|d| d.desc.seq).collect();
+    assert_eq!(
+        order,
+        (0..20).collect::<Vec<_>>(),
+        "same-flow completion reordered"
+    );
     assert_eq!(sim.table().len(), 1);
     assert!(report.stats.same_key_holds > 0, "waiting list unused");
 }
@@ -97,9 +102,9 @@ fn cam_hit_completes_without_memory_reads() {
     run(&mut sim, &ds);
     assert_eq!(sim.stats().inserted_cam, 1);
     let spilled = sim
-        .descriptors()
+        .completions()
         .iter()
-        .find(|d| d.via == Some(ResolvedVia::InsertedCam))
+        .find(|d| d.via == ResolvedVia::InsertedCam)
         .expect("one CAM insert")
         .desc
         .key;
@@ -126,8 +131,8 @@ fn lu2_hit_when_key_lives_on_other_path() {
     let k1 = PacketDescriptor::new(0, key(1)).with_hash_override(77, 77);
     run(&mut sim, &[k1]);
     assert_eq!(
-        sim.descriptors()[0].via,
-        Some(ResolvedVia::InsertedMem(crate::fid::PathId::B))
+        sim.completions()[0].via,
+        ResolvedVia::InsertedMem(crate::fid::PathId::B)
     );
     // Re-query the Mem-B resident: LU1 on A misses, LU2 on B hits.
     let q = PacketDescriptor::new(1, key(1)).with_hash_override(77, 77);
@@ -151,7 +156,7 @@ fn table_full_drops_are_reported() {
     assert_eq!(report.stats.inserted_cam, 2);
     assert_eq!(report.stats.inserted_mem, 2);
     let dropped: Vec<_> = sim
-        .descriptors()
+        .completions()
         .iter()
         .filter(|d| d.fid.is_none())
         .collect();
@@ -271,7 +276,7 @@ fn delete_flow_frees_the_entry() {
     let mut sim = FlowLutSim::new(SimConfig::test_small());
     run(&mut sim, &descs(0..3));
     assert_eq!(sim.table().len(), 3);
-    sim.delete_flow(key(1));
+    delete(&mut sim, key(1));
     // Drive the pipeline until the delete (and its write-back) settles.
     for _ in 0..500 {
         sim.tick();
@@ -308,8 +313,8 @@ fn storage_and_table_agree_after_mixed_run() {
     cfg.bwr_timeout_sys = 8; // flush writes promptly
     let mut sim = FlowLutSim::new(cfg);
     run(&mut sim, &descs(0..50));
-    sim.delete_flow(key(3));
-    sim.delete_flow(key(7));
+    delete(&mut sim, key(3));
+    delete(&mut sim, key(7));
     for _ in 0..1_000 {
         sim.tick();
     }
@@ -430,6 +435,42 @@ fn offer_batch_respects_sequencer_depth() {
     assert_eq!(sim.stats().completed, 20);
 }
 
+/// The simulator keeps a descriptor's state only while the pipeline
+/// holds it: the slab grows to the most descriptors in the pipeline at
+/// once, not to the descriptors ever offered, and the completion queue
+/// keeps its bound, dropping the oldest records.
+#[test]
+fn descriptor_state_is_bounded_by_the_pipeline() {
+    // 40 000 descriptors over 300 flows, offered at the configured rate.
+    let cfg = SimConfig::test_small();
+    let rate = cfg.input_rate_mhz / cfg.sys_clock_mhz();
+    let mut sim = FlowLutSim::new(cfg);
+    let work: Vec<PacketDescriptor> = (0..40_000)
+        .map(|seq| PacketDescriptor::new(seq, key(seq * 7 % 300)))
+        .collect();
+    let (mut credit, mut next, mut most) = (0.0, 0, 0);
+    while sim.stats().completed < work.len() as u64 {
+        credit = f64::min(credit + rate, 1.0);
+        if credit >= 1.0 && next < work.len() && sim.offer(work[next]) {
+            next += 1;
+            credit -= 1.0;
+        }
+        most = most.max(sim.in_pipeline());
+        sim.tick();
+        assert!(sim.slots.len() as u64 <= most, "{} slots", sim.slots.len());
+        assert!(sim.completions().len() <= FlowLutSim::COMPLETION_CAPACITY);
+        assert!(sim.now_sys() < 1_000_000, "stalled");
+    }
+    assert!(sim.stats().same_key_holds > 0, "no descriptor waited");
+    assert!(most < 1_000, "{most} descriptors in the pipeline at once");
+    assert_eq!(sim.completions().len(), FlowLutSim::COMPLETION_CAPACITY);
+    assert_eq!(
+        sim.drain_completions().count(),
+        FlowLutSim::COMPLETION_CAPACITY
+    );
+    assert!(sim.completions().is_empty());
+}
+
 #[test]
 fn snapshot_tracks_live_state() {
     let mut sim = FlowLutSim::new(SimConfig::test_small());
@@ -546,9 +587,12 @@ fn keys_no_slot_holds_are_dropped_at_the_cam_stage() {
                 assert!(sim.offer(d));
             }
             FlowPipeline::drain(&mut sim);
-            let via: Vec<_> = sim.descriptors().iter().map(|d| d.via).collect();
-            assert_eq!(via[0], Some(ResolvedVia::Dropped));
-            assert_eq!(via[2], Some(ResolvedVia::Dropped));
+            let via = |seq| {
+                let record = sim.completions().iter().find(|d| d.desc.seq == seq);
+                record.map(|d| d.via)
+            };
+            assert_eq!(via(0), Some(ResolvedVia::Dropped));
+            assert_eq!(via(2), Some(ResolvedVia::Dropped));
             let s = sim.stats();
             assert_eq!(s.drops, 2);
             // The key that fits misses both buckets and is inserted: its
@@ -606,7 +650,7 @@ fn the_dram_image_equals_the_table_after_set_up() {
         // writes land: the table's store holds the lines that emptied
         // buckets released, some taken again by the new flows' buckets.
         for i in (0..400).step_by(3) {
-            sim.delete_flow(key(i));
+            delete(&mut sim, key(i));
         }
         sim.quiesce();
         run(&mut sim, &descs(1000..1020));
@@ -638,10 +682,10 @@ fn dram_keeps_the_saved_line_until_the_bucket_write_lands() {
     // BWr_Gen (up to `bwr_timeout_sys` for a lone update).
     let new = key(1);
     assert!(sim.offer(PacketDescriptor::new(0, new).with_hash_override(5 << 24, 9 << 24)));
-    while sim.descriptors()[0].t_done.is_none() {
+    while sim.completions().is_empty() {
         sim.tick();
     }
-    let fid = sim.descriptors()[0].fid.expect("inserted");
+    let fid = sim.completions()[0].fid.expect("inserted");
     let Location::Mem { path, bucket, slot } = fid.decode(k) else {
         panic!("{fid} is not in memory");
     };
@@ -680,7 +724,7 @@ fn dram_keeps_the_saved_line_until_the_bucket_write_lands() {
     let Location::Mem { path, bucket, slot } = fid.decode(k) else {
         panic!("{fid} is not in memory");
     };
-    sim.delete_flow(gone);
+    sim.delete_flow(fid, gone).unwrap();
     while sim.table().peek(&gone).is_some() {
         sim.tick();
     }
@@ -789,7 +833,7 @@ fn pressure_eviction_finds_a_flow_a_hash_override_placed() {
     // The coldest flow, placed by override; then ten flows on one bucket
     // pair, four in memory and six in the CAM, past the high-water mark.
     run(&mut sim, &[override_placed(0, 1)]);
-    let fid = sim.descriptors()[0].fid.expect("inserted");
+    let fid = sim.completions()[0].fid.expect("inserted");
     let crowd: Vec<PacketDescriptor> = (10..20)
         .map(|i| PacketDescriptor::new(i, key(i)).with_hash_override(0, 0))
         .collect();
@@ -801,6 +845,45 @@ fn pressure_eviction_finds_a_flow_a_hash_override_placed() {
     let victims = sim.take_victims();
     assert_eq!(victims.first().map(|r| r.key), Some(key(1)), "{victims:?}");
     assert_eq!(sim.table().record(fid), None);
+}
+
+#[test]
+fn user_deletion_finds_a_flow_a_hash_override_placed() {
+    let mut sim = FlowLutSim::new(SimConfig::test_small());
+    run(&mut sim, &[override_placed(0, 1)]);
+    let fid = sim.completions()[0].fid.expect("inserted");
+    assert_eq!(
+        sim.table().peek(&key(1)),
+        None,
+        "placed outside its buckets"
+    );
+    sim.delete_flow(fid, key(1)).unwrap();
+    sim.quiesce();
+    sim.tick_many(500);
+    assert_eq!(sim.table().record(fid), None);
+    assert!(sim.table().is_empty());
+    assert_eq!(sim.stats().deletes, 1);
+}
+
+#[test]
+fn user_deletions_past_the_queue_bound_are_refused() {
+    let mut sim = FlowLutSim::new(SimConfig::test_small());
+    run(&mut sim, &descs(0..1));
+    let fid = sim.completions()[0].fid.expect("inserted");
+    for _ in 0..USER_DELETE_CAP {
+        sim.delete_flow(fid, key(0)).unwrap();
+    }
+    let full = Err(DeleteQueueFull {
+        capacity: USER_DELETE_CAP,
+    });
+    assert_eq!(sim.delete_flow(fid, key(0)), full);
+    // The update unit takes one deletion a cycle.
+    sim.tick();
+    assert_eq!(sim.delete_flow(fid, key(0)), Ok(()));
+    assert_eq!(sim.delete_flow(fid, key(0)), full);
+    sim.quiesce();
+    assert!(sim.table().is_empty());
+    assert_eq!(sim.stats().deletes, 1);
 }
 
 #[test]
@@ -1229,10 +1312,10 @@ fn restore_rejects_placements_out_of_id_order() {
     }
 }
 
-/// Byte offsets in a simulator checkpoint: the memory request counter
+/// Byte offsets in a simulator checkpoint: the word of bursts issued
 /// follows the magic, version, configuration digest, clock and
-/// load-balancer state; the statistics follow it, the assembly counter
-/// and the last completion cycle, field by field.
+/// load-balancer state; the statistics follow it, the word of bucket
+/// reads issued and the last completion cycle, field by field.
 const NEXT_MEM_ID_AT: usize = 28;
 const STATS_AT: usize = 52;
 const INSERTED_MEM_AT: usize = STATS_AT + 6 * 8;
@@ -1243,7 +1326,8 @@ fn settled_blob() -> Vec<u8> {
     run(&mut sim, &descs(0..20));
     sim.quiesce();
     let blob = sim.checkpoint().expect("a quiesced simulator checkpoints");
-    assert_eq!(blob[NEXT_MEM_ID_AT..][..8], sim.next_mem_id.to_le_bytes());
+    let bursts = sim.stats.reads_issued + sim.stats.writes_issued;
+    assert_eq!(blob[NEXT_MEM_ID_AT..][..8], bursts.to_le_bytes());
     assert_eq!(
         blob[INSERTED_MEM_AT..][..8],
         sim.stats.inserted_mem.to_le_bytes()

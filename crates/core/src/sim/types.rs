@@ -4,15 +4,6 @@ use flowlut_traffic::PacketDescriptor;
 
 use crate::fid::{FlowId, PathId};
 
-/// Which lookup stage a memory read serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LuStage {
-    /// First lookup, on the load-balancer-chosen path.
-    Lu1,
-    /// Second lookup, on the other path after an LU1 miss.
-    Lu2,
-}
-
 /// How a descriptor's processing resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolvedVia {
@@ -46,27 +37,22 @@ impl ResolvedVia {
     }
 }
 
-/// Lifecycle of one descriptor inside the simulator.
-#[derive(Debug, Clone)]
-pub struct DescState {
+/// How one descriptor left the simulator: the record
+/// [`FlowLutSim::completions`](super::FlowLutSim::completions) keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompletionRecord {
     /// The offered descriptor.
     pub desc: PacketDescriptor,
-    /// Raw 32-bit hash pair (from the hasher or the override).
-    pub hashes: (u32, u32),
-    /// Bucket indices: `.0` in Mem1/path A, `.1` in Mem2/path B.
-    pub buckets: (u32, u32),
-    /// Path chosen by the load balancer for LU1 (set at dispatch).
-    pub first_path: Option<PathId>,
+    /// Resolution.
+    pub via: ResolvedVia,
+    /// The flow ID FID_GEN produced; `None` when the flow was dropped.
+    pub fid: Option<FlowId>,
     /// System cycle the descriptor entered the sequencer queue.
     pub t_offer: u64,
     /// System cycle it passed admission (same-key ordering released).
     pub t_admit: u64,
     /// System cycle its flow ID was produced.
-    pub t_done: Option<u64>,
-    /// Resolution.
-    pub via: Option<ResolvedVia>,
-    /// Produced flow ID.
-    pub fid: Option<FlowId>,
+    pub t_done: u64,
 }
 
 /// Simulator-level counters.

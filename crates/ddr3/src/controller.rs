@@ -44,7 +44,9 @@ pub enum AccessKind {
 /// time bursts, and the caller keeps what they move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
-    /// Caller-chosen identifier returned with the [`Completion`].
+    /// Caller-chosen identifier returned with the [`Completion`]. It is
+    /// opaque to the models: they never order by it, and two requests
+    /// may share one.
     pub id: u64,
     /// Read or write.
     pub kind: AccessKind,
@@ -168,12 +170,15 @@ struct QueuedReq {
     req: MemRequest,
     addr: MemAddress,
     enqueued_at: u64,
+    /// Arrival number, which orders same-cycle completions.
+    arrival: u64,
 }
 
 #[derive(Debug, Clone)]
 struct InFlight {
     completion: Completion,
     done_at: u64,
+    arrival: u64,
 }
 
 /// The memory controller: wraps a [`Ddr3Device`] and turns
@@ -185,6 +190,9 @@ pub struct MemoryController {
     now: u64,
     queues: Vec<VecDeque<QueuedReq>>,
     queued: usize,
+    /// Requests enqueued so far: the next arrival number.
+    arrivals: u64,
+    /// Issued requests, in arrival order.
     in_flight: Vec<InFlight>,
     /// This cycle's completions, cleared by each [`tick`](Self::tick).
     done: Vec<Completion>,
@@ -223,6 +231,7 @@ impl MemoryController {
             now: 0,
             queues: (0..banks).map(|_| VecDeque::new()).collect(),
             queued: 0,
+            arrivals: 0,
             in_flight: Vec::new(),
             done: Vec::new(),
             last_dir: None,
@@ -307,14 +316,16 @@ impl MemoryController {
             req,
             addr,
             enqueued_at: self.now,
+            arrival: self.arrivals,
         });
+        self.arrivals += 1;
         self.queued += 1;
         self.stats.accepted += 1;
         Ok(())
     }
 
-    /// Advances one controller cycle, returning its completions in a
-    /// buffer the next tick reuses.
+    /// Advances one controller cycle, returning its completions, in
+    /// arrival order, in a buffer the next tick reuses.
     ///
     /// At most one command issues per cycle (single command bus).
     ///
@@ -382,27 +393,26 @@ impl MemoryController {
         );
     }
 
+    /// Moves the requests done by now into `done`, keeping the arrival
+    /// order of `in_flight`, so delivery is deterministic.
     fn collect_completions(&mut self) {
         let now = self.now;
-        self.done.clear();
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].done_at <= now {
-                let f = self.in_flight.swap_remove(i);
-                match f.completion.kind {
-                    AccessKind::Read => self.stats.reads_done += 1,
-                    AccessKind::Write => self.stats.writes_done += 1,
-                }
-                let lat = f.completion.latency();
-                self.stats.total_latency_cycles += lat;
-                self.stats.max_latency_cycles = self.stats.max_latency_cycles.max(lat);
-                self.done.push(f.completion);
-            } else {
-                i += 1;
+        let (done, stats) = (&mut self.done, &mut self.stats);
+        done.clear();
+        self.in_flight.retain(|f| {
+            if f.done_at > now {
+                return true;
             }
-        }
-        // Deliver in enqueue order for determinism.
-        self.done.sort_by_key(|c| (c.enqueued_at, c.id));
+            match f.completion.kind {
+                AccessKind::Read => stats.reads_done += 1,
+                AccessKind::Write => stats.writes_done += 1,
+            }
+            let lat = f.completion.latency();
+            stats.total_latency_cycles += lat;
+            stats.max_latency_cycles = stats.max_latency_cycles.max(lat);
+            done.push(f.completion);
+            false
+        });
     }
 
     fn service_refresh(&mut self) {
@@ -592,7 +602,7 @@ impl MemoryController {
         }
 
         let done_at = outcome.data_end.expect("column commands move data");
-        self.in_flight.push(InFlight {
+        let issued = InFlight {
             completion: Completion {
                 id: q.req.id,
                 kind: q.req.kind,
@@ -601,7 +611,10 @@ impl MemoryController {
                 completed_at: done_at,
             },
             done_at,
-        });
+            arrival: q.arrival,
+        };
+        let at = self.in_flight.partition_point(|f| f.arrival < q.arrival);
+        self.in_flight.insert(at, issued);
     }
 }
 

@@ -21,9 +21,10 @@
 //! addresses interleave channel-first then bank-first so consecutive
 //! bucket bursts spread across the parallelism the device actually has.
 //! An address maps to one bank, whose queue is FIFO, so same-address
-//! requests complete in arrival order. Completions are returned sorted
-//! by `(enqueued_at, id)`, matching the DDR3 controller's deterministic
-//! delivery contract.
+//! requests complete in arrival order. The scheduler picks the oldest
+//! legal request by arrival, and each tick's completions are returned
+//! in arrival order, matching the DDR3 controller's deterministic
+//! delivery contract; the caller's request IDs order nothing.
 
 use std::collections::VecDeque;
 
@@ -259,11 +260,13 @@ impl DramParams {
     }
 }
 
-/// A request parked in a per-bank queue, with its decomposed location.
+/// A request parked in a per-bank queue.
 #[derive(Debug)]
 struct QueuedReq {
     req: MemRequest,
     enqueued_at: u64,
+    /// Arrival number: the scheduler's and the completions' order.
+    arrival: u64,
 }
 
 /// Closed-page bank lifecycle: idle → (ACT) → opening → (RD/WR with
@@ -362,6 +365,7 @@ struct InFlight {
     req: MemRequest,
     enqueued_at: u64,
     done_at: u64,
+    arrival: u64,
 }
 
 /// The bank-grouped, multi-channel, closed-page DRAM model. Construct
@@ -375,7 +379,10 @@ pub struct GroupedDramModel {
     refresh_enabled: bool,
     now: u64,
     queued: usize,
+    /// Requests enqueued so far: the next arrival number.
+    arrivals: u64,
     channels: Vec<Channel>,
+    /// Issued requests, in arrival order.
     in_flight: Vec<InFlight>,
     /// This cycle's completions, cleared by each tick.
     done: Vec<Completion>,
@@ -412,6 +419,7 @@ impl GroupedDramModel {
             refresh_enabled,
             now: 0,
             queued: 0,
+            arrivals: 0,
             channels: (0..params.channels)
                 .map(|_| Channel::new(&params))
                 .collect(),
@@ -443,35 +451,31 @@ impl GroupedDramModel {
         bank / self.params.banks_per_group as usize
     }
 
-    /// Moves completions due this cycle into `done`, sorted by
-    /// `(enqueued_at, id)`.
+    /// Moves completions due this cycle into `done`, in arrival order.
     fn collect_completions(&mut self) {
         let now = self.now;
-        self.done.clear();
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].done_at <= now {
-                let fin = self.in_flight.swap_remove(i);
-                let latency = now - fin.enqueued_at;
-                self.ctrl_stats.total_latency_cycles += latency;
-                self.ctrl_stats.max_latency_cycles =
-                    self.ctrl_stats.max_latency_cycles.max(latency);
-                match fin.req.kind {
-                    AccessKind::Read => self.ctrl_stats.reads_done += 1,
-                    AccessKind::Write => self.ctrl_stats.writes_done += 1,
-                }
-                self.done.push(Completion {
-                    id: fin.req.id,
-                    kind: fin.req.kind,
-                    addr: fin.req.addr,
-                    enqueued_at: fin.enqueued_at,
-                    completed_at: now,
-                });
-            } else {
-                i += 1;
+        let (done, stats) = (&mut self.done, &mut self.ctrl_stats);
+        done.clear();
+        self.in_flight.retain(|fin| {
+            if fin.done_at > now {
+                return true;
             }
-        }
-        self.done.sort_by_key(|c| (c.enqueued_at, c.id));
+            let latency = now - fin.enqueued_at;
+            stats.total_latency_cycles += latency;
+            stats.max_latency_cycles = stats.max_latency_cycles.max(latency);
+            match fin.req.kind {
+                AccessKind::Read => stats.reads_done += 1,
+                AccessKind::Write => stats.writes_done += 1,
+            }
+            done.push(Completion {
+                id: fin.req.id,
+                kind: fin.req.kind,
+                addr: fin.req.addr,
+                enqueued_at: fin.enqueued_at,
+                completed_at: now,
+            });
+            false
+        });
         if !self.done.is_empty() {
             self.last_progress_at = self.now;
         }
@@ -524,7 +528,7 @@ impl GroupedDramModel {
     fn try_issue_column(&mut self, ch: usize) -> bool {
         let now = self.now;
         let p = self.params;
-        let mut best: Option<(u64, u64, usize)> = None; // (enq, id, bank)
+        let mut best: Option<(u64, usize)> = None; // (arrival, bank)
         for (b, bank) in self.channels[ch].banks.iter().enumerate() {
             let BankPhase::Opening { col_ready_at } = bank.phase else {
                 continue;
@@ -548,12 +552,11 @@ impl GroupedDramModel {
             if !legal {
                 continue;
             }
-            let key = (head.enqueued_at, head.req.id, b);
-            if best.is_none_or(|cur| (key.0, key.1) < (cur.0, cur.1)) {
-                best = Some(key);
+            if best.is_none_or(|(arrival, _)| head.arrival < arrival) {
+                best = Some((head.arrival, b));
             }
         }
-        let Some((_, _, b)) = best else {
+        let Some((_, b)) = best else {
             return false;
         };
 
@@ -569,11 +572,16 @@ impl GroupedDramModel {
             AccessKind::Read => now + p.cl + burst,
             AccessKind::Write => now + p.cwl + burst,
         };
-        self.in_flight.push(InFlight {
+        let issued = InFlight {
             req: entry.req,
             enqueued_at: entry.enqueued_at,
             done_at,
-        });
+            arrival: entry.arrival,
+        };
+        let at = self
+            .in_flight
+            .partition_point(|f| f.arrival < entry.arrival);
+        self.in_flight.insert(at, issued);
 
         // Fences and bank auto-precharge bookkeeping.
         let last_act = self.channels[ch].banks[b].last_act_at;
@@ -636,7 +644,7 @@ impl GroupedDramModel {
         if chan.next_act_any > now || chan.recent_acts.len() >= 4 {
             return false;
         }
-        let mut best: Option<(u64, u64, usize)> = None;
+        let mut best: Option<(u64, usize)> = None; // (arrival, bank)
         for (b, bank) in chan.banks.iter().enumerate() {
             if bank.phase != BankPhase::Idle || bank.next_act_at > now {
                 continue;
@@ -647,12 +655,11 @@ impl GroupedDramModel {
             if chan.next_act_group[self.group_of(b)] > now {
                 continue;
             }
-            let key = (head.enqueued_at, head.req.id, b);
-            if best.is_none_or(|cur| (key.0, key.1) < (cur.0, cur.1)) {
-                best = Some(key);
+            if best.is_none_or(|(arrival, _)| head.arrival < arrival) {
+                best = Some((head.arrival, b));
             }
         }
-        let Some((_, _, b)) = best else {
+        let Some((_, b)) = best else {
             return false;
         };
         let g = self.group_of(b);
@@ -700,7 +707,9 @@ impl MemoryModel for GroupedDramModel {
         self.channels[ch].banks[bank].queue.push_back(QueuedReq {
             req,
             enqueued_at: self.now,
+            arrival: self.arrivals,
         });
+        self.arrivals += 1;
         self.queued += 1;
         self.ctrl_stats.accepted += 1;
         Ok(())

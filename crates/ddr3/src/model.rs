@@ -50,8 +50,12 @@ pub struct MemStats {
 /// * [`enqueue`](Self::enqueue) applies back-pressure via
 ///   [`EnqueueError`]; the caller retries on a later cycle.
 /// * [`tick`](Self::tick) advances one **memory** clock cycle and
-///   returns finished requests sorted by `(enqueued_at, id)`, so
-///   completion order is deterministic.
+///   returns finished requests in arrival order, so completion order is
+///   deterministic.
+/// * Request IDs are opaque: a model returns each with its completion
+///   and orders nothing by it. Where two requests tie (in the scheduler
+///   or among one tick's completions), the earlier arrival goes first,
+///   so relabelling the IDs moves no cycle.
 /// * Every request completes exactly once.
 /// * Same-address requests *start* in arrival order. The DRAM models
 ///   (DDR3, DDR4, HBM2) also *complete* them in arrival order; SRAM

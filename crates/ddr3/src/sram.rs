@@ -108,6 +108,7 @@ pub struct SramModel {
     queue_capacity: usize,
     now: u64,
     queue: VecDeque<(MemRequest, u64)>,
+    /// Started requests, in arrival order.
     in_flight: Vec<InFlight>,
     /// This cycle's completions, cleared by each tick.
     done: Vec<Completion>,
@@ -175,31 +176,30 @@ impl MemoryModel for SramModel {
         self.now += 1;
         let now = self.now;
 
-        // Completions due this cycle, in deterministic order.
-        self.done.clear();
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].done_at <= now {
-                let fin = self.in_flight.swap_remove(i);
-                let latency = now - fin.enqueued_at;
-                self.stats.total_latency_cycles += latency;
-                self.stats.max_latency_cycles = self.stats.max_latency_cycles.max(latency);
-                match fin.req.kind {
-                    AccessKind::Read => self.stats.reads_done += 1,
-                    AccessKind::Write => self.stats.writes_done += 1,
-                }
-                self.done.push(Completion {
-                    id: fin.req.id,
-                    kind: fin.req.kind,
-                    addr: fin.req.addr,
-                    enqueued_at: fin.enqueued_at,
-                    completed_at: now,
-                });
-            } else {
-                i += 1;
+        // Completions due this cycle, in arrival order: requests start
+        // in it, and `retain` keeps it.
+        let (done, stats) = (&mut self.done, &mut self.stats);
+        done.clear();
+        self.in_flight.retain(|fin| {
+            if fin.done_at > now {
+                return true;
             }
-        }
-        self.done.sort_by_key(|c| (c.enqueued_at, c.id));
+            let latency = now - fin.enqueued_at;
+            stats.total_latency_cycles += latency;
+            stats.max_latency_cycles = stats.max_latency_cycles.max(latency);
+            match fin.req.kind {
+                AccessKind::Read => stats.reads_done += 1,
+                AccessKind::Write => stats.writes_done += 1,
+            }
+            done.push(Completion {
+                id: fin.req.id,
+                kind: fin.req.kind,
+                addr: fin.req.addr,
+                enqueued_at: fin.enqueued_at,
+                completed_at: now,
+            });
+            false
+        });
 
         // Start up to `ports` requests, strictly FIFO.
         let mut started = 0;

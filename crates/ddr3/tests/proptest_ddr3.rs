@@ -307,3 +307,59 @@ proptest! {
         }
     }
 }
+
+/// A request to any burst of the tiny geometry, enqueued after some
+/// idle ticks: bursts of same-cycle requests spread over every bank.
+fn spread_step() -> impl Strategy<Value = Step> {
+    (
+        prop_oneof![0u64..1, 0u64..4, 0u64..40, Just(2_000)],
+        0..Geometry::tiny().total_bursts(),
+        any::<bool>(),
+    )
+        .prop_map(|(idle, addr, write)| Step { idle, addr, write })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Request IDs are opaque to every model: relabelling a stream's IDs,
+    /// even onto repeated values (the simulator gives every burst of a
+    /// bucket read one ID), moves no completion. Ties break on arrival.
+    #[test]
+    fn request_ids_move_no_completion(
+        steps in prop::collection::vec(spread_step(), 1..48),
+        classes in 1u64..64,
+        salt in any::<u64>(),
+    ) {
+        let legacy = ControllerConfig {
+            timing: TimingPreset::Ddr3_1066E.params(),
+            geometry: Geometry::tiny(),
+            queue_capacity: 64,
+            refresh_enabled: true,
+            ..ControllerConfig::default()
+        };
+        for kind in MemoryKind::ALL {
+            let run = |label: &dyn Fn(u64) -> u64| {
+                let mut m = kind.default_spec().build(legacy.clone());
+                let mut done: Vec<Completion> = Vec::new();
+                for (i, s) in steps.iter().enumerate() {
+                    for _ in 0..s.idle {
+                        done.extend_from_slice(m.tick());
+                    }
+                    let id = label(i as u64);
+                    let req = if s.write {
+                        MemRequest::write(id, s.addr)
+                    } else {
+                        MemRequest::read(id, s.addr)
+                    };
+                    m.enqueue(req).expect("the queue holds every request");
+                }
+                done.extend(m.drain(10_000_000));
+                done.iter()
+                    .map(|c| (c.kind, c.addr, c.enqueued_at, c.completed_at))
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(run(&|i| i), run(&|i| (i % classes) ^ salt), "{}", kind.name());
+        }
+    }
+}

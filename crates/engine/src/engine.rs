@@ -350,13 +350,6 @@ impl ShardedFlowLut {
         Ok(n)
     }
 
-    /// Requests deletion of `key` on its owning shard (processed
-    /// asynchronously by that channel's update unit).
-    pub fn delete_flow(&mut self, key: FlowKey) {
-        let s = self.router.route(&key);
-        lock(&self.lanes[s]).sim.delete_flow(key);
-    }
-
     /// Advances the whole engine one system-clock cycle: per shard,
     /// flushes due staged batches into the channel's sequencer, then
     /// steps the channel (lockstep). A batch is *due* when it reaches the
@@ -916,13 +909,12 @@ mod tests {
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
         run(&mut engine, &descs(0..50));
         assert_eq!(engine.len(), 50);
-        engine.delete_flow(key(7));
-        // Deletions are asynchronous: give the update units some cycles
-        // by running unrelated traffic.
-        run(&mut engine, &descs(1000..1001));
-        assert_eq!(engine.len(), 50, "delete of 7 offset by insert of 1000");
+        assert!(FlowStore::remove(&mut engine, &key(7)));
+        assert_eq!(engine.len(), 49);
         let owner = engine.router().route(&key(7));
         assert!(engine.shard(owner).table().peek(&key(7)).is_none());
+        assert_eq!(engine.shard(owner).stats().deletes, 1);
+        assert!(!FlowStore::remove(&mut engine, &key(7)));
     }
 
     #[test]
@@ -937,13 +929,11 @@ mod tests {
         assert_eq!(report.completed, 300);
         for s in 0..engine.shard_count() {
             let shard = engine.shard(s);
-            let mut last_done: std::collections::HashMap<FlowKey, u64> = Default::default();
-            for d in shard.descriptors() {
-                let done = d.t_done.expect("all completed");
-                if let Some(&prev) = last_done.get(&d.desc.key) {
-                    assert!(prev <= done, "per-flow order violated");
+            let mut last_seq: std::collections::HashMap<FlowKey, u64> = Default::default();
+            for d in shard.completions() {
+                if let Some(prev) = last_seq.insert(d.desc.key, d.desc.seq) {
+                    assert!(prev < d.desc.seq, "per-flow order violated");
                 }
-                last_done.insert(d.desc.key, done);
             }
         }
     }

@@ -29,8 +29,9 @@ fn fabric_trace_consistency() {
     assert_eq!(report.stats.drops, 0, "table sized for the trace");
 
     // 1. Every descriptor resolved with a flow ID the table can confirm.
-    let mut per_flow_last_done: HashMap<FlowKey, u64> = HashMap::new();
-    for d in sim.descriptors() {
+    assert_eq!(sim.completions().len(), 10_000);
+    let mut per_flow_last_seq: HashMap<FlowKey, u64> = HashMap::new();
+    for d in sim.completions() {
         let fid = d.fid.expect("no drops");
         assert_eq!(
             sim.table().peek(&d.desc.key),
@@ -39,9 +40,8 @@ fn fabric_trace_consistency() {
             d.desc.key
         );
         // 2. Per-flow completion order equals arrival order.
-        let done = d.t_done.expect("completed");
-        if let Some(prev) = per_flow_last_done.insert(d.desc.key, done) {
-            assert!(prev <= done, "per-flow order violated");
+        if let Some(prev) = per_flow_last_seq.insert(d.desc.key, d.desc.seq) {
+            assert!(prev < d.desc.seq, "per-flow order violated");
         }
     }
 
@@ -167,7 +167,8 @@ fn deletes_interleaved_with_traffic() {
 
     // Delete the even keys while re-offering the odd ones.
     for k in keys.iter().step_by(2) {
-        sim.delete_flow(*k);
+        let fid = sim.table().peek(k).expect("resident");
+        sim.delete_flow(fid, *k).expect("room for a user deletion");
     }
     let odd: Vec<PacketDescriptor> = keys
         .iter()

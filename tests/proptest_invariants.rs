@@ -230,11 +230,11 @@ mod sim_properties {
             let packets: u64 = sim.table().records_after(None).map(|(_, r)| r.packets).sum();
             prop_assert_eq!(packets, key_ids.len() as u64);
             // Per-flow completion order == arrival order.
-            let mut last_done: HashMap<FlowKey, u64> = HashMap::new();
-            for d in sim.descriptors() {
-                let done = d.t_done.unwrap();
-                if let Some(prev) = last_done.insert(d.desc.key, done) {
-                    prop_assert!(prev <= done);
+            prop_assert_eq!(sim.completions().len(), descs.len());
+            let mut last_seq: HashMap<FlowKey, u64> = HashMap::new();
+            for d in sim.completions() {
+                if let Some(prev) = last_seq.insert(d.desc.key, d.desc.seq) {
+                    prop_assert!(prev < d.desc.seq);
                 }
             }
         }
@@ -260,7 +260,9 @@ mod sim_properties {
             let mut kept = 0u64;
             for &i in &keys {
                 if delete_mask[i as usize] {
-                    sim.delete_flow(FlowKey::from(FiveTuple::from_index(i)));
+                    let key = FlowKey::from(FiveTuple::from_index(i));
+                    let fid = sim.table().peek(&key).expect("resident");
+                    prop_assert!(sim.delete_flow(fid, key).is_ok());
                 } else {
                     kept += 1;
                 }

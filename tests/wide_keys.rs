@@ -69,7 +69,8 @@ fn sim_handles_multi_burst_buckets() {
     assert_eq!(report.stats.reads_issued % 3, 0);
     assert!(report.stats.reads_issued >= 300);
     // Every flow resolved consistently.
-    for d in sim.descriptors() {
+    assert_eq!(sim.completions().len(), 300);
+    for d in sim.completions() {
         assert_eq!(sim.table().peek(&d.desc.key), d.fid);
     }
 }
