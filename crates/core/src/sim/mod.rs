@@ -470,7 +470,7 @@ impl FlowLutSim {
                 if *remaining == 0 {
                     // DRAM now holds the table's line.
                     p.pending_write_buckets.remove(&bucket);
-                    p.saved.release_line(u64::from(bucket));
+                    p.saved.release_line(bucket);
                 }
             }
             AccessKind::Write => {}
@@ -483,9 +483,7 @@ impl FlowLutSim {
     fn dram_line(&self, path: usize, bucket: u32) -> Option<&[u8]> {
         let p = &self.paths[path];
         if p.pending_write_buckets.contains_key(&bucket) {
-            p.saved
-                .line_index(u64::from(bucket))
-                .map(|i| p.saved.line_at(i))
+            p.saved.line_index(bucket).map(|i| p.saved.line_at(i))
         } else {
             self.table.bucket_bytes(PathId::from_index(path), bucket)
         }
@@ -926,7 +924,7 @@ impl FlowLutSim {
         if p.pending_write_buckets.contains_key(&bucket) {
             return None;
         }
-        let i = p.saved.claim_line(u64::from(bucket));
+        let i = p.saved.claim_line(bucket);
         let line = p.saved.line_at_mut(i);
         match self.table.bucket_bytes(PathId::from_index(path), bucket) {
             Some(bytes) => line.copy_from_slice(bytes),

@@ -9,23 +9,25 @@
 
 use std::collections::HashMap;
 
-/// Sparse store of lines of `line_bytes` bytes, each named by a `u64`
-/// line number.
+/// Sparse store of lines of `line_bytes` bytes, each named by a `u32`
+/// line number (a bucket index).
 ///
 /// Claimed lines sit back to back in one byte arena, found through a map
 /// from line number to arena line; a released line is zeroed and taken
 /// by the next claim before the arena grows. The map keeps the standard
 /// randomly seeded hasher: line numbers derive from hashes of outside
-/// flow keys under a known seed.
+/// flow keys under a known seed. Both sides of an index entry are `u32`:
+/// the arena never holds more lines than there are line numbers, so an
+/// arena line fits one too.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseStorage {
     line_bytes: usize,
     /// Line number → index of that line in `arena`.
-    index: HashMap<u64, usize>,
+    index: HashMap<u32, u32>,
     /// Every claimed line, `line_bytes` each.
     arena: Vec<u8>,
     /// Released arena lines, every byte zero.
-    free: Vec<usize>,
+    free: Vec<u32>,
 }
 
 impl SparseStorage {
@@ -46,27 +48,28 @@ impl SparseStorage {
 
     /// The arena index of `line`, or `None` while it is not claimed.
     #[inline]
-    pub(crate) fn line_index(&self, line: u64) -> Option<usize> {
-        self.index.get(&line).copied()
+    pub(crate) fn line_index(&self, line: u32) -> Option<usize> {
+        self.index.get(&line).map(|&i| i as usize)
     }
 
     /// The arena index of `line`, claiming an all-zero arena line for it
     /// first if it has none: the last one released, else a new one.
-    pub(crate) fn claim_line(&mut self, line: u64) -> usize {
+    pub(crate) fn claim_line(&mut self, line: u32) -> usize {
         let size = self.line_bytes;
         let (arena, free) = (&mut self.arena, &mut self.free);
         *self.index.entry(line).or_insert_with(|| {
             free.pop().unwrap_or_else(|| {
                 arena.resize(arena.len() + size, 0);
-                arena.len() / size - 1
+                // At most one arena line per `u32` line number.
+                (arena.len() / size - 1) as u32
             })
-        })
+        }) as usize
     }
 
     /// Unclaims `line`, if claimed: its arena line is zeroed for reuse.
-    pub(crate) fn release_line(&mut self, line: u64) {
+    pub(crate) fn release_line(&mut self, line: u32) {
         if let Some(i) = self.index.remove(&line) {
-            self.line_at_mut(i).fill(0);
+            self.line_at_mut(i as usize).fill(0);
             self.free.push(i);
         }
     }
@@ -125,13 +128,13 @@ mod tests {
     use super::*;
 
     /// Claims `line` in `s` and fills it with `byte`.
-    fn write(s: &mut SparseStorage, line: u64, byte: u8) {
+    fn write(s: &mut SparseStorage, line: u32, byte: u8) {
         let i = s.claim_line(line);
         s.line_at_mut(i).fill(byte);
     }
 
     /// The bytes of `line`, if claimed.
-    fn read(s: &SparseStorage, line: u64) -> Option<Vec<u8>> {
+    fn read(s: &SparseStorage, line: u32) -> Option<Vec<u8>> {
         s.line_index(line).map(|i| s.line_at(i).to_vec())
     }
 
@@ -166,24 +169,24 @@ mod tests {
 
     /// Line numbers the property draws from: a dense low range plus the
     /// top of the line-number space.
-    const LOW_LINES: u64 = 24;
+    const LOW_LINES: u32 = 24;
     const LINE: usize = 12;
 
     #[derive(Debug, Clone)]
     enum Op {
         /// Claims a line and fills it from a seed byte.
-        Write(u64, u8),
-        Claim(u64),
-        Release(u64),
+        Write(u32, u8),
+        Claim(u32),
+        Release(u32),
         /// Writes a line of a clone of the store, which the store must
         /// not see.
-        WriteClone(u64, u8),
+        WriteClone(u32, u8),
         Reserve(usize),
         Clear,
     }
 
-    fn line_number() -> impl Strategy<Value = u64> {
-        prop_oneof![0..LOW_LINES, (0..4u64).prop_map(|i| u64::MAX - i)]
+    fn line_number() -> impl Strategy<Value = u32> {
+        prop_oneof![0..LOW_LINES, (0..4u32).prop_map(|i| u32::MAX - i)]
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -210,13 +213,13 @@ mod tests {
     /// before the arena grows.
     #[derive(Default)]
     struct LineReference {
-        lines: HashMap<u64, (usize, Vec<u8>)>,
+        lines: HashMap<u32, (usize, Vec<u8>)>,
         free: Vec<usize>,
         arena_lines: usize,
     }
 
     impl LineReference {
-        fn claim(&mut self, line: u64) -> usize {
+        fn claim(&mut self, line: u32) -> usize {
             let (free, arena_lines) = (&mut self.free, &mut self.arena_lines);
             self.lines
                 .entry(line)
@@ -230,7 +233,7 @@ mod tests {
                 .0
         }
 
-        fn release(&mut self, line: u64) {
+        fn release(&mut self, line: u32) {
             if let Some((i, _)) = self.lines.remove(&line) {
                 self.free.push(i);
             }
@@ -287,7 +290,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(s.is_empty(), reference.lines.is_empty());
-                for line in (0..LOW_LINES).chain((0..4).map(|i| u64::MAX - i)) {
+                for line in (0..LOW_LINES).chain((0..4).map(|i| u32::MAX - i)) {
                     let want = reference.lines.get(&line);
                     prop_assert_eq!(s.line_index(line), want.map(|&(i, _)| i), "line {}", line);
                     prop_assert_eq!(read(&s, line), want.map(|(_, bytes)| bytes.clone()), "line {}", line);

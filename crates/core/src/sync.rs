@@ -18,7 +18,9 @@
 //!
 //! `Arc` is always `std`'s (reference counting has no model-visible
 //! behavior), and [`thread::panicking`] is always `std`'s (loomlite
-//! threads are real OS threads).
+//! threads are real OS threads). So is [`thread::scope`]: the engine
+//! uses it only to restore shards on host cores, a fork-join of
+//! independent work that no model explores.
 
 /// Atomic types and memory orderings.
 pub mod atomic {
@@ -29,7 +31,8 @@ pub mod atomic {
     pub use loomlite::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 }
 
-/// Threading: spawn/join, yields and host-parallelism discovery.
+/// Threading: spawn/join, scoped fork-join, yields and host-parallelism
+/// discovery.
 pub mod thread {
     #[cfg(not(flowlut_model))]
     pub use std::thread::{available_parallelism, spawn, yield_now, Builder, JoinHandle};
@@ -38,8 +41,9 @@ pub mod thread {
     pub use loomlite::thread::{available_parallelism, spawn, yield_now, Builder, JoinHandle};
 
     // Real OS-thread unwind state in both builds: loomlite's logical
-    // threads unwind on their own OS threads.
-    pub use std::thread::panicking;
+    // threads unwind on their own OS threads. Scoped threads are real
+    // OS threads in both builds too.
+    pub use std::thread::{panicking, scope};
 }
 
 /// Low-level hints (`spin_loop`).

@@ -698,7 +698,7 @@ impl HashCamTable {
                 if let (true, Location::Mem { bucket, .. }) =
                     (emptied, fid.decode(self.cfg.entries_per_bucket))
                 {
-                    self.mems[path.index()].release_line(u64::from(bucket));
+                    self.mems[path.index()].release_line(bucket);
                     self.occupied[path.index()].remove(bucket as usize);
                 }
                 self.mem_counts[path.index()] -= 1;
@@ -755,7 +755,7 @@ impl HashCamTable {
     /// (every slot free — DRAM's all-zero reset state), so readers never
     /// allocate.
     pub fn bucket_bytes(&self, path: PathId, bucket: u32) -> Option<&[u8]> {
-        let line = self.mems[path.index()].line_index(u64::from(bucket))?;
+        let line = self.mems[path.index()].line_index(bucket)?;
         Some(self.slots(path, line))
     }
 
@@ -767,7 +767,7 @@ impl HashCamTable {
                 ((slot as usize) < self.cam.capacity()).then_some(Slot::Cam(slot))
             }
             Location::Mem { path, bucket, slot } => {
-                let line = self.mems[path.index()].line_index(u64::from(bucket))? as u32;
+                let line = self.mems[path.index()].line_index(bucket)? as u32;
                 Some(Slot::Mem { path, line, slot })
             }
         }
@@ -884,7 +884,7 @@ impl HashCamTable {
         from: usize,
     ) -> impl Iterator<Item = (FlowId, FlowRecord)> + '_ {
         let k = self.cfg.entries_per_bucket;
-        let line = self.mems[path.index()].line_index(u64::from(bucket));
+        let line = self.mems[path.index()].line_index(bucket);
         line.into_iter().flat_map(move |line| {
             (from..usize::from(k)).filter_map(move |slot| {
                 let key = codec::read_slot(self.slot_bytes(path, line, slot))?;
@@ -995,7 +995,7 @@ impl HashCamTable {
     /// line, with zero counters, when the bucket is not resident yet.
     fn claim_bucket(&mut self, path: PathId, bucket: u32) -> usize {
         let p = path.index();
-        let line = self.mems[p].claim_line(u64::from(bucket));
+        let line = self.mems[p].claim_line(bucket);
         self.occupied[p].insert(bucket as usize);
         let k = usize::from(self.cfg.entries_per_bucket);
         if self.counters[p].len() <= line * k {
@@ -1636,7 +1636,7 @@ mod model {
             assert!(lines <= peak[p], "{lines} lines for {} buckets", peak[p]);
             let mut owned = Vec::new();
             for bucket in 0..BUCKETS {
-                let line = t.mems[p].line_index(u64::from(bucket));
+                let line = t.mems[p].line_index(bucket);
                 let set = bit(&t.occupied[p], bucket as usize);
                 assert_eq!(set, line.is_some(), "bucket {bucket} of {path}");
                 owned.extend(line);

@@ -11,6 +11,13 @@ use flowlut_core::{ConfigError, SimConfig};
 /// **bit-identical** reports; `Threaded` only changes which host thread
 /// executes each shard's cycle (pinned by the parallel-equivalence
 /// proptest).
+///
+/// The mode governs stepping only. [`ShardedFlowLut::restore`] restores
+/// the shards on one host thread per core, up to the shard count,
+/// whatever the mode, `Inline` included: a restore is one fork-join of
+/// independent work, with no per-cycle barrier to amortise.
+///
+/// [`ShardedFlowLut::restore`]: crate::ShardedFlowLut::restore
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Every shard stepped by the calling thread, in shard order — the

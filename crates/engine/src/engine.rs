@@ -9,7 +9,9 @@ use flowlut_core::backend::{
 };
 use flowlut_core::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use flowlut_core::sync::{thread, Arc, Mutex, MutexGuard};
-use flowlut_core::{FlowLutSim, FlowRecord, Occupancy, PreloadError, RescaleError, SimStats};
+use flowlut_core::{
+    FlowLutSim, FlowRecord, Occupancy, PreloadError, RescaleError, SimConfig, SimStats,
+};
 use flowlut_traffic::{FlowKey, PacketDescriptor};
 
 use crate::config::{EngineConfig, ExecutionMode};
@@ -390,6 +392,26 @@ impl ShardedFlowLut {
         }
     }
 
+    /// Brings the engine clock and every lane but `owner` up to the
+    /// clock of `owner`, whose simulator a functional access ran ahead
+    /// alone: each cycle steps the other lanes as an engine tick would.
+    fn catch_up(&mut self, owner: usize) {
+        let target = lock(&self.lanes[owner]).sim.now_sys();
+        while self.now_sys < target {
+            self.now_sys += 1;
+            for (s, lane) in self.lanes.iter().enumerate() {
+                if s != owner {
+                    lock(lane).step(
+                        self.now_sys,
+                        self.draining,
+                        self.cfg.batch,
+                        self.cfg.batch_timeout_sys,
+                    );
+                }
+            }
+        }
+    }
+
     /// Descriptors staged at the splitter, queued at a sequencer, or in
     /// flight anywhere in the engine.
     pub fn in_pipeline(&self) -> u64 {
@@ -491,9 +513,18 @@ impl ShardedFlowLut {
     /// bit-identical to continuing the checkpointed one
     /// (`tests/checkpoint_restore.rs`).
     ///
+    /// The shards are restored at once, on `min(shards,
+    /// available_parallelism())` host threads, the calling thread among
+    /// them, whatever the [`ExecutionMode`].
+    ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on a malformed blob or mismatched `cfg`.
+    /// [`CheckpointError`] on a malformed blob or mismatched `cfg`: the
+    /// error a shard-by-shard restore would meet first.
+    ///
+    /// # Panics
+    ///
+    /// Raises again a panic of a thread restoring a shard.
     pub fn restore(cfg: EngineConfig, bytes: &[u8]) -> Result<Self, CheckpointError> {
         cfg.validate()
             .map_err(|_| CheckpointError::Corrupt("invalid configuration"))?;
@@ -523,17 +554,20 @@ impl ShardedFlowLut {
         let offered = r.counter()?;
         let splitter_stall_cycles = r.counter()?;
         let carried_stats = checkpoint::read_stats(&mut r)?;
-        let mut sims = Vec::with_capacity(cfg.shards);
-        for _ in 0..cfg.shards {
+        // The shard blobs' bounds first, up to the first that does not
+        // read; then the shards before it, restored at once. Errors keep
+        // the order of a restore that reads and restores shard by shard:
+        // a shard's own error, then the bound after the last good shard,
+        // then trailing bytes.
+        let mut blobs = Vec::with_capacity(cfg.shards);
+        let framing = (0..cfg.shards).try_for_each(|_| {
             let len = usize::try_from(r.u64()?)
                 .map_err(|_| CheckpointError::Corrupt("shard blob length overflow"))?;
-            let blob = r.take(len)?;
-            let sim = FlowLutSim::restore(cfg.shard.clone(), blob)?;
-            if sim.now_sys() != now_sys {
-                return Err(CheckpointError::Corrupt("shard clock diverged from engine"));
-            }
-            sims.push(sim);
-        }
+            blobs.push(r.take(len)?);
+            Ok(())
+        });
+        let sims = restore_shards(&cfg.shard, &blobs, now_sys)?;
+        framing?;
         r.finish()?;
         // Summed over the engine, each statistic obeys one simulator's
         // bound, so the engine's merged view counts on without overflow.
@@ -637,20 +671,68 @@ const ENGINE_CHECKPOINT_VERSION: u32 = 1;
 /// Backend name of the sharded engine.
 const ENGINE_BACKEND_NAME: &str = "hashcam-sharded";
 
+/// Restores the shards of an engine checkpoint taken at cycle
+/// `now_sys`, one simulator per blob, on
+/// `n = min(blobs, available_parallelism())` executors: the calling
+/// thread is executor 0, and executor `e` takes blobs `e`, `e + n`, … —
+/// the partition [`ShardedFlowLut::assemble`] gives the worker pool.
+/// Shards share nothing, so each restore is the one a single thread
+/// would do. Returns the first error in blob order; a panic on a worker
+/// is raised again here.
+fn restore_shards(
+    cfg: &SimConfig,
+    blobs: &[&[u8]],
+    now_sys: u64,
+) -> Result<Vec<FlowLutSim>, CheckpointError> {
+    let restore = |blob: &[u8]| {
+        let sim = FlowLutSim::restore(cfg.clone(), blob)?;
+        if sim.now_sys() != now_sys {
+            return Err(CheckpointError::Corrupt("shard clock diverged from engine"));
+        }
+        Ok(sim)
+    };
+    let cores = thread::available_parallelism().map_or(1, |c| c.get());
+    let n = blobs.len().min(cores).max(1);
+    let executor = |e: usize| -> Vec<_> {
+        blobs
+            .iter()
+            .skip(e)
+            .step_by(n)
+            .map(|b| restore(b))
+            .collect()
+    };
+    let mut done: Vec<_> = thread::scope(|s| {
+        let workers: Vec<_> = (1..n).map(|e| s.spawn(move || executor(e))).collect();
+        let joined = workers.into_iter().map(|w| {
+            w.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        std::iter::once(executor(0))
+            .chain(joined)
+            .map(Vec::into_iter)
+            .collect()
+    });
+    // Blob `i` is the `i / n`-th restore of executor `i % n`.
+    (0..blobs.len())
+        .filter_map(|i| done[i % n].next())
+        .collect()
+}
+
 impl FlowStore for ShardedFlowLut {
     fn name(&self) -> &'static str {
         ENGINE_BACKEND_NAME
     }
 
     /// Upsert on the owning channel's timed pipeline (the shard runs the
-    /// descriptor to completion). Only that channel's clock advances;
-    /// lockstep across channels is an invariant of *streamed* sessions,
-    /// not of functional access.
+    /// descriptor to completion), after which the other channels step
+    /// through the same cycles: the shards stay in lockstep with each
+    /// other and with the engine clock under functional access too.
     fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
         let s = self.router.route(&key);
         // Drop the lane guard before building the error: the aggregate
         // occupancy query locks every lane.
         let result = FlowStore::insert(&mut lock(&self.lanes[s]).sim, key);
+        self.catch_up(s);
         match result {
             Ok(created) => Ok(created),
             // Re-label with engine-level context: the caller sees the
@@ -669,9 +751,13 @@ impl FlowStore for ShardedFlowLut {
         lock(&self.lanes[s]).sim.table().peek(key).is_some()
     }
 
+    /// Deletes on the owning channel, which then leads the others by
+    /// the cycles it spent; they catch up as after an insert.
     fn remove(&mut self, key: &FlowKey) -> bool {
         let s = self.router.route(key);
-        FlowStore::remove(&mut lock(&self.lanes[s]).sim, key)
+        let removed = FlowStore::remove(&mut lock(&self.lanes[s]).sim, key);
+        self.catch_up(s);
+        removed
     }
 
     fn len(&self) -> u64 {

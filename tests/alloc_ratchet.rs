@@ -28,16 +28,21 @@
 //! rustc is permitted to elide paired allocations, so optimisation
 //! level can legitimately shift the exact count.
 //!
-//! Everything here runs on one thread and the workload is a seeded
-//! fabric trace, so the per-thread counts are deterministic; the
-//! warm-up batch is sized so steady state (buffer high-water marks,
-//! hash-table capacity) is reached before measurement starts.
+//! The steady-state cases and preload run on one thread and the
+//! workload is a seeded fabric trace, so their per-thread counts are
+//! deterministic; the warm-up batch is sized so steady state (buffer
+//! high-water marks, hash-table capacity) is reached before measurement
+//! starts. The engine restores its shards on several threads, so the
+//! restore case counts the allocations of every thread. Every test here
+//! holds one lock, so no other test allocates meanwhile; the harness's
+//! bookkeeping for the test before runs while the restore case builds
+//! its checkpoint.
 
 use std::alloc::System;
+use std::collections::HashSet;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use stats_alloc::StatsAlloc;
-
-use std::collections::HashSet;
 
 use flowlut::core::{FlowLutSim, SimConfig};
 use flowlut::engine::{EngineConfig, ExecutionMode, ShardedFlowLut};
@@ -48,6 +53,29 @@ use flowlut::{FlowPipeline, Session};
 
 #[global_allocator]
 static ALLOC: StatsAlloc<System> = StatsAlloc::new(System);
+
+/// Held by every test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the lock that runs this file's tests one at a time; a test
+/// that failed holding it leaves it usable.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f`, returning its result and the allocations made on any
+/// thread meanwhile, counted as `thread_allocations` counts them: those
+/// of `f` and of the threads it starts, when the caller holds
+/// [`serial`].
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let count = || {
+        let stats = ALLOC.stats();
+        stats.allocations + stats.reallocations
+    };
+    let before = count();
+    let out = f();
+    (out, count() - before)
+}
 
 /// Descriptors streamed before measurement starts (reaches steady
 /// state: scratch high-water marks, table fill comparable to the
@@ -142,6 +170,7 @@ fn check_pin(name: &str, measured: u64) {
 
 #[test]
 fn sim_steady_state_allocations_match_baseline() {
+    let _serial = serial();
     let descs = trace();
     let mut sim = FlowLutSim::new(SimConfig::test_small());
     check("sim", measure_pipeline(&mut sim, &descs));
@@ -149,6 +178,7 @@ fn sim_steady_state_allocations_match_baseline() {
 
 #[test]
 fn engine_2shard_steady_state_allocations_match_baseline() {
+    let _serial = serial();
     let descs = trace();
     let mut engine = ShardedFlowLut::new(EngineConfig {
         execution: ExecutionMode::Inline,
@@ -159,6 +189,7 @@ fn engine_2shard_steady_state_allocations_match_baseline() {
 
 #[test]
 fn service_pump_steady_state_allocations_match_baseline() {
+    let _serial = serial();
     let descs = trace();
     let mut svc = FlowService::new(ServiceConfig::new(EngineConfig {
         execution: ExecutionMode::Inline,
@@ -173,6 +204,7 @@ fn service_pump_steady_state_allocations_match_baseline() {
 
 #[test]
 fn setup_preload_allocations_match_baseline() {
+    let _serial = serial();
     let keys: Vec<FlowKey> = (0..SETUP_PRELOAD_FLOWS)
         .map(|i| FlowKey::from(FiveTuple::from_index(i)))
         .collect();
@@ -187,24 +219,42 @@ fn setup_preload_allocations_match_baseline() {
 
 #[test]
 fn setup_restore_allocations_match_baseline() {
+    let _serial = serial();
     let cfg = EngineConfig::prototype(2);
     let mut engine = ShardedFlowLut::new(cfg.clone());
     let mut seen = HashSet::new();
-    let flows = trace()
+    let flows: Vec<FlowKey> = trace()
         .into_iter()
         .map(|d| d.key)
-        .filter(|k| seen.insert(*k));
+        .filter(|k| seen.insert(*k))
+        .collect();
     engine
-        .preload(flows)
+        .preload(flows.iter().copied())
         .expect("the trace's flows fit two prototype shards");
     let blob = engine.checkpoint().expect("an idle engine checkpoints");
-    let before = ALLOC.thread_allocations();
-    let restored = ShardedFlowLut::restore(cfg, &blob).expect("a fresh checkpoint restores");
-    let measured = ALLOC.thread_allocations() - before;
-    drop(restored);
+    // Each shard's checkpoint on its own: the shard's flows, preloaded
+    // in the order the engine routes them.
+    let shard_blobs: Vec<Vec<u8>> = (0..cfg.shards)
+        .map(|s| {
+            let mut sim = FlowLutSim::new(cfg.shard.clone());
+            let own = flows.iter().filter(|k| engine.router().route(k) == s);
+            sim.preload(own.copied()).expect("a shard's flows fit it");
+            sim.checkpoint().expect("an idle simulator checkpoints")
+        })
+        .collect();
+    let measured = allocations_of(|| ShardedFlowLut::restore(cfg.clone(), &blob)).1;
     eprintln!(
         "alloc_ratchet setup_restore: {measured} allocs / {} flows",
         seen.len()
+    );
+    // The count sees the shards' restores on whatever threads they run.
+    let alone: u64 = shard_blobs
+        .iter()
+        .map(|shard| allocations_of(|| FlowLutSim::restore(cfg.shard.clone(), shard)).1)
+        .sum();
+    assert!(
+        measured >= alone,
+        "the engine restore made {measured} allocations, its shards alone {alone}"
     );
     assert_eq!(seen.len() as u64, pinned("workload", "setup_restore_flows"));
     check_pin("setup_restore", measured);
@@ -216,6 +266,7 @@ fn setup_restore_allocations_match_baseline() {
 /// window recorded in the document.
 #[test]
 fn baseline_document_is_consistent() {
+    let _serial = serial();
     assert_eq!(
         pinned("workload", "measured_descriptors"),
         MEASURED as u64,

@@ -4,7 +4,11 @@
 //!   replay is **bit-identical** to the live instance continuing past
 //!   the checkpoint — every snapshot field, every report counter;
 //! * the blob itself round-trips byte-identically (restore → checkpoint
-//!   is a fixed point), so checkpoint chains never drift;
+//!   is a fixed point), so checkpoint chains never drift — at one shard
+//!   and at more shards than the host has cores, which restore on
+//!   fewer executors than shards;
+//! * functional inserts keep every shard on the engine clock, so an
+//!   engine they filled checkpoints to a blob its restore accepts;
 //! * [`ShardedFlowLut::rescale_double`] rehomes every resident flow
 //!   onto the doubled shard set with zero descriptor loss — including
 //!   descriptors still in flight when the rescale is requested — and
@@ -17,8 +21,8 @@ use flowlut::core::checkpoint::Fnv64;
 use flowlut::core::{ExpiryPolicy, FlowLutSim, PressurePolicy, SimConfig};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
-use flowlut::traffic::{FlowKey, PacketDescriptor};
-use flowlut::{CheckpointError, FlowPipeline, Session};
+use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
+use flowlut::{CheckpointError, FlowPipeline, FlowStore, Session};
 
 /// Two shards, fast test geometry, both lifecycle policies on — the
 /// checkpoint must capture aging cursors and victim lists, not just the
@@ -52,28 +56,21 @@ fn resident_keys(engine: &ShardedFlowLut) -> HashSet<FlowKey> {
     keys
 }
 
-#[test]
-fn restored_engine_replays_bit_identically() {
-    let descs = trace(4_000);
-    let (prefix, tail) = descs.split_at(2_000);
-
-    // Live instance: stream the prefix, settle, checkpoint.
-    let mut live = ShardedFlowLut::new(config());
-    Session::new(&mut live).run(prefix).expect("fresh session");
-    live.quiesce();
-    let blob = live.checkpoint().expect("quiescent engine checkpoints");
-
-    let mut restored = ShardedFlowLut::restore(config(), &blob).expect("own blob restores");
+/// Checks that `restored` starts as `live` stands, then replays the
+/// identical `tail` on both: the restored engine must shadow the live
+/// one counter for counter, cycle for cycle.
+fn assert_replays_alike(
+    live: &mut ShardedFlowLut,
+    restored: &mut ShardedFlowLut,
+    tail: &[PacketDescriptor],
+) {
     assert_eq!(
         live.snapshot(),
         restored.snapshot(),
         "restore must reproduce the checkpointed state exactly"
     );
-
-    // Replay the identical tail on both instances: the restored engine
-    // must shadow the live one counter for counter, cycle for cycle.
-    let report_live = Session::new(&mut live).run(tail).expect("fresh session");
-    let report_restored = Session::new(&mut restored)
+    let report_live = Session::new(&mut *live).run(tail).expect("fresh session");
+    let report_restored = Session::new(&mut *restored)
         .run(tail)
         .expect("fresh session");
     assert_eq!(
@@ -91,20 +88,68 @@ fn restored_engine_replays_bit_identically() {
     );
 }
 
+/// At every shard count, including one (restored on the calling thread
+/// alone) and three and four (on fewer executors than shards wherever
+/// the host has fewer cores).
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 4];
+
+#[test]
+fn restored_engine_replays_bit_identically() {
+    let descs = trace(4_000);
+    let (prefix, tail) = descs.split_at(2_000);
+    for shards in SHARD_COUNTS {
+        let cfg = EngineConfig { shards, ..config() };
+        // Live instance: stream the prefix, settle, checkpoint.
+        let mut live = ShardedFlowLut::new(cfg.clone());
+        Session::new(&mut live).run(prefix).expect("fresh session");
+        live.quiesce();
+        let blob = live.checkpoint().expect("quiescent engine checkpoints");
+
+        let mut restored = ShardedFlowLut::restore(cfg, &blob).expect("own blob restores");
+        assert_replays_alike(&mut live, &mut restored, tail);
+    }
+}
+
 #[test]
 fn checkpoint_blob_round_trips_byte_identically() {
-    let mut engine = ShardedFlowLut::new(config());
-    Session::new(&mut engine)
-        .run(&trace(1_500))
-        .expect("fresh session");
-    engine.quiesce();
-    let blob = engine.checkpoint().expect("quiescent engine checkpoints");
+    for shards in SHARD_COUNTS {
+        let cfg = EngineConfig { shards, ..config() };
+        let mut engine = ShardedFlowLut::new(cfg.clone());
+        Session::new(&mut engine)
+            .run(&trace(1_500))
+            .expect("fresh session");
+        engine.quiesce();
+        let blob = engine.checkpoint().expect("quiescent engine checkpoints");
 
-    let mut restored = ShardedFlowLut::restore(config(), &blob).expect("own blob restores");
-    let again = restored
-        .checkpoint()
-        .expect("restored engine is quiescent by construction");
-    assert_eq!(blob, again, "restore -> checkpoint must be a fixed point");
+        let mut restored = ShardedFlowLut::restore(cfg, &blob).expect("own blob restores");
+        let again = restored
+            .checkpoint()
+            .expect("restored engine is quiescent by construction");
+        assert!(
+            blob == again,
+            "{shards} shards: restore -> checkpoint must be a fixed point"
+        );
+    }
+}
+
+/// Functional inserts run on the owning shard alone; the other shards
+/// and the engine clock must step with it, or the engine checkpoints
+/// shard clocks its own restore refuses.
+#[test]
+fn functional_inserts_keep_the_shards_in_lockstep() {
+    let cfg = EngineConfig::test_small();
+    let mut live = ShardedFlowLut::new(cfg.clone());
+    for i in 0..4 {
+        let key = FlowKey::from(FiveTuple::from_index(i));
+        assert!(FlowStore::insert(&mut live, key).expect("room for four flows"));
+    }
+    for s in live.snapshot().per_shard {
+        assert_eq!(s.now_sys, live.now_sys(), "a shard left the engine clock");
+    }
+    live.quiesce();
+    let blob = live.checkpoint().expect("quiescent engine checkpoints");
+    let mut restored = ShardedFlowLut::restore(cfg, &blob).expect("own blob restores");
+    assert_replays_alike(&mut live, &mut restored, &trace(500));
 }
 
 /// The bytes of one engine checkpoint, pinned by length and FNV-1a-64

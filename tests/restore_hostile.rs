@@ -20,8 +20,14 @@
 //!
 //! The FLTR trace reader obeys the same heap bound: a header's record
 //! count sizes no reservation.
+//!
+//! The engine restores its shards on several threads, so the bound
+//! counts the bytes every thread asks for. Every test here holds one
+//! lock, so no other test allocates while one measures.
 
 use std::alloc::System;
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
 use stats_alloc::StatsAlloc;
@@ -35,6 +41,15 @@ use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
 #[global_allocator]
 static ALLOC: StatsAlloc<System> = StatsAlloc::new(System);
+
+/// Held by every test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the lock that runs this file's tests one at a time; a test
+/// that failed holding it leaves it usable.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Heap bytes a restore may request per blob byte beyond the cost of
 /// restoring an empty checkpoint. A placement takes at least 7 blob
@@ -95,11 +110,13 @@ fn empty_restore_bytes() -> u64 {
     requested_by(|| FlowLutSim::restore(config(), &blob)).1
 }
 
-/// Runs `f`, returning its result and the heap bytes it requested.
+/// Runs `f`, returning its result and the heap bytes requested on any
+/// thread meanwhile: those of `f` and of the threads it starts, when the
+/// caller holds [`serial`].
 fn requested_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOC.thread_allocated_bytes();
+    let before = ALLOC.allocated_bytes();
     let out = f();
-    (out, ALLOC.thread_allocated_bytes() - before)
+    (out, ALLOC.allocated_bytes() - before)
 }
 
 /// Restores `blob` and checks the contract in the module docs.
@@ -161,12 +178,14 @@ fn counter_windows() -> Vec<usize> {
 
 #[test]
 fn the_valid_checkpoint_restores_within_the_bound() {
+    let _serial = serial();
     let blob = valid_blob();
     restore_checked(&blob, empty_restore_bytes()).expect("the valid blob restores");
 }
 
 #[test]
 fn every_truncation_is_rejected() {
+    let _serial = serial();
     let blob = valid_blob();
     let empty_cost = empty_restore_bytes();
     for len in 0..blob.len() {
@@ -179,6 +198,7 @@ fn every_truncation_is_rejected() {
 
 #[test]
 fn inflated_values_in_every_window_are_contained() {
+    let _serial = serial();
     let blob = valid_blob();
     let empty_cost = empty_restore_bytes();
     for at in 0..=blob.len() - 8 {
@@ -223,6 +243,7 @@ fn with_widened_key(blob: &[u8], key: &FlowKey) -> Vec<u8> {
 
 #[test]
 fn a_key_wider_than_a_slot_is_rejected() {
+    let _serial = serial();
     let blob = valid_blob();
     let empty_cost = empty_restore_bytes();
     // Mem1, Mem2 and CAM placements alike.
@@ -238,6 +259,7 @@ fn a_key_wider_than_a_slot_is_rejected() {
 
 #[test]
 fn a_retired_counter_word_must_be_zero() {
+    let _serial = serial();
     let blob = valid_blob();
     for at in RETIRED_AT {
         assert_eq!(blob[at..at + 8], [0; 8]);
@@ -255,6 +277,7 @@ fn a_retired_counter_word_must_be_zero() {
 
 #[test]
 fn a_clock_that_overflows_the_memory_clock_is_rejected() {
+    let _serial = serial();
     let mut blob = valid_blob();
     blob[CLOCK_AT..CLOCK_AT + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(
@@ -282,6 +305,7 @@ fn flip_bits(blob: &mut [u8], flips: &[u64], clocks: &[usize]) {
 
 #[test]
 fn a_trace_header_sizes_no_reservation() {
+    let _serial = serial();
     let mut header = Vec::new();
     write_trace(&mut header, &[]).expect("a vector takes the bytes");
     header.truncate(header.len() - 8); // the checksum
@@ -341,14 +365,32 @@ fn valid_engine_blob() -> (Vec<u8>, [usize; 3]) {
     }
     let blob = engine.checkpoint().expect("a quiesced engine checkpoints");
     assert_eq!(blob[ENGINE_CLOCK_AT..][..8], engine.now_sys().to_le_bytes());
-    let len = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
-    let first = SHARD_BLOBS_AT + 8;
-    let second = first + len(SHARD_BLOBS_AT) + 8;
-    let clocks = [ENGINE_CLOCK_AT, first + CLOCK_AT, second + CLOCK_AT];
+    let [first, second] = &shard_blobs(&blob)[..] else {
+        panic!("two shard blobs");
+    };
+    let clocks = [
+        ENGINE_CLOCK_AT,
+        first.start + CLOCK_AT,
+        second.start + CLOCK_AT,
+    ];
     for at in clocks {
         assert_eq!(blob[at..at + 8], engine.now_sys().to_le_bytes());
     }
     (blob, clocks)
+}
+
+/// Where each shard blob of an engine checkpoint lies, in shard order:
+/// after the carried statistics, each after its length.
+fn shard_blobs(blob: &[u8]) -> Vec<Range<usize>> {
+    let mut blobs = Vec::new();
+    let mut at = SHARD_BLOBS_AT;
+    while at < blob.len() {
+        let len = u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+        blobs.push(at + 8..at + 8 + len);
+        at += 8 + len;
+    }
+    assert_eq!(at, blob.len());
+    blobs
 }
 
 /// Heap bytes requested by restoring a checkpoint of an empty engine.
@@ -378,13 +420,26 @@ fn restore_engine_checked(blob: &[u8], empty_cost: u64) -> Result<(), Checkpoint
 
 #[test]
 fn the_valid_engine_checkpoint_restores_within_the_bound() {
+    let _serial = serial();
     let (blob, _) = valid_engine_blob();
     restore_engine_checked(&blob, empty_engine_restore_bytes())
         .expect("the valid engine blob restores");
+    // The bound sees the shards' restores on whatever threads they run:
+    // the engine asks for at least what its shards ask for alone.
+    let engine = requested_by(|| ShardedFlowLut::restore(engine_config(), &blob)).1;
+    let alone: u64 = shard_blobs(&blob)
+        .into_iter()
+        .map(|shard| requested_by(|| FlowLutSim::restore(config(), &blob[shard])).1)
+        .sum();
+    assert!(
+        engine >= alone,
+        "the engine restore requested {engine} heap bytes, its shards alone {alone}"
+    );
 }
 
 #[test]
 fn every_engine_truncation_is_rejected() {
+    let _serial = serial();
     let (blob, _) = valid_engine_blob();
     let empty_cost = empty_engine_restore_bytes();
     for len in 0..blob.len() {
@@ -397,6 +452,7 @@ fn every_engine_truncation_is_rejected() {
 
 #[test]
 fn inflated_values_in_every_engine_window_are_contained() {
+    let _serial = serial();
     let (blob, clocks) = valid_engine_blob();
     let empty_cost = empty_engine_restore_bytes();
     for at in 0..=blob.len() - 8 {
@@ -413,6 +469,55 @@ fn inflated_values_in_every_engine_window_are_contained() {
             hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
             let _ = restore_engine_checked(&hostile, empty_cost);
         }
+    }
+}
+
+/// The engine restores its shards at once, yet answers as a restore
+/// that reads and restores them one by one: the first shard's error in
+/// shard order, whatever a later shard holds, then a shard blob that
+/// does not fit the checkpoint, then trailing bytes.
+#[test]
+fn shard_errors_come_back_in_shard_order() {
+    let _serial = serial();
+    let cfg = EngineConfig {
+        shards: 3,
+        ..EngineConfig::test_small()
+    };
+    let mut engine = ShardedFlowLut::new(cfg.clone());
+    engine.start_run().run(&descs()).expect("fresh session");
+    engine.quiesce();
+    let blob = engine.checkpoint().expect("a quiesced engine checkpoints");
+    let shards = shard_blobs(&blob);
+    // Each case breaks shards (`Magic`, `Clock`) and the blob's end
+    // (`Cut` drops the last shard's last byte, `Pad` adds one past it).
+    enum Edit {
+        Magic(usize),
+        Clock(usize),
+        Cut,
+        Pad,
+    }
+    use Edit::*;
+    let diverged = CheckpointError::Corrupt("shard clock diverged from engine");
+    let cases = [
+        (vec![Clock(1)], diverged),
+        (vec![Magic(1), Clock(2)], CheckpointError::BadMagic),
+        (vec![Clock(1), Magic(2)], diverged),
+        (vec![Magic(0), Cut], CheckpointError::BadMagic),
+        (vec![Magic(2), Pad], CheckpointError::BadMagic),
+        (vec![Cut], CheckpointError::Truncated),
+    ];
+    for (i, (edits, want)) in cases.into_iter().enumerate() {
+        let mut hostile = blob.clone();
+        for edit in edits {
+            match edit {
+                Magic(s) => hostile[shards[s].start] ^= 0xFF,
+                Clock(s) => hostile[shards[s].start + CLOCK_AT] ^= 1,
+                Cut => drop(hostile.pop()),
+                Pad => hostile.push(0),
+            }
+        }
+        let restored = ShardedFlowLut::restore(cfg.clone(), &hostile);
+        assert_eq!(restored.err(), Some(want), "case {i}");
     }
 }
 
@@ -434,13 +539,11 @@ fn engine_blob_with_offered(shards: usize, carried: u64, per_shard: u64) -> Vec<
         }
     };
     set(&mut blob, ENGINE_STATS_AT, carried);
-    let mut at = SHARD_BLOBS_AT;
-    for _ in 0..shards {
-        set(&mut blob, at + 8 + OFFERED_AT, per_shard);
-        let len = u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
-        at += 8 + len as usize;
+    let shard_blobs = shard_blobs(&blob);
+    assert_eq!(shard_blobs.len(), shards);
+    for shard in shard_blobs {
+        set(&mut blob, shard.start + OFFERED_AT, per_shard);
     }
-    assert_eq!(at, blob.len());
     blob
 }
 
@@ -450,6 +553,7 @@ fn engine_blob_with_offered(shards: usize, carried: u64, per_shard: u64) -> Vec<
 /// the engine restores and reports its merged statistics.
 #[test]
 fn engine_statistics_are_bounded_at_2_62_summed() {
+    let _serial = serial();
     for shards in [3, 4] {
         let cfg = EngineConfig {
             shards,
@@ -476,6 +580,7 @@ proptest! {
     /// One to four random bit flips anywhere but the clock's high bits.
     #[test]
     fn random_bit_flips_are_contained(flips in prop::collection::vec(any::<u64>(), 1..5)) {
+        let _serial = serial();
         let mut blob = valid_blob();
         flip_bits(&mut blob, &flips, &[CLOCK_AT]);
         let _ = restore_checked(&blob, empty_restore_bytes());
@@ -485,6 +590,7 @@ proptest! {
     /// the high bits of its clocks.
     #[test]
     fn random_engine_bit_flips_are_contained(flips in prop::collection::vec(any::<u64>(), 1..5)) {
+        let _serial = serial();
         let (mut blob, clocks) = valid_engine_blob();
         flip_bits(&mut blob, &flips, &clocks);
         let _ = restore_engine_checked(&blob, empty_engine_restore_bytes());
@@ -496,6 +602,7 @@ proptest! {
     /// requires them equal.
     #[test]
     fn counters_are_bounded_at_2_62(window in 0..COUNTERS, delta in 0..4u64, above in any::<bool>()) {
+        let _serial = serial();
         let at = counter_windows()[window];
         let value = if above { MAX_COUNTER + 1 + delta } else { MAX_COUNTER - delta };
         let mut blob = valid_blob();
