@@ -14,7 +14,6 @@ pub struct PacketBuffer {
     q: VecDeque<PacketDescriptor>,
     capacity: usize,
     drops: u64,
-    peak: usize,
 }
 
 impl PacketBuffer {
@@ -29,7 +28,6 @@ impl PacketBuffer {
             q: VecDeque::with_capacity(capacity),
             capacity,
             drops: 0,
-            peak: 0,
         }
     }
 
@@ -57,12 +55,6 @@ impl PacketBuffer {
         self.drops
     }
 
-    /// Highest occupancy observed.
-    #[inline]
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
     /// Enqueues `p`; returns `false` (and counts a drop) when full.
     pub fn push(&mut self, p: PacketDescriptor) -> bool {
         if self.q.len() >= self.capacity {
@@ -70,7 +62,6 @@ impl PacketBuffer {
             return false;
         }
         self.q.push_back(p);
-        self.peak = self.peak.max(self.q.len());
         true
     }
 
@@ -115,7 +106,7 @@ mod tests {
         assert!(b.push(pkt(1)));
         assert!(!b.push(pkt(2)));
         assert_eq!(b.drops(), 1);
-        assert_eq!(b.peak(), 2);
+        assert_eq!(b.len(), 2);
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub struct EventEngine {
     thresholds: EventThresholds,
     /// Flows already reported as elephants (edge-triggered).
     reported_elephants: std::collections::HashSet<FlowId>,
-    raised_total: u64,
 }
 
 impl EventEngine {
@@ -71,18 +70,7 @@ impl EventEngine {
         EventEngine {
             thresholds,
             reported_elephants: std::collections::HashSet::new(),
-            raised_total: 0,
         }
-    }
-
-    /// Thresholds in force.
-    pub fn thresholds(&self) -> &EventThresholds {
-        &self.thresholds
-    }
-
-    /// Total events raised since construction.
-    pub fn raised_total(&self) -> u64 {
-        self.raised_total
     }
 
     /// Per-descriptor hook: elephant detection (edge-triggered on the
@@ -102,7 +90,6 @@ impl EventEngine {
         if let Some(record) = table.record(fid) {
             if record.bytes >= self.thresholds.elephant_bytes {
                 self.reported_elephants.insert(fid);
-                self.raised_total += 1;
                 out.push(Event::ElephantFlow {
                     flow: fid,
                     bytes: record.bytes,
@@ -116,17 +103,14 @@ impl EventEngine {
         if report.completed > 0 {
             let fraction = report.stats.miss_rate();
             if fraction > self.thresholds.surge_new_flow_fraction {
-                self.raised_total += 1;
                 out.push(Event::NewFlowSurge { fraction });
             }
         }
         let load = table.load_factor();
         if load > self.thresholds.table_load_factor {
-            self.raised_total += 1;
             out.push(Event::TablePressure { load_factor: load });
         }
         if report.stats.drops > 0 {
-            self.raised_total += 1;
             out.push(Event::FlowDrops {
                 count: report.stats.drops,
             });
@@ -192,7 +176,10 @@ mod tests {
                 ..AnalyzerConfig::default()
             });
             let packet = |seq| {
-                let d = PacketDescriptor::new(seq, key).with_frame_bytes(1500);
+                let d = PacketDescriptor {
+                    frame_bytes: 1500,
+                    ..PacketDescriptor::new(seq, key)
+                };
                 match hashes {
                     Some((h1, h2)) => d.with_hash_override(h1, h2),
                     None => d,

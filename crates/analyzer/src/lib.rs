@@ -13,9 +13,8 @@
 //!   the flow processor's outputs: new-flow-rate surges (scan/DDoS
 //!   symptom), elephant flows crossing byte thresholds, table pressure,
 //!   and flow expiry (the event engine block);
-//! * [`StatsEngine`] — running aggregates: protocol mix, packet-size
-//!   histogram, flow-size distribution, top talkers (the stats engine
-//!   block);
+//! * [`StatsEngine`] — running aggregates: protocol mix, flow-size
+//!   distribution, top talkers (the stats engine block);
 //! * [`TrafficAnalyzer`] — the integration: drives descriptors through a
 //!   [`FlowLutSim`] and fans its completion records out to both engines,
 //!   emptying the simulator's bounded completion queue after each batch.
@@ -120,11 +119,6 @@ impl TrafficAnalyzer {
         }
     }
 
-    /// The flow processor.
-    pub fn flow_processor(&self) -> &FlowLutSim {
-        &self.sim
-    }
-
     /// The stats engine.
     pub fn stats(&self) -> &StatsEngine {
         &self.stats
@@ -193,7 +187,7 @@ mod tests {
         assert_eq!(out.processed, 500);
         assert_eq!(out.buffer_drops, 0);
         assert!(out.mdesc_per_s > 0.0);
-        assert_eq!(a.flow_processor().table().len(), 50);
+        assert_eq!(a.sim.table().len(), 50);
         assert_eq!(a.stats().total_packets(), 500);
     }
 
@@ -228,6 +222,6 @@ mod tests {
         a.process(&pkts(0..200, 20));
         a.process(&pkts(200..400, 20));
         assert_eq!(a.stats().total_packets(), 400);
-        assert_eq!(a.flow_processor().table().len(), 20);
+        assert_eq!(a.sim.table().len(), 20);
     }
 }

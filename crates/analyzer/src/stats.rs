@@ -33,15 +33,6 @@ impl FlowSizeClass {
     }
 }
 
-/// Packet-size histogram buckets (bytes, Layer 1).
-const SIZE_BUCKETS: [(u16, u16); 5] = [
-    (0, 127),
-    (128, 255),
-    (256, 511),
-    (512, 1023),
-    (1024, u16::MAX),
-];
-
 /// Running traffic aggregates.
 #[derive(Debug, Default)]
 pub struct StatsEngine {
@@ -49,13 +40,10 @@ pub struct StatsEngine {
     total_bytes: u64,
     /// Protocol number → packet count (from the 5-tuple's last byte).
     protocols: HashMap<u8, u64>,
-    /// Packet-size histogram, indexed like [`SIZE_BUCKETS`].
-    size_histogram: [u64; 5],
     /// Per-flow packet counters for the flow-size distribution.
     flow_packets: HashMap<FlowId, u64>,
     new_flows: u64,
     matched: u64,
-    dropped: u64,
 }
 
 impl StatsEngine {
@@ -72,15 +60,8 @@ impl StatsEngine {
         if let Some(&proto) = record.desc.key.as_bytes().last() {
             *self.protocols.entry(proto).or_insert(0) += 1;
         }
-        let size = record.desc.frame_bytes;
-        let bucket = SIZE_BUCKETS
-            .iter()
-            .position(|&(lo, hi)| size >= lo && size <= hi)
-            .expect("buckets cover u16");
-        self.size_histogram[bucket] += 1;
-
         match record.via {
-            ResolvedVia::Dropped => self.dropped += 1,
+            ResolvedVia::Dropped => {}
             v if v.is_new_flow() => {
                 self.new_flows += 1;
                 self.flow_packets.insert(record.fid.expect("new flow"), 1);
@@ -114,25 +95,11 @@ impl StatsEngine {
         self.matched
     }
 
-    /// Dropped packets (table full).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Protocol → packet-count pairs, descending by count.
     pub fn protocol_mix(&self) -> Vec<(u8, u64)> {
         let mut v: Vec<(u8, u64)> = self.protocols.iter().map(|(&p, &c)| (p, c)).collect();
         v.sort_by_key(|&(p, c)| (std::cmp::Reverse(c), p));
         v
-    }
-
-    /// Packet-size histogram as `(lo, hi, count)` rows.
-    pub fn size_histogram(&self) -> Vec<(u16, u16, u64)> {
-        SIZE_BUCKETS
-            .iter()
-            .zip(self.size_histogram.iter())
-            .map(|(&(lo, hi), &c)| (lo, hi, c))
-            .collect()
     }
 
     /// Flow-size class → flow count.
@@ -168,17 +135,5 @@ mod tests {
         assert_eq!(FlowSizeClass::of(100), FlowSizeClass::Medium);
         assert_eq!(FlowSizeClass::of(1000), FlowSizeClass::Large);
         assert_eq!(FlowSizeClass::of(1001), FlowSizeClass::Elephant);
-    }
-
-    #[test]
-    fn histogram_buckets_cover_u16() {
-        for size in [0u16, 72, 127, 128, 511, 512, 1024, 9000, u16::MAX] {
-            assert!(
-                SIZE_BUCKETS
-                    .iter()
-                    .any(|&(lo, hi)| size >= lo && size <= hi),
-                "size {size} uncovered"
-            );
-        }
     }
 }

@@ -51,11 +51,6 @@ impl BloomCamTable {
     fn cell_of(&self, key: &FlowKey) -> usize {
         self.hash.bucket(key.as_bytes(), self.cells.len() as u32) as usize
     }
-
-    /// Keys absorbed by the CAM (the scheme's scaling pressure point).
-    pub fn cam_len(&self) -> usize {
-        self.cam.len()
-    }
 }
 
 impl FlowStore for BloomCamTable {
@@ -202,7 +197,7 @@ mod tests {
             for i in 0..n {
                 t.insert(key(i)).unwrap();
             }
-            t.cam_len()
+            t.cam.len()
         };
         let at_128 = load(128);
         let at_256 = load(256);

@@ -52,24 +52,8 @@ impl DLeftTable {
         }
     }
 
-    /// Number of hash choices.
-    pub fn d(&self) -> usize {
-        self.hashes.len()
-    }
-
     fn bucket_of(&self, table: usize, key: &FlowKey) -> usize {
         self.hashes[table].bucket(key.as_bytes(), self.tables[table].len() as u32) as usize
-    }
-
-    /// Highest bucket occupancy across all sub-tables (the balanced-
-    /// allocations quality metric).
-    pub fn max_bucket_load(&self) -> usize {
-        self.tables
-            .iter()
-            .flat_map(|t| t.iter())
-            .map(|b| b.iter().filter(|s| s.is_some()).count())
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -202,9 +186,8 @@ mod tests {
         for i in 0..512 {
             t.insert(key(i)).unwrap();
         }
-        // 50% load factor: balanced allocations keep buckets well below
-        // their 4-slot capacity.
-        assert!(t.max_bucket_load() <= 4);
+        // 50% load factor: balanced allocations place every key before
+        // both of its buckets fill.
         assert_eq!(t.len(), 512);
     }
 }

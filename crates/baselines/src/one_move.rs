@@ -63,11 +63,6 @@ impl OneMoveTable {
         self.hashes[table].bucket(key.as_bytes(), self.tables[table].len() as u32) as usize
     }
 
-    /// Entries currently in the overflow CAM.
-    pub fn cam_len(&self) -> usize {
-        self.cam.len()
-    }
-
     fn try_direct_insert(&mut self, key: &FlowKey) -> Option<()> {
         // Balanced multiple-choice placement (\[9\] builds on the MHT of
         // balanced allocations): take the emptiest candidate bucket, and
@@ -255,9 +250,9 @@ mod tests {
         }
         assert!(t.op_stats().relocations > 0, "moves should have happened");
         assert!(
-            t.cam_len() < 40,
+            t.cam.len() < 40,
             "one-move should keep most overflow out of the CAM, used {}",
-            t.cam_len()
+            t.cam.len()
         );
         // All keys still findable.
         for i in 0..192 {

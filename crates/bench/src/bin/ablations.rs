@@ -5,7 +5,10 @@
 //! * bank selection on/off — simulated throughput at 50% miss;
 //! * BWr_Gen write-burst threshold sweep — simulated throughput at 100%
 //!   miss (insert-only, where write bursts matter);
-//! * bucket size K — keys spilled to a 1 024-entry CAM at 75% load.
+//! * bucket size K — keys spilled to a 1 024-entry CAM at 75% load;
+//! * hash paths d = 2, 3, 4 at equal total memory (the paper's stated
+//!   future work, multi-path multi-hashing) — keys spilled past all d
+//!   buckets, and memory probes per hit with early exit, at 50–95% load.
 //!
 //! Every number is a simulated quantity, a pure function of the sizes
 //! and seeds below, so two runs write byte-identical
@@ -23,13 +26,16 @@ use std::io::Write as _;
 use flowlut_baselines::SimultaneousHashCam;
 use flowlut_bench::{json_path, quick_mode};
 use flowlut_core::{
-    FlowLutSim, FlowPipeline, FlowStore, HashCamTable, LookupStage, SimConfig, TableConfig,
+    FlowLutSim, FlowPipeline, FlowStore, HashCamTable, LookupStage, MultiHashConfig,
+    MultiHashTable, MultiLocation, SimConfig, TableConfig,
 };
 use flowlut_traffic::workloads::MatchRateWorkload;
 use flowlut_traffic::{FiveTuple, FlowKey};
 
 const BWR_THRESHOLDS: [usize; 5] = [1, 4, 8, 16, 32];
 const BUCKET_SIZES: [u8; 3] = [1, 2, 4];
+const PATHS: [u8; 3] = [2, 3, 4];
+const LOADS: [f64; 4] = [0.5, 0.75, 0.9, 0.95];
 
 /// One `results` row: a printed value of one ablation, at its printed
 /// precision.
@@ -121,6 +127,32 @@ fn cam_spill(k: u8) -> (u64, u64) {
     (t.occupancy().cam, n)
 }
 
+/// A d-path multi-hash table of 65 536 slots in buckets of 2 and a
+/// 1 024-entry CAM, filled to `load`, as `(spilled, probes per hit)`:
+/// the keys that found all d buckets full (held by the CAM, or refused
+/// once it is full), and the mean memory probes an early-exit lookup of
+/// every resident key needed.
+fn multipath(paths: u8, load: f64) -> (usize, f64) {
+    let slots = 1u32 << 16;
+    let mut t = MultiHashTable::new(MultiHashConfig {
+        paths,
+        buckets_per_mem: slots / (2 * u32::from(paths)),
+        entries_per_bucket: 2,
+        cam_capacity: 1024,
+        hash_seed: 0x600D,
+    });
+    let keys = keys(0..(f64::from(slots) * load) as u64);
+    let spilled = keys
+        .iter()
+        .filter(|&&k| !matches!(t.insert(k), Ok(MultiLocation::Mem { .. })))
+        .count();
+    let (hits, probes) = keys
+        .iter()
+        .filter_map(|k| t.lookup(k))
+        .fold((0u32, 0u32), |(h, p), (_, n)| (h + 1, p + n));
+    (spilled, f64::from(probes) / f64::from(hits))
+}
+
 fn main() {
     println!("Ablations of the design choices DESIGN.md defends (simulated quantities)\n");
     let mut rows = Vec::new();
@@ -170,6 +202,31 @@ fn main() {
         rows.push(row("bucket_size", format!("K={k}"), spill, unit));
     }
 
+    let mut spill_at_90 = [0; PATHS.len()];
+    for (at_90, d) in spill_at_90.iter_mut().zip(PATHS) {
+        for load in LOADS {
+            let (spill, probes) = multipath(d, load);
+            let pct = load * 100.0;
+            println!(
+                "d={d} at {pct:.0}% load: {spill} keys spilled past all {d} buckets, \
+                 {probes:.3} probes per hit"
+            );
+            let variant = format!("d={d} at {pct:.0}% load");
+            let unit = "keys spilled past all d buckets (65536 slots, 1024-entry CAM)";
+            rows.push(row("multipath_cam_spill", &variant, spill, unit));
+            let unit = "memory probes per hit (early exit)";
+            rows.push(row(
+                "multipath_probes_per_hit",
+                &variant,
+                format!("{probes:.3}"),
+                unit,
+            ));
+            if load == 0.9 {
+                *at_90 = spill;
+            }
+        }
+    }
+
     let default_threshold = SimConfig::default().bwr_threshold;
     let at_threshold = |t| bwr[BWR_THRESHOLDS.iter().position(|&x| x == t).expect("swept")];
     let acceptance = [
@@ -182,6 +239,10 @@ fn main() {
         (
             "acceptance_spill_falls_as_k_grows",
             spilled.windows(2).all(|w| w[1] < w[0]),
+        ),
+        (
+            "acceptance_spill_falls_as_d_grows",
+            spill_at_90.windows(2).all(|w| w[1] < w[0]),
         ),
     ];
     println!();

@@ -23,8 +23,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::fmt::Display;
-
 /// One row of a paper-vs-measured comparison.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -132,21 +130,6 @@ pub fn print_comparison(title: &str, unit: &str, rows: &[Row]) {
             r.measured,
             r.ratio()
         );
-    }
-}
-
-/// Prints a generic two-column series (for figures).
-pub fn print_series<X: Display, Y: Display>(
-    title: &str,
-    x_name: &str,
-    y_name: &str,
-    points: &[(X, Y)],
-) {
-    println!("\n=== {title} ===");
-    println!("{x_name:>12} {y_name:>16}");
-    println!("{}", "-".repeat(30));
-    for (x, y) in points {
-        println!("{x:>12} {y:>16}");
     }
 }
 

@@ -94,12 +94,6 @@ impl<K: Eq + Hash + Copy> Cam<K> {
         self.len == 0
     }
 
-    /// `true` when every slot is occupied.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.len == self.capacity()
-    }
-
     /// Statistics accumulated so far.
     #[inline]
     pub fn stats(&self) -> &CamStats {
@@ -270,7 +264,7 @@ mod tests {
         let mut cam: Cam<u8> = Cam::new(2);
         cam.insert(1).unwrap();
         cam.insert(2).unwrap();
-        assert!(cam.is_full());
+        assert_eq!(cam.len(), cam.capacity());
         let err = cam.insert(3).unwrap_err();
         assert_eq!(err.capacity, 2);
         assert_eq!(cam.stats().insert_failures, 1);

@@ -20,6 +20,7 @@ pub struct CamStats {
 
 impl CamStats {
     /// Fraction of searches that hit; 0 when no searches were made.
+    #[cfg(test)]
     pub fn hit_rate(&self) -> f64 {
         if self.searches == 0 {
             0.0

@@ -36,6 +36,7 @@ pub struct FlowRecord {
 
 impl FlowRecord {
     /// Creates a record from the flow's first packet.
+    #[cfg(test)]
     pub fn first_packet(key: FlowKey, now_ns: u64, now_sys: u64, frame_bytes: u64) -> Self {
         FlowCounters::first_packet(now_ns, now_sys, frame_bytes).with_key(key)
     }

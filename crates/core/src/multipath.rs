@@ -8,8 +8,8 @@
 //! CAM → Mem₁ → … → Mem_d with early exit, and insertion takes the first
 //! free candidate bucket before spilling to the CAM.
 //!
-//! The trade the generalisation explores (see the `multipath` ablation
-//! bench): more paths raise the usable load factor and cut CAM spill,
+//! The trade the generalisation explores (the `multipath_*` rows of the
+//! `ablations` bench): more paths raise the usable load factor and cut CAM spill,
 //! but each additional path adds a memory channel and raises the
 //! worst-case probes per lookup — exactly the dimensioning question a
 //! >40 GbE design would face.
@@ -96,17 +96,6 @@ pub struct MultiHashStats {
     pub full_rejections: u64,
 }
 
-impl MultiHashStats {
-    /// Mean memory probes per lookup.
-    pub fn probes_per_lookup(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.probes as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// The d-path multi-hashing table (functional layer).
 #[derive(Debug)]
 pub struct MultiHashTable {
@@ -144,11 +133,6 @@ impl MultiHashTable {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &MultiHashConfig {
-        &self.cfg
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> &MultiHashStats {
         &self.stats
@@ -162,11 +146,6 @@ impl MultiHashTable {
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Entries resident in the CAM.
-    pub fn cam_len(&self) -> usize {
-        self.cam.len()
     }
 
     /// Load factor over total capacity.

@@ -17,7 +17,6 @@
 //! model vs paper side by side, labelled as an estimate.
 
 use crate::config::SimConfig;
-use crate::table::TableConfig;
 
 /// Per-block resource estimate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -127,11 +126,6 @@ pub struct ResourceModel {
 }
 
 impl ResourceModel {
-    /// A model with custom constants.
-    pub fn with_constants(constants: CostConstants) -> Self {
-        ResourceModel { constants }
-    }
-
     /// Estimates the resources of a full dual-path flow LUT with the
     /// given simulator configuration.
     pub fn estimate(&self, cfg: &SimConfig) -> ResourceEstimate {
@@ -219,16 +213,6 @@ impl ResourceModel {
             plls: 2,
             dlls: 2,
         }
-    }
-
-    /// Convenience: estimate for a bare table configuration with default
-    /// simulator queue sizing.
-    pub fn estimate_table(&self, table: TableConfig) -> ResourceEstimate {
-        let cfg = SimConfig {
-            table,
-            ..SimConfig::default()
-        };
-        self.estimate(&cfg)
     }
 }
 

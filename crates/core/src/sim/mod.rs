@@ -246,11 +246,6 @@ impl FlowLutSim {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// The functional table: the ground truth of resident flows and
     /// their records, and the one copy of each bucket's bytes.
     pub fn table(&self) -> &HashCamTable {
@@ -328,7 +323,9 @@ impl FlowLutSim {
     /// Requests deletion of the flow FID_GEN named `fid` (a
     /// [`CompletionRecord::fid`]), guarded by its `key`: the Figure 2
     /// "Flow delete" input. The update unit deletes it asynchronously if
-    /// that slot still holds `key`.
+    /// that slot still holds `key`, once no descriptor of `key` is in
+    /// the pipeline (in the Request Filter or the sequencer queue); while
+    /// it waits, it holds one of the 256 user-deletion places.
     ///
     /// # Errors
     ///
@@ -808,6 +805,14 @@ impl FlowLutSim {
             if self.same_key.contains_key(&key) {
                 return;
             }
+        } else if self.same_key.contains_key(&key)
+            || self.seq_q.iter().any(|&s| self.slots[s].desc.key == key)
+        {
+            // A user deletion waits for every descriptor of its key in
+            // the pipeline, which would otherwise find the flow gone
+            // (and insert it again) or complete on a freed slot.
+            self.del_q.push_back(req);
+            return;
         }
         // The flow may have left its slot since it was named.
         let Some(record) = self.table.record(fid).filter(|r| r.key == key) else {

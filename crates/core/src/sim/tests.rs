@@ -296,7 +296,7 @@ fn report_throughput_is_positive_and_bounded() {
     // Cannot exceed the offered rate materially (one descriptor per
     // admission cycle; offered at 100 MHz).
     assert!(
-        report.mdesc_per_s <= sim.config().input_rate_mhz * 1.05,
+        report.mdesc_per_s <= sim.cfg.input_rate_mhz * 1.05,
         "{} Mdesc/s exceeds offered rate",
         report.mdesc_per_s
     );
@@ -666,7 +666,7 @@ fn the_dram_image_equals_the_table_after_set_up() {
 
 /// Whether `bytes`, a bucket, holds `key` in `slot`.
 fn holds_at(sim: &FlowLutSim, bytes: Option<&[u8]>, key: &FlowKey, slot: u8) -> bool {
-    let t = sim.config().table;
+    let t = sim.cfg.table;
     let k = usize::from(t.entries_per_bucket);
     bytes.and_then(|b| codec::find_key(b, t.entry_slot_bytes, k, key)) == Some(slot)
 }
@@ -674,7 +674,7 @@ fn holds_at(sim: &FlowLutSim, bytes: Option<&[u8]>, key: &FlowKey, slot: u8) -> 
 #[test]
 fn dram_keeps_the_saved_line_until_the_bucket_write_lands() {
     let mut sim = FlowLutSim::new(SimConfig::test_small());
-    let k = sim.config().table.entries_per_bucket;
+    let k = sim.cfg.table.entries_per_bucket;
     let no_line_saved = |sim: &FlowLutSim| sim.paths.iter().all(|p| p.saved.is_empty());
 
     // A new flow, placed by a hash override: once its descriptor
@@ -884,6 +884,29 @@ fn user_deletions_past_the_queue_bound_are_refused() {
     sim.quiesce();
     assert!(sim.table().is_empty());
     assert_eq!(sim.stats().deletes, 1);
+}
+
+#[test]
+fn a_user_deletion_waits_for_a_lookup_of_its_key_in_flight() {
+    // One preloaded flow, one lookup of it, and its deletion t cycles
+    // after the offer: at every timing the lookup hits and the flow is
+    // gone once the pipeline quiesces.
+    for t in 0..60 {
+        let mut sim = FlowLutSim::new(SimConfig::test_small());
+        sim.preload([key(1)]).unwrap();
+        let fid = sim.table().peek(&key(1)).expect("preloaded");
+        assert!(sim.offer(PacketDescriptor::new(0, key(1))));
+        sim.tick_many(t);
+        sim.delete_flow(fid, key(1)).unwrap();
+        sim.quiesce();
+        let via = sim.completions().front().map(|r| r.via);
+        assert!(
+            matches!(via, Some(ResolvedVia::Lu1Hit(_) | ResolvedVia::Lu2Hit(_))),
+            "t = {t}: {via:?}"
+        );
+        assert!(sim.table().is_empty(), "t = {t}");
+        assert_eq!(sim.stats().deletes, 1, "t = {t}");
+    }
 }
 
 #[test]

@@ -30,11 +30,6 @@ impl ResolvedVia {
     pub fn is_new_flow(self) -> bool {
         matches!(self, ResolvedVia::InsertedMem(_) | ResolvedVia::InsertedCam)
     }
-
-    /// `true` if a flow ID was produced (everything except `Dropped`).
-    pub fn has_fid(self) -> bool {
-        !matches!(self, ResolvedVia::Dropped)
-    }
 }
 
 /// How one descriptor left the simulator: the record
@@ -210,8 +205,6 @@ mod tests {
         assert!(ResolvedVia::InsertedMem(PathId::A).is_new_flow());
         assert!(ResolvedVia::InsertedCam.is_new_flow());
         assert!(!ResolvedVia::CamHit.is_new_flow());
-        assert!(!ResolvedVia::Dropped.has_fid());
-        assert!(ResolvedVia::Lu2Hit(PathId::B).has_fid());
     }
 
     #[test]

@@ -188,17 +188,6 @@ pub struct TableStats {
     pub deletes: u64,
 }
 
-impl TableStats {
-    /// Overall hit rate.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            (self.hits_cam + self.hits_mem_a + self.hits_mem_b) as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// The Hash-CAM table (functional layer).
 ///
 /// Buckets are stored sparsely, so an 8 M-entry configuration costs
@@ -511,25 +500,6 @@ impl HashCamTable {
             return Err(InsertError::Duplicate(existing));
         }
         self.insert_at_order(key, counters, [(PathId::A, b1), (PathId::B, b2)])
-    }
-
-    /// Inserts with externally supplied bucket indices (hash-override
-    /// stimulus). Same semantics as [`insert`](Self::insert).
-    ///
-    /// # Errors
-    ///
-    /// As for [`insert`](Self::insert).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bucket index is out of range.
-    pub fn insert_with_buckets(
-        &mut self,
-        key: FlowKey,
-        b1: u32,
-        b2: u32,
-    ) -> Result<FlowId, InsertError> {
-        self.insert_with_buckets_preferring(key, b1, b2, PathId::A)
     }
 
     /// Inserts with externally supplied bucket indices, trying `prefer`'s
@@ -1090,7 +1060,8 @@ mod tests {
         // each, the rest spill to the CAM.
         let mut t = table();
         for i in 0..6 {
-            t.insert_with_buckets(key(i), 0, 0).unwrap();
+            t.insert_with_buckets_preferring(key(i), 0, 0, PathId::A)
+                .unwrap();
         }
         let occ = t.occupancy();
         assert_eq!(occ.mem_a, 2);
@@ -1110,10 +1081,11 @@ mod tests {
         let mut t = table();
         let spill = 4 + t.config().cam_capacity as u64;
         for i in 0..spill {
-            t.insert_with_buckets(key(i), 3, 7).unwrap();
+            t.insert_with_buckets_preferring(key(i), 3, 7, PathId::A)
+                .unwrap();
         }
         assert_eq!(
-            t.insert_with_buckets(key(spill), 3, 7),
+            t.insert_with_buckets_preferring(key(spill), 3, 7, PathId::A),
             Err(InsertError::TableFull)
         );
         assert_eq!(t.stats().full_rejections, 1);
@@ -1125,9 +1097,11 @@ mod tests {
         // A CAM-resident key must report stage Cam even though it would
         // also match nothing in memory.
         for i in 0..4 {
-            t.insert_with_buckets(key(i), 5, 5).unwrap();
+            t.insert_with_buckets_preferring(key(i), 5, 5, PathId::A)
+                .unwrap();
         }
-        t.insert_with_buckets(key(4), 5, 5).unwrap(); // spills to CAM
+        t.insert_with_buckets_preferring(key(4), 5, 5, PathId::A)
+            .unwrap(); // spills to CAM
         let (_, stage) = t.lookup(&key(4)).unwrap();
         assert_eq!(stage, LookupStage::Cam);
     }
@@ -1224,8 +1198,12 @@ mod tests {
         t.insert(key(1)).unwrap();
         t.lookup(&key(1));
         t.lookup(&key(2));
-        assert!((t.stats().hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(t.stats().misses, 1);
+        let s = t.stats();
+        assert_eq!(
+            (s.lookups, s.hits_cam + s.hits_mem_a + s.hits_mem_b),
+            (2, 1)
+        );
+        assert_eq!(s.misses, 1);
     }
 
     #[test]
@@ -1253,7 +1231,10 @@ mod tests {
             slot_bytes: 16,
         };
         assert_eq!(t.insert(wide), Err(refused));
-        assert_eq!(t.insert_with_buckets(wide, 1, 2), Err(refused));
+        assert_eq!(
+            t.insert_with_buckets_preferring(wide, 1, 2, PathId::A),
+            Err(refused)
+        );
         assert_eq!(t.lookup_or_insert(wide), Err(refused));
         assert_eq!(t.lookup(&wide), None);
         assert_eq!(t.peek(&wide), None);

@@ -64,11 +64,6 @@ impl Geometry {
         u64::from(self.banks) * u64::from(self.rows) * u64::from(self.cols)
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_bursts() * self.burst_bytes() as u64
-    }
-
     /// Validates the geometry.
     ///
     /// # Errors
@@ -221,7 +216,7 @@ mod tests {
     fn prototype_geometry_is_512_mib() {
         let g = Geometry::prototype_512mb();
         g.validate().unwrap();
-        assert_eq!(g.capacity_bytes(), 512 * 1024 * 1024);
+        assert_eq!(g.total_bursts() * g.burst_bytes() as u64, 512 * 1024 * 1024);
         assert_eq!(g.burst_bytes(), 32);
     }
 

@@ -36,8 +36,6 @@ pub struct Bank {
     /// Earliest cycle a PRECHARGE may be issued (tRAS from ACT, tRTP from
     /// READ, write-recovery from WRITE).
     next_precharge: u64,
-    /// Cycle of the last ACTIVATE (for stats and tRAS accounting).
-    last_activate: u64,
 }
 
 impl Bank {
@@ -49,7 +47,6 @@ impl Bank {
             next_read: 0,
             next_write: 0,
             next_precharge: 0,
-            last_activate: 0,
         }
     }
 
@@ -94,19 +91,12 @@ impl Bank {
         self.next_precharge
     }
 
-    /// Cycle of the most recent ACTIVATE.
-    #[inline]
-    pub fn last_activate(&self) -> u64 {
-        self.last_activate
-    }
-
     /// Applies an ACTIVATE at cycle `now`. The caller (the device) has
     /// already verified legality.
     pub(crate) fn apply_activate(&mut self, now: u64, row: u32, t: &TimingParams) {
         debug_assert!(matches!(self.state, BankState::Idle), "ACT on active bank");
         debug_assert!(now >= self.next_activate, "ACT before tRC/tRP satisfied");
         self.state = BankState::Active { row };
-        self.last_activate = now;
         self.next_read = now + t.t_rcd;
         self.next_write = now + t.t_rcd;
         self.next_precharge = now + t.t_ras;
@@ -185,7 +175,6 @@ mod tests {
         assert_eq!(b.write_ready_at(), 100 + t.t_rcd);
         assert_eq!(b.precharge_ready_at(), 100 + t.t_ras);
         assert_eq!(b.activate_ready_at(), 100 + t.t_rc);
-        assert_eq!(b.last_activate(), 100);
     }
 
     #[test]

@@ -252,12 +252,6 @@ impl MemoryController {
         self.now
     }
 
-    /// Configuration in force.
-    #[inline]
-    pub fn config(&self) -> &ControllerConfig {
-        &self.cfg
-    }
-
     /// The underlying device (for statistics).
     #[inline]
     pub fn device(&self) -> &Ddr3Device {
@@ -641,7 +635,7 @@ mod tests {
         assert_eq!(done[0].id, 7);
         assert_eq!((done[0].kind, done[0].addr), (AccessKind::Read, 5));
         // Latency at least ACT + tRCD + CL + burst.
-        let t = c.config().timing;
+        let t = c.cfg.timing;
         assert!(done[0].latency() >= t.t_rcd + t.cl + t.burst_cycles());
     }
 
@@ -776,7 +770,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.refresh_enabled = true;
         let mut c = MemoryController::new(cfg);
-        let t_refi = c.config().timing.t_refi;
+        let t_refi = c.cfg.timing.t_refi;
         for _ in 0..(t_refi * 3) {
             c.tick();
         }
@@ -839,7 +833,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_address_panics() {
         let mut c = MemoryController::new(small_cfg());
-        let max = c.config().geometry.total_bursts();
+        let max = c.cfg.geometry.total_bursts();
         let _ = c.enqueue(MemRequest::read(0, max));
     }
 

@@ -127,18 +127,6 @@ impl Ddr3Device {
         }
     }
 
-    /// Timing parameters in force.
-    #[inline]
-    pub fn timing(&self) -> &TimingParams {
-        &self.timing
-    }
-
-    /// Device geometry.
-    #[inline]
-    pub fn geometry(&self) -> &Geometry {
-        &self.geometry
-    }
-
     /// Immutable view of a bank.
     ///
     /// # Panics
@@ -525,7 +513,7 @@ mod tests {
     fn activate_then_read_after_trcd() {
         let mut d = dev();
         d.issue(0, Command::Activate { bank: 0, row: 3 }).unwrap();
-        let t_rcd = d.timing().t_rcd;
+        let t_rcd = d.timing.t_rcd;
         // Too early: violates tRCD.
         let err = d
             .issue(
@@ -548,8 +536,8 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(out.data_start, Some(t_rcd + d.timing().cl));
-        assert_eq!(out.data_end, Some(t_rcd + d.timing().cl + 4));
+        assert_eq!(out.data_start, Some(t_rcd + d.timing.cl));
+        assert_eq!(out.data_end, Some(t_rcd + d.timing.cl + 4));
     }
 
     #[test]
@@ -582,7 +570,7 @@ mod tests {
     fn back_to_back_reads_spaced_by_tccd() {
         let mut d = dev();
         d.issue(0, Command::Activate { bank: 0, row: 0 }).unwrap();
-        let t0 = d.timing().t_rcd;
+        let t0 = d.timing.t_rcd;
         d.issue(
             t0,
             Command::Read {
@@ -602,13 +590,13 @@ mod tests {
                 },
             )
             .unwrap_err();
-        assert_eq!(err.earliest_legal, Some(t0 + d.timing().t_ccd));
+        assert_eq!(err.earliest_legal, Some(t0 + d.timing.t_ccd));
     }
 
     #[test]
     fn write_to_read_pays_twtr() {
         let mut d = dev();
-        let t = *d.timing();
+        let t = d.timing;
         d.issue(0, Command::Activate { bank: 0, row: 0 }).unwrap();
         let w = t.t_rcd;
         d.issue(
@@ -646,7 +634,7 @@ mod tests {
     #[test]
     fn read_to_write_turnaround() {
         let mut d = dev();
-        let t = *d.timing();
+        let t = d.timing;
         d.issue(0, Command::Activate { bank: 0, row: 0 }).unwrap();
         let r = t.t_rcd;
         d.issue(
@@ -679,15 +667,15 @@ mod tests {
         let err = d
             .issue(1, Command::Activate { bank: 1, row: 0 })
             .unwrap_err();
-        assert_eq!(err.earliest_legal, Some(d.timing().t_rrd));
-        d.issue(d.timing().t_rrd, Command::Activate { bank: 1, row: 0 })
+        assert_eq!(err.earliest_legal, Some(d.timing.t_rrd));
+        d.issue(d.timing.t_rrd, Command::Activate { bank: 1, row: 0 })
             .unwrap();
     }
 
     #[test]
     fn tfaw_limits_fifth_activate() {
         let mut d = dev();
-        let t = *d.timing();
+        let t = d.timing;
         // Four activates as fast as tRRD allows: at 0, tRRD, 2tRRD, 3tRRD.
         for i in 0..4u64 {
             d.issue(
@@ -719,7 +707,7 @@ mod tests {
         let mut d = dev();
         d.issue(0, Command::Activate { bank: 0, row: 0 }).unwrap();
         let err = d.issue(5, Command::Precharge { bank: 0 }).unwrap_err();
-        assert_eq!(err.earliest_legal, Some(d.timing().t_ras));
+        assert_eq!(err.earliest_legal, Some(d.timing.t_ras));
     }
 
     #[test]
@@ -732,7 +720,7 @@ mod tests {
     #[test]
     fn refresh_requires_idle_banks_and_blocks_activates() {
         let mut d = dev();
-        let t = *d.timing();
+        let t = d.timing;
         d.issue(0, Command::Activate { bank: 0, row: 0 }).unwrap();
         let err = d.issue(1, Command::Refresh).unwrap_err();
         assert!(err.constraint.contains("precharged"));
@@ -752,7 +740,7 @@ mod tests {
     #[test]
     fn auto_precharge_closes_row() {
         let mut d = dev();
-        let t = *d.timing();
+        let t = d.timing;
         d.issue(0, Command::Activate { bank: 0, row: 0 }).unwrap();
         d.issue(
             t.t_rcd,
@@ -788,7 +776,7 @@ mod tests {
             .issue(1, Command::Activate { bank: 0, row: 9999 })
             .is_err());
         d.issue(2, Command::Activate { bank: 0, row: 0 }).unwrap();
-        let t_rcd = d.timing().t_rcd;
+        let t_rcd = d.timing.t_rcd;
         assert!(d
             .issue(
                 2 + t_rcd,
@@ -804,7 +792,7 @@ mod tests {
     #[test]
     fn dq_busy_and_turnaround_stats() {
         let mut d = dev();
-        let t = *d.timing();
+        let t = d.timing;
         d.issue(0, Command::Activate { bank: 0, row: 0 }).unwrap();
         let r = t.t_rcd;
         d.issue(

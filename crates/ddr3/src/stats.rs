@@ -33,6 +33,7 @@ impl DeviceStats {
     /// Fraction of cycles the DQ bus carried data over `elapsed` cycles.
     ///
     /// Returns 0 when `elapsed` is 0.
+    #[cfg(test)]
     pub fn dq_utilization(&self, elapsed: u64) -> f64 {
         if elapsed == 0 {
             0.0
@@ -80,6 +81,7 @@ pub struct ControllerStats {
 
 impl ControllerStats {
     /// Mean request latency in cycles; 0 if nothing completed.
+    #[cfg(test)]
     pub fn mean_latency_cycles(&self) -> f64 {
         let done = self.reads_done + self.writes_done;
         if done == 0 {

@@ -68,12 +68,8 @@ impl TimingParams {
         1.0e6 / self.tck_ps as f64
     }
 
-    /// Data rate in mega-transfers per second (twice the clock).
-    pub fn data_rate_mtps(&self) -> f64 {
-        2.0 * self.clock_mhz()
-    }
-
     /// Converts a cycle count to nanoseconds.
+    #[cfg(test)]
     pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
         cycles as f64 * self.tck_ps as f64 / 1000.0
     }
@@ -247,7 +243,6 @@ mod tests {
         assert_eq!(p.burst_cycles(), 4);
         // 533.3 MHz clock, 1066 MT/s.
         assert!((p.clock_mhz() - 533.33).abs() < 0.1);
-        assert!((p.data_rate_mtps() - 1066.67).abs() < 0.1);
     }
 
     #[test]

@@ -248,11 +248,6 @@ impl ShardedFlowLut {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     /// The shard router (pure key → shard function).
     pub fn router(&self) -> &ShardRouter {
         &self.router

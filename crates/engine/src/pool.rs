@@ -336,11 +336,6 @@ impl WorkerPool {
         WorkerPool { shared, handles }
     }
 
-    /// Number of pool workers (excluding the coordinator).
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Starts a round: every worker runs its closure once with these
     /// parameters. The caller should do its own share of the work, then
     /// call [`WorkerPool::finish_round`].
@@ -410,7 +405,7 @@ mod tests {
                 })
                 .collect();
             let pool = WorkerPool::spawn(workers);
-            assert_eq!(pool.workers(), 2);
+            assert_eq!(pool.handles.len(), 2);
             for r in 1..=3u64 {
                 pool.start_round(r, r == 3);
                 pool.finish_round();

@@ -48,12 +48,6 @@ impl ShardRouter {
         self.shards as usize
     }
 
-    /// Seed in force.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The 64-bit shard hash of a byte string: seeded FNV-1a fold,
     /// SplitMix64-finalized. Exposed so traces can be pre-partitioned
     /// offline with the exact on-line function.

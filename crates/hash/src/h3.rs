@@ -142,11 +142,6 @@ impl H3Hash {
     pub fn key_bits(&self) -> usize {
         self.matrix.len()
     }
-
-    /// The seed the matrix was generated from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
 }
 
 impl HashFunction for H3Hash {

@@ -5,7 +5,7 @@
 //! land in a small region of the table, defeating two-choice load
 //! balancing and pushing every colliding key onto the CAM overflow
 //! path. [`CollisionMiner`] constructs exactly that key set offline: it
-//! rebuilds the table's `PairHasher` from the public [`TableConfig`]
+//! rebuilds the table's `PairHasher` from the public `TableConfig`
 //! parameters and enumerates candidate 5-tuples, keeping those whose
 //! bucket pair falls entirely inside the first `target_buckets` buckets
 //! of both memories.
@@ -16,6 +16,7 @@
 //! of work for bench-scale tables, which is the point: the attack is
 //! cheap for the attacker and worst-case for the table.
 
+#[cfg(test)]
 use flowlut_core::table::TableConfig;
 use flowlut_hash::PairHasher;
 use flowlut_traffic::{FiveTuple, FlowKey};
@@ -39,6 +40,7 @@ pub struct CollisionMiner {
 impl CollisionMiner {
     /// A miner targeting the table described by `cfg` — the attacker's
     /// view being exactly the public table geometry.
+    #[cfg(test)]
     pub fn for_table(cfg: &TableConfig, target_buckets: u32) -> Self {
         CollisionMiner {
             table_buckets: cfg.buckets_per_mem,

@@ -1,8 +1,7 @@
 //! # flowlut-scenarios — declarative adversarial + realistic workloads
 //!
-//! The scenario matrix layer: a declarative [`Scenario`] spec (builder
-//! API or the hand-rolled TOML loader in [`toml`]) composed of generator
-//! stages — Zipf-skewed flow popularity, elephant/mice mixes, flow churn
+//! The scenario matrix layer: a declarative [`Scenario`] spec, built in
+//! code, composed of generator stages — Zipf-skewed flow popularity, elephant/mice mixes, flow churn
 //! at controlled birth/death rates, burst trains/microbursts, and an
 //! adversarial collision stage ([`CollisionMiner`]) that mines keys
 //! colliding under the Hash-CAM's H3 bucket functions to force the CAM
@@ -14,9 +13,8 @@
 //! through the typed `Session` API, recording throughput,
 //! drop/overflow/expiry rates and CAM high-water occupancy into a
 //! [`ScenarioReport`]. Generated streams are plain
-//! `flowlut_traffic::PacketDescriptor` vectors, so they replay to disk
-//! via `flowlut_traffic::trace_io` and every run is reproducible from a
-//! committed trace.
+//! `flowlut_traffic::PacketDescriptor` vectors, a pure function of the
+//! spec, so every run is reproducible from its spec and seed.
 //!
 //! ```
 //! use flowlut_core::HashCamTable;
@@ -37,9 +35,7 @@
 pub mod adversarial;
 pub mod runner;
 pub mod spec;
-pub mod toml;
 
 pub use adversarial::CollisionMiner;
 pub use runner::{ScenarioReport, ScenarioRunner};
 pub use spec::{Scenario, StageSpec};
-pub use toml::ScenarioParseError;

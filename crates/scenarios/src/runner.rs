@@ -97,8 +97,9 @@ impl ScenarioRunner {
         self.run_stream(&scenario.name, &scenario.generate(), backend)
     }
 
-    /// Runs an already-materialised descriptor stream (e.g. one replayed
-    /// from a `trace_io` file) against `backend`.
+    /// Runs an already-materialised descriptor stream (e.g. one
+    /// generated once and replayed against every backend) against
+    /// `backend`.
     ///
     /// # Panics
     ///

@@ -4,8 +4,8 @@
 //! stages. Stages generate independently (each from a sub-seed derived
 //! from the scenario seed and the stage index) and concatenate into one
 //! re-sequenced descriptor stream, so a scenario is a pure function of
-//! its spec: same spec + seed → byte-identical stream, which the
-//! determinism proptests pin and `trace_io` replay relies on.
+//! its spec: same spec + seed → identical stream, which the determinism
+//! proptests pin.
 
 use flowlut_core::table::TableConfig;
 use flowlut_traffic::fabric::FabricTraceProfile;

@@ -11,10 +11,12 @@
 //!
 //! Threading model: [`IngestHandle`] is `Clone + Send` — any number of
 //! producer threads `send` into the bounded queue and block when it is
-//! full (backpressure, not loss). The [`FlowService`] itself is driven
-//! by *one* consumer thread calling [`pump`](FlowService::pump); the
-//! service owns no threads of its own, so simulated time advances only
-//! when the caller says so and every run stays deterministic.
+//! full (backpressure, not loss). Dropping the service closes the
+//! queue: blocked and later sends return [`ClosedError`]. The
+//! [`FlowService`] itself is driven by *one* consumer thread calling
+//! [`pump`](FlowService::pump); the service owns no threads of its own,
+//! so simulated time advances only when the caller says so and every
+//! run stays deterministic.
 //!
 //! ```
 //! use flowlut_engine::EngineConfig;
@@ -42,7 +44,7 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use flowlut_core::backend::{FlowEvent, FlowPipeline, SessionProgress};
 use flowlut_core::checkpoint::CheckpointError;
@@ -86,7 +88,8 @@ impl ServiceConfig {
     }
 }
 
-/// The ingest queue was closed: no further descriptors are accepted.
+/// The ingest queue was closed by dropping its [`FlowService`]: no
+/// further descriptors are accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ClosedError;
@@ -103,7 +106,7 @@ impl Error for ClosedError {}
 #[derive(Debug)]
 struct Channel {
     state: Mutex<ChannelState>,
-    /// Signalled whenever queue space frees up (or the queue closes), so
+    /// Signalled whenever queue space frees up (or the service drops), so
     /// blocked producers re-check.
     space: Condvar,
 }
@@ -134,8 +137,8 @@ impl IngestHandle {
     ///
     /// # Errors
     ///
-    /// [`ClosedError`] if the queue has been closed — the descriptor is
-    /// returned to the caller untaken.
+    /// [`ClosedError`] if the service has been dropped, also while this
+    /// send waits — the descriptor is not taken.
     pub fn send(&self, desc: PacketDescriptor) -> Result<(), ClosedError> {
         let mut s = self.chan.lock();
         loop {
@@ -155,7 +158,7 @@ impl IngestHandle {
     ///
     /// # Errors
     ///
-    /// [`ClosedError`] if the queue has been closed.
+    /// [`ClosedError`] if the service has been dropped.
     pub fn try_send(&self, desc: PacketDescriptor) -> Result<bool, ClosedError> {
         let mut s = self.chan.lock();
         if s.closed {
@@ -166,25 +169,6 @@ impl IngestHandle {
         }
         s.buf.push_back(desc);
         Ok(true)
-    }
-
-    /// Closes the queue: every subsequent or blocked `send` fails with
-    /// [`ClosedError`]. Already-queued descriptors still flow through
-    /// the pump.
-    pub fn close(&self) {
-        let mut s = self.chan.lock();
-        s.closed = true;
-        self.chan.space.notify_all();
-    }
-
-    /// Number of descriptors currently waiting in the queue.
-    pub fn backlog(&self) -> usize {
-        self.chan.lock().buf.len()
-    }
-
-    /// `true` once [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.chan.lock().closed
     }
 }
 
@@ -407,13 +391,21 @@ impl FlowService {
     pub fn engine(&self) -> &ShardedFlowLut {
         &self.engine
     }
+}
 
-    /// Consumes the service, returning the engine (the ingest queue and
-    /// any cloned handles are closed).
-    pub fn into_engine(self) -> ShardedFlowLut {
-        self.chan.lock().closed = true;
+impl Drop for FlowService {
+    /// Closes the ingest queue, so producers blocked on a full queue
+    /// return [`ClosedError`] instead of waiting for a pump that will
+    /// never run. Setting the flag is valid whatever a panicking holder
+    /// of the lock left behind, so a poisoned lock is recovered.
+    fn drop(&mut self) {
+        let mut s = self
+            .chan
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        s.closed = true;
         self.chan.space.notify_all();
-        self.engine
     }
 }
 
@@ -457,7 +449,7 @@ mod tests {
         for i in 0..100 {
             h.send(desc(i)).unwrap();
         }
-        assert_eq!(h.backlog(), 100);
+        assert_eq!(svc.backlog(), 100);
         let mut moved = 0;
         for _ in 0..200 {
             moved += svc.pump(32).accepted;
@@ -519,18 +511,31 @@ mod tests {
     }
 
     #[test]
-    fn close_rejects_senders_but_flushes_the_backlog() {
-        let mut svc = small_service(64);
+    fn dropping_the_service_releases_a_blocked_producer() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+        let svc = small_service(1);
         let h = svc.handle();
-        for i in 0..10 {
-            h.send(desc(i)).unwrap();
-        }
-        h.close();
-        assert_eq!(h.send(desc(99)), Err(ClosedError));
-        assert_eq!(h.try_send(desc(99)), Err(ClosedError));
-        assert!(h.is_closed());
-        svc.drain();
-        assert_eq!(svc.poll().stats.completed, 10, "queued work still flows");
+        h.send(desc(0)).unwrap();
+        let (tx, rx) = channel();
+        let producer = {
+            let h = h.clone();
+            std::thread::spawn(move || tx.send(h.send(desc(1))).unwrap())
+        };
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(50)),
+            Err(RecvTimeoutError::Timeout),
+            "a send into a full queue blocks"
+        );
+        drop(svc);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(10)),
+            Ok(Err(ClosedError)),
+            "the blocked send returns once the service drops"
+        );
+        producer.join().unwrap();
+        assert_eq!(h.send(desc(2)), Err(ClosedError));
+        assert_eq!(h.try_send(desc(2)), Err(ClosedError));
     }
 
     #[test]

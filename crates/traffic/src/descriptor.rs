@@ -40,12 +40,6 @@ impl PacketDescriptor {
         self
     }
 
-    /// Sets the Layer-1 frame length.
-    pub fn with_frame_bytes(mut self, bytes: u16) -> Self {
-        self.frame_bytes = bytes;
-        self
-    }
-
     /// Builds a descriptor stream from a key sequence, numbering packets
     /// in order — the common setup of streaming-session drivers and
     /// backend comparisons (one minimum-size packet per key).
@@ -67,13 +61,10 @@ mod tests {
     #[test]
     fn builder_sets_fields() {
         let key = FlowKey::new(&[1, 2, 3]).unwrap();
-        let d = PacketDescriptor::new(5, key)
-            .with_hash_override(0xAAAA, 0xBBBB)
-            .with_frame_bytes(1518);
+        let d = PacketDescriptor::new(5, key).with_hash_override(0xAAAA, 0xBBBB);
         assert_eq!(d.seq, 5);
         assert_eq!(d.key, key);
         assert_eq!(d.hash_override, Some((0xAAAA, 0xBBBB)));
-        assert_eq!(d.frame_bytes, 1518);
     }
 
     #[test]

@@ -19,9 +19,6 @@
 //!   large windows). See DESIGN.md for the substitution rationale.
 //! * [`linerate`]: Layer-1 Ethernet arithmetic reproducing the discussion
 //!   section's 59.52 / 68.49 Mpps requirements for 40 GbE.
-//! * [`trace_io`]: compact binary capture/replay of descriptor traces,
-//!   so one generated stimulus can be replayed identically across
-//!   experiments.
 //!
 //! ## Example
 //!
@@ -42,7 +39,6 @@ pub mod fabric;
 pub mod generators;
 mod key;
 pub mod linerate;
-pub mod trace_io;
 pub mod workloads;
 
 pub use descriptor::PacketDescriptor;

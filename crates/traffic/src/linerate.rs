@@ -27,11 +27,6 @@ impl EthernetLink {
         EthernetLink { gbps: 40.0 }
     }
 
-    /// A 50 Gbit/s link (the headroom claim in the discussion).
-    pub fn fifty_gbe() -> Self {
-        EthernetLink { gbps: 50.0 }
-    }
-
     /// A 100 GbE link — beyond the paper's single-channel reach; the
     /// operating point the multi-channel engine targets.
     pub fn hundred_gbe() -> Self {

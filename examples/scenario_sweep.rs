@@ -1,12 +1,11 @@
-//! Declarative scenario sweep: one TOML spec, every backend.
+//! Declarative scenario sweep: one spec, every backend.
 //!
-//! Parses a scenario written in the TOML subset of
-//! `flowlut::scenarios::toml` — a realistic Zipf background fill
-//! followed by an adversarial collision flood mined against the table's
-//! own H3 bucket functions — and runs it through the whole comparison
-//! registry with [`Builder::scenario`]'s underlying runner: the paper's
-//! functional Hash-CAM table, the cycle-stepped prototype, the 2-shard
-//! engine, and all six related-work baselines. One spec, one stream,
+//! Builds a scenario — a realistic Zipf background fill followed by an
+//! adversarial collision flood mined against the table's own H3 bucket
+//! functions — and runs it through the whole comparison registry with
+//! one [`ScenarioRunner`]: the paper's functional Hash-CAM table, the
+//! cycle-stepped prototype, the 2-shard engine, and all six
+//! related-work baselines. One spec, one stream,
 //! nine verdicts: the Hash-CAM absorbs the flood on its CAM overflow
 //! path while capacity-constrained baselines start dropping flows.
 //!
@@ -14,32 +13,8 @@
 //! (pass `--smoke` for a scaled-down CI run-check)
 
 use flowlut::core::{SimConfig, TableConfig};
-use flowlut::scenarios::toml::parse_scenario;
-use flowlut::scenarios::ScenarioRunner;
+use flowlut::scenarios::{Scenario, ScenarioRunner};
 use flowlut::{BaselineKind, Builder, FlowBackend};
-
-/// The spec, exactly as a user would write it on disk. `test_small`
-/// geometry: 256 buckets/mem, seed 0x5EED = 24301 — the adversarial
-/// stage's "attacker knowledge" is just the public table config.
-const SPEC: &str = r#"
-[scenario]
-name = "flood-vs-fill"
-seed = 2014
-
-[[stage]]                # realistic background: the fabric-trace law
-kind = "zipf"
-flows = 600
-exponent = 0.98
-packets = 4000
-
-[[stage]]                # adversarial: both bucket choices in 4 buckets
-kind = "adversarial"
-keys = 24
-target_buckets = 4
-table_buckets = 256
-hash_seed = 24301
-repeats = 2
-"#;
 
 /// Every backend in the workspace at matched capacity.
 fn registry() -> Vec<Box<dyn FlowBackend>> {
@@ -71,13 +46,18 @@ fn registry() -> Vec<Box<dyn FlowBackend>> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut scenario = parse_scenario(SPEC).expect("embedded spec parses");
-    if smoke {
-        // Scaled-down run-check: shrink the background fill only.
-        scenario = parse_scenario(&SPEC.replace("packets = 4000", "packets = 400"))
-            .expect("smoke spec parses");
-    }
+    // Scaled-down run-check: shrink the background fill only.
+    let fill = if std::env::args().any(|a| a == "--smoke") {
+        400
+    } else {
+        4000
+    };
+    // Realistic background (the fabric-trace law), then 24 keys whose
+    // both bucket choices land in 4 buckets, offered twice. The
+    // attacker's knowledge is just the public table config.
+    let scenario = Scenario::new("flood-vs-fill", 2014)
+        .zipf(600, 0.98, fill)
+        .adversarial_for(&TableConfig::test_small(), 24, 4, 2);
 
     println!("scenario `{}` (seed {}):", scenario.name, scenario.seed);
     for stage in &scenario.stages {

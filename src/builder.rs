@@ -8,7 +8,7 @@
 //!
 //! ```
 //! use flowlut::{BaselineKind, Builder};
-//! use flowlut::core::TableConfig;
+//! use flowlut::core::{SimConfig, TableConfig};
 //! use flowlut::ddr3::TimingPreset;
 //!
 //! // The paper's functional table.
@@ -18,7 +18,10 @@
 //! // A 4-channel timed engine on Figure 3's DDR3-1066E part.
 //! let engine = Builder::new()
 //!     .shards(4)
-//!     .timing(TimingPreset::Ddr3_1066E)
+//!     .sim_config(SimConfig {
+//!         timing: TimingPreset::Ddr3_1066E.params(),
+//!         ..SimConfig::default()
+//!     })
 //!     .table(TableConfig::test_small())
 //!     .build()?;
 //! assert_eq!(engine.capacity(), 4 * TableConfig::test_small().capacity());
@@ -37,10 +40,8 @@ use flowlut_baselines::{
 };
 use flowlut_core::backend::FlowBackend;
 use flowlut_core::{ConfigError, FlowLutSim, HashCamTable, SimConfig, TableConfig};
-use flowlut_ddr3::{MemoryKind, MemorySpec, TimingPreset};
-use flowlut_engine::{EngineConfig, ExecutionMode, ShardedFlowLut};
-use flowlut_scenarios::{Scenario, ScenarioReport, ScenarioRunner};
-use flowlut_service::{FlowService, ServiceConfig};
+use flowlut_ddr3::{MemoryKind, MemorySpec};
+use flowlut_engine::{EngineConfig, ShardedFlowLut};
 
 /// The related-work comparators [`Builder::baseline`] can construct,
 /// sized to match the configured [`TableConfig`]'s capacity.
@@ -81,7 +82,7 @@ impl BaselineKind {
 /// 1. [`baseline`](Self::baseline) → that related-work structure, sized
 ///    to match the configured table's capacity (untimed);
 /// 2. [`shards`](Self::shards)` >= 2` → the sharded multi-channel engine;
-/// 3. [`shards(1)`](Self::shards), [`timing`](Self::timing) or
+/// 3. [`shards(1)`](Self::shards), [`memory`](Self::memory) or
 ///    [`sim_config`](Self::sim_config) → the cycle-stepped single-channel
 ///    prototype;
 /// 4. otherwise → the functional [`HashCamTable`].
@@ -92,12 +93,8 @@ impl BaselineKind {
 pub struct Builder {
     table: Option<TableConfig>,
     sim: Option<SimConfig>,
-    timing: Option<TimingPreset>,
     memory: Option<MemorySpec>,
     shards: Option<usize>,
-    threads: Option<usize>,
-    input_rate_mhz: Option<f64>,
-    seed: Option<u64>,
     baseline: Option<BaselineKind>,
 }
 
@@ -113,20 +110,11 @@ impl Builder {
         self
     }
 
-    /// Full simulator configuration for the timed backends (queue
-    /// depths, policies, geometry). Implies a timed backend. `table`,
-    /// `timing`, `input_rate_mhz` and `seed` still override its fields.
+    /// Full simulator configuration for the timed backends (DDR3 timing,
+    /// offered rate, queue depths, policies, geometry). Implies a timed
+    /// backend. `table` and `memory` still override its fields.
     pub fn sim_config(mut self, sim: SimConfig) -> Self {
         self.sim = Some(sim);
-        self
-    }
-
-    /// DDR3 speed grade of each memory set. Implies a timed backend.
-    /// For other memory technologies use [`memory`](Self::memory);
-    /// combining this with a non-DDR3 memory is rejected at
-    /// [`build`](Self::build) time.
-    pub fn timing(mut self, preset: TimingPreset) -> Self {
-        self.timing = Some(preset);
         self
     }
 
@@ -165,45 +153,6 @@ impl Builder {
         self
     }
 
-    /// Number of host executor threads stepping the engine's shards
-    /// each cycle (the calling thread plus `n − 1` workers). `1` is
-    /// inline execution; `n >= 2` selects
-    /// [`ExecutionMode::Threaded`](flowlut_engine::ExecutionMode) —
-    /// bit-identical reports, real host-CPU parallelism. Only
-    /// meaningful with [`shards`](Self::shards)` >= 2`; rejected for
-    /// every other backend.
-    ///
-    /// ```
-    /// use flowlut::Builder;
-    /// use flowlut::core::SimConfig;
-    ///
-    /// let mut engine = Builder::new()
-    ///     .sim_config(SimConfig::test_small())
-    ///     .shards(4)
-    ///     .threads(2)
-    ///     .build()?;
-    /// assert_eq!(engine.name(), "hashcam-sharded");
-    /// # Ok::<(), flowlut::core::ConfigError>(())
-    /// ```
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Offered descriptor rate in MHz — per channel for the single
-    /// prototype, aggregate for the sharded engine. Defaults to the
-    /// paper's 100 MHz per channel.
-    pub fn input_rate_mhz(mut self, mhz: f64) -> Self {
-        self.input_rate_mhz = Some(mhz);
-        self
-    }
-
-    /// Seed for table hashing (and the engine's shard router).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
     /// Selects a related-work comparator instead of the paper's scheme.
     pub fn baseline(mut self, kind: BaselineKind) -> Self {
         self.baseline = Some(kind);
@@ -212,45 +161,19 @@ impl Builder {
 
     /// The effective table configuration.
     fn table_config(&self) -> TableConfig {
-        let mut t = self
-            .table
+        self.table
             .or(self.sim.as_ref().map(|s| s.table))
-            .unwrap_or_default();
-        if let Some(seed) = self.seed {
-            t.hash_seed = seed;
-        }
-        t
+            .unwrap_or_default()
     }
 
     /// The effective per-channel simulator configuration.
     fn effective_sim_config(&self) -> SimConfig {
         let mut cfg = self.sim.clone().unwrap_or_default();
         cfg.table = self.table_config();
-        if let Some(preset) = self.timing {
-            cfg.timing = preset.params();
-        }
         if let Some(spec) = self.memory {
             cfg.memory = spec;
         }
-        if let Some(rate) = self.input_rate_mhz {
-            cfg.input_rate_mhz = rate;
-        }
         cfg
-    }
-
-    /// Rejects the one ambiguous combination: a DDR3 `TimingPreset`
-    /// next to a memory technology that would ignore it.
-    fn check_timing_memory_conflict(&self) -> Result<(), ConfigError> {
-        if let (Some(_), Some(spec)) = (self.timing, self.memory) {
-            if spec.kind() != MemoryKind::Ddr3 {
-                return Err(ConfigError::new(format!(
-                    "timing presets are DDR3-specific and would be ignored by the \
-                     `{}` memory model: drop .timing(...) or select MemoryKind::Ddr3",
-                    spec.name()
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Builds the selected backend behind `Box<dyn FlowBackend>`.
@@ -262,34 +185,18 @@ impl Builder {
     /// functional structures without a clock).
     pub fn build(self) -> Result<Box<dyn FlowBackend>, ConfigError> {
         if let Some(kind) = self.baseline {
-            if self.shards.is_some()
-                || self.timing.is_some()
-                || self.memory.is_some()
-                || self.sim.is_some()
-                || self.input_rate_mhz.is_some()
-                || self.threads.is_some()
-            {
+            if self.shards.is_some() || self.memory.is_some() || self.sim.is_some() {
                 return Err(ConfigError::new(
-                    "baselines are untimed: they take no \
-                     shards/timing/memory/sim_config/input_rate_mhz/threads",
+                    "baselines are untimed: they take no shards/memory/sim_config",
                 ));
             }
             return Ok(self.build_baseline(kind));
         }
-        if self.threads == Some(0) {
-            return Err(ConfigError::new("threads must be non-zero"));
-        }
         match self.shards {
             Some(0) => Err(ConfigError::new("shards must be non-zero")),
             Some(n) if n >= 2 => Ok(Box::new(self.build_engine()?)),
-            _ if self.threads.is_some() => Err(ConfigError::new(
-                "threads require the sharded engine (shards >= 2): single-channel \
-                 backends have nothing to parallelise",
-            )),
             Some(_) => Ok(Box::new(self.build_sim()?)),
-            None if self.timing.is_some() || self.memory.is_some() || self.sim.is_some() => {
-                Ok(Box::new(self.build_sim()?))
-            }
+            None if self.memory.is_some() || self.sim.is_some() => Ok(Box::new(self.build_sim()?)),
             None => Ok(Box::new(self.build_table()?)),
         }
     }
@@ -313,7 +220,6 @@ impl Builder {
     ///
     /// [`ConfigError`] if the simulator configuration is invalid.
     pub fn build_sim(self) -> Result<FlowLutSim, ConfigError> {
-        self.check_timing_memory_conflict()?;
         let cfg = self.effective_sim_config();
         cfg.validate()?;
         Ok(FlowLutSim::new(cfg))
@@ -331,74 +237,17 @@ impl Builder {
         Ok(ShardedFlowLut::new(self.engine_config()?))
     }
 
-    /// Builds the long-running flow service (`flowlut-service`): the
-    /// sharded engine of [`build_engine`](Self::build_engine) behind a
-    /// bounded multi-producer ingest queue with a caller-driven pump —
-    /// the entry point for ingest/age/checkpoint/rescale deployments
-    /// (see `examples/flow_service.rs`).
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if the engine configuration is invalid.
-    pub fn build_service(self) -> Result<FlowService, ConfigError> {
-        FlowService::new(ServiceConfig::new(self.engine_config()?))
-    }
-
-    /// The validated engine configuration shared by
-    /// [`build_engine`](Self::build_engine) and
-    /// [`build_service`](Self::build_service).
+    /// The validated engine configuration: `shards` (default 2) copies
+    /// of the effective simulator configuration, offered the
+    /// per-channel rate times the channel count.
     fn engine_config(&self) -> Result<EngineConfig, ConfigError> {
-        if self.threads == Some(0) {
-            return Err(ConfigError::new("threads must be non-zero"));
-        }
-        self.check_timing_memory_conflict()?;
         let shards = self.shards.unwrap_or(2);
         let shard = self.effective_sim_config();
         let mut cfg = EngineConfig::prototype(shards);
-        // Aggregate rate: explicit, else the per-channel configured rate
-        // scaled by the channel count.
-        cfg.input_rate_mhz = self
-            .input_rate_mhz
-            .unwrap_or(shards as f64 * shard.input_rate_mhz);
-        if let Some(seed) = self.seed {
-            cfg.router_seed = seed;
-        }
-        cfg.execution = match self.threads {
-            Some(n) if n >= 2 => ExecutionMode::Threaded(n),
-            _ => ExecutionMode::Inline,
-        };
+        cfg.input_rate_mhz = shards as f64 * shard.input_rate_mhz;
         cfg.shard = shard;
         cfg.validate()?;
         Ok(cfg)
-    }
-
-    /// Builds the selected backend and runs a declarative workload
-    /// [`Scenario`] against it, returning the run's [`ScenarioReport`].
-    /// One-stop entry point for the scenario matrix: any spec (builder
-    /// or TOML, see `flowlut_scenarios::toml`) against any backend this
-    /// builder can construct.
-    ///
-    /// ```
-    /// use flowlut::Builder;
-    /// use flowlut::core::TableConfig;
-    /// use flowlut::scenarios::Scenario;
-    ///
-    /// let scenario = Scenario::new("zipf-skew", 42).zipf(500, 0.98, 2_000);
-    /// let report = Builder::new()
-    ///     .table(TableConfig::test_small())
-    ///     .scenario(&scenario)?;
-    /// assert_eq!(report.offered, 2_000);
-    /// assert_eq!(report.drop_rate(), 0.0);
-    /// # Ok::<(), flowlut::core::ConfigError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if the assembled backend configuration is invalid
-    /// (the same conditions as [`build`](Self::build)).
-    pub fn scenario(self, scenario: &Scenario) -> Result<ScenarioReport, ConfigError> {
-        let mut backend = self.build()?;
-        Ok(ScenarioRunner::new().run(scenario, backend.as_mut()))
     }
 
     /// Constructs `kind` at the configured table's capacity: the same
@@ -487,7 +336,7 @@ mod tests {
             .is_err());
         assert!(Builder::new()
             .baseline(BaselineKind::Cuckoo)
-            .input_rate_mhz(200.0)
+            .sim_config(SimConfig::test_small())
             .build()
             .is_err());
     }
@@ -498,77 +347,13 @@ mod tests {
     }
 
     #[test]
-    fn threads_select_threaded_engine_execution() {
-        let engine = Builder::new()
-            .sim_config(SimConfig::test_small())
-            .shards(2)
-            .threads(2)
-            .build_engine()
-            .unwrap();
-        assert_eq!(
-            engine.config().execution,
-            flowlut_engine::ExecutionMode::Threaded(2)
-        );
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        assert_eq!(engine.executor_count(), cores.min(2));
-        let inline = Builder::new()
-            .sim_config(SimConfig::test_small())
-            .shards(2)
-            .threads(1)
-            .build_engine()
-            .unwrap();
-        assert_eq!(inline.executor_count(), 1);
-    }
-
-    #[test]
-    fn threads_rejected_off_the_engine_path() {
-        assert!(Builder::new()
-            .sim_config(SimConfig::test_small())
-            .threads(2)
-            .build()
-            .is_err());
-        assert!(Builder::new()
-            .table(TableConfig::test_small())
-            .threads(4)
-            .build()
-            .is_err());
-        // threads(1) is rejected off the engine path too, matching the
-        // documented contract (no silent drops).
-        assert!(Builder::new()
-            .table(TableConfig::test_small())
-            .threads(1)
-            .build()
-            .is_err());
-        assert!(Builder::new().shards(1).threads(1).build().is_err());
-        assert!(Builder::new()
-            .baseline(BaselineKind::Cuckoo)
-            .threads(2)
-            .build()
-            .is_err());
-        assert!(Builder::new().shards(4).threads(0).build().is_err());
-        assert!(Builder::new().shards(4).threads(0).build_engine().is_err());
-    }
-
-    #[test]
-    fn build_service_wraps_the_engine() {
-        let svc = Builder::new()
-            .sim_config(SimConfig::test_small())
-            .shards(2)
-            .build_service()
-            .unwrap();
-        assert_eq!(svc.engine().config().shards, 2);
-        assert!(Builder::new().shards(0).build_service().is_err());
-    }
-
-    #[test]
     fn memory_kind_selects_the_model() {
         for kind in MemoryKind::ALL {
-            let sim = Builder::new()
+            let b = Builder::new()
                 .sim_config(SimConfig::test_small())
-                .memory(kind)
-                .build_sim()
-                .unwrap();
-            assert_eq!(sim.config().memory.kind(), kind);
+                .memory(kind);
+            assert_eq!(b.effective_sim_config().memory.kind(), kind);
+            b.build_sim().unwrap();
         }
         // memory() alone implies a timed backend.
         let timed = Builder::new()
@@ -581,37 +366,13 @@ mod tests {
 
     #[test]
     fn memory_threads_through_the_engine() {
-        let engine = Builder::new()
+        let b = Builder::new()
             .sim_config(SimConfig::test_small())
             .memory(MemoryKind::Hbm2)
-            .shards(2)
-            .build_engine()
-            .unwrap();
-        assert_eq!(engine.config().shard.memory.kind(), MemoryKind::Hbm2);
-    }
-
-    #[test]
-    fn timing_preset_conflicts_with_non_ddr3_memory() {
-        assert!(Builder::new()
-            .sim_config(SimConfig::test_small())
-            .timing(TimingPreset::Ddr3_1066E)
-            .memory(MemoryKind::Hbm2)
-            .build()
-            .is_err());
-        assert!(Builder::new()
-            .sim_config(SimConfig::test_small())
-            .timing(TimingPreset::Ddr3_1066E)
-            .memory(MemoryKind::Ddr4)
-            .shards(2)
-            .build_engine()
-            .is_err());
-        // DDR3 + a DDR3 preset is the legacy combination: fine.
-        assert!(Builder::new()
-            .sim_config(SimConfig::test_small())
-            .timing(TimingPreset::Ddr3_1066E)
-            .memory(MemoryKind::Ddr3)
-            .build()
-            .is_ok());
+            .shards(2);
+        let cfg = b.engine_config().unwrap();
+        assert_eq!(cfg.shard.memory.kind(), MemoryKind::Hbm2);
+        b.build_engine().unwrap();
     }
 
     #[test]
@@ -635,20 +396,9 @@ mod tests {
     }
 
     #[test]
-    fn seed_flows_into_table_and_router() {
-        let t = Builder::new()
-            .table(TableConfig::test_small())
-            .seed(99)
-            .build_table()
-            .unwrap();
-        assert_eq!(t.config().hash_seed, 99);
-    }
-
-    #[test]
     fn timed_backends_expose_pipelines() {
         let mut sim = Builder::new()
             .sim_config(SimConfig::test_small())
-            .timing(TimingPreset::Ddr3_1066E)
             .build()
             .unwrap();
         assert!(sim.as_pipeline().is_some());

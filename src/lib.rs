@@ -34,10 +34,10 @@
 //! * [`service`] — the long-running flow service: the engine behind a
 //!   bounded multi-producer ingest queue with blocking backpressure,
 //!   plus checkpoint/restore warm restart and online N→2N rescale;
-//! * [`scenarios`] — declarative workload scenarios: builder/TOML specs
+//! * [`scenarios`] — declarative workload scenarios: specs built in code
 //!   composing Zipf, elephant/mice, churn, burst and adversarial
 //!   collision stages, executed against any backend by one generic
-//!   runner (or in one call via [`Builder::scenario`]).
+//!   [`ScenarioRunner`].
 //!
 //! ## Quick start
 //!

@@ -194,12 +194,15 @@ fn explicit_ddr3_spec_is_the_legacy_path() {
 
 #[test]
 fn builder_timing_and_memory_ddr3_agree() {
-    // The facade's two DDR3 entry points — the TimingPreset path and
-    // the MemoryKind path — must build identical simulators.
+    // The facade's two DDR3 entry points — a TimingPreset in the
+    // simulator configuration and the MemoryKind path — must build
+    // identical simulators.
     let descs = trace(1_000);
     let mut via_timing = Builder::new()
-        .timing(TimingPreset::Ddr3_1600)
-        .sim_config(SimConfig::test_small())
+        .sim_config(SimConfig {
+            timing: TimingPreset::Ddr3_1600.params(),
+            ..SimConfig::test_small()
+        })
         .build_sim()
         .unwrap();
     let mut via_memory = Builder::new()

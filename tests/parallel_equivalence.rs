@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use flowlut::engine::{EngineConfig, EngineSnapshot, ExecutionMode, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::PacketDescriptor;
-use flowlut::{Builder, FlowPipeline, RunReport, Session};
+use flowlut::{FlowBackend, FlowPipeline, RunReport, Session};
 
 fn trace(packets: usize) -> Vec<PacketDescriptor> {
     FabricTraceProfile::european_2012().generate(packets)
@@ -96,17 +96,12 @@ fn threaded_is_bit_identical_across_repeated_runs() {
 
 #[test]
 fn threaded_is_bit_identical_with_preload_and_sessions() {
-    // The builder path end to end: preload on both engines, then the
-    // generic streaming session over `dyn FlowBackend`.
+    // Preload on both engines, then the generic streaming session over
+    // `dyn FlowBackend`.
     let descs = trace(1_200);
     let keys: Vec<_> = descs.iter().take(300).map(|d| d.key).collect();
-    let mk = |threads: usize| {
-        let mut backend = Builder::new()
-            .sim_config(flowlut::core::SimConfig::test_small())
-            .shards(4)
-            .threads(threads)
-            .build()
-            .expect("valid engine");
+    let mk = |execution: ExecutionMode| {
+        let mut backend: Box<dyn FlowBackend> = Box::new(engine(4, execution));
         let mut loaded = 0;
         for &k in &keys {
             if backend.insert(k).expect("capacity suffices") {
@@ -116,8 +111,8 @@ fn threaded_is_bit_identical_with_preload_and_sessions() {
         assert!(loaded > 0);
         backend
     };
-    let mut inline_backend = mk(1);
-    let mut threaded_backend = mk(4);
+    let mut inline_backend = mk(ExecutionMode::Inline);
+    let mut threaded_backend = mk(ExecutionMode::Threaded(4));
     let ra = Session::new(inline_backend.as_pipeline().expect("timed"))
         .run(&descs)
         .expect("fresh session");

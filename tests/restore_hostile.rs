@@ -18,9 +18,6 @@
 //! counts on through a short stream without overflowing. The two retired
 //! statistics words must be zero.
 //!
-//! The FLTR trace reader obeys the same heap bound: a header's record
-//! count sizes no reservation.
-//!
 //! The engine restores its shards on several threads, so the bound
 //! counts the bytes every thread asks for. Every test here holds one
 //! lock, so no other test allocates while one measures.
@@ -36,7 +33,6 @@ use flowlut::core::checkpoint::MAX_COUNTER;
 use flowlut::core::codec;
 use flowlut::core::{CheckpointError, FlowLutSim, FlowPipeline, Location, SimConfig};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
-use flowlut::traffic::trace_io::{read_trace, write_trace};
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
 #[global_allocator]
@@ -132,8 +128,8 @@ fn restore_checked(blob: &[u8], empty_cost: u64) -> Result<(), CheckpointError> 
 }
 
 fn assert_consistent(sim: &FlowLutSim) {
-    let k = sim.config().table.entries_per_bucket;
-    let slot_bytes = sim.config().table.entry_slot_bytes;
+    let k = config().table.entries_per_bucket;
+    let slot_bytes = config().table.entry_slot_bytes;
     let table = sim.table();
     assert_eq!(table.records_after(None).count() as u64, table.len());
     for (id, record) in table.records_after(None) {
@@ -299,31 +295,6 @@ fn flip_bits(blob: &mut [u8], flips: &[u64], clocks: &[usize]) {
             blob[bit / 8] ^= 1 << (bit % 8);
         }
     }
-}
-
-// --- FLTR traces ---------------------------------------------------
-
-#[test]
-fn a_trace_header_sizes_no_reservation() {
-    let _serial = serial();
-    let mut header = Vec::new();
-    write_trace(&mut header, &[]).expect("a vector takes the bytes");
-    header.truncate(header.len() - 8); // the checksum
-    for count in [1u64 << 10, 1 << 20, 1 << 33] {
-        // The record count follows the magic and the version.
-        header[6..14].copy_from_slice(&count.to_le_bytes());
-        let (read, requested) = requested_by(|| read_trace(header.as_slice()));
-        assert!(read.is_err(), "a header claiming {count} records");
-        assert!(
-            requested <= HEAP_BYTES_PER_BLOB_BYTE * header.len() as u64,
-            "a header claiming {count} records requested {requested} heap bytes"
-        );
-    }
-    let mut trace = Vec::new();
-    write_trace(&mut trace, &descs()).expect("a vector takes the bytes");
-    let (read, requested) = requested_by(|| read_trace(trace.as_slice()));
-    assert_eq!(read.expect("a valid trace reads"), descs());
-    assert!(requested <= HEAP_BYTES_PER_BLOB_BYTE * trace.len() as u64);
 }
 
 // --- The sharded engine ---------------------------------------------

@@ -3,7 +3,7 @@
 //! Built on the token [`lexer`](crate::lexer), this module recovers a
 //! lightweight item model of the workspace — `fn` definitions, `impl`
 //! blocks (inherent and trait), and a conservative name-resolution-free
-//! call graph — and runs two reachability analyses over it:
+//! call graph — and runs three reachability analyses over it:
 //!
 //! 1. **hot-alloc** — allocation sites (`Vec::…`/`vec![…]`/`Box::new`/
 //!    `String::…`/`HashMap::…`/`.to_vec()`/`.clone()`/`.collect()`/
@@ -14,7 +14,14 @@
 //! 2. **hot-panic** — `.unwrap()`/`.expect(`/`panic!(` sites reachable
 //!    from the same entry points, vetted through the same
 //!    `xtask/lint_allow.txt` entries the line-level `no-panic` rule
-//!    uses (so one vet covers both views).
+//!    uses (so one vet covers both views);
+//! 3. **unreached** — non-test functions that no program reaches. The
+//!    roots are every `fn main` (the bins, the examples and `perfbench`)
+//!    and every trait method, since trait methods are called implicitly
+//!    (`Display`, `Drop`, `From`) or through `dyn`. A function only
+//!    tests call is unreached. The `keep` entries of
+//!    `xtask/analyze_allow.txt` name the few a documented entry point or
+//!    an integration test needs; a kept function is a root too.
 //!
 //! ## Soundness model (read before trusting a clean pass)
 //!
@@ -34,6 +41,12 @@
 //!   a `Box<dyn Trait>` receiver cannot be resolved statically.
 //!   Calls through local type *aliases* are the known blind spot of
 //!   the tightened qualified rule.
+//!
+//! A function named as a value (`.map(f)`) and a call inside a
+//! module-level `const`/`static` initialiser are not edges either. Such
+//! a use can only make its target look unreached — a false finding,
+//! which the build exposes when the function is deleted — never hide a
+//! function that is unreached.
 //!
 //! Widening means spurious edges (a `.tick(…)` on a memory model also
 //! "calls" every other `tick` in the tree); the `cold`/`coldfile`
@@ -263,8 +276,19 @@ pub fn extract(path: &str, src: &str) -> FileModel {
         if t.is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
             let name = toks[i + 1].text.clone();
             let line = t.line;
+            // The body's `{`, or the `;` of a bodiless declaration; a `;`
+            // inside an array type (`-> [T; 3]`) is neither.
             let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct("{") && !toks[j].is_punct(";") {
+            let mut bracket = 0i32;
+            while j < toks.len()
+                && !toks[j].is_punct("{")
+                && !(bracket == 0 && toks[j].is_punct(";"))
+            {
+                if toks[j].is_punct("[") {
+                    bracket += 1;
+                } else if toks[j].is_punct("]") {
+                    bracket -= 1;
+                }
                 j += 1;
             }
             let is_test = pending_test || scopes.iter().any(|s| s.test);
@@ -466,6 +490,10 @@ pub struct AnalyzeAllow {
     /// `coldfile <path-substring>`: every function in a matching file is a
     /// cold barrier (for whole modules reached only via dyn-widening).
     pub coldfiles: Vec<String>,
+    /// `keep name` / `keep Type::name`: a function no program reaches
+    /// that a documented entry point or an integration test needs; a
+    /// root of the `unreached` rule.
+    pub keep: Vec<String>,
     /// Malformed lines, reported as findings.
     pub errors: Vec<(usize, String)>,
 }
@@ -482,9 +510,13 @@ pub fn parse_analyze_allow(text: &str) -> AnalyzeAllow {
             out.cold.push(rest.trim().to_string());
         } else if let Some(rest) = line.strip_prefix("coldfile ") {
             out.coldfiles.push(rest.trim().to_string());
+        } else if let Some(rest) = line.strip_prefix("keep ") {
+            out.keep.push(rest.trim().to_string());
         } else {
-            out.errors
-                .push((i + 1, "expected `cold …` or `coldfile …`".to_string()));
+            out.errors.push((
+                i + 1,
+                "expected `cold …`, `coldfile …` or `keep …`".to_string(),
+            ));
         }
     }
     out
@@ -531,8 +563,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line (0 for file/entry-level findings).
     pub line: usize,
-    /// `hot-alloc` / `hot-panic` / `stale-allow` / `entry-missing` /
-    /// `allow-syntax`.
+    /// `hot-alloc` / `hot-panic` / `unreached` / `stale-allow` /
+    /// `entry-missing` / `allow-syntax`.
     pub rule: &'static str,
     /// Shortest call chain from an entry point (empty when n/a).
     pub chain: String,
@@ -581,6 +613,9 @@ pub struct AnalyzeResult {
     pub edges: usize,
     /// Functions reachable from the entry points (cold barriers pruned).
     pub reachable: usize,
+    /// Functions reachable from a `fn main`, a trait method or a `keep`
+    /// entry (the complement is the `unreached` rule's findings).
+    pub used: usize,
     /// Violations (empty on a clean tree).
     pub findings: Vec<Finding>,
     /// Vetted hot-path panic sites.
@@ -727,9 +762,8 @@ pub fn analyze_sources(
     let mut coldfile_used = vec![false; allow.coldfiles.len()];
     let is_cold = |it: &FnItem, cold_used: &mut Vec<bool>, coldfile_used: &mut Vec<bool>| -> bool {
         let mut hit = false;
-        let disp = it.display();
         for (i, c) in allow.cold.iter().enumerate() {
-            if *c == disp || (!c.contains("::") && *c == it.name && it.impl_type.is_none()) {
+            if names(c, it) {
                 cold_used[i] = true;
                 hit = true;
             }
@@ -747,11 +781,7 @@ pub fn analyze_sources(
     let cold_defined: Vec<bool> = allow
         .cold
         .iter()
-        .map(|c| {
-            items
-                .iter()
-                .any(|it| *c == it.display() || (!c.contains("::") && *c == it.name))
-        })
+        .map(|c| items.iter().any(|it| names(c, it)))
         .collect();
 
     // BFS with parent tracking for shortest chains.
@@ -838,6 +868,53 @@ pub fn analyze_sources(
         }
     }
 
+    // `unreached`: what no `fn main` and no trait method reaches. A
+    // `keep` entry must name a function that would otherwise be a
+    // finding; what it names is a root from then on.
+    let program_roots = items
+        .iter()
+        .enumerate()
+        .filter(|(_, it)| it.trait_name.is_some() || (it.name == "main" && it.impl_type.is_none()));
+    let mut used = vec![false; items.len()];
+    mark_reached(&edges, program_roots.map(|(id, _)| id), &mut used);
+    for c in &allow.keep {
+        let ids: Vec<usize> = (0..items.len())
+            .filter(|&id| names(c, &items[id]))
+            .collect();
+        let stale = if ids.is_empty() {
+            Some("names no function in the workspace")
+        } else if ids.iter().any(|&id| used[id]) {
+            Some("names a function a program reaches")
+        } else {
+            None
+        };
+        match stale {
+            Some(why) => findings.push(Finding {
+                file: "xtask/analyze_allow.txt".to_string(),
+                line: 0,
+                rule: "stale-allow",
+                chain: String::new(),
+                msg: format!("`keep {c}` {why} — prune it"),
+            }),
+            None => mark_reached(&edges, ids, &mut used),
+        }
+    }
+    for (id, it) in items.iter().enumerate() {
+        if !used[id] {
+            findings.push(Finding {
+                file: it.file.clone(),
+                line: it.line,
+                rule: "unreached",
+                chain: String::new(),
+                msg: format!(
+                    "`{}` is reached from no `fn main` and no trait method — delete it, \
+                     narrow it to #[cfg(test)], or `keep` it with a reason",
+                    it.display()
+                ),
+            });
+        }
+    }
+
     // Stale allow entries are hard errors (the ratchet must not rot).
     for (i, c) in allow.cold.iter().enumerate() {
         if !cold_used[i] {
@@ -893,9 +970,32 @@ pub fn analyze_sources(
         functions: items.len(),
         edges: edge_count,
         reachable: seen.iter().filter(|&&s| s).count(),
+        used: used.iter().filter(|&&u| u).count(),
         findings,
         vetted,
         cold_hits,
+    }
+}
+
+/// Whether allow-list entry `entry` (`Type::name`, or a bare name for a
+/// free function) names `it`.
+fn names(entry: &str, it: &FnItem) -> bool {
+    *entry == it.display() || (!entry.contains("::") && *entry == it.name && it.impl_type.is_none())
+}
+
+/// Marks everything reachable from `roots` over `edges` in `seen`.
+fn mark_reached(edges: &[Vec<usize>], roots: impl IntoIterator<Item = usize>, seen: &mut [bool]) {
+    let mut stack: Vec<usize> = roots.into_iter().filter(|&r| !seen[r]).collect();
+    for &r in &stack {
+        seen[r] = true;
+    }
+    while let Some(u) = stack.pop() {
+        for &v in &edges[u] {
+            if !seen[v] {
+                seen[v] = true;
+                stack.push(v);
+            }
+        }
     }
 }
 
@@ -910,6 +1010,7 @@ pub fn report_json(res: &AnalyzeResult) -> String {
     out.push_str(&format!("  \"functions\": {},\n", res.functions));
     out.push_str(&format!("  \"call_edges\": {},\n", res.edges));
     out.push_str(&format!("  \"reachable_functions\": {},\n", res.reachable));
+    out.push_str(&format!("  \"used_functions\": {},\n", res.used));
     out.push_str("  \"entry_points\": [");
     let entries: Vec<String> = ENTRY_POINTS
         .iter()
@@ -971,6 +1072,24 @@ mod tests {
     fn files(srcs: &[(&str, &str)]) -> Vec<(String, String)> {
         srcs.iter()
             .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect()
+    }
+
+    /// Findings of every rule but `unreached`, for sources with no
+    /// `fn main`.
+    fn hot_findings(res: &AnalyzeResult) -> Vec<&Finding> {
+        res.findings
+            .iter()
+            .filter(|f| f.rule != "unreached")
+            .collect()
+    }
+
+    /// Names of the functions reported `unreached`.
+    fn unreached(res: &AnalyzeResult) -> Vec<&str> {
+        res.findings
+            .iter()
+            .filter(|f| f.rule == "unreached")
+            .map(|f| f.msg.split('`').nth(1).unwrap_or_default())
             .collect()
     }
 
@@ -1060,7 +1179,7 @@ mod tests {
             &[],
         );
         assert!(
-            res.findings.is_empty(),
+            hot_findings(&res).is_empty(),
             "cold + unreached allocs must not be findings: {:?}",
             res.findings
         );
@@ -1084,7 +1203,7 @@ mod tests {
             &allow,
             &panic_allow,
         );
-        let rules: Vec<&str> = res.findings.iter().map(|f| f.rule).collect();
+        let rules: Vec<&str> = hot_findings(&res).iter().map(|f| f.rule).collect();
         assert_eq!(rules, ["hot-alloc", "allow-syntax"], "{:?}", res.findings);
         assert!(res.vetted.is_empty(), "{:?}", res.vetted);
     }
@@ -1102,7 +1221,7 @@ mod tests {
             &AnalyzeAllow::default(),
             &panic_allow,
         );
-        assert!(res.findings.is_empty(), "{:?}", res.findings);
+        assert!(hot_findings(&res).is_empty(), "{:?}", res.findings);
         assert_eq!(res.vetted.len(), 1);
         assert_eq!(res.vetted[0].kind, "panic");
     }
@@ -1173,7 +1292,7 @@ mod tests {
             &AnalyzeAllow::default(),
             &[],
         );
-        assert!(res.findings.is_empty(), "{:?}", res.findings);
+        assert!(hot_findings(&res).is_empty(), "{:?}", res.findings);
     }
 
     #[test]
@@ -1197,10 +1316,68 @@ mod tests {
     }
 
     #[test]
+    fn a_function_nothing_calls_is_unreached() {
+        let src = "fn main() { used(); }\nfn used() {}\nfn orphan() {}\n";
+        let res = analyze_sources(
+            &files(&[("examples/a.rs", src)]),
+            &[],
+            &AnalyzeAllow::default(),
+            &[],
+        );
+        assert_eq!(unreached(&res), ["orphan"], "{:?}", res.findings);
+        assert_eq!(res.findings[0].line, 3);
+        assert_eq!(res.used, 2);
+    }
+
+    #[test]
+    fn main_trait_methods_and_their_callees_are_reached() {
+        let bin = "fn main() { from_main(); }\nfn from_main() -> [u8; 2] { transitively(); [0; 2] }\nfn transitively() {}\n";
+        let lib = "struct S;\nimpl std::fmt::Display for S {\n    fn fmt(&self, f: &mut Formatter) -> Result { from_impl(); Ok(()) }\n}\nfn from_impl() {}\ntrait T {\n    fn provided(&self) { from_default(); }\n}\nfn from_default() {}\nfn dead() {}\n";
+        let res = analyze_sources(
+            &files(&[("src/bin/a.rs", bin), ("crates/x/src/lib.rs", lib)]),
+            &[],
+            &AnalyzeAllow::default(),
+            &[],
+        );
+        assert_eq!(unreached(&res), ["dead"], "{:?}", res.findings);
+    }
+
+    #[test]
+    fn a_function_only_tests_call_is_unreached() {
+        let src = "fn main() {}\nfn helper() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::helper(); }\n}\n";
+        let res = analyze_sources(
+            &files(&[("crates/x/src/lib.rs", src)]),
+            &[],
+            &AnalyzeAllow::default(),
+            &[],
+        );
+        assert_eq!(unreached(&res), ["helper"], "{:?}", res.findings);
+    }
+
+    #[test]
+    fn keep_entries_are_roots_and_must_stay_live() {
+        let src = "fn main() { reached(); }\nfn reached() {}\nfn kept() { kept_callee(); }\nfn kept_callee() {}\n";
+        let allow = parse_analyze_allow("keep kept\nkeep reached\nkeep gone\n");
+        let res = analyze_sources(&files(&[("crates/x/src/lib.rs", src)]), &[], &allow, &[]);
+        assert!(unreached(&res).is_empty(), "{:?}", res.findings);
+        let stale: Vec<&str> = res
+            .findings
+            .iter()
+            .filter(|f| f.rule == "stale-allow")
+            .map(|f| f.msg.as_str())
+            .collect();
+        assert_eq!(stale.len(), 2, "{:?}", res.findings);
+        assert!(stale[0].starts_with("`keep reached` names a function a program reaches"));
+        assert!(stale[1].starts_with("`keep gone` names no function"));
+    }
+
+    #[test]
     fn allow_parser_flags_malformed_lines() {
-        let a = parse_analyze_allow("cold A::b\ncoldfile x.rs\nbogus line\ncoldfilex.rs\n");
+        let a =
+            parse_analyze_allow("cold A::b\ncoldfile x.rs\nbogus line\ncoldfilex.rs\nkeep C::d\n");
         assert_eq!(a.cold, vec!["A::b"]);
         assert_eq!(a.coldfiles, vec!["x.rs"]);
+        assert_eq!(a.keep, vec!["C::d"]);
         let lines: Vec<usize> = a.errors.iter().map(|(n, _)| *n).collect();
         assert_eq!(lines, [3, 4]);
     }

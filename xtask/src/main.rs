@@ -10,14 +10,18 @@
 //!
 //! `analyze` runs the call-graph-aware pass on top of the same token
 //! lexer: it recovers `fn`/`impl` items and a conservative call graph
-//! across all workspace crates, then reports every allocation and
-//! panic site transitively reachable from the steady-state entry
-//! points (`FlowLutSim::tick`, `Session::offer`, `ShardedFlowLut::tick`,
+//! across all workspace crates, the facade, the examples and
+//! `perfbench`, then reports every allocation and panic site
+//! transitively reachable from the steady-state entry points
+//! (`FlowLutSim::tick`, `Session::offer`, `ShardedFlowLut::tick`,
 //! `FlowService::pump`, and the `FlowPipeline` impls' `push`/`poll`),
 //! past the vetted cold-path barriers in `xtask/analyze_allow.txt`.
 //! Every reachable allocation is a finding; a reachable panic site may
-//! be vetted in `xtask/lint_allow.txt`. `--json <path>` additionally writes a
-//! machine-readable report (CI uploads it as an artifact).
+//! be vetted in `xtask/lint_allow.txt`. Its `unreached` rule reports
+//! every function no `fn main` and no trait method reaches, less the
+//! `keep` entries of `xtask/analyze_allow.txt`. `--json <path>`
+//! additionally writes a machine-readable report (CI uploads it as an
+//! artifact).
 //!
 //! Pure `std` — no external dependencies — so both commands run in the
 //! offline build like everything else. The rules themselves live in
@@ -85,12 +89,13 @@ fn main() -> ExitCode {
                 eprintln!("{f}");
             }
             println!(
-                "xtask analyze: {} files, {} fns, {} call edges, {} reachable from {} entry points; {} vetted hot site(s), {} finding(s)",
+                "xtask analyze: {} files, {} fns, {} call edges, {} reachable from {} entry points, {} from a program; {} vetted hot site(s), {} finding(s)",
                 res.files,
                 res.functions,
                 res.edges,
                 res.reachable,
                 analyze::ENTRY_POINTS.len(),
+                res.used,
                 res.vetted.len(),
                 res.findings.len()
             );
@@ -190,11 +195,15 @@ fn run_lint(root: &Path) -> (usize, Vec<Violation>) {
 }
 
 /// Runs the call-graph analyses over every non-test source in
-/// `crates/*/src`, with the allow-lists read from `xtask/`.
+/// `crates/*/src`, the facade's `src/`, `examples/` and `perfbench/src`
+/// (the programs that root the `unreached` rule), with the allow-lists
+/// read from `xtask/`.
 fn run_analyze(root: &Path) -> analyze::AnalyzeResult {
+    let mut dirs: Vec<PathBuf> = crate_dirs(root).iter().map(|d| d.join("src")).collect();
+    dirs.extend(["src", "examples", "perfbench/src"].map(|d| root.join(d)));
     let mut sources: Vec<(String, String)> = Vec::new();
-    for dir in crate_dirs(root) {
-        for path in rust_files(&dir.join("src")) {
+    for dir in dirs {
+        for path in rust_files(&dir) {
             let rp = rel(root, &path);
             if lint::is_test_file(&rp) {
                 continue;
@@ -206,8 +215,8 @@ fn run_analyze(root: &Path) -> analyze::AnalyzeResult {
     let panic_allow = lint::parse_allowlist(&read(&root.join("xtask/lint_allow.txt")));
     let mut res = analyze::analyze_sources(&sources, analyze::ENTRY_POINTS, &allow, &panic_allow);
     // The token-accurate facade/ordering rules are part of this pass
-    // too (ISSUE rule 3); fold their violations in as findings.
-    for (rp, src) in &sources {
+    // too; fold their violations in as findings.
+    for (rp, src) in sources.iter().filter(|(rp, _)| rp.starts_with("crates/")) {
         let mut extra = Vec::new();
         if rp.starts_with("crates/engine/src") {
             extra.extend(lint::check_sync_facade(rp, src));
@@ -309,6 +318,11 @@ mod tests {
             res.reachable > 20,
             "suspiciously small hot set: {}",
             res.reachable
+        );
+        assert!(
+            res.used > 600,
+            "suspiciously few fns reached from a program: {}",
+            res.used
         );
         assert!(
             res.findings.is_empty(),
