@@ -1,7 +1,7 @@
 //! Non-collision hashing via Bloom filter + CAM (Li, reference \[8\]).
 
 use flowlut_cam::Cam;
-use flowlut_core::backend::{FlowBackend, FlowStore};
+use flowlut_core::backend::FlowStore;
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
@@ -134,8 +134,6 @@ impl FlowStore for BloomCamTable {
         self.stats
     }
 }
-
-impl FlowBackend for BloomCamTable {}
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Two-function cuckoo hashing with kick-out insertion.
 
-use flowlut_core::backend::{FlowBackend, FlowStore};
+use flowlut_core::backend::FlowStore;
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
@@ -153,8 +153,6 @@ impl FlowStore for CuckooTable {
         self.stats
     }
 }
-
-impl FlowBackend for CuckooTable {}
 
 #[cfg(test)]
 mod tests {

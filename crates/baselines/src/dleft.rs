@@ -1,6 +1,6 @@
 //! Multi-choice (d-left / balanced allocations) hashing.
 
-use flowlut_core::backend::{FlowBackend, FlowStore};
+use flowlut_core::backend::FlowStore;
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
@@ -131,8 +131,6 @@ impl FlowStore for DLeftTable {
         self.stats
     }
 }
-
-impl FlowBackend for DLeftTable {}
 
 #[cfg(test)]
 mod tests {

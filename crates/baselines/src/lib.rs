@@ -26,11 +26,10 @@
 //!
 //! Every table here implements [`FlowStore`](flowlut_core::backend::FlowStore)
 //! (upsert `insert`: a resident key costs one membership probe and
-//! reports `Ok(false)`) and
-//! [`FlowBackend`](flowlut_core::backend::FlowBackend), so one
-//! `Box<dyn FlowBackend>` registry can hold these baselines next to the
-//! paper's table and the timed simulators — see
-//! `examples/baseline_comparison.rs`.
+//! reports `Ok(false)`), so one `Box<dyn FlowStore>` registry can hold
+//! these baselines next to the paper's table and the timed simulators —
+//! see `examples/baseline_comparison.rs`. [`BaselineKind::build`] sizes
+//! each to a Hash-CAM table's capacity.
 //!
 //! ## Example
 //!
@@ -54,6 +53,7 @@
 mod bloom_cam;
 mod cuckoo;
 mod dleft;
+mod kind;
 mod one_move;
 mod simul;
 mod single;
@@ -62,6 +62,7 @@ mod traits;
 pub use bloom_cam::BloomCamTable;
 pub use cuckoo::CuckooTable;
 pub use dleft::DLeftTable;
+pub use kind::BaselineKind;
 pub use one_move::OneMoveTable;
 pub use simul::SimultaneousHashCam;
 pub use single::SingleHashTable;

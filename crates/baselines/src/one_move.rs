@@ -1,7 +1,7 @@
 //! Kirsch–Mitzenmacher "power of one move" hashing.
 
 use flowlut_cam::Cam;
-use flowlut_core::backend::{FlowBackend, FlowStore};
+use flowlut_core::backend::FlowStore;
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
@@ -218,8 +218,6 @@ impl FlowStore for OneMoveTable {
         self.stats
     }
 }
-
-impl FlowBackend for OneMoveTable {}
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! Conventional simultaneous-lookup Hash-CAM (the early-exit ablation).
 
 use flowlut_cam::Cam;
-use flowlut_core::backend::{FlowBackend, FlowStore};
+use flowlut_core::backend::FlowStore;
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
@@ -138,8 +138,6 @@ impl FlowStore for SimultaneousHashCam {
         self.stats
     }
 }
-
-impl FlowBackend for SimultaneousHashCam {}
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Conventional single-hash bucket table.
 
-use flowlut_core::backend::{FlowBackend, FlowStore};
+use flowlut_core::backend::FlowStore;
 use flowlut_hash::{H3Hash, HashFunction};
 use flowlut_traffic::FlowKey;
 
@@ -99,8 +99,6 @@ impl FlowStore for SingleHashTable {
         self.stats
     }
 }
-
-impl FlowBackend for SingleHashTable {}
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,7 @@
 //! The types every baseline shares.
 //!
-//! Each baseline implements the workspace-wide
-//! [`FlowStore`]/[`FlowBackend`](flowlut_core::backend::FlowBackend)
-//! traits directly: an upsert `insert` (a resident key reports
+//! Each baseline implements the workspace-wide [`FlowStore`] trait
+//! directly: an upsert `insert` (a resident key reports
 //! `Ok(false)` after one membership probe), exact membership, and probe
 //! counting in [`OpStats`], so one generic harness drives baselines, the
 //! paper's table, and the timed simulators interchangeably.
@@ -15,8 +14,7 @@ use flowlut_traffic::FlowKey;
 /// This is the workspace-wide [`FullError`](flowlut_core::backend::FullError)
 /// (the historical `BaselineFullError` alias is retired). It carries the
 /// rejected key and the occupancy at rejection time, so callers can log
-/// what failed and how full the structure was; it also folds into the
-/// unified [`FlowError`](flowlut_core::FlowError) hierarchy.
+/// what failed and how full the structure was.
 pub use flowlut_core::backend::FullError;
 
 /// Memory-access accounting: the currency all baselines are compared in.
@@ -39,7 +37,6 @@ pub(crate) fn full_error(store: &impl FlowStore, key: FlowKey) -> FullError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowlut_core::backend::FlowBackend;
     use flowlut_traffic::FiveTuple;
 
     fn key(i: u64) -> FlowKey {
@@ -73,7 +70,7 @@ mod tests {
     #[test]
     fn store_view_is_upsert() {
         let mut t = crate::CuckooTable::new(64, 1, 50, 7);
-        let b: &mut dyn FlowBackend = &mut t;
+        let b: &mut dyn FlowStore = &mut t;
         assert!(b.insert(key(9)).unwrap());
         assert!(!b.insert(key(9)).unwrap(), "second insert is a no-op");
         assert_eq!(b.len(), 1);
@@ -84,7 +81,7 @@ mod tests {
 
     #[test]
     fn every_baseline_is_a_backend() {
-        let backends: Vec<Box<dyn FlowBackend>> = vec![
+        let backends: Vec<Box<dyn FlowStore>> = vec![
             Box::new(crate::SingleHashTable::new(64, 2, 7)),
             Box::new(crate::DLeftTable::new(2, 32, 2, 7)),
             Box::new(crate::CuckooTable::new(64, 1, 50, 7)),

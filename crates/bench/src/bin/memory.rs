@@ -1,7 +1,7 @@
 //! Memory-technology headroom study: model × shard-count sweep.
 //!
 //! Runs the same Table II(B)-style workload (75 % match rate) through
-//! [`ShardedFlowLut`] for every [`MemoryKind`] — the calibrated
+//! [`ShardedFlowLut`] for every default [`MemorySpec`] — the calibrated
 //! DDR3-1066E prototype controller, the DDR4-2400-class bank-group
 //! model, the HBM2-style many-channel model and the idealized SRAM
 //! bound — at 1 / 2 / 4 / 8 shards, with every shard offered its full
@@ -20,7 +20,7 @@ use std::io::Write as _;
 
 use flowlut_bench::{json_path, quick_mode, smoke_mode};
 use flowlut_core::{FlowPipeline, RunReport};
-use flowlut_ddr3::MemoryKind;
+use flowlut_ddr3::MemorySpec;
 use flowlut_engine::{EngineConfig, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
 
@@ -31,7 +31,7 @@ const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// One sweep point.
 struct Point {
-    kind: MemoryKind,
+    model: &'static str,
     shards: usize,
     per_shard_rate_mhz: f64,
     report: RunReport,
@@ -70,19 +70,19 @@ fn main() {
     let set = workload.build();
 
     let mut points: Vec<Point> = Vec::new();
-    for kind in MemoryKind::ALL {
+    for spec in MemorySpec::defaults() {
         for shards in SHARD_SWEEP {
             let mut cfg = EngineConfig::prototype(shards);
-            cfg.shard.memory = kind.default_spec();
+            cfg.shard.memory = spec;
             let per_shard_rate_mhz = cfg.sys_clock_mhz();
-            cfg.input_rate_mhz = shards as f64 * per_shard_rate_mhz;
+            cfg.shard.input_rate_mhz = per_shard_rate_mhz;
             let mut engine = ShardedFlowLut::new(cfg);
             engine
                 .preload(set.preload.iter().copied())
                 .expect("preload fits the prototype table");
             let report = engine.start_run().run(&set.queries).expect("fresh session");
             points.push(Point {
-                kind,
+                model: spec.name(),
                 shards,
                 per_shard_rate_mhz,
                 report,
@@ -98,7 +98,7 @@ fn main() {
     for p in &points {
         println!(
             "{:>6} {:>7} {:>12.2} {:>14.1} {:>9.2}x {:>10}",
-            p.kind.name(),
+            p.model,
             p.shards,
             p.report.mdesc_per_s,
             p.report.mean_latency_ns,
@@ -113,29 +113,29 @@ fn main() {
 
     // Per-model verdict: fewest shards in the sweep that hold 595 Mpps.
     println!("\nshards needed for 400GbE line rate (within the 1-8 sweep):");
-    let mut verdicts: Vec<(MemoryKind, Option<usize>)> = Vec::new();
-    for kind in MemoryKind::ALL {
+    let mut verdicts: Vec<(&str, Option<usize>)> = Vec::new();
+    for model in MemorySpec::defaults().map(|s| s.name()) {
         let min_shards = points
             .iter()
-            .find(|p| p.kind == kind && p.holds_line_rate())
+            .find(|p| p.model == model && p.holds_line_rate())
             .map(|p| p.shards);
         match min_shards {
-            Some(n) => println!("  {:>5}: {n} shards", kind.name()),
-            None => println!("  {:>5}: not reached at 8 shards", kind.name()),
+            Some(n) => println!("  {model:>5}: {n} shards"),
+            None => println!("  {model:>5}: not reached at 8 shards"),
         }
-        verdicts.push((kind, min_shards));
+        verdicts.push((model, min_shards));
     }
 
     // Acceptance: the idealized bound must dominate the technology it
     // bounds at every shard count.
     let sram_ge_ddr3 = SHARD_SWEEP.iter().all(|&s| {
-        let at = |k: MemoryKind| {
+        let at = |model: &str| {
             points
                 .iter()
-                .find(|p| p.kind == k && p.shards == s)
+                .find(|p| p.model == model && p.shards == s)
                 .map_or(0.0, |p| p.report.mdesc_per_s)
         };
-        at(MemoryKind::Sram) >= at(MemoryKind::Ddr3)
+        at("sram") >= at("ddr3")
     });
     println!(
         "\nSRAM >= DDR3 throughput at every shard count: {}",
@@ -159,7 +159,7 @@ fn write_json(
     mode: &str,
     w: &MatchRateWorkload,
     points: &[Point],
-    verdicts: &[(MemoryKind, Option<usize>)],
+    verdicts: &[(&str, Option<usize>)],
     sram_ge_ddr3: bool,
 ) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
@@ -186,7 +186,7 @@ fn write_json(
              \"per_shard_input_rate_mhz\": {:.4}, \"mdesc_per_s\": {:.4}, \
              \"mean_latency_ns\": {:.2}, \"headroom_vs_400gbe\": {:.4}, \
              \"holds_line_rate\": {}, \"completed\": {}}}{}",
-            p.kind.name(),
+            p.model,
             p.shards,
             p.per_shard_rate_mhz,
             r.mdesc_per_s,
@@ -199,12 +199,11 @@ fn write_json(
     }
     writeln!(f, "  ],")?;
     writeln!(f, "  \"verdicts\": {{")?;
-    for (i, (kind, min_shards)) in verdicts.iter().enumerate() {
+    for (i, (model, min_shards)) in verdicts.iter().enumerate() {
         let value = min_shards.map_or("null".to_string(), |n| n.to_string());
         writeln!(
             f,
-            "    \"{}\": {{\"min_shards_for_400gbe\": {value}}}{}",
-            kind.name(),
+            "    \"{model}\": {{\"min_shards_for_400gbe\": {value}}}{}",
             if i + 1 == verdicts.len() { "" } else { "," }
         )?;
     }

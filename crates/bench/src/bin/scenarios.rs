@@ -26,37 +26,7 @@ use std::io::Write as _;
 
 use flowlut::core::{SimConfig, TableConfig};
 use flowlut::scenarios::{Scenario, ScenarioReport, ScenarioRunner};
-use flowlut::{BaselineKind, Builder, FlowBackend};
 use flowlut_bench::{json_path, quick_mode, smoke_mode};
-
-/// All nine backends, capacity-matched on `TableConfig::test_small`.
-fn registry() -> Vec<Box<dyn FlowBackend>> {
-    let t = TableConfig::test_small();
-    let sim = SimConfig::test_small();
-    let mut set: Vec<Box<dyn FlowBackend>> = vec![
-        Builder::new().table(t).build().expect("valid table config"),
-        Builder::new()
-            .sim_config(sim.clone())
-            .shards(1)
-            .build()
-            .expect("valid sim config"),
-        Builder::new()
-            .sim_config(sim)
-            .shards(2)
-            .build()
-            .expect("valid engine config"),
-    ];
-    for kind in BaselineKind::ALL {
-        set.push(
-            Builder::new()
-                .table(t)
-                .baseline(kind)
-                .build()
-                .expect("valid baseline config"),
-        );
-    }
-    set
-}
 
 /// The six canonical scenarios, sized for `packets` per stage. Flow
 /// populations target ~60 % of the `test_small` capacity (1040 keys),
@@ -96,7 +66,7 @@ fn main() {
     for scenario in &scenarios {
         // Materialise once; every backend sees the identical stream.
         let descs = scenario.generate();
-        for backend in registry().iter_mut() {
+        for backend in flowlut::backends(SimConfig::test_small()).iter_mut() {
             rows.push(runner.run_stream(&scenario.name, &descs, backend.as_mut()));
         }
     }

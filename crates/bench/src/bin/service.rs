@@ -138,10 +138,10 @@ fn service_config(shards: usize, profile: Profile) -> ServiceConfig {
             victim_cap: 4_096,
         });
     }
-    let mut engine = EngineConfig::prototype(shards);
-    engine.shard = shard;
-    engine.input_rate_mhz = shards as f64 * 100.0;
-    ServiceConfig::new(engine)
+    ServiceConfig::new(EngineConfig {
+        shard,
+        ..EngineConfig::prototype(shards)
+    })
 }
 
 /// Streams the whole churn workload through the service ingest queue

@@ -8,6 +8,7 @@
 
 use flowlut_bench::{print_comparison, Row};
 use flowlut_core::{FlowLutSim, FlowPipeline, LoadBalancerPolicy, SimConfig};
+use flowlut_ddr3::Ddr3Params;
 use flowlut_traffic::workloads::{HashPattern, HashPatternWorkload};
 
 /// Runs one Table II(A) row: sweeps the input rate like the paper and
@@ -25,7 +26,7 @@ fn run_row(pattern: HashPattern, policy: LoadBalancerPolicy) -> (f64, f64) {
             ..SimConfig::default()
         };
         let buckets = cfg.table.buckets_per_mem;
-        let banks = cfg.geometry.banks;
+        let banks = Ddr3Params::default().geometry.banks;
         let mut sim = FlowLutSim::new(cfg);
         let w = HashPatternWorkload {
             pattern,

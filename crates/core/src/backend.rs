@@ -9,11 +9,11 @@
 //! code:
 //!
 //! * [`FlowStore`] — functional lookup/insert/remove with unified
-//!   memory-probe accounting ([`OpStats`]). Every backend implements it.
+//!   memory-probe accounting ([`OpStats`]). Every backend implements it,
+//!   and a timed one exposes its pipeline through
+//!   [`FlowStore::as_pipeline`].
 //! * [`FlowPipeline`] — the cycle-stepped streaming session
 //!   (`push`/`tick`/`poll`/`drain`) for the timed backends.
-//! * [`FlowBackend`] — the object-safe capability union: a store that
-//!   *may* expose a pipeline ([`FlowBackend::as_pipeline`]).
 //!
 //! Timed backends are driven through a typed [`Session`] handle opened
 //! by [`FlowPipeline::start_run`] (or [`Session::new`] on a
@@ -223,6 +223,15 @@ pub trait FlowStore: fmt::Debug + Send {
     /// Memory-access accounting so far. Monotone: every counter is
     /// non-decreasing over the store's lifetime.
     fn op_stats(&self) -> OpStats;
+
+    /// The streaming session capability, if this store simulates time.
+    /// Functional structures (the baselines, [`HashCamTable`]) answer
+    /// `None`; the timed backends return themselves, so generic
+    /// harnesses holding `Box<dyn FlowStore>` branch on the capability,
+    /// never on the concrete type.
+    fn as_pipeline(&mut self) -> Option<&mut dyn FlowPipeline> {
+        None
+    }
 }
 
 /// A point-in-time view of a timed backend, returned by
@@ -605,20 +614,6 @@ impl<'a> Session<'a> {
     }
 }
 
-/// The object-safe capability union every backend implements: a
-/// [`FlowStore`] that may additionally expose its streaming pipeline.
-///
-/// Functional structures (the baselines, [`HashCamTable`]) return `None`
-/// from [`as_pipeline`](Self::as_pipeline); the timed backends return
-/// themselves. Generic harnesses hold `Box<dyn FlowBackend>` and branch
-/// on the capability, never on the concrete type.
-pub trait FlowBackend: FlowStore {
-    /// The streaming session capability, if this backend simulates time.
-    fn as_pipeline(&mut self) -> Option<&mut dyn FlowPipeline> {
-        None
-    }
-}
-
 /// The end-to-end report of one streaming session, produced by
 /// [`Session::finish`] and [`Session::run`]. Every timed backend reports
 /// in this one shape, so sweeps over heterogeneous backends tabulate it
@@ -733,8 +728,6 @@ impl FlowStore for HashCamTable {
     }
 }
 
-impl FlowBackend for HashCamTable {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -792,7 +785,7 @@ mod tests {
     #[test]
     fn hashcam_store_roundtrip() {
         let mut t = HashCamTable::new(TableConfig::test_small());
-        let b: &mut dyn FlowBackend = &mut t;
+        let b: &mut dyn FlowStore = &mut t;
         assert!(b.insert(key(1)).unwrap());
         assert!(!b.insert(key(1)).unwrap(), "upsert semantics");
         assert!(b.contains(&key(1)));

@@ -1,9 +1,7 @@
 //! Configuration of the timed flow-LUT simulator.
 
 use flowlut_ddr3::model::MemoryModel;
-use flowlut_ddr3::{
-    AddressMapping, ControllerConfig, Geometry, MemorySpec, PagePolicy, TimingParams, TimingPreset,
-};
+use flowlut_ddr3::{Ddr3Params, Geometry, MemorySpec};
 
 use crate::error::ConfigError;
 use crate::table::TableConfig;
@@ -116,58 +114,48 @@ impl PressurePolicy {
     }
 }
 
+/// Sequencer input-queue depth.
+pub(crate) const SEQUENCER_DEPTH: usize = 64;
+/// Pending-read capacity per path DLU (requests held before the memory
+/// controller accepts them).
+pub(crate) const DLU_QUEUE_DEPTH: usize = 64;
+/// Memory-controller request-queue capacity per path.
+pub(crate) const CONTROLLER_QUEUE: usize = 64;
+/// Bucket buffers per Flow Match lane (a resource-model input).
+pub(crate) const FLOW_MATCH_BUFFERS: usize = 4;
+/// BWr_Gen releases a partial write burst once its oldest pending
+/// update is this many system cycles old.
+pub(crate) const BWR_TIMEOUT_SYS: u64 = 64;
+/// Maximum descriptors in flight past the sequencer (pipeline depth).
+pub(crate) const MAX_IN_FLIGHT: usize = 256;
+/// CAM search pipeline latency in system cycles.
+pub(crate) const CAM_LATENCY_SYS: u64 = 1;
+
 /// Full configuration of [`FlowLutSim`](crate::sim::FlowLutSim).
+///
+/// The queue depths, the BWr_Gen timeout and the CAM latency are fixed
+/// in the prototype's FPGA build and are constants here.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Table sizing and hashing.
     pub table: TableConfig,
-    /// DDR3 timing of each memory set (prototype: DDR3-1600, 800 MHz
-    /// memory clock = 4 × the 200 MHz system clock).
-    pub timing: TimingParams,
-    /// Geometry of each memory set.
-    pub geometry: Geometry,
-    /// Bucket-address to bank/row/column mapping. The default
-    /// `RowColBank` places consecutive buckets in consecutive banks, the
-    /// interleave the paper's Bank Selector exploits.
-    pub mapping: AddressMapping,
-    /// Memory-clock cycles per system-clock cycle (prototype: 4,
-    /// quarter-rate user logic).
-    pub clock_ratio: u32,
+    /// Which memory technology backs each path, with its parameters
+    /// (default: the prototype's DDR3-1600 part at a 4:1 clock ratio).
+    /// It sets the system clock.
+    pub memory: MemorySpec,
     /// First-path selection policy.
     pub load_balancer: LoadBalancerPolicy,
     /// Ablation switch: `false` serialises each path's memory requests
     /// one at a time (no bank-parallelism), isolating the Bank Selector's
     /// contribution.
     pub bank_select_enabled: bool,
-    /// Same-direction grouping limit forwarded to the memory controller.
-    pub group_limit: u32,
-    /// Memory-controller queue capacity per path.
-    pub controller_queue: usize,
-    /// Pending-read capacity per path DLU (requests held before the
-    /// controller accepts them).
-    pub dlu_queue_depth: usize,
-    /// Sequencer input-queue depth.
-    pub sequencer_depth: usize,
-    /// Bucket buffers per Flow Match lane (resource model input).
-    pub flow_match_buffers: usize,
-    /// BWr_Gen releases a write burst when this many updates are pending…
+    /// BWr_Gen releases a write burst when this many updates are
+    /// pending (or when the oldest is 64 system cycles old).
     pub bwr_threshold: usize,
-    /// …or when the oldest pending update is this many system cycles old.
-    pub bwr_timeout_sys: u64,
-    /// CAM search pipeline latency in system cycles.
-    pub cam_latency_sys: u64,
     /// Offered descriptor rate in MHz (the paper sweeps 60–100 MHz).
     pub input_rate_mhz: f64,
     /// Enable periodic DRAM refresh.
     pub refresh_enabled: bool,
-    /// Maximum descriptors in flight past the sequencer (pipeline depth).
-    pub max_in_flight: usize,
-    /// Which memory technology backs each path. The default
-    /// ([`MemorySpec::Ddr3`]) builds the paper's DDR3 controller from
-    /// the `timing`/`geometry`/`mapping`/`clock_ratio` fields above —
-    /// byte-identical to the pre-trait behaviour; the other variants
-    /// carry their own parameters and ignore those legacy fields.
-    pub memory: MemorySpec,
     /// Engine-level idle-TTL flow aging (`None` disables it — the
     /// default, preserving bounded-run behaviour bit-for-bit).
     pub expiry: Option<ExpiryPolicy>,
@@ -181,24 +169,12 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             table: TableConfig::prototype_8m(),
-            timing: TimingPreset::Ddr3_1600.params(),
-            geometry: Geometry::prototype_512mb(),
-            mapping: AddressMapping::RowColBank,
-            clock_ratio: 4,
+            memory: MemorySpec::default(),
             load_balancer: LoadBalancerPolicy::default(),
             bank_select_enabled: true,
-            group_limit: 16,
-            controller_queue: 64,
-            dlu_queue_depth: 64,
-            sequencer_depth: 64,
-            flow_match_buffers: 4,
             bwr_threshold: 8,
-            bwr_timeout_sys: 64,
-            cam_latency_sys: 1,
             input_rate_mhz: 100.0,
             refresh_enabled: true,
-            max_in_flight: 256,
-            memory: MemorySpec::Ddr3,
             expiry: None,
             pressure: None,
         }
@@ -211,26 +187,24 @@ impl SimConfig {
     pub fn test_small() -> Self {
         SimConfig {
             table: TableConfig::test_small(),
-            geometry: Geometry {
-                banks: 8,
-                rows: 64,
-                cols: 32,
-                bus_width_bits: 32,
-                burst_length: 8,
-            },
+            memory: MemorySpec::Ddr3(Ddr3Params {
+                geometry: Geometry {
+                    banks: 8,
+                    rows: 64,
+                    cols: 32,
+                    bus_width_bits: 32,
+                    burst_length: 8,
+                },
+                ..Ddr3Params::default()
+            }),
             refresh_enabled: false,
             ..SimConfig::default()
         }
     }
 
-    /// System-clock frequency in MHz implied by the selected memory's
-    /// clock and ratio (DDR3 prototype: 800 / 4 = 200 MHz).
+    /// System-clock frequency in MHz implied by the selected memory.
     pub fn sys_clock_mhz(&self) -> f64 {
-        match &self.memory {
-            MemorySpec::Ddr3 => self.timing.clock_mhz() / f64::from(self.clock_ratio),
-            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.clock_mhz() / f64::from(p.clock_ratio),
-            MemorySpec::Sram(p) => p.clock_mhz(),
-        }
+        self.memory.sys_clock_mhz()
     }
 
     /// System-clock period in nanoseconds.
@@ -238,48 +212,20 @@ impl SimConfig {
         1000.0 / self.sys_clock_mhz()
     }
 
-    /// Bytes per memory burst of the selected memory model (DDR3: from
-    /// `geometry`; the other models carry their own burst size).
+    /// Bytes per memory burst of the selected memory.
     pub fn mem_burst_bytes(&self) -> usize {
-        match &self.memory {
-            MemorySpec::Ddr3 => self.geometry.burst_bytes(),
-            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.burst_bytes(),
-            MemorySpec::Sram(p) => p.burst_bytes,
-        }
-    }
-
-    /// Burst-aligned capacity of each path's memory.
-    pub fn mem_total_bursts(&self) -> u64 {
-        match &self.memory {
-            MemorySpec::Ddr3 => self.geometry.total_bursts(),
-            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.total_bursts(),
-            MemorySpec::Sram(p) => p.total_bursts,
-        }
+        self.memory.burst_bytes()
     }
 
     /// Memory-clock cycles the simulator steps each model per system
     /// cycle.
     pub fn mem_ticks_per_sys(&self) -> u32 {
-        self.memory.ticks_per_sys(self.clock_ratio)
+        self.memory.ticks_per_sys()
     }
 
     /// Builds one path's memory model from this configuration.
     pub fn build_memory(&self) -> Box<dyn MemoryModel> {
-        // The legacy ControllerConfig is exactly what the simulator
-        // handed MemoryController before the trait extraction; the
-        // non-DDR3 variants consume only its queue capacity and
-        // refresh switch.
-        self.memory.build(ControllerConfig {
-            timing: self.timing,
-            geometry: self.geometry,
-            mapping: self.mapping,
-            page_policy: PagePolicy::Closed,
-            queue_capacity: self.controller_queue,
-            group_limit: self.group_limit,
-            refresh_enabled: self.refresh_enabled,
-            cmd_interval: u64::from(self.clock_ratio),
-            ..ControllerConfig::default()
-        })
+        self.memory.build(CONTROLLER_QUEUE, self.refresh_enabled)
     }
 
     /// Validates the configuration.
@@ -287,25 +233,20 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any sub-configuration is invalid, the
-    /// bucket array does not fit the memory geometry, the offered rate
-    /// exceeds the system clock, or queue depths are zero.
+    /// bucket array does not fit the memory, the offered rate exceeds
+    /// the system clock, or the BWr_Gen threshold is zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.table.validate()?;
-        self.timing.validate()?;
-        self.geometry.validate()?;
         self.memory
             .validate()
             .map_err(|e| ConfigError::new(format!("memory spec: {e}")))?;
-        if self.clock_ratio == 0 {
-            return Err(ConfigError::new("clock_ratio must be non-zero"));
-        }
         let burst_bytes = self.mem_burst_bytes();
         let bursts_needed = u64::from(self.table.buckets_per_mem)
             * u64::from(self.table.bursts_per_bucket(burst_bytes));
-        if bursts_needed > self.mem_total_bursts() {
+        let total_bursts = self.memory.total_bursts();
+        if bursts_needed > total_bursts {
             return Err(ConfigError::new(format!(
-                "table needs {bursts_needed} bursts but each memory provides {}",
-                self.mem_total_bursts()
+                "table needs {bursts_needed} bursts but each memory provides {total_bursts}"
             )));
         }
         if self.input_rate_mhz <= 0.0 || self.input_rate_mhz > self.sys_clock_mhz() {
@@ -314,13 +255,6 @@ impl SimConfig {
                 self.input_rate_mhz,
                 self.sys_clock_mhz()
             )));
-        }
-        if self.sequencer_depth == 0
-            || self.dlu_queue_depth == 0
-            || self.controller_queue == 0
-            || self.max_in_flight == 0
-        {
-            return Err(ConfigError::new("queue depths must be non-zero"));
         }
         if self.bwr_threshold == 0 {
             return Err(ConfigError::new("bwr_threshold must be non-zero"));
@@ -383,26 +317,38 @@ mod tests {
     }
 
     #[test]
-    fn zero_queues_rejected() {
+    fn zero_bwr_threshold_rejected() {
         let mut c = SimConfig::test_small();
-        c.sequencer_depth = 0;
+        c.bwr_threshold = 0;
         assert!(c.validate().is_err());
     }
 
     #[test]
     fn every_memory_kind_yields_a_valid_config() {
-        use flowlut_ddr3::MemoryKind;
-        for kind in MemoryKind::ALL {
+        // Each default spec's system clock, memory ticks per system
+        // cycle, burst bytes and total bursts, as fixed in the
+        // calibrated parameter sets.
+        let want = [
+            ("ddr3", 200.0, 4, 32, 16_777_216),
+            ("ddr4", 200.0800320128051, 6, 32, 16_777_216),
+            ("hbm2", 200.0, 5, 32, 16_777_216),
+            ("sram", 200.0, 1, 32, 16_777_216),
+        ];
+        for (spec, (name, clock, ticks, burst, bursts)) in
+            MemorySpec::defaults().into_iter().zip(want)
+        {
             let c = SimConfig {
-                memory: kind.default_spec(),
+                memory: spec,
                 ..SimConfig::default()
             };
-            c.validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-            assert!(c.sys_clock_mhz() > 0.0);
-            assert_eq!(c.mem_burst_bytes(), 32, "{}", kind.name());
+            c.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(spec.name(), name);
+            assert_eq!(c.sys_clock_mhz(), clock, "{name}");
+            assert_eq!(c.mem_ticks_per_sys(), ticks, "{name}");
+            assert_eq!(c.mem_burst_bytes(), burst, "{name}");
+            assert_eq!(spec.total_bursts(), bursts, "{name}");
             let m = c.build_memory();
-            assert_eq!(m.name(), kind.name());
+            assert_eq!(m.name(), name);
         }
     }
 
@@ -410,14 +356,21 @@ mod tests {
     fn sys_clock_follows_the_selected_memory() {
         use flowlut_ddr3::{DramParams, SramParams};
         let mut c = SimConfig::default();
-        assert!((c.sys_clock_mhz() - 200.0).abs() < 1e-9);
+        assert_eq!(c.sys_clock_mhz(), 200.0);
+        assert_eq!(c.sys_period_ns(), 5.0);
         c.memory = MemorySpec::Sram(SramParams::ideal_200mhz());
-        assert!((c.sys_clock_mhz() - 200.0).abs() < 1e-9);
+        assert_eq!(c.sys_clock_mhz(), 200.0);
         assert_eq!(c.mem_ticks_per_sys(), 1);
         let ddr4 = DramParams::ddr4_2400();
         c.memory = MemorySpec::Ddr4(ddr4);
-        assert_eq!(c.mem_ticks_per_sys(), ddr4.clock_ratio);
-        assert!((c.sys_clock_mhz() - ddr4.clock_mhz() / 6.0).abs() < 1e-9);
+        assert_eq!(c.mem_ticks_per_sys(), 6);
+        assert_eq!(c.sys_clock_mhz(), ddr4.clock_mhz() / 6.0);
+        assert_eq!(c.sys_period_ns(), 4.998);
+        let small = SimConfig::test_small();
+        assert_eq!(small.sys_clock_mhz(), 200.0);
+        assert_eq!(small.mem_ticks_per_sys(), 4);
+        assert_eq!(small.mem_burst_bytes(), 32);
+        assert_eq!(small.memory.total_bursts(), 16_384);
     }
 
     #[test]

@@ -1,16 +1,9 @@
 //! Error types for the flow lookup table.
-//!
-//! The individual failure types ([`InsertError`], [`PreloadError`],
-//! [`FullError`], …) stay precise at their
-//! call sites; [`FlowError`] is the one non-exhaustive hierarchy they
-//! all fold into for callers that route heterogeneous failures (the
-//! facade, the service layer), with `source()` chains preserved.
 
 use std::error::Error;
 use std::fmt;
 
-use crate::backend::{FullError, SessionError};
-use crate::checkpoint::CheckpointError;
+use crate::backend::FullError;
 use crate::fid::FlowId;
 
 /// Insertion failed.
@@ -183,101 +176,6 @@ impl Error for RescaleError {
     }
 }
 
-/// The unified error surface of the workspace: every failure a flow
-/// backend, checkpoint, or rescale operation can report, in one
-/// non-exhaustive hierarchy with [`source()`](Error::source) chains.
-///
-/// Call sites keep returning the precise variant type; `From` impls
-/// fold each into `FlowError` for callers that handle them uniformly.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum FlowError {
-    /// A store could not place a key ([`FullError`]).
-    Full(FullError),
-    /// A table-level insertion failure ([`InsertError`]).
-    Insert(InsertError),
-    /// Preload stopped early ([`PreloadError`]).
-    Preload(PreloadError),
-    /// A configuration was rejected ([`ConfigError`]).
-    Config(ConfigError),
-    /// Streaming-session lifecycle misuse ([`SessionError`]).
-    Session(SessionError),
-    /// Checkpoint serialization or restore failed ([`CheckpointError`]).
-    Checkpoint(CheckpointError),
-    /// Online shard rescale failed ([`RescaleError`]).
-    Rescale(RescaleError),
-}
-
-impl fmt::Display for FlowError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlowError::Full(_) => write!(f, "flow store full"),
-            FlowError::Insert(_) => write!(f, "insertion failed"),
-            FlowError::Preload(_) => write!(f, "preload failed"),
-            FlowError::Config(_) => write!(f, "configuration rejected"),
-            FlowError::Session(_) => write!(f, "session misuse"),
-            FlowError::Checkpoint(_) => write!(f, "checkpoint failed"),
-            FlowError::Rescale(_) => write!(f, "rescale failed"),
-        }
-    }
-}
-
-impl Error for FlowError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            FlowError::Full(e) => Some(e),
-            FlowError::Insert(e) => Some(e),
-            FlowError::Preload(e) => Some(e),
-            FlowError::Config(e) => Some(e),
-            FlowError::Session(e) => Some(e),
-            FlowError::Checkpoint(e) => Some(e),
-            FlowError::Rescale(e) => Some(e),
-        }
-    }
-}
-
-impl From<FullError> for FlowError {
-    fn from(e: FullError) -> Self {
-        FlowError::Full(e)
-    }
-}
-
-impl From<InsertError> for FlowError {
-    fn from(e: InsertError) -> Self {
-        FlowError::Insert(e)
-    }
-}
-
-impl From<PreloadError> for FlowError {
-    fn from(e: PreloadError) -> Self {
-        FlowError::Preload(e)
-    }
-}
-
-impl From<ConfigError> for FlowError {
-    fn from(e: ConfigError) -> Self {
-        FlowError::Config(e)
-    }
-}
-
-impl From<SessionError> for FlowError {
-    fn from(e: SessionError) -> Self {
-        FlowError::Session(e)
-    }
-}
-
-impl From<CheckpointError> for FlowError {
-    fn from(e: CheckpointError) -> Self {
-        FlowError::Checkpoint(e)
-    }
-}
-
-impl From<RescaleError> for FlowError {
-    fn from(e: RescaleError) -> Self {
-        FlowError::Rescale(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,20 +207,6 @@ mod tests {
         assert_send_sync::<PreloadError>();
         assert_send_sync::<RescaleError>();
         assert_send_sync::<DeleteQueueFull>();
-        assert_send_sync::<FlowError>();
-    }
-
-    #[test]
-    fn flow_error_chains_to_the_precise_cause() {
-        let p = PreloadError {
-            inserted: 7,
-            cause: InsertError::TableFull,
-        };
-        let e = FlowError::from(p);
-        let src = std::error::Error::source(&e).expect("FlowError carries its cause");
-        assert!(src.to_string().contains("after 7 keys"), "{src}");
-        let deeper = src.source().expect("PreloadError chains to InsertError");
-        assert!(deeper.to_string().contains("full"), "{deeper}");
     }
 
     #[test]

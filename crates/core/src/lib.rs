@@ -38,7 +38,7 @@
 //! ## Quick start (timed simulator)
 //!
 //! ```
-//! use flowlut_core::{FlowLutSim, FlowPipeline, PathId, SimConfig};
+//! use flowlut_core::{FlowLutSim, FlowPipeline, SimConfig};
 //! use flowlut_traffic::{FiveTuple, FlowKey, PacketDescriptor};
 //!
 //! let mut sim = FlowLutSim::new(SimConfig::test_small());
@@ -48,8 +48,6 @@
 //! let report = sim.start_run().run(&descs)?;
 //! assert_eq!(report.completed, 100);
 //! println!("{:.2} Mdesc/s", report.mdesc_per_s);
-//! // Per-path memory counters live on the memory models.
-//! println!("{:?}", sim.memory(PathId::A).mem_stats());
 //! # Ok::<(), flowlut_core::SessionError>(())
 //! ```
 
@@ -72,12 +70,12 @@ pub mod sync;
 pub mod table;
 
 pub use backend::{
-    FlowBackend, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, RunReport,
-    Session, SessionError, SessionProgress,
+    FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, RunReport, Session,
+    SessionError, SessionProgress,
 };
 pub use checkpoint::CheckpointError;
 pub use config::{ExpiryPolicy, LoadBalancerPolicy, PressurePolicy, SimConfig};
-pub use error::{ConfigError, DeleteQueueFull, FlowError, InsertError, PreloadError, RescaleError};
+pub use error::{ConfigError, DeleteQueueFull, InsertError, PreloadError, RescaleError};
 pub use fid::{FlowId, Location, PathId};
 pub use flow_state::FlowRecord;
 pub use multipath::{MultiHashConfig, MultiHashStats, MultiHashTable, MultiLocation};

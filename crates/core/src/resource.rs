@@ -16,7 +16,9 @@
 //! CAM depth sweeps, wider tuples, deeper queues. The bench binary prints
 //! model vs paper side by side, labelled as an estimate.
 
-use crate::config::SimConfig;
+use flowlut_ddr3::{Geometry, MemorySpec};
+
+use crate::config::{SimConfig, DLU_QUEUE_DEPTH, FLOW_MATCH_BUFFERS, SEQUENCER_DEPTH};
 
 /// Per-block resource estimate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -155,10 +157,14 @@ impl ResourceModel {
             },
         });
 
-        // Per-path DLUs: bank queues + filter state.
+        // Per-path DLUs: bank queues + filter state. The constants cost
+        // the DDR3 prototype, so other memories keep its bank count.
         let req_width = 64u64; // request descriptor width in queue bits
-        let bank_queue_bits =
-            u64::from(cfg.geometry.banks) * cfg.dlu_queue_depth as u64 * req_width;
+        let banks = match cfg.memory {
+            MemorySpec::Ddr3(p) => p.geometry.banks,
+            _ => Geometry::prototype_512mb().banks,
+        };
+        let bank_queue_bits = u64::from(banks) * DLU_QUEUE_DEPTH as u64 * req_width;
         lines.push(ResourceLine {
             component: "DLUs (2x: bank selector, request filter, mem ctrl)".into(),
             cost: ComponentCost {
@@ -174,7 +180,7 @@ impl ResourceModel {
             component: "Flow Match (2x comparator + bucket buffer)".into(),
             cost: ComponentCost {
                 alms: 2 * c.alms_per_flow_match,
-                memory_bits: 2 * bucket_bits * cfg.flow_match_buffers as u64,
+                memory_bits: 2 * bucket_bits * FLOW_MATCH_BUFFERS as u64,
                 registers: 0,
             },
         });
@@ -191,7 +197,7 @@ impl ResourceModel {
         });
 
         // Sequencer + load balancer + input queue.
-        let seq_bits = cfg.sequencer_depth as u64 * (key_bits + 96);
+        let seq_bits = SEQUENCER_DEPTH as u64 * (key_bits + 96);
         lines.push(ResourceLine {
             component: "Sequencer / load balancer".into(),
             cost: ComponentCost {
@@ -256,6 +262,22 @@ mod tests {
         );
         assert_eq!(est.plls, paper_table1::PLLS);
         assert_eq!(est.dlls, paper_table1::DLLS);
+    }
+
+    #[test]
+    fn default_config_totals_are_pinned() {
+        // The exact totals the prototype configuration costs: a moved
+        // queue depth or buffer count changes them, even within the
+        // ±10 % the paper comparison allows.
+        let est = ResourceModel::default().estimate(&SimConfig::default());
+        assert_eq!(
+            est.total,
+            ComponentCost {
+                alms: 31_068,
+                memory_bits: 2_597_088,
+                registers: 39_767,
+            }
+        );
     }
 
     #[test]

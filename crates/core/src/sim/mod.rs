@@ -47,12 +47,14 @@ use flowlut_ddr3::{AccessKind, Completion, MemRequest};
 use flowlut_traffic::{FlowKey, PacketDescriptor};
 
 use crate::backend::{
-    FlowBackend, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats,
-    SessionProgress,
+    FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, SessionProgress,
 };
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, Fnv64};
 use crate::codec;
-use crate::config::{LoadBalancerPolicy, SimConfig};
+use crate::config::{
+    LoadBalancerPolicy, SimConfig, BWR_TIMEOUT_SYS, CAM_LATENCY_SYS, CONTROLLER_QUEUE,
+    DLU_QUEUE_DEPTH, MAX_IN_FLIGHT, SEQUENCER_DEPTH,
+};
 use crate::error::{DeleteQueueFull, InsertError, PreloadError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
@@ -252,12 +254,6 @@ impl FlowLutSim {
         &self.table
     }
 
-    /// The memory model behind `path`: the timing of its bursts, and its
-    /// statistics. It holds no data; the table holds every bucket.
-    pub fn memory(&self, path: PathId) -> &dyn MemoryModel {
-        self.paths[path.index()].ctrl.as_ref()
-    }
-
     /// Simulator counters.
     pub fn stats(&self) -> &SimStats {
         &self.stats
@@ -350,7 +346,7 @@ impl FlowLutSim {
     /// Returns `false` (and leaves the descriptor untaken) when the
     /// sequencer queue is full.
     pub fn offer(&mut self, desc: PacketDescriptor) -> bool {
-        if self.seq_q.len() >= self.cfg.sequencer_depth {
+        if self.seq_q.len() >= SEQUENCER_DEPTH {
             return false;
         }
         self.push_desc(desc);
@@ -588,13 +584,13 @@ impl FlowLutSim {
         self.slots[slot].t_admit = self.now_sys;
         self.stats.admitted += 1;
         self.cam_pipe
-            .push_back((self.now_sys + self.cfg.cam_latency_sys, slot));
+            .push_back((self.now_sys + CAM_LATENCY_SYS, slot));
     }
 
     fn admit_from_queue(&mut self) {
         // The same-key filter admits one descriptor per key, so the keys
         // in flight count the descriptors in flight.
-        if self.same_key.len() >= self.cfg.max_in_flight {
+        if self.same_key.len() >= MAX_IN_FLIGHT {
             return;
         }
         let Some(slot) = self.seq_q.pop_front() else {
@@ -618,7 +614,7 @@ impl FlowLutSim {
     /// CAM hits complete here; misses are dispatched to a path.
     ///
     /// Dispatch applies DLU back-pressure: a descriptor whose target
-    /// path's LU1 queue is at [`SimConfig::dlu_queue_depth`] stalls in
+    /// path's LU1 queue is at [`DLU_QUEUE_DEPTH`] stalls in
     /// the CAM pipe (head-of-line, as a hardware FIFO would). LU2
     /// redirects are exempt — they drain existing work and blocking them
     /// could deadlock the pipeline.
@@ -659,7 +655,7 @@ impl FlowLutSim {
             .iter()
             .filter(|&&r| self.slots[r].stage == LuStage::Lu1)
             .count()
-            >= self.cfg.dlu_queue_depth
+            >= DLU_QUEUE_DEPTH
         {
             // DLU full: stall the sequencer this cycle.
             self.stats.input_stall_cycles += 1;
@@ -958,7 +954,7 @@ impl FlowLutSim {
             let by_count = p.bwr_pending.len() >= self.cfg.bwr_threshold;
             let by_timeout = p
                 .bwr_first_cycle
-                .is_some_and(|t| now - t >= self.cfg.bwr_timeout_sys);
+                .is_some_and(|t| now - t >= BWR_TIMEOUT_SYS);
             (by_count, by_timeout)
         };
         if !by_count && !by_timeout {
@@ -1002,7 +998,7 @@ impl FlowLutSim {
 
         // Writes first: they unblock held reads.
         while let Some(&w) = self.paths[path].write_q.front() {
-            let room = self.cfg.controller_queue >= self.paths[path].ctrl.queued_len() + bursts;
+            let room = CONTROLLER_QUEUE >= self.paths[path].ctrl.queued_len() + bursts;
             if !room {
                 break;
             }
@@ -1026,7 +1022,7 @@ impl FlowLutSim {
                 self.paths[path].read_q.push_back(slot);
                 continue;
             }
-            let room = self.cfg.controller_queue >= self.paths[path].ctrl.queued_len() + bursts;
+            let room = CONTROLLER_QUEUE >= self.paths[path].ctrl.queued_len() + bursts;
             if !room {
                 self.paths[path].read_q.push_front(slot);
                 break;
@@ -1493,6 +1489,10 @@ impl FlowStore for FlowLutSim {
             cam_spills: s.inserted_cam,
         }
     }
+
+    fn as_pipeline(&mut self) -> Option<&mut dyn FlowPipeline> {
+        Some(self)
+    }
 }
 
 impl FlowPipeline for FlowLutSim {
@@ -1501,7 +1501,7 @@ impl FlowPipeline for FlowLutSim {
     }
 
     fn push(&mut self, desc: PacketDescriptor) -> bool {
-        if self.seq_q.len() >= self.cfg.sequencer_depth {
+        if self.seq_q.len() >= SEQUENCER_DEPTH {
             self.stats.input_stall_cycles += 1;
             return false;
         }
@@ -1555,12 +1555,6 @@ impl FlowPipeline for FlowLutSim {
 
     fn input_rate_per_cycle(&self) -> f64 {
         self.cfg.input_rate_mhz / self.cfg.sys_clock_mhz()
-    }
-}
-
-impl FlowBackend for FlowLutSim {
-    fn as_pipeline(&mut self) -> Option<&mut dyn FlowPipeline> {
-        Some(self)
     }
 }
 

@@ -309,9 +309,7 @@ fn report_throughput_is_positive_and_bounded() {
 fn storage_and_table_agree_after_mixed_run() {
     // End-to-end consistency: after inserts and deletes settle, the
     // buckets Flow Match reads hold exactly the table's flows.
-    let mut cfg = SimConfig::test_small();
-    cfg.bwr_timeout_sys = 8; // flush writes promptly
-    let mut sim = FlowLutSim::new(cfg);
+    let mut sim = FlowLutSim::new(SimConfig::test_small());
     run(&mut sim, &descs(0..50));
     delete(&mut sim, key(3));
     delete(&mut sim, key(7));
@@ -364,7 +362,6 @@ fn input_rate_limits_throughput() {
 fn bwr_timeout_flushes_stragglers() {
     let mut cfg = SimConfig::test_small();
     cfg.bwr_threshold = 100; // count threshold unreachable
-    cfg.bwr_timeout_sys = 32;
     let mut sim = FlowLutSim::new(cfg);
     let report = run(&mut sim, &descs(0..3));
     assert_eq!(report.completed, 3);
@@ -416,23 +413,22 @@ fn offer_and_tick_drive_the_pipeline_without_run() {
 
 #[test]
 fn offer_batch_respects_sequencer_depth() {
-    let mut cfg = SimConfig::test_small();
-    cfg.sequencer_depth = 8;
-    let mut sim = FlowLutSim::new(cfg);
-    let work = descs(0..20);
+    let mut sim = FlowLutSim::new(SimConfig::test_small());
+    let n = SEQUENCER_DEPTH as u64 + 20;
+    let work = descs(0..n);
     let taken = work.iter().take_while(|&&d| sim.offer(d)).count();
-    assert_eq!(taken, 8, "sequencer depth bounds the queue");
+    assert_eq!(taken, SEQUENCER_DEPTH, "sequencer depth bounds the queue");
     assert!(!sim.offer(work[taken]), "queue full rejects single offers");
     // Drain, then the remainder fits.
     let mut rest = taken;
     let mut guard = 0u64;
-    while sim.stats().completed < 20 {
+    while sim.stats().completed < n {
         rest += work[rest..].iter().take_while(|&&d| sim.offer(d)).count();
         sim.tick();
         guard += 1;
         assert!(guard < 1_000_000, "externally driven pipeline stalled");
     }
-    assert_eq!(sim.stats().completed, 20);
+    assert_eq!(sim.stats().completed, n);
 }
 
 /// The simulator keeps a descriptor's state only while the pipeline
@@ -679,7 +675,7 @@ fn dram_keeps_the_saved_line_until_the_bucket_write_lands() {
 
     // A new flow, placed by a hash override: once its descriptor
     // completes, the table holds it, while its bucket write waits in
-    // BWr_Gen (up to `bwr_timeout_sys` for a lone update).
+    // BWr_Gen (up to `BWR_TIMEOUT_SYS` for a lone update).
     let new = key(1);
     assert!(sim.offer(PacketDescriptor::new(0, new).with_hash_override(5 << 24, 9 << 24)));
     while sim.completions().is_empty() {
@@ -972,7 +968,7 @@ fn expiry_scan_is_amortized_not_stop_the_world() {
         idle_timeout_cycles: 20,
         scan_stride: 64,
     });
-    let settle_bound = 2 * cfg.bwr_timeout_sys;
+    let settle_bound = 2 * BWR_TIMEOUT_SYS;
     let mut sim = FlowLutSim::new(cfg);
     sim.preload((0..500).map(key)).unwrap();
     let mut emptied = None;

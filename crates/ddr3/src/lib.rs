@@ -36,7 +36,7 @@
 //! memory behind the same transactional surface, with alternative
 //! technologies in [`dram`] (bank-grouped DDR4-2400 and multi-channel
 //! HBM2-style models) and [`sram`] (an idealized fixed-latency bound),
-//! selected via [`MemorySpec`]/[`MemoryKind`]. These power the
+//! selected, with their parameters, by [`MemorySpec`]. These power the
 //! line-rate headroom study (`BENCH_memory.json`).
 //!
 //! ## Example
@@ -81,7 +81,7 @@ pub use controller::{
 pub use device::{Command, CommandOutcome, Ddr3Device};
 pub use dram::{DramParams, GroupedDramModel};
 pub use error::{ConfigError, EnqueueError, TimingViolation};
-pub use model::{MemStats, MemoryKind, MemoryModel, MemorySpec};
+pub use model::{Ddr3Params, MemStats, MemoryModel, MemorySpec};
 pub use sram::{SramModel, SramParams};
 pub use stats::{ControllerStats, DeviceStats};
 pub use timing::{TimingParams, TimingPreset};

@@ -7,7 +7,7 @@
 //! drain, and expose occupancy and statistics. The models are timing
 //! only: requests carry no data, and the caller keeps what a burst
 //! moves. [`MemoryModel`] captures exactly that
-//! surface as an object-safe trait — mirroring how `FlowBackend`
+//! surface as an object-safe trait — mirroring how `FlowStore`
 //! unified the workspace's flow structures — so the simulator, engine
 //! and facade can ask the 2026 question ("which memory technology holds
 //! 400GbE, at how many shards?") without re-plumbing a concrete type
@@ -16,19 +16,20 @@
 //! Implementations:
 //!
 //! * [`MemoryController`] — the paper's cycle-level DDR3 model
-//!   (reference behaviour; the legacy path is byte-identical through
-//!   the trait).
+//!   (the reference behaviour).
 //! * [`GroupedDramModel`] — a
 //!   closed-page, bank-grouped, multi-channel DRAM engine configured as
 //!   DDR4-2400 or an HBM2-style stack via [`DramParams`].
 //! * [`SramModel`] — an idealized fixed-latency
 //!   SRAM bound.
 
-use crate::controller::{Completion, ControllerConfig, MemRequest, MemoryController};
+use crate::address::{AddressMapping, Geometry};
+use crate::controller::{Completion, ControllerConfig, MemRequest, MemoryController, PagePolicy};
 use crate::dram::{DramParams, GroupedDramModel};
 use crate::error::{ConfigError, EnqueueError};
 use crate::sram::{SramModel, SramParams};
 use crate::stats::{ControllerStats, DeviceStats};
+use crate::timing::{TimingParams, TimingPreset};
 
 /// Unified statistics of one memory model: scheduler-level counters
 /// plus device-level command counters. Models without a command-level
@@ -164,64 +165,40 @@ impl MemoryModel for MemoryController {
     }
 }
 
-/// Named memory technologies — the sweep axis of the line-rate headroom
-/// study (`BENCH_memory.json`) and the facade builder's coarse dial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The DDR3 part behind one lookup path: its JEDEC timing, its
+/// geometry, and how many memory-clock cycles make one system cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum MemoryKind {
-    /// JEDEC DDR3 (the paper's technology; legacy timing/geometry knobs).
-    Ddr3,
-    /// DDR4-2400-class device with bank groups (tCCD_S/tCCD_L).
-    Ddr4,
-    /// HBM2-style stack: many narrow channels, low tRC.
-    Hbm2,
-    /// Idealized fixed-latency SRAM bound.
-    Sram,
+pub struct Ddr3Params {
+    /// JEDEC timing of the part.
+    pub timing: TimingParams,
+    /// Banks, rows, columns and burst shape of the part.
+    pub geometry: Geometry,
+    /// Memory-clock cycles per system-clock cycle (the prototype's
+    /// quarter-rate user logic: 4).
+    pub clock_ratio: u32,
 }
 
-impl MemoryKind {
-    /// Every kind, in the headroom study's sweep order.
-    pub const ALL: [MemoryKind; 4] = [
-        MemoryKind::Ddr3,
-        MemoryKind::Ddr4,
-        MemoryKind::Hbm2,
-        MemoryKind::Sram,
-    ];
-
-    /// Short lower-case name (bench/JSON identifier).
-    pub fn name(self) -> &'static str {
-        match self {
-            MemoryKind::Ddr3 => "ddr3",
-            MemoryKind::Ddr4 => "ddr4",
-            MemoryKind::Hbm2 => "hbm2",
-            MemoryKind::Sram => "sram",
-        }
-    }
-
-    /// The calibrated default parameter set for this technology (see
-    /// DESIGN.md §Calibration): DDR3 selects the consumer's legacy
-    /// timing fields; the rest carry their own parameters.
-    pub fn default_spec(self) -> MemorySpec {
-        match self {
-            MemoryKind::Ddr3 => MemorySpec::Ddr3,
-            MemoryKind::Ddr4 => MemorySpec::Ddr4(DramParams::ddr4_2400()),
-            MemoryKind::Hbm2 => MemorySpec::Hbm2(DramParams::hbm2_2gbps()),
-            MemoryKind::Sram => MemorySpec::Sram(SramParams::ideal_200mhz()),
+impl Default for Ddr3Params {
+    /// The prototype's part: DDR3-1600 at 800 MHz, 512 MiB, under a
+    /// 200 MHz system clock.
+    fn default() -> Self {
+        Ddr3Params {
+            timing: TimingPreset::Ddr3_1600.params(),
+            geometry: Geometry::prototype_512mb(),
+            clock_ratio: 4,
         }
     }
 }
 
-/// Full memory-technology selection: which model to build, with its
-/// parameters. The default ([`MemorySpec::Ddr3`]) keeps the legacy
-/// path: the consumer's existing DDR3 timing/geometry/mapping fields
-/// configure a [`MemoryController`], byte-identical to the
-/// pre-trait-extraction behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Which memory technology backs each lookup path, with its
+/// parameters. Each variant carries everything its model needs; the
+/// default is the paper's DDR3 prototype part.
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemorySpec {
-    /// DDR3 via the consumer's legacy `TimingParams`/`Geometry` fields.
-    #[default]
-    Ddr3,
+    /// The paper's DDR3 controller, from explicit [`Ddr3Params`].
+    Ddr3(Ddr3Params),
     /// DDR4 with bank groups, from explicit [`DramParams`].
     Ddr4(DramParams),
     /// HBM2-style multi-channel stack, from explicit [`DramParams`].
@@ -230,75 +207,129 @@ pub enum MemorySpec {
     Sram(SramParams),
 }
 
+impl Default for MemorySpec {
+    fn default() -> Self {
+        MemorySpec::Ddr3(Ddr3Params::default())
+    }
+}
+
 impl MemorySpec {
-    /// The coarse technology tag of this spec.
-    pub fn kind(&self) -> MemoryKind {
+    /// The calibrated default spec of every technology (see DESIGN.md
+    /// §Calibration), in the headroom study's sweep order.
+    pub fn defaults() -> [MemorySpec; 4] {
+        [
+            MemorySpec::default(),
+            MemorySpec::Ddr4(DramParams::ddr4_2400()),
+            MemorySpec::Hbm2(DramParams::hbm2_2gbps()),
+            MemorySpec::Sram(SramParams::ideal_200mhz()),
+        ]
+    }
+
+    /// Short lower-case technology name (bench/JSON identifier).
+    pub fn name(&self) -> &'static str {
         match self {
-            MemorySpec::Ddr3 => MemoryKind::Ddr3,
-            MemorySpec::Ddr4(_) => MemoryKind::Ddr4,
-            MemorySpec::Hbm2(_) => MemoryKind::Hbm2,
-            MemorySpec::Sram(_) => MemoryKind::Sram,
+            MemorySpec::Ddr3(_) => "ddr3",
+            MemorySpec::Ddr4(_) => "ddr4",
+            MemorySpec::Hbm2(_) => "hbm2",
+            MemorySpec::Sram(_) => "sram",
         }
     }
 
-    /// Short lower-case technology name.
-    pub fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Validates the carried parameters. `Ddr3` is vacuously valid
-    /// here: its parameters live in the consumer's config, which
-    /// validates them through `TimingParams::validate`.
+    /// Validates the carried parameters.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for an internally inconsistent
-    /// parameter set (see [`DramParams::validate`] /
-    /// [`SramParams::validate`]).
+    /// parameter set (see [`TimingParams::validate`],
+    /// [`Geometry::validate`], [`DramParams::validate`] and
+    /// [`SramParams::validate`]) or a zero DDR3 clock ratio.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self {
-            MemorySpec::Ddr3 => Ok(()),
+            MemorySpec::Ddr3(p) => {
+                p.timing.validate()?;
+                p.geometry.validate()?;
+                if p.clock_ratio == 0 {
+                    return Err(ConfigError::new("clock_ratio must be non-zero"));
+                }
+                Ok(())
+            }
             MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.validate(),
             MemorySpec::Sram(p) => p.validate(),
         }
     }
 
-    /// Memory-clock cycles per consumer (system) cycle. `Ddr3` defers
-    /// to the consumer's legacy `clock_ratio` field, passed as
-    /// `legacy_ratio`.
-    pub fn ticks_per_sys(&self, legacy_ratio: u32) -> u32 {
+    /// System-clock frequency in MHz: the memory clock divided by the
+    /// clock ratio (DDR3 prototype: 800 / 4 = 200 MHz).
+    pub fn sys_clock_mhz(&self) -> f64 {
         match self {
-            MemorySpec::Ddr3 => legacy_ratio,
+            MemorySpec::Ddr3(p) => p.timing.clock_mhz() / f64::from(p.clock_ratio),
+            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.clock_mhz() / f64::from(p.clock_ratio),
+            MemorySpec::Sram(p) => p.clock_mhz(),
+        }
+    }
+
+    /// Memory-clock cycles per system cycle.
+    pub fn ticks_per_sys(&self) -> u32 {
+        match self {
+            MemorySpec::Ddr3(p) => p.clock_ratio,
             MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.clock_ratio,
             MemorySpec::Sram(_) => 1,
         }
     }
 
-    /// Builds the model behind the trait. The DDR3 variant consumes the
-    /// caller-supplied [`ControllerConfig`] (the legacy fields);
-    /// the other variants take only its queue capacity and refresh
-    /// switch, carrying everything else themselves.
+    /// Bytes per memory burst.
+    pub fn burst_bytes(&self) -> usize {
+        match self {
+            MemorySpec::Ddr3(p) => p.geometry.burst_bytes(),
+            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.burst_bytes(),
+            MemorySpec::Sram(p) => p.burst_bytes,
+        }
+    }
+
+    /// Burst-aligned capacity of one memory.
+    pub fn total_bursts(&self) -> u64 {
+        match self {
+            MemorySpec::Ddr3(p) => p.geometry.total_bursts(),
+            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.total_bursts(),
+            MemorySpec::Sram(p) => p.total_bursts,
+        }
+    }
+
+    /// Builds the model behind the trait, with a request queue of
+    /// `queue_capacity` and refresh on or off.
     ///
     /// # Panics
     ///
     /// Panics if the parameters are invalid; call
     /// [`validate`](Self::validate) first for fallible handling.
-    pub fn build(&self, legacy: ControllerConfig) -> Box<dyn MemoryModel> {
+    pub fn build(&self, queue_capacity: usize, refresh_enabled: bool) -> Box<dyn MemoryModel> {
         match self {
-            MemorySpec::Ddr3 => Box::new(MemoryController::new(legacy)),
+            MemorySpec::Ddr3(p) => Box::new(MemoryController::new(ControllerConfig {
+                timing: p.timing,
+                geometry: p.geometry,
+                // Consecutive buckets in consecutive banks: the
+                // interleave the paper's Bank Selector exploits.
+                mapping: AddressMapping::RowColBank,
+                page_policy: PagePolicy::Closed,
+                queue_capacity,
+                refresh_enabled,
+                // One command per user-logic (system) cycle.
+                cmd_interval: u64::from(p.clock_ratio),
+                ..ControllerConfig::default()
+            })),
             MemorySpec::Ddr4(p) => Box::new(GroupedDramModel::new(
                 "ddr4",
                 *p,
-                legacy.queue_capacity,
-                legacy.refresh_enabled,
+                queue_capacity,
+                refresh_enabled,
             )),
             MemorySpec::Hbm2(p) => Box::new(GroupedDramModel::new(
                 "hbm2",
                 *p,
-                legacy.queue_capacity,
-                legacy.refresh_enabled,
+                queue_capacity,
+                refresh_enabled,
             )),
-            MemorySpec::Sram(p) => Box::new(SramModel::new(*p, legacy.queue_capacity)),
+            MemorySpec::Sram(p) => Box::new(SramModel::new(*p, queue_capacity)),
         }
     }
 }
@@ -306,10 +337,8 @@ impl MemorySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address::Geometry;
-    use crate::timing::TimingPreset;
 
-    fn legacy_cfg() -> ControllerConfig {
+    fn tiny_1066e() -> ControllerConfig {
         ControllerConfig {
             timing: TimingPreset::Ddr3_1066E.params(),
             geometry: Geometry::tiny(),
@@ -322,8 +351,8 @@ mod tests {
     fn controller_behaves_identically_through_the_trait() {
         // Drive one instance concretely and one through Box<dyn …> with
         // the same request stream: identical completions and stats.
-        let mut concrete = MemoryController::new(legacy_cfg());
-        let mut boxed: Box<dyn MemoryModel> = Box::new(MemoryController::new(legacy_cfg()));
+        let mut concrete = MemoryController::new(tiny_1066e());
+        let mut boxed: Box<dyn MemoryModel> = Box::new(MemoryController::new(tiny_1066e()));
         for i in 0..8u64 {
             concrete.enqueue(MemRequest::read(i, i * 3)).unwrap();
             boxed.enqueue(MemRequest::read(i, i * 3)).unwrap();
@@ -343,16 +372,15 @@ mod tests {
 
     #[test]
     fn every_kind_builds_and_completes_a_read() {
-        for kind in MemoryKind::ALL {
-            let spec = kind.default_spec();
+        for spec in MemorySpec::defaults() {
             spec.validate().unwrap();
-            let mut m = spec.build(legacy_cfg());
-            assert_eq!(m.name(), kind.name());
+            let mut m = spec.build(32, false);
+            assert_eq!(m.name(), spec.name());
             assert!(m.is_drained());
             m.enqueue(MemRequest::read(1, 0)).unwrap();
             assert_eq!(m.occupancy(), 1);
             let done = m.drain(1_000_000);
-            assert_eq!(done.len(), 1, "{}", kind.name());
+            assert_eq!(done.len(), 1, "{}", spec.name());
             assert_eq!(done[0].id, 1);
             assert_eq!(m.mem_stats().controller.reads_done, 1);
         }
@@ -360,14 +388,15 @@ mod tests {
 
     #[test]
     fn spec_reports_kind_and_ratio() {
-        assert_eq!(MemorySpec::Ddr3.kind(), MemoryKind::Ddr3);
-        assert_eq!(MemorySpec::Ddr3.ticks_per_sys(4), 4);
-        let ddr4 = MemoryKind::Ddr4.default_spec();
-        assert_eq!(ddr4.ticks_per_sys(4), DramParams::ddr4_2400().clock_ratio);
-        assert_eq!(MemoryKind::Sram.default_spec().ticks_per_sys(4), 1);
-        assert_eq!(MemorySpec::default(), MemorySpec::Ddr3);
-        for kind in MemoryKind::ALL {
-            assert_eq!(kind.default_spec().name(), kind.name());
-        }
+        let names = MemorySpec::defaults().map(|s| s.name());
+        assert_eq!(names, ["ddr3", "ddr4", "hbm2", "sram"]);
+        let ratios = MemorySpec::defaults().map(|s| s.ticks_per_sys());
+        assert_eq!(ratios, [4, 6, 5, 1]);
+        assert_eq!(MemorySpec::default().ticks_per_sys(), 4);
+        let zero = Ddr3Params {
+            clock_ratio: 0,
+            ..Ddr3Params::default()
+        };
+        assert!(MemorySpec::Ddr3(zero).validate().is_err());
     }
 }

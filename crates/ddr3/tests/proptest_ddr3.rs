@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use flowlut_ddr3::bus::{analytic_utilization, TurnaroundModel};
 use flowlut_ddr3::{
     AccessKind, AddressMapping, Completion, ControllerConfig, DramParams, Geometry, MemRequest,
-    MemoryController, MemoryKind, SramParams, TimingPreset,
+    MemoryController, MemoryModel, MemorySpec, SramParams, TimingPreset,
 };
 
 fn geometry_strategy() -> impl Strategy<Value = Geometry> {
@@ -239,15 +239,8 @@ proptest! {
     fn same_address_requests_keep_arrival_order(
         steps in prop::collection::vec(step(), 1..48),
     ) {
-        let legacy = ControllerConfig {
-            timing: TimingPreset::Ddr3_1066E.params(),
-            geometry: Geometry::tiny(),
-            queue_capacity: 64,
-            refresh_enabled: true,
-            ..ControllerConfig::default()
-        };
-        for kind in MemoryKind::ALL {
-            let mut m = kind.default_spec().build(legacy.clone());
+        for mut m in every_model() {
+            let name = m.name();
             let mut done: Vec<Completion> = Vec::new();
             for (id, s) in steps.iter().enumerate() {
                 for _ in 0..s.idle {
@@ -265,11 +258,11 @@ proptest! {
             // Each request once, with its own address and kind.
             let mut ids: Vec<u64> = done.iter().map(|c| c.id).collect();
             ids.sort_unstable();
-            prop_assert_eq!(ids, (0..steps.len() as u64).collect::<Vec<_>>(), "{}", kind.name());
+            prop_assert_eq!(ids, (0..steps.len() as u64).collect::<Vec<_>>(), "{}", name);
             for c in &done {
                 let s = &steps[c.id as usize];
                 let want = if s.write { AccessKind::Write } else { AccessKind::Read };
-                prop_assert_eq!((c.addr, c.kind), (s.addr, want), "{}", kind.name());
+                prop_assert_eq!((c.addr, c.kind), (s.addr, want), "{}", name);
             }
 
             // Per address, in arrival (ID) order: when each completed,
@@ -279,17 +272,16 @@ proptest! {
                 .iter()
                 .enumerate()
                 .map(|(at, c)| {
-                    let when = match kind {
-                        MemoryKind::Sram => {
-                            let latency = match c.kind {
-                                AccessKind::Read => sram.read_latency,
-                                AccessKind::Write => sram.write_latency,
-                            };
-                            c.completed_at - latency
-                        }
+                    let when = if name == "sram" {
+                        let latency = match c.kind {
+                            AccessKind::Read => sram.read_latency,
+                            AccessKind::Write => sram.write_latency,
+                        };
+                        c.completed_at - latency
+                    } else {
                         // Position in the completion stream: ticks in
                         // order, each tick's completions as returned.
-                        _ => at as u64,
+                        at as u64
                     };
                     (c.addr, c.id, when)
                 })
@@ -300,12 +292,29 @@ proptest! {
                     prop_assert!(
                         w[0].2 <= w[1].2,
                         "{}: request {} to address {} finished ahead of request {}",
-                        kind.name(), w[1].1, w[0].0, w[0].1
+                        name, w[1].1, w[0].0, w[0].1
                     );
                 }
             }
         }
     }
+}
+
+/// A fresh instance of every memory model: the DDR3 controller on the
+/// tiny DDR3-1066E part (open page), then every default spec (its DDR3
+/// controller closed-page, as every program runs it), each with a
+/// 64-request queue and refresh on.
+fn every_model() -> Vec<Box<dyn MemoryModel>> {
+    let ddr3 = ControllerConfig {
+        timing: TimingPreset::Ddr3_1066E.params(),
+        geometry: Geometry::tiny(),
+        queue_capacity: 64,
+        refresh_enabled: true,
+        ..ControllerConfig::default()
+    };
+    let mut models: Vec<Box<dyn MemoryModel>> = vec![Box::new(MemoryController::new(ddr3))];
+    models.extend(MemorySpec::defaults().map(|s| s.build(64, true)));
+    models
 }
 
 /// A request to any burst of the tiny geometry, enqueued after some
@@ -331,16 +340,8 @@ proptest! {
         classes in 1u64..64,
         salt in any::<u64>(),
     ) {
-        let legacy = ControllerConfig {
-            timing: TimingPreset::Ddr3_1066E.params(),
-            geometry: Geometry::tiny(),
-            queue_capacity: 64,
-            refresh_enabled: true,
-            ..ControllerConfig::default()
-        };
-        for kind in MemoryKind::ALL {
-            let run = |label: &dyn Fn(u64) -> u64| {
-                let mut m = kind.default_spec().build(legacy.clone());
+        for (a, b) in every_model().into_iter().zip(every_model()) {
+            let run = |mut m: Box<dyn MemoryModel>, label: &dyn Fn(u64) -> u64| {
                 let mut done: Vec<Completion> = Vec::new();
                 for (i, s) in steps.iter().enumerate() {
                     for _ in 0..s.idle {
@@ -359,7 +360,8 @@ proptest! {
                     .map(|c| (c.kind, c.addr, c.enqueued_at, c.completed_at))
                     .collect::<Vec<_>>()
             };
-            prop_assert_eq!(run(&|i| i), run(&|i| (i % classes) ^ salt), "{}", kind.name());
+            let name = a.name();
+            prop_assert_eq!(run(a, &|i| i), run(b, &|i| (i % classes) ^ salt), "{}", name);
         }
     }
 }

@@ -32,36 +32,35 @@ pub enum ExecutionMode {
     Threaded(usize),
 }
 
+/// Per-shard ingest batch: the splitter hands descriptors to a channel
+/// in groups of this size, preserving the paper's burst-grouping within
+/// each channel.
+pub(crate) const BATCH: usize = 8;
+/// A partially filled batch is flushed after this many system cycles
+/// (bounds latency on shard-quiet traffic, like BWr_Gen's timeout).
+pub(crate) const BATCH_TIMEOUT_SYS: u64 = 32;
+/// Per-shard staging capacity at the splitter. When one shard's staging
+/// fills (its channel is saturated), the splitter stalls the whole
+/// input — head-of-line, as a hardware distributor would.
+pub(crate) const STAGING_CAP: usize = 64;
+const _: () = assert!(STAGING_CAP >= BATCH, "staging must hold a batch");
+
 /// Full configuration of [`ShardedFlowLut`](crate::ShardedFlowLut).
 ///
 /// Each shard is one complete paper prototype ([`SimConfig`]) — a
 /// dual-path lookup engine over two DDR3 memories — so an N-shard
-/// engine drives 2 N independent DDR3 channels. The engine paces the
-/// *aggregate* input; the per-shard `input_rate_mhz` inside
-/// [`shard`](Self::shard) is ignored (the engine offers descriptors
-/// directly into each channel's sequencer).
+/// engine drives 2 N independent DDR3 channels. The engine offers
+/// every shard its own `input_rate_mhz`: `shards × shard.input_rate_mhz`
+/// in aggregate, paced at the splitter.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Number of channels (shards). Need not be a power of two.
     pub shards: usize,
-    /// Per-channel simulator configuration (table sizing, DDR3 timing,
-    /// queue depths). All channels are identical, as hardware would be.
+    /// Per-channel simulator configuration (table sizing, memory,
+    /// offered rate). All channels are identical, as hardware would be.
     pub shard: SimConfig,
     /// Seed of the shard router's key hash.
     pub router_seed: u64,
-    /// Aggregate offered descriptor rate in MHz, across all shards.
-    pub input_rate_mhz: f64,
-    /// Per-shard ingest batch: the splitter hands descriptors to a
-    /// channel in groups of this size, preserving the paper's
-    /// burst-grouping within each channel.
-    pub batch: usize,
-    /// A partially filled batch is flushed after this many system cycles
-    /// (bounds latency on shard-quiet traffic, like BWr_Gen's timeout).
-    pub batch_timeout_sys: u64,
-    /// Per-shard staging capacity at the splitter. When one shard's
-    /// staging fills (its channel is saturated), the splitter stalls the
-    /// whole input — head-of-line, as a hardware distributor would.
-    pub staging_cap: usize,
     /// Which host threads step the shards each cycle (bit-identical
     /// either way; see [`ExecutionMode`]).
     pub execution: ExecutionMode,
@@ -75,10 +74,6 @@ impl EngineConfig {
             shards,
             shard: SimConfig::default(),
             router_seed: 0x5EED_C4A7,
-            input_rate_mhz: shards as f64 * 100.0,
-            batch: 8,
-            batch_timeout_sys: 32,
-            staging_cap: 64,
             execution: ExecutionMode::Inline,
         }
     }
@@ -86,9 +81,7 @@ impl EngineConfig {
     /// A scaled-down two-shard configuration for fast unit tests.
     pub fn test_small() -> Self {
         EngineConfig {
-            shards: 2,
             shard: SimConfig::test_small(),
-            input_rate_mhz: 200.0,
             ..EngineConfig::prototype(2)
         }
     }
@@ -103,32 +96,21 @@ impl EngineConfig {
         self.shard.sys_period_ns()
     }
 
+    /// Aggregate offered descriptor rate in MHz, across all shards.
+    pub fn input_rate_mhz(&self) -> f64 {
+        self.shards as f64 * self.shard.input_rate_mhz
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the per-shard configuration is invalid,
-    /// any count is zero, the staging capacity cannot hold a batch, or
-    /// the aggregate rate exceeds one descriptor per shard per system
-    /// cycle.
+    /// the shard count is zero, or the executor count is zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.shard.validate()?;
         if self.shards == 0 {
             return Err(ConfigError::new("shards must be non-zero"));
-        }
-        if self.batch == 0 {
-            return Err(ConfigError::new("batch must be non-zero"));
-        }
-        if self.staging_cap < self.batch {
-            return Err(ConfigError::new("staging_cap must hold at least one batch"));
-        }
-        let max_rate = self.shards as f64 * self.sys_clock_mhz();
-        if self.input_rate_mhz <= 0.0 || self.input_rate_mhz > max_rate {
-            return Err(ConfigError::new(format!(
-                "aggregate input rate {} MHz must be in (0, {max_rate}] \
-                 (one descriptor per shard per system cycle max)",
-                self.input_rate_mhz
-            )));
         }
         if self.execution == ExecutionMode::Threaded(0) {
             return Err(ConfigError::new("Threaded executor count must be non-zero"));
@@ -160,30 +142,28 @@ mod tests {
         let mut c = EngineConfig::test_small();
         c.shards = 0;
         assert!(c.validate().is_err());
-        let mut c = EngineConfig::test_small();
-        c.batch = 0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn staging_must_hold_a_batch() {
-        let mut c = EngineConfig::test_small();
-        c.staging_cap = c.batch - 1;
-        assert!(c.validate().is_err());
     }
 
     #[test]
     fn aggregate_rate_bounded_by_shard_count() {
+        // At most one descriptor per shard per system cycle: each
+        // shard's own rate is bounded by its clock.
         let mut c = EngineConfig::test_small();
-        c.input_rate_mhz = c.shards as f64 * c.sys_clock_mhz() + 1.0;
+        c.shard.input_rate_mhz = c.sys_clock_mhz();
+        c.validate().unwrap();
+        c.shard.input_rate_mhz = c.sys_clock_mhz() + 1.0;
         assert!(c.validate().is_err());
-        c.input_rate_mhz = 0.0;
+        c.shard.input_rate_mhz = 0.0;
         assert!(c.validate().is_err());
     }
 
     #[test]
     fn prototype_scales_rate_with_shards() {
-        assert!((EngineConfig::prototype(8).input_rate_mhz - 800.0).abs() < 1e-9);
+        assert_eq!(EngineConfig::prototype(8).input_rate_mhz(), 800.0);
+        assert_eq!(EngineConfig::test_small().input_rate_mhz(), 200.0);
+        let mut c = EngineConfig::prototype(4);
+        c.shard.input_rate_mhz = 60.0;
+        assert_eq!(c.input_rate_mhz(), 240.0);
     }
 
     #[test]

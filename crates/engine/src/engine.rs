@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::ops::Deref;
 
 use flowlut_core::backend::{
-    FlowBackend, FlowEvent, FlowPipeline, FlowStore, FullError, OpStats, SessionProgress,
+    FlowEvent, FlowPipeline, FlowStore, FullError, OpStats, SessionProgress,
 };
 use flowlut_core::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use flowlut_core::sync::{thread, Arc, Mutex, MutexGuard};
@@ -14,7 +14,7 @@ use flowlut_core::{
 };
 use flowlut_traffic::{FlowKey, PacketDescriptor};
 
-use crate::config::{EngineConfig, ExecutionMode};
+use crate::config::{EngineConfig, ExecutionMode, BATCH, BATCH_TIMEOUT_SYS, STAGING_CAP};
 use crate::pool::WorkerPool;
 use crate::router::ShardRouter;
 
@@ -66,16 +66,16 @@ struct ShardLane {
 impl ShardLane {
     /// Advances this lane one engine cycle: flushes the staged batch
     /// into the channel's sequencer when due, then steps the channel.
-    /// A batch is *due* when it reaches the configured size, when its
+    /// A batch is *due* when it reaches [`BATCH`] descriptors, when its
     /// oldest descriptor times out, or when end of input has been
     /// declared. This is the one per-cycle body both execution modes
     /// run, so the threaded engine is bit-identical by construction.
-    fn step(&mut self, now_sys: u64, draining: bool, batch: usize, batch_timeout_sys: u64) {
-        let due = self.staging.len() >= batch
+    fn step(&mut self, now_sys: u64, draining: bool) {
+        let due = self.staging.len() >= BATCH
             || (draining && !self.staging.is_empty())
             || self
                 .staged_first_cycle
-                .is_some_and(|t| now_sys - t >= batch_timeout_sys);
+                .is_some_and(|t| now_sys - t >= BATCH_TIMEOUT_SYS);
         if due {
             while let Some(&d) = self.staging.front() {
                 if self.sim.offer(d) {
@@ -224,10 +224,9 @@ impl ShardedFlowLut {
                         .step_by(executors)
                         .map(Arc::clone)
                         .collect();
-                    let (batch, batch_timeout_sys) = (cfg.batch, cfg.batch_timeout_sys);
                     move |now_sys: u64, draining: bool| {
                         for lane in &my_lanes {
-                            lock(lane).step(now_sys, draining, batch, batch_timeout_sys);
+                            lock(lane).step(now_sys, draining);
                         }
                     }
                 })
@@ -349,8 +348,8 @@ impl ShardedFlowLut {
 
     /// Advances the whole engine one system-clock cycle: per shard,
     /// flushes due staged batches into the channel's sequencer, then
-    /// steps the channel (lockstep). A batch is *due* when it reaches the
-    /// configured size, when its oldest descriptor times out, or when end
+    /// steps the channel (lockstep). A batch is *due* when it reaches its
+    /// fixed size, when its oldest descriptor times out, or when end
     /// of input has been declared ([`FlowPipeline::drain`]).
     ///
     /// Inline mode steps every lane on the calling thread; threaded mode
@@ -362,12 +361,7 @@ impl ShardedFlowLut {
         match &self.pool {
             None => {
                 for lane in &self.lanes {
-                    lock(lane).step(
-                        self.now_sys,
-                        self.draining,
-                        self.cfg.batch,
-                        self.cfg.batch_timeout_sys,
-                    );
+                    lock(lane).step(self.now_sys, self.draining);
                 }
             }
             Some(pool) => {
@@ -375,12 +369,7 @@ impl ShardedFlowLut {
                 // The caller is executor 0: step its own lane share
                 // while the workers run theirs.
                 for lane in self.lanes.iter().step_by(self.executors) {
-                    lock(lane).step(
-                        self.now_sys,
-                        self.draining,
-                        self.cfg.batch,
-                        self.cfg.batch_timeout_sys,
-                    );
+                    lock(lane).step(self.now_sys, self.draining);
                 }
                 pool.finish_round();
             }
@@ -396,12 +385,7 @@ impl ShardedFlowLut {
             self.now_sys += 1;
             for (s, lane) in self.lanes.iter().enumerate() {
                 if s != owner {
-                    lock(lane).step(
-                        self.now_sys,
-                        self.draining,
-                        self.cfg.batch,
-                        self.cfg.batch_timeout_sys,
-                    );
+                    lock(lane).step(self.now_sys, self.draining);
                 }
             }
         }
@@ -770,6 +754,10 @@ impl FlowStore for ShardedFlowLut {
         }
         agg
     }
+
+    fn as_pipeline(&mut self) -> Option<&mut dyn FlowPipeline> {
+        Some(self)
+    }
 }
 
 impl FlowPipeline for ShardedFlowLut {
@@ -790,7 +778,7 @@ impl FlowPipeline for ShardedFlowLut {
     fn push(&mut self, desc: PacketDescriptor) -> bool {
         let s = self.router.route(&desc.key);
         let mut lane = lock(&self.lanes[s]);
-        if lane.staging.len() >= self.cfg.staging_cap {
+        if lane.staging.len() >= STAGING_CAP {
             self.splitter_stall_cycles += 1;
             return false;
         }
@@ -862,7 +850,7 @@ impl FlowPipeline for ShardedFlowLut {
     }
 
     fn input_rate_per_cycle(&self) -> f64 {
-        self.cfg.input_rate_mhz / self.cfg.sys_clock_mhz()
+        self.cfg.input_rate_mhz() / self.cfg.sys_clock_mhz()
     }
 
     fn burst_cap(&self) -> f64 {
@@ -874,17 +862,12 @@ impl FlowPipeline for ShardedFlowLut {
     }
 }
 
-impl FlowBackend for ShardedFlowLut {
-    fn as_pipeline(&mut self) -> Option<&mut dyn FlowPipeline> {
-        Some(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use flowlut_core::backend::RunReport;
     use flowlut_core::InsertError;
+    use flowlut_ddr3::{MemorySpec, SramParams};
     use flowlut_traffic::FiveTuple;
 
     fn key(i: u64) -> FlowKey {
@@ -1125,14 +1108,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "engine deadlock")]
     fn drain_watchdog_fires_on_a_stalled_pipeline() {
-        // A CAM stage that never becomes ready wedges the sequencer with
-        // one descriptor in flight forever: the drain watchdog must
-        // panic (diagnosably) rather than hang the process.
+        // A memory that never answers wedges the pipeline with one
+        // descriptor in flight forever: the drain watchdog must panic
+        // (diagnosably) rather than hang the process. SRAM ticks once
+        // per system cycle, the cheapest possible stalled cycles.
         let mut cfg = EngineConfig::test_small();
         cfg.shards = 1;
-        cfg.input_rate_mhz = 100.0;
-        cfg.shard.clock_ratio = 1; // cheapest possible stalled cycles
-        cfg.shard.cam_latency_sys = u64::MAX / 4;
+        let mut sram = SramParams::ideal_200mhz();
+        sram.read_latency = u64::MAX / 4;
+        cfg.shard.memory = MemorySpec::Sram(sram);
         let mut engine = ShardedFlowLut::new(cfg);
         assert!(FlowPipeline::push(
             &mut engine,
@@ -1204,21 +1188,21 @@ mod tests {
                 Some(CheckpointError::Corrupt("counter above 2^62")),
                 "counter at byte {at}"
             );
-            // A staging cap of one batch, filled without ticking, makes
-            // the splitter stall, so both counters move.
-            let mut cfg = EngineConfig::test_small();
-            cfg.staging_cap = cfg.batch;
+            // Pushing more descriptors than two shards' staging holds,
+            // without ticking, makes the splitter stall, so both
+            // counters move.
             let edge = with(at, checkpoint::MAX_COUNTER);
-            let mut restored =
-                ShardedFlowLut::restore(cfg, &edge).expect("a counter at the bound restores");
+            let mut restored = ShardedFlowLut::restore(EngineConfig::test_small(), &edge)
+                .expect("a counter at the bound restores");
             let (offered, stalls) = (restored.offered, restored.splitter_stall_cycles);
-            for d in descs(20..60) {
+            let pushed = 2 * STAGING_CAP as u64 + 1;
+            for d in descs(20..20 + pushed) {
                 while !FlowPipeline::push(&mut restored, d) {
                     restored.tick();
                 }
             }
             FlowPipeline::drain(&mut restored);
-            assert_eq!(restored.offered, offered + 40, "counter at byte {at}");
+            assert_eq!(restored.offered, offered + pushed, "counter at byte {at}");
             assert!(
                 restored.splitter_stall_cycles > stalls,
                 "counter at byte {at}"

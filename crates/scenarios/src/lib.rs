@@ -8,7 +8,7 @@
 //! overflow path (a SYN-flood analogue).
 //!
 //! One generic [`ScenarioRunner`] executes any scenario against any
-//! `dyn FlowBackend` — the paper's functional table, the cycle-stepped
+//! `dyn FlowStore` — the paper's functional table, the cycle-stepped
 //! prototype, the sharded engine, and every related-work baseline —
 //! through the typed `Session` API, recording throughput,
 //! drop/overflow/expiry rates and CAM high-water occupancy into a

@@ -1,7 +1,7 @@
 //! The generic scenario executor: one runner, any backend.
 //!
 //! [`ScenarioRunner`] materialises a [`Scenario`]'s descriptor stream and
-//! drives it into any `dyn FlowBackend` through the capability split the
+//! drives it into any `dyn FlowStore` through the capability split the
 //! workspace is built around: timed backends (the cycle-stepped
 //! prototype, the sharded engine) run through the typed `Session` API
 //! with periodic occupancy polling, functional stores (the paper's
@@ -13,7 +13,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use flowlut_core::backend::{FlowBackend, Session};
+use flowlut_core::backend::{FlowStore, Session};
 use flowlut_traffic::PacketDescriptor;
 
 use crate::spec::Scenario;
@@ -93,7 +93,7 @@ impl ScenarioRunner {
     ///
     /// Panics if a timed backend's pipeline deadlocks (see
     /// `Session::offer`) — a bug, not a workload condition.
-    pub fn run(&self, scenario: &Scenario, backend: &mut dyn FlowBackend) -> ScenarioReport {
+    pub fn run(&self, scenario: &Scenario, backend: &mut dyn FlowStore) -> ScenarioReport {
         self.run_stream(&scenario.name, &scenario.generate(), backend)
     }
 
@@ -108,7 +108,7 @@ impl ScenarioRunner {
         &self,
         name: &str,
         descs: &[PacketDescriptor],
-        backend: &mut dyn FlowBackend,
+        backend: &mut dyn FlowStore,
     ) -> ScenarioReport {
         let distinct_flows = descs.iter().map(|d| d.key).collect::<HashSet<_>>().len() as u64;
         let before = backend.op_stats();

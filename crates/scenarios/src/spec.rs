@@ -101,7 +101,7 @@ impl StageSpec {
         }
     }
 
-    /// Short kind tag (the TOML `kind` value).
+    /// Short kind tag, which names the stage in error messages.
     pub fn kind(&self) -> &'static str {
         match self {
             StageSpec::Uniform { .. } => "uniform",
@@ -114,8 +114,7 @@ impl StageSpec {
     }
 
     /// The first parameter outside this stage's generator domain, as
-    /// `(key, reason)`. The TOML parser refuses such a stage at the
-    /// key's line; [`generate`](Self::generate) panics on it.
+    /// `(parameter, reason)`; [`generate`](Self::generate) panics on it.
     pub(crate) fn out_of_domain(&self) -> Option<(&'static str, &'static str)> {
         const NON_ZERO: &str = "must be non-zero";
         const FRACTION: &str = "must be within [0, 1]";

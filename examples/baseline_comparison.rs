@@ -1,9 +1,9 @@
 //! Related-work shoot-out: every backend through one generic loop.
 //!
-//! Builds the full comparison set — all six related-work baselines, the
-//! paper's functional Hash-CAM table, the cycle-stepped single-channel
-//! prototype, and the 2-shard multi-channel engine — behind
-//! `Box<dyn FlowBackend>` via the facade [`Builder`], then drives each
+//! Builds the full comparison set — the paper's functional Hash-CAM
+//! table, the cycle-stepped single-channel prototype, the 2-shard
+//! multi-channel engine, and all six related-work baselines — behind
+//! `Box<dyn FlowStore>` with [`flowlut::backends`], then drives each
 //! through the *same* measurement loop: (1) how far it loads before its
 //! first insertion failure, (2) DRAM probes per lookup at the achieved
 //! load, (3) relocation overhead, and — for the timed backends — (4) the
@@ -12,50 +12,12 @@
 //!
 //! Run with: `cargo run --release --example baseline_comparison`
 
-use flowlut::core::{SimConfig, TableConfig};
+use flowlut::core::SimConfig;
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
-use flowlut::{BaselineKind, Builder, FlowBackend, Session};
+use flowlut::Session;
 
 fn key(i: u64) -> FlowKey {
     FlowKey::from(FiveTuple::from_index(i))
-}
-
-/// The comparison registry: every backend in the workspace at matched
-/// capacity, each behind the same object-safe trait.
-fn registry() -> Vec<Box<dyn FlowBackend>> {
-    let table = TableConfig::test_small();
-    let sim = SimConfig::test_small();
-    let mut backends: Vec<Box<dyn FlowBackend>> = BaselineKind::ALL
-        .iter()
-        .map(|&kind| {
-            Builder::new()
-                .table(table)
-                .baseline(kind)
-                .build()
-                .expect("valid baseline config")
-        })
-        .collect();
-    backends.push(
-        Builder::new()
-            .table(table)
-            .build()
-            .expect("valid table config"),
-    );
-    backends.push(
-        Builder::new()
-            .sim_config(sim.clone())
-            .shards(1)
-            .build()
-            .expect("valid sim config"),
-    );
-    backends.push(
-        Builder::new()
-            .sim_config(sim)
-            .shards(2)
-            .build()
-            .expect("valid engine config"),
-    );
-    backends
 }
 
 fn main() {
@@ -65,7 +27,7 @@ fn main() {
     );
     println!("{}", "-".repeat(85));
 
-    for mut backend in registry() {
+    for mut backend in flowlut::backends(SimConfig::test_small()) {
         let capacity = backend.capacity();
 
         // Phase 1: load until the first insertion failure. The unified

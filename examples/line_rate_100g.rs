@@ -68,7 +68,7 @@ fn main() {
     );
     for shards in [1usize, 2, 4] {
         let mut cfg = EngineConfig::prototype(shards);
-        cfg.input_rate_mhz = shards as f64 * 200.0;
+        cfg.shard.input_rate_mhz = 200.0;
         let mut engine = ShardedFlowLut::new(cfg);
         engine.preload(set.preload.iter().copied()).unwrap();
         let report = engine.start_run().run(&set.queries).expect("fresh session");
@@ -89,7 +89,8 @@ fn main() {
     // And the money shot: 4 shards offered exactly the 100 GbE packet
     // rate must absorb it without falling behind.
     let mut cfg = EngineConfig::prototype(4);
-    cfg.input_rate_mhz = required;
+    // A quarter of the line rate per shard: exact, as 4 is a power of two.
+    cfg.shard.input_rate_mhz = required / 4.0;
     let mut engine = ShardedFlowLut::new(cfg);
     engine.preload(set.preload.iter().copied()).unwrap();
     let report = engine.start_run().run(&set.queries).expect("fresh session");

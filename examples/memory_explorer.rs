@@ -4,18 +4,18 @@
 //! controller behind the pluggable [`MemoryModel`] trait, alongside a
 //! DDR4-2400-class bank-group model, an HBM2-style many-channel model
 //! and an idealized SRAM bound. This scenario drives the *same*
-//! warm-table workload through a single channel of each technology via
-//! the facade's `Builder::memory` entry point and compares throughput
-//! and latency — the single-channel half of the `memory` bench's
-//! headroom study.
+//! warm-table workload through a single channel of each technology,
+//! selected by `SimConfig::memory`, and compares throughput and
+//! latency — the single-channel half of the `memory` bench's headroom
+//! study.
 //!
 //! Run with: `cargo run --release --example memory_explorer`
 //! (pass `--smoke` for a scaled-down CI run-check)
 
-use flowlut::core::SimConfig;
-use flowlut::ddr3::{MemoryKind, MemorySpec};
+use flowlut::core::{FlowLutSim, SimConfig};
+use flowlut::ddr3::{DramParams, MemorySpec};
 use flowlut::traffic::workloads::{MatchRateSet, MatchRateWorkload};
-use flowlut::{Builder, FlowPipeline, Session};
+use flowlut::{FlowPipeline, Session};
 
 /// A warm table at the paper's steady state: 75 % of queries hit.
 fn workload(smoke: bool) -> MatchRateSet {
@@ -29,13 +29,25 @@ fn workload(smoke: bool) -> MatchRateSet {
     .build()
 }
 
-fn describe(kind: MemoryKind) -> &'static str {
-    match kind {
-        MemoryKind::Ddr3 => "paper prototype controller (DDR3-1066E class)",
-        MemoryKind::Ddr4 => "DDR4-2400 class, 4 bank groups (tCCD_S/tCCD_L)",
-        MemoryKind::Hbm2 => "HBM2-style, 8 narrow channels, low tRC",
-        MemoryKind::Sram => "idealized fixed-latency SRAM (QDR-like)",
+fn describe(spec: &MemorySpec) -> &'static str {
+    match spec {
+        MemorySpec::Ddr3(_) => "paper prototype controller (DDR3-1066E class)",
+        MemorySpec::Ddr4(_) => "DDR4-2400 class, 4 bank groups (tCCD_S/tCCD_L)",
+        MemorySpec::Hbm2(_) => "HBM2-style, 8 narrow channels, low tRC",
+        MemorySpec::Sram(_) => "idealized fixed-latency SRAM (QDR-like)",
     }
+}
+
+/// One channel on `memory`, offered one descriptor per system cycle.
+fn saturated(memory: MemorySpec) -> FlowLutSim {
+    let cfg = SimConfig {
+        memory,
+        ..SimConfig::default()
+    };
+    FlowLutSim::new(SimConfig {
+        input_rate_mhz: cfg.sys_clock_mhz(),
+        ..cfg
+    })
 }
 
 fn main() {
@@ -49,34 +61,23 @@ fn main() {
     println!("{}", "-".repeat(60));
 
     let mut baseline = None;
-    for kind in MemoryKind::ALL {
+    for spec in MemorySpec::defaults() {
         // Saturating offer: one descriptor per system cycle; the memory
         // pipeline, not the sequencer, sets the throughput.
-        let cfg = SimConfig {
-            memory: kind.default_spec(),
-            ..SimConfig::default()
-        };
-        let rate = cfg.sys_clock_mhz();
-        let mut sim = Builder::new()
-            .memory(kind)
-            .sim_config(SimConfig {
-                input_rate_mhz: rate,
-                ..cfg
-            })
-            .build_sim()
-            .expect("every built-in memory kind yields a valid config");
+        let rate = spec.sys_clock_mhz();
+        let mut sim = saturated(spec);
         sim.preload(set.preload.iter().copied()).unwrap();
         let report = sim.start_run().run(&set.queries).expect("fresh session");
         println!(
             "{:>6} {:>10.2} {:>12} {:>12.2} {:>15.1}   {}",
-            kind.name(),
+            spec.name(),
             rate,
             report.sys_cycles,
             report.mdesc_per_s,
             report.mean_latency_ns,
-            describe(kind)
+            describe(&spec)
         );
-        if kind == MemoryKind::Ddr3 {
+        if let MemorySpec::Ddr3(_) = spec {
             baseline = Some(report.mdesc_per_s);
         }
     }
@@ -93,29 +94,17 @@ fn main() {
     }
 
     // The same knob accepts a hand-tuned spec, not just presets.
-    if let MemorySpec::Ddr4(mut p) = MemoryKind::Ddr4.default_spec() {
-        p.t_rfc += 100; // a slower-refresh (denser) DDR4 die
-        let spec = MemorySpec::Ddr4(p);
-        spec.validate().expect("perturbed spec stays consistent");
-        let cfg = SimConfig {
-            memory: spec,
-            ..SimConfig::default()
-        };
-        let mut sim = Builder::new()
-            .memory_spec(spec)
-            .sim_config(SimConfig {
-                input_rate_mhz: cfg.sys_clock_mhz(),
-                ..cfg
-            })
-            .build_sim()
-            .unwrap();
-        sim.preload(set.preload.iter().copied()).unwrap();
-        let report = Session::new(&mut sim)
-            .run(&set.queries)
-            .expect("fresh session");
-        println!(
-            "\ncustom spec (DDR4, tRFC +100): {:.2} Mdesc/s — refresh overhead visible.",
-            report.mdesc_per_s
-        );
-    }
+    let mut p = DramParams::ddr4_2400();
+    p.t_rfc += 100; // a slower-refresh (denser) DDR4 die
+    let spec = MemorySpec::Ddr4(p);
+    spec.validate().expect("perturbed spec stays consistent");
+    let mut sim = saturated(spec);
+    sim.preload(set.preload.iter().copied()).unwrap();
+    let report = Session::new(&mut sim)
+        .run(&set.queries)
+        .expect("fresh session");
+    println!(
+        "\ncustom spec (DDR4, tRFC +100): {:.2} Mdesc/s — refresh overhead visible.",
+        report.mdesc_per_s
+    );
 }

@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example netflow_monitor`
 
 use flowlut::core::{ExpiryPolicy, FlowLutSim, SimConfig};
+use flowlut::ddr3::{Ddr3Params, Geometry, MemorySpec};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::{FlowEventKind, FlowPipeline};
 
@@ -19,7 +20,17 @@ fn main() {
     // — `scan_stride` records per cycle, never a stop-the-world sweep.
     cfg.table.buckets_per_mem = 16_384;
     cfg.table.cam_capacity = 512;
-    cfg.geometry.rows = 1024;
+    // The 64-row test part is too small for 16 K buckets per memory.
+    cfg.memory = MemorySpec::Ddr3(Ddr3Params {
+        geometry: Geometry {
+            banks: 8,
+            rows: 1024,
+            cols: 32,
+            bus_width_bits: 32,
+            burst_length: 8,
+        },
+        ..Ddr3Params::default()
+    });
     cfg.expiry = Some(ExpiryPolicy {
         idle_timeout_cycles: 40_000, // 200 us at the 5 ns system clock
         scan_stride: 8,

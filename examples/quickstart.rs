@@ -1,26 +1,24 @@
 //! Quickstart: the flow table in five minutes.
 //!
-//! Builds a Hash-CAM flow table with the facade [`Builder`], processes a
-//! handful of packets the way a flow processor would (upsert per
-//! packet), inspects where entries landed, and streams the same packets
-//! through the cycle-accurate simulator for timing — all through the
-//! unified `FlowBackend` API, plus the typed core API where the richer
-//! detail (flow IDs, per-flow state) lives.
+//! Builds a Hash-CAM flow table, processes a handful of packets the way
+//! a flow processor would (upsert per packet), inspects where entries
+//! landed, and streams the same packets through the cycle-accurate
+//! simulator for timing — all through the unified `FlowStore` API, plus
+//! the typed core API where the richer detail (flow IDs, per-flow state)
+//! lives.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use flowlut::core::{SimConfig, TableConfig};
+use flowlut::core::{FlowLutSim, HashCamTable, SimConfig, TableConfig};
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
-use flowlut::{Builder, Session};
+use flowlut::{FlowStore, Session};
 
 fn main() {
     // ----- Functional layer: any backend, one API -----
-    // Builder::build() returns Box<dyn FlowBackend>; swap in `.shards(4)`
-    // or `.baseline(BaselineKind::Cuckoo)` without touching the loop.
-    let mut table = Builder::new()
-        .table(TableConfig::test_small())
-        .build()
-        .expect("valid config");
+    // Every backend is a `FlowStore`; swap in a `ShardedFlowLut` or
+    // `BaselineKind::Cuckoo.build(&config)` without touching the loop.
+    let mut functional = HashCamTable::new(TableConfig::test_small());
+    let table: &mut dyn FlowStore = &mut functional;
 
     let flows = [
         FiveTuple::new([10, 0, 0, 1], [192, 168, 1, 1], 443, 51000, 6),
@@ -46,10 +44,7 @@ fn main() {
     );
 
     // ----- Typed core API: flow IDs and placement detail -----
-    let mut typed = Builder::new()
-        .table(TableConfig::test_small())
-        .build_table()
-        .expect("valid config");
+    let mut typed = HashCamTable::new(TableConfig::test_small());
     for tuple in &flows {
         let (fid, created) = typed
             .lookup_or_insert(FlowKey::from(*tuple))
@@ -67,11 +62,7 @@ fn main() {
     );
 
     // ----- Timed layer: the same packets against simulated DDR3 -----
-    let mut sim = Builder::new()
-        .sim_config(SimConfig::test_small())
-        .shards(1)
-        .build()
-        .expect("valid config");
+    let mut sim = FlowLutSim::new(SimConfig::test_small());
     let descriptors: Vec<PacketDescriptor> = flows
         .iter()
         .cycle()
@@ -79,7 +70,7 @@ fn main() {
         .enumerate()
         .map(|(seq, t)| PacketDescriptor::new(seq as u64, FlowKey::from(*t)))
         .collect();
-    let report = Session::new(sim.as_pipeline().expect("timed backend"))
+    let report = Session::new(&mut sim)
         .run(&descriptors)
         .expect("fresh session");
     println!(

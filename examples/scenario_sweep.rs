@@ -14,36 +14,6 @@
 
 use flowlut::core::{SimConfig, TableConfig};
 use flowlut::scenarios::{Scenario, ScenarioRunner};
-use flowlut::{BaselineKind, Builder, FlowBackend};
-
-/// Every backend in the workspace at matched capacity.
-fn registry() -> Vec<Box<dyn FlowBackend>> {
-    let table = TableConfig::test_small();
-    let sim = SimConfig::test_small();
-    let mut backends: Vec<Box<dyn FlowBackend>> = vec![
-        Builder::new().table(table).build().expect("valid table"),
-        Builder::new()
-            .sim_config(sim.clone())
-            .shards(1)
-            .build()
-            .expect("valid sim"),
-        Builder::new()
-            .sim_config(sim)
-            .shards(2)
-            .build()
-            .expect("valid engine"),
-    ];
-    for kind in BaselineKind::ALL {
-        backends.push(
-            Builder::new()
-                .table(table)
-                .baseline(kind)
-                .build()
-                .expect("valid baseline"),
-        );
-    }
-    backends
-}
 
 fn main() {
     // Scaled-down run-check: shrink the background fill only.
@@ -75,7 +45,7 @@ fn main() {
     println!("{}", "-".repeat(72));
     let mut table_overflow = 0.0f64;
     let mut worst_baseline_drop = 0.0f64;
-    for backend in registry().iter_mut() {
+    for backend in flowlut::backends(SimConfig::test_small()).iter_mut() {
         let r = runner.run_stream(&scenario.name, &descs, backend.as_mut());
         println!(
             "{:>21} {:>8} {:>9} {:>9.4} {:>10.4} {:>8}",

@@ -8,6 +8,7 @@
 
 use flowlut::analyzer::{AnalyzerConfig, Event, EventThresholds, TrafficAnalyzer};
 use flowlut::core::SimConfig;
+use flowlut::ddr3::{Ddr3Params, Geometry, MemorySpec};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
@@ -15,7 +16,17 @@ fn main() {
     let mut cfg = SimConfig::test_small();
     cfg.table.buckets_per_mem = 16_384;
     cfg.table.cam_capacity = 512;
-    cfg.geometry.rows = 1024;
+    // The 64-row test part is too small for 16 K buckets per memory.
+    cfg.memory = MemorySpec::Ddr3(Ddr3Params {
+        geometry: Geometry {
+            banks: 8,
+            rows: 1024,
+            cols: 32,
+            bus_width_bits: 32,
+            burst_length: 8,
+        },
+        ..Ddr3Params::default()
+    });
     let mut analyzer = TrafficAnalyzer::new(AnalyzerConfig {
         sim: cfg,
         buffer_depth: 20_000,

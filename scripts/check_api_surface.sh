@@ -14,9 +14,13 @@
 #
 # The listing is derived from rustdoc's per-crate all.html ("list of all
 # items"): hrefs are normalised to `crate::module::kind.Name` lines and
-# sorted. The format is stable for a pinned toolchain; if a rustdoc
-# upgrade ever changes it wholesale, re-run with --update in the same PR
-# that bumps the toolchain.
+# sorted. Each public struct's public fields follow, read from the
+# `structfield.<name>` anchors of its page, as
+# `crate::module::struct.Name::field` lines. A config field is a setting
+# a caller can vary, so a field diff is a knob diff: a new knob shows up
+# here even when no item changes. The format is stable for a pinned
+# toolchain; if a rustdoc upgrade ever changes it wholesale, re-run with
+# --update in the same change that bumps the toolchain.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,12 +32,22 @@ cargo doc --workspace --no-deps --quiet
 listing() {
     for all in target/doc/flowlut/all.html target/doc/flowlut_*/all.html; do
         [ -f "$all" ] || continue
-        crate=$(basename "$(dirname "$all")")
+        dir=$(dirname "$all")
+        crate=$(basename "$dir")
         grep -o 'href="[^"]*"' "$all" |
             sed -e 's/^href="//' -e 's/"$//' |
             grep -v 'static\.files' |
             grep -vE '^(#|https?:|\.\./|index\.html)' |
-            sed -e 's|\.html$||' -e 's|/|::|g' -e "s|^|${crate}::|"
+            while read -r page; do
+                item="${crate}::$(printf '%s' "$page" | sed -e 's|\.html$||' -e 's|/|::|g')"
+                echo "$item"
+                case "$page" in
+                    struct.* | */struct.*)
+                        { grep -o 'id="structfield\.[^"]*"' "$dir/$page" || true; } |
+                            sed -e 's/^id="structfield\.//' -e 's/"$//' -e "s|^|${item}::|"
+                        ;;
+                esac
+            done
     done | LC_ALL=C sort -u
 }
 

@@ -9,17 +9,17 @@
 //!
 //! The whole workspace speaks one API: every structure — the functional
 //! table, the cycle-stepped prototype, the sharded engine, and every
-//! related-work baseline — implements the object-safe
-//! [`FlowBackend`]/[`FlowStore`] traits (plus [`FlowPipeline`] for the
-//! timed ones), is constructed by [`Builder`], and reports runs in one
-//! [`RunReport`] shape via the typed [`Session`] handle. Failures fold
-//! into the unified [`FlowError`] hierarchy.
+//! related-work baseline — implements the object-safe [`FlowStore`]
+//! trait (plus [`FlowPipeline`] for the timed ones, reached through
+//! [`FlowStore::as_pipeline`]), is built by its own constructor, and
+//! reports runs in one [`RunReport`] shape via the typed [`Session`]
+//! handle. [`backends`] builds all nine at matched capacity.
 //!
 //! This facade crate re-exports the workspace:
 //!
 //! * [`core`] — the paper's contribution: the functional
-//!   [`HashCamTable`](flowlut_core::HashCamTable) and the cycle-stepped
-//!   [`FlowLutSim`](flowlut_core::FlowLutSim);
+//!   [`HashCamTable`](core::HashCamTable) and the cycle-stepped
+//!   [`FlowLutSim`](core::FlowLutSim);
 //! * [`ddr3`] — the DDR3 device + controller timing model;
 //! * [`cam`] — the exact-match CAM model;
 //! * [`hash`] — the H3 hardware hash pair;
@@ -41,41 +41,55 @@
 //!
 //! ## Quick start
 //!
-//! Build any backend with [`Builder`]; the functional [`FlowStore`] verbs
-//! work on all of them:
+//! Build a backend with its constructor; the functional [`FlowStore`]
+//! verbs work on all of them:
 //!
 //! ```
-//! use flowlut::{Builder, FlowStore};
-//! use flowlut::core::TableConfig;
+//! use flowlut::FlowStore;
+//! use flowlut::core::{HashCamTable, TableConfig};
 //! use flowlut::traffic::{FiveTuple, FlowKey};
 //!
-//! let mut table = Builder::new().table(TableConfig::test_small()).build()?;
+//! let mut table = HashCamTable::new(TableConfig::test_small());
+//! let store: &mut dyn FlowStore = &mut table;
 //! let key = FlowKey::from(FiveTuple::new([10, 0, 0, 1], [10, 0, 0, 2], 80, 443, 6));
-//! assert!(table.insert(key)?, "new flow");
-//! assert!(table.contains(&key));
+//! assert!(store.insert(key)?, "new flow");
+//! assert!(store.contains(&key));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! Timed backends additionally stream descriptors through a typed,
 //! paced [`Session`] (`push`/`tick`/`poll`/`events`/`drain` by hand, or
-//! [`Session::run`] for the whole batch):
+//! [`Session::run`] for the whole batch). The engine offers each shard
+//! its own rate, so two shards run at twice the channel's rate:
 //!
 //! ```
-//! use flowlut::{Builder, Session};
+//! use flowlut::Session;
 //! use flowlut::core::SimConfig;
+//! use flowlut::engine::{EngineConfig, ShardedFlowLut};
 //! use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 //!
-//! let mut engine = Builder::new()
-//!     .sim_config(SimConfig::test_small())
-//!     .shards(2)
-//!     .build()?;
+//! let mut engine = ShardedFlowLut::new(EngineConfig {
+//!     shard: SimConfig::test_small(),
+//!     ..EngineConfig::prototype(2)
+//! });
 //! let descs: Vec<PacketDescriptor> =
 //!     PacketDescriptor::sequence((0..200).map(|i| FlowKey::from(FiveTuple::from_index(i))));
-//! let pipe = engine.as_pipeline().expect("timed backend");
-//! let report = Session::new(pipe).run(&descs)?;
+//! let report = Session::new(&mut engine).run(&descs)?;
 //! assert_eq!(report.completed, 200);
 //! println!("{} ch x {:.1} Mdesc/s", report.channels, report.mdesc_per_s);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! [`backends`] builds every backend at one table's capacity, for
+//! loops that compare them through `Box<dyn FlowStore>`:
+//!
+//! ```
+//! use flowlut::core::SimConfig;
+//!
+//! for mut backend in flowlut::backends(SimConfig::test_small()) {
+//!     let timed = backend.as_pipeline().is_some();
+//!     println!("{} (timed: {timed})", backend.name());
+//! }
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `crates/bench` for the
@@ -86,12 +100,13 @@
 
 mod builder;
 
-pub use builder::{BaselineKind, Builder};
+pub use builder::backends;
+pub use flowlut_baselines::BaselineKind;
 pub use flowlut_core::backend::{
-    FlowBackend, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, RunReport,
-    Session, SessionError, SessionProgress,
+    FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, RunReport, Session,
+    SessionError, SessionProgress,
 };
-pub use flowlut_core::{CheckpointError, ExpiryPolicy, FlowError, PressurePolicy, RescaleError};
+pub use flowlut_core::{CheckpointError, ExpiryPolicy, PressurePolicy, RescaleError};
 pub use flowlut_scenarios::{Scenario, ScenarioReport, ScenarioRunner, StageSpec};
 
 pub use flowlut_analyzer as analyzer;

@@ -1,4 +1,4 @@
-//! Cross-backend conformance: every [`FlowBackend`] in the workspace —
+//! Cross-backend conformance: every [`FlowStore`] in the workspace —
 //! six related-work baselines, the paper's functional table, the timed
 //! single-channel simulator, and the sharded engine — answers one
 //! generated insert/lookup/remove sequence *identically* (exact
@@ -15,7 +15,7 @@ use std::collections::HashSet;
 
 use flowlut::core::{SimConfig, TableConfig};
 use flowlut::traffic::{FiveTuple, FlowKey};
-use flowlut::{BaselineKind, Builder, ExpiryPolicy, FlowBackend, FlowEventKind, OpStats};
+use flowlut::{ExpiryPolicy, FlowEventKind, FlowStore, OpStats};
 
 fn key(i: u64) -> FlowKey {
     FlowKey::from(FiveTuple::from_index(i))
@@ -43,99 +43,28 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Every backend in the workspace, sized generously for a 24-key
-/// universe (the timed backends use the fast test configuration).
-fn registry() -> Vec<Box<dyn FlowBackend>> {
-    let table = TableConfig {
-        buckets_per_mem: 64,
-        entries_per_bucket: 4,
-        cam_capacity: 64,
-        entry_slot_bytes: 16,
-        hash_seed: 99,
-    };
-    let sim = SimConfig {
-        table,
+/// universe (the timed backends use the fast test configuration), with
+/// `expiry` configured on the timed ones. The functional structures
+/// have no clock to age against — the expiry test gates on
+/// [`FlowStore::as_pipeline`].
+fn registry(expiry: Option<ExpiryPolicy>) -> Vec<Box<dyn FlowStore>> {
+    flowlut::backends(SimConfig {
+        table: TableConfig {
+            buckets_per_mem: 64,
+            entries_per_bucket: 4,
+            cam_capacity: 64,
+            entry_slot_bytes: 16,
+            hash_seed: 99,
+        },
+        expiry,
         ..SimConfig::test_small()
-    };
-    let mut backends: Vec<Box<dyn FlowBackend>> = BaselineKind::ALL
-        .iter()
-        .map(|&kind| {
-            Builder::new()
-                .table(table)
-                .baseline(kind)
-                .build()
-                .expect("valid baseline config")
-        })
-        .collect();
-    backends.push(Builder::new().table(table).build().expect("valid table"));
-    backends.push(
-        Builder::new()
-            .sim_config(sim.clone())
-            .shards(1)
-            .build()
-            .expect("valid sim"),
-    );
-    backends.push(
-        Builder::new()
-            .sim_config(sim)
-            .shards(2)
-            .build()
-            .expect("valid engine"),
-    );
-    backends
+    })
 }
 
 /// Idle timeout for the expiry conformance arm: far above the cycle
 /// cost of the synchronous [`FlowStore`] inserts that seed the table
 /// (so nothing expires *during* seeding), far below the idle stretch.
 const EXPIRY_TIMEOUT_SYS: u64 = 50_000;
-
-/// The full registry again, but with the engine-level idle-TTL
-/// [`ExpiryPolicy`] configured on the timed backends. The functional
-/// structures take the identical builder calls and simply have no clock
-/// to age against — the test gates on [`FlowBackend::as_pipeline`].
-fn expiry_registry() -> Vec<Box<dyn FlowBackend>> {
-    let table = TableConfig {
-        buckets_per_mem: 64,
-        entries_per_bucket: 4,
-        cam_capacity: 64,
-        entry_slot_bytes: 16,
-        hash_seed: 99,
-    };
-    let sim = SimConfig {
-        table,
-        expiry: Some(ExpiryPolicy {
-            idle_timeout_cycles: EXPIRY_TIMEOUT_SYS,
-            scan_stride: 4,
-        }),
-        ..SimConfig::test_small()
-    };
-    let mut backends: Vec<Box<dyn FlowBackend>> = BaselineKind::ALL
-        .iter()
-        .map(|&kind| {
-            Builder::new()
-                .table(table)
-                .baseline(kind)
-                .build()
-                .expect("valid baseline config")
-        })
-        .collect();
-    backends.push(Builder::new().table(table).build().expect("valid table"));
-    backends.push(
-        Builder::new()
-            .sim_config(sim.clone())
-            .shards(1)
-            .build()
-            .expect("valid sim"),
-    );
-    backends.push(
-        Builder::new()
-            .sim_config(sim)
-            .shards(2)
-            .build()
-            .expect("valid engine"),
-    );
-    backends
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -144,7 +73,7 @@ proptest! {
     fn all_backends_agree_and_account_monotonically(
         ops in prop::collection::vec(op_strategy(), 1..80)
     ) {
-        let mut backends = registry();
+        let mut backends = registry(None);
         let mut model: HashSet<FlowKey> = HashSet::new();
         // Per-backend: stats after the previous op, and the running merge
         // of per-op deltas.
@@ -210,7 +139,7 @@ proptest! {
 
     /// Expiry conformance, capability-gated: every backend takes the
     /// same flow population, then the timed backends (the ones whose
-    /// [`FlowBackend::as_pipeline`] answers `Some`) idle past the
+    /// [`FlowStore::as_pipeline`] answers `Some`) idle past the
     /// configured TTL and must agree exactly — every seeded flow
     /// expires, is counted once in `expired_ttl`, raises exactly one
     /// `ExpiredTtl` event carrying its key, and leaves the table.
@@ -219,7 +148,10 @@ proptest! {
     fn timed_backends_expire_idle_flows_identically(
         keys in prop::collection::hash_set(0u64..24, 1..24usize)
     ) {
-        let mut backends = expiry_registry();
+        let mut backends = registry(Some(ExpiryPolicy {
+            idle_timeout_cycles: EXPIRY_TIMEOUT_SYS,
+            scan_stride: 4,
+        }));
         let expected_keys: HashSet<FlowKey> = keys.iter().map(|&i| key(i)).collect();
         let population = expected_keys.len() as u64;
 

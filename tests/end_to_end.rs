@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use flowlut::core::{FlowLutSim, LoadBalancerPolicy, SimConfig};
+use flowlut::ddr3::MemorySpec;
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::workloads::MatchRateWorkload;
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
@@ -13,7 +14,10 @@ fn small_cfg() -> SimConfig {
     let mut cfg = SimConfig::test_small();
     cfg.table.buckets_per_mem = 8192;
     cfg.table.cam_capacity = 256;
-    cfg.geometry.rows = 512;
+    let MemorySpec::Ddr3(ddr3) = &mut cfg.memory else {
+        panic!("the test configuration is DDR3");
+    };
+    ddr3.geometry.rows = 512;
     cfg
 }
 

@@ -10,11 +10,11 @@
 //! `tests/session_equivalence.rs` sets for the session API.
 
 use flowlut::core::{FlowLutSim, SimConfig, SimStats};
-use flowlut::ddr3::{MemoryKind, MemorySpec, TimingPreset};
+use flowlut::ddr3::{MemorySpec, SramParams, TimingPreset};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::PacketDescriptor;
-use flowlut::{Builder, FlowPipeline, RunReport};
+use flowlut::{FlowPipeline, RunReport};
 
 fn trace(packets: usize) -> Vec<PacketDescriptor> {
     FabricTraceProfile::european_2012().generate(packets)
@@ -155,7 +155,10 @@ fn golden_engine() -> RunReport {
 #[test]
 fn ddr3_1066e_path_bit_identical_to_pre_refactor() {
     let mut cfg = SimConfig::test_small();
-    cfg.timing = TimingPreset::Ddr3_1066E.params();
+    let MemorySpec::Ddr3(ddr3) = &mut cfg.memory else {
+        panic!("the test configuration is DDR3");
+    };
+    ddr3.timing = TimingPreset::Ddr3_1066E.params();
     let mut sim = FlowLutSim::new(cfg);
     let report = sim.start_run().run(&trace(2_000)).unwrap();
     assert_eq!(report, golden_1066e());
@@ -176,47 +179,6 @@ fn engine_path_bit_identical_to_pre_refactor() {
 }
 
 #[test]
-fn explicit_ddr3_spec_is_the_legacy_path() {
-    // Selecting MemorySpec::Ddr3 explicitly must be the exact legacy
-    // behaviour — same report, cycle for cycle.
-    let descs = trace(2_000);
-    let mut implicit = FlowLutSim::new(SimConfig::test_small());
-    let mut explicit = {
-        let mut cfg = SimConfig::test_small();
-        cfg.memory = MemorySpec::Ddr3;
-        FlowLutSim::new(cfg)
-    };
-    assert_eq!(
-        implicit.start_run().run(&descs).unwrap(),
-        explicit.start_run().run(&descs).unwrap()
-    );
-}
-
-#[test]
-fn builder_timing_and_memory_ddr3_agree() {
-    // The facade's two DDR3 entry points — a TimingPreset in the
-    // simulator configuration and the MemoryKind path — must build
-    // identical simulators.
-    let descs = trace(1_000);
-    let mut via_timing = Builder::new()
-        .sim_config(SimConfig {
-            timing: TimingPreset::Ddr3_1600.params(),
-            ..SimConfig::test_small()
-        })
-        .build_sim()
-        .unwrap();
-    let mut via_memory = Builder::new()
-        .memory(MemoryKind::Ddr3)
-        .sim_config(SimConfig::test_small())
-        .build_sim()
-        .unwrap();
-    assert_eq!(
-        via_timing.start_run().run(&descs).unwrap(),
-        via_memory.start_run().run(&descs).unwrap()
-    );
-}
-
-#[test]
 fn non_ddr3_models_run_the_same_workload() {
     // Every alternative technology completes the identical trace with
     // near-identical functional outcome. (Exact occupancy can differ by
@@ -224,19 +186,23 @@ fn non_ddr3_models_run_the_same_workload() {
     // completion order, which is timing-dependent.)
     let descs = trace(1_000);
     let mut baseline: Option<u64> = None;
-    for kind in MemoryKind::ALL {
-        let mut cfg = SimConfig::test_small();
-        cfg.memory = kind.default_spec();
-        let mut sim = FlowLutSim::new(cfg);
+    // The test configuration's DDR3 part, then the other technologies.
+    let mut specs = MemorySpec::defaults();
+    specs[0] = SimConfig::test_small().memory;
+    for memory in specs {
+        let mut sim = FlowLutSim::new(SimConfig {
+            memory,
+            ..SimConfig::test_small()
+        });
         let report = sim.start_run().run(&descs).unwrap();
-        assert_eq!(report.completed, 1_000, "{}", kind.name());
+        assert_eq!(report.completed, 1_000, "{}", memory.name());
         let total = report.occupancy.total();
         match baseline {
             None => baseline = Some(total),
             Some(b) => assert!(
                 total.abs_diff(b) <= 5,
                 "{}: occupancy {total} far from ddr3's {b}",
-                kind.name()
+                memory.name()
             ),
         }
     }
@@ -249,7 +215,7 @@ fn sram_is_at_least_as_fast_as_ddr3() {
     let mut ddr3 = FlowLutSim::new(SimConfig::test_small());
     let ddr3_cycles = ddr3.start_run().run(&descs).unwrap().sys_cycles;
     let mut cfg = SimConfig::test_small();
-    cfg.memory = MemoryKind::Sram.default_spec();
+    cfg.memory = MemorySpec::Sram(SramParams::ideal_200mhz());
     let mut sram = FlowLutSim::new(cfg);
     let sram_cycles = sram.start_run().run(&descs).unwrap().sys_cycles;
     assert!(

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use flowlut::engine::{EngineConfig, EngineSnapshot, ExecutionMode, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::PacketDescriptor;
-use flowlut::{FlowBackend, FlowPipeline, RunReport, Session};
+use flowlut::{FlowPipeline, FlowStore, RunReport, Session};
 
 fn trace(packets: usize) -> Vec<PacketDescriptor> {
     FabricTraceProfile::european_2012().generate(packets)
@@ -24,7 +24,6 @@ fn trace(packets: usize) -> Vec<PacketDescriptor> {
 fn engine(shards: usize, execution: ExecutionMode) -> ShardedFlowLut {
     ShardedFlowLut::new(EngineConfig {
         shards,
-        input_rate_mhz: shards as f64 * 100.0,
         execution,
         ..EngineConfig::test_small()
     })
@@ -97,11 +96,11 @@ fn threaded_is_bit_identical_across_repeated_runs() {
 #[test]
 fn threaded_is_bit_identical_with_preload_and_sessions() {
     // Preload on both engines, then the generic streaming session over
-    // `dyn FlowBackend`.
+    // `dyn FlowStore`.
     let descs = trace(1_200);
     let keys: Vec<_> = descs.iter().take(300).map(|d| d.key).collect();
     let mk = |execution: ExecutionMode| {
-        let mut backend: Box<dyn FlowBackend> = Box::new(engine(4, execution));
+        let mut backend: Box<dyn FlowStore> = Box::new(engine(4, execution));
         let mut loaded = 0;
         for &k in &keys {
             if backend.insert(k).expect("capacity suffices") {

@@ -8,10 +8,10 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-use flowlut::core::{SimConfig, TableConfig};
+use flowlut::core::{FlowLutSim, HashCamTable, SimConfig, TableConfig};
 use flowlut::scenarios::{Scenario, ScenarioRunner};
 use flowlut::traffic::{FiveTuple, FlowKey};
-use flowlut::{BaselineKind, Builder, FlowBackend};
+use flowlut::FlowStore;
 
 /// The conformance-sized table every backend is matched to (capacity
 /// 2·64·4 + 64 = 576 keys).
@@ -26,35 +26,11 @@ fn conformance_table() -> TableConfig {
 }
 
 /// Every backend in the workspace at matched capacity.
-fn registry() -> Vec<Box<dyn FlowBackend>> {
-    let table = conformance_table();
-    let sim = SimConfig {
-        table,
+fn registry() -> Vec<Box<dyn FlowStore>> {
+    flowlut::backends(SimConfig {
+        table: conformance_table(),
         ..SimConfig::test_small()
-    };
-    let mut backends: Vec<Box<dyn FlowBackend>> = vec![
-        Builder::new().table(table).build().expect("valid table"),
-        Builder::new()
-            .sim_config(sim.clone())
-            .shards(1)
-            .build()
-            .expect("valid sim"),
-        Builder::new()
-            .sim_config(sim)
-            .shards(2)
-            .build()
-            .expect("valid engine"),
-    ];
-    for kind in BaselineKind::ALL {
-        backends.push(
-            Builder::new()
-                .table(table)
-                .baseline(kind)
-                .build()
-                .expect("valid baseline"),
-        );
-    }
-    backends
+    })
 }
 
 /// A benign scenario well under the 576-key conformance capacity: at
@@ -75,7 +51,7 @@ fn benign_scenario(seed: u64) -> Scenario {
 /// `missing ≤ rejected` — every missing flow is accounted for by an
 /// explicit rejection, never silently lost — and be exact whenever they
 /// rejected nothing.
-fn assert_end_state(backend: &mut dyn FlowBackend, offered: &HashSet<FlowKey>, rejected: u64) {
+fn assert_end_state(backend: &mut dyn FlowStore, offered: &HashSet<FlowKey>, rejected: u64) {
     let name = backend.name();
     let missing = offered.iter().filter(|k| !backend.contains(k)).count() as u64;
     if name.starts_with("hashcam") {
@@ -126,8 +102,8 @@ fn adversarial_flood_forces_the_cam_overflow_path() {
     let runner = ScenarioRunner::new();
 
     // Functional table: spills counted by the new OpStats field.
-    let mut table = Builder::new().table(cfg).build().expect("valid table");
-    let r = runner.run(&scenario, table.as_mut());
+    let mut table = HashCamTable::new(cfg);
+    let r = runner.run(&scenario, &mut table);
     assert!(
         r.cam_spills >= 8,
         "expected ≥8 CAM spills, got {}",
@@ -136,12 +112,8 @@ fn adversarial_flood_forces_the_cam_overflow_path() {
     assert!(r.overflow_rate() > 0.0);
 
     // Cycle-stepped prototype: live CAM occupancy observed mid-run.
-    let mut sim = Builder::new()
-        .sim_config(SimConfig::test_small())
-        .shards(1)
-        .build()
-        .expect("valid sim");
-    let r = runner.run(&scenario, sim.as_mut());
+    let mut sim = FlowLutSim::new(SimConfig::test_small());
+    let r = runner.run(&scenario, &mut sim);
     assert!(r.timed);
     assert!(r.cam_high_water > 0, "CAM occupancy never rose under flood");
 }
@@ -158,32 +130,10 @@ fn overfill_increments_rejected_on_every_backend() {
         entry_slot_bytes: 16,
         hash_seed: 7,
     };
-    let sim = SimConfig {
+    let mut backends = flowlut::backends(SimConfig {
         table: tiny,
         ..SimConfig::test_small()
-    };
-    let mut backends: Vec<Box<dyn FlowBackend>> = vec![
-        Builder::new().table(tiny).build().expect("valid table"),
-        Builder::new()
-            .sim_config(sim.clone())
-            .shards(1)
-            .build()
-            .expect("valid sim"),
-        Builder::new()
-            .sim_config(sim)
-            .shards(2)
-            .build()
-            .expect("valid engine"),
-    ];
-    for kind in BaselineKind::ALL {
-        backends.push(
-            Builder::new()
-                .table(tiny)
-                .baseline(kind)
-                .build()
-                .expect("valid baseline"),
-        );
-    }
+    });
 
     // 400 distinct flows into ≤ 18-key structures: every backend must
     // reject, monotonically.

@@ -5,6 +5,7 @@
 //! write paths of the simulator.
 
 use flowlut::core::{FlowLutSim, HashCamTable, SimConfig, TableConfig};
+use flowlut::ddr3::MemorySpec;
 use flowlut::traffic::{FlowKey, PacketDescriptor};
 use flowlut::FlowPipeline;
 
@@ -27,7 +28,10 @@ fn wide_config() -> SimConfig {
         entry_slot_bytes: 40, // 1 + 37 rounded up: IPv6 5-tuple slots
         hash_seed: 0x1991,
     };
-    cfg.geometry.rows = 512;
+    let MemorySpec::Ddr3(ddr3) = &mut cfg.memory else {
+        panic!("the test configuration is DDR3");
+    };
+    ddr3.geometry.rows = 512;
     cfg
 }
 
@@ -102,7 +106,10 @@ fn wide_and_narrow_tables_have_comparable_throughput_shape() {
     let narrow = {
         let mut cfg = SimConfig::test_small();
         cfg.table.buckets_per_mem = 1024;
-        cfg.geometry.rows = 512;
+        let MemorySpec::Ddr3(ddr3) = &mut cfg.memory else {
+            panic!("the test configuration is DDR3");
+        };
+        ddr3.geometry.rows = 512;
         let mut sim = FlowLutSim::new(cfg);
         let descs: Vec<PacketDescriptor> = (0..1000)
             .map(|i| {

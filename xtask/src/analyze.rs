@@ -136,6 +136,8 @@ pub struct FileModel {
     pub toks: Vec<Tok>,
     /// Recovered `fn` items.
     pub items: Vec<FnItem>,
+    /// Modules declared test-only in this file (`#[cfg(test)] mod m;`).
+    pub test_mods: Vec<String>,
 }
 
 enum ScopeKind {
@@ -163,6 +165,7 @@ pub fn extract(path: &str, src: &str) -> FileModel {
         .filter(|t| t.kind != TokKind::Comment)
         .collect();
     let mut items: Vec<FnItem> = Vec::new();
+    let mut test_mods: Vec<String> = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending_test = false;
     let mut i = 0usize;
@@ -225,6 +228,17 @@ pub fn extract(path: &str, src: &str) -> FileModel {
         if t.is_punct(";") {
             pending_test = false;
             i += 1;
+            continue;
+        }
+        if t.is_ident("mod")
+            && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
+            && toks.get(i + 2).is_some_and(|t| t.is_punct(";"))
+        {
+            // A module in its own file; the `;` clears `pending_test`.
+            if pending_test || scopes.iter().any(|s| s.test) {
+                test_mods.push(toks[i + 1].text.clone());
+            }
+            i += 2;
             continue;
         }
         if t.is_ident("impl") {
@@ -322,7 +336,50 @@ pub fn extract(path: &str, src: &str) -> FileModel {
         }
         i += 1;
     }
-    FileModel { toks, items }
+    FileModel {
+        toks,
+        items,
+        test_mods,
+    }
+}
+
+/// Where module `name`, declared in `file`, lives: its file is
+/// `{prefix}.rs` or `{prefix}/mod.rs`, and its submodules sit under
+/// `{prefix}/`.
+fn module_prefix(file: &str, name: &str) -> String {
+    let module = file.strip_suffix(".rs").unwrap_or(file);
+    match module.rsplit_once('/') {
+        Some((dir, "lib" | "main" | "mod")) => format!("{dir}/{name}"),
+        _ => format!("{module}/{name}"),
+    }
+}
+
+/// Whether `path` is the file of a module under one of `prefixes`
+/// (from [`module_prefix`]), or sits below one.
+fn in_modules(path: &str, prefixes: &[String]) -> bool {
+    prefixes.iter().any(|p| {
+        path.strip_prefix(p.as_str())
+            .is_some_and(|rest| rest == ".rs" || rest.starts_with('/'))
+    })
+}
+
+/// The files of `files` that are test code by declaration: each module
+/// a `#[cfg(test)] mod m;` declares, with every file below it.
+pub fn declared_test_files(files: &[(String, String)]) -> Vec<String> {
+    let prefixes: Vec<String> = files
+        .iter()
+        .flat_map(|(path, src)| {
+            extract(path, src)
+                .test_mods
+                .into_iter()
+                .map(move |m| module_prefix(path, &m))
+        })
+        .collect();
+    files
+        .iter()
+        .filter(|(path, _)| in_modules(path, &prefixes))
+        .map(|(path, _)| path.clone())
+        .collect()
 }
 
 /// Parses an `impl` header starting at token `from`, returning the
@@ -638,8 +695,12 @@ pub fn analyze_sources(
     let mut items: Vec<FnItem> = Vec::new();
     let mut scans: Vec<BodyScan> = Vec::new();
     let mut lines: std::collections::HashMap<&str, Vec<&str>> = std::collections::HashMap::new();
+    let test_files = declared_test_files(files);
     for (path, src) in files {
         lines.insert(path.as_str(), src.lines().collect());
+        if test_files.contains(path) {
+            continue;
+        }
         let model = extract(path, src);
         for it in model.items {
             if it.is_test {
@@ -1347,6 +1408,38 @@ mod tests {
         let src = "fn main() {}\nfn helper() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::helper(); }\n}\n";
         let res = analyze_sources(
             &files(&[("crates/x/src/lib.rs", src)]),
+            &[],
+            &AnalyzeAllow::default(),
+            &[],
+        );
+        assert_eq!(unreached(&res), ["helper"], "{:?}", res.findings);
+    }
+
+    #[test]
+    fn a_file_declared_cfg_test_is_test_code() {
+        let lib = "fn main() {}\n#[cfg(test)]\nmod helpers;\n";
+        let helpers = "fn helper() {}\n";
+        let res = analyze_sources(
+            &files(&[
+                ("crates/x/src/lib.rs", lib),
+                ("crates/x/src/helpers.rs", helpers),
+            ]),
+            &[],
+            &AnalyzeAllow::default(),
+            &[],
+        );
+        assert!(unreached(&res).is_empty(), "{:?}", res.findings);
+    }
+
+    #[test]
+    fn a_file_declared_plain_mod_is_program_code() {
+        let lib = "fn main() {}\nmod helpers;\n";
+        let helpers = "fn helper() {}\n";
+        let res = analyze_sources(
+            &files(&[
+                ("crates/x/src/lib.rs", lib),
+                ("crates/x/src/helpers.rs", helpers),
+            ]),
             &[],
             &AnalyzeAllow::default(),
             &[],

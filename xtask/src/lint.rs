@@ -66,7 +66,7 @@ fn violation(file: &str, line: usize, rule: &'static str, msg: String) -> Violat
 /// `#[cfg(test)]` items. An inline `#[cfg(test)] mod … { … }` is skipped
 /// by brace tracking; a path module declaration (`#[cfg(test)] mod t;`)
 /// only skips the declaration itself (the module *file* must be excluded
-/// by the caller's file scoping — see [`is_test_file`]).
+/// by the caller — see `analyze::declared_test_files`).
 pub fn non_test_lines(src: &str) -> Vec<(usize, &str)> {
     let mut out = Vec::new();
     let mut skipping = false;
@@ -101,10 +101,11 @@ pub fn non_test_lines(src: &str) -> Vec<(usize, &str)> {
 }
 
 /// Whether `path` (repo-relative, `/`-separated) is test code by
-/// location: an integration-test tree, a bench tree, or a path-based
-/// unit-test module (`…/tests.rs`).
+/// location: an integration-test or bench tree. A unit-test module in
+/// its own file is test code by its declaration instead (see
+/// `analyze::declared_test_files`).
 pub fn is_test_file(path: &str) -> bool {
-    path.contains("/tests/") || path.contains("/benches/") || path.ends_with("/tests.rs")
+    path.contains("/tests/") || path.contains("/benches/")
 }
 
 /// `crate-attrs`: a first-party crate root must forbid unsafe code and
@@ -960,7 +961,28 @@ mod tests {
     fn path_module_test_decl_does_not_swallow_file() {
         let src = "#[cfg(test)]\nmod tests;\nfn f() { x.unwrap(); }\n";
         assert_eq!(check_no_panic("crates/core/src/a.rs", src, &[]).len(), 1);
-        assert!(is_test_file("crates/core/src/sim/tests.rs"));
-        assert!(!is_test_file("crates/core/src/sim/mod.rs"));
+        let tree = [
+            ("crates/core/src/sim/mod.rs", src),
+            ("crates/core/src/sim/tests.rs", "fn t() {}\n"),
+            ("crates/core/src/sim/tests/deep.rs", "fn d() {}\n"),
+            ("crates/core/src/sim/testsuite.rs", "fn s() {}\n"),
+            (
+                "crates/core/src/lib.rs",
+                "#[cfg(test)]\nmod helpers;\nmod table;\n",
+            ),
+            ("crates/core/src/helpers.rs", "fn h() {}\n"),
+            ("crates/core/src/table.rs", "fn l() {}\n"),
+        ]
+        .map(|(p, s)| (p.to_string(), s.to_string()));
+        assert_eq!(
+            crate::analyze::declared_test_files(&tree),
+            [
+                "crates/core/src/sim/tests.rs",
+                "crates/core/src/sim/tests/deep.rs",
+                "crates/core/src/helpers.rs",
+            ]
+        );
+        assert!(is_test_file("crates/core/tests/proptest.rs"));
+        assert!(!is_test_file("crates/core/src/sim/tests.rs"));
     }
 }

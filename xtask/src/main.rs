@@ -152,15 +152,17 @@ fn run_lint(root: &Path) -> (usize, Vec<Violation>) {
     // the allow-list liveness check can scan them afterwards.
     let mut scanned: Vec<(String, String)> = Vec::new();
     for dir in crate_dirs(root) {
+        let mut sources: Vec<(String, String)> = rust_files(&dir.join("src"))
+            .iter()
+            .map(|path| (rel(root, path), read(path)))
+            .filter(|(rp, _)| !lint::is_test_file(rp))
+            .collect();
+        let test_files = analyze::declared_test_files(&sources);
+        sources.retain(|(rp, _)| !test_files.contains(rp));
         let crate_name = dir.file_name().and_then(|n| n.to_str()).unwrap_or_default();
         let hot = HOT_PATH_CRATES.contains(&crate_name);
-        for path in rust_files(&dir.join("src")) {
-            let rp = rel(root, &path);
-            if lint::is_test_file(&rp) {
-                continue;
-            }
+        for (rp, src) in sources {
             files += 1;
-            let src = read(&path);
             out.extend(lint::check_ordering_comments(&rp, &src));
             if crate_name == "engine" {
                 out.extend(lint::check_sync_facade(&rp, &src));
@@ -216,7 +218,11 @@ fn run_analyze(root: &Path) -> analyze::AnalyzeResult {
     let mut res = analyze::analyze_sources(&sources, analyze::ENTRY_POINTS, &allow, &panic_allow);
     // The token-accurate facade/ordering rules are part of this pass
     // too; fold their violations in as findings.
-    for (rp, src) in sources.iter().filter(|(rp, _)| rp.starts_with("crates/")) {
+    let test_files = analyze::declared_test_files(&sources);
+    for (rp, src) in sources
+        .iter()
+        .filter(|(rp, _)| rp.starts_with("crates/") && !test_files.contains(rp))
+    {
         let mut extra = Vec::new();
         if rp.starts_with("crates/engine/src") {
             extra.extend(lint::check_sync_facade(rp, src));
