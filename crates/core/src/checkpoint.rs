@@ -18,7 +18,7 @@
 use std::error::Error;
 use std::fmt;
 
-use flowlut_traffic::FlowKey;
+use flowlut_traffic::{FlowKey, MAX_KEY_BYTES};
 
 use crate::fid::{Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
@@ -132,6 +132,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] when fewer than `n` bytes remain.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
         if end > self.buf.len() {
@@ -142,13 +143,37 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
+    /// Reads `N` raw bytes as an array: a group of fixed-width fields
+    /// read with one bounds check.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Truncated`] when fewer than `N` bytes remain.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let (head, rest) = self
+            .rest()
+            .split_first_chunk::<N>()
+            .ok_or(CheckpointError::Truncated)?;
+        let out = *head;
+        self.pos = self.buf.len() - rest.len();
+        Ok(out)
+    }
+
+    /// The bytes not read yet.
+    #[inline]
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     /// Reads one byte.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] at end of stream.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     /// Reads a little-endian `u32`.
@@ -156,9 +181,9 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] at end of stream.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
@@ -166,11 +191,9 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] at end of stream.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a statistics or request-ID counter: a little-endian `u64`
@@ -187,15 +210,6 @@ impl<'a> ByteReader<'a> {
             return Err(CheckpointError::Corrupt("counter above 2^62"));
         }
         Ok(v)
-    }
-
-    /// How many of `count` items, each at least `min_bytes` long, the
-    /// unread rest of the stream can hold: the most a reader may reserve
-    /// room for before reading a count-prefixed sequence, however large
-    /// the count the stream claims.
-    pub(crate) fn room_for(&self, count: u64, min_bytes: usize) -> usize {
-        let left = (self.buf.len() - self.pos) / min_bytes;
-        usize::try_from(count).map_or(left, |count| count.min(left))
     }
 
     /// Asserts the stream was consumed exactly.
@@ -268,18 +282,30 @@ pub fn write_key(w: &mut ByteWriter, key: &FlowKey) {
 ///
 /// [`CheckpointError`] on truncation or an unrepresentable key.
 pub fn read_key(r: &mut ByteReader<'_>) -> Result<FlowKey, CheckpointError> {
-    FlowKey::new(read_key_bytes(r)?).map_err(|_| CheckpointError::Corrupt("flow key too long"))
+    FlowKey::new(read_key_bytes(r)?).map_err(|_| key_too_long())
 }
 
 /// The bytes of a key written by [`write_key`], not made a [`FlowKey`].
+#[inline]
 pub(crate) fn read_key_bytes<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], CheckpointError> {
     let len = usize::from(r.u8()?);
     r.take(len)
 }
 
-/// Fewest bytes one placement (a [`write_location`] plus a
-/// [`write_key`]) takes: a CAM location (tag + `u32`) and a one-byte key.
-pub(crate) const MIN_PLACEMENT_BYTES: usize = 5 + 2;
+/// The bytes of a key written by [`write_key`], refused as [`read_key`]
+/// refuses a key no [`FlowKey`] holds, without building one.
+#[inline]
+pub(crate) fn read_flow_key_bytes<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], CheckpointError> {
+    let key = read_key_bytes(r)?;
+    if key.is_empty() || key.len() > MAX_KEY_BYTES {
+        return Err(key_too_long());
+    }
+    Ok(key)
+}
+
+fn key_too_long() -> CheckpointError {
+    CheckpointError::Corrupt("flow key too long")
+}
 
 const LOC_TAG_MEM_A: u8 = 0;
 const LOC_TAG_MEM_B: u8 = 1;
@@ -310,14 +336,15 @@ pub fn write_location(w: &mut ByteWriter, loc: Location) {
 /// # Errors
 ///
 /// [`CheckpointError`] on truncation or out-of-range indices.
+#[inline]
 pub fn read_location(
     r: &mut ByteReader<'_>,
     table: &TableConfig,
 ) -> Result<Location, CheckpointError> {
     match r.u8()? {
         tag @ (LOC_TAG_MEM_A | LOC_TAG_MEM_B) => {
-            let bucket = r.u32()?;
-            let slot = r.u8()?;
+            let [b0, b1, b2, b3, slot] = r.array()?;
+            let bucket = u32::from_le_bytes([b0, b1, b2, b3]);
             if bucket >= table.buckets_per_mem {
                 return Err(CheckpointError::Corrupt("bucket index out of range"));
             }
@@ -366,14 +393,17 @@ pub fn read_record(r: &mut ByteReader<'_>) -> Result<FlowRecord, CheckpointError
 }
 
 /// The counters of a record written by [`write_record`], read after its
-/// key.
+/// key: five `u64`s, with one bounds check.
+#[inline]
 pub(crate) fn read_counters(r: &mut ByteReader<'_>) -> Result<FlowCounters, CheckpointError> {
+    let b: [u8; 40] = r.array()?;
+    let word = |i: usize| u64::from_le_bytes(std::array::from_fn(|j| b[8 * i + j]));
     Ok(FlowCounters {
-        first_seen_ns: r.u64()?,
-        last_seen_ns: r.u64()?,
-        last_touch_sys: r.u64()?,
-        packets: r.u64()?,
-        bytes: r.u64()?,
+        first_seen_ns: word(0),
+        last_seen_ns: word(1),
+        last_touch_sys: word(2),
+        packets: word(3),
+        bytes: word(4),
     })
 }
 

@@ -24,13 +24,20 @@ use crate::error::InsertError;
 ///
 /// [`InsertError::KeyDoesNotFit`] for such a key.
 pub fn check_fit(key: &FlowKey, slot_bytes: usize) -> Result<(), InsertError> {
-    if key.is_empty() || key.len() >= slot_bytes {
+    if !fits(key.len(), slot_bytes) {
         return Err(InsertError::KeyDoesNotFit {
             key_bytes: key.len(),
             slot_bytes,
         });
     }
     Ok(())
+}
+
+/// `true` when a `slot_bytes`-wide slot holds a key of `key_bytes`
+/// bytes, the rule of [`check_fit`].
+#[inline]
+pub(crate) fn fits(key_bytes: usize, slot_bytes: usize) -> bool {
+    key_bytes != 0 && key_bytes < slot_bytes
 }
 
 /// Writes `key` into `slot`: its length byte, its bytes, zero padding.
@@ -41,11 +48,16 @@ pub fn check_fit(key: &FlowKey, slot_bytes: usize) -> Result<(), InsertError> {
 /// [`check_fit`] refuses `key` for a slot of `slot.len()` bytes.
 pub fn write_slot(slot: &mut [u8], key: &FlowKey) -> Result<(), InsertError> {
     check_fit(key, slot.len())?;
-    let k = key.as_bytes();
-    slot[0] = k.len() as u8;
-    slot[1..=k.len()].copy_from_slice(k);
-    slot[k.len() + 1..].fill(0);
+    fill_slot(slot, key.as_bytes());
     Ok(())
+}
+
+/// Writes the key whose bytes are `key` into `slot`, which [`fits`] it.
+#[inline]
+pub(crate) fn fill_slot(slot: &mut [u8], key: &[u8]) {
+    slot[0] = key.len() as u8;
+    slot[1..=key.len()].copy_from_slice(key);
+    slot[key.len() + 1..].fill(0);
 }
 
 /// Frees `slot`: every byte zero, as DRAM resets.

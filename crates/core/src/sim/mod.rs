@@ -59,7 +59,7 @@ use crate::error::{DeleteQueueFull, InsertError, PreloadError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
 use crate::storage::SparseStorage;
-use crate::table::HashCamTable;
+use crate::table::{HashCamTable, TableConfig};
 
 /// Which lookup stage a memory read serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1062,6 +1062,74 @@ const SIM_CHECKPOINT_MAGIC: u32 = 0x54554C46;
 /// Current checkpoint format version.
 const SIM_CHECKPOINT_VERSION: u32 = 1;
 
+/// Reads the header of a checkpoint (magic, version, configuration
+/// digest) after checking `cfg`: what [`FlowLutSim::restore`] checks
+/// before it reads any state.
+fn read_header(cfg: &SimConfig, r: &mut ByteReader<'_>) -> Result<(), CheckpointError> {
+    cfg.validate()
+        .map_err(|_| CheckpointError::Corrupt("invalid configuration"))?;
+    if r.u32()? != SIM_CHECKPOINT_MAGIC {
+        return Err(CheckpointError::BadMagic);
+    }
+    let version = r.u32()?;
+    if version != SIM_CHECKPOINT_VERSION {
+        return Err(CheckpointError::BadVersion(version));
+    }
+    let found = r.u64()?;
+    let expected = sim_config_digest(cfg);
+    if found != expected {
+        return Err(CheckpointError::ConfigMismatch { expected, found });
+    }
+    Ok(())
+}
+
+/// The error a restore meets from the first record that does not
+/// restate its placement's location and key byte for byte: the records
+/// from it on merged into the placements from its own on, as a restore
+/// that placed every flow first merges them. Each record goes to the
+/// first placement not below its ID, which must carry that ID and key,
+/// so with as many records as placements one of them fails. `last` is
+/// the location of the record before.
+fn record_error(
+    table: &TableConfig,
+    mut placements: ByteReader<'_>,
+    mut records: ByteReader<'_>,
+    count: u64,
+    last: Option<Location>,
+) -> CheckpointError {
+    let k = table.entries_per_bucket;
+    let disagrees = CheckpointError::Corrupt("flow record disagrees with its placement");
+    let mut last = last.map(|loc| FlowId::encode(loc, k));
+    let mut unmatched = count;
+    let mut merge = || -> Result<(), CheckpointError> {
+        for _ in 0..count {
+            let fid = FlowId::encode(checkpoint::read_location(&mut records, table)?, k);
+            let key = checkpoint::read_key_bytes(&mut records)?;
+            checkpoint::read_counters(&mut records)?;
+            if last >= Some(fid) {
+                return Err(CheckpointError::Corrupt("flow records out of ID order"));
+            }
+            last = Some(fid);
+            loop {
+                if unmatched == 0 {
+                    return Err(disagrees);
+                }
+                unmatched -= 1;
+                let id = FlowId::encode(checkpoint::read_location(&mut placements, table)?, k);
+                let placed = checkpoint::read_key_bytes(&mut placements)?;
+                if id >= fid {
+                    if id == fid && placed == key {
+                        break;
+                    }
+                    return Err(disagrees);
+                }
+            }
+        }
+        Ok(())
+    };
+    merge().err().unwrap_or(disagrees)
+}
+
 /// FNV-1a digest over the behaviour-relevant configuration, recorded in
 /// checkpoints so a restore into a mismatched configuration fails loudly.
 fn sim_config_digest(cfg: &SimConfig) -> u64 {
@@ -1220,6 +1288,19 @@ impl FlowLutSim {
         Ok(w.into_bytes())
     }
 
+    /// Checks what [`restore`](Self::restore) checks before it reads any
+    /// state: that `cfg` is valid, and that `bytes` start with a
+    /// simulator checkpoint's magic, this format's version and the digest
+    /// of `cfg`. An engine restore checks each shard's blob this way
+    /// before it restores any.
+    ///
+    /// # Errors
+    ///
+    /// The [`CheckpointError`] `restore` returns for such a blob.
+    pub fn check_checkpoint(cfg: &SimConfig, bytes: &[u8]) -> Result<(), CheckpointError> {
+        read_header(cfg, &mut ByteReader::new(bytes))
+    }
+
     /// Rebuilds a simulator from a [`checkpoint`](Self::checkpoint) blob.
     ///
     /// `cfg` must describe the same behaviour-relevant configuration the
@@ -1227,25 +1308,24 @@ impl FlowLutSim {
     /// policies may differ — they are re-read from `cfg`, so a restore
     /// can e.g. tighten the TTL.
     ///
+    /// The blob lists every resident flow twice, each list in strictly
+    /// ascending flow-ID order: as a placement (its location and key),
+    /// then as a record (its location, key and counters). A first pass
+    /// makes every check of a placement, in stream order, and finds where
+    /// the records start. A second pass reads placement `i` and record
+    /// `i` side by side: the record must restate the placement's
+    /// location and key byte for byte, and the flow is placed with its
+    /// key's bytes copied from the blob and its counters from the
+    /// record, one bucket claim per flow. A record that does not gets
+    /// the error of merging each record into the first placement not
+    /// below its ID, so every blob meets the first error in stream order.
+    ///
     /// # Errors
     ///
     /// [`CheckpointError`] on a malformed blob or mismatched `cfg`.
     pub fn restore(cfg: SimConfig, bytes: &[u8]) -> Result<FlowLutSim, CheckpointError> {
-        cfg.validate()
-            .map_err(|_| CheckpointError::Corrupt("invalid configuration"))?;
         let mut r = ByteReader::new(bytes);
-        if r.u32()? != SIM_CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != SIM_CHECKPOINT_VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-        let found = r.u64()?;
-        let expected = sim_config_digest(&cfg);
-        if found != expected {
-            return Err(CheckpointError::ConfigMismatch { expected, found });
-        }
+        read_header(&cfg, &mut r)?;
         let table_cfg = cfg.table;
         let k = table_cfg.entries_per_bucket;
         let mut sim = FlowLutSim::new(cfg);
@@ -1267,61 +1347,53 @@ impl FlowLutSim {
         if sim.stats.offered != sim.stats.completed {
             return Err(CheckpointError::Corrupt("checkpointed mid-pipeline"));
         }
-        // Placements in strictly ascending ID order, as `checkpoint`
-        // writes them, each keeping the slot it filled. So Mem1's come
-        // first, and Mem2's first reserves room for all that remain.
+        // Every check of the placements, counting each memory's.
         let placements = r.u64()?;
-        let room = r.room_for(placements, checkpoint::MIN_PLACEMENT_BYTES);
-        sim.table.reserve(PathId::A, room);
-        let mut placed = Vec::with_capacity(room);
-        let mut reserved = PathId::A;
+        let placed_from = r.rest();
+        let mut last = None;
+        let mut per_path = [0; 2];
         for _ in 0..placements {
             let loc = checkpoint::read_location(&mut r, &table_cfg)?;
-            let key = checkpoint::read_key(&mut r)?;
+            let key = checkpoint::read_flow_key_bytes(&mut r)?;
             let fid = FlowId::encode(loc, k);
-            if placed.last().is_some_and(|&(last, _)| last >= fid) {
+            if last >= Some(fid) {
                 return Err(CheckpointError::Corrupt("placements out of ID order"));
             }
-            if let Location::Mem { path, .. } = loc {
-                if path != reserved {
-                    sim.table.reserve(path, room.saturating_sub(placed.len()));
-                    reserved = path;
-                }
+            last = Some(fid);
+            if !codec::fits(key.len(), table_cfg.entry_slot_bytes) {
+                return Err(CheckpointError::Corrupt("flow key does not fit a slot"));
             }
-            let slot = sim
-                .table
-                .restore_at(key, loc)
-                .map_err(CheckpointError::Corrupt)?;
-            placed.push((fid, slot));
+            if let Location::Mem { path, .. } = loc {
+                per_path[path.index()] += 1;
+            }
         }
-        // Records: as many as placements, in strictly ascending ID order
-        // too, each naming the key placed at its location — together,
-        // exactly one record per placement. Both lists ascend, so each
-        // record is merged into the first placement not below its ID.
+        for path in [PathId::A, PathId::B] {
+            sim.table.reserve(path, per_path[path.index()]);
+        }
         let records = r.u64()?;
         if records != placements {
             return Err(CheckpointError::Corrupt(
                 "flow record count differs from placement count",
             ));
         }
+        // Placement `i` and record `i` side by side.
+        let mut placed = ByteReader::new(placed_from);
         let mut last = None;
-        let mut unmatched = placed.iter();
-        for _ in 0..records {
-            let fid = FlowId::encode(checkpoint::read_location(&mut r, &table_cfg)?, k);
-            // The key is compared with the placed one in place, not rebuilt.
-            let key = checkpoint::read_key_bytes(&mut r)?;
-            let counters = checkpoint::read_counters(&mut r)?;
-            if last >= Some(fid) {
-                return Err(CheckpointError::Corrupt("flow records out of ID order"));
+        for i in 0..placements {
+            let from = placed.rest();
+            let loc = checkpoint::read_location(&mut placed, &table_cfg)?;
+            let key = checkpoint::read_key_bytes(&mut placed)?;
+            let restated = &from[..from.len() - placed.rest().len()];
+            if !r.rest().starts_with(restated) {
+                let placed = ByteReader::new(from);
+                return Err(record_error(&table_cfg, placed, r, placements - i, last));
             }
-            last = Some(fid);
-            let slot = unmatched
-                .find(|&&(id, _)| id >= fid)
-                .filter(|&&(id, slot)| id == fid && sim.table.holds(slot, key))
-                .ok_or(CheckpointError::Corrupt(
-                    "flow record disagrees with its placement",
-                ))?;
-            *sim.table.counters_at(slot.1) = counters;
+            r.take(restated.len())?;
+            let counters = checkpoint::read_counters(&mut r)?;
+            sim.table
+                .restore_at(loc, key, counters)
+                .map_err(CheckpointError::Corrupt)?;
+            last = Some(loc);
         }
         let mut cursors = [None, None];
         for cursor in &mut cursors {

@@ -21,7 +21,7 @@
 
 use flowlut_cam::Cam;
 use flowlut_hash::PairHasher;
-use flowlut_traffic::FlowKey;
+use flowlut_traffic::{FlowKey, MAX_KEY_BYTES};
 
 use crate::codec;
 use crate::error::{ConfigError, InsertError};
@@ -230,11 +230,10 @@ pub struct HashCamTable {
 /// two memories'.
 const CAM_REGION: usize = 2;
 
-/// Where a resident flow's key and counters sit, in 8 bytes: restore
-/// keeps one per placement. Arena lines fit `u32`, as a memory has at
-/// most `u32::MAX` buckets.
+/// Where a resident flow's key and counters sit. Arena lines fit `u32`,
+/// as a memory has at most `u32::MAX` buckets.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Slot {
+enum Slot {
     /// At this CAM slot.
     Cam(u32),
     /// At slot `slot` of arena line `line` of `path`'s store.
@@ -486,6 +485,11 @@ impl HashCamTable {
 
     /// [`insert`](Self::insert) with the flow's counters: preload and
     /// rescale install flows whose record already exists.
+    ///
+    /// The CAM and Mem2 are searched first, so that the Mem1 bucket,
+    /// which takes most new flows, is probed once: found or claimed,
+    /// then searched. A key found in Mem2 is looked for in Mem1 as well,
+    /// which answers first, as in [`peek`](Self::peek).
     pub(crate) fn insert_flow(
         &mut self,
         key: FlowKey,
@@ -493,13 +497,29 @@ impl HashCamTable {
     ) -> Result<FlowId, InsertError> {
         codec::check_fit(&key, self.cfg.entry_slot_bytes)?;
         let (b1, b2) = self.hash_pair(&key);
-        let existing = self
-            .cam_peek(&key)
-            .or_else(|| self.find_in_buckets(&key, b1, b2));
+        let existing = self.cam_peek(&key).or_else(|| {
+            self.find_in_bucket(PathId::B, b2, &key)?;
+            self.find_in_buckets(&key, b1, b2)
+        });
         if let Some(existing) = existing {
             return Err(InsertError::Duplicate(existing));
         }
-        self.insert_at_order(key, counters, [(PathId::A, b1), (PathId::B, b2)])
+        let k = self.cfg.entries_per_bucket;
+        let line = self.claim_bucket(PathId::A, b1);
+        let bucket = self.slots(PathId::A, line);
+        if let Some(slot) = codec::find_key(bucket, self.cfg.entry_slot_bytes, usize::from(k), &key)
+        {
+            let at = Location::Mem {
+                path: PathId::A,
+                bucket: b1,
+                slot,
+            };
+            return Err(InsertError::Duplicate(FlowId::encode(at, k)));
+        }
+        match self.place_in(PathId::A, b1, line, &key, counters)? {
+            Some(id) => Ok(id),
+            None => self.insert_at_order(key, counters, &[(PathId::B, b2)]),
+        }
     }
 
     /// Inserts with externally supplied bucket indices, trying `prefer`'s
@@ -534,7 +554,7 @@ impl HashCamTable {
             PathId::A => [(PathId::A, b1), (PathId::B, b2)],
             PathId::B => [(PathId::B, b2), (PathId::A, b1)],
         };
-        self.insert_at_order(key, FlowCounters::default(), order)
+        self.insert_at_order(key, FlowCounters::default(), &order)
     }
 
     /// Lookup with externally supplied bucket indices (for flows inserted
@@ -582,25 +602,16 @@ impl HashCamTable {
         &mut self,
         key: FlowKey,
         counters: FlowCounters,
-        order: [(PathId, u32); 2],
+        order: &[(PathId, u32)],
     ) -> Result<FlowId, InsertError> {
-        let (k, slot_bytes) = (self.cfg.entries_per_bucket, self.cfg.entry_slot_bytes);
-        for (path, bucket) in order {
+        for &(path, bucket) in order {
             let line = self.claim_bucket(path, bucket);
-            let free = self
-                .slots(path, line)
-                .chunks_exact(slot_bytes)
-                .position(codec::is_free);
-            if let Some(slot) = free {
-                codec::write_slot(self.slot_mut(path, line, slot), &key)?;
-                self.counters[path.index()][line * usize::from(k) + slot] = counters;
-                self.mem_counts[path.index()] += 1;
-                self.stats.inserts += 1;
-                let slot = slot as u8;
-                return Ok(FlowId::encode(Location::Mem { path, bucket, slot }, k));
+            if let Some(id) = self.place_in(path, bucket, line, &key, counters)? {
+                return Ok(id);
             }
         }
         // Both buckets full: spill to the CAM.
+        let k = self.cfg.entries_per_bucket;
         match self.cam.insert(key) {
             Ok(slot) => {
                 self.counters[CAM_REGION][slot] = counters;
@@ -614,6 +625,35 @@ impl HashCamTable {
                 Err(InsertError::TableFull)
             }
         }
+    }
+
+    /// Places `key` in the first free slot of `path`'s `bucket`, whose
+    /// arena line is `line`; `None` when the bucket is full.
+    fn place_in(
+        &mut self,
+        path: PathId,
+        bucket: u32,
+        line: usize,
+        key: &FlowKey,
+        counters: FlowCounters,
+    ) -> Result<Option<FlowId>, InsertError> {
+        let k = self.cfg.entries_per_bucket;
+        let free = self
+            .slots(path, line)
+            .chunks_exact(self.cfg.entry_slot_bytes)
+            .position(codec::is_free);
+        let Some(slot) = free else {
+            return Ok(None);
+        };
+        codec::write_slot(self.slot_mut(path, line, slot), key)?;
+        self.counters[path.index()][line * usize::from(k) + slot] = counters;
+        self.mem_counts[path.index()] += 1;
+        self.stats.inserts += 1;
+        let slot = slot as u8;
+        Ok(Some(FlowId::encode(
+            Location::Mem { path, bucket, slot },
+            k,
+        )))
     }
 
     /// Looks `key` up and inserts it on miss — the paper's per-packet
@@ -632,7 +672,7 @@ impl HashCamTable {
         codec::check_fit(&key, self.cfg.entry_slot_bytes)?;
         let (b1, b2) = self.hash_pair(&key);
         let order = [(PathId::A, b1), (PathId::B, b2)];
-        self.insert_at_order(key, FlowCounters::default(), order)
+        self.insert_at_order(key, FlowCounters::default(), &order)
             .map(|id| (id, true))
     }
 
@@ -678,27 +718,37 @@ impl HashCamTable {
         true
     }
 
-    /// Places `key` at an exact `location`, with zero counters: the
-    /// checkpoint-restore path. Returns the slot it filled.
+    /// Places the flow whose key's bytes are `key` at an exact
+    /// `location`, with `counters`: the checkpoint-restore path. A bucket
+    /// is claimed once, and the key's bytes go into its slot as they
+    /// come; only a CAM slot, which holds a [`FlowKey`], makes one.
     ///
     /// Bypasses hashing and statistics — the caller guarantees the
     /// placement came from an identically configured table, so the
     /// bucket pair would hash the same anyway; validation here is purely
-    /// structural (bounds, double occupancy).
+    /// structural (bounds, double occupancy, a key some slot and some
+    /// [`FlowKey`] hold).
     ///
     /// # Errors
     ///
-    /// Returns a static description when the location is out of range or
-    /// already occupied, or when no slot can hold the key.
-    pub(crate) fn restore_at(&mut self, key: FlowKey, loc: Location) -> Result<Slot, &'static str> {
-        // Refused before anything is placed, in a bucket or in the CAM.
-        let refused = |_: InsertError| "flow key does not fit a slot";
-        codec::check_fit(&key, self.cfg.entry_slot_bytes).map_err(refused)?;
+    /// Returns a static description, and places nothing, when the
+    /// location is out of range or already occupied, or when no slot can
+    /// hold the key.
+    pub(crate) fn restore_at(
+        &mut self,
+        loc: Location,
+        key: &[u8],
+        counters: FlowCounters,
+    ) -> Result<(), &'static str> {
+        if !codec::fits(key.len(), self.cfg.entry_slot_bytes) || key.len() > MAX_KEY_BYTES {
+            return Err("flow key does not fit a slot");
+        }
         match loc {
             Location::Cam(slot) => {
+                let key = FlowKey::new(key).map_err(|_| "flow key does not fit a slot")?;
                 self.cam.restore_at(slot as usize, key)?;
                 self.occupied[CAM_REGION].insert(slot as usize);
-                Ok(Slot::Cam(slot))
+                self.counters[CAM_REGION][slot as usize] = counters;
             }
             Location::Mem { path, bucket, slot } => {
                 if bucket >= self.cfg.buckets_per_mem {
@@ -707,17 +757,21 @@ impl HashCamTable {
                 if slot >= self.cfg.entries_per_bucket {
                     return Err("bucket slot out of range");
                 }
+                // An occupied slot's bucket is resident: the claim adds
+                // no line then.
                 let line = self.claim_bucket(path, bucket);
-                if !codec::is_free(self.slot_bytes(path, line, usize::from(slot))) {
+                let slot = usize::from(slot);
+                let bytes = self.slot_mut(path, line, slot);
+                if !codec::is_free(bytes) {
                     return Err("bucket slot already occupied");
                 }
-                let bytes = self.slot_mut(path, line, usize::from(slot));
-                codec::write_slot(bytes, &key).map_err(refused)?;
+                codec::fill_slot(bytes, key);
+                let k = usize::from(self.cfg.entries_per_bucket);
+                self.counters[path.index()][line * k + slot] = counters;
                 self.mem_counts[path.index()] += 1;
-                let line = line as u32;
-                Ok(Slot::Mem { path, line, slot })
             }
         }
+        Ok(())
     }
 
     /// A bucket's `K` slots in the [`codec`] wire format: its DRAM bytes
@@ -744,7 +798,7 @@ impl HashCamTable {
     }
 
     /// `true` when `at` holds the key `key` (its bytes).
-    pub(crate) fn holds(&self, at: Slot, key: &[u8]) -> bool {
+    fn holds(&self, at: Slot, key: &[u8]) -> bool {
         match at {
             Slot::Cam(slot) => self
                 .cam
@@ -956,7 +1010,7 @@ impl HashCamTable {
     }
 
     /// The counters of the flow at `at`.
-    pub(crate) fn counters_at(&mut self, at: Slot) -> &mut FlowCounters {
+    fn counters_at(&mut self, at: Slot) -> &mut FlowCounters {
         let (region, i) = self.counter_index(at);
         &mut self.counters[region][i]
     }
@@ -1253,7 +1307,8 @@ mod tests {
             },
         ] {
             assert_eq!(
-                t.restore_at(wide, loc).err(),
+                t.restore_at(loc, wide.as_bytes(), FlowCounters::default())
+                    .err(),
                 Some("flow key does not fit a slot")
             );
         }
@@ -1309,16 +1364,21 @@ mod tests {
         placements.sort_by_key(|&(_, loc)| FlowId::encode(loc, 2).raw());
 
         let mut restored = table();
+        let counters = FlowCounters::first_packet(5, 6, 7);
         for &(k, loc) in &placements {
-            restored.restore_at(k, loc).expect("placement valid");
+            restored
+                .restore_at(loc, k.as_bytes(), counters)
+                .expect("placement valid");
         }
         assert_eq!(restored.occupancy().total(), live.occupancy().total());
         for (k, loc) in placements {
-            assert_eq!(restored.peek(&k), Some(FlowId::encode(loc, 2)));
+            let id = FlowId::encode(loc, 2);
+            assert_eq!(restored.peek(&k), Some(id));
+            assert_eq!(restored.record(id), Some(counters.with_key(k)));
         }
         // Double restore at the same location is rejected.
         let (k0, loc0) = restored.iter().next().expect("non-empty");
-        assert!(restored.restore_at(k0, loc0).is_err());
+        assert!(restored.restore_at(loc0, k0.as_bytes(), counters).is_err());
     }
 
     #[test]
@@ -1329,13 +1389,16 @@ mod tests {
             bucket: t.config().buckets_per_mem,
             slot: 0,
         };
-        assert!(t.restore_at(key(1), bad_bucket).is_err());
+        let counters = FlowCounters::default();
+        assert!(t
+            .restore_at(bad_bucket, key(1).as_bytes(), counters)
+            .is_err());
         let bad_slot = Location::Mem {
             path: PathId::B,
             bucket: 0,
             slot: t.config().entries_per_bucket,
         };
-        assert!(t.restore_at(key(1), bad_slot).is_err());
+        assert!(t.restore_at(bad_slot, key(1).as_bytes(), counters).is_err());
     }
 }
 
@@ -1384,7 +1447,8 @@ mod model {
         /// buckets, so they fill, spill to the CAM, and empty on delete.
         InsertForced(u64, u32, u32, PathId),
         Delete(u64),
-        /// Includes out-of-range buckets, slots and CAM slots.
+        /// With the counters of a first packet; includes out-of-range
+        /// buckets, slots and CAM slots.
         RestoreAt(u64, Location),
         /// A completion of a resident flow (skipped for an absent key).
         Packet(u64, bool, u16),
@@ -1509,7 +1573,7 @@ mod model {
             None
         }
 
-        fn restore_at(&mut self, key: FlowKey, loc: Location) -> bool {
+        fn restore_at(&mut self, key: FlowKey, loc: Location, counters: FlowCounters) -> bool {
             let target = match loc {
                 Location::Cam(slot) => self.cam.get_mut(slot as usize),
                 Location::Mem { path, bucket, slot } if bucket < BUCKETS && slot < K => self
@@ -1522,8 +1586,7 @@ mod model {
             match target {
                 Some(free @ None) => {
                     *free = Some(key);
-                    self.records
-                        .insert(id(loc), FlowCounters::default().with_key(key));
+                    self.records.insert(id(loc), counters.with_key(key));
                     true
                 }
                 _ => false,
@@ -1716,8 +1779,10 @@ mod model {
                         prop_assert_eq!(t.delete(&key(i)), expected);
                     }
                     Op::RestoreAt(i, loc) => {
-                        let accepted = r.restore_at(key(i), loc);
-                        prop_assert_eq!(t.restore_at(key(i), loc).is_ok(), accepted, "{:?}", loc);
+                        let counters = FlowCounters::first_packet(now, step as u64, i);
+                        let accepted = r.restore_at(key(i), loc, counters);
+                        let got = t.restore_at(loc, key(i).as_bytes(), counters);
+                        prop_assert_eq!(got.is_ok(), accepted, "{:?}", loc);
                     }
                     Op::Packet(i, new_flow, bytes) => {
                         if let Some(fid) = r.peek(t.hash_pair(&key(i)), &key(i)).map(id) {

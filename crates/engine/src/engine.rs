@@ -492,9 +492,11 @@ impl ShardedFlowLut {
     /// bit-identical to continuing the checkpointed one
     /// (`tests/checkpoint_restore.rs`).
     ///
-    /// The shards are restored at once, on `min(shards,
-    /// available_parallelism())` host threads, the calling thread among
-    /// them, whatever the [`ExecutionMode`].
+    /// Each shard blob's header (magic, version, configuration digest) is
+    /// checked on the calling thread first, and only the shards before
+    /// the first blob that fails it are restored. Those are restored at
+    /// once, on `min(shards, available_parallelism())` host threads, the
+    /// calling thread among them, whatever the [`ExecutionMode`].
     ///
     /// # Errors
     ///
@@ -533,16 +535,18 @@ impl ShardedFlowLut {
         let offered = r.counter()?;
         let splitter_stall_cycles = r.counter()?;
         let carried_stats = checkpoint::read_stats(&mut r)?;
-        // The shard blobs' bounds first, up to the first that does not
-        // read; then the shards before it, restored at once. Errors keep
-        // the order of a restore that reads and restores shard by shard:
-        // a shard's own error, then the bound after the last good shard,
-        // then trailing bytes.
+        // The shard blobs' bounds and headers first, up to the first
+        // that does not read or check; then the shards before it,
+        // restored at once. Errors keep the order of a restore that reads
+        // and restores shard by shard: a shard's own error, then the
+        // bound or header after the last good shard, then trailing bytes.
         let mut blobs = Vec::with_capacity(cfg.shards);
         let framing = (0..cfg.shards).try_for_each(|_| {
             let len = usize::try_from(r.u64()?)
                 .map_err(|_| CheckpointError::Corrupt("shard blob length overflow"))?;
-            blobs.push(r.take(len)?);
+            let blob = r.take(len)?;
+            FlowLutSim::check_checkpoint(&cfg.shard, blob)?;
+            blobs.push(blob);
             Ok(())
         });
         let sims = restore_shards(&cfg.shard, &blobs, now_sys)?;
@@ -655,9 +659,10 @@ const ENGINE_BACKEND_NAME: &str = "hashcam-sharded";
 /// `n = min(blobs, available_parallelism())` executors: the calling
 /// thread is executor 0, and executor `e` takes blobs `e`, `e + n`, … —
 /// the partition [`ShardedFlowLut::assemble`] gives the worker pool.
-/// Shards share nothing, so each restore is the one a single thread
-/// would do. Returns the first error in blob order; a panic on a worker
-/// is raised again here.
+/// Fewer than two blobs start no worker and do not ask for the host's
+/// core count. Shards share nothing, so each restore is the one a single
+/// thread would do. Returns the first error in blob order; a panic on a
+/// worker is raised again here.
 fn restore_shards(
     cfg: &SimConfig,
     blobs: &[&[u8]],
@@ -670,8 +675,10 @@ fn restore_shards(
         }
         Ok(sim)
     };
-    let cores = thread::available_parallelism().map_or(1, |c| c.get());
-    let n = blobs.len().min(cores).max(1);
+    let n = match blobs.len() {
+        0 | 1 => 1,
+        len => thread::available_parallelism().map_or(1, |c| c.get().min(len)),
+    };
     let executor = |e: usize| -> Vec<_> {
         blobs
             .iter()

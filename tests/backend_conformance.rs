@@ -66,6 +66,16 @@ fn registry(expiry: Option<ExpiryPolicy>) -> Vec<Box<dyn FlowStore>> {
 /// (so nothing expires *during* seeding), far below the idle stretch.
 const EXPIRY_TIMEOUT_SYS: u64 = 50_000;
 
+/// Cycles past the idle timeout by which every idle flow must have
+/// expired. Each flow was last touched before the idle stretch starts,
+/// so all are past the timeout `EXPIRY_TIMEOUT_SYS` cycles into it. One
+/// sweep of the scan then visits the whole population, under 24 flows
+/// at stride 4: 6 cycles, and one more to wrap. The update unit deletes
+/// one nominee per cycle, under 24 cycles, and a deletion's bucket write
+/// leaves its batch by the 64-cycle BWr timeout: under 100 cycles in
+/// all, so this margin leaves room forty times over.
+const EXPIRY_MARGIN_SYS: u64 = 4_096;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -173,7 +183,7 @@ proptest! {
             };
             // Idle long enough for every flow to cross the TTL and for
             // the amortized scan (stride records/cycle) to sweep them.
-            pipe.tick_many(5 * EXPIRY_TIMEOUT_SYS);
+            pipe.tick_many(EXPIRY_TIMEOUT_SYS + EXPIRY_MARGIN_SYS);
 
             let progress = pipe.poll();
             prop_assert_eq!(

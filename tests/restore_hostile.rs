@@ -18,6 +18,9 @@
 //! counts on through a short stream without overflowing. The two retired
 //! statistics words must be zero.
 //!
+//! Valid checkpoints of random tables restore to simulators that pass
+//! the same checks and checkpoint to the same bytes again.
+//!
 //! The engine restores its shards on several threads, so the bound
 //! counts the bytes every thread asks for. Every test here holds one
 //! lock, so no other test allocates while one measures.
@@ -31,7 +34,8 @@ use stats_alloc::StatsAlloc;
 
 use flowlut::core::checkpoint::MAX_COUNTER;
 use flowlut::core::codec;
-use flowlut::core::{CheckpointError, FlowLutSim, FlowPipeline, Location, SimConfig};
+use flowlut::core::{CheckpointError, FlowLutSim, FlowPipeline, Location, SimConfig, TableConfig};
+use flowlut::ddr3::MemorySpec;
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
@@ -128,9 +132,9 @@ fn restore_checked(blob: &[u8], empty_cost: u64) -> Result<(), CheckpointError> 
 }
 
 fn assert_consistent(sim: &FlowLutSim) {
-    let k = config().table.entries_per_bucket;
-    let slot_bytes = config().table.entry_slot_bytes;
     let table = sim.table();
+    let k = table.config().entries_per_bucket;
+    let slot_bytes = table.config().entry_slot_bytes;
     assert_eq!(table.records_after(None).count() as u64, table.len());
     for (id, record) in table.records_after(None) {
         let at_placement = match id.decode(k) {
@@ -249,6 +253,95 @@ fn a_key_wider_than_a_slot_is_rejected() {
             restore_checked(&hostile, empty_cost).err(),
             Some(CheckpointError::Corrupt("flow key does not fit a slot")),
             "key {i}"
+        );
+    }
+}
+
+/// Byte offset of the placement count in a simulator checkpoint, after
+/// the statistics.
+const PLACEMENTS_AT: usize = STATS_AT + STATS * 8;
+
+/// Where each placement and each record of a simulator checkpoint lies:
+/// a location (a tag, then a bucket and a slot, or a CAM slot), a key
+/// (its length, then its bytes) and, for a record, five counters.
+fn flows(blob: &[u8]) -> [Vec<Range<usize>>; 2] {
+    let mut at = PLACEMENTS_AT;
+    [0, 40].map(|counters| {
+        let count = u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        at += 8;
+        (0..count)
+            .map(|_| {
+                let key_at = key_at(blob, at);
+                let end = key_at + 1 + usize::from(blob[key_at]) + counters;
+                let flow = at..end;
+                at = end;
+                flow
+            })
+            .collect()
+    })
+}
+
+/// Where the key of the placement or record at `at` starts.
+fn key_at(blob: &[u8], at: usize) -> usize {
+    const CAM_TAG: u8 = 2;
+    at + if blob[at] == CAM_TAG { 5 } else { 6 }
+}
+
+/// `blob` with the key of the placement at `at` replaced by `key`.
+fn with_placement_key(blob: &[u8], at: usize, key: &[u8]) -> Vec<u8> {
+    let key_at = key_at(blob, at);
+    let mut out = blob[..key_at].to_vec();
+    out.push(key.len() as u8);
+    out.extend_from_slice(key);
+    out.extend_from_slice(&blob[key_at + 1 + usize::from(blob[key_at])..]);
+    out
+}
+
+/// Restore checks every placement before it reads a record, as it did
+/// when it placed every flow before reading the records: a placement's
+/// error comes first, wherever the placement is, and a key no flow key
+/// can hold (over 64 bytes) is "too long", apart from one that is a flow
+/// key but no slot holds.
+#[test]
+fn a_placement_error_comes_before_a_record_error() {
+    let _serial = serial();
+    let blob = valid_blob();
+    let empty_cost = empty_restore_bytes();
+    let [placements, records] = flows(&blob);
+    assert_eq!(placements.len(), 14);
+    // Record 0 names another key than placement 0.
+    let mut disagree = blob.clone();
+    disagree[records[0].end - 41] ^= 1;
+    assert_eq!(
+        restore_checked(&disagree, empty_cost).err(),
+        Some(CheckpointError::Corrupt(
+            "flow record disagrees with its placement"
+        ))
+    );
+    // ... and a later Mem2 placement names a bucket out of range.
+    let later = placements
+        .iter()
+        .rev()
+        .find(|p| blob[p.start] == 1)
+        .expect("a Mem2 placement");
+    let buckets = config().table.buckets_per_mem;
+    disagree[later.start + 1..later.start + 5].copy_from_slice(&buckets.to_le_bytes());
+    assert_eq!(
+        restore_checked(&disagree, empty_cost).err(),
+        Some(CheckpointError::Corrupt("bucket index out of range"))
+    );
+    // ... and placement 0's key is too wide for a slot, or for any key.
+    for (width, error) in [
+        (16, "flow key does not fit a slot"),
+        (64, "flow key does not fit a slot"),
+        (65, "flow key too long"),
+        (0, "flow key too long"),
+    ] {
+        let hostile = with_placement_key(&disagree, placements[0].start, &vec![0xEE; width]);
+        assert_eq!(
+            restore_checked(&hostile, empty_cost).err(),
+            Some(CheckpointError::Corrupt(error)),
+            "{width}-byte key"
         );
     }
 }
@@ -443,6 +536,25 @@ fn inflated_values_in_every_engine_window_are_contained() {
     }
 }
 
+/// An engine restore checks every shard blob's header on the calling
+/// thread and restores no shard from the first that fails it on: a blob
+/// whose first shard has a flipped magic costs less than building one
+/// empty shard.
+#[test]
+fn a_shard_that_fails_its_header_builds_no_shard() {
+    let _serial = serial();
+    let (mut blob, _) = valid_engine_blob();
+    let first = shard_blobs(&blob)[0].start;
+    blob[first] ^= 0xFF;
+    let (restored, requested) = requested_by(|| ShardedFlowLut::restore(engine_config(), &blob));
+    assert_eq!(restored.err(), Some(CheckpointError::BadMagic));
+    let one_shard = requested_by(|| FlowLutSim::new(engine_config().shard)).1;
+    assert!(
+        requested < one_shard,
+        "the restore requested {requested} heap bytes, one empty shard {one_shard}"
+    );
+}
+
 /// The engine restores its shards at once, yet answers as a restore
 /// that reads and restores them one by one: the first shard's error in
 /// shard order, whatever a later shard holds, then a shard blob that
@@ -597,4 +709,93 @@ proptest! {
             prop_assert_eq!(report.stats.inserted_mem + report.stats.inserted_cam, 10);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A random table checkpoints, restores and checkpoints again to the
+    /// same bytes, and the restored simulator passes the checks above.
+    /// Flows arrive in rounds, each followed by deletions of random
+    /// resident flows, so later rounds reuse the lines deletions free.
+    /// Every other key is forced onto one of two bucket pairs, which fill
+    /// Mem1 and Mem2 and spill into the CAM. The tables have the
+    /// prototype's 16-byte slots and 13-byte keys, or 40-byte slots and
+    /// 37-byte keys.
+    #[test]
+    fn random_tables_round_trip_byte_for_byte(
+        wide in any::<bool>(),
+        rounds in prop::collection::vec(
+            (
+                prop::collection::vec(0..120u64, 1..60),
+                prop::collection::vec(any::<prop::sample::Index>(), 0..24),
+            ),
+            1..4,
+        ),
+    ) {
+        let _serial = serial();
+        let cfg = round_trip_config(wide);
+        let mut sim = FlowLutSim::new(cfg.clone());
+        let mut seq = 0;
+        for (flows, deletions) in rounds {
+            let descs: Vec<PacketDescriptor> = flows
+                .into_iter()
+                .map(|i| {
+                    seq += 1;
+                    let d = PacketDescriptor::new(seq, round_trip_key(i, wide));
+                    if i % 2 == 1 {
+                        let pair = (i as u32 / 2) % 2 + 1;
+                        d.with_hash_override(pair << 24, (pair + 5) << 24)
+                    } else {
+                        d
+                    }
+                })
+                .collect();
+            sim.start_run().run(&descs).expect("fresh session");
+            let resident: Vec<_> = sim.table().records_after(None).collect();
+            for d in deletions {
+                let (fid, record) = resident[d.index(resident.len())];
+                sim.delete_flow(fid, record.key).expect("few deletions queue");
+            }
+            sim.quiesce();
+        }
+        let blob = sim.checkpoint().expect("a quiesced simulator checkpoints");
+        let mut restored = FlowLutSim::restore(cfg, &blob).expect("a checkpoint restores");
+        assert_consistent(&restored);
+        prop_assert_eq!(restored.table().len(), sim.table().len());
+        let again = restored.checkpoint().expect("a restored simulator checkpoints");
+        prop_assert!(again == blob, "the second checkpoint differs from the first");
+    }
+}
+
+/// The test configuration, or its form with 40-byte slots (an IPv6
+/// 5-tuple's) over 1,024 buckets per memory and a 64-slot CAM.
+fn round_trip_config(wide: bool) -> SimConfig {
+    let mut cfg = SimConfig::test_small();
+    if wide {
+        cfg.table = TableConfig {
+            buckets_per_mem: 1024,
+            entries_per_bucket: 2,
+            cam_capacity: 64,
+            entry_slot_bytes: 40,
+            hash_seed: 0x1991,
+        };
+        let MemorySpec::Ddr3(ddr3) = &mut cfg.memory else {
+            panic!("the test configuration is DDR3");
+        };
+        ddr3.geometry.rows = 512;
+    }
+    cfg
+}
+
+/// Key `i`: a 13-byte IPv4 5-tuple, or a 37-byte IPv6-style tuple.
+fn round_trip_key(i: u64, wide: bool) -> FlowKey {
+    if !wide {
+        return key(i);
+    }
+    let mut bytes = [0u8; 37];
+    bytes[..8].copy_from_slice(&i.to_be_bytes());
+    bytes[8..16].copy_from_slice(&(!i).to_be_bytes());
+    bytes[36] = 6;
+    FlowKey::new(&bytes).expect("37 bytes make a flow key")
 }
