@@ -5,7 +5,6 @@ use flowlut_core::{FlowId, HashCamTable, RunReport};
 
 /// Detector thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EventThresholds {
     /// Raise [`Event::ElephantFlow`] when a flow first crosses this many
     /// bytes.

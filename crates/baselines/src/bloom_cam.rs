@@ -89,7 +89,7 @@ impl FlowStore for BloomCamTable {
     fn contains(&mut self, key: &FlowKey) -> bool {
         self.stats.lookups += 1;
         self.stats.cam_searches += 1;
-        if self.cam.search(key).is_some() {
+        if self.cam.peek(key).is_some() {
             return true;
         }
         let c = self.cell_of(key);

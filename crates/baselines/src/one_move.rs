@@ -175,7 +175,7 @@ impl FlowStore for OneMoveTable {
     fn contains(&mut self, key: &FlowKey) -> bool {
         self.stats.lookups += 1;
         self.stats.cam_searches += 1;
-        if self.cam.search(key).is_some() {
+        if self.cam.peek(key).is_some() {
             return true;
         }
         self.stats.mem_reads += self.hashes.len() as u64;

@@ -96,7 +96,7 @@ impl FlowStore for SimultaneousHashCam {
         // Simultaneous dispatch: CAM and BOTH memories are always read.
         self.stats.cam_searches += 1;
         self.stats.mem_reads += 2;
-        if self.cam.search(key).is_some() {
+        if self.cam.peek(key).is_some() {
             return true;
         }
         (0..2).any(|mem| {

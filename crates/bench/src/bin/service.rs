@@ -161,7 +161,7 @@ fn churn_run(shards: usize, profile: Profile, w: &ChurnWorkload) -> Row {
         }
         svc.pump(w.idle_gap_sys); // dead air between epochs — churn, not burst
     }
-    svc.drain();
+    svc.drain().expect("the service drains");
     let _ = svc.take_victims();
 
     let progress = svc.poll();

@@ -5,8 +5,6 @@ use std::error::Error;
 use std::fmt;
 use std::hash::Hash;
 
-use crate::stats::CamStats;
-
 /// Error returned when inserting into a full CAM.
 ///
 /// In the flow-table context this surfaces as the `TableFull` condition:
@@ -36,7 +34,7 @@ impl Error for CamFullError {}
 ///
 /// Duplicate keys are a caller responsibility: `insert` does not scan for
 /// duplicates (hardware does not either — the flow table searches before
-/// inserting). [`Cam::search`] on a duplicated key returns the lowest
+/// inserting). [`Cam::peek`] on a duplicated key returns the lowest
 /// slot.
 ///
 /// The single-cycle parallel compare is modelled on the host by an index
@@ -54,7 +52,6 @@ pub struct Cam<K> {
     /// any result.
     index: HashMap<K, usize>,
     len: usize,
-    stats: CamStats,
 }
 
 impl<K: Eq + Hash + Copy> Cam<K> {
@@ -72,7 +69,6 @@ impl<K: Eq + Hash + Copy> Cam<K> {
             // reallocates.
             index: HashMap::with_capacity(capacity),
             len: 0,
-            stats: CamStats::default(),
         }
     }
 
@@ -94,23 +90,7 @@ impl<K: Eq + Hash + Copy> Cam<K> {
         self.len == 0
     }
 
-    /// Statistics accumulated so far.
-    #[inline]
-    pub fn stats(&self) -> &CamStats {
-        &self.stats
-    }
-
     /// Parallel search; returns the lowest slot index holding `key`.
-    pub fn search(&mut self, key: &K) -> Option<usize> {
-        self.stats.searches += 1;
-        let hit = self.peek(key);
-        if hit.is_some() {
-            self.stats.hits += 1;
-        }
-        hit
-    }
-
-    /// Search without statistics side-effects (for assertions and debug).
     pub fn peek(&self, key: &K) -> Option<usize> {
         self.index.get(key).copied()
     }
@@ -134,23 +114,17 @@ impl<K: Eq + Hash + Copy> Cam<K> {
             Some(slot) => {
                 debug_assert!(self.slots[slot].is_none());
                 self.occupy(slot, key);
-                self.stats.inserts += 1;
-                self.stats.high_watermark = self.stats.high_watermark.max(self.len);
                 Ok(slot)
             }
-            None => {
-                self.stats.insert_failures += 1;
-                Err(CamFullError {
-                    capacity: self.capacity(),
-                })
-            }
+            None => Err(CamFullError {
+                capacity: self.capacity(),
+            }),
         }
     }
 
     /// Places `key` directly into `slot`: the checkpoint-restore path,
     /// which must reproduce exact slot assignments rather than allocate
-    /// fresh ones. Maintains the free-list ordering invariant and does
-    /// not touch statistics (restore is not a simulated operation).
+    /// fresh ones. Maintains the free-list ordering invariant.
     ///
     /// # Errors
     ///
@@ -186,7 +160,6 @@ impl<K: Eq + Hash + Copy> Cam<K> {
     pub fn delete_slot(&mut self, slot: usize) -> Option<K> {
         let k = self.slots[slot].take()?;
         self.len -= 1;
-        self.stats.deletes += 1;
         // Keep the free list sorted descending so the lowest slot is
         // reused first (deterministic like a hardware priority allocator).
         let pos = self
@@ -242,9 +215,9 @@ mod tests {
         let mut cam: Cam<u32> = Cam::new(8);
         let s = cam.insert(42).unwrap();
         assert_eq!(s, 0);
-        assert_eq!(cam.search(&42), Some(0));
+        assert_eq!(cam.peek(&42), Some(0));
         assert_eq!(cam.delete(&42), Some(0));
-        assert_eq!(cam.search(&42), None);
+        assert_eq!(cam.peek(&42), None);
         assert!(cam.is_empty());
     }
 
@@ -267,7 +240,6 @@ mod tests {
         assert_eq!(cam.len(), cam.capacity());
         let err = cam.insert(3).unwrap_err();
         assert_eq!(err.capacity, 2);
-        assert_eq!(cam.stats().insert_failures, 1);
     }
 
     #[test]
@@ -276,24 +248,9 @@ mod tests {
         cam.insert(7).unwrap(); // slot 0
         cam.insert(8).unwrap(); // slot 1
         cam.insert(7).unwrap(); // slot 2 (duplicate by caller choice)
-        assert_eq!(cam.search(&7), Some(0));
+        assert_eq!(cam.peek(&7), Some(0));
         cam.delete_slot(0);
-        assert_eq!(cam.search(&7), Some(2));
-    }
-
-    #[test]
-    fn stats_track_hits_and_watermark() {
-        let mut cam: Cam<u8> = Cam::new(4);
-        cam.insert(1).unwrap();
-        cam.insert(2).unwrap();
-        cam.search(&1);
-        cam.search(&9);
-        assert_eq!(cam.stats().searches, 2);
-        assert_eq!(cam.stats().hits, 1);
-        assert!((cam.stats().hit_rate() - 0.5).abs() < 1e-12);
-        cam.delete(&1);
-        cam.delete(&2);
-        assert_eq!(cam.stats().high_watermark, 2);
+        assert_eq!(cam.peek(&7), Some(2));
     }
 
     #[test]
@@ -332,10 +289,6 @@ mod tests {
         assert_eq!(cam.peek(&30), Some(2));
         // Allocation after restore still fills the lowest free slot.
         assert_eq!(cam.insert(99).unwrap(), 1);
-        // Statistics are untouched by restore — only the live insert
-        // above counted.
-        assert_eq!(cam.stats().inserts, 1);
-        assert_eq!(cam.stats().high_watermark, 3);
         // Delete/reinsert keeps the free list coherent with restores.
         cam.delete(&10);
         assert_eq!(cam.insert(11).unwrap(), 0);

@@ -5,8 +5,8 @@
 //! every lookup (Figure 1). This crate models that block:
 //!
 //! [`Cam`] is an exact-match (binary) CAM with single-cycle parallel
-//! search semantics, priority encoding (lowest index wins), a hardware
-//! style free-list allocator, and occupancy statistics. The flow table
+//! search semantics, priority encoding (lowest index wins), and a
+//! hardware style free-list allocator. The flow table
 //! sizes this block and reports it in the Table I resource model.
 //!
 //! It is a cycle-free data structure: latency modelling (one
@@ -20,8 +20,8 @@
 //!
 //! let mut cam: Cam<u64> = Cam::new(4);
 //! let slot = cam.insert(0xDEAD_BEEF).unwrap();
-//! assert_eq!(cam.search(&0xDEAD_BEEF), Some(slot));
-//! assert_eq!(cam.search(&0x0BAD_F00D), None);
+//! assert_eq!(cam.peek(&0xDEAD_BEEF), Some(slot));
+//! assert_eq!(cam.peek(&0x0BAD_F00D), None);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -29,7 +29,5 @@
 #![warn(missing_debug_implementations)]
 
 mod binary;
-mod stats;
 
 pub use binary::{Cam, CamFullError};
-pub use stats::CamStats;

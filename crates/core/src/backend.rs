@@ -21,6 +21,9 @@
 //! on the handle, lifecycle misuse is either a compile error (the
 //! borrow prevents a second concurrent session; [`Session::finish`]
 //! consumes the handle) or a typed [`SessionError`] (push after drain).
+//! Every loop that drives a timed backend is built from one [`Pacer`],
+//! one [`settle`] loop and one [`Watchdog`], which reports a wedged
+//! pipeline as [`SessionError::Stalled`].
 //! Every run produces a [`RunReport`], the one report shape of every
 //! timed backend, and [`FlowPipeline::poll`] reads the same counters
 //! live as a [`SessionProgress`].
@@ -52,7 +55,9 @@ use crate::table::{HashCamTable, Occupancy};
 /// so callers can log *what* failed and *at what load* without another
 /// round-trip into the table. For cuckoo-style tables this is an
 /// insertion-loop abort; for bounded-bucket tables it means every
-/// candidate slot (and any overflow CAM) is full.
+/// candidate slot (and any overflow CAM) is full. A timed backend also
+/// answers it when its pipeline stalls ([`SessionError::Stalled`])
+/// before the key is placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FullError {
     /// Name of the structure that rejected the key.
@@ -92,7 +97,6 @@ impl Error for FullError {}
 /// relocations) are tallied separately because they are cheap on-die but
 /// are the scaling bottleneck of the respective schemes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpStats {
     /// Bucket reads issued.
     pub mem_reads: u64,
@@ -183,6 +187,9 @@ impl OpStats {
 /// inserting a resident key is a no-op reporting `Ok(false)` — so one
 /// generated operation sequence produces identical membership answers on
 /// every backend, which the cross-backend conformance suite relies on.
+///
+/// A timed backend runs each op through its pipeline and
+/// [`settle`]s it dry, so its ops belong on an idle pipeline.
 ///
 /// Every store is [`Send`]: backends are plain owned data, and the
 /// multi-channel engine's threaded execution mode moves complete
@@ -288,8 +295,9 @@ pub struct FlowEvent {
     pub now_sys: u64,
 }
 
-/// Lifecycle misuse of a [`Session`] handle that the type system cannot
-/// rule out statically.
+/// What a pipeline's driver could not do: lifecycle misuse of a
+/// [`Session`] handle that the type system cannot rule out statically,
+/// or a pipeline that stopped completing work.
 ///
 /// Most misuse *is* ruled out statically: a second concurrent session
 /// cannot be opened (the handle holds the `&mut` borrow), and nothing can
@@ -305,6 +313,17 @@ pub enum SessionError {
     Drained,
     /// `drain` called twice on one session.
     AlreadyDrained,
+    /// The watchdog found no completion for [`STALL_CYCLES`] system
+    /// cycles while work was pending: a scheduler deadlock or a memory
+    /// that never answers. The pipeline is left as it stood.
+    Stalled {
+        /// System cycle of the watchdog sample that found the stall.
+        now_sys: u64,
+        /// Descriptors completed over the pipeline's life.
+        completed: u64,
+        /// Descriptors accepted but not yet resolved.
+        in_pipeline: u64,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -317,11 +336,129 @@ impl fmt::Display for SessionError {
                 )
             }
             SessionError::AlreadyDrained => write!(f, "session drained twice"),
+            SessionError::Stalled {
+                now_sys,
+                completed,
+                in_pipeline,
+            } => write!(
+                f,
+                "no completion for {STALL_CYCLES} cycles at cycle {now_sys}: {completed} \
+                 completed, {in_pipeline} in pipeline — pipeline stalled"
+            ),
         }
     }
 }
 
 impl Error for SessionError {}
+
+/// A pipeline that completes nothing for this many system cycles while
+/// work is pending has stalled ([`SessionError::Stalled`]).
+pub const STALL_CYCLES: u64 = 2_000_000;
+
+/// The one deadlock watchdog of every drive loop: [`Session::offer`],
+/// [`settle`] (so every drain, quiesce and functional op of the timed
+/// backends) and the service's drain.
+///
+/// Reading a pipeline's counters is O(channels), so the watchdog samples
+/// them once per 1024 cycles; against the [`STALL_CYCLES`] window the
+/// detection latency is immaterial. A sample that finds no completion
+/// since the sample that last saw one (or since the watchdog started)
+/// [`STALL_CYCLES`] or more cycles ago reports the stall.
+#[derive(Debug)]
+pub struct Watchdog {
+    cycles: u64,
+    completed: u64,
+    since: u64,
+}
+
+impl Watchdog {
+    const PERIOD: u64 = 1024;
+
+    /// Starts watching `pipe` from its current progress.
+    pub fn new<P: FlowPipeline + ?Sized>(pipe: &P) -> Watchdog {
+        let p = pipe.poll();
+        Watchdog {
+            cycles: 0,
+            completed: p.stats.completed,
+            since: p.now_sys,
+        }
+    }
+
+    /// Counts `cycles` more cycles of `pipe`, sampling its progress when
+    /// the count crosses a multiple of the sampling period.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Stalled`] when the sample finds the stall.
+    pub fn watch<P: FlowPipeline + ?Sized>(
+        &mut self,
+        pipe: &P,
+        cycles: u64,
+    ) -> Result<(), SessionError> {
+        let period = self.cycles / Self::PERIOD;
+        self.cycles += cycles;
+        if self.cycles / Self::PERIOD == period {
+            return Ok(());
+        }
+        let p = pipe.poll();
+        if p.stats.completed > self.completed {
+            self.completed = p.stats.completed;
+            self.since = p.now_sys;
+        } else if p.now_sys - self.since >= STALL_CYCLES {
+            return Err(SessionError::Stalled {
+                now_sys: p.now_sys,
+                completed: p.stats.completed,
+                in_pipeline: p.in_pipeline,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The one settle loop: ticks `pipe` until `done` holds (checked before
+/// each tick, so a pipeline already done spends no cycle), under the
+/// [`Watchdog`]. Returns the cycles spent. Every drain, quiesce and
+/// functional op of the timed backends runs through it.
+///
+/// # Errors
+///
+/// [`SessionError::Stalled`] when the pipeline completes nothing for
+/// [`STALL_CYCLES`] cycles first.
+pub fn settle<P: FlowPipeline + ?Sized>(
+    pipe: &mut P,
+    mut done: impl FnMut(&mut P) -> bool,
+) -> Result<u64, SessionError> {
+    let mut watchdog = Watchdog::new(&*pipe);
+    while !done(pipe) {
+        pipe.tick();
+        watchdog.watch(&*pipe, 1)?;
+    }
+    Ok(watchdog.cycles)
+}
+
+/// The paced input's credit accumulator, shared by [`Session::offer`]
+/// and the service's pump: each cycle it gains the pipeline's
+/// [`input_rate_per_cycle`](FlowPipeline::input_rate_per_cycle), capped
+/// at its [`burst_cap`](FlowPipeline::burst_cap), and each accepted
+/// descriptor spends one credit.
+#[derive(Debug, Default)]
+pub struct Pacer {
+    credit: f64,
+}
+
+impl Pacer {
+    /// One cycle of intake: gains `rate` credit (capped at `cap`), then
+    /// calls `offer` while a whole credit remains; `offer` returns
+    /// whether it accepted a descriptor, and a refusal ends the cycle's
+    /// intake.
+    #[inline]
+    pub fn cycle(&mut self, rate: f64, cap: f64, mut offer: impl FnMut() -> bool) {
+        self.credit = (self.credit + rate).min(cap);
+        while self.credit >= 1.0 && offer() {
+            self.credit -= 1.0;
+        }
+    }
+}
 
 /// The cycle-stepped streaming capability of the timed backends.
 ///
@@ -363,8 +500,7 @@ pub trait FlowPipeline: FlowStore {
     /// Advances `cycles` system-clock cycles in one call — the
     /// epoch-batched form of [`tick`](Self::tick) for callers that know
     /// no input arrives during the stretch (idle-time advancement,
-    /// warm-up). Backends may override the per-cycle loop with a
-    /// batched implementation.
+    /// warm-up).
     fn tick_many(&mut self, cycles: u64) {
         for _ in 0..cycles {
             self.tick();
@@ -374,6 +510,15 @@ pub trait FlowPipeline: FlowStore {
     /// Observes cumulative progress without advancing time.
     fn poll(&self) -> SessionProgress;
 
+    /// Descriptors accepted but not yet resolved: staged, queued, or in
+    /// flight.
+    fn in_pipeline(&self) -> u64;
+
+    /// `true` when nothing is staged, queued, batched, or in flight —
+    /// the state a checkpoint requires, in which DRAM holds every bucket
+    /// as the table does.
+    fn is_quiescent(&self) -> bool;
+
     /// Drains pending flow-lifecycle events (idle-TTL expiries,
     /// pressure evictions) raised since the previous call, in
     /// deterministic order. Backends without aging/eviction support
@@ -382,14 +527,32 @@ pub trait FlowPipeline: FlowStore {
         Vec::new()
     }
 
-    /// Declares end of input and ticks until nothing is staged, queued,
-    /// or in flight. Returns the number of cycles spent draining.
+    /// Declares end of input and [`settle`]s until nothing is staged,
+    /// queued, or in flight. Returns the number of cycles spent draining.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the pipeline makes no progress for an implausibly long
-    /// time (a scheduler deadlock — a bug, not a workload condition).
-    fn drain(&mut self) -> u64;
+    /// [`SessionError::Stalled`] if the pipeline completes nothing for
+    /// [`STALL_CYCLES`] cycles (a scheduler deadlock — a bug, not a
+    /// workload condition).
+    fn drain(&mut self) -> Result<u64, SessionError>;
+
+    /// [`drain`](Self::drain)s the pipeline if anything is in it, then
+    /// [`settle`]s until every internal queue (update unit, BWr_Gen
+    /// batches, outstanding memory requests) is empty:
+    /// [`is_quiescent`](Self::is_quiescent). Returns the cycles spent.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Stalled`] as for [`drain`](Self::drain).
+    fn quiesce(&mut self) -> Result<u64, SessionError> {
+        let drained = if self.in_pipeline() > 0 {
+            self.drain()?
+        } else {
+            0
+        };
+        Ok(drained + settle(self, |p| p.is_quiescent())?)
+    }
 
     /// System-clock period in nanoseconds (for converting cycles to
     /// wall-clock time in reports).
@@ -501,13 +664,14 @@ impl<'a> Session<'a> {
     ///
     /// # Errors
     ///
-    /// [`SessionError::AlreadyDrained`] on a second call.
+    /// [`SessionError::AlreadyDrained`] on a second call;
+    /// [`SessionError::Stalled`] if the pipeline stops completing work.
     pub fn drain(&mut self) -> Result<u64, SessionError> {
         if self.drained {
             return Err(SessionError::AlreadyDrained);
         }
         self.drained = true;
-        Ok(self.pipe.drain())
+        self.pipe.drain()
     }
 
     /// Offers `descs` at the pipeline's configured input rate, ticking
@@ -515,76 +679,50 @@ impl<'a> Session<'a> {
     /// loop of the canonical driver; the session stays open for more
     /// input afterwards.
     ///
-    /// Pacing: an input-credit accumulator gains
-    /// [`input_rate_per_cycle`](FlowPipeline::input_rate_per_cycle)
-    /// credits per cycle (capped at
-    /// [`burst_cap`](FlowPipeline::burst_cap)); each accepted descriptor
-    /// spends one credit. A rejected push (backpressure) stops this
-    /// cycle's intake; the descriptor is re-offered after the next tick.
-    /// The accumulator does not carry across `offer` calls.
+    /// Pacing is the [`Pacer`]'s: a rejected push (backpressure) stops
+    /// this cycle's intake, and the descriptor is re-offered after the
+    /// next tick. The credit does not carry across `offer` calls.
     ///
     /// # Errors
     ///
     /// [`SessionError::Drained`] if the session already declared end of
-    /// input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline completes nothing for an implausibly long
-    /// time (a scheduler deadlock — a bug, not a workload condition).
+    /// input; [`SessionError::Stalled`] if the pipeline completes nothing
+    /// for [`STALL_CYCLES`] cycles with input pending.
     pub fn offer(&mut self, descs: &[PacketDescriptor]) -> Result<(), SessionError> {
         if self.drained {
             return Err(SessionError::Drained);
         }
         let rate = self.pipe.input_rate_per_cycle();
         let cap = self.pipe.burst_cap();
-        let baseline = self.pipe.poll();
+        let mut pacer = Pacer::default();
+        let mut watchdog = Watchdog::new(&*self.pipe);
         let mut next = 0usize;
-        let mut accum = 0.0f64;
-        let mut completed = baseline.stats.completed;
-        let mut last_progress_cycle = baseline.now_sys;
-        let mut cycles = 0u64;
-        // Watchdog sampling period: polling merged statistics is
-        // O(channels) per call, so the deadlock check reads them every so
-        // often rather than every cycle (detection latency is immaterial
-        // against the 2M cycle threshold).
-        const WATCHDOG_PERIOD: u64 = 1024;
         while next < descs.len() {
-            accum = (accum + rate).min(cap);
-            while accum >= 1.0 && next < descs.len() {
-                if !self.pipe.push(descs[next]) {
-                    break;
-                }
-                next += 1;
-                accum -= 1.0;
-            }
+            pacer.cycle(rate, cap, || {
+                let taken = descs.get(next).is_some_and(|&d| self.pipe.push(d));
+                next += usize::from(taken);
+                taken
+            });
             self.pipe.tick();
-            cycles += 1;
-            if cycles.is_multiple_of(WATCHDOG_PERIOD) {
-                let p = self.pipe.poll();
-                if p.stats.completed > completed {
-                    completed = p.stats.completed;
-                    last_progress_cycle = p.now_sys;
-                }
-                assert!(
-                    p.now_sys - last_progress_cycle < 2_000_000,
-                    "no completion for 2M cycles with input pending: {} offered, {} in pipeline \
-                     — pipeline deadlock",
-                    next,
-                    p.in_pipeline,
-                );
-            }
+            watchdog.watch(&*self.pipe, 1)?;
         }
         Ok(())
     }
 
-    /// Ends the session: drains the pipeline if not already drained, and
+    /// Ends the session: drains the pipeline if the caller did not, and
     /// builds the [`RunReport`] covering everything since the session
     /// opened. Consumes the handle, so nothing can be pushed afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it drains and the pipeline stalls
+    /// ([`SessionError::Stalled`]); call [`drain`](Self::drain) first to
+    /// handle that as an error.
     pub fn finish(mut self) -> RunReport {
         if !self.drained {
-            self.drained = true;
-            self.pipe.drain();
+            if let Err(stalled) = self.drain() {
+                panic!("Session::finish: {stalled}");
+            }
         }
         let end = self.pipe.poll();
         RunReport::from_progress(
@@ -597,19 +735,17 @@ impl<'a> Session<'a> {
     }
 
     /// The canonical one-shot driver: [`offer`](Self::offer)s all of
-    /// `descs` paced at the configured input rate, then
-    /// [`finish`](Self::finish)es.
+    /// `descs` paced at the configured input rate, [`drain`](Self::drain)s,
+    /// then [`finish`](Self::finish)es.
     ///
     /// # Errors
     ///
     /// [`SessionError::Drained`] if [`drain`](Self::drain) was already
-    /// called on this session.
-    ///
-    /// # Panics
-    ///
-    /// Panics on pipeline deadlock (see [`offer`](Self::offer)).
+    /// called on this session; [`SessionError::Stalled`] if the pipeline
+    /// stalls.
     pub fn run(mut self, descs: &[PacketDescriptor]) -> Result<RunReport, SessionError> {
         self.offer(descs)?;
+        self.drain()?;
         Ok(self.finish())
     }
 }

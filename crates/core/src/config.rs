@@ -10,9 +10,7 @@ use crate::table::TableConfig;
 ///
 /// Table II(A) of the paper measures exactly this dial: a balanced
 /// split (50.8 % / 50.0 % on path A) versus skewed splits (25 %, 0 %).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoadBalancerPolicy {
     /// Use the low bit of the first hash value: random traffic splits
     /// ≈50/50 (the paper's "random hash" row lands at 50.8 %).
@@ -25,9 +23,6 @@ pub enum LoadBalancerPolicy {
         /// Per-mille of descriptors first routed to path A.
         path_a_permille: u16,
     },
-    /// Adaptive: pick the path whose lookup queue is currently shorter
-    /// (ties to A). The "optimized load balancer" of the discussion.
-    QueueDepth,
 }
 
 /// Engine-level flow aging: expire flows idle longer than a TTL,
@@ -41,7 +36,6 @@ pub enum LoadBalancerPolicy {
 /// `SimStats::expired_ttl`, and surfaced as
 /// [`FlowEvent`](crate::backend::FlowEvent)s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExpiryPolicy {
     /// A flow whose last touch is more than this many system cycles in
     /// the past is expired.
@@ -81,7 +75,6 @@ impl ExpiryPolicy {
 /// `SimStats::pressure_evicted`, and are surfaced as
 /// [`FlowEvent`](crate::backend::FlowEvent)s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PressurePolicy {
     /// Evict while at least this many entries sit in the overflow CAM
     /// (the structure whose fill predicts imminent insert failure).

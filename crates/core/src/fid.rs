@@ -9,7 +9,6 @@ use std::fmt;
 
 /// Which of the two symmetric lookup paths (and memories) is meant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PathId {
     /// Path A / Mem1 / Hash1.
     A,
@@ -62,7 +61,6 @@ impl fmt::Display for PathId {
 
 /// Where a flow entry physically lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Location {
     /// Overflow CAM slot.
     Cam(u32),
@@ -84,7 +82,6 @@ pub enum Location {
 /// `bucket * K + slot`; `K` (entries per bucket) is a table parameter, so
 /// encoding and decoding go through the same `entries_per_bucket`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowId(u32);
 
 const CAM_FLAG: u32 = 1 << 31;

@@ -17,7 +17,6 @@ use flowlut_traffic::FlowKey;
 
 /// A NetFlow-style per-flow record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowRecord {
     /// Flow identity.
     pub key: FlowKey,

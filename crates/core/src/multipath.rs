@@ -162,7 +162,7 @@ impl MultiHashTable {
     /// this lookup needed (0 for CAM hits).
     pub fn lookup(&mut self, key: &FlowKey) -> Option<(MultiLocation, u32)> {
         self.stats.lookups += 1;
-        if let Some(slot) = self.cam.search(key) {
+        if let Some(slot) = self.cam.peek(key) {
             self.stats.hits += 1;
             return Some((MultiLocation::Cam(slot as u32), 0));
         }

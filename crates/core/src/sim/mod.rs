@@ -47,7 +47,8 @@ use flowlut_ddr3::{AccessKind, Completion, MemRequest};
 use flowlut_traffic::{FlowKey, PacketDescriptor};
 
 use crate::backend::{
-    FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, SessionProgress,
+    settle, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, SessionError,
+    SessionProgress,
 };
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, Fnv64};
 use crate::codec;
@@ -353,11 +354,6 @@ impl FlowLutSim {
         true
     }
 
-    /// Descriptors offered but not yet resolved (queued or in flight).
-    pub fn in_pipeline(&self) -> u64 {
-        self.stats.offered - self.stats.completed
-    }
-
     fn push_desc(&mut self, desc: PacketDescriptor) {
         // A key no slot can hold is not hashed (H3 is built for the keys
         // slots hold): the CAM stage drops it.
@@ -423,16 +419,6 @@ impl FlowLutSim {
         // 7. DLUs push work into the controllers.
         for p in 0..2 {
             self.dlu_issue(p);
-        }
-    }
-
-    /// Advances `cycles` system-clock cycles in one call — the
-    /// epoch-batched form of [`tick`](Self::tick) for drivers that know
-    /// no input will arrive for a stretch (idle-time advancement for
-    /// flow expiry, fixed-length warm-up, coarse-grained co-simulation).
-    pub fn tick_many(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.tick();
         }
     }
 
@@ -690,14 +676,6 @@ impl FlowLutSim {
                 self.lb_acc ^= self.lb_acc << 5;
                 let threshold = (u64::from(u32::MAX) + 1) * u64::from(path_a_permille) / 1000;
                 if u64::from(self.lb_acc) < threshold {
-                    PathId::A
-                } else {
-                    PathId::B
-                }
-            }
-            LoadBalancerPolicy::QueueDepth => {
-                let load = |p: usize| self.paths[p].read_q.len() + self.paths[p].ctrl.queued_len();
-                if load(0) <= load(1) {
                     PathId::A
                 } else {
                     PathId::B
@@ -1146,48 +1124,6 @@ fn sim_config_digest(cfg: &SimConfig) -> u64 {
 }
 
 impl FlowLutSim {
-    /// `true` when nothing is queued, staged, batched, or in flight —
-    /// the state [`checkpoint`](Self::checkpoint) requires — so that
-    /// DRAM holds every bucket as the table does: no bucket is held by
-    /// the Request Filter, and no line is saved.
-    pub fn is_quiescent(&self) -> bool {
-        self.in_pipeline() == 0
-            && self.del_q.is_empty()
-            && self.paths.iter().all(|p| {
-                p.ctrl.is_drained()
-                    && p.read_q.is_empty()
-                    && p.write_q.is_empty()
-                    && p.pending_write_buckets.is_empty()
-                    && p.saved.is_empty()
-                    && p.bwr_pending.is_empty()
-            })
-    }
-
-    /// Drains the pipeline and then keeps ticking until every internal
-    /// queue (update unit, BWr_Gen batches, outstanding memory requests)
-    /// has settled. Returns the cycles spent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queues fail to settle in an implausibly long time
-    /// (a scheduler deadlock — a bug, not a workload condition).
-    pub fn quiesce(&mut self) -> u64 {
-        let start = self.now_sys;
-        if self.in_pipeline() > 0 {
-            FlowPipeline::drain(self);
-        }
-        let mut guard = 0u64;
-        while !self.is_quiescent() {
-            FlowLutSim::tick(self);
-            guard += 1;
-            assert!(
-                guard < 2_000_000,
-                "internal queues did not settle for 2M cycles — quiesce deadlock"
-            );
-        }
-        self.now_sys - start
-    }
-
     /// Rebuilds both memory controllers in the *canonical* phase for the
     /// current cycle: a fresh controller idle-ticked to `now_sys`.
     ///
@@ -1228,8 +1164,9 @@ impl FlowLutSim {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::NotQuiescent`] unless [`quiesce`](Self::quiesce)
-    /// (or a drained, settled pipeline) came first.
+    /// [`CheckpointError::NotQuiescent`] unless
+    /// [`quiesce`](FlowPipeline::quiesce) (or a drained, settled
+    /// pipeline) came first.
     pub fn checkpoint(&mut self) -> Result<Vec<u8>, CheckpointError> {
         if !self.is_quiescent() {
             return Err(CheckpointError::NotQuiescent {
@@ -1460,50 +1397,31 @@ impl FlowLutSim {
 /// Backend name of the single-channel timed simulator.
 const SIM_BACKEND_NAME: &str = "hashcam-sim";
 
-impl FlowLutSim {
-    /// Runs one descriptor through the timed pipeline to completion and
-    /// returns how it resolved — the primitive behind the functional
-    /// [`FlowStore`] view of the simulator.
-    fn run_one(&mut self, desc: PacketDescriptor) -> ResolvedVia {
-        self.last_completion_cycle = self.now_sys;
-        while !self.offer(desc) {
-            self.tick();
-        }
-        loop {
-            self.tick();
-            // Its record, once it completes, is among this cycle's.
-            let now = self.now_sys;
-            let mut this_cycle = self.completed.iter().rev().take_while(|r| r.t_done == now);
-            if let Some(record) = this_cycle.find(|r| r.desc.seq == desc.seq) {
-                return record.via;
-            }
-            assert!(
-                self.now_sys - self.last_completion_cycle < 2_000_000,
-                "functional op made no progress for 2M cycles — pipeline deadlock",
-            );
-        }
-    }
-}
-
 impl FlowStore for FlowLutSim {
     fn name(&self) -> &'static str {
         SIM_BACKEND_NAME
     }
 
-    /// Upsert through the real pipeline: offers a descriptor and ticks
-    /// until it resolves, so the insert pays the same sequencing, DRAM
-    /// and update-unit costs a streamed descriptor would.
+    /// Upsert through the real pipeline: offers a descriptor, then drains,
+    /// so the insert pays the same sequencing, DRAM and update-unit costs
+    /// a streamed descriptor would. The outcome is the drain's counters:
+    /// a new flow, a drop ([`FullError`]) or a hit. A pipeline that
+    /// stalls ([`SessionError::Stalled`]) placed nothing, and also
+    /// answers [`FullError`].
     fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
-        let seq = self.stats.offered;
-        match self.run_one(PacketDescriptor::new(seq, key)) {
-            via if via.is_new_flow() => Ok(true),
-            ResolvedVia::Dropped => Err(FullError {
+        let before = self.stats;
+        let desc = PacketDescriptor::new(before.offered, key);
+        let settled = settle(self, |sim| sim.offer(desc)).and_then(|_| self.drain());
+        let new_flows = |s: &SimStats| s.inserted_mem + s.inserted_cam;
+        match settled {
+            Ok(_) if new_flows(&self.stats) > new_flows(&before) => Ok(true),
+            Ok(_) if self.stats.drops == before.drops => Ok(false),
+            _ => Err(FullError {
                 table: SIM_BACKEND_NAME,
                 key,
                 occupancy: self.table.len(),
                 capacity: self.cfg.table.capacity(),
             }),
-            _ => Ok(false),
         }
     }
 
@@ -1515,23 +1433,19 @@ impl FlowStore for FlowLutSim {
     }
 
     /// Deletes through the update unit: the key is all the caller has,
-    /// so its flow ID comes from the key's hash buckets and the CAM.
+    /// so its flow ID comes from the key's hash buckets and the CAM. The
+    /// deletion is queued, then the pipeline settles until the record is
+    /// gone. A stall ([`SessionError::Stalled`]) returns with the
+    /// deletion unfinished.
     fn remove(&mut self, key: &FlowKey) -> bool {
         let Some(fid) = self.table.peek(key) else {
             return false;
         };
-        // The update unit takes a queued deletion every cycle.
-        while self.delete_flow(fid, *key).is_err() {
-            self.tick();
-        }
-        let start = self.now_sys;
-        while self.table.record(fid).is_some_and(|r| r.key == *key) {
-            self.tick();
-            assert!(
-                self.now_sys - start < 2_000_000,
-                "deletion not processed for 2M cycles — update unit deadlock",
-            );
-        }
+        let gone = |sim: &mut Self| sim.table.record(fid).is_none_or(|r| r.key != *key);
+        // The key was resident either way; a stall leaves its deletion
+        // unfinished.
+        let _ =
+            settle(self, |sim| sim.delete_flow(fid, *key).is_ok()).and_then(|_| settle(self, gone));
         true
     }
 
@@ -1585,10 +1499,6 @@ impl FlowPipeline for FlowLutSim {
         FlowLutSim::tick(self);
     }
 
-    fn tick_many(&mut self, cycles: u64) {
-        FlowLutSim::tick_many(self, cycles);
-    }
-
     fn poll(&self) -> SessionProgress {
         SessionProgress {
             now_sys: self.now_sys,
@@ -1598,27 +1508,34 @@ impl FlowPipeline for FlowLutSim {
         }
     }
 
+    fn in_pipeline(&self) -> u64 {
+        self.stats.offered - self.stats.completed
+    }
+
+    /// Also `true` only when DRAM holds every bucket as the table does:
+    /// no bucket is held by the Request Filter, and no line is saved.
+    fn is_quiescent(&self) -> bool {
+        self.in_pipeline() == 0
+            && self.del_q.is_empty()
+            && self.paths.iter().all(|p| {
+                p.ctrl.is_drained()
+                    && p.read_q.is_empty()
+                    && p.write_q.is_empty()
+                    && p.pending_write_buckets.is_empty()
+                    && p.saved.is_empty()
+                    && p.bwr_pending.is_empty()
+            })
+    }
+
     fn poll_events(&mut self) -> Vec<FlowEvent> {
         self.events.drain(..).collect()
     }
 
-    fn drain(&mut self) -> u64 {
-        let start = self.now_sys;
+    /// Restarts the last-completion cycle, which checkpoints carry, then
+    /// settles until nothing is queued or in flight.
+    fn drain(&mut self) -> Result<u64, SessionError> {
         self.last_completion_cycle = self.now_sys;
-        while self.in_pipeline() > 0 {
-            FlowLutSim::tick(self);
-            // A descriptor in the pipeline is queued, in flight (one per
-            // key in the filter) or waiting.
-            let (in_flight, queued) = (self.same_key.len(), self.seq_q.len());
-            assert!(
-                self.now_sys - self.last_completion_cycle < 2_000_000,
-                "no completion for 2M cycles: {in_flight} in flight, {queued} queued, {} waiting, \
-                 {} in insert queue — pipeline deadlock",
-                self.in_pipeline() - (in_flight + queued) as u64,
-                self.ins_q.len(),
-            );
-        }
-        self.now_sys - start
+        settle(self, |sim| sim.in_pipeline() == 0)
     }
 
     fn sys_period_ns(&self) -> f64 {

@@ -2,7 +2,7 @@ use flowlut_traffic::workloads::{HashPattern, HashPatternWorkload, MatchRateWork
 use flowlut_traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
 use super::*;
-use crate::backend::{RunReport, Session};
+use crate::backend::{RunReport, Session, STALL_CYCLES};
 use crate::config::{LoadBalancerPolicy, SimConfig};
 
 fn key(i: u64) -> FlowKey {
@@ -582,7 +582,7 @@ fn keys_no_slot_holds_are_dropped_at_the_cam_stage() {
             for d in [desc(0), PacketDescriptor::new(1, key(1)), desc(2)] {
                 assert!(sim.offer(d));
             }
-            FlowPipeline::drain(&mut sim);
+            FlowPipeline::drain(&mut sim).unwrap();
             let via = |seq| {
                 let record = sim.completions().iter().find(|d| d.desc.seq == seq);
                 record.map(|d| d.via)
@@ -648,9 +648,9 @@ fn the_dram_image_equals_the_table_after_set_up() {
         for i in (0..400).step_by(3) {
             delete(&mut sim, key(i));
         }
-        sim.quiesce();
+        sim.quiesce().unwrap();
         run(&mut sim, &descs(1000..1020));
-        sim.quiesce();
+        sim.quiesce().unwrap();
         assert_eq!(sim.table().len(), 400 - 134 + 20);
         let blob = sim.checkpoint().unwrap();
         assert!(sim.is_quiescent());
@@ -698,7 +698,7 @@ fn dram_keeps_the_saved_line_until_the_bucket_write_lands() {
         &new,
         slot
     ));
-    sim.quiesce();
+    sim.quiesce().unwrap();
     assert_eq!(
         sim.dram_line(path.index(), bucket),
         sim.table().bucket_bytes(path, bucket)
@@ -715,7 +715,7 @@ fn dram_keeps_the_saved_line_until_the_bucket_write_lands() {
     // lands.
     let gone = key(2);
     run(&mut sim, &[PacketDescriptor::new(1, gone)]);
-    sim.quiesce();
+    sim.quiesce().unwrap();
     let fid = sim.table().peek(&gone).expect("inserted");
     let Location::Mem { path, bucket, slot } = fid.decode(k) else {
         panic!("{fid} is not in memory");
@@ -736,7 +736,7 @@ fn dram_keeps_the_saved_line_until_the_bucket_write_lands() {
         &gone,
         slot
     ));
-    sim.quiesce();
+    sim.quiesce().unwrap();
     assert_eq!(
         sim.dram_line(path.index(), bucket),
         sim.table().bucket_bytes(path, bucket)
@@ -854,7 +854,7 @@ fn user_deletion_finds_a_flow_a_hash_override_placed() {
         "placed outside its buckets"
     );
     sim.delete_flow(fid, key(1)).unwrap();
-    sim.quiesce();
+    sim.quiesce().unwrap();
     sim.tick_many(500);
     assert_eq!(sim.table().record(fid), None);
     assert!(sim.table().is_empty());
@@ -877,7 +877,7 @@ fn user_deletions_past_the_queue_bound_are_refused() {
     sim.tick();
     assert_eq!(sim.delete_flow(fid, key(0)), Ok(()));
     assert_eq!(sim.delete_flow(fid, key(0)), full);
-    sim.quiesce();
+    sim.quiesce().unwrap();
     assert!(sim.table().is_empty());
     assert_eq!(sim.stats().deletes, 1);
 }
@@ -894,7 +894,7 @@ fn a_user_deletion_waits_for_a_lookup_of_its_key_in_flight() {
         assert!(sim.offer(PacketDescriptor::new(0, key(1))));
         sim.tick_many(t);
         sim.delete_flow(fid, key(1)).unwrap();
-        sim.quiesce();
+        sim.quiesce().unwrap();
         let via = sim.completions().front().map(|r| r.via);
         assert!(
             matches!(via, Some(ResolvedVia::Lu1Hit(_) | ResolvedVia::Lu2Hit(_))),
@@ -1061,7 +1061,7 @@ fn checkpoint_requires_quiescence() {
     }
     let err = sim.checkpoint().unwrap_err();
     assert!(matches!(err, CheckpointError::NotQuiescent { .. }), "{err}");
-    sim.quiesce();
+    sim.quiesce().unwrap();
     assert!(sim.checkpoint().is_ok());
 }
 
@@ -1074,7 +1074,7 @@ fn checkpoint_restore_roundtrip_preserves_state() {
     });
     let mut sim = FlowLutSim::new(cfg.clone());
     run(&mut sim, &descs(0..40));
-    sim.quiesce();
+    sim.quiesce().unwrap();
     let blob = sim.checkpoint().unwrap();
     let restored = FlowLutSim::restore(cfg, &blob).unwrap();
     assert_eq!(restored.now_sys(), sim.now_sys());
@@ -1094,7 +1094,7 @@ fn checkpoint_restore_replay_is_bit_identical() {
     let cfg = SimConfig::test_small();
     let mut live = FlowLutSim::new(cfg.clone());
     run(&mut live, &descs(0..30));
-    live.quiesce();
+    live.quiesce().unwrap();
     let blob = live.checkpoint().unwrap();
     let mut restored = FlowLutSim::restore(cfg, &blob).unwrap();
 
@@ -1110,7 +1110,7 @@ fn restore_rejects_mismatched_config_and_garbage() {
     let cfg = SimConfig::test_small();
     let mut sim = FlowLutSim::new(cfg.clone());
     run(&mut sim, &descs(0..5));
-    sim.quiesce();
+    sim.quiesce().unwrap();
     let blob = sim.checkpoint().unwrap();
 
     let mut other = cfg.clone();
@@ -1133,7 +1133,7 @@ fn restore_rejects_mismatched_config_and_garbage() {
 fn adopt_flow_rehomes_a_record_under_new_geometry() {
     let mut source = FlowLutSim::new(SimConfig::test_small());
     run(&mut source, &descs(0..10));
-    source.quiesce();
+    source.quiesce().unwrap();
     let records: Vec<FlowRecord> = source.table().records_after(None).map(|(_, r)| r).collect();
     assert_eq!(records.len(), 10);
 
@@ -1343,7 +1343,7 @@ const INSERTED_MEM_AT: usize = STATS_AT + 6 * 8;
 fn settled_blob() -> Vec<u8> {
     let mut sim = FlowLutSim::new(SimConfig::test_small());
     run(&mut sim, &descs(0..20));
-    sim.quiesce();
+    sim.quiesce().unwrap();
     let blob = sim.checkpoint().expect("a quiesced simulator checkpoints");
     let bursts = sim.stats.reads_issued + sim.stats.writes_issued;
     assert_eq!(blob[NEXT_MEM_ID_AT..][..8], bursts.to_le_bytes());
@@ -1383,4 +1383,68 @@ fn restore_rejects_a_request_id_counter_above_2_62() {
 #[test]
 fn restore_rejects_a_statistic_above_2_62() {
     assert_counter_bounded(INSERTED_MEM_AT);
+}
+
+/// A simulator on an SRAM that answers a read `read_latency` cycles
+/// after it starts: at `u64::MAX / 4` it never does, and a descriptor
+/// that reaches it stays in flight. SRAM ticks once per system cycle,
+/// the cheapest stalled cycles there are.
+fn sim_reading_after(read_latency: u64) -> FlowLutSim {
+    let mut cfg = SimConfig::test_small();
+    let mut sram = flowlut_ddr3::SramParams::ideal_200mhz();
+    sram.read_latency = read_latency;
+    cfg.memory = flowlut_ddr3::MemorySpec::Sram(sram);
+    FlowLutSim::new(cfg)
+}
+
+/// `true` for the watchdog's report of a pipeline that never completed.
+fn is_stall<T>(result: Result<T, SessionError>) -> bool {
+    matches!(result, Err(SessionError::Stalled { now_sys, completed: 0, .. }) if now_sys >= STALL_CYCLES)
+}
+
+#[test]
+fn an_offer_the_pipeline_cannot_take_returns_stalled() {
+    // Without bank selection each path keeps one read outstanding, so
+    // the descriptors behind it wait in the DLU queues, not the memory.
+    let mut sim = sim_reading_after(u64::MAX / 4);
+    sim.cfg.bank_select_enabled = false;
+    // More keys than the Request Filter admits and the sequencer
+    // holds: the offer cannot finish.
+    let work = descs(0..(MAX_IN_FLIGHT + SEQUENCER_DEPTH) as u64 + 1);
+    assert!(is_stall(sim.start_run().offer(&work)));
+}
+
+#[test]
+fn a_stalled_drain_quiesce_and_insert_return_errors() {
+    let mut sim = sim_reading_after(u64::MAX / 4);
+    let mut session = sim.start_run();
+    assert_eq!(session.push(PacketDescriptor::new(0, key(1))), Ok(true));
+    assert!(is_stall(session.drain()));
+    let stalled = sim.quiesce();
+    assert!(is_stall(stalled), "{stalled:?}");
+    assert!(matches!(
+        stalled,
+        Err(SessionError::Stalled { in_pipeline: 1, .. })
+    ));
+    let err = FlowStore::insert(&mut sim, key(2)).expect_err("a stalled insert places nothing");
+    assert_eq!((err.key, err.occupancy), (key(2), 0));
+}
+
+#[test]
+fn a_completion_inside_the_stall_window_drains() {
+    // A new key misses both memories: two reads, plus fixed cycles.
+    let drain_one = |read_latency| {
+        let mut sim = sim_reading_after(read_latency);
+        assert!(FlowPipeline::push(
+            &mut sim,
+            PacketDescriptor::new(0, key(1))
+        ));
+        sim.drain()
+    };
+    let fixed = drain_one(1_000).expect("a short read latency drains") - 2_000;
+    let drained = drain_one((STALL_CYCLES - 1 - fixed) / 2).expect("no stall inside the window");
+    assert!(
+        (STALL_CYCLES - 2..STALL_CYCLES).contains(&drained),
+        "{drained}"
+    );
 }

@@ -566,7 +566,7 @@ impl HashCamTable {
         b2: u32,
     ) -> Option<(FlowId, LookupStage)> {
         self.stats.lookups += 1;
-        if let Some(slot) = self.cam.search(key) {
+        if let Some(slot) = self.cam.peek(key) {
             self.stats.hits_cam += 1;
             return Some((
                 FlowId::encode(Location::Cam(slot as u32), self.cfg.entries_per_bucket),
@@ -834,9 +834,10 @@ impl HashCamTable {
     /// Panics unless `fid`'s slot holds `key`. A completion's flow ID is
     /// the slot its lookup matched or its insert filled, and the flow
     /// stays there until it completes: the same-key waiting list holds
-    /// its other descriptors, and the simulator's own deletions skip
-    /// keys in flight. A user deletion racing the flow's lookup read is
-    /// not held back, and reaches this panic.
+    /// its other descriptors, the simulator's own deletions skip keys in
+    /// flight, and a user deletion waits while a descriptor of its key
+    /// is in the Request Filter or the sequencer queue. No input reaches
+    /// this panic.
     pub(crate) fn record_packet(
         &mut self,
         fid: FlowId,

@@ -10,7 +10,6 @@ use crate::error::ConfigError;
 
 /// Physical geometry of one DDR3 memory set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Geometry {
     /// Number of banks (DDR3 devices have 8).
     pub banks: u32,
@@ -94,7 +93,6 @@ impl Default for Geometry {
 
 /// A decomposed device address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemAddress {
     /// Bank index, `0..geometry.banks`.
     pub bank: u32,
@@ -109,7 +107,6 @@ pub struct MemAddress {
 /// The choice decides which access patterns interleave across banks —
 /// exactly the property the paper's Bank Selector leans on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AddressMapping {
     /// `row : bank : col` — consecutive addresses walk columns within one
     /// bank first, then banks, then rows. Sequential streams sweep all

@@ -11,7 +11,6 @@ use crate::timing::TimingParams;
 
 /// The observable state of one bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BankState {
     /// All rows closed; an ACTIVATE is required before column commands.
     Idle,

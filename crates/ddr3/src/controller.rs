@@ -32,7 +32,6 @@ use crate::timing::TimingParams;
 
 /// Direction of a memory request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// Read one burst.
     Read,
@@ -98,7 +97,6 @@ impl Completion {
 
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PagePolicy {
     /// Leave rows open after access (amortises row activation for
     /// row-local streams). Default; matches the paper's design intent.

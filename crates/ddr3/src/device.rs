@@ -22,7 +22,6 @@ use crate::timing::TimingParams;
 
 /// A DDR3 command as issued on the command/address bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Command {
     /// Open `row` in `bank`.
     Activate {

@@ -39,7 +39,6 @@ use crate::stats::{ControllerStats, DeviceStats};
 /// Presets: [`DramParams::ddr4_2400`] and [`DramParams::hbm2_2gbps`];
 /// parameter provenance is documented in DESIGN.md §Calibration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramParams {
     /// Memory clock period in picoseconds.
     pub tck_ps: u64,

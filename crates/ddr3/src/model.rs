@@ -35,7 +35,6 @@ use crate::timing::{TimingParams, TimingPreset};
 /// plus device-level command counters. Models without a command-level
 /// device (SRAM) report zeroed [`DeviceStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemStats {
     /// Request-level scheduler counters.
     pub controller: ControllerStats,
@@ -168,7 +167,6 @@ impl MemoryModel for MemoryController {
 /// The DDR3 part behind one lookup path: its JEDEC timing, its
 /// geometry, and how many memory-clock cycles make one system cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ddr3Params {
     /// JEDEC timing of the part.
     pub timing: TimingParams,
@@ -195,7 +193,6 @@ impl Default for Ddr3Params {
 /// parameters. Each variant carries everything its model needs; the
 /// default is the paper's DDR3 prototype part.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemorySpec {
     /// The paper's DDR3 controller, from explicit [`Ddr3Params`].
     Ddr3(Ddr3Params),

@@ -27,7 +27,6 @@ use crate::stats::ControllerStats;
 /// Parameters of the idealized SRAM. Preset:
 /// [`SramParams::ideal_200mhz`]; provenance in DESIGN.md §Calibration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SramParams {
     /// Clock period in picoseconds. The SRAM runs at the consumer's
     /// system clock (`ticks_per_sys` is 1), so this is the system tCK.

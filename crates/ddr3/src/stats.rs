@@ -2,7 +2,6 @@
 
 /// Counters maintained by [`Ddr3Device`](crate::device::Ddr3Device).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceStats {
     /// ACTIVATE commands issued.
     pub activates: u64,
@@ -55,7 +54,6 @@ impl DeviceStats {
 
 /// Counters maintained by [`MemoryController`](crate::controller::MemoryController).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ControllerStats {
     /// Requests accepted into the queues.
     pub accepted: u64,

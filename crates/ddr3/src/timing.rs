@@ -18,7 +18,6 @@ use crate::error::ConfigError;
 /// ZQ-calibration and mode-register timings are out of scope: they do not
 /// affect the steady-state lookup throughput the paper measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingParams {
     /// Clock period in picoseconds (e.g. 1875 for DDR3-1066).
     pub tck_ps: u64,
@@ -119,7 +118,6 @@ impl TimingParams {
 
 /// Named speed-grade presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimingPreset {
     /// DDR3-1066E (`-187E`), the Micron 1 Gb part cited by the paper for
     /// Figure 3. 533 MHz clock, CL7-7-7.

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::ops::Deref;
 
 use flowlut_core::backend::{
-    FlowEvent, FlowPipeline, FlowStore, FullError, OpStats, SessionProgress,
+    settle, FlowEvent, FlowPipeline, FlowStore, FullError, OpStats, SessionError, SessionProgress,
 };
 use flowlut_core::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use flowlut_core::sync::{thread, Arc, Mutex, MutexGuard};
@@ -376,27 +376,6 @@ impl ShardedFlowLut {
         }
     }
 
-    /// Brings the engine clock and every lane but `owner` up to the
-    /// clock of `owner`, whose simulator a functional access ran ahead
-    /// alone: each cycle steps the other lanes as an engine tick would.
-    fn catch_up(&mut self, owner: usize) {
-        let target = lock(&self.lanes[owner]).sim.now_sys();
-        while self.now_sys < target {
-            self.now_sys += 1;
-            for (s, lane) in self.lanes.iter().enumerate() {
-                if s != owner {
-                    lock(lane).step(self.now_sys, self.draining);
-                }
-            }
-        }
-    }
-
-    /// Descriptors staged at the splitter, queued at a sequencer, or in
-    /// flight anywhere in the engine.
-    pub fn in_pipeline(&self) -> u64 {
-        self.lanes.iter().map(|l| lock(l).in_pipeline()).sum()
-    }
-
     /// Simulator counters merged across all shards (cumulative),
     /// including counters carried over from lanes retired by a rescale —
     /// so the view stays monotone across the engine's whole life.
@@ -406,42 +385,6 @@ impl ShardedFlowLut {
             agg.merge(lock(lane).sim.stats());
         }
         agg
-    }
-
-    /// `true` when every lane's staging is empty and every shard's
-    /// internal queues have settled — the state
-    /// [`checkpoint`](Self::checkpoint) and
-    /// [`rescale_double`](Self::rescale_double) require.
-    pub fn is_quiescent(&self) -> bool {
-        self.lanes.iter().all(|l| {
-            let lane = lock(l);
-            lane.staging.is_empty() && lane.sim.is_quiescent()
-        })
-    }
-
-    /// Drains the whole engine and keeps ticking (lockstep, so shard
-    /// clocks never diverge) until every shard's internal queues have
-    /// settled. Returns the cycles spent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queues fail to settle in an implausibly long time
-    /// (a scheduler deadlock — a bug, not a workload condition).
-    pub fn quiesce(&mut self) -> u64 {
-        let start = self.now_sys;
-        if self.in_pipeline() > 0 {
-            FlowPipeline::drain(self);
-        }
-        let mut guard = 0u64;
-        while !self.is_quiescent() {
-            ShardedFlowLut::tick(self);
-            guard += 1;
-            assert!(
-                guard < 2_000_000,
-                "internal queues did not settle for 2M cycles — quiesce deadlock"
-            );
-        }
-        self.now_sys - start
     }
 
     /// Pressure-eviction victims accumulated across all shards (shard
@@ -461,8 +404,8 @@ impl ShardedFlowLut {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::NotQuiescent`] unless [`quiesce`](Self::quiesce)
-    /// came first.
+    /// [`CheckpointError::NotQuiescent`] unless
+    /// [`quiesce`](FlowPipeline::quiesce) came first.
     pub fn checkpoint(&mut self) -> Result<Vec<u8>, CheckpointError> {
         if !self.is_quiescent() {
             return Err(CheckpointError::NotQuiescent {
@@ -585,11 +528,15 @@ impl ShardedFlowLut {
     ///
     /// # Errors
     ///
-    /// [`RescaleError::ShardFull`] when a flow cannot be placed on its
-    /// destination shard (the doubled capacity makes this pathological:
-    /// it requires an adversarial hash collision set).
+    /// [`RescaleError::NotQuiescent`] when the engine stalls before it
+    /// settles ([`SessionError::Stalled`]), leaving the shard set as it
+    /// was; [`RescaleError::ShardFull`] when a flow cannot be placed on
+    /// its destination shard (the doubled capacity makes this
+    /// pathological: it requires an adversarial hash collision set).
     pub fn rescale_double(&mut self) -> Result<RescaleReport, RescaleError> {
-        let drained_cycles = self.quiesce();
+        let drained_cycles = self.quiesce().map_err(|_| RescaleError::NotQuiescent {
+            in_pipeline: self.in_pipeline(),
+        })?;
         let old_shards = self.lanes.len();
         let new_shards = old_shards * 2;
         let now_sys = self.now_sys;
@@ -709,23 +656,26 @@ impl FlowStore for ShardedFlowLut {
         ENGINE_BACKEND_NAME
     }
 
-    /// Upsert on the owning channel's timed pipeline (the shard runs the
-    /// descriptor to completion), after which the other channels step
-    /// through the same cycles: the shards stay in lockstep with each
-    /// other and with the engine clock under functional access too.
+    /// Upsert on the owning channel: the descriptor enters its
+    /// sequencer directly (the splitter does not count it), then the
+    /// engine drains in lockstep. The outcome is read from the channel's
+    /// counters, as [`FlowLutSim`]'s insert reads it; a drop or a stall
+    /// is a [`FullError`] of the whole engine.
     fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
         let s = self.router.route(&key);
-        // Drop the lane guard before building the error: the aggregate
-        // occupancy query locks every lane.
-        let result = FlowStore::insert(&mut lock(&self.lanes[s]).sim, key);
-        self.catch_up(s);
-        match result {
-            Ok(created) => Ok(created),
-            // Re-label with engine-level context: the caller sees the
-            // aggregate structure, not the shard that actually rejected.
-            Err(e) => Err(FullError {
+        let stats = |e: &Self| *lock(&e.lanes[s]).sim.stats();
+        let before = stats(self);
+        let desc = PacketDescriptor::new(before.offered, key);
+        let settled =
+            settle(self, |e| lock(&e.lanes[s]).sim.offer(desc)).and_then(|_| self.drain());
+        let after = stats(self);
+        let new_flows = |s: &SimStats| s.inserted_mem + s.inserted_cam;
+        match settled {
+            Ok(_) if new_flows(&after) > new_flows(&before) => Ok(true),
+            Ok(_) if after.drops == before.drops => Ok(false),
+            _ => Err(FullError {
                 table: ENGINE_BACKEND_NAME,
-                key: e.key,
+                key,
                 occupancy: self.len(),
                 capacity: FlowStore::capacity(self),
             }),
@@ -737,13 +687,25 @@ impl FlowStore for ShardedFlowLut {
         lock(&self.lanes[s]).sim.table().peek(key).is_some()
     }
 
-    /// Deletes on the owning channel, which then leads the others by
-    /// the cycles it spent; they catch up as after an insert.
+    /// Deletes on the owning channel: the deletion is queued there, then
+    /// the engine settles in lockstep until the record is gone. A stall
+    /// ([`SessionError::Stalled`]) returns with the deletion unfinished.
     fn remove(&mut self, key: &FlowKey) -> bool {
         let s = self.router.route(key);
-        let removed = FlowStore::remove(&mut lock(&self.lanes[s]).sim, key);
-        self.catch_up(s);
-        removed
+        let Some(fid) = lock(&self.lanes[s]).sim.table().peek(key) else {
+            return false;
+        };
+        let gone = |e: &mut Self| {
+            let lane = lock(&e.lanes[s]);
+            lane.sim.table().record(fid).is_none_or(|r| r.key != *key)
+        };
+        // The key was resident either way; a stall leaves its deletion
+        // unfinished.
+        let _ = settle(self, |e| {
+            lock(&e.lanes[s]).sim.delete_flow(fid, *key).is_ok()
+        })
+        .and_then(|_| settle(self, gone));
+        true
     }
 
     fn len(&self) -> u64 {
@@ -812,6 +774,22 @@ impl FlowPipeline for ShardedFlowLut {
 
     /// Lifecycle events drained from every shard, in shard order (each
     /// shard's events are already in cycle order).
+    /// Descriptors staged at the splitter, queued at a sequencer, or in
+    /// flight anywhere in the engine.
+    fn in_pipeline(&self) -> u64 {
+        self.lanes.iter().map(|l| lock(l).in_pipeline()).sum()
+    }
+
+    /// `true` when every lane's staging is empty and every shard is
+    /// quiescent — the state [`checkpoint`](ShardedFlowLut::checkpoint)
+    /// and [`rescale_double`](ShardedFlowLut::rescale_double) require.
+    fn is_quiescent(&self) -> bool {
+        self.lanes.iter().all(|l| {
+            let lane = lock(l);
+            lane.staging.is_empty() && lane.sim.is_quiescent()
+        })
+    }
+
     fn poll_events(&mut self) -> Vec<FlowEvent> {
         let mut out = Vec::new();
         for lane in &self.lanes {
@@ -820,36 +798,13 @@ impl FlowPipeline for ShardedFlowLut {
         out
     }
 
-    fn drain(&mut self) -> u64 {
-        // Completed-only view for the per-cycle watchdog (one u64 per
-        // shard; the full statistics merge is reserved for poll()).
-        fn completed_total(lanes: &[Arc<Mutex<ShardLane>>]) -> u64 {
-            lanes.iter().map(|l| lock(l).sim.stats().completed).sum()
-        }
-        let start = self.now_sys;
+    /// Declares end of input, so staged batches flush whatever their
+    /// size, and settles the engine in lockstep.
+    fn drain(&mut self) -> Result<u64, SessionError> {
         self.draining = true;
-        let mut completed = completed_total(&self.lanes);
-        let mut last_progress_cycle = self.now_sys;
-        while self.in_pipeline() > 0 {
-            ShardedFlowLut::tick(self);
-            let c = completed_total(&self.lanes);
-            if c > completed {
-                completed = c;
-                last_progress_cycle = self.now_sys;
-            }
-            assert!(
-                self.now_sys - last_progress_cycle < 2_000_000,
-                "no completion for 2M cycles: {} offered, {completed} done, {} staged \
-                 — engine deadlock",
-                self.offered,
-                self.lanes
-                    .iter()
-                    .map(|l| lock(l).staging.len())
-                    .sum::<usize>(),
-            );
-        }
+        let drained = settle(self, |e| e.in_pipeline() == 0);
         self.draining = false;
-        self.now_sys - start
+        drained
     }
 
     fn sys_period_ns(&self) -> f64 {
@@ -1113,11 +1068,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "engine deadlock")]
     fn drain_watchdog_fires_on_a_stalled_pipeline() {
         // A memory that never answers wedges the pipeline with one
-        // descriptor in flight forever: the drain watchdog must panic
-        // (diagnosably) rather than hang the process. SRAM ticks once
+        // descriptor in flight forever: quiesce and the functional insert
+        // report it as errors rather than hang or panic. SRAM ticks once
         // per system cycle, the cheapest possible stalled cycles.
         let mut cfg = EngineConfig::test_small();
         cfg.shards = 1;
@@ -1129,7 +1083,19 @@ mod tests {
             &mut engine,
             PacketDescriptor::new(0, key(1))
         ));
-        FlowPipeline::drain(&mut engine);
+        assert!(matches!(
+            engine.quiesce(),
+            Err(SessionError::Stalled {
+                completed: 0,
+                in_pipeline: 1,
+                ..
+            })
+        ));
+        let err =
+            FlowStore::insert(&mut engine, key(2)).expect_err("a stalled insert places nothing");
+        assert_eq!((err.table, err.key), (ENGINE_BACKEND_NAME, key(2)));
+        // The insert went straight to the shard, past the splitter.
+        assert_eq!((engine.offered, engine.splitter_stall_cycles), (1, 0));
     }
 
     #[test]
@@ -1177,7 +1143,7 @@ mod tests {
         const STALLS_AT: usize = 40;
         let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
         run(&mut engine, &descs(0..40));
-        engine.quiesce();
+        engine.quiesce().unwrap();
         let blob = engine.checkpoint().expect("a quiesced engine checkpoints");
         assert_eq!(blob[OFFERED_AT..][..8], engine.offered.to_le_bytes());
         assert_eq!(
@@ -1208,7 +1174,7 @@ mod tests {
                     restored.tick();
                 }
             }
-            FlowPipeline::drain(&mut restored);
+            FlowPipeline::drain(&mut restored).unwrap();
             assert_eq!(restored.offered, offered + pushed, "counter at byte {at}");
             assert!(
                 restored.splitter_stall_cycles > stalls,

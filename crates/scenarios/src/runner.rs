@@ -120,10 +120,12 @@ impl ScenarioRunner {
             for slice in descs.chunks(self.chunk.max(1)) {
                 session
                     .offer(slice)
-                    .expect("session not drained inside the offer loop");
+                    .expect("an open session whose pipeline does not stall");
                 cam_high_water = cam_high_water.max(session.poll().occupancy.cam);
             }
-            session.drain().expect("drain called once per session");
+            session
+                .drain()
+                .expect("one drain of a pipeline that does not stall");
             cam_high_water = cam_high_water.max(session.poll().occupancy.cam);
             let run = session.finish();
             ScenarioReport {

@@ -46,7 +46,9 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use flowlut_core::backend::{FlowEvent, FlowPipeline, SessionProgress};
+use flowlut_core::backend::{
+    FlowEvent, FlowPipeline, Pacer, SessionError, SessionProgress, Watchdog,
+};
 use flowlut_core::checkpoint::CheckpointError;
 use flowlut_core::{ConfigError, FlowRecord, RescaleError};
 use flowlut_engine::{EngineConfig, RescaleReport, ShardedFlowLut};
@@ -197,9 +199,9 @@ pub struct PumpSummary {
 pub struct FlowService {
     engine: ShardedFlowLut,
     chan: Arc<Channel>,
-    /// Paced-intake credit accumulator (carried across pump calls so
-    /// arbitrary pump slicing stays equivalent to one long pump).
-    accum: f64,
+    /// Paced-intake credit (carried across pump calls so arbitrary pump
+    /// slicing stays equivalent to one long pump).
+    pacer: Pacer,
     /// A descriptor popped from the queue but refused by the engine
     /// (pipeline backpressure): re-offered first on the next cycle, so
     /// nothing is ever dropped between queue and engine.
@@ -232,7 +234,7 @@ impl FlowService {
                 }),
                 space: Condvar::new(),
             }),
-            accum: 0.0,
+            pacer: Pacer::default(),
             pending: None,
         }
     }
@@ -257,8 +259,7 @@ impl FlowService {
         let completed_before = self.engine.poll().stats.completed;
         let mut accepted = 0u64;
         for _ in 0..cycles {
-            self.accum = (self.accum + rate).min(cap);
-            while self.accum >= 1.0 {
+            self.pacer.cycle(rate, cap, || {
                 let desc = match self.pending.take() {
                     Some(d) => d,
                     None => {
@@ -268,18 +269,18 @@ impl FlowService {
                                 self.chan.space.notify_one();
                                 d
                             }
-                            None => break,
+                            None => return false,
                         }
                     }
                 };
-                if self.engine.push(desc) {
+                let taken = self.engine.push(desc);
+                if taken {
                     accepted += 1;
-                    self.accum -= 1.0;
                 } else {
                     self.pending = Some(desc);
-                    break;
                 }
-            }
+                taken
+            });
             self.engine.tick();
         }
         let progress = self.engine.poll();
@@ -293,30 +294,24 @@ impl FlowService {
     }
 
     /// Pumps until the ingest queue (and any backpressured descriptor)
-    /// has fully entered the engine, then ticks the engine dry. Returns
-    /// the cycles spent.
+    /// has fully entered the engine, then drains the engine. Returns the
+    /// cycles spent.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on pipeline deadlock (no progress for an implausibly long
-    /// time — a bug, not a workload condition).
-    pub fn drain(&mut self) -> u64 {
+    /// [`SessionError::Stalled`] if the engine completes nothing for
+    /// [`STALL_CYCLES`](flowlut_core::backend::STALL_CYCLES) cycles, in
+    /// either phase.
+    pub fn drain(&mut self) -> Result<u64, SessionError> {
+        const PUMP_CYCLES: u64 = 64;
         let start = self.engine.now_sys();
-        let mut idle = 0u64;
+        let mut watchdog = Watchdog::new(&self.engine);
         while self.backlog() > 0 || self.pending.is_some() {
-            let s = self.pump(64);
-            if s.accepted == 0 && s.completed == 0 {
-                idle += 1;
-                assert!(
-                    idle < 40_000,
-                    "ingest backlog made no progress for ~2.5M cycles — pipeline deadlock"
-                );
-            } else {
-                idle = 0;
-            }
+            self.pump(PUMP_CYCLES);
+            watchdog.watch(&self.engine, PUMP_CYCLES)?;
         }
-        self.engine.drain();
-        self.engine.now_sys() - start
+        self.engine.drain()?;
+        Ok(self.engine.now_sys() - start)
     }
 
     /// Observes cumulative engine progress without advancing time.
@@ -348,14 +343,19 @@ impl FlowService {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] if the engine cannot be checkpointed.
+    /// [`CheckpointError::NotQuiescent`] if the engine stalls before it
+    /// settles ([`SessionError::Stalled`]); otherwise the
+    /// [`CheckpointError`] of an engine that cannot be checkpointed.
     pub fn checkpoint(&mut self) -> Result<Vec<u8>, CheckpointError> {
-        self.drain();
-        self.engine.quiesce();
+        self.drain()
+            .and_then(|_| self.engine.quiesce())
+            .map_err(|_| CheckpointError::NotQuiescent {
+                in_pipeline: self.engine.in_pipeline(),
+            })?;
         // Canonical phase: a restored service starts with zero intake
         // credit, so the live side resets too — live and restored then
         // replay bit-identically.
-        self.accum = 0.0;
+        self.pacer = Pacer::default();
         self.engine.checkpoint()
     }
 
@@ -380,10 +380,14 @@ impl FlowService {
     ///
     /// # Errors
     ///
-    /// [`RescaleError`] if a destination shard cannot place a migrating
-    /// flow; the engine is left unchanged.
+    /// [`RescaleError::NotQuiescent`] if the engine stalls before it
+    /// settles ([`SessionError::Stalled`]); [`RescaleError::ShardFull`]
+    /// if a destination shard cannot place a migrating flow. Either way
+    /// the shard set is left unchanged.
     pub fn rescale_double(&mut self) -> Result<RescaleReport, RescaleError> {
-        self.drain();
+        self.drain().map_err(|_| RescaleError::NotQuiescent {
+            in_pipeline: self.engine.in_pipeline(),
+        })?;
         self.engine.rescale_double()
     }
 
@@ -436,7 +440,7 @@ mod tests {
             assert_eq!(h.try_send(PacketDescriptor::new(seq as u64, key)), Ok(true));
         }
         h.try_send(desc(3)).unwrap();
-        svc.drain();
+        svc.drain().unwrap();
         let s = svc.poll().stats;
         assert_eq!((s.completed, s.drops, s.inserted_mem), (4, 3, 1), "{s:?}");
         assert_eq!(svc.poll().occupancy.total(), 1);
@@ -478,7 +482,7 @@ mod tests {
         // Pumping frees space; the refused descriptor then fits.
         svc.pump(64);
         assert!(h.try_send(desc(next)).unwrap());
-        let cycles = svc.drain();
+        let cycles = svc.drain().unwrap();
         assert!(cycles > 0);
         assert_eq!(svc.poll().stats.completed, 9, "no descriptor lost");
     }
@@ -585,7 +589,7 @@ mod tests {
         for i in 0..60 {
             h2.send(desc(i)).unwrap();
         }
-        restored.drain();
+        restored.drain().unwrap();
         let stats = restored.poll().stats;
         assert_eq!(stats.completed, 120);
         assert_eq!(
@@ -603,7 +607,7 @@ mod tests {
             h.send(desc(i)).unwrap();
         }
         let before = {
-            svc.drain();
+            svc.drain().unwrap();
             svc.poll().stats.completed
         };
         let report = svc.rescale_double().unwrap();
@@ -615,7 +619,7 @@ mod tests {
         for i in 0..80 {
             h.send(desc(i)).unwrap();
         }
-        svc.drain();
+        svc.drain().unwrap();
         let stats = svc.poll().stats;
         assert_eq!(stats.completed, 160);
         assert_eq!(stats.cam_hits + stats.lu1_hits + stats.lu2_hits, 80);

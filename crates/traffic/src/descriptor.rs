@@ -10,7 +10,6 @@ use crate::key::FlowKey;
 /// reproduce those tests pre-compute the two hash values and the
 /// simulator's sequencer uses them verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketDescriptor {
     /// Flow identity (n-tuple).
     pub key: FlowKey,

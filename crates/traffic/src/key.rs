@@ -14,7 +14,6 @@ pub const MAX_KEY_BYTES: usize = 64;
 /// A standard IPv4 5-tuple: the flow identity NetFlow-style processing
 /// extracts from each packet header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FiveTuple {
     /// Source IPv4 address.
     pub src_ip: [u8; 4],
@@ -125,7 +124,6 @@ impl Error for KeyTooLongError {}
 /// `FlowKey`. Stored inline (no heap) because the simulator creates
 /// millions of them.
 #[derive(Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowKey {
     len: u8,
     bytes: [u8; MAX_KEY_BYTES],

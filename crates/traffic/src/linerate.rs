@@ -15,7 +15,6 @@ pub const STANDARD_IFG_BYTES: u32 = 12;
 
 /// An Ethernet link of a given speed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EthernetLink {
     /// Line rate in gigabits per second.
     pub gbps: f64,

@@ -90,8 +90,8 @@ fn main() {
                 h_live.send(*d).expect("queue open");
                 h_rest.send(*d).expect("queue open");
             }
-            svc.drain();
-            restored.drain();
+            svc.drain().expect("the service drains");
+            restored.drain().expect("the service drains");
         }
     }
     assert_eq!(
@@ -118,7 +118,7 @@ fn main() {
     for d in first_half.iter().take(500) {
         h.send(*d).expect("queue open");
     }
-    restored.drain();
+    restored.drain().expect("the service drains");
     println!(
         "post-rescale: {} descriptors completed in total on {} shards",
         restored.poll().stats.completed,

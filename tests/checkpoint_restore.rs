@@ -102,7 +102,7 @@ fn restored_engine_replays_bit_identically() {
         // Live instance: stream the prefix, settle, checkpoint.
         let mut live = ShardedFlowLut::new(cfg.clone());
         Session::new(&mut live).run(prefix).expect("fresh session");
-        live.quiesce();
+        live.quiesce().unwrap();
         let blob = live.checkpoint().expect("quiescent engine checkpoints");
 
         let mut restored = ShardedFlowLut::restore(cfg, &blob).expect("own blob restores");
@@ -118,7 +118,7 @@ fn checkpoint_blob_round_trips_byte_identically() {
         Session::new(&mut engine)
             .run(&trace(1_500))
             .expect("fresh session");
-        engine.quiesce();
+        engine.quiesce().unwrap();
         let blob = engine.checkpoint().expect("quiescent engine checkpoints");
 
         let mut restored = ShardedFlowLut::restore(cfg, &blob).expect("own blob restores");
@@ -146,7 +146,7 @@ fn functional_inserts_keep_the_shards_in_lockstep() {
     for s in live.snapshot().per_shard {
         assert_eq!(s.now_sys, live.now_sys(), "a shard left the engine clock");
     }
-    live.quiesce();
+    live.quiesce().unwrap();
     let blob = live.checkpoint().expect("quiescent engine checkpoints");
     let mut restored = ShardedFlowLut::restore(cfg, &blob).expect("own blob restores");
     assert_replays_alike(&mut live, &mut restored, &trace(500));
@@ -169,7 +169,7 @@ fn a_fixed_run_checkpoints_to_pinned_bytes() {
     Session::new(&mut engine)
         .run(second)
         .expect("fresh session");
-    engine.quiesce();
+    engine.quiesce().unwrap();
     let stats = engine.poll().stats;
     assert!(
         stats.expired_ttl > 0 && stats.pressure_evicted > 0,
@@ -197,7 +197,7 @@ fn checkpoint_rejects_a_busy_engine_and_restore_rejects_bad_blobs() {
         engine.checkpoint(),
         Err(CheckpointError::NotQuiescent { .. })
     ));
-    engine.quiesce();
+    engine.quiesce().unwrap();
     let blob = engine.checkpoint().expect("quiescent engine checkpoints");
 
     // Truncated blob.
@@ -310,7 +310,7 @@ fn single_shard_sim_checkpoint_survives_lifecycle_state() {
         .expect("fresh session");
 
     let blob = {
-        live.quiesce();
+        live.quiesce().unwrap();
         live.checkpoint().expect("quiescent sim checkpoints")
     };
     let mut restored = FlowLutSim::restore(cfg, &blob).expect("own blob restores");

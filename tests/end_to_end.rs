@@ -4,11 +4,13 @@
 use std::collections::HashMap;
 
 use flowlut::core::{FlowLutSim, LoadBalancerPolicy, SimConfig};
-use flowlut::ddr3::MemorySpec;
+use flowlut::ddr3::{MemorySpec, SramParams};
+use flowlut::engine::EngineConfig;
+use flowlut::service::{FlowService, ServiceConfig};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::workloads::MatchRateWorkload;
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
-use flowlut::FlowPipeline;
+use flowlut::{CheckpointError, FlowPipeline, RescaleError, SessionError};
 
 fn small_cfg() -> SimConfig {
     let mut cfg = SimConfig::test_small();
@@ -122,7 +124,6 @@ fn load_balancers_agree_on_semantics() {
         LoadBalancerPolicy::FixedRatio {
             path_a_permille: 300,
         },
-        LoadBalancerPolicy::QueueDepth,
     ] {
         let mut cfg = small_cfg();
         cfg.load_balancer = policy;
@@ -198,4 +199,37 @@ fn deletes_interleaved_with_traffic() {
     for (i, k) in keys.iter().enumerate() {
         assert_eq!(sim.table().peek(k).is_some(), i % 2 == 1, "key {i}");
     }
+}
+
+/// A service whose memory never answers a read is an error, not a panic
+/// or a hang: its drain reports the stall, and checkpoint and rescale,
+/// which need a settled engine, refuse.
+#[test]
+fn a_stalled_service_returns_errors() {
+    let mut cfg = EngineConfig::test_small();
+    cfg.shards = 1;
+    let mut sram = SramParams::ideal_200mhz();
+    sram.read_latency = u64::MAX / 4;
+    cfg.shard.memory = MemorySpec::Sram(sram);
+    let mut svc = FlowService::new(ServiceConfig::new(cfg)).expect("valid configuration");
+    let key = FlowKey::from(FiveTuple::from_index(1));
+    svc.handle()
+        .send(PacketDescriptor::new(0, key))
+        .expect("queue open");
+    assert!(matches!(
+        svc.drain(),
+        Err(SessionError::Stalled {
+            completed: 0,
+            in_pipeline: 1,
+            ..
+        })
+    ));
+    assert_eq!(
+        svc.checkpoint().err(),
+        Some(CheckpointError::NotQuiescent { in_pipeline: 1 })
+    );
+    assert_eq!(
+        svc.rescale_double().err(),
+        Some(RescaleError::NotQuiescent { in_pipeline: 1 })
+    );
 }

@@ -94,7 +94,7 @@ fn descs() -> Vec<PacketDescriptor> {
 fn valid_blob() -> Vec<u8> {
     let mut sim = FlowLutSim::new(config());
     sim.start_run().run(&descs()).expect("fresh session");
-    sim.quiesce();
+    sim.quiesce().unwrap();
     let occupancy = sim.table().occupancy();
     assert!(occupancy.mem_a > 0 && occupancy.mem_b > 0 && occupancy.cam > 0);
     let blob = sim.checkpoint().expect("a quiesced simulator checkpoints");
@@ -422,7 +422,7 @@ fn valid_engine_blob() -> (Vec<u8>, [usize; 3]) {
         });
     }
     engine.start_run().run(&descs).expect("fresh session");
-    engine.quiesce();
+    engine.quiesce().unwrap();
     for i in 0..2 {
         let occupancy = engine.shard(i).table().occupancy();
         assert!(occupancy.mem_a > 0 && occupancy.mem_b > 0 && occupancy.cam > 0);
@@ -568,7 +568,7 @@ fn shard_errors_come_back_in_shard_order() {
     };
     let mut engine = ShardedFlowLut::new(cfg.clone());
     engine.start_run().run(&descs()).expect("fresh session");
-    engine.quiesce();
+    engine.quiesce().unwrap();
     let blob = engine.checkpoint().expect("a quiesced engine checkpoints");
     let shards = shard_blobs(&blob);
     // Each case breaks shards (`Magic`, `Clock`) and the blob's end
@@ -614,7 +614,7 @@ fn engine_blob_with_offered(shards: usize, carried: u64, per_shard: u64) -> Vec<
     };
     let mut engine = ShardedFlowLut::new(cfg);
     engine.start_run().run(&descs()).expect("fresh session");
-    engine.quiesce();
+    engine.quiesce().unwrap();
     let mut blob = engine.checkpoint().expect("a quiesced engine checkpoints");
     let set = |blob: &mut [u8], stats_at: usize, value: u64| {
         for at in [stats_at, stats_at + COMPLETED_AT - OFFERED_AT] {
@@ -757,7 +757,7 @@ proptest! {
                 let (fid, record) = resident[d.index(resident.len())];
                 sim.delete_flow(fid, record.key).expect("few deletions queue");
             }
-            sim.quiesce();
+            sim.quiesce().unwrap();
         }
         let blob = sim.checkpoint().expect("a quiesced simulator checkpoints");
         let mut restored = FlowLutSim::restore(cfg, &blob).expect("a checkpoint restores");
