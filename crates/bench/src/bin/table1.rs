@@ -5,12 +5,12 @@
 //! configuration).
 
 use flowlut_bench::{print_comparison, Row};
-use flowlut_core::resource::{paper_table1, ResourceModel};
+use flowlut_core::resource::{self, paper_table1};
 use flowlut_core::SimConfig;
 
 fn main() {
     let cfg = SimConfig::default();
-    let est = ResourceModel::default().estimate(&cfg);
+    let est = resource::estimate(&cfg);
 
     println!("Table I: resource usage on Stratix V 5SGXEA7N2F45C2");
     println!("(resource-model ESTIMATE, not a synthesis result)\n");

@@ -79,6 +79,6 @@ pub use error::{ConfigError, DeleteQueueFull, InsertError, PreloadError, Rescale
 pub use fid::{FlowId, Location, PathId};
 pub use flow_state::FlowRecord;
 pub use multipath::{MultiHashConfig, MultiHashStats, MultiHashTable, MultiLocation};
-pub use resource::{ResourceEstimate, ResourceModel};
+pub use resource::ResourceEstimate;
 pub use sim::{FlowLutSim, SimStats};
 pub use table::{HashCamTable, LookupStage, Occupancy, TableConfig, TableStats};

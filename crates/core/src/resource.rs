@@ -8,7 +8,7 @@
 //! configuration determines: CAM width × depth, queue depths, bucket
 //! width, dual-path duplication, and the two memory-controller IP cores.
 //!
-//! [`ResourceModel`] performs that accounting with per-component cost
+//! [`estimate`] performs that accounting with per-component cost
 //! formulas. The *constants* (ALMs per controller, per DLU, …) are
 //! calibrated once against the prototype's published report — i.e. Table
 //! I itself — so the value of the model is not the absolute total (which
@@ -84,141 +84,115 @@ pub mod paper_table1 {
     pub const DLLS: u32 = 2;
 }
 
-/// Cost-model constants, calibrated against the prototype's fitter
-/// report (see module docs). Public so ablations can adjust them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostConstants {
-    /// ALMs per quarter-rate DDR3 controller (UniPhy-class IP).
-    pub alms_per_controller: u64,
-    /// Block memory bits per controller (data-path FIFOs, calibration).
-    pub mem_bits_per_controller: u64,
-    /// ALMs per DLU (bank selector + request filter + mem ctrl).
-    pub alms_per_dlu: u64,
-    /// ALMs per Flow Match comparator lane.
-    pub alms_per_flow_match: u64,
-    /// ALMs per update block (ReqArb + BWrGen).
-    pub alms_per_updt: u64,
-    /// ALMs for the sequencer/load balancer.
-    pub alms_sequencer: u64,
-    /// ALMs per CAM entry (match line + priority-encode share).
-    pub alms_per_cam_entry: u64,
-    /// Registers per ALM (pipeline density), in hundredths.
-    pub regs_per_alm_x100: u64,
-}
+// Cost-model constants, calibrated once against the prototype's fitter
+// report (see module docs).
 
-impl Default for CostConstants {
-    fn default() -> Self {
-        CostConstants {
-            alms_per_controller: 6_900,
-            mem_bits_per_controller: 1_190_000,
-            alms_per_dlu: 2_400,
-            alms_per_flow_match: 1_100,
-            alms_per_updt: 850,
-            alms_sequencer: 1_400,
-            alms_per_cam_entry: 7,
-            regs_per_alm_x100: 128,
-        }
+/// ALMs per quarter-rate DDR3 controller (UniPhy-class IP).
+const ALMS_PER_CONTROLLER: u64 = 6_900;
+/// Block memory bits per controller (data-path FIFOs, calibration).
+const MEM_BITS_PER_CONTROLLER: u64 = 1_190_000;
+/// ALMs per DLU (bank selector + request filter + mem ctrl).
+const ALMS_PER_DLU: u64 = 2_400;
+/// ALMs per Flow Match comparator lane.
+const ALMS_PER_FLOW_MATCH: u64 = 1_100;
+/// ALMs per update block (ReqArb + BWrGen).
+const ALMS_PER_UPDT: u64 = 850;
+/// ALMs for the sequencer/load balancer.
+const ALMS_SEQUENCER: u64 = 1_400;
+/// ALMs per CAM entry (match line + priority-encode share).
+const ALMS_PER_CAM_ENTRY: u64 = 7;
+/// Registers per ALM (pipeline density), in hundredths.
+const REGS_PER_ALM_X100: u64 = 128;
+
+/// Estimates the resources of a full dual-path flow LUT with the given
+/// simulator configuration.
+pub fn estimate(cfg: &SimConfig) -> ResourceEstimate {
+    let t = &cfg.table;
+    let key_bits = 8 * (t.entry_slot_bytes as u64 - 1);
+    let mut lines = Vec::new();
+
+    // Two DDR3 memory interfaces (controllers + PHY buffers).
+    lines.push(ResourceLine {
+        component: "DDR3 controllers (2x quarter-rate)".into(),
+        cost: ComponentCost {
+            alms: 2 * ALMS_PER_CONTROLLER,
+            memory_bits: 2 * MEM_BITS_PER_CONTROLLER,
+            registers: 0,
+        },
+    });
+
+    // Overflow CAM: storage + match logic.
+    let cam_bits = t.cam_capacity as u64 * (key_bits + 8);
+    lines.push(ResourceLine {
+        component: format!("overflow CAM ({} x {} b)", t.cam_capacity, key_bits),
+        cost: ComponentCost {
+            alms: t.cam_capacity as u64 * ALMS_PER_CAM_ENTRY,
+            memory_bits: cam_bits,
+            registers: 0,
+        },
+    });
+
+    // Per-path DLUs: bank queues + filter state. The constants cost
+    // the DDR3 prototype, so other memories keep its bank count.
+    let req_width = 64u64; // request descriptor width in queue bits
+    let banks = match cfg.memory {
+        MemorySpec::Ddr3(p) => p.geometry.banks,
+        _ => Geometry::prototype_512mb().banks,
+    };
+    let bank_queue_bits = u64::from(banks) * DLU_QUEUE_DEPTH as u64 * req_width;
+    lines.push(ResourceLine {
+        component: "DLUs (2x: bank selector, request filter, mem ctrl)".into(),
+        cost: ComponentCost {
+            alms: 2 * ALMS_PER_DLU,
+            memory_bits: 2 * bank_queue_bits,
+            registers: 0,
+        },
+    });
+
+    // Flow match comparators: one bucket of entries compared per path.
+    let bucket_bits = t.bucket_bytes() as u64 * 8;
+    lines.push(ResourceLine {
+        component: "Flow Match (2x comparator + bucket buffer)".into(),
+        cost: ComponentCost {
+            alms: 2 * ALMS_PER_FLOW_MATCH,
+            memory_bits: 2 * bucket_bits * FLOW_MATCH_BUFFERS as u64,
+            registers: 0,
+        },
+    });
+
+    // Update blocks: ReqArb + BWrGen staging buffers.
+    let bwr_bits = cfg.bwr_threshold as u64 * (bucket_bits + 32);
+    lines.push(ResourceLine {
+        component: "Updt (2x ReqArb + BWrGen)".into(),
+        cost: ComponentCost {
+            alms: 2 * ALMS_PER_UPDT,
+            memory_bits: 2 * bwr_bits,
+            registers: 0,
+        },
+    });
+
+    // Sequencer + load balancer + input queue.
+    let seq_bits = SEQUENCER_DEPTH as u64 * (key_bits + 96);
+    lines.push(ResourceLine {
+        component: "Sequencer / load balancer".into(),
+        cost: ComponentCost {
+            alms: ALMS_SEQUENCER,
+            memory_bits: seq_bits,
+            registers: 0,
+        },
+    });
+
+    let mut total = ComponentCost::default();
+    for l in &lines {
+        total.add(l.cost);
     }
-}
+    total.registers = total.alms * REGS_PER_ALM_X100 / 100;
 
-/// The resource model.
-#[derive(Debug, Clone, Default)]
-pub struct ResourceModel {
-    constants: CostConstants,
-}
-
-impl ResourceModel {
-    /// Estimates the resources of a full dual-path flow LUT with the
-    /// given simulator configuration.
-    pub fn estimate(&self, cfg: &SimConfig) -> ResourceEstimate {
-        let c = &self.constants;
-        let t = &cfg.table;
-        let key_bits = 8 * (t.entry_slot_bytes as u64 - 1);
-        let mut lines = Vec::new();
-
-        // Two DDR3 memory interfaces (controllers + PHY buffers).
-        lines.push(ResourceLine {
-            component: "DDR3 controllers (2x quarter-rate)".into(),
-            cost: ComponentCost {
-                alms: 2 * c.alms_per_controller,
-                memory_bits: 2 * c.mem_bits_per_controller,
-                registers: 0,
-            },
-        });
-
-        // Overflow CAM: storage + match logic.
-        let cam_bits = t.cam_capacity as u64 * (key_bits + 8);
-        lines.push(ResourceLine {
-            component: format!("overflow CAM ({} x {} b)", t.cam_capacity, key_bits),
-            cost: ComponentCost {
-                alms: t.cam_capacity as u64 * c.alms_per_cam_entry,
-                memory_bits: cam_bits,
-                registers: 0,
-            },
-        });
-
-        // Per-path DLUs: bank queues + filter state. The constants cost
-        // the DDR3 prototype, so other memories keep its bank count.
-        let req_width = 64u64; // request descriptor width in queue bits
-        let banks = match cfg.memory {
-            MemorySpec::Ddr3(p) => p.geometry.banks,
-            _ => Geometry::prototype_512mb().banks,
-        };
-        let bank_queue_bits = u64::from(banks) * DLU_QUEUE_DEPTH as u64 * req_width;
-        lines.push(ResourceLine {
-            component: "DLUs (2x: bank selector, request filter, mem ctrl)".into(),
-            cost: ComponentCost {
-                alms: 2 * c.alms_per_dlu,
-                memory_bits: 2 * bank_queue_bits,
-                registers: 0,
-            },
-        });
-
-        // Flow match comparators: one bucket of entries compared per path.
-        let bucket_bits = t.bucket_bytes() as u64 * 8;
-        lines.push(ResourceLine {
-            component: "Flow Match (2x comparator + bucket buffer)".into(),
-            cost: ComponentCost {
-                alms: 2 * c.alms_per_flow_match,
-                memory_bits: 2 * bucket_bits * FLOW_MATCH_BUFFERS as u64,
-                registers: 0,
-            },
-        });
-
-        // Update blocks: ReqArb + BWrGen staging buffers.
-        let bwr_bits = cfg.bwr_threshold as u64 * (bucket_bits + 32);
-        lines.push(ResourceLine {
-            component: "Updt (2x ReqArb + BWrGen)".into(),
-            cost: ComponentCost {
-                alms: 2 * c.alms_per_updt,
-                memory_bits: 2 * bwr_bits,
-                registers: 0,
-            },
-        });
-
-        // Sequencer + load balancer + input queue.
-        let seq_bits = SEQUENCER_DEPTH as u64 * (key_bits + 96);
-        lines.push(ResourceLine {
-            component: "Sequencer / load balancer".into(),
-            cost: ComponentCost {
-                alms: c.alms_sequencer,
-                memory_bits: seq_bits,
-                registers: 0,
-            },
-        });
-
-        let mut total = ComponentCost::default();
-        for l in &lines {
-            total.add(l.cost);
-        }
-        total.registers = total.alms * c.regs_per_alm_x100 / 100;
-
-        ResourceEstimate {
-            lines,
-            total,
-            plls: 2,
-            dlls: 2,
-        }
+    ResourceEstimate {
+        lines,
+        total,
+        plls: 2,
+        dlls: 2,
     }
 }
 
@@ -241,7 +215,7 @@ mod tests {
 
     #[test]
     fn default_config_lands_near_paper_table1() {
-        let est = ResourceModel::default().estimate(&SimConfig::default());
+        let est = estimate(&SimConfig::default());
         let alm_err =
             (est.total.alms as f64 - paper_table1::ALMS as f64).abs() / paper_table1::ALMS as f64;
         assert!(
@@ -269,7 +243,7 @@ mod tests {
         // The exact totals the prototype configuration costs: a moved
         // queue depth or buffer count changes them, even within the
         // ±10 % the paper comparison allows.
-        let est = ResourceModel::default().estimate(&SimConfig::default());
+        let est = estimate(&SimConfig::default());
         assert_eq!(
             est.total,
             ComponentCost {
@@ -282,7 +256,7 @@ mod tests {
 
     #[test]
     fn register_estimate_in_range() {
-        let est = ResourceModel::default().estimate(&SimConfig::default());
+        let est = estimate(&SimConfig::default());
         let err = (est.total.registers as f64 - paper_table1::REGISTERS as f64).abs()
             / paper_table1::REGISTERS as f64;
         assert!(
@@ -295,18 +269,17 @@ mod tests {
 
     #[test]
     fn bigger_cam_costs_more() {
-        let model = ResourceModel::default();
-        let small = model.estimate(&SimConfig::default());
+        let small = estimate(&SimConfig::default());
         let mut cfg = SimConfig::default();
         cfg.table.cam_capacity *= 4;
-        let big = model.estimate(&cfg);
+        let big = estimate(&cfg);
         assert!(big.total.alms > small.total.alms);
         assert!(big.total.memory_bits > small.total.memory_bits);
     }
 
     #[test]
     fn utilization_fractions_plausible() {
-        let est = ResourceModel::default().estimate(&SimConfig::default());
+        let est = estimate(&SimConfig::default());
         // Paper: 13% ALMs, 5% memory bits.
         assert!((est.alm_utilization() - 0.13).abs() < 0.03);
         assert!((est.memory_utilization() - 0.05).abs() < 0.02);
@@ -314,7 +287,7 @@ mod tests {
 
     #[test]
     fn breakdown_sums_to_total() {
-        let est = ResourceModel::default().estimate(&SimConfig::default());
+        let est = estimate(&SimConfig::default());
         let alms: u64 = est.lines.iter().map(|l| l.cost.alms).sum();
         let bits: u64 = est.lines.iter().map(|l| l.cost.memory_bits).sum();
         assert_eq!(alms, est.total.alms);

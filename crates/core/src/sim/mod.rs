@@ -136,6 +136,9 @@ struct PathSim {
     ctrl: Box<dyn MemoryModel>,
     /// Slots waiting for a bucket read.
     read_q: VecDeque<usize>,
+    /// Slots in `read_q` waiting for their LU1 read: the DLU depth the
+    /// CAM stage's dispatch checks.
+    lu1_queued: usize,
     write_q: VecDeque<WriteIntent>,
     /// Buckets with pending (batched or in-flight) writes → outstanding
     /// update-intent count. Reads to these buckets are held (Req Filter).
@@ -215,6 +218,7 @@ impl FlowLutSim {
         let mk_path = || PathSim {
             ctrl: cfg.build_memory(),
             read_q: VecDeque::new(),
+            lu1_queued: 0,
             write_q: VecDeque::new(),
             pending_write_buckets: HashMap::new(),
             saved: SparseStorage::with_line_bytes(cfg.table.bucket_bytes()),
@@ -636,20 +640,25 @@ impl FlowLutSim {
                 p
             }
         };
-        if self.paths[path.index()]
-            .read_q
-            .iter()
-            .filter(|&&r| self.slots[r].stage == LuStage::Lu1)
-            .count()
-            >= DLU_QUEUE_DEPTH
-        {
+        let dlu = &self.paths[path.index()];
+        debug_assert_eq!(
+            dlu.lu1_queued,
+            dlu.read_q
+                .iter()
+                .filter(|&&r| self.slots[r].stage == LuStage::Lu1)
+                .count(),
+            "LU1 reads queued on {path:?}"
+        );
+        if dlu.lu1_queued >= DLU_QUEUE_DEPTH {
             // DLU full: stall the sequencer this cycle.
             self.stats.input_stall_cycles += 1;
             return;
         }
         self.cam_pipe.pop_front();
         self.stats.lu1_per_path[path.index()] += 1;
-        self.paths[path.index()].read_q.push_back(slot);
+        let dlu = &mut self.paths[path.index()];
+        dlu.read_q.push_back(slot);
+        dlu.lu1_queued += 1;
     }
 
     /// `true` when a slot can hold `key` ([`codec::check_fit`]).
@@ -1004,6 +1013,9 @@ impl FlowLutSim {
             if !room {
                 self.paths[path].read_q.push_front(slot);
                 break;
+            }
+            if self.slots[slot].stage == LuStage::Lu1 {
+                self.paths[path].lu1_queued -= 1;
             }
             self.issue_bucket_read(path, slot, bucket);
             if serialize {

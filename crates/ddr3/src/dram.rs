@@ -30,8 +30,8 @@ use std::collections::VecDeque;
 
 use crate::controller::{AccessKind, Completion, MemRequest};
 use crate::error::{ConfigError, EnqueueError};
-use crate::model::{MemStats, MemoryModel};
-use crate::stats::{ControllerStats, DeviceStats};
+use crate::model::MemoryModel;
+use crate::request::{Queued, RequestCore};
 
 /// Timing and geometry of a bank-grouped, multi-channel DRAM device.
 ///
@@ -259,15 +259,6 @@ impl DramParams {
     }
 }
 
-/// A request parked in a per-bank queue.
-#[derive(Debug)]
-struct QueuedReq {
-    req: MemRequest,
-    enqueued_at: u64,
-    /// Arrival number: the scheduler's and the completions' order.
-    arrival: u64,
-}
-
 /// Closed-page bank lifecycle: idle → (ACT) → opening → (RD/WR with
 /// auto-precharge) → idle again once `next_act_at` passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,7 +277,7 @@ struct Bank {
     next_act_at: u64,
     /// When the last ACT issued (for tRC bookkeeping).
     last_act_at: u64,
-    queue: VecDeque<QueuedReq>,
+    queue: VecDeque<Queued>,
 }
 
 impl Bank {
@@ -323,8 +314,6 @@ struct Channel {
     next_col_group: Vec<u64>,
     /// tWTR_L fences: earliest next read per bank group.
     next_rd_group: Vec<u64>,
-    /// Direction of the last column command, for turnaround counting.
-    last_dir: Option<AccessKind>,
     /// Next scheduled refresh due time.
     refresh_due: u64,
     /// While a refresh is in progress, commands stall until here.
@@ -344,27 +333,10 @@ impl Channel {
             next_wr_at: 0,
             next_col_group: vec![0; groups],
             next_rd_group: vec![0; groups],
-            last_dir: None,
             refresh_due: p.t_refi,
             refresh_busy_until: 0,
         }
     }
-
-    fn has_work(&self) -> bool {
-        self.banks
-            .iter()
-            .any(|b| !b.queue.is_empty() || b.phase != BankPhase::Idle)
-    }
-}
-
-/// A read or write that has issued its column command and is waiting
-/// out the data phase.
-#[derive(Debug)]
-struct InFlight {
-    req: MemRequest,
-    enqueued_at: u64,
-    done_at: u64,
-    arrival: u64,
 }
 
 /// The bank-grouped, multi-channel, closed-page DRAM model. Construct
@@ -374,19 +346,9 @@ struct InFlight {
 pub struct GroupedDramModel {
     name: &'static str,
     params: DramParams,
-    queue_capacity: usize,
     refresh_enabled: bool,
-    now: u64,
-    queued: usize,
-    /// Requests enqueued so far: the next arrival number.
-    arrivals: u64,
+    core: RequestCore,
     channels: Vec<Channel>,
-    /// Issued requests, in arrival order.
-    in_flight: Vec<InFlight>,
-    /// This cycle's completions, cleared by each tick.
-    done: Vec<Completion>,
-    ctrl_stats: ControllerStats,
-    dev_stats: DeviceStats,
     last_progress_at: u64,
 }
 
@@ -410,22 +372,14 @@ impl GroupedDramModel {
         if let Err(e) = params.validate() {
             panic!("invalid DramParams: {e}");
         }
-        assert!(queue_capacity > 0, "queue_capacity must be nonzero");
         GroupedDramModel {
             name,
             params,
-            queue_capacity,
             refresh_enabled,
-            now: 0,
-            queued: 0,
-            arrivals: 0,
+            core: RequestCore::new(queue_capacity),
             channels: (0..params.channels)
                 .map(|_| Channel::new(&params))
                 .collect(),
-            in_flight: Vec::new(),
-            done: Vec::new(),
-            ctrl_stats: ControllerStats::default(),
-            dev_stats: DeviceStats::default(),
             last_progress_at: 0,
         }
     }
@@ -450,40 +404,10 @@ impl GroupedDramModel {
         bank / self.params.banks_per_group as usize
     }
 
-    /// Moves completions due this cycle into `done`, in arrival order.
-    fn collect_completions(&mut self) {
-        let now = self.now;
-        let (done, stats) = (&mut self.done, &mut self.ctrl_stats);
-        done.clear();
-        self.in_flight.retain(|fin| {
-            if fin.done_at > now {
-                return true;
-            }
-            let latency = now - fin.enqueued_at;
-            stats.total_latency_cycles += latency;
-            stats.max_latency_cycles = stats.max_latency_cycles.max(latency);
-            match fin.req.kind {
-                AccessKind::Read => stats.reads_done += 1,
-                AccessKind::Write => stats.writes_done += 1,
-            }
-            done.push(Completion {
-                id: fin.req.id,
-                kind: fin.req.kind,
-                addr: fin.req.addr,
-                enqueued_at: fin.enqueued_at,
-                completed_at: now,
-            });
-            false
-        });
-        if !self.done.is_empty() {
-            self.last_progress_at = self.now;
-        }
-    }
-
     /// Tries to issue one refresh / column / activate command on
     /// channel `ch`; returns whether a command issued.
     fn step_channel(&mut self, ch: usize) -> bool {
-        let now = self.now;
+        let now = self.core.now();
         if self.channels[ch].refresh_busy_until > now || self.channels[ch].next_cmd_at > now {
             return false;
         }
@@ -505,8 +429,6 @@ impl GroupedDramModel {
                     bank.next_act_at = bank.next_act_at.max(now + t_rfc);
                 }
                 chan.next_cmd_at = now + 1;
-                self.dev_stats.refreshes += 1;
-                self.ctrl_stats.refreshes += 1;
                 return true;
             }
             // Banks still draining toward the refresh point: hold ACTs,
@@ -525,7 +447,7 @@ impl GroupedDramModel {
 
     /// Issues the oldest legal column command on `ch`, if any.
     fn try_issue_column(&mut self, ch: usize) -> bool {
-        let now = self.now;
+        let now = self.core.now();
         let p = self.params;
         let mut best: Option<(u64, usize)> = None; // (arrival, bank)
         for (b, bank) in self.channels[ch].banks.iter().enumerate() {
@@ -565,22 +487,12 @@ impl GroupedDramModel {
             .queue
             .pop_front()
             .expect("column candidate had a queued head");
-        self.queued -= 1;
         let kind = entry.req.kind;
         let done_at = match kind {
             AccessKind::Read => now + p.cl + burst,
             AccessKind::Write => now + p.cwl + burst,
         };
-        let issued = InFlight {
-            req: entry.req,
-            enqueued_at: entry.enqueued_at,
-            done_at,
-            arrival: entry.arrival,
-        };
-        let at = self
-            .in_flight
-            .partition_point(|f| f.arrival < entry.arrival);
-        self.in_flight.insert(at, issued);
+        self.core.issue(entry, done_at);
 
         // Fences and bank auto-precharge bookkeeping.
         let last_act = self.channels[ch].banks[b].last_act_at;
@@ -598,7 +510,6 @@ impl GroupedDramModel {
                 let bank = &mut chan.banks[b];
                 bank.phase = BankPhase::Idle;
                 bank.next_act_at = bank.next_act_at.max(pre_done).max(last_act + p.t_rc);
-                self.dev_stats.reads += 1;
             }
             AccessKind::Write => {
                 chan.next_wr_at = chan.next_wr_at.max(now + p.t_ccd_s);
@@ -612,22 +523,15 @@ impl GroupedDramModel {
                 let bank = &mut chan.banks[b];
                 bank.phase = BankPhase::Idle;
                 bank.next_act_at = bank.next_act_at.max(pre_done).max(last_act + p.t_rc);
-                self.dev_stats.writes += 1;
             }
         }
-        self.dev_stats.precharges += 1;
-        self.dev_stats.dq_busy_cycles += burst;
-        if chan.last_dir.is_some_and(|d| d != kind) {
-            self.dev_stats.turnarounds += 1;
-        }
-        chan.last_dir = Some(kind);
         chan.next_cmd_at = now + 1;
         true
     }
 
     /// Issues the oldest legal ACT on `ch`, if any.
     fn try_issue_activate(&mut self, ch: usize) -> bool {
-        let now = self.now;
+        let now = self.core.now();
         let p = self.params;
         {
             let chan = &mut self.channels[ch];
@@ -673,8 +577,6 @@ impl GroupedDramModel {
         chan.next_act_group[g] = now + p.t_rrd_l;
         chan.recent_acts.push_back(now);
         chan.next_cmd_at = now + 1;
-        self.dev_stats.activates += 1;
-        self.dev_stats.row_misses += 1;
         true
     }
 }
@@ -685,7 +587,7 @@ impl MemoryModel for GroupedDramModel {
     }
 
     fn now(&self) -> u64 {
-        self.now
+        self.core.now()
     }
 
     fn enqueue(&mut self, req: MemRequest) -> Result<(), EnqueueError> {
@@ -695,63 +597,36 @@ impl MemoryModel for GroupedDramModel {
             req.addr,
             self.params.total_bursts()
         );
-        if self.queued >= self.queue_capacity {
-            self.ctrl_stats.rejected += 1;
-            return Err(EnqueueError {
-                id: req.id,
-                capacity: self.queue_capacity,
-            });
-        }
+        let q = self.core.admit(req)?;
         let (ch, bank) = self.decompose(req.addr);
-        self.channels[ch].banks[bank].queue.push_back(QueuedReq {
-            req,
-            enqueued_at: self.now,
-            arrival: self.arrivals,
-        });
-        self.arrivals += 1;
-        self.queued += 1;
-        self.ctrl_stats.accepted += 1;
+        self.channels[ch].banks[bank].queue.push_back(q);
         Ok(())
     }
 
     fn tick(&mut self) -> &[Completion] {
-        self.now += 1;
-        self.collect_completions();
-        let mut issued_any = false;
-        let mut had_work = false;
+        let now = self.core.tick();
+        let mut progress = !self.core.done().is_empty();
         for ch in 0..self.channels.len() {
-            had_work |= self.channels[ch].has_work();
-            issued_any |= self.step_channel(ch);
+            progress |= self.step_channel(ch);
         }
-        if issued_any {
-            self.last_progress_at = self.now;
-        } else if had_work {
-            self.ctrl_stats.stall_cycles += 1;
-        } else if self.in_flight.is_empty() {
-            self.ctrl_stats.idle_cycles += 1;
+        if progress {
+            self.last_progress_at = now;
         }
         assert!(
-            self.queued == 0 || self.now - self.last_progress_at <= PROGRESS_WINDOW,
+            self.core.queued() == 0 || now - self.last_progress_at <= PROGRESS_WINDOW,
             "{}: no scheduler progress for {PROGRESS_WINDOW} cycles with {} queued",
             self.name,
-            self.queued
+            self.core.queued()
         );
-        &self.done
+        self.core.done()
     }
 
     fn queued_len(&self) -> usize {
-        self.queued
+        self.core.queued()
     }
 
-    fn in_flight_len(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    fn mem_stats(&self) -> MemStats {
-        MemStats {
-            controller: self.ctrl_stats,
-            device: self.dev_stats,
-        }
+    fn is_drained(&self) -> bool {
+        self.core.is_drained()
     }
 }
 
@@ -936,11 +811,11 @@ mod tests {
             assert_eq!(done[0].id, 1);
             assert_eq!(done[1].id, 2);
             assert!(done[0].completed_at < done[1].completed_at, "{done:?}");
-            let s = m.mem_stats();
-            assert_eq!(s.controller.reads_done, 1);
-            assert_eq!(s.controller.writes_done, 1);
-            assert_eq!(s.device.activates, 2);
-            assert_eq!(s.device.precharges, 2);
+            // Closed page: the write's auto-precharge closes the row, so
+            // the read activates again, no sooner than tRC after the
+            // write's activate on the first cycle.
+            let reopened = 1 + p.t_rc + p.t_rcd + p.cl + p.burst_cycles();
+            assert!(done[1].completed_at >= reopened, "{done:?}");
         }
     }
 
@@ -950,24 +825,39 @@ mod tests {
         m.enqueue(MemRequest::read(1, 0)).unwrap();
         m.enqueue(MemRequest::read(2, 1)).unwrap();
         let err = m.enqueue(MemRequest::read(3, 2)).unwrap_err();
-        assert_eq!(err.capacity, 2);
-        assert_eq!(m.mem_stats().controller.rejected, 1);
-        m.drain(1_000_000);
-        m.enqueue(MemRequest::read(3, 2)).unwrap();
+        assert_eq!((err.id, err.capacity), (3, 2));
+        // The refused request is not queued: it is accepted once an
+        // issue frees a place, and enters at that cycle.
+        let mut done = Vec::new();
+        while m.enqueue(MemRequest::read(3, 2)).is_err() {
+            done.extend_from_slice(m.tick());
+        }
+        let accepted_at = m.now();
+        assert!(accepted_at > 0);
+        done.extend(m.drain(1_000_000));
+        let ids: Vec<(u64, u64)> = done.iter().map(|d| (d.id, d.enqueued_at)).collect();
+        assert_eq!(ids, [(1, 0), (2, 0), (3, accepted_at)]);
     }
 
     #[test]
     fn refresh_fires_and_blocks() {
-        let mut m = GroupedDramModel::new("dram", DramParams::ddr4_2400(), 64, true);
-        // Idle past one refresh interval: refresh must have issued.
-        let refi = m.params().t_refi;
-        for _ in 0..(refi + m.params().t_rfc + 10) {
-            m.tick();
+        // A read that arrives as each refresh falls due waits out tRFC
+        // behind it; with refresh off, the same read does not.
+        let p = DramParams::ddr4_2400();
+        let latency = |refresh: bool, idle: u64| {
+            let mut m = GroupedDramModel::new("dram", p, 64, refresh);
+            for _ in 0..idle {
+                m.tick();
+            }
+            m.enqueue(MemRequest::read(1, 0)).unwrap();
+            let done = m.drain(1_000_000);
+            assert_eq!(done.len(), 1);
+            done[0].completed_at - done[0].enqueued_at
+        };
+        for due in [p.t_refi, 2 * p.t_refi] {
+            let (on, off) = (latency(true, due - 1), latency(false, due - 1));
+            assert!(on >= off + p.t_rfc, "at {due}: {on} vs {off}");
         }
-        assert!(m.mem_stats().device.refreshes >= 1);
-        // And the model still serves requests afterwards.
-        m.enqueue(MemRequest::read(1, 0)).unwrap();
-        assert_eq!(m.drain(1_000_000).len(), 1);
     }
 
     #[test]

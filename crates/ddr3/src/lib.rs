@@ -42,7 +42,7 @@
 //! ## Example
 //!
 //! ```
-//! use flowlut_ddr3::{MemoryController, ControllerConfig, MemRequest};
+//! use flowlut_ddr3::{MemoryController, ControllerConfig, MemRequest, MemoryModel};
 //! use flowlut_ddr3::timing::TimingPreset;
 //!
 //! let mut ctrl = MemoryController::new(ControllerConfig {
@@ -69,6 +69,7 @@ pub mod device;
 pub mod dram;
 pub mod error;
 pub mod model;
+mod request;
 pub mod sram;
 pub mod stats;
 pub mod timing;
@@ -81,7 +82,7 @@ pub use controller::{
 pub use device::{Command, CommandOutcome, Ddr3Device};
 pub use dram::{DramParams, GroupedDramModel};
 pub use error::{ConfigError, EnqueueError, TimingViolation};
-pub use model::{Ddr3Params, MemStats, MemoryModel, MemorySpec};
+pub use model::{Ddr3Params, MemoryModel, MemorySpec};
 pub use sram::{SramModel, SramParams};
-pub use stats::{ControllerStats, DeviceStats};
+pub use stats::DeviceStats;
 pub use timing::{TimingParams, TimingPreset};

@@ -4,9 +4,9 @@
 //! The paper's flow LUT is DDR3-bound by construction; everything the
 //! pipeline needs from a memory, though, is a small transactional
 //! surface: enqueue burst-granular read/write requests, advance cycles,
-//! drain, and expose occupancy and statistics. The models are timing
-//! only: requests carry no data, and the caller keeps what a burst
-//! moves. [`MemoryModel`] captures exactly that
+//! and drain. The models are timing only: requests carry no data, and
+//! the caller keeps what a burst moves. [`MemoryModel`] captures
+//! exactly that
 //! surface as an object-safe trait — mirroring how `FlowStore`
 //! unified the workspace's flow structures — so the simulator, engine
 //! and facade can ask the 2026 question ("which memory technology holds
@@ -22,25 +22,19 @@
 //!   DDR4-2400 or an HBM2-style stack via [`DramParams`].
 //! * [`SramModel`] — an idealized fixed-latency
 //!   SRAM bound.
+//!
+//! All three run their requests through one crate-private request
+//! core: the queue bound, the arrival numbers, the issued requests and
+//! the completion buffer. The contract below therefore has one
+//! implementation; each model adds only its scheduler, its timing, its
+//! address check and its deadlock guard.
 
 use crate::address::{AddressMapping, Geometry};
 use crate::controller::{Completion, ControllerConfig, MemRequest, MemoryController, PagePolicy};
 use crate::dram::{DramParams, GroupedDramModel};
 use crate::error::{ConfigError, EnqueueError};
 use crate::sram::{SramModel, SramParams};
-use crate::stats::{ControllerStats, DeviceStats};
 use crate::timing::{TimingParams, TimingPreset};
-
-/// Unified statistics of one memory model: scheduler-level counters
-/// plus device-level command counters. Models without a command-level
-/// device (SRAM) report zeroed [`DeviceStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Request-level scheduler counters.
-    pub controller: ControllerStats,
-    /// Command-level device counters.
-    pub device: DeviceStats,
-}
 
 /// An object-safe cycle-stepped memory: the transactional surface the
 /// flow-LUT pipeline needs from any memory technology.
@@ -82,18 +76,8 @@ pub trait MemoryModel: std::fmt::Debug + Send {
     /// Requests queued but not yet issued.
     fn queued_len(&self) -> usize;
 
-    /// Issued requests whose data phase has not finished.
-    fn in_flight_len(&self) -> usize;
-
-    /// Total outstanding requests (queued + in flight).
-    fn occupancy(&self) -> usize {
-        self.queued_len() + self.in_flight_len()
-    }
-
     /// `true` when no work is queued or in flight.
-    fn is_drained(&self) -> bool {
-        self.occupancy() == 0
-    }
+    fn is_drained(&self) -> bool;
 
     /// Runs until every queued request completes or `max_cycles`
     /// elapse, returning all completions produced.
@@ -111,56 +95,10 @@ pub trait MemoryModel: std::fmt::Debug + Send {
             }
         }
         panic!(
-            "memory model `{}` failed to drain within {max_cycles} cycles \
-             ({} queued, {} in flight)",
+            "memory model `{}` failed to drain within {max_cycles} cycles ({} queued)",
             self.name(),
-            self.queued_len(),
-            self.in_flight_len()
+            self.queued_len()
         );
-    }
-
-    /// Unified statistics snapshot.
-    fn mem_stats(&self) -> MemStats;
-}
-
-impl MemoryModel for MemoryController {
-    fn name(&self) -> &'static str {
-        "ddr3"
-    }
-
-    fn now(&self) -> u64 {
-        MemoryController::now(self)
-    }
-
-    fn enqueue(&mut self, req: MemRequest) -> Result<(), EnqueueError> {
-        MemoryController::enqueue(self, req)
-    }
-
-    fn tick(&mut self) -> &[Completion] {
-        MemoryController::tick(self)
-    }
-
-    fn queued_len(&self) -> usize {
-        MemoryController::queued_len(self)
-    }
-
-    fn in_flight_len(&self) -> usize {
-        MemoryController::in_flight_len(self)
-    }
-
-    fn is_drained(&self) -> bool {
-        MemoryController::is_drained(self)
-    }
-
-    fn drain(&mut self, max_cycles: u64) -> Vec<Completion> {
-        MemoryController::drain(self, max_cycles)
-    }
-
-    fn mem_stats(&self) -> MemStats {
-        MemStats {
-            controller: *self.stats(),
-            device: *self.device().stats(),
-        }
     }
 }
 
@@ -334,38 +272,7 @@ impl MemorySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_1066e() -> ControllerConfig {
-        ControllerConfig {
-            timing: TimingPreset::Ddr3_1066E.params(),
-            geometry: Geometry::tiny(),
-            refresh_enabled: false,
-            ..ControllerConfig::default()
-        }
-    }
-
-    #[test]
-    fn controller_behaves_identically_through_the_trait() {
-        // Drive one instance concretely and one through Box<dyn …> with
-        // the same request stream: identical completions and stats.
-        let mut concrete = MemoryController::new(tiny_1066e());
-        let mut boxed: Box<dyn MemoryModel> = Box::new(MemoryController::new(tiny_1066e()));
-        for i in 0..8u64 {
-            concrete.enqueue(MemRequest::read(i, i * 3)).unwrap();
-            boxed.enqueue(MemRequest::read(i, i * 3)).unwrap();
-        }
-        let a = concrete.drain(100_000);
-        let b = boxed.drain(100_000);
-        assert_eq!(a, b);
-        assert_eq!(
-            MemStats {
-                controller: *concrete.stats(),
-                device: *concrete.device().stats()
-            },
-            boxed.mem_stats()
-        );
-        assert_eq!(MemoryController::now(&concrete), boxed.now());
-    }
+    use crate::controller::AccessKind;
 
     #[test]
     fn every_kind_builds_and_completes_a_read() {
@@ -375,11 +282,12 @@ mod tests {
             assert_eq!(m.name(), spec.name());
             assert!(m.is_drained());
             m.enqueue(MemRequest::read(1, 0)).unwrap();
-            assert_eq!(m.occupancy(), 1);
+            assert_eq!(m.queued_len(), 1);
+            assert!(!m.is_drained());
             let done = m.drain(1_000_000);
             assert_eq!(done.len(), 1, "{}", spec.name());
-            assert_eq!(done[0].id, 1);
-            assert_eq!(m.mem_stats().controller.reads_done, 1);
+            assert_eq!((done[0].id, done[0].kind), (1, AccessKind::Read));
+            assert!(m.is_drained());
         }
     }
 

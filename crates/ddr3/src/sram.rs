@@ -8,9 +8,9 @@
 //! structure at all? It models a QDR-like part clocked at the system
 //! rate: up to [`SramParams::ports`] requests start per cycle, each
 //! completing exactly `read_latency`/`write_latency` cycles later.
-//! No command scheduling, no refresh, zeroed [`DeviceStats`](crate::stats::DeviceStats) — any gap
-//! between this bound and the DRAM models is attributable to memory
-//! technology, not the pipeline.
+//! No command scheduling, no refresh — any gap between this bound and
+//! the DRAM models is attributable to memory technology, not the
+//! pipeline.
 //!
 //! Requests start strictly in arrival order, but a write's latency is
 //! shorter than a read's: a write can complete before a read of the
@@ -21,8 +21,8 @@ use std::collections::VecDeque;
 
 use crate::controller::{AccessKind, Completion, MemRequest};
 use crate::error::{ConfigError, EnqueueError};
-use crate::model::{MemStats, MemoryModel};
-use crate::stats::ControllerStats;
+use crate::model::MemoryModel;
+use crate::request::{Queued, RequestCore};
 
 /// Parameters of the idealized SRAM. Preset:
 /// [`SramParams::ideal_200mhz`]; provenance in DESIGN.md §Calibration.
@@ -90,28 +90,15 @@ impl SramParams {
     }
 }
 
-/// A request whose fixed latency is counting down.
-#[derive(Debug)]
-struct InFlight {
-    req: MemRequest,
-    enqueued_at: u64,
-    done_at: u64,
-}
-
 /// The idealized fixed-latency SRAM model. Construct via
 /// [`MemorySpec::build`](crate::model::MemorySpec::build) or directly
 /// with [`SramModel::new`].
 #[derive(Debug)]
 pub struct SramModel {
     params: SramParams,
-    queue_capacity: usize,
-    now: u64,
-    queue: VecDeque<(MemRequest, u64)>,
-    /// Started requests, in arrival order.
-    in_flight: Vec<InFlight>,
-    /// This cycle's completions, cleared by each tick.
-    done: Vec<Completion>,
-    stats: ControllerStats,
+    core: RequestCore,
+    /// Accepted requests, in arrival order.
+    queue: VecDeque<Queued>,
 }
 
 impl SramModel {
@@ -125,15 +112,10 @@ impl SramModel {
         if let Err(e) = params.validate() {
             panic!("invalid SramParams: {e}");
         }
-        assert!(queue_capacity > 0, "queue_capacity must be nonzero");
         SramModel {
             params,
-            queue_capacity,
-            now: 0,
+            core: RequestCore::new(queue_capacity),
             queue: VecDeque::new(),
-            in_flight: Vec::new(),
-            done: Vec::new(),
-            stats: ControllerStats::default(),
         }
     }
 
@@ -149,7 +131,7 @@ impl MemoryModel for SramModel {
     }
 
     fn now(&self) -> u64 {
-        self.now
+        self.core.now()
     }
 
     fn enqueue(&mut self, req: MemRequest) -> Result<(), EnqueueError> {
@@ -159,83 +141,33 @@ impl MemoryModel for SramModel {
             req.addr,
             self.params.total_bursts
         );
-        if self.queue.len() >= self.queue_capacity {
-            self.stats.rejected += 1;
-            return Err(EnqueueError {
-                id: req.id,
-                capacity: self.queue_capacity,
-            });
-        }
-        self.queue.push_back((req, self.now));
-        self.stats.accepted += 1;
+        let q = self.core.admit(req)?;
+        self.queue.push_back(q);
         Ok(())
     }
 
     fn tick(&mut self) -> &[Completion] {
-        self.now += 1;
-        let now = self.now;
-
-        // Completions due this cycle, in arrival order: requests start
-        // in it, and `retain` keeps it.
-        let (done, stats) = (&mut self.done, &mut self.stats);
-        done.clear();
-        self.in_flight.retain(|fin| {
-            if fin.done_at > now {
-                return true;
-            }
-            let latency = now - fin.enqueued_at;
-            stats.total_latency_cycles += latency;
-            stats.max_latency_cycles = stats.max_latency_cycles.max(latency);
-            match fin.req.kind {
-                AccessKind::Read => stats.reads_done += 1,
-                AccessKind::Write => stats.writes_done += 1,
-            }
-            done.push(Completion {
-                id: fin.req.id,
-                kind: fin.req.kind,
-                addr: fin.req.addr,
-                enqueued_at: fin.enqueued_at,
-                completed_at: now,
-            });
-            false
-        });
-
+        let now = self.core.tick();
         // Start up to `ports` requests, strictly FIFO.
-        let mut started = 0;
-        while started < self.params.ports {
-            let Some((req, enqueued_at)) = self.queue.pop_front() else {
+        for _ in 0..self.params.ports {
+            let Some(q) = self.queue.pop_front() else {
                 break;
             };
-            let done_at = match req.kind {
-                AccessKind::Read => now + self.params.read_latency,
-                AccessKind::Write => now + self.params.write_latency,
+            let latency = match q.req.kind {
+                AccessKind::Read => self.params.read_latency,
+                AccessKind::Write => self.params.write_latency,
             };
-            self.in_flight.push(InFlight {
-                req,
-                enqueued_at,
-                done_at,
-            });
-            started += 1;
+            self.core.issue(q, now + latency);
         }
-        if started == 0 && self.queue.is_empty() && self.in_flight.is_empty() {
-            self.stats.idle_cycles += 1;
-        }
-        &self.done
+        self.core.done()
     }
 
     fn queued_len(&self) -> usize {
-        self.queue.len()
+        self.core.queued()
     }
 
-    fn in_flight_len(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    fn mem_stats(&self) -> MemStats {
-        MemStats {
-            controller: self.stats,
-            ..MemStats::default()
-        }
+    fn is_drained(&self) -> bool {
+        self.core.is_drained()
     }
 }
 
@@ -282,7 +214,7 @@ mod tests {
         let done = m.drain(1_000);
         // Starts on the first tick (cycle 1), completes read_latency later.
         assert_eq!(done[0].completed_at, 1 + m.params().read_latency);
-        assert_eq!(done[0].latency(), 1 + m.params().read_latency);
+        assert_eq!(done[0].enqueued_at, 0);
     }
 
     #[test]
@@ -309,10 +241,6 @@ mod tests {
         // Both start on cycle 1; the shorter write completes first.
         let at: Vec<(u64, u64)> = done.iter().map(|c| (c.id, c.completed_at)).collect();
         assert_eq!(at, [(2, 1 + p.write_latency), (1, 1 + p.read_latency)]);
-        let s = m.mem_stats();
-        assert_eq!(s.controller.reads_done, 1);
-        assert_eq!(s.controller.writes_done, 1);
-        assert_eq!(s.device, Default::default());
     }
 
     #[test]

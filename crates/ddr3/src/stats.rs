@@ -1,4 +1,4 @@
-//! Statistics collected by the device and controller models.
+//! Statistics the DDR3 device model collects.
 
 /// Counters maintained by [`Ddr3Device`](crate::device::Ddr3Device).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,44 +52,6 @@ impl DeviceStats {
     }
 }
 
-/// Counters maintained by [`MemoryController`](crate::controller::MemoryController).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControllerStats {
-    /// Requests accepted into the queues.
-    pub accepted: u64,
-    /// Requests rejected for back-pressure.
-    pub rejected: u64,
-    /// Read requests completed.
-    pub reads_done: u64,
-    /// Write requests completed.
-    pub writes_done: u64,
-    /// Sum of (completion − enqueue) latency over completed requests, in
-    /// controller cycles.
-    pub total_latency_cycles: u64,
-    /// Maximum single-request latency observed.
-    pub max_latency_cycles: u64,
-    /// Cycles in which no command could be issued although work was
-    /// queued (a stall: timing fences or bus occupancy).
-    pub stall_cycles: u64,
-    /// Cycles spent with all queues empty.
-    pub idle_cycles: u64,
-    /// Refresh operations performed.
-    pub refreshes: u64,
-}
-
-impl ControllerStats {
-    /// Mean request latency in cycles; 0 if nothing completed.
-    #[cfg(test)]
-    pub fn mean_latency_cycles(&self) -> f64 {
-        let done = self.reads_done + self.writes_done;
-        if done == 0 {
-            0.0
-        } else {
-            self.total_latency_cycles as f64 / done as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,17 +85,5 @@ mod tests {
     #[test]
     fn row_hit_rate_zero_without_accesses() {
         assert_eq!(DeviceStats::default().row_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn mean_latency() {
-        let s = ControllerStats {
-            reads_done: 3,
-            writes_done: 1,
-            total_latency_cycles: 40,
-            ..ControllerStats::default()
-        };
-        assert!((s.mean_latency_cycles() - 10.0).abs() < 1e-12);
-        assert_eq!(ControllerStats::default().mean_latency_cycles(), 0.0);
     }
 }

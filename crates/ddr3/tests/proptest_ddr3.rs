@@ -1,6 +1,7 @@
 //! Property tests for the memory models: address mapping bijectivity,
 //! scheduling liveness, bus-model monotonicity, and completion ordering,
-//! of the DDR3 controller and of every model behind `MemoryModel`.
+//! of the DDR3 controller and of every model behind `MemoryModel`; and
+//! one pinned completion stream per model.
 
 use proptest::prelude::*;
 
@@ -364,4 +365,159 @@ proptest! {
             prop_assert_eq!(run(a, &|i| i), run(b, &|i| (i % classes) ^ salt), "{}", name);
         }
     }
+}
+
+/// One fixed, seeded request stream that every model accepts (all
+/// addresses lie in the tiny DDR3 part's 4,096 bursts). Its runs put
+/// each model's locality cases in play:
+///
+/// * one address, over and over (one bank, one row, one column);
+/// * one row: stride 1 on the tiny part (`RowBankCol`), stride 8 on the
+///   prototype part (`RowColBank`, 8 banks);
+/// * one bank, row after row: stride 64 (tiny), 1,024 (prototype),
+///   16 (DDR4: 16 banks) and 128 (HBM2: 8 channels × 16 banks);
+/// * one bank group, bank after bank: DDR4's banks 0–3 (`{0,1,2,3}`
+///   + 16k) and HBM2's (`{0,8,16,24}` + 128k);
+/// * same-cycle bursts of 100 requests, past the 64-request queue, so
+///   the driver retries against back-pressure;
+/// * idle gaps of 12,000 cycles, longer than every part's tREFI;
+/// * random spread with random gaps in between.
+fn pinned_stream() -> Vec<Step> {
+    let mut state = 0x005E_ED0F_F10E_u64;
+    let mut next = move || {
+        // SplitMix64.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let total = Geometry::tiny().total_bursts();
+    let runs: [&dyn Fn(u64) -> u64; 10] = [
+        &|_| 37,
+        &|i| 160 + i % 16,
+        &|i| 3 + 8 * (i % 128),
+        &|i| 5 + 64 * (i % 64),
+        &|i| 2 + 1024 * (i % 4),
+        &|i| 9 + 16 * (i % 256),
+        &|i| 6 + 128 * (i % 32),
+        &|i| (i % 4) + 16 * (i / 4 % 256),
+        &|i| 8 * (i % 4) + 128 * (i / 4 % 32),
+        &|i| i * 97 % total,
+    ];
+    let mut steps = Vec::new();
+    for round in 0..3u64 {
+        for (r, run) in runs.iter().enumerate() {
+            let len = [24, 100, 40][(round as usize + r) % 3];
+            for i in 0..len {
+                // A 100-request run arrives in one cycle.
+                let idle = match next() % 8 {
+                    _ if len == 100 => 0,
+                    0..=4 => 0,
+                    5 | 6 => next() % 6,
+                    _ => next() % 60,
+                };
+                steps.push(Step {
+                    idle,
+                    addr: run(i + round * 7) % total,
+                    write: next() % 3 == 0,
+                });
+            }
+            // Random spread between runs.
+            for _ in 0..16 {
+                steps.push(Step {
+                    idle: next() % 12,
+                    addr: next() % total,
+                    write: next() % 2 == 0,
+                });
+            }
+        }
+        steps.push(Step {
+            idle: 12_000,
+            addr: next() % total,
+            write: false,
+        });
+    }
+    steps
+}
+
+/// FNV-1a 64 over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    fn completions(&mut self, done: &[Completion]) -> usize {
+        for c in done {
+            self.word(c.id);
+            self.word(u64::from(c.kind == AccessKind::Write));
+            self.word(c.addr);
+            self.word(c.enqueued_at);
+            self.word(c.completed_at);
+        }
+        done.len()
+    }
+}
+
+/// Drives `m` through `steps`, retrying each refused enqueue a cycle
+/// later, then ticks it until drained. Returns the FNV-1a digest of
+/// every completion and of the final cycle, the completion count and
+/// the number of refused enqueues.
+fn run_pinned(m: &mut dyn MemoryModel, steps: &[Step]) -> (u64, usize, u64) {
+    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    let (mut completed, mut refused) = (0, 0);
+    for (id, s) in steps.iter().enumerate() {
+        for _ in 0..s.idle {
+            completed += h.completions(m.tick());
+        }
+        let req = if s.write {
+            MemRequest::write(id as u64, s.addr)
+        } else {
+            MemRequest::read(id as u64, s.addr)
+        };
+        while m.enqueue(req).is_err() {
+            refused += 1;
+            completed += h.completions(m.tick());
+        }
+    }
+    for _ in 0..10_000_000 {
+        if m.is_drained() {
+            break;
+        }
+        completed += h.completions(m.tick());
+    }
+    assert!(m.is_drained(), "{} failed to drain", m.name());
+    h.word(m.now());
+    (h.0, completed, refused)
+}
+
+/// Every model's completion stream for [`pinned_stream`], pinned: any
+/// change to a model's scheduling, timing, refresh, back-pressure or
+/// completion order moves a digest. Models in `every_model` order.
+#[test]
+fn every_model_completion_stream_is_pinned() {
+    let steps = pinned_stream();
+    let pins: [(&str, u64, usize, u64); 5] = [
+        ("ddr3", 0x33b2_f00a_db36_ed92, 2123, 19_826),
+        ("ddr3", 0xa551_bc72_e90e_4cd4, 2123, 26_438),
+        ("ddr4", 0x95fc_eb0b_61e7_c304, 2123, 27_791),
+        ("hbm2", 0x4459_fc68_91f4_e6f4, 2123, 11_087),
+        ("sram", 0x757c_9f01_8bea_bf61, 2123, 190),
+    ];
+    let got: Vec<(&str, u64, usize, u64)> = every_model()
+        .into_iter()
+        .map(|mut m| {
+            let (digest, completed, refused) = run_pinned(m.as_mut(), &steps);
+            (m.name(), digest, completed, refused)
+        })
+        .collect();
+    for g in &got {
+        assert_eq!(g.2, steps.len(), "{}: every request completes once", g.0);
+        assert!(g.3 > 0, "{}: the stream reaches the queue bound", g.0);
+    }
+    assert_eq!(got, pins, "{got:#x?}");
 }

@@ -17,9 +17,13 @@
 //!    uses (so one vet covers both views);
 //! 3. **unreached** — non-test functions that no program reaches. The
 //!    roots are every `fn main` (the bins, the examples and `perfbench`)
-//!    and every trait method, since trait methods are called implicitly
-//!    (`Display`, `Drop`, `From`) or through `dyn`. A function only
-//!    tests call is unreached. The `keep` entries of
+//!    and every method of a trait defined outside the scanned sources,
+//!    since those are called implicitly (`Display::fmt`, `Drop::drop`,
+//!    `Iterator::next`, …). A trait the sources define (`FlowStore`,
+//!    `MemoryModel`, …) roots nothing: its methods, defaults and impls
+//!    alike, are reached through name-widened calls like any other
+//!    function, so an uncalled one is a finding. A function only tests
+//!    call is unreached. The `keep` entries of
 //!    `xtask/analyze_allow.txt` name the few a documented entry point or
 //!    an integration test needs; a kept function is a root too.
 //!
@@ -30,7 +34,9 @@
 //!
 //! - `name(…)` resolves to every free `fn name` in the workspace;
 //! - `Type::name(…)` resolves to `fn name` in any `impl …Type` block
-//!   (`Self::` uses the enclosing impl); an unknown qualifier falls
+//!   (`Self::` uses the enclosing impl), and `Trait::name(…)`, for a
+//!   trait the sources define, to its default and every impl's
+//!   `name`; an unknown qualifier falls
 //!   back to free `fn name` (the `module::fn` case) and otherwise is
 //!   treated as external (so `Instant::now(…)`-style calls on std
 //!   types do not fan out to every local `new`);
@@ -138,6 +144,8 @@ pub struct FileModel {
     pub items: Vec<FnItem>,
     /// Modules declared test-only in this file (`#[cfg(test)] mod m;`).
     pub test_mods: Vec<String>,
+    /// Traits this file defines (`trait Name`).
+    pub traits: Vec<String>,
 }
 
 enum ScopeKind {
@@ -166,6 +174,7 @@ pub fn extract(path: &str, src: &str) -> FileModel {
         .collect();
     let mut items: Vec<FnItem> = Vec::new();
     let mut test_mods: Vec<String> = Vec::new();
+    let mut traits: Vec<String> = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending_test = false;
     let mut i = 0usize;
@@ -261,6 +270,7 @@ pub fn extract(path: &str, src: &str) -> FileModel {
             // `trait Name … {`: default-method bodies inside are real
             // items (dyn-widened method calls must reach them).
             let name = toks[i + 1].text.clone();
+            traits.push(name.clone());
             let mut j = i + 2;
             let mut angle = 0i32;
             while j < toks.len() {
@@ -340,6 +350,7 @@ pub fn extract(path: &str, src: &str) -> FileModel {
         toks,
         items,
         test_mods,
+        traits,
     }
 }
 
@@ -670,8 +681,9 @@ pub struct AnalyzeResult {
     pub edges: usize,
     /// Functions reachable from the entry points (cold barriers pruned).
     pub reachable: usize,
-    /// Functions reachable from a `fn main`, a trait method or a `keep`
-    /// entry (the complement is the `unreached` rule's findings).
+    /// Functions reachable from a `fn main`, a method of a trait defined
+    /// outside the sources or a `keep` entry (the complement is the
+    /// `unreached` rule's findings).
     pub used: usize,
     /// Violations (empty on a clean tree).
     pub findings: Vec<Finding>,
@@ -695,6 +707,7 @@ pub fn analyze_sources(
     let mut items: Vec<FnItem> = Vec::new();
     let mut scans: Vec<BodyScan> = Vec::new();
     let mut lines: std::collections::HashMap<&str, Vec<&str>> = std::collections::HashMap::new();
+    let mut workspace_traits: std::collections::HashSet<String> = Default::default();
     let test_files = declared_test_files(files);
     for (path, src) in files {
         lines.insert(path.as_str(), src.lines().collect());
@@ -702,6 +715,7 @@ pub fn analyze_sources(
             continue;
         }
         let model = extract(path, src);
+        workspace_traits.extend(model.traits);
         for it in model.items {
             if it.is_test {
                 continue;
@@ -729,9 +743,14 @@ pub fn analyze_sources(
     let mut methods_by_name: HashMap<&str, Vec<usize>> = HashMap::new();
     for (id, it) in items.iter().enumerate() {
         match (&it.impl_type, &it.trait_name) {
-            (Some(t), _) => {
+            (Some(t), tr) => {
                 by_type.entry((t, &it.name)).or_default().push(id);
                 methods_by_name.entry(&it.name).or_default().push(id);
+                // An impl of a workspace trait's method: `Trait::name(…)`
+                // may call it.
+                if let Some(tr) = tr.as_ref().filter(|tr| workspace_traits.contains(*tr)) {
+                    by_type.entry((tr, &it.name)).or_default().push(id);
+                }
             }
             (None, Some(tr)) => {
                 // Trait default method: a dyn-widened target, also
@@ -929,13 +948,15 @@ pub fn analyze_sources(
         }
     }
 
-    // `unreached`: what no `fn main` and no trait method reaches. A
-    // `keep` entry must name a function that would otherwise be a
-    // finding; what it names is a root from then on.
-    let program_roots = items
-        .iter()
-        .enumerate()
-        .filter(|(_, it)| it.trait_name.is_some() || (it.name == "main" && it.impl_type.is_none()));
+    // `unreached`: what no `fn main` and no method of an outside trait
+    // reaches. A `keep` entry must name a function that would otherwise
+    // be a finding; what it names is a root from then on.
+    let program_roots = items.iter().enumerate().filter(|(_, it)| {
+        it.trait_name
+            .as_ref()
+            .is_some_and(|t| !workspace_traits.contains(t))
+            || (it.name == "main" && it.impl_type.is_none())
+    });
     let mut used = vec![false; items.len()];
     mark_reached(&edges, program_roots.map(|(id, _)| id), &mut used);
     for c in &allow.keep {
@@ -968,8 +989,8 @@ pub fn analyze_sources(
                 rule: "unreached",
                 chain: String::new(),
                 msg: format!(
-                    "`{}` is reached from no `fn main` and no trait method — delete it, \
-                     narrow it to #[cfg(test)], or `keep` it with a reason",
+                    "`{}` is reached from no `fn main` and no method of an outside trait — \
+                     delete it, narrow it to #[cfg(test)], or `keep` it with a reason",
                     it.display()
                 ),
             });
@@ -1392,7 +1413,7 @@ mod tests {
 
     #[test]
     fn main_trait_methods_and_their_callees_are_reached() {
-        let bin = "fn main() { from_main(); }\nfn from_main() -> [u8; 2] { transitively(); [0; 2] }\nfn transitively() {}\n";
+        let bin = "fn main() { from_main(); }\nfn from_main() -> [u8; 2] { transitively(); S.provided(); [0; 2] }\nfn transitively() {}\n";
         let lib = "struct S;\nimpl std::fmt::Display for S {\n    fn fmt(&self, f: &mut Formatter) -> Result { from_impl(); Ok(()) }\n}\nfn from_impl() {}\ntrait T {\n    fn provided(&self) { from_default(); }\n}\nfn from_default() {}\nfn dead() {}\n";
         let res = analyze_sources(
             &files(&[("src/bin/a.rs", bin), ("crates/x/src/lib.rs", lib)]),
@@ -1401,6 +1422,68 @@ mod tests {
             &[],
         );
         assert_eq!(unreached(&res), ["dead"], "{:?}", res.findings);
+    }
+
+    /// A trait the sources define, with one method called by a program
+    /// and one method (a default and its override) that nothing calls.
+    const WORKSPACE_TRAIT: &str = "pub trait Model {\n    fn tick(&mut self);\n    fn stats(&self) -> u64 { 0 }\n}\nstruct M;\nimpl Model for M {\n    fn tick(&mut self) { step(); }\n    fn stats(&self) -> u64 { 1 }\n}\nfn step() {}\n";
+
+    #[test]
+    fn an_uncalled_workspace_trait_method_is_unreached() {
+        let bin = "fn main() { let mut m = M; m.tick(); }\n";
+        let res = analyze_sources(
+            &files(&[
+                ("src/bin/a.rs", bin),
+                ("crates/x/src/lib.rs", WORKSPACE_TRAIT),
+            ]),
+            &[],
+            &AnalyzeAllow::default(),
+            &[],
+        );
+        assert_eq!(unreached(&res), ["stats", "M::stats"], "{:?}", res.findings);
+    }
+
+    #[test]
+    fn a_called_workspace_trait_method_is_reached() {
+        let bin =
+            "fn main() { let mut m = M; m.tick(); report(m.stats()); }\nfn report(_: u64) {}\n";
+        let res = analyze_sources(
+            &files(&[
+                ("src/bin/a.rs", bin),
+                ("crates/x/src/lib.rs", WORKSPACE_TRAIT),
+            ]),
+            &[],
+            &AnalyzeAllow::default(),
+            &[],
+        );
+        assert!(unreached(&res).is_empty(), "{:?}", res.findings);
+    }
+
+    #[test]
+    fn a_trait_qualified_call_reaches_the_impls() {
+        let bin = "fn main() { let mut m = M; Model::tick(&mut m); }\n";
+        let res = analyze_sources(
+            &files(&[
+                ("src/bin/a.rs", bin),
+                ("crates/x/src/lib.rs", WORKSPACE_TRAIT),
+            ]),
+            &[],
+            &AnalyzeAllow::default(),
+            &[],
+        );
+        assert_eq!(unreached(&res), ["stats", "M::stats"], "{:?}", res.findings);
+    }
+
+    #[test]
+    fn an_outside_trait_method_no_code_names_stays_reached() {
+        let lib = "fn main() {}\nstruct S;\nimpl std::fmt::Display for S {\n    fn fmt(&self, f: &mut Formatter) -> Result { from_fmt(); Ok(()) }\n}\nfn from_fmt() {}\nimpl Drop for S {\n    fn drop(&mut self) {}\n}\n";
+        let res = analyze_sources(
+            &files(&[("crates/x/src/lib.rs", lib)]),
+            &[],
+            &AnalyzeAllow::default(),
+            &[],
+        );
+        assert!(unreached(&res).is_empty(), "{:?}", res.findings);
     }
 
     #[test]

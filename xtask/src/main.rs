@@ -18,8 +18,9 @@
 //! past the vetted cold-path barriers in `xtask/analyze_allow.txt`.
 //! Every reachable allocation is a finding; a reachable panic site may
 //! be vetted in `xtask/lint_allow.txt`. Its `unreached` rule reports
-//! every function no `fn main` and no trait method reaches, less the
-//! `keep` entries of `xtask/analyze_allow.txt`. `--json <path>`
+//! every function that no `fn main` and no method of a trait defined
+//! outside the workspace reaches, less the `keep` entries of
+//! `xtask/analyze_allow.txt`. `--json <path>`
 //! additionally writes a machine-readable report (CI uploads it as an
 //! artifact).
 //!
