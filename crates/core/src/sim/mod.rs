@@ -137,7 +137,9 @@ struct PathSim {
     /// Slots waiting for a bucket read.
     read_q: VecDeque<usize>,
     /// Slots in `read_q` waiting for their LU1 read: the DLU depth the
-    /// CAM stage's dispatch checks.
+    /// CAM stage's dispatch checks. A count, not a walk of `read_q`:
+    /// the check runs on every dispatch attempt, stalled ones included,
+    /// and a saturated DLU queues dozens of reads.
     lu1_queued: usize,
     write_q: VecDeque<WriteIntent>,
     /// Buckets with pending (batched or in-flight) writes → outstanding
