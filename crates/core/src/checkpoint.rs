@@ -2,18 +2,21 @@
 //!
 //! A checkpoint is a hand-rolled little-endian byte stream (no external
 //! serialization dependency) capturing everything that determines future
-//! behaviour of a *quiescent* simulator: resident-flow placements,
-//! per-flow records, cumulative statistics, the load-balancer PRNG
-//! state, and the lifecycle-scan cursors. Memory-controller phase is
-//! *canonicalized* rather than serialized: both the live instance (at
-//! checkpoint time) and the restored instance rebuild fresh controllers
-//! idle-ticked to the current cycle, so the two are in identical states
-//! by construction and replay from a checkpoint is bit-identical —
-//! `tests/checkpoint_restore.rs` pins exactly that.
+//! behaviour of a *quiescent* simulator: the clock, the load-balancer
+//! PRNG state, cumulative statistics, resident-flow placements, per-flow
+//! records, the lifecycle-scan cursors, victims and events. The memory
+//! models are not serialized: they hold no data, and a quiescent one
+//! holds no request, so the live instance (at checkpoint time) and the
+//! restored instance both continue from freshly built models. The two
+//! are in identical states by construction and replay from a checkpoint
+//! is bit-identical — `tests/checkpoint_restore.rs` pins exactly that.
 //!
 //! The format is versioned and guarded by magic bytes plus an FNV-1a
 //! digest of the behaviour-relevant configuration, so restoring into a
 //! mismatched configuration fails loudly instead of silently diverging.
+//! Restore bounds what the restored instance counts on from: the clock,
+//! every statistic and each flow record's packets and bytes are at most
+//! [`MAX_COUNTER`], and no record is stamped after the clock.
 
 use std::error::Error;
 use std::fmt;
@@ -196,9 +199,9 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    /// Reads a statistics or request-ID counter: a little-endian `u64`
-    /// of at most [`MAX_COUNTER`], so the run a restore resumes can count
-    /// on without overflow.
+    /// Reads a clock or statistics counter: a little-endian `u64` of at
+    /// most [`MAX_COUNTER`], so the run a restore resumes can count on
+    /// without overflow.
     ///
     /// # Errors
     ///
@@ -382,48 +385,63 @@ pub fn write_record(w: &mut ByteWriter, r: &FlowRecord) {
     w.put_u64(r.bytes);
 }
 
-/// Reads a [`FlowRecord`] written by [`write_record`].
-///
-/// # Errors
-///
-/// [`CheckpointError`] on truncation or a corrupt key.
-pub fn read_record(r: &mut ByteReader<'_>) -> Result<FlowRecord, CheckpointError> {
+/// The clock a restore resumes at, which no flow record it reads may
+/// postdate: a system cycle, and that cycle's time in ns as the
+/// simulator stamps records.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordClock {
+    pub(crate) sys: u64,
+    pub(crate) ns: u64,
+}
+
+/// Reads a [`FlowRecord`] written by [`write_record`], bounded as
+/// [`read_counters`] bounds its counters.
+pub(crate) fn read_record(
+    r: &mut ByteReader<'_>,
+    clock: RecordClock,
+) -> Result<FlowRecord, CheckpointError> {
     let key = read_key(r)?;
-    Ok(read_counters(r)?.with_key(key))
+    Ok(read_counters(r, clock)?.with_key(key))
 }
 
 /// The counters of a record written by [`write_record`], read after its
-/// key: five `u64`s, with one bounds check.
+/// key: five `u64`s, with one bounds check. Refused unless the flow's
+/// next packet at `clock` or later counts on: packets and bytes at most
+/// [`MAX_COUNTER`], the first sighting no later than the last, and
+/// neither the last sighting nor the last touch after `clock`.
 #[inline]
-pub(crate) fn read_counters(r: &mut ByteReader<'_>) -> Result<FlowCounters, CheckpointError> {
+pub(crate) fn read_counters(
+    r: &mut ByteReader<'_>,
+    clock: RecordClock,
+) -> Result<FlowCounters, CheckpointError> {
     let b: [u8; 40] = r.array()?;
     let word = |i: usize| u64::from_le_bytes(std::array::from_fn(|j| b[8 * i + j]));
-    Ok(FlowCounters {
+    let c = FlowCounters {
         first_seen_ns: word(0),
         last_seen_ns: word(1),
         last_touch_sys: word(2),
         packets: word(3),
         bytes: word(4),
-    })
+    };
+    if c.packets.max(c.bytes) > MAX_COUNTER {
+        Err(CheckpointError::Corrupt("counter above 2^62"))
+    } else if c.first_seen_ns > c.last_seen_ns {
+        Err(CheckpointError::Corrupt(
+            "flow record last seen before first seen",
+        ))
+    } else if c.last_seen_ns > clock.ns || c.last_touch_sys > clock.sys {
+        Err(CheckpointError::Corrupt(
+            "flow record stamped after the clock",
+        ))
+    } else {
+        Ok(c)
+    }
 }
 
-/// Where the statistics of a checkpoint keep two retired words, always
-/// zero: the counters of the stop-the-world housekeeping sweep and the
-/// full-table eviction retry, which the simulator no longer has. They
-/// keep their place so version 1 blobs keep their bytes.
-const RETIRED_STATS_AT: usize = 20;
-const RETIRED_STATS: usize = 2;
-
-/// Serializes [`SimStats`]: its counters, with the two retired zero
-/// words after the first 20, then `max_latency_sys`.
+/// Serializes [`SimStats`]: its counters, then `max_latency_sys`.
 pub fn write_stats(w: &mut ByteWriter, s: &SimStats) {
     let mut s = *s;
-    for (i, v) in s.counters_mut().into_iter().enumerate() {
-        if i == RETIRED_STATS_AT {
-            for _ in 0..RETIRED_STATS {
-                w.put_u64(0);
-            }
-        }
+    for v in s.counters_mut() {
         w.put_u64(*v);
     }
     w.put_u64(s.max_latency_sys);
@@ -434,18 +452,10 @@ pub fn write_stats(w: &mut ByteWriter, s: &SimStats) {
 /// # Errors
 ///
 /// [`CheckpointError::Truncated`] at end of stream;
-/// [`CheckpointError::Corrupt`] for a counter above [`MAX_COUNTER`] or a
-/// retired word that is not zero.
+/// [`CheckpointError::Corrupt`] for a counter above [`MAX_COUNTER`].
 pub fn read_stats(r: &mut ByteReader<'_>) -> Result<SimStats, CheckpointError> {
     let mut s = SimStats::default();
-    for (i, v) in s.counters_mut().into_iter().enumerate() {
-        if i == RETIRED_STATS_AT {
-            for _ in 0..RETIRED_STATS {
-                if r.u64()? != 0 {
-                    return Err(CheckpointError::Corrupt("retired statistics word not zero"));
-                }
-            }
-        }
+    for v in s.counters_mut() {
         *v = r.counter()?;
     }
     s.max_latency_sys = r.counter()?;
@@ -504,6 +514,7 @@ mod tests {
         ];
         let mut rec = FlowRecord::first_packet(key, 500, 100, 64);
         rec.update(900, 180, 1500);
+        let clock = RecordClock { sys: 180, ns: 900 };
         let mut w = ByteWriter::new();
         write_key(&mut w, &key);
         for loc in locs {
@@ -516,8 +527,40 @@ mod tests {
         for loc in locs {
             assert_eq!(read_location(&mut r, &table).unwrap(), loc);
         }
-        assert_eq!(read_record(&mut r).unwrap(), rec);
+        assert_eq!(read_record(&mut r, clock).unwrap(), rec);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn records_the_next_packet_cannot_count_on_are_refused() {
+        let clock = RecordClock { sys: 180, ns: 900 };
+        let mut base =
+            FlowRecord::first_packet(FlowKey::from(FiveTuple::from_index(1)), 500, 100, 64);
+        base.update(900, 180, 1500);
+        let read = |edit: fn(&mut FlowRecord)| {
+            let mut rec = base;
+            edit(&mut rec);
+            let mut w = ByteWriter::new();
+            write_record(&mut w, &rec);
+            read_record(&mut ByteReader::new(&w.into_bytes()), clock).err()
+        };
+        let above = Some(CheckpointError::Corrupt("counter above 2^62"));
+        let backwards = Some(CheckpointError::Corrupt(
+            "flow record last seen before first seen",
+        ));
+        let ahead = Some(CheckpointError::Corrupt(
+            "flow record stamped after the clock",
+        ));
+        assert_eq!(read(|_| {}), None);
+        assert_eq!(
+            read(|r| (r.packets, r.bytes) = (MAX_COUNTER, MAX_COUNTER)),
+            None
+        );
+        assert_eq!(read(|r| r.packets = MAX_COUNTER + 1), above);
+        assert_eq!(read(|r| r.bytes = u64::MAX), above);
+        assert_eq!(read(|r| r.first_seen_ns = 901), backwards);
+        assert_eq!(read(|r| r.last_seen_ns = 901), ahead);
+        assert_eq!(read(|r| r.last_touch_sys = 181), ahead);
     }
 
     #[test]
@@ -582,10 +625,8 @@ mod tests {
         let mut w = ByteWriter::new();
         write_stats(&mut w, &s);
         let bytes = w.into_bytes();
-        // 23 counters, two retired zero words after the first 20, and
-        // the high-water mark.
-        assert_eq!(bytes.len(), 26 * 8);
-        assert_eq!(bytes[20 * 8..22 * 8], [0; 16]);
+        // 23 counters and the high-water mark.
+        assert_eq!(bytes.len(), 24 * 8);
         let mut r = ByteReader::new(&bytes);
         assert_eq!(read_stats(&mut r).unwrap(), s);
         r.finish().unwrap();

@@ -50,7 +50,7 @@ use crate::backend::{
     settle, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, SessionError,
     SessionProgress,
 };
-use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, Fnv64};
+use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, Fnv64, RecordClock};
 use crate::codec;
 use crate::config::{
     LoadBalancerPolicy, SimConfig, BWR_TIMEOUT_SYS, CAM_LATENCY_SYS, CONTROLLER_QUEUE,
@@ -193,7 +193,6 @@ pub struct FlowLutSim {
     completed: VecDeque<CompletionRecord>,
     now_sys: u64,
     stats: SimStats,
-    last_completion_cycle: u64,
     // Steady-state scratch (reused across cycles so the hot path stays
     // allocation-free; pure transients, never part of simulator state).
     /// Per-tick memory-completion staging buffer.
@@ -246,7 +245,6 @@ impl FlowLutSim {
             completed: VecDeque::new(),
             now_sys: 0,
             stats: SimStats::default(),
-            last_completion_cycle: 0,
             completions_scratch: Vec::new(),
             scan_scratch: Vec::new(),
             bursts_per_bucket,
@@ -524,6 +522,11 @@ impl FlowLutSim {
             && self.paths.iter().all(|p| !p.read_q.contains(&slot))
     }
 
+    /// The time in ns a flow record stamps for system cycle `cycle`.
+    fn ns_at(&self, cycle: u64) -> u64 {
+        (cycle as f64 * self.cfg.sys_period_ns()) as u64
+    }
+
     fn complete(&mut self, slot: usize, via: ResolvedVia, fid: Option<FlowId>) {
         debug_assert!(self.unreferenced(slot), "slot {slot} freed while in use");
         let now = self.now_sys;
@@ -532,7 +535,6 @@ impl FlowLutSim {
         self.stats.total_latency_sys += latency;
         self.stats.max_latency_sys = self.stats.max_latency_sys.max(latency);
         self.stats.completed += 1;
-        self.last_completion_cycle = now;
         match via {
             ResolvedVia::CamHit => self.stats.cam_hits += 1,
             ResolvedVia::Lu1Hit(_) => self.stats.lu1_hits += 1,
@@ -543,7 +545,7 @@ impl FlowLutSim {
             ResolvedVia::Dropped => self.stats.drops += 1,
         }
         // Flow-state records, in the slot the flow ID names.
-        let now_ns = (now as f64 * self.cfg.sys_period_ns()) as u64;
+        let now_ns = self.ns_at(now);
         if let Some(fid) = fid {
             let frame = u64::from(desc.frame_bytes);
             self.table
@@ -1052,7 +1054,7 @@ impl FlowLutSim {
 /// Magic bytes of a single-channel simulator checkpoint ("FLUT" LE).
 const SIM_CHECKPOINT_MAGIC: u32 = 0x54554C46;
 /// Current checkpoint format version.
-const SIM_CHECKPOINT_VERSION: u32 = 1;
+const SIM_CHECKPOINT_VERSION: u32 = 2;
 
 /// Reads the header of a checkpoint (magic, version, configuration
 /// digest) after checking `cfg`: what [`FlowLutSim::restore`] checks
@@ -1081,13 +1083,15 @@ fn read_header(cfg: &SimConfig, r: &mut ByteReader<'_>) -> Result<(), Checkpoint
 /// that placed every flow first merges them. Each record goes to the
 /// first placement not below its ID, which must carry that ID and key,
 /// so with as many records as placements one of them fails. `last` is
-/// the location of the record before.
+/// the location of the record before; `clock` bounds each record's
+/// stamps.
 fn record_error(
     table: &TableConfig,
     mut placements: ByteReader<'_>,
     mut records: ByteReader<'_>,
     count: u64,
     last: Option<Location>,
+    clock: RecordClock,
 ) -> CheckpointError {
     let k = table.entries_per_bucket;
     let disagrees = CheckpointError::Corrupt("flow record disagrees with its placement");
@@ -1097,7 +1101,7 @@ fn record_error(
         for _ in 0..count {
             let fid = FlowId::encode(checkpoint::read_location(&mut records, table)?, k);
             let key = checkpoint::read_key_bytes(&mut records)?;
-            checkpoint::read_counters(&mut records)?;
+            checkpoint::read_counters(&mut records, clock)?;
             if last >= Some(fid) {
                 return Err(CheckpointError::Corrupt("flow records out of ID order"));
             }
@@ -1138,43 +1142,20 @@ fn sim_config_digest(cfg: &SimConfig) -> u64 {
 }
 
 impl FlowLutSim {
-    /// Rebuilds both memory controllers in the *canonical* phase for the
-    /// current cycle: a fresh controller idle-ticked to `now_sys`.
-    ///
-    /// Controller-internal device state (refresh countdowns, bus
-    /// turnaround history) is traffic-dependent and not serializable
-    /// through the object-safe [`MemoryModel`] trait; instead both the
-    /// live side (at checkpoint) and the restored side rebuild this
-    /// canonical phase, so the two are bit-identical by construction.
-    /// Requires quiescence (no outstanding requests may be dropped).
-    fn canonicalize_memory(&mut self) {
-        debug_assert!(self.is_quiescent());
-        let ticks = self.now_sys * u64::from(self.mem_ticks_per_sys);
-        for p in 0..2 {
-            let mut ctrl = self.cfg.build_memory();
-            for _ in 0..ticks {
-                let done = ctrl.tick();
-                debug_assert!(done.is_empty(), "idle controller completed a request");
-            }
-            self.paths[p].ctrl = ctrl;
-        }
-    }
-
     /// Serializes a consistent checkpoint of this (quiescent) simulator.
     ///
     /// The checkpoint captures resident placements, per-flow records,
     /// cumulative statistics, lifecycle cursors/victims/events, and the
     /// load-balancer PRNG state; [`restore`](Self::restore) rebuilds an
     /// instance whose replay is bit-identical to continuing this one
-    /// (`tests/checkpoint_restore.rs`). As a side effect the live
-    /// instance's memory controllers are re-phased canonically — a
-    /// behaviour-preserving normalization that makes live and restored
-    /// instances indistinguishable.
+    /// (`tests/checkpoint_restore.rs`). The memory models are not
+    /// captured: they hold no data, and a quiescent one holds no
+    /// request, so this instance swaps each for a freshly built one, as
+    /// a restored instance starts with. Only the refresh phase moves:
+    /// with refresh on, the next refresh falls one tREFI from here.
     ///
-    /// Not captured: completion records and table/CAM micro-statistics,
-    /// which do not influence future behaviour. The two words after the
-    /// load-balancer state, once request counters, are bursts and bucket
-    /// reads issued, derived from the statistics.
+    /// Not captured either: completion records and table/CAM
+    /// micro-statistics, which do not influence future behaviour.
     ///
     /// # Errors
     ///
@@ -1187,7 +1168,9 @@ impl FlowLutSim {
                 in_pipeline: self.in_pipeline(),
             });
         }
-        self.canonicalize_memory();
+        for path in &mut self.paths {
+            path.ctrl = self.cfg.build_memory();
+        }
         let k = self.cfg.table.entries_per_bucket;
         let mut w = ByteWriter::new();
         w.put_u32(SIM_CHECKPOINT_MAGIC);
@@ -1195,9 +1178,6 @@ impl FlowLutSim {
         w.put_u64(sim_config_digest(&self.cfg));
         w.put_u64(self.now_sys);
         w.put_u32(self.lb_acc);
-        w.put_u64(self.stats.reads_issued + self.stats.writes_issued);
-        w.put_u64(self.stats.reads_issued / u64::from(self.bursts_per_bucket));
-        w.put_u64(self.last_completion_cycle);
         checkpoint::write_stats(&mut w, &self.stats);
         // Resident placements, then their records, each in ascending
         // flow-ID order: the table walks in that order, so the byte
@@ -1259,6 +1239,10 @@ impl FlowLutSim {
     /// policies may differ — they are re-read from `cfg`, so a restore
     /// can e.g. tighten the TTL.
     ///
+    /// The restored instance keeps the fresh memory models
+    /// [`new`](Self::new) builds, as [`checkpoint`](Self::checkpoint)
+    /// left the live one.
+    ///
     /// The blob lists every resident flow twice, each list in strictly
     /// ascending flow-ID order: as a placement (its location and key),
     /// then as a record (its location, key and counters). A first pass
@@ -1271,6 +1255,12 @@ impl FlowLutSim {
     /// the error of merging each record into the first placement not
     /// below its ID, so every blob meets the first error in stream order.
     ///
+    /// The clock and every statistic are counters of at most
+    /// [`MAX_COUNTER`](checkpoint::MAX_COUNTER). So are each flow
+    /// record's packets and bytes, resident flows and victims alike; a
+    /// record's first sighting may not come after its last, nor either
+    /// stamp after the clock, so the flow's next packet counts on.
+    ///
     /// # Errors
     ///
     /// [`CheckpointError`] on a malformed blob or mismatched `cfg`.
@@ -1280,20 +1270,12 @@ impl FlowLutSim {
         let table_cfg = cfg.table;
         let k = table_cfg.entries_per_bucket;
         let mut sim = FlowLutSim::new(cfg);
-        sim.now_sys = r.u64()?;
-        if sim
-            .now_sys
-            .checked_mul(u64::from(sim.mem_ticks_per_sys))
-            .is_none()
-        {
-            return Err(CheckpointError::Corrupt("clock overflows the memory clock"));
-        }
+        sim.now_sys = r.counter()?;
+        let clock = RecordClock {
+            sys: sim.now_sys,
+            ns: sim.ns_at(sim.now_sys),
+        };
         sim.lb_acc = r.u32()?;
-        // The two request-counter words are derived from the statistics
-        // (see `checkpoint`): bounded, then ignored.
-        r.counter()?;
-        r.counter()?;
-        sim.last_completion_cycle = r.u64()?;
         sim.stats = checkpoint::read_stats(&mut r)?;
         if sim.stats.offered != sim.stats.completed {
             return Err(CheckpointError::Corrupt("checkpointed mid-pipeline"));
@@ -1337,10 +1319,11 @@ impl FlowLutSim {
             let restated = &from[..from.len() - placed.rest().len()];
             if !r.rest().starts_with(restated) {
                 let placed = ByteReader::new(from);
-                return Err(record_error(&table_cfg, placed, r, placements - i, last));
+                let rest = placements - i;
+                return Err(record_error(&table_cfg, placed, r, rest, last, clock));
             }
             r.take(restated.len())?;
-            let counters = checkpoint::read_counters(&mut r)?;
+            let counters = checkpoint::read_counters(&mut r, clock)?;
             sim.table
                 .restore_at(loc, key, counters)
                 .map_err(CheckpointError::Corrupt)?;
@@ -1361,7 +1344,7 @@ impl FlowLutSim {
         sim.pressure_cursor = cursors[1];
         let victims = r.u64()?;
         for _ in 0..victims {
-            let record = checkpoint::read_record(&mut r)?;
+            let record = checkpoint::read_record(&mut r, clock)?;
             sim.victims.push_back(record);
         }
         let events = r.u64()?;
@@ -1376,19 +1359,16 @@ impl FlowLutSim {
             sim.events.push_back(FlowEvent { kind, key, now_sys });
         }
         r.finish()?;
-        sim.canonicalize_memory();
         Ok(sim)
     }
 
     /// Builds an *empty* simulator already advanced to `now_sys`, with
-    /// its memory controllers in the canonical phase for that cycle —
+    /// fresh memory models, as [`restore`](Self::restore) builds one —
     /// the starting point for rescale destination shards, which adopt
     /// flows at the cycle the drained source shards stopped at.
     pub fn warm_start(cfg: SimConfig, now_sys: u64) -> FlowLutSim {
         let mut sim = FlowLutSim::new(cfg);
         sim.now_sys = now_sys;
-        sim.last_completion_cycle = now_sys;
-        sim.canonicalize_memory();
         sim
     }
 
@@ -1545,10 +1525,8 @@ impl FlowPipeline for FlowLutSim {
         self.events.drain(..).collect()
     }
 
-    /// Restarts the last-completion cycle, which checkpoints carry, then
-    /// settles until nothing is queued or in flight.
+    /// Settles until nothing is queued or in flight.
     fn drain(&mut self) -> Result<u64, SessionError> {
-        self.last_completion_cycle = self.now_sys;
         settle(self, |sim| sim.in_pipeline() == 0)
     }
 

@@ -1164,9 +1164,6 @@ fn hand_built_blob(
     w.put_u64(sim_config_digest(cfg));
     w.put_u64(0); // clock
     w.put_u32(0x9E37_79B9); // load-balancer state
-    w.put_u64(0); // next memory request ID
-    w.put_u64(0); // next assembly ID
-    w.put_u64(0); // last completion cycle
     checkpoint::write_stats(&mut w, &SimStats::default());
     w.put_u64(placements.len() as u64);
     for (key, loc) in placements {
@@ -1331,12 +1328,11 @@ fn restore_rejects_placements_out_of_id_order() {
     }
 }
 
-/// Byte offsets in a simulator checkpoint: the word of bursts issued
-/// follows the magic, version, configuration digest, clock and
-/// load-balancer state; the statistics follow it, the word of bucket
-/// reads issued and the last completion cycle, field by field.
-const NEXT_MEM_ID_AT: usize = 28;
-const STATS_AT: usize = 52;
+/// Byte offsets in a simulator checkpoint: the clock follows the magic,
+/// version and configuration digest; the statistics follow the
+/// load-balancer state, field by field.
+const CLOCK_AT: usize = 16;
+const STATS_AT: usize = 28;
 const INSERTED_MEM_AT: usize = STATS_AT + 6 * 8;
 
 /// A checkpoint of a settled run of `descs(0..20)`.
@@ -1345,8 +1341,7 @@ fn settled_blob() -> Vec<u8> {
     run(&mut sim, &descs(0..20));
     sim.quiesce().unwrap();
     let blob = sim.checkpoint().expect("a quiesced simulator checkpoints");
-    let bursts = sim.stats.reads_issued + sim.stats.writes_issued;
-    assert_eq!(blob[NEXT_MEM_ID_AT..][..8], bursts.to_le_bytes());
+    assert_eq!(blob[CLOCK_AT..][..8], sim.now_sys.to_le_bytes());
     assert_eq!(
         blob[INSERTED_MEM_AT..][..8],
         sim.stats.inserted_mem.to_le_bytes()
@@ -1376,8 +1371,8 @@ fn assert_counter_bounded(at: usize) {
 }
 
 #[test]
-fn restore_rejects_a_request_id_counter_above_2_62() {
-    assert_counter_bounded(NEXT_MEM_ID_AT);
+fn restore_rejects_a_clock_above_2_62() {
+    assert_counter_bounded(CLOCK_AT);
 }
 
 #[test]

@@ -633,6 +633,7 @@ impl MemoryModel for GroupedDramModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::drain;
 
     fn model(params: DramParams) -> GroupedDramModel {
         GroupedDramModel::new("dram", params, 64, false)
@@ -645,7 +646,7 @@ mod tests {
         for i in 0..n {
             m.enqueue(MemRequest::read(i, i * stride)).unwrap();
         }
-        let done = m.drain(1_000_000);
+        let done = drain(&mut m, 1_000_000);
         assert_eq!(done.len() as u64, n);
         m.now()
     }
@@ -772,8 +773,8 @@ mod tests {
                 .enqueue(MemRequest::read(i, (i % 4) * bpg))
                 .unwrap();
         }
-        same_group.drain(1_000_000);
-        cross_group.drain(1_000_000);
+        drain(&mut same_group, 1_000_000);
+        drain(&mut cross_group, 1_000_000);
         // Same-group columns pace at tCCD_L (12), cross-group at
         // tCCD_S (4): the gap over 32 reads must reflect that.
         assert!(
@@ -806,7 +807,7 @@ mod tests {
             let mut m = model(p);
             m.enqueue(MemRequest::write(1, 7)).unwrap();
             m.enqueue(MemRequest::read(2, 7)).unwrap();
-            let done = m.drain(1_000_000);
+            let done = drain(&mut m, 1_000_000);
             assert_eq!(done.len(), 2);
             assert_eq!(done[0].id, 1);
             assert_eq!(done[1].id, 2);
@@ -834,7 +835,7 @@ mod tests {
         }
         let accepted_at = m.now();
         assert!(accepted_at > 0);
-        done.extend(m.drain(1_000_000));
+        done.extend(drain(&mut m, 1_000_000));
         let ids: Vec<(u64, u64)> = done.iter().map(|d| (d.id, d.enqueued_at)).collect();
         assert_eq!(ids, [(1, 0), (2, 0), (3, accepted_at)]);
     }
@@ -850,7 +851,7 @@ mod tests {
                 m.tick();
             }
             m.enqueue(MemRequest::read(1, 0)).unwrap();
-            let done = m.drain(1_000_000);
+            let done = drain(&mut m, 1_000_000);
             assert_eq!(done.len(), 1);
             done[0].completed_at - done[0].enqueued_at
         };
@@ -869,7 +870,7 @@ mod tests {
         for i in 0..32u64 {
             m.enqueue(MemRequest::read(i, 31 - i)).unwrap();
         }
-        let done = m.drain(1_000_000);
+        let done = drain(&mut m, 1_000_000);
         assert_eq!(done.len(), 32);
         let mut sorted = true;
         for w in done.windows(2) {

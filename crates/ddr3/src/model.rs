@@ -78,28 +78,30 @@ pub trait MemoryModel: std::fmt::Debug + Send {
 
     /// `true` when no work is queued or in flight.
     fn is_drained(&self) -> bool;
+}
 
-    /// Runs until every queued request completes or `max_cycles`
-    /// elapse, returning all completions produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the budget is exhausted before draining (a scheduler
-    /// deadlock — a bug, not a workload condition).
-    fn drain(&mut self, max_cycles: u64) -> Vec<Completion> {
-        let mut out = Vec::new();
-        for _ in 0..max_cycles {
-            out.extend_from_slice(self.tick());
-            if self.is_drained() {
-                return out;
-            }
+/// Ticks `model` until every queued request completes or `max_cycles`
+/// elapse, returning all completions produced: the settle loop the unit
+/// tests share.
+///
+/// # Panics
+///
+/// Panics if the budget is exhausted before draining (a scheduler
+/// deadlock — a bug, not a workload condition).
+#[cfg(test)]
+pub(crate) fn drain(model: &mut dyn MemoryModel, max_cycles: u64) -> Vec<Completion> {
+    let mut out = Vec::new();
+    for _ in 0..max_cycles {
+        out.extend_from_slice(model.tick());
+        if model.is_drained() {
+            return out;
         }
-        panic!(
-            "memory model `{}` failed to drain within {max_cycles} cycles ({} queued)",
-            self.name(),
-            self.queued_len()
-        );
     }
+    panic!(
+        "memory model `{}` failed to drain within {max_cycles} cycles ({} queued)",
+        model.name(),
+        model.queued_len()
+    );
 }
 
 /// The DDR3 part behind one lookup path: its JEDEC timing, its
@@ -284,7 +286,7 @@ mod tests {
             m.enqueue(MemRequest::read(1, 0)).unwrap();
             assert_eq!(m.queued_len(), 1);
             assert!(!m.is_drained());
-            let done = m.drain(1_000_000);
+            let done = drain(m.as_mut(), 1_000_000);
             assert_eq!(done.len(), 1, "{}", spec.name());
             assert_eq!((done[0].id, done[0].kind), (1, AccessKind::Read));
             assert!(m.is_drained());

@@ -174,6 +174,7 @@ impl MemoryModel for SramModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::drain;
 
     #[test]
     fn preset_validates() {
@@ -211,7 +212,7 @@ mod tests {
     fn read_latency_is_exact() {
         let mut m = SramModel::new(SramParams::ideal_200mhz(), 8);
         m.enqueue(MemRequest::read(1, 0)).unwrap();
-        let done = m.drain(1_000);
+        let done = drain(&mut m, 1_000);
         // Starts on the first tick (cycle 1), completes read_latency later.
         assert_eq!(done[0].completed_at, 1 + m.params().read_latency);
         assert_eq!(done[0].enqueued_at, 0);
@@ -224,7 +225,7 @@ mod tests {
         for i in 0..100u64 {
             m.enqueue(MemRequest::read(i, i)).unwrap();
         }
-        let done = m.drain(10_000);
+        let done = drain(&mut m, 10_000);
         assert_eq!(done.len(), 100);
         // 100 requests at 2/cycle start over 50 cycles; the last
         // completes read_latency after its start.
@@ -237,7 +238,7 @@ mod tests {
         let mut m = SramModel::new(p, 8);
         m.enqueue(MemRequest::read(1, 3)).unwrap();
         m.enqueue(MemRequest::write(2, 3)).unwrap();
-        let done = m.drain(1_000);
+        let done = drain(&mut m, 1_000);
         // Both start on cycle 1; the shorter write completes first.
         let at: Vec<(u64, u64)> = done.iter().map(|c| (c.id, c.completed_at)).collect();
         assert_eq!(at, [(2, 1 + p.write_latency), (1, 1 + p.read_latency)]);
@@ -248,7 +249,7 @@ mod tests {
         let mut m = SramModel::new(SramParams::ideal_200mhz(), 1);
         m.enqueue(MemRequest::read(1, 0)).unwrap();
         assert!(m.enqueue(MemRequest::read(2, 1)).is_err());
-        m.drain(1_000);
+        drain(&mut m, 1_000);
         m.enqueue(MemRequest::read(2, 1)).unwrap();
     }
 }

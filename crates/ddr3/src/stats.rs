@@ -9,23 +9,8 @@ pub struct DeviceStats {
     pub reads: u64,
     /// WRITE commands issued.
     pub writes: u64,
-    /// PRECHARGE (single-bank) commands issued.
-    pub precharges: u64,
-    /// PRECHARGE-ALL commands issued.
-    pub precharge_alls: u64,
-    /// REFRESH commands issued.
-    pub refreshes: u64,
-    /// Column accesses that hit an already-open row.
-    pub row_hits: u64,
-    /// Activations of a row in an idle bank (row "miss": pure open cost).
-    pub row_misses: u64,
-    /// Activations that required closing a different open row first
-    /// (row conflict; counted at the PRE that closes the conflicting row).
-    pub row_conflicts: u64,
     /// DQ-bus cycles carrying data.
     pub dq_busy_cycles: u64,
-    /// Direction switches on the DQ bus (read↔write).
-    pub turnarounds: u64,
 }
 
 impl DeviceStats {
@@ -41,13 +26,14 @@ impl DeviceStats {
         }
     }
 
-    /// Row-hit rate over all column accesses.
+    /// Row-hit rate over all column accesses: the share that found
+    /// their row open, as every other one needed an ACTIVATE first.
     pub fn row_hit_rate(&self) -> f64 {
         let col = self.reads + self.writes;
         if col == 0 {
             0.0
         } else {
-            self.row_hits as f64 / col as f64
+            1.0 - self.activates as f64 / col as f64
         }
     }
 }
@@ -76,7 +62,7 @@ mod tests {
         let s = DeviceStats {
             reads: 6,
             writes: 2,
-            row_hits: 4,
+            activates: 4,
             ..DeviceStats::default()
         };
         assert!((s.row_hit_rate() - 0.5).abs() < 1e-12);

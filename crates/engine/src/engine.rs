@@ -553,8 +553,8 @@ impl ShardedFlowLut {
                 migrating[router.route(&record.key)].push(record);
             }
         }
-        // Warm each destination shard at the current cycle (canonical
-        // memory phase, clocks in lockstep) and adopt its group at once.
+        // Warm each destination shard at the current cycle (fresh
+        // memory models, clocks in lockstep) and adopt its group at once.
         let mut sims = Vec::with_capacity(new_shards);
         let mut migrated_flows = 0u64;
         for (dest, records) in migrating.iter().enumerate() {
@@ -596,7 +596,7 @@ impl ShardedFlowLut {
 /// Magic bytes of an engine checkpoint ("FENG" LE).
 const ENGINE_CHECKPOINT_MAGIC: u32 = 0x474E4546;
 /// Current engine checkpoint format version.
-const ENGINE_CHECKPOINT_VERSION: u32 = 1;
+const ENGINE_CHECKPOINT_VERSION: u32 = 2;
 
 /// Backend name of the sharded engine.
 const ENGINE_BACKEND_NAME: &str = "hashcam-sharded";

@@ -2,7 +2,11 @@
 //!
 //! * a [`ShardedFlowLut::checkpoint`] blob restores to an engine whose
 //!   replay is **bit-identical** to the live instance continuing past
-//!   the checkpoint — every snapshot field, every report counter;
+//!   the checkpoint — every snapshot field, every report counter — with
+//!   DRAM refresh off and on;
+//! * checkpoint, restore and rescale cost the same at any cycle: a
+//!   simulator and an engine at cycle 2^40 checkpoint, restore, rescale
+//!   and replay as they do at cycle 0;
 //! * the blob itself round-trips byte-identically (restore → checkpoint
 //!   is a fixed point), so checkpoint chains never drift — at one shard
 //!   and at more shards than the host has cores, which restore on
@@ -18,7 +22,8 @@
 use std::collections::HashSet;
 
 use flowlut::core::checkpoint::Fnv64;
-use flowlut::core::{ExpiryPolicy, FlowLutSim, PressurePolicy, SimConfig};
+use flowlut::core::{ExpiryPolicy, FlowLutSim, FlowRecord, PressurePolicy, SimConfig};
+use flowlut::ddr3::MemorySpec;
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
@@ -93,21 +98,122 @@ fn assert_replays_alike(
 /// the host has fewer cores).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 4];
 
+/// The test shard with DRAM refresh on.
+fn refreshing() -> SimConfig {
+    SimConfig {
+        refresh_enabled: true,
+        ..SimConfig::test_small()
+    }
+}
+
+/// Memory-clock cycles between two refreshes of `cfg`'s DDR3 part.
+fn refresh_interval(cfg: &SimConfig) -> u64 {
+    let MemorySpec::Ddr3(ddr3) = cfg.memory else {
+        panic!("the test configuration is DDR3");
+    };
+    ddr3.timing.t_refi
+}
+
+/// With both lifecycle policies on, and with refresh on: the live and
+/// the restored instance each go on from fresh memory models, so the
+/// first refresh after the checkpoint falls at the same cycle in both.
 #[test]
 fn restored_engine_replays_bit_identically() {
     let descs = trace(4_000);
     let (prefix, tail) = descs.split_at(2_000);
-    for shards in SHARD_COUNTS {
-        let cfg = EngineConfig { shards, ..config() };
-        // Live instance: stream the prefix, settle, checkpoint.
-        let mut live = ShardedFlowLut::new(cfg.clone());
-        Session::new(&mut live).run(prefix).expect("fresh session");
-        live.quiesce().unwrap();
-        let blob = live.checkpoint().expect("quiescent engine checkpoints");
+    for shard in [config().shard, refreshing()] {
+        for shards in SHARD_COUNTS {
+            let cfg = EngineConfig {
+                shards,
+                shard: shard.clone(),
+                ..config()
+            };
+            // Live instance: stream the prefix, settle, checkpoint.
+            let mut live = ShardedFlowLut::new(cfg.clone());
+            Session::new(&mut live).run(prefix).expect("fresh session");
+            live.quiesce().unwrap();
+            let mem_cycles = live.now_sys() * u64::from(shard.mem_ticks_per_sys());
+            assert!(
+                mem_cycles > refresh_interval(&shard),
+                "the checkpoint falls past one refresh interval"
+            );
+            let blob = live.checkpoint().expect("quiescent engine checkpoints");
 
-        let mut restored = ShardedFlowLut::restore(cfg, &blob).expect("own blob restores");
-        assert_replays_alike(&mut live, &mut restored, tail);
+            let mut restored = ShardedFlowLut::restore(cfg, &blob).expect("own blob restores");
+            assert_replays_alike(&mut live, &mut restored, tail);
+        }
     }
+}
+
+/// A clock far past any a test could tick to: 2^40 system cycles.
+const FAR: u64 = 1 << 40;
+
+/// The flows of a short run, to adopt at [`FAR`].
+fn adoptable_records(cfg: &SimConfig) -> Vec<FlowRecord> {
+    let mut sim = FlowLutSim::new(cfg.clone());
+    Session::new(&mut sim)
+        .run(&trace(300))
+        .expect("fresh session");
+    sim.quiesce().unwrap();
+    sim.table().records_after(None).map(|(_, r)| r).collect()
+}
+
+/// A simulator warm-started at cycle 2^40 checkpoints and restores as at
+/// cycle 0, and the two replay alike. So does an engine there through a
+/// rescale: its doubled shards warm-start at 2^40 too.
+#[test]
+fn a_checkpoint_at_cycle_2_40_restores_and_replays_alike() {
+    let cfg = refreshing();
+    let records = adoptable_records(&cfg);
+    let mut live = FlowLutSim::warm_start(cfg.clone(), FAR);
+    assert_eq!(live.adopt_flows(records.iter().copied()), Ok(records.len()));
+    let blob = live
+        .checkpoint()
+        .expect("a warm-started simulator checkpoints");
+    let mut restored = FlowLutSim::restore(cfg.clone(), &blob).expect("own blob restores");
+    assert_eq!(restored.now_sys(), FAR);
+    let tail = trace(600);
+    let report_live = Session::new(&mut live).run(&tail).expect("fresh session");
+    let report_restored = Session::new(&mut restored)
+        .run(&tail)
+        .expect("fresh session");
+    assert_eq!(report_live, report_restored);
+    assert_eq!(report_live.completed, tail.len() as u64);
+    live.quiesce().unwrap();
+    restored.quiesce().unwrap();
+    assert_eq!(live.checkpoint(), restored.checkpoint());
+
+    // A one-shard engine at 2^40: a fresh engine's checkpoint with its
+    // clock, the word after the magic, version, shard count and router
+    // seed, moved to 2^40, and the warm-started shard's blob for its own.
+    let one = EngineConfig {
+        shards: 1,
+        shard: cfg.clone(),
+        ..EngineConfig::test_small()
+    };
+    let fresh = ShardedFlowLut::new(one.clone())
+        .checkpoint()
+        .expect("an idle engine checkpoints");
+    let idle_shard = FlowLutSim::new(cfg)
+        .checkpoint()
+        .expect("an idle simulator checkpoints");
+    assert!(fresh.ends_with(&idle_shard));
+    let mut far = fresh[..fresh.len() - 8 - idle_shard.len()].to_vec();
+    far[24..32].copy_from_slice(&FAR.to_le_bytes());
+    far.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+    far.extend_from_slice(&blob);
+    let two = EngineConfig {
+        shards: 2,
+        ..one.clone()
+    };
+    let mut engine = ShardedFlowLut::restore(one, &far).expect("the far engine restores");
+    assert_eq!(engine.now_sys(), FAR);
+    let report = engine.rescale_double().expect("doubled capacity fits");
+    assert_eq!(report.migrated_flows, records.len() as u64);
+    let blob = engine.checkpoint().expect("a rescaled engine checkpoints");
+    let mut restored = ShardedFlowLut::restore(two, &blob).expect("own blob restores");
+    assert_eq!(restored.now_sys(), FAR);
+    assert_replays_alike(&mut engine, &mut restored, &tail);
 }
 
 #[test]
@@ -180,7 +286,7 @@ fn a_fixed_run_checkpoints_to_pinned_bytes() {
     digest.write_bytes(&blob);
     assert_eq!(
         (blob.len(), digest.finish()),
-        (138_086, 0xc91a_e63f_cf76_bb37),
+        (137_990, 0x72e7_519e_c8c5_8350),
         "checkpoint bytes moved"
     );
 }
@@ -214,6 +320,23 @@ fn checkpoint_rejects_a_busy_engine_and_restore_rejects_bad_blobs() {
         ShardedFlowLut::restore(wrong, &blob),
         Err(CheckpointError::ConfigMismatch { .. })
     ));
+    // A version-1 blob, of an engine or of a simulator: the version
+    // follows the magic.
+    let version_1 = |mut blob: Vec<u8>| {
+        blob[4..8].copy_from_slice(&1u32.to_le_bytes());
+        blob
+    };
+    assert_eq!(
+        ShardedFlowLut::restore(config(), &version_1(blob)).err(),
+        Some(CheckpointError::BadVersion(1))
+    );
+    let shard = FlowLutSim::new(config().shard)
+        .checkpoint()
+        .expect("an idle simulator checkpoints");
+    assert_eq!(
+        FlowLutSim::restore(config().shard, &version_1(shard)).err(),
+        Some(CheckpointError::BadVersion(1))
+    );
 }
 
 #[test]

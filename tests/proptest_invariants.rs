@@ -181,8 +181,15 @@ proptest! {
             ctrl.enqueue(MemRequest::read(i as u64, a % Geometry::tiny().total_bursts()))
                 .unwrap();
         }
-        let done = ctrl.drain(2_000_000);
-        prop_assert_eq!(done.len(), n);
+        let mut done = 0;
+        for _ in 0..2_000_000 {
+            done += ctrl.tick().len();
+            if ctrl.is_drained() {
+                break;
+            }
+        }
+        prop_assert!(ctrl.is_drained());
+        prop_assert_eq!(done, n);
     }
 }
 

@@ -6,17 +6,21 @@
 //! Each input must come back as an error or as simulators whose tables
 //! and flow records agree (as many records as placements, each record's
 //! key at its location), quiescent, so that DRAM holds each bucket as
-//! the table does — never as a panic. A restore also may not ask
+//! the table does, and that take one descriptor of each restored flow
+//! without fault — never as a panic. A restore also may not ask
 //! the allocator for more than restoring an empty checkpoint costs plus
 //! a bounded multiple of the blob's length: a count read from the blob
 //! must never size a reservation by itself. The prototype table's 8 M
 //! entries make such a reservation hundreds of megabytes, so the bound
 //! would show it.
 //!
-//! Restored statistics and request-ID counters are bounded too: above
-//! 2^62 restore refuses them, and at or below it the restored simulator
-//! counts on through a short stream without overflowing. The two retired
-//! statistics words must be zero.
+//! The restored clock, statistics and flow records' packet and byte
+//! counts are bounded too: above 2^62 restore refuses them, and at or
+//! below it the restored simulator counts on through a short stream
+//! without overflowing. A flow record first seen after it was last seen,
+//! or stamped after the clock, is refused; one at those bounds counts
+//! on. A restore costs the same at any clock, so every input may set
+//! any clock bit.
 //!
 //! Valid checkpoints of random tables restore to simulators that pass
 //! the same checks and checkpoint to the same bytes again.
@@ -60,12 +64,6 @@ const HEAP_BYTES_PER_BLOB_BYTE: u64 = 64;
 /// Byte offset of the clock in a simulator checkpoint, after the magic,
 /// version and configuration digest.
 const CLOCK_AT: usize = 16;
-
-/// Clock bits the random flips may touch. Restore idle-ticks both memory
-/// models up to the checkpoint clock, so a flipped high clock bit costs
-/// hours of work rather than a fault or an allocation (ROADMAP open
-/// item 6); flips of the low bits keep each restore cheap.
-const CHEAP_CLOCK_BITS: usize = 10;
 
 fn config() -> SimConfig {
     SimConfig::default()
@@ -128,7 +126,30 @@ fn restore_checked(blob: &[u8], empty_cost: u64) -> Result<(), CheckpointError> 
         "restoring {} bytes requested {requested} heap bytes (bound {allowed})",
         blob.len()
     );
-    restored.map(|sim| assert_consistent(&sim))
+    restored.map(|mut sim| {
+        assert_consistent(&sim);
+        let descs = one_of_each(&sim);
+        let report = sim.start_run().run(&descs).expect("fresh session");
+        assert_eq!(report.completed, descs.len() as u64);
+    })
+}
+
+/// One descriptor of each flow `sim` holds, its hashes naming the bucket
+/// the flow sits in, so a lookup reaches the flow's restored record.
+fn one_of_each(sim: &FlowLutSim) -> Vec<PacketDescriptor> {
+    let table = sim.table().config();
+    sim.table()
+        .records_after(None)
+        .enumerate()
+        .map(|(i, (id, record))| {
+            let bucket = match id.decode(table.entries_per_bucket) {
+                Location::Mem { bucket, .. } => bucket,
+                Location::Cam(_) => 0,
+            };
+            let h = (u64::from(bucket) << 32).div_ceil(u64::from(table.buckets_per_mem)) as u32;
+            PacketDescriptor::new(i as u64, record.key).with_hash_override(h, h)
+        })
+        .collect()
 }
 
 fn assert_consistent(sim: &FlowLutSim) {
@@ -153,27 +174,36 @@ fn assert_consistent(sim: &FlowLutSim) {
     assert!(sim.is_quiescent(), "a restored simulator holds a bucket");
 }
 
-/// Byte offsets of the counters in a simulator checkpoint: the memory
-/// request and assembly counters after the clock and load-balancer
-/// state, then (past the last completion cycle) 26 statistics words.
-const REQUEST_IDS_AT: [usize; 2] = [28, 36];
-const STATS_AT: usize = 52;
-const STATS: usize = 26;
-/// The two statistics words retired in format version 1, always zero.
-const RETIRED_AT: [usize; 2] = [STATS_AT + 20 * 8, STATS_AT + 21 * 8];
-/// The request-ID counters and the live statistics.
-const COUNTERS: usize = REQUEST_IDS_AT.len() + STATS - RETIRED_AT.len();
+/// Byte offset of the 24 statistics words in a simulator checkpoint,
+/// after the clock and the load-balancer state.
+const STATS_AT: usize = 28;
+const STATS: usize = 24;
 /// The statistics restore checks against each other: offered and
 /// completed must be equal.
 const OFFERED_AT: usize = STATS_AT;
 const COMPLETED_AT: usize = STATS_AT + 2 * 8;
 
-/// Every counter window of a simulator checkpoint.
-fn counter_windows() -> Vec<usize> {
-    let stats = (0..STATS)
-        .map(|i| STATS_AT + 8 * i)
-        .filter(|at| !RETIRED_AT.contains(at));
-    REQUEST_IDS_AT.into_iter().chain(stats).collect()
+/// Every counter window of a simulator checkpoint: the clock, the
+/// statistics and each flow record's packets and bytes.
+fn counter_windows(blob: &[u8]) -> Vec<usize> {
+    let stats = (0..STATS).map(|i| STATS_AT + 8 * i);
+    let [_, records] = flows(blob);
+    let packets_and_bytes = records.into_iter().flat_map(|r| [r.end - 16, r.end - 8]);
+    [CLOCK_AT]
+        .into_iter()
+        .chain(stats)
+        .chain(packets_and_bytes)
+        .collect()
+}
+
+/// The five counter windows of each flow record of a simulator
+/// checkpoint: first and last seen, last touch, packets and bytes.
+fn record_windows(blob: &[u8]) -> Vec<usize> {
+    let [_, records] = flows(blob);
+    records
+        .into_iter()
+        .flat_map(|r| (0..5).map(move |i| r.end - 40 + 8 * i))
+        .collect()
 }
 
 #[test]
@@ -196,22 +226,29 @@ fn every_truncation_is_rejected() {
     }
 }
 
+/// Large values over every window, and in each flow record's counter
+/// windows, the values either side of every bound restore checks a
+/// record against: the clock in cycles and in ns, and 2^62.
 #[test]
 fn inflated_values_in_every_window_are_contained() {
     let _serial = serial();
     let blob = valid_blob();
     let empty_cost = empty_restore_bytes();
-    for at in 0..=blob.len() - 8 {
-        // A large clock is slow to restore, not wrong: the clock has its
-        // own test below, and the random flips cover its low bits.
-        if (CLOCK_AT.saturating_sub(7)..CLOCK_AT + 8).contains(&at) {
-            continue;
-        }
-        for value in [u64::MAX, 1 << 40, 1 << 20, blob.len() as u64] {
-            let mut hostile = blob.clone();
-            hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
-            let _ = restore_checked(&hostile, empty_cost);
-        }
+    let now_sys = u64::from_le_bytes(blob[CLOCK_AT..CLOCK_AT + 8].try_into().unwrap());
+    let now_ns = (now_sys as f64 * config().sys_period_ns()) as u64;
+    let large = [u64::MAX, 1 << 40, 1 << 20, blob.len() as u64];
+    let edges = [now_sys, now_ns, MAX_COUNTER].map(|v| [v, v + 1]);
+    let inputs = (0..=blob.len() - 8)
+        .flat_map(|at| large.map(|value| (at, value)))
+        .chain(
+            record_windows(&blob)
+                .into_iter()
+                .flat_map(|at| edges.as_flattened().iter().map(move |&value| (at, value))),
+        );
+    for (at, value) in inputs {
+        let mut hostile = blob.clone();
+        hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let _ = restore_checked(&hostile, empty_cost);
     }
 }
 
@@ -346,47 +383,38 @@ fn a_placement_error_comes_before_a_record_error() {
     }
 }
 
-#[test]
-fn a_retired_counter_word_must_be_zero() {
-    let _serial = serial();
-    let blob = valid_blob();
-    for at in RETIRED_AT {
-        assert_eq!(blob[at..at + 8], [0; 8]);
-        for value in [1, MAX_COUNTER] {
-            let mut hostile = blob.clone();
-            hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
-            assert_eq!(
-                FlowLutSim::restore(config(), &hostile).err(),
-                Some(CheckpointError::Corrupt("retired statistics word not zero")),
-                "{value} at byte {at}"
-            );
-        }
-    }
-}
-
+/// A clock past 2^62 is refused before restore builds anything from it.
+/// The memory models restore fresh, with no clock of their own, so a
+/// clock at the bound — whose product with the clock ratio overflows a
+/// memory clock — restores and runs.
 #[test]
 fn a_clock_that_overflows_the_memory_clock_is_rejected() {
     let _serial = serial();
-    let mut blob = valid_blob();
-    blob[CLOCK_AT..CLOCK_AT + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert_eq!(
-        restore_checked(&blob, empty_restore_bytes()).err(),
-        Some(CheckpointError::Corrupt("clock overflows the memory clock"))
-    );
+    let empty_cost = empty_restore_bytes();
+    let ratio = u64::from(config().memory.ticks_per_sys());
+    assert_eq!(MAX_COUNTER.checked_mul(ratio), None);
+    for (clock, refused) in [
+        (u64::MAX, true),
+        (MAX_COUNTER + 1, true),
+        (MAX_COUNTER, false),
+    ] {
+        let mut blob = valid_blob();
+        blob[CLOCK_AT..CLOCK_AT + 8].copy_from_slice(&clock.to_le_bytes());
+        let expected = refused.then_some(CheckpointError::Corrupt("counter above 2^62"));
+        assert_eq!(
+            restore_checked(&blob, empty_cost).err(),
+            expected,
+            "clock {clock}"
+        );
+    }
 }
 
-/// Flips the bits `flips` pick (modulo the blob's length), sparing the
-/// high bits of the clocks at `clocks`.
-fn flip_bits(blob: &mut [u8], flips: &[u64], clocks: &[usize]) {
+/// Flips the bits `flips` pick (modulo the blob's length).
+fn flip_bits(blob: &mut [u8], flips: &[u64]) {
     let bits = blob.len() * 8;
     for &flip in flips {
         let bit = (flip % bits as u64) as usize;
-        let costly = clocks
-            .iter()
-            .any(|&at| (at * 8 + CHEAP_CLOCK_BITS..(at + 8) * 8).contains(&bit));
-        if !costly {
-            blob[bit / 8] ^= 1 << (bit % 8);
-        }
+        blob[bit / 8] ^= 1 << (bit % 8);
     }
 }
 
@@ -398,15 +426,15 @@ fn engine_config() -> EngineConfig {
 
 /// Byte offset of the engine clock, after the magic, version, shard
 /// count and router seed; the carried statistics follow the splitter
-/// counters, and the shard blobs follow their 26 statistics, each
+/// counters, and the shard blobs follow their 24 statistics, each
 /// prefixed by its length.
 const ENGINE_CLOCK_AT: usize = 24;
 const ENGINE_STATS_AT: usize = 48;
 const SHARD_BLOBS_AT: usize = ENGINE_STATS_AT + STATS * 8;
 
 /// A two-shard checkpoint whose shards each hold flows in both
-/// memories and in the CAM, with the offsets of its three clocks.
-fn valid_engine_blob() -> (Vec<u8>, [usize; 3]) {
+/// memories and in the CAM.
+fn valid_engine_blob() -> Vec<u8> {
     let mut engine = ShardedFlowLut::new(engine_config());
     // Six keys per shard forced onto one bucket pair, and a few more.
     let mut per_shard = [0; 2];
@@ -432,15 +460,10 @@ fn valid_engine_blob() -> (Vec<u8>, [usize; 3]) {
     let [first, second] = &shard_blobs(&blob)[..] else {
         panic!("two shard blobs");
     };
-    let clocks = [
-        ENGINE_CLOCK_AT,
-        first.start + CLOCK_AT,
-        second.start + CLOCK_AT,
-    ];
-    for at in clocks {
+    for at in [first.start + CLOCK_AT, second.start + CLOCK_AT] {
         assert_eq!(blob[at..at + 8], engine.now_sys().to_le_bytes());
     }
-    (blob, clocks)
+    blob
 }
 
 /// Where each shard blob of an engine checkpoint lies, in shard order:
@@ -466,7 +489,8 @@ fn empty_engine_restore_bytes() -> u64 {
 }
 
 /// Restores `blob` as an engine and checks the contract in the module
-/// docs for each shard.
+/// docs for each shard. The descriptors go through the engine, so each
+/// reaches the shard its key routes to.
 fn restore_engine_checked(blob: &[u8], empty_cost: u64) -> Result<(), CheckpointError> {
     let (restored, requested) = requested_by(|| ShardedFlowLut::restore(engine_config(), blob));
     let allowed = empty_cost + HEAP_BYTES_PER_BLOB_BYTE * blob.len() as u64;
@@ -475,17 +499,21 @@ fn restore_engine_checked(blob: &[u8], empty_cost: u64) -> Result<(), Checkpoint
         "restoring {} bytes requested {requested} heap bytes (bound {allowed})",
         blob.len()
     );
-    restored.map(|engine| {
+    restored.map(|mut engine| {
+        let mut descs = Vec::new();
         for i in 0..engine.shard_count() {
             assert_consistent(&engine.shard(i));
+            descs.extend(one_of_each(&engine.shard(i)));
         }
+        let report = engine.start_run().run(&descs).expect("fresh session");
+        assert_eq!(report.completed, descs.len() as u64);
     })
 }
 
 #[test]
 fn the_valid_engine_checkpoint_restores_within_the_bound() {
     let _serial = serial();
-    let (blob, _) = valid_engine_blob();
+    let blob = valid_engine_blob();
     restore_engine_checked(&blob, empty_engine_restore_bytes())
         .expect("the valid engine blob restores");
     // The bound sees the shards' restores on whatever threads they run:
@@ -504,7 +532,7 @@ fn the_valid_engine_checkpoint_restores_within_the_bound() {
 #[test]
 fn every_engine_truncation_is_rejected() {
     let _serial = serial();
-    let (blob, _) = valid_engine_blob();
+    let blob = valid_engine_blob();
     let empty_cost = empty_engine_restore_bytes();
     for len in 0..blob.len() {
         assert!(
@@ -517,17 +545,9 @@ fn every_engine_truncation_is_rejected() {
 #[test]
 fn inflated_values_in_every_engine_window_are_contained() {
     let _serial = serial();
-    let (blob, clocks) = valid_engine_blob();
+    let blob = valid_engine_blob();
     let empty_cost = empty_engine_restore_bytes();
     for at in 0..=blob.len() - 8 {
-        // A large shard clock is slow to restore (ROADMAP open item 6);
-        // the engine clock, which the shards' must equal, goes with it.
-        if clocks
-            .iter()
-            .any(|&clock| (clock.saturating_sub(7)..clock + 8).contains(&at))
-        {
-            continue;
-        }
         for value in [u64::MAX, 1 << 40, 1 << 20, blob.len() as u64] {
             let mut hostile = blob.clone();
             hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
@@ -543,7 +563,7 @@ fn inflated_values_in_every_engine_window_are_contained() {
 #[test]
 fn a_shard_that_fails_its_header_builds_no_shard() {
     let _serial = serial();
-    let (mut blob, _) = valid_engine_blob();
+    let mut blob = valid_engine_blob();
     let first = shard_blobs(&blob)[0].start;
     blob[first] ^= 0xFF;
     let (restored, requested) = requested_by(|| ShardedFlowLut::restore(engine_config(), &blob));
@@ -660,22 +680,21 @@ fn engine_statistics_are_bounded_at_2_62_summed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// One to four random bit flips anywhere but the clock's high bits.
+    /// One to four random bit flips anywhere.
     #[test]
     fn random_bit_flips_are_contained(flips in prop::collection::vec(any::<u64>(), 1..5)) {
         let _serial = serial();
         let mut blob = valid_blob();
-        flip_bits(&mut blob, &flips, &[CLOCK_AT]);
+        flip_bits(&mut blob, &flips);
         let _ = restore_checked(&blob, empty_restore_bytes());
     }
 
-    /// One to four random bit flips of an engine checkpoint, anywhere but
-    /// the high bits of its clocks.
+    /// One to four random bit flips of an engine checkpoint, anywhere.
     #[test]
     fn random_engine_bit_flips_are_contained(flips in prop::collection::vec(any::<u64>(), 1..5)) {
         let _serial = serial();
-        let (mut blob, clocks) = valid_engine_blob();
-        flip_bits(&mut blob, &flips, &clocks);
+        let mut blob = valid_engine_blob();
+        flip_bits(&mut blob, &flips);
         let _ = restore_engine_checked(&blob, empty_engine_restore_bytes());
     }
 
@@ -684,11 +703,16 @@ proptest! {
     /// ones and drains. Offered and completed move together, as restore
     /// requires them equal.
     #[test]
-    fn counters_are_bounded_at_2_62(window in 0..COUNTERS, delta in 0..4u64, above in any::<bool>()) {
+    fn counters_are_bounded_at_2_62(
+        window in any::<prop::sample::Index>(),
+        delta in 0..4u64,
+        above in any::<bool>(),
+    ) {
         let _serial = serial();
-        let at = counter_windows()[window];
-        let value = if above { MAX_COUNTER + 1 + delta } else { MAX_COUNTER - delta };
         let mut blob = valid_blob();
+        let windows = counter_windows(&blob);
+        let at = windows[window.index(windows.len())];
+        let value = if above { MAX_COUNTER + 1 + delta } else { MAX_COUNTER - delta };
         let windows = if at == OFFERED_AT || at == COMPLETED_AT {
             vec![OFFERED_AT, COMPLETED_AT]
         } else {
