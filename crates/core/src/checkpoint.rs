@@ -3,11 +3,12 @@
 //! A checkpoint is a hand-rolled little-endian byte stream (no external
 //! serialization dependency) capturing everything that determines future
 //! behaviour of a *quiescent* simulator: the clock, the load-balancer
-//! PRNG state, cumulative statistics, resident-flow placements, per-flow
-//! records, the lifecycle-scan cursors, victims and events. The memory
-//! models are not serialized: they hold no data, and a quiescent one
-//! holds no request, so the live instance (at checkpoint time) and the
-//! restored instance both continue from freshly built models. The two
+//! PRNG state, cumulative statistics, each resident flow (its location,
+//! key and counters) under one check word, the lifecycle-scan cursors,
+//! victims and events. The memory models are not serialized: they hold
+//! no data, and a quiescent one holds no request, so the live instance
+//! (at checkpoint time) and the restored instance both continue from
+//! freshly built models. The two
 //! are in identical states by construction and replay from a checkpoint
 //! is bit-identical — `tests/checkpoint_restore.rs` pins exactly that.
 //!
@@ -109,6 +110,11 @@ impl ByteWriter {
     /// [`put_u8`](Self::put_u8)/[`put_u64`](Self::put_u64) prefixes).
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// The bytes written so far.
+    pub(crate) fn written(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Consumes the writer, returning the accumulated bytes.
@@ -238,9 +244,13 @@ impl<'a> ByteReader<'a> {
 pub const MAX_COUNTER: u64 = 1 << 62;
 
 /// Incremental FNV-1a (64-bit) digest, used to fingerprint the
-/// behaviour-relevant configuration a checkpoint was taken under.
+/// behaviour-relevant configuration a checkpoint was taken under, and
+/// for a simulator checkpoint's check word over its resident flows.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
+
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Fnv64 {
     /// Standard FNV-1a offset basis.
@@ -251,7 +261,20 @@ impl Fnv64 {
     /// Folds raw bytes into the digest.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Folds raw bytes into the digest eight at a time: one FNV-1a step
+    /// per little-endian 64-bit word, the last zero-padded. Each step is
+    /// a bijection of the state, so strings of one length that differ
+    /// within one word fold to different digests.
+    pub fn write_words(&mut self, bytes: &[u8]) {
+        let (words, tail) = bytes.as_chunks::<8>();
+        let tail =
+            (!tail.is_empty()).then(|| tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+        for word in words.iter().map(|w| u64::from_le_bytes(*w)).chain(tail) {
+            self.0 = (self.0 ^ word).wrapping_mul(FNV_PRIME);
         }
     }
 
@@ -375,9 +398,15 @@ pub fn read_location(
     }
 }
 
-/// Serializes a [`FlowRecord`].
+/// Serializes a [`FlowRecord`]: its key, then its counters.
 pub fn write_record(w: &mut ByteWriter, r: &FlowRecord) {
     write_key(w, &r.key);
+    write_counters(w, r);
+}
+
+/// Serializes the five counters of a [`FlowRecord`], which
+/// [`read_counters`] reads.
+pub(crate) fn write_counters(w: &mut ByteWriter, r: &FlowRecord) {
     w.put_u64(r.first_seen_ns);
     w.put_u64(r.last_seen_ns);
     w.put_u64(r.last_touch_sys);
@@ -645,6 +674,19 @@ mod tests {
         c.write_u64(2);
         c.write_u64(1);
         assert_ne!(a.finish(), c.finish(), "order-sensitive");
+        // Eight bytes a step: any one flipped bit of a 20-byte string,
+        // a flow's location and key, moves the digest.
+        let words = |bytes: &[u8]| {
+            let mut h = Fnv64::new();
+            h.write_words(bytes);
+            h.finish()
+        };
+        let flow: Vec<u8> = (0..20).collect();
+        for bit in 0..flow.len() * 8 {
+            let mut flipped = flow.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(words(&flipped), words(&flow), "bit {bit}");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::error::{DeleteQueueFull, InsertError, PreloadError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowCounters, FlowRecord};
 use crate::storage::SparseStorage;
-use crate::table::{HashCamTable, TableConfig};
+use crate::table::HashCamTable;
 
 /// Which lookup stage a memory read serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1054,7 +1054,11 @@ impl FlowLutSim {
 /// Magic bytes of a single-channel simulator checkpoint ("FLUT" LE).
 const SIM_CHECKPOINT_MAGIC: u32 = 0x54554C46;
 /// Current checkpoint format version.
-const SIM_CHECKPOINT_VERSION: u32 = 2;
+const SIM_CHECKPOINT_VERSION: u32 = 3;
+/// The fewest blob bytes a flow in a memory takes (a 6-byte location, a
+/// length byte and a key byte, 40 bytes of counters): restore reserves
+/// each memory for no more flows than the bytes left can hold.
+const MIN_MEM_FLOW_BYTES: usize = 48;
 
 /// Reads the header of a checkpoint (magic, version, configuration
 /// digest) after checking `cfg`: what [`FlowLutSim::restore`] checks
@@ -1077,55 +1081,6 @@ fn read_header(cfg: &SimConfig, r: &mut ByteReader<'_>) -> Result<(), Checkpoint
     Ok(())
 }
 
-/// The error a restore meets from the first record that does not
-/// restate its placement's location and key byte for byte: the records
-/// from it on merged into the placements from its own on, as a restore
-/// that placed every flow first merges them. Each record goes to the
-/// first placement not below its ID, which must carry that ID and key,
-/// so with as many records as placements one of them fails. `last` is
-/// the location of the record before; `clock` bounds each record's
-/// stamps.
-fn record_error(
-    table: &TableConfig,
-    mut placements: ByteReader<'_>,
-    mut records: ByteReader<'_>,
-    count: u64,
-    last: Option<Location>,
-    clock: RecordClock,
-) -> CheckpointError {
-    let k = table.entries_per_bucket;
-    let disagrees = CheckpointError::Corrupt("flow record disagrees with its placement");
-    let mut last = last.map(|loc| FlowId::encode(loc, k));
-    let mut unmatched = count;
-    let mut merge = || -> Result<(), CheckpointError> {
-        for _ in 0..count {
-            let fid = FlowId::encode(checkpoint::read_location(&mut records, table)?, k);
-            let key = checkpoint::read_key_bytes(&mut records)?;
-            checkpoint::read_counters(&mut records, clock)?;
-            if last >= Some(fid) {
-                return Err(CheckpointError::Corrupt("flow records out of ID order"));
-            }
-            last = Some(fid);
-            loop {
-                if unmatched == 0 {
-                    return Err(disagrees);
-                }
-                unmatched -= 1;
-                let id = FlowId::encode(checkpoint::read_location(&mut placements, table)?, k);
-                let placed = checkpoint::read_key_bytes(&mut placements)?;
-                if id >= fid {
-                    if id == fid && placed == key {
-                        break;
-                    }
-                    return Err(disagrees);
-                }
-            }
-        }
-        Ok(())
-    };
-    merge().err().unwrap_or(disagrees)
-}
-
 /// FNV-1a digest over the behaviour-relevant configuration, recorded in
 /// checkpoints so a restore into a mismatched configuration fails loudly.
 fn sim_config_digest(cfg: &SimConfig) -> u64 {
@@ -1144,9 +1099,11 @@ fn sim_config_digest(cfg: &SimConfig) -> u64 {
 impl FlowLutSim {
     /// Serializes a consistent checkpoint of this (quiescent) simulator.
     ///
-    /// The checkpoint captures resident placements, per-flow records,
-    /// cumulative statistics, lifecycle cursors/victims/events, and the
-    /// load-balancer PRNG state; [`restore`](Self::restore) rebuilds an
+    /// The checkpoint (format version 3) captures each resident flow
+    /// once, its location, key and counters in ascending flow-ID order,
+    /// and one check word folded over every flow's location and key
+    /// bytes; cumulative statistics, lifecycle cursors/victims/events,
+    /// and the load-balancer PRNG state. [`restore`](Self::restore) rebuilds an
     /// instance whose replay is bit-identical to continuing this one
     /// (`tests/checkpoint_restore.rs`). The memory models are not
     /// captured: they hold no data, and a quiescent one holds no
@@ -1179,19 +1136,23 @@ impl FlowLutSim {
         w.put_u64(self.now_sys);
         w.put_u32(self.lb_acc);
         checkpoint::write_stats(&mut w, &self.stats);
-        // Resident placements, then their records, each in ascending
-        // flow-ID order: the table walks in that order, so the byte
-        // stream is canonical.
+        // The resident flows, after their count and each memory's, in
+        // ascending flow-ID order: the table walks in that order, so the
+        // byte stream is canonical. The check word covers each flow's
+        // location and key bytes.
+        let occupancy = self.table.occupancy();
         w.put_u64(self.table.len());
-        for (key, loc) in self.table.iter() {
-            checkpoint::write_location(&mut w, loc);
-            checkpoint::write_key(&mut w, &key);
-        }
-        w.put_u64(self.table.len());
+        w.put_u64(occupancy.mem_a);
+        w.put_u64(occupancy.mem_b);
+        let mut check = Fnv64::new();
         for (id, record) in self.table.records_after(None) {
+            let at = w.written().len();
             checkpoint::write_location(&mut w, id.decode(k));
-            checkpoint::write_record(&mut w, &record);
+            checkpoint::write_key(&mut w, &record.key);
+            check.write_words(&w.written()[at..]);
+            checkpoint::write_counters(&mut w, &record);
         }
+        w.put_u64(check.finish());
         // Lifecycle scan cursors.
         for cursor in [self.expiry_cursor, self.pressure_cursor] {
             match cursor {
@@ -1221,9 +1182,11 @@ impl FlowLutSim {
 
     /// Checks what [`restore`](Self::restore) checks before it reads any
     /// state: that `cfg` is valid, and that `bytes` start with a
-    /// simulator checkpoint's magic, this format's version and the digest
-    /// of `cfg`. An engine restore checks each shard's blob this way
-    /// before it restores any.
+    /// simulator checkpoint's magic, this format's version (3: a
+    /// version-2 blob, which listed each flow twice, is
+    /// [`BadVersion(2)`](CheckpointError::BadVersion)) and the digest of
+    /// `cfg`. An engine restore checks each shard's blob this way before
+    /// it restores any.
     ///
     /// # Errors
     ///
@@ -1239,21 +1202,27 @@ impl FlowLutSim {
     /// policies may differ — they are re-read from `cfg`, so a restore
     /// can e.g. tighten the TTL.
     ///
+    /// `owns` says whether this simulator may hold a flow of the given
+    /// key bytes: a lone simulator holds every key (`|_| true`), an
+    /// engine shard only those its router sends it.
+    ///
     /// The restored instance keeps the fresh memory models
     /// [`new`](Self::new) builds, as [`checkpoint`](Self::checkpoint)
     /// left the live one.
     ///
-    /// The blob lists every resident flow twice, each list in strictly
-    /// ascending flow-ID order: as a placement (its location and key),
-    /// then as a record (its location, key and counters). A first pass
-    /// makes every check of a placement, in stream order, and finds where
-    /// the records start. A second pass reads placement `i` and record
-    /// `i` side by side: the record must restate the placement's
-    /// location and key byte for byte, and the flow is placed with its
-    /// key's bytes copied from the blob and its counters from the
-    /// record, one bucket claim per flow. A record that does not gets
-    /// the error of merging each record into the first placement not
-    /// below its ID, so every blob meets the first error in stream order.
+    /// The blob lists each resident flow once, in strictly ascending
+    /// flow-ID order, after the flow count and each memory's. Those two
+    /// size the memories' reservations, bounded by the flows the bytes
+    /// left can hold and by each memory's bucket count. One pass reads
+    /// the list, each flow in stream order: its location must be in
+    /// range, its key a flow key (1 to 64 bytes) that a slot holds and
+    /// `owns` accepts, and its ID above the one before; its counters
+    /// are bounded (below); and it is placed with its key's bytes copied
+    /// from the blob, one bucket claim per flow. After the list each
+    /// memory's count must be its flows', and the check word must be the
+    /// FNV-1a fold of every flow's location and key bytes, eight at a
+    /// time, so a blob whose locations or keys changed in any bit is
+    /// refused.
     ///
     /// The clock and every statistic are counters of at most
     /// [`MAX_COUNTER`](checkpoint::MAX_COUNTER). So are each flow
@@ -1264,7 +1233,11 @@ impl FlowLutSim {
     /// # Errors
     ///
     /// [`CheckpointError`] on a malformed blob or mismatched `cfg`.
-    pub fn restore(cfg: SimConfig, bytes: &[u8]) -> Result<FlowLutSim, CheckpointError> {
+    pub fn restore(
+        cfg: SimConfig,
+        bytes: &[u8],
+        owns: impl Fn(&[u8]) -> bool,
+    ) -> Result<FlowLutSim, CheckpointError> {
         let mut r = ByteReader::new(bytes);
         read_header(&cfg, &mut r)?;
         let table_cfg = cfg.table;
@@ -1280,14 +1253,20 @@ impl FlowLutSim {
         if sim.stats.offered != sim.stats.completed {
             return Err(CheckpointError::Corrupt("checkpointed mid-pipeline"));
         }
-        // Every check of the placements, counting each memory's.
-        let placements = r.u64()?;
-        let placed_from = r.rest();
+        let flows = r.u64()?;
+        let per_path = [r.u64()?, r.u64()?];
+        let room = r.rest().len() / MIN_MEM_FLOW_BYTES;
+        for path in [PathId::A, PathId::B] {
+            let declared = per_path[path.index()].min(room as u64) as usize;
+            sim.table.reserve(path, declared);
+        }
+        let mut check = Fnv64::new();
         let mut last = None;
-        let mut per_path = [0; 2];
-        for _ in 0..placements {
+        for _ in 0..flows {
+            let from = r.rest();
             let loc = checkpoint::read_location(&mut r, &table_cfg)?;
             let key = checkpoint::read_flow_key_bytes(&mut r)?;
+            check.write_words(&from[..from.len() - r.rest().len()]);
             let fid = FlowId::encode(loc, k);
             if last >= Some(fid) {
                 return Err(CheckpointError::Corrupt("placements out of ID order"));
@@ -1296,38 +1275,20 @@ impl FlowLutSim {
             if !codec::fits(key.len(), table_cfg.entry_slot_bytes) {
                 return Err(CheckpointError::Corrupt("flow key does not fit a slot"));
             }
-            if let Location::Mem { path, .. } = loc {
-                per_path[path.index()] += 1;
+            if !owns(key) {
+                return Err(CheckpointError::Corrupt("flow routed to another shard"));
             }
-        }
-        for path in [PathId::A, PathId::B] {
-            sim.table.reserve(path, per_path[path.index()]);
-        }
-        let records = r.u64()?;
-        if records != placements {
-            return Err(CheckpointError::Corrupt(
-                "flow record count differs from placement count",
-            ));
-        }
-        // Placement `i` and record `i` side by side.
-        let mut placed = ByteReader::new(placed_from);
-        let mut last = None;
-        for i in 0..placements {
-            let from = placed.rest();
-            let loc = checkpoint::read_location(&mut placed, &table_cfg)?;
-            let key = checkpoint::read_key_bytes(&mut placed)?;
-            let restated = &from[..from.len() - placed.rest().len()];
-            if !r.rest().starts_with(restated) {
-                let placed = ByteReader::new(from);
-                let rest = placements - i;
-                return Err(record_error(&table_cfg, placed, r, rest, last, clock));
-            }
-            r.take(restated.len())?;
             let counters = checkpoint::read_counters(&mut r, clock)?;
             sim.table
                 .restore_at(loc, key, counters)
                 .map_err(CheckpointError::Corrupt)?;
-            last = Some(loc);
+        }
+        let occupancy = sim.table.occupancy();
+        if [occupancy.mem_a, occupancy.mem_b] != per_path {
+            return Err(CheckpointError::Corrupt("memory flow count differs"));
+        }
+        if r.u64()? != check.finish() {
+            return Err(CheckpointError::Corrupt("flow check word differs"));
         }
         let mut cursors = [None, None];
         for cursor in &mut cursors {

@@ -631,7 +631,7 @@ fn the_dram_image_equals_the_table_after_set_up() {
         assert!(sim.is_quiescent());
 
         let blob = sim.checkpoint().unwrap();
-        let restored = FlowLutSim::restore(cfg.clone(), &blob).unwrap();
+        let restored = FlowLutSim::restore(cfg.clone(), &blob, |_| true).unwrap();
         assert!(restored.is_quiescent());
 
         // The rescale path: a warm-started simulator adopting every flow
@@ -654,7 +654,7 @@ fn the_dram_image_equals_the_table_after_set_up() {
         assert_eq!(sim.table().len(), 400 - 134 + 20);
         let blob = sim.checkpoint().unwrap();
         assert!(sim.is_quiescent());
-        let mut restored = FlowLutSim::restore(cfg, &blob).unwrap();
+        let mut restored = FlowLutSim::restore(cfg, &blob, |_| true).unwrap();
         assert!(restored.is_quiescent());
         assert_eq!(restored.checkpoint().unwrap(), blob);
     }
@@ -1076,7 +1076,7 @@ fn checkpoint_restore_roundtrip_preserves_state() {
     run(&mut sim, &descs(0..40));
     sim.quiesce().unwrap();
     let blob = sim.checkpoint().unwrap();
-    let restored = FlowLutSim::restore(cfg, &blob).unwrap();
+    let restored = FlowLutSim::restore(cfg, &blob, |_| true).unwrap();
     assert_eq!(restored.now_sys(), sim.now_sys());
     assert_eq!(restored.stats(), sim.stats());
     assert_eq!(restored.table().len(), sim.table().len());
@@ -1096,7 +1096,7 @@ fn checkpoint_restore_replay_is_bit_identical() {
     run(&mut live, &descs(0..30));
     live.quiesce().unwrap();
     let blob = live.checkpoint().unwrap();
-    let mut restored = FlowLutSim::restore(cfg, &blob).unwrap();
+    let mut restored = FlowLutSim::restore(cfg, &blob, |_| true).unwrap();
 
     let tail: Vec<PacketDescriptor> = descs(15..45);
     let a = run(&mut live, &tail);
@@ -1116,15 +1116,15 @@ fn restore_rejects_mismatched_config_and_garbage() {
     let mut other = cfg.clone();
     other.table.hash_seed ^= 1;
     assert!(matches!(
-        FlowLutSim::restore(other, &blob),
+        FlowLutSim::restore(other, &blob, |_| true),
         Err(CheckpointError::ConfigMismatch { .. })
     ));
     assert!(matches!(
-        FlowLutSim::restore(cfg.clone(), &blob[..blob.len() - 1]),
+        FlowLutSim::restore(cfg.clone(), &blob[..blob.len() - 1], |_| true),
         Err(CheckpointError::Truncated)
     ));
     assert!(matches!(
-        FlowLutSim::restore(cfg, b"not a checkpoint blob"),
+        FlowLutSim::restore(cfg, b"not a checkpoint blob", |_| true),
         Err(CheckpointError::BadMagic) | Err(CheckpointError::Truncated)
     ));
 }
@@ -1151,13 +1151,10 @@ fn adopt_flow_rehomes_a_record_under_new_geometry() {
 }
 
 /// A hand-built checkpoint of an idle simulator at cycle 0 that holds
-/// `placements` and `records` — which, unlike a real checkpoint's, need
-/// not agree — and no cursors, victims or events.
-fn hand_built_blob(
-    cfg: &SimConfig,
-    placements: &[(FlowKey, Location)],
-    records: &[(Location, FlowRecord)],
-) -> Vec<u8> {
+/// `flows` in the order given, which unlike a real checkpoint's need not
+/// ascend, each first seen at cycle 0, under their check word, and no
+/// cursors, victims or events.
+fn hand_built_blob(cfg: &SimConfig, flows: &[(FlowKey, Location)]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(SIM_CHECKPOINT_MAGIC);
     w.put_u32(SIM_CHECKPOINT_VERSION);
@@ -1165,16 +1162,22 @@ fn hand_built_blob(
     w.put_u64(0); // clock
     w.put_u32(0x9E37_79B9); // load-balancer state
     checkpoint::write_stats(&mut w, &SimStats::default());
-    w.put_u64(placements.len() as u64);
-    for (key, loc) in placements {
-        checkpoint::write_location(&mut w, *loc);
-        checkpoint::write_key(&mut w, key);
+    w.put_u64(flows.len() as u64);
+    for path in [PathId::A, PathId::B] {
+        let in_path = flows
+            .iter()
+            .filter(|(_, loc)| matches!(*loc, Location::Mem { path: p, .. } if p == path));
+        w.put_u64(in_path.count() as u64);
     }
-    w.put_u64(records.len() as u64);
-    for (loc, record) in records {
-        checkpoint::write_location(&mut w, *loc);
-        checkpoint::write_record(&mut w, record);
+    let mut check = Fnv64::new();
+    for &(key, loc) in flows {
+        let at = w.written().len();
+        checkpoint::write_location(&mut w, loc);
+        checkpoint::write_key(&mut w, &key);
+        check.write_words(&w.written()[at..]);
+        checkpoint::write_counters(&mut w, &record_of(key));
     }
+    w.put_u64(check.finish());
     w.put_u8(0); // no expiry cursor
     w.put_u8(0); // no pressure cursor
     w.put_u64(0); // victims
@@ -1182,109 +1185,88 @@ fn hand_built_blob(
     w.into_bytes()
 }
 
-fn record_of((key, loc): (FlowKey, Location)) -> (Location, FlowRecord) {
-    (loc, FlowRecord::first_packet(key, 0, 0, 72))
+fn record_of(key: FlowKey) -> FlowRecord {
+    FlowRecord::first_packet(key, 0, 0, 72)
+}
+
+/// Flows in Mem1, Mem2 and the CAM, in ascending ID order.
+fn three_flows() -> [(FlowKey, Location); 3] {
+    let a = Location::Mem {
+        path: PathId::A,
+        bucket: 3,
+        slot: 0,
+    };
+    let b = Location::Mem {
+        path: PathId::B,
+        bucket: 9,
+        slot: 1,
+    };
+    [(key(1), a), (key(2), b), (key(3), Location::Cam(2))]
 }
 
 #[test]
-fn restore_accepts_a_hand_built_blob_whose_records_match_its_placements() {
+fn restore_accepts_a_hand_built_blob() {
     let cfg = SimConfig::test_small();
-    let a = (
-        key(1),
-        Location::Mem {
-            path: PathId::A,
-            bucket: 3,
-            slot: 0,
-        },
-    );
-    let b = (
-        key(2),
-        Location::Mem {
-            path: PathId::B,
-            bucket: 9,
-            slot: 1,
-        },
-    );
-    let c = (key(3), Location::Cam(2));
-    let blob = hand_built_blob(
-        &cfg,
-        &[a, b, c],
-        &[record_of(a), record_of(b), record_of(c)],
-    );
-    let sim = FlowLutSim::restore(cfg, &blob).expect("a consistent blob restores");
+    let flows = three_flows();
+    let blob = hand_built_blob(&cfg, &flows);
+    let sim = FlowLutSim::restore(cfg, &blob, |_| true).expect("a consistent blob restores");
     assert_eq!(sim.table().len(), 3);
-    for (key, loc) in [a, b, c] {
+    for (key, loc) in flows {
         let fid = FlowId::encode(loc, 2);
-        assert_eq!(sim.table().record(fid), Some(record_of((key, loc)).1));
+        assert_eq!(sim.table().record(fid), Some(record_of(key)));
     }
 }
 
+/// Byte offset of the check word in a hand-built checkpoint: before
+/// the two cursor tags and the victim and event counts.
+fn check_word_at(blob: &[u8]) -> usize {
+    blob.len() - 2 - 16 - 8
+}
+
 #[test]
-fn restore_rejects_records_that_disagree_with_placements() {
+fn restore_rejects_flows_that_disagree_with_the_check_word_or_counts() {
     let cfg = SimConfig::test_small();
-    let a = (
-        key(1),
-        Location::Mem {
-            path: PathId::A,
-            bucket: 3,
-            slot: 0,
-        },
-    );
-    let b = (
-        key(2),
-        Location::Mem {
-            path: PathId::B,
-            bucket: 9,
-            slot: 1,
-        },
-    );
-    let unplaced = Location::Mem {
-        path: PathId::A,
-        bucket: 4,
+    let [a, b, c] = three_flows();
+    let valid = hand_built_blob(&cfg, &[a, b, c]);
+    let word_at = check_word_at(&valid);
+    let word = u64::from_le_bytes(valid[word_at..][..8].try_into().unwrap());
+    // The flows as `flows`, under the check word of the valid blob.
+    let under_valid_word = |flows: &[(FlowKey, Location)]| {
+        let blob = hand_built_blob(&cfg, flows);
+        assert_eq!(blob.len(), valid.len());
+        with_u64(blob, word_at, word)
+    };
+    let free = Location::Mem {
+        path: PathId::B,
+        bucket: 9,
         slot: 0,
     };
+    let differs = "flow check word differs";
     let cases = [
         (
-            "a placement with no record",
-            vec![a, b],
-            vec![record_of(a)],
-            "flow record count differs from placement count",
+            "a location moved to a free slot",
+            under_valid_word(&[a, (b.0, free), c]),
+            differs,
         ),
         (
-            "a record with no placement",
-            vec![a],
-            vec![record_of(a), record_of(b)],
-            "flow record count differs from placement count",
+            "another key at a location",
+            under_valid_word(&[a, (key(4), b.1), c]),
+            differs,
         ),
         (
-            "equal counts, a record at an unplaced location",
-            vec![a, b],
-            vec![record_of(a), record_of((key(2), unplaced))],
-            "flow record disagrees with its placement",
+            "a changed check word",
+            with_u64(valid.clone(), word_at, word ^ 1),
+            differs,
         ),
         (
-            "equal counts, a record naming another key",
-            vec![a, b],
-            vec![record_of(a), record_of((key(3), b.1))],
-            "flow record disagrees with its placement",
-        ),
-        (
-            "a repeated record ID",
-            vec![a, b],
-            vec![record_of(a), record_of(a)],
-            "flow records out of ID order",
-        ),
-        (
-            "records in descending ID order",
-            vec![a, b],
-            vec![record_of(b), record_of(a)],
-            "flow records out of ID order",
+            "Mem1's flow counted in Mem2",
+            with_u64(with_u64(valid.clone(), MEM1_FLOWS_AT, 0), MEM2_FLOWS_AT, 2),
+            "memory flow count differs",
         ),
     ];
-    for (what, placements, records, expected) in cases {
-        let blob = hand_built_blob(&cfg, &placements, &records);
+    for (what, blob, expected) in cases {
         assert_eq!(
-            FlowLutSim::restore(cfg.clone(), &blob).err(),
+            FlowLutSim::restore(cfg.clone(), &blob, |_| true).err(),
             Some(CheckpointError::Corrupt(expected)),
             "{what}"
         );
@@ -1294,34 +1276,15 @@ fn restore_rejects_records_that_disagree_with_placements() {
 #[test]
 fn restore_rejects_placements_out_of_id_order() {
     let cfg = SimConfig::test_small();
-    let a = (
-        key(1),
-        Location::Mem {
-            path: PathId::A,
-            bucket: 3,
-            slot: 0,
-        },
-    );
-    let b = (
-        key(2),
-        Location::Mem {
-            path: PathId::B,
-            bucket: 9,
-            slot: 1,
-        },
-    );
-    let c = (key(3), Location::Cam(2));
-    for (what, placements) in [
+    let [a, b, c] = three_flows();
+    for (what, flows) in [
         ("a descending pair", vec![a, c, b]),
         ("a repeated placement", vec![a, a]),
         ("a repeated CAM placement", vec![c, c]),
     ] {
-        let mut records: Vec<_> = placements.iter().map(|&p| record_of(p)).collect();
-        records.sort_by_key(|&(loc, _)| FlowId::encode(loc, 2));
-        records.dedup_by_key(|&mut (loc, _)| loc);
-        let blob = hand_built_blob(&cfg, &placements, &records);
+        let blob = hand_built_blob(&cfg, &flows);
         assert_eq!(
-            FlowLutSim::restore(cfg.clone(), &blob).err(),
+            FlowLutSim::restore(cfg.clone(), &blob, |_| true).err(),
             Some(CheckpointError::Corrupt("placements out of ID order")),
             "{what}"
         );
@@ -1330,10 +1293,13 @@ fn restore_rejects_placements_out_of_id_order() {
 
 /// Byte offsets in a simulator checkpoint: the clock follows the magic,
 /// version and configuration digest; the statistics follow the
-/// load-balancer state, field by field.
+/// load-balancer state, field by field; then the flow count, and each
+/// memory's.
 const CLOCK_AT: usize = 16;
 const STATS_AT: usize = 28;
 const INSERTED_MEM_AT: usize = STATS_AT + 6 * 8;
+const MEM1_FLOWS_AT: usize = STATS_AT + 24 * 8 + 8;
+const MEM2_FLOWS_AT: usize = MEM1_FLOWS_AT + 8;
 
 /// A checkpoint of a settled run of `descs(0..20)`.
 fn settled_blob() -> Vec<u8> {
@@ -1360,11 +1326,12 @@ fn assert_counter_bounded(at: usize) {
     let cfg = SimConfig::test_small();
     let hostile = with_u64(settled_blob(), at, u64::MAX);
     assert_eq!(
-        FlowLutSim::restore(cfg.clone(), &hostile).err(),
+        FlowLutSim::restore(cfg.clone(), &hostile, |_| true).err(),
         Some(CheckpointError::Corrupt("counter above 2^62"))
     );
     let edge = with_u64(settled_blob(), at, checkpoint::MAX_COUNTER);
-    let mut sim = FlowLutSim::restore(cfg, &edge).expect("a counter at the bound restores");
+    let mut sim =
+        FlowLutSim::restore(cfg, &edge, |_| true).expect("a counter at the bound restores");
     let report = run(&mut sim, &descs(10..30));
     assert_eq!(report.completed, 20);
     assert_eq!(report.stats.inserted_mem + report.stats.inserted_cam, 10);

@@ -439,7 +439,10 @@ impl ShardedFlowLut {
     /// checked on the calling thread first, and only the shards before
     /// the first blob that fails it are restored. Those are restored at
     /// once, on `min(shards, available_parallelism())` host threads, the
-    /// calling thread among them, whatever the [`ExecutionMode`].
+    /// calling thread among them, whatever the [`ExecutionMode`]. Each
+    /// shard's [`FlowLutSim::restore`] routes every key it reads, in its
+    /// one pass over the flows, and refuses a flow the router sends to
+    /// another shard: no lookup would reach it there.
     ///
     /// # Errors
     ///
@@ -492,7 +495,8 @@ impl ShardedFlowLut {
             blobs.push(blob);
             Ok(())
         });
-        let sims = restore_shards(&cfg.shard, &blobs, now_sys)?;
+        let router = ShardRouter::new(cfg.shards, cfg.router_seed);
+        let sims = restore_shards(&cfg.shard, &router, &blobs, now_sys)?;
         framing?;
         r.finish()?;
         // Summed over the engine, each statistic obeys one simulator's
@@ -602,7 +606,8 @@ const ENGINE_CHECKPOINT_VERSION: u32 = 2;
 const ENGINE_BACKEND_NAME: &str = "hashcam-sharded";
 
 /// Restores the shards of an engine checkpoint taken at cycle
-/// `now_sys`, one simulator per blob, on
+/// `now_sys`, one simulator per blob, each holding only the flows
+/// `router` sends it, on
 /// `n = min(blobs, available_parallelism())` executors: the calling
 /// thread is executor 0, and executor `e` takes blobs `e`, `e + n`, … —
 /// the partition [`ShardedFlowLut::assemble`] gives the worker pool.
@@ -612,11 +617,13 @@ const ENGINE_BACKEND_NAME: &str = "hashcam-sharded";
 /// worker is raised again here.
 fn restore_shards(
     cfg: &SimConfig,
+    router: &ShardRouter,
     blobs: &[&[u8]],
     now_sys: u64,
 ) -> Result<Vec<FlowLutSim>, CheckpointError> {
-    let restore = |blob: &[u8]| {
-        let sim = FlowLutSim::restore(cfg.clone(), blob)?;
+    let restore = |shard: usize, blob: &[u8]| {
+        let owns = |key: &[u8]| router.route_bytes(key) == shard;
+        let sim = FlowLutSim::restore(cfg.clone(), blob, owns)?;
         if sim.now_sys() != now_sys {
             return Err(CheckpointError::Corrupt("shard clock diverged from engine"));
         }
@@ -629,9 +636,10 @@ fn restore_shards(
     let executor = |e: usize| -> Vec<_> {
         blobs
             .iter()
+            .enumerate()
             .skip(e)
             .step_by(n)
-            .map(|b| restore(b))
+            .map(|(shard, b)| restore(shard, b))
             .collect()
     };
     let mut done: Vec<_> = thread::scope(|s| {

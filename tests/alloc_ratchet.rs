@@ -250,7 +250,7 @@ fn setup_restore_allocations_match_baseline() {
     // The count sees the shards' restores on whatever threads they run.
     let alone: u64 = shard_blobs
         .iter()
-        .map(|shard| allocations_of(|| FlowLutSim::restore(cfg.shard.clone(), shard)).1)
+        .map(|shard| allocations_of(|| FlowLutSim::restore(cfg.shard.clone(), shard, |_| true)).1)
         .sum();
     assert!(
         measured >= alone,

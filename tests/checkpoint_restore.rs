@@ -170,7 +170,8 @@ fn a_checkpoint_at_cycle_2_40_restores_and_replays_alike() {
     let blob = live
         .checkpoint()
         .expect("a warm-started simulator checkpoints");
-    let mut restored = FlowLutSim::restore(cfg.clone(), &blob).expect("own blob restores");
+    let mut restored =
+        FlowLutSim::restore(cfg.clone(), &blob, |_| true).expect("own blob restores");
     assert_eq!(restored.now_sys(), FAR);
     let tail = trace(600);
     let report_live = Session::new(&mut live).run(&tail).expect("fresh session");
@@ -286,7 +287,7 @@ fn a_fixed_run_checkpoints_to_pinned_bytes() {
     digest.write_bytes(&blob);
     assert_eq!(
         (blob.len(), digest.finish()),
-        (137_990, 0x72e7_519e_c8c5_8350),
+        (123_064, 0x7933_758b_54d7_960b),
         "checkpoint bytes moved"
     );
 }
@@ -320,22 +321,66 @@ fn checkpoint_rejects_a_busy_engine_and_restore_rejects_bad_blobs() {
         ShardedFlowLut::restore(wrong, &blob),
         Err(CheckpointError::ConfigMismatch { .. })
     ));
-    // A version-1 blob, of an engine or of a simulator: the version
+    // A version-1 engine blob, and one that carries a version-2 shard
+    // blob; a version-1 and a version-2 simulator blob. The version
     // follows the magic.
-    let version_1 = |mut blob: Vec<u8>| {
-        blob[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let with_version = |mut blob: Vec<u8>, at: usize, version: u32| {
+        blob[at + 4..at + 8].copy_from_slice(&version.to_le_bytes());
         blob
     };
     assert_eq!(
-        ShardedFlowLut::restore(config(), &version_1(blob)).err(),
+        ShardedFlowLut::restore(config(), &with_version(blob.clone(), 0, 1)).err(),
         Some(CheckpointError::BadVersion(1))
+    );
+    assert_eq!(
+        ShardedFlowLut::restore(config(), &with_version(blob, SHARDS_AT + 8, 2)).err(),
+        Some(CheckpointError::BadVersion(2))
     );
     let shard = FlowLutSim::new(config().shard)
         .checkpoint()
         .expect("an idle simulator checkpoints");
+    for version in [1, 2] {
+        assert_eq!(
+            FlowLutSim::restore(
+                config().shard,
+                &with_version(shard.clone(), 0, version),
+                |_| true
+            )
+            .err(),
+            Some(CheckpointError::BadVersion(version))
+        );
+    }
+}
+
+/// Byte offset of the first shard blob's length in an engine
+/// checkpoint: after the magic, version, shard count, router seed,
+/// clock, splitter counters and 24 carried statistics words.
+const SHARDS_AT: usize = 48 + 24 * 8;
+
+/// Two shard blobs that trade places hold flows their router sends to
+/// the other shard, where no lookup would reach them: restore refuses
+/// them, rather than let the keys be inserted a second time.
+#[test]
+fn swapped_shard_blobs_are_refused() {
+    let cfg = EngineConfig::test_small();
+    let mut engine = ShardedFlowLut::new(cfg.clone());
+    let keys = (0..40).map(|i| FlowKey::from(FiveTuple::from_index(i)));
+    assert_eq!(engine.preload(keys), Ok(40));
+    let blob = engine.checkpoint().expect("an idle engine checkpoints");
+    // The bytes of the shard blob whose length word is at `at`, that
+    // word included.
+    let framed = |at: usize| 8 + u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+    let second = SHARDS_AT + framed(SHARDS_AT);
+    assert_eq!(second + framed(second), blob.len(), "two shard blobs");
+    let swapped = [
+        &blob[..SHARDS_AT],
+        &blob[second..],
+        &blob[SHARDS_AT..second],
+    ]
+    .concat();
     assert_eq!(
-        FlowLutSim::restore(config().shard, &version_1(shard)).err(),
-        Some(CheckpointError::BadVersion(1))
+        ShardedFlowLut::restore(cfg, &swapped).err(),
+        Some(CheckpointError::Corrupt("flow routed to another shard"))
     );
 }
 
@@ -436,7 +481,7 @@ fn single_shard_sim_checkpoint_survives_lifecycle_state() {
         live.quiesce().unwrap();
         live.checkpoint().expect("quiescent sim checkpoints")
     };
-    let mut restored = FlowLutSim::restore(cfg, &blob).expect("own blob restores");
+    let mut restored = FlowLutSim::restore(cfg, &blob, |_| true).expect("own blob restores");
 
     // Idle both past the TTL: the same flows must expire at the same
     // cycles, leaving identical stats and event streams.

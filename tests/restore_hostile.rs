@@ -1,13 +1,15 @@
 //! Hostile checkpoint bytes against `FlowLutSim::restore` and
 //! `ShardedFlowLut::restore`: every truncation, inflated values over
 //! every count-sized window, and random bit flips of a small valid
-//! checkpoint of each.
+//! checkpoint of each, and every single-bit flip of a flow's location
+//! or key, which the checkpoint's check word covers.
 //!
 //! Each input must come back as an error or as simulators whose tables
-//! and flow records agree (as many records as placements, each record's
-//! key at its location), quiescent, so that DRAM holds each bucket as
-//! the table does, and that take one descriptor of each restored flow
-//! without fault — never as a panic. A restore also may not ask
+//! and flow records agree (as many records as flows, each record's key
+//! at its location), quiescent, so that DRAM holds each bucket as the
+//! table does, and that take one descriptor of each restored flow
+//! without fault — never as a panic. A flipped location or key bit
+//! must come back as an error. A restore also may not ask
 //! the allocator for more than restoring an empty checkpoint costs plus
 //! a bounded multiple of the blob's length: a count read from the blob
 //! must never size a reservation by itself. The prototype table's 8 M
@@ -56,9 +58,13 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Heap bytes a restore may request per blob byte beyond the cost of
-/// restoring an empty checkpoint. A placement takes at least 7 blob
-/// bytes; the table slot, bucket map entry, DRAM burst and record it
-/// becomes cost a few hundred heap bytes, growth included.
+/// restoring an empty checkpoint. A flow in a memory takes at least 48
+/// blob bytes (a CAM flow's slot comes with the empty table), and
+/// restore reserves each of the two memories at most one line per 48
+/// bytes left. A prototype line, its two 16-byte slots, their 80 bytes
+/// of counters and a line-index entry, costs under 140 heap bytes, and
+/// at most twice that when the flow lands past the reservation and the
+/// store grows: under 12 heap bytes per blob byte in all.
 const HEAP_BYTES_PER_BLOB_BYTE: u64 = 64;
 
 /// Byte offset of the clock in a simulator checkpoint, after the magic,
@@ -105,7 +111,7 @@ fn empty_restore_bytes() -> u64 {
     let blob = FlowLutSim::new(config())
         .checkpoint()
         .expect("an idle simulator checkpoints");
-    requested_by(|| FlowLutSim::restore(config(), &blob)).1
+    requested_by(|| FlowLutSim::restore(config(), &blob, |_| true)).1
 }
 
 /// Runs `f`, returning its result and the heap bytes requested on any
@@ -119,7 +125,7 @@ fn requested_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Restores `blob` and checks the contract in the module docs.
 fn restore_checked(blob: &[u8], empty_cost: u64) -> Result<(), CheckpointError> {
-    let (restored, requested) = requested_by(|| FlowLutSim::restore(config(), blob));
+    let (restored, requested) = requested_by(|| FlowLutSim::restore(config(), blob, |_| true));
     let allowed = empty_cost + HEAP_BYTES_PER_BLOB_BYTE * blob.len() as u64;
     assert!(
         requested <= allowed,
@@ -187,8 +193,9 @@ const COMPLETED_AT: usize = STATS_AT + 2 * 8;
 /// statistics and each flow record's packets and bytes.
 fn counter_windows(blob: &[u8]) -> Vec<usize> {
     let stats = (0..STATS).map(|i| STATS_AT + 8 * i);
-    let [_, records] = flows(blob);
-    let packets_and_bytes = records.into_iter().flat_map(|r| [r.end - 16, r.end - 8]);
+    let packets_and_bytes = flows(blob)
+        .into_iter()
+        .flat_map(|f| [f.end - 16, f.end - 8]);
     [CLOCK_AT]
         .into_iter()
         .chain(stats)
@@ -196,13 +203,12 @@ fn counter_windows(blob: &[u8]) -> Vec<usize> {
         .collect()
 }
 
-/// The five counter windows of each flow record of a simulator
-/// checkpoint: first and last seen, last touch, packets and bytes.
+/// The five counter windows of each flow of a simulator checkpoint:
+/// first and last seen, last touch, packets and bytes.
 fn record_windows(blob: &[u8]) -> Vec<usize> {
-    let [_, records] = flows(blob);
-    records
+    flows(blob)
         .into_iter()
-        .flat_map(|r| (0..5).map(move |i| r.end - 40 + 8 * i))
+        .flat_map(|f| (0..5).map(move |i| f.end - 40 + 8 * i))
         .collect()
 }
 
@@ -252,30 +258,13 @@ fn inflated_values_in_every_window_are_contained() {
     }
 }
 
-/// `blob` with every `[13, key bytes]` of a 13-byte `key` (its placement
-/// and its record) widened to a 20-byte key: a consistent checkpoint of
-/// a flow too wide for the prototype's 16-byte slots.
-fn with_widened_key(blob: &[u8], key: &FlowKey) -> Vec<u8> {
-    let mut old = vec![13];
-    old.extend_from_slice(key.as_bytes());
-    let mut new = vec![20];
-    new.extend_from_slice(key.as_bytes());
-    new.extend_from_slice(&[0xEE; 7]);
-    let mut out = Vec::new();
-    let mut at = 0;
-    let mut widened = 0;
-    while at < blob.len() {
-        if blob[at..].starts_with(&old) {
-            out.extend_from_slice(&new);
-            at += old.len();
-            widened += 1;
-        } else {
-            out.push(blob[at]);
-            at += 1;
-        }
-    }
-    assert_eq!(widened, 2, "the key sits in one placement and one record");
-    out
+/// `blob` with the key of the flow at `at` widened by seven bytes: a
+/// 13-byte key becomes a 20-byte one, too wide for the prototype's
+/// 16-byte slots, and is refused before restore reads the check word.
+fn with_widened_key(blob: &[u8], at: usize) -> Vec<u8> {
+    let key_at = key_at(blob, at);
+    let key = &blob[key_at + 1..][..usize::from(blob[key_at])];
+    with_key(blob, at, &[key, &[0xEE; 7]].concat())
 }
 
 #[test]
@@ -283,49 +272,47 @@ fn a_key_wider_than_a_slot_is_rejected() {
     let _serial = serial();
     let blob = valid_blob();
     let empty_cost = empty_restore_bytes();
-    // Mem1, Mem2 and CAM placements alike.
-    for i in 0..14 {
-        let hostile = with_widened_key(&blob, &key(i));
+    // Mem1, Mem2 and CAM flows alike.
+    for flow in flows(&blob) {
+        let hostile = with_widened_key(&blob, flow.start);
         assert_eq!(
             restore_checked(&hostile, empty_cost).err(),
             Some(CheckpointError::Corrupt("flow key does not fit a slot")),
-            "key {i}"
+            "the flow at {}",
+            flow.start
         );
     }
 }
 
-/// Byte offset of the placement count in a simulator checkpoint, after
-/// the statistics.
-const PLACEMENTS_AT: usize = STATS_AT + STATS * 8;
+/// Byte offset of the flow count in a simulator checkpoint, after the
+/// statistics; each memory's flow count follows it, then the flows.
+const FLOWS_AT: usize = STATS_AT + STATS * 8;
 
-/// Where each placement and each record of a simulator checkpoint lies:
-/// a location (a tag, then a bucket and a slot, or a CAM slot), a key
-/// (its length, then its bytes) and, for a record, five counters.
-fn flows(blob: &[u8]) -> [Vec<Range<usize>>; 2] {
-    let mut at = PLACEMENTS_AT;
-    [0, 40].map(|counters| {
-        let count = u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
-        at += 8;
-        (0..count)
-            .map(|_| {
-                let key_at = key_at(blob, at);
-                let end = key_at + 1 + usize::from(blob[key_at]) + counters;
-                let flow = at..end;
-                at = end;
-                flow
-            })
-            .collect()
-    })
+/// Where each flow of a simulator checkpoint lies: a location (a tag,
+/// then a bucket and a slot, or a CAM slot), a key (its length, then its
+/// bytes) and five counters.
+fn flows(blob: &[u8]) -> Vec<Range<usize>> {
+    let count = u64::from_le_bytes(blob[FLOWS_AT..][..8].try_into().unwrap());
+    let mut at = FLOWS_AT + 3 * 8;
+    (0..count)
+        .map(|_| {
+            let key_at = key_at(blob, at);
+            let end = key_at + 1 + usize::from(blob[key_at]) + 40;
+            let flow = at..end;
+            at = end;
+            flow
+        })
+        .collect()
 }
 
-/// Where the key of the placement or record at `at` starts.
+/// Where the key of the flow at `at` starts.
 fn key_at(blob: &[u8], at: usize) -> usize {
     const CAM_TAG: u8 = 2;
     at + if blob[at] == CAM_TAG { 5 } else { 6 }
 }
 
-/// `blob` with the key of the placement at `at` replaced by `key`.
-fn with_placement_key(blob: &[u8], at: usize, key: &[u8]) -> Vec<u8> {
+/// `blob` with the key of the flow at `at` replaced by `key`.
+fn with_key(blob: &[u8], at: usize, key: &[u8]) -> Vec<u8> {
     let key_at = key_at(blob, at);
     let mut out = blob[..key_at].to_vec();
     out.push(key.len() as u8);
@@ -334,52 +321,64 @@ fn with_placement_key(blob: &[u8], at: usize, key: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Restore checks every placement before it reads a record, as it did
-/// when it placed every flow before reading the records: a placement's
-/// error comes first, wherever the placement is, and a key no flow key
-/// can hold (over 64 bytes) is "too long", apart from one that is a flow
-/// key but no slot holds.
+/// Restore checks each flow in stream order: a flow's error comes
+/// before any later flow's, and a key no flow key can hold (over 64
+/// bytes, or none) is "too long", apart from one that is a flow key but
+/// no slot holds.
 #[test]
-fn a_placement_error_comes_before_a_record_error() {
+fn an_earlier_flows_error_comes_first() {
     let _serial = serial();
     let blob = valid_blob();
     let empty_cost = empty_restore_bytes();
-    let [placements, records] = flows(&blob);
-    assert_eq!(placements.len(), 14);
-    // Record 0 names another key than placement 0.
-    let mut disagree = blob.clone();
-    disagree[records[0].end - 41] ^= 1;
-    assert_eq!(
-        restore_checked(&disagree, empty_cost).err(),
-        Some(CheckpointError::Corrupt(
-            "flow record disagrees with its placement"
-        ))
-    );
-    // ... and a later Mem2 placement names a bucket out of range.
-    let later = placements
+    let flows = flows(&blob);
+    assert_eq!(flows.len(), 14);
+    // A later Mem2 flow names a bucket out of range ...
+    let later = flows
         .iter()
         .rev()
-        .find(|p| blob[p.start] == 1)
-        .expect("a Mem2 placement");
+        .find(|f| blob[f.start] == 1)
+        .expect("a Mem2 flow");
+    let mut hostile = blob.clone();
     let buckets = config().table.buckets_per_mem;
-    disagree[later.start + 1..later.start + 5].copy_from_slice(&buckets.to_le_bytes());
+    hostile[later.start + 1..later.start + 5].copy_from_slice(&buckets.to_le_bytes());
     assert_eq!(
-        restore_checked(&disagree, empty_cost).err(),
+        restore_checked(&hostile, empty_cost).err(),
         Some(CheckpointError::Corrupt("bucket index out of range"))
     );
-    // ... and placement 0's key is too wide for a slot, or for any key.
+    // ... and flow 0's key is too wide for a slot, or for any key.
     for (width, error) in [
         (16, "flow key does not fit a slot"),
         (64, "flow key does not fit a slot"),
         (65, "flow key too long"),
         (0, "flow key too long"),
     ] {
-        let hostile = with_placement_key(&disagree, placements[0].start, &vec![0xEE; width]);
+        let hostile = with_key(&hostile, flows[0].start, &vec![0xEE; width]);
         assert_eq!(
             restore_checked(&hostile, empty_cost).err(),
             Some(CheckpointError::Corrupt(error)),
             "{width}-byte key"
         );
+    }
+}
+
+/// The check word covers each flow's location and key, so flipping any
+/// one of their bits is refused, never restored.
+#[test]
+fn every_flipped_location_or_key_bit_is_refused() {
+    let _serial = serial();
+    let blob = valid_blob();
+    let empty_cost = empty_restore_bytes();
+    for flow in flows(&blob) {
+        for bit in flow.start * 8..(flow.end - 40) * 8 {
+            let mut hostile = blob.clone();
+            flip_bits(&mut hostile, &[bit as u64]);
+            assert!(
+                restore_checked(&hostile, empty_cost).is_err(),
+                "bit {} of the flow at {} restored",
+                bit - flow.start * 8,
+                flow.start
+            );
+        }
     }
 }
 
@@ -521,7 +520,7 @@ fn the_valid_engine_checkpoint_restores_within_the_bound() {
     let engine = requested_by(|| ShardedFlowLut::restore(engine_config(), &blob)).1;
     let alone: u64 = shard_blobs(&blob)
         .into_iter()
-        .map(|shard| requested_by(|| FlowLutSim::restore(config(), &blob[shard])).1)
+        .map(|shard| requested_by(|| FlowLutSim::restore(config(), &blob[shard], |_| true)).1)
         .sum();
     assert!(
         engine >= alone,
@@ -721,7 +720,7 @@ proptest! {
         for at in windows {
             blob[at..at + 8].copy_from_slice(&value.to_le_bytes());
         }
-        let restored = FlowLutSim::restore(config(), &blob);
+        let restored = FlowLutSim::restore(config(), &blob, |_| true);
         if above {
             prop_assert_eq!(restored.err(), Some(CheckpointError::Corrupt("counter above 2^62")));
         } else {
@@ -784,7 +783,7 @@ proptest! {
             sim.quiesce().unwrap();
         }
         let blob = sim.checkpoint().expect("a quiesced simulator checkpoints");
-        let mut restored = FlowLutSim::restore(cfg, &blob).expect("a checkpoint restores");
+        let mut restored = FlowLutSim::restore(cfg, &blob, |_| true).expect("a checkpoint restores");
         assert_consistent(&restored);
         prop_assert_eq!(restored.table().len(), sim.table().len());
         let again = restored.checkpoint().expect("a restored simulator checkpoints");
