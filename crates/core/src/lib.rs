@@ -66,7 +66,6 @@ pub mod multipath;
 pub mod resource;
 pub mod sim;
 mod storage;
-pub mod sync;
 pub mod table;
 
 pub use backend::{

@@ -957,14 +957,6 @@ impl HashCamTable {
         self.counters[path.index()].reserve(lines * usize::from(self.cfg.entries_per_bucket));
     }
 
-    /// Iterates over every resident key with its location, in ascending
-    /// [`FlowId`] order (the order of [`records_after`](Self::records_after)).
-    pub fn iter(&self) -> impl Iterator<Item = (FlowKey, Location)> + '_ {
-        let k = self.cfg.entries_per_bucket;
-        self.records_after(None)
-            .map(move |(id, record)| (record.key, id.decode(k)))
-    }
-
     /// Removes every flow.
     pub fn clear(&mut self) {
         for (mem, counters) in self.mems.iter_mut().zip(&mut self.counters) {
@@ -1203,7 +1195,7 @@ mod tests {
             t.insert(key(i)).unwrap();
             expect.insert(key(i));
         }
-        let got: HashSet<FlowKey> = t.iter().map(|(k, _)| k).collect();
+        let got: HashSet<FlowKey> = t.records_after(None).map(|(_, r)| r.key).collect();
         assert_eq!(got, expect);
     }
 
@@ -1213,9 +1205,8 @@ mod tests {
         for i in 0..20 {
             t.insert(key(i)).unwrap();
         }
-        for (k, loc) in t.iter() {
-            let id = t.peek(&k).unwrap();
-            assert_eq!(id.decode(t.config().entries_per_bucket), loc);
+        for (id, r) in t.records_after(None) {
+            assert_eq!(t.peek(&r.key), Some(id));
         }
     }
 
@@ -1361,8 +1352,10 @@ mod tests {
         for i in 0..20 {
             let _ = live.insert(key(i));
         }
-        let mut placements: Vec<(FlowKey, Location)> = live.iter().collect();
-        placements.sort_by_key(|&(_, loc)| FlowId::encode(loc, 2).raw());
+        let placements: Vec<(FlowKey, Location)> = live
+            .records_after(None)
+            .map(|(id, r)| (r.key, id.decode(2)))
+            .collect();
 
         let mut restored = table();
         let counters = FlowCounters::first_packet(5, 6, 7);
@@ -1378,8 +1371,10 @@ mod tests {
             assert_eq!(restored.record(id), Some(counters.with_key(k)));
         }
         // Double restore at the same location is rejected.
-        let (k0, loc0) = restored.iter().next().expect("non-empty");
-        assert!(restored.restore_at(loc0, k0.as_bytes(), counters).is_err());
+        let (id0, r0) = restored.records_after(None).next().expect("non-empty");
+        assert!(restored
+            .restore_at(id0.decode(2), r0.key.as_bytes(), counters)
+            .is_err());
     }
 
     #[test]
@@ -1818,7 +1813,11 @@ mod model {
                     prop_assert_eq!(t.peek(&key(i)), expected);
                 }
                 prop_assert_eq!(t.occupancy(), r.occupancy());
-                prop_assert_eq!(t.iter().collect::<Vec<_>>(), r.placements());
+                let placements: Vec<_> = t
+                    .records_after(None)
+                    .map(|(fid, record)| (record.key, fid.decode(K)))
+                    .collect();
+                prop_assert_eq!(placements, r.placements());
                 let walk: Vec<_> = r.records.iter().map(|(&id, &r)| (id, r)).collect();
                 prop_assert_eq!(t.records_after(None).collect::<Vec<_>>(), walk);
                 for (n, cursor) in cursors().into_iter().enumerate() {

@@ -3,12 +3,13 @@
 
 use std::collections::VecDeque;
 use std::ops::Deref;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread;
 
 use flowlut_core::backend::{
     settle, FlowEvent, FlowPipeline, FlowStore, FullError, OpStats, SessionError, SessionProgress,
 };
 use flowlut_core::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
-use flowlut_core::sync::{thread, Arc, Mutex, MutexGuard};
 use flowlut_core::{
     FlowLutSim, FlowRecord, Occupancy, PreloadError, RescaleError, SimConfig, SimStats,
 };

@@ -25,7 +25,9 @@
 //!   shards share no state, `Threaded(n)` spreads the per-cycle shard
 //!   work across a persistent worker pool with **bit-identical**
 //!   reports (pinned by the parallel-equivalence proptest), converting
-//!   simulated channel parallelism into real host-CPU parallelism.
+//!   simulated channel parallelism into real host-CPU parallelism. The
+//!   pool's per-cycle barrier parks idle workers on std's thread park
+//!   tokens (DESIGN.md §Parallel execution).
 //!
 //! ## Quick start
 //!
@@ -51,10 +53,9 @@
 
 mod config;
 mod engine;
-pub mod pool;
+mod pool;
 mod router;
 
 pub use config::{EngineConfig, ExecutionMode};
 pub use engine::{EngineSnapshot, RescaleReport, ShardRef, ShardedFlowLut};
-pub use pool::WorkerPool;
 pub use router::ShardRouter;

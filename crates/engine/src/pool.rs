@@ -1,77 +1,57 @@
 //! The generation-barrier worker pool behind
 //! [`ExecutionMode::Threaded`](crate::ExecutionMode::Threaded).
 //!
-//! The pool is deliberately *generic over the per-round work* (each
-//! worker owns a `FnMut(now_sys, draining)` closure): the engine hands
-//! it lane-stepping closures, while the `cfg(flowlut_model)` test suite
-//! hands it observation closures and explores the full coordination
-//! protocol under the loomlite model checker. Every synchronization
-//! primitive comes from the [`flowlut_core::sync`] facade, so the exact
-//! code below — not a simplified replica — is what the model suite
-//! verifies (no deadlock, no lost wakeup, generation monotonicity,
-//! panic-poison propagation) at bounded preemptions.
+//! The pool is generic over the per-round work: each worker owns a
+//! `FnMut(now_sys, draining)` closure, which the engine fills with
+//! lane-stepping and the unit tests with observation.
 //!
 //! ## Protocol
 //!
 //! The coordinator (the caller of [`WorkerPool::start_round`], executor
-//! 0) publishes a round by storing its parameters and bumping `gen`;
-//! each worker steps its share of the work and bumps `arrived`; the
-//! coordinator waits in [`WorkerPool::finish_round`] for all arrivals.
-//! Both sides spin briefly, then yield, then park on the shared condvar
-//! — so an idle engine costs no CPU while an active one synchronizes in
-//! nanoseconds on multicore hosts.
+//! 0) publishes a round by storing its parameters, bumping `gen` and
+//! unparking every worker; each worker steps its share of the work and
+//! bumps `arrived`; the coordinator waits in
+//! [`WorkerPool::finish_round`] for all arrivals.
+//!
+//! A worker waits for a generation by spinning, then yielding, then
+//! parking on its std thread park token, re-reading `gen` on every
+//! return from `park`. That wait cannot lose a wakeup: `unpark` on a
+//! thread that is not parked leaves its token set, so the next `park`
+//! returns at once, and an `unpark` synchronizes with the `park` that
+//! consumes its token, so the re-read sees the bump made before it. A
+//! spurious return, or a token left from an earlier round, only costs
+//! one more re-read. The coordinator waits only for work already
+//! running, so it spins and yields but never parks.
 //!
 //! ## Memory-ordering audit
 //!
 //! Every atomic access carries an `// ordering:` justification
-//! (enforced by `cargo xtask lint`). The load-bearing facts, proven by
-//! the model suite (`crates/engine/tests/model_barrier.rs` — seeded
-//! weaker-ordering mutants of this protocol are caught):
+//! (enforced by `cargo xtask lint`):
 //!
-//! * `gen`↔`sleepers` and `arrived`↔`coordinator_parked` are Dekker
-//!   (store→load) pairs guarding the park/unpark handshake; they need
-//!   the SeqCst total order, and stay `SeqCst`.
-//! * `now_sys`/`draining`/`shutdown`/the `arrived` reset ride the
-//!   release→acquire edge of the `gen` bump, and are `Relaxed`.
-//! * `poisoned` is Release/Acquire: the unlocked fast-path check wants
-//!   a real edge, while the parked path re-checks under the mutex.
+//! * the `gen` bump is Release and a worker's `gen` read Acquire, so
+//!   `now_sys`, `draining`, `shutdown` and the `arrived` reset, all
+//!   stored before the bump, ride that edge and are `Relaxed`;
+//! * an arrival is a Release RMW and the coordinator's `arrived` read
+//!   Acquire, so the coordinator sees every worker's round as done;
+//! * `poisoned` is Release/Acquire, so the coordinator's wait fails
+//!   fast once a worker unwinds.
 
-use flowlut_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use flowlut_core::sync::thread::JoinHandle;
-use flowlut_core::sync::{hint, thread, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::hint;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 /// Bounded busy-wait before yielding the CPU: cheap cross-core latency
-/// on multicore hosts. Zero under the model checker (and on single-core
-/// hosts), where every spin iteration only delays the thread that would
-/// make progress.
-#[cfg(not(flowlut_model))]
+/// on multicore hosts, the only hosts the engine spawns a pool on.
 const SPIN_ROUNDS: u32 = 1_024;
-/// Yields before parking on the condvar: keeps oversubscribed hosts
-/// making progress without burning a scheduling quantum.
-#[cfg(not(flowlut_model))]
+/// Yields before a worker parks: keeps oversubscribed hosts making
+/// progress without burning a scheduling quantum.
 const YIELD_ROUNDS: u32 = 64;
-
-/// Under the model checker both budgets are zero: waits go straight to
-/// the parked (condvar) path, which is the path whose lost-wakeup
-/// freedom actually needs proving — and the only one whose exploration
-/// is bounded.
-#[cfg(flowlut_model)]
-const SPIN_ROUNDS: u32 = 0;
-#[cfg(flowlut_model)]
-const YIELD_ROUNDS: u32 = 0;
-
-/// Locks the park mutex, recovering from std-level poisoning: it guards
-/// no data (`()`), and the pool's own `poisoned` flag is the authority
-/// on worker panics — a panicking worker must still be able to wake a
-/// parked coordinator.
-fn park_lock(park: &Mutex<()>) -> MutexGuard<'_, ()> {
-    park.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Coordination state of the worker pool: a hand-rolled generation
 /// barrier (see the module docs for the protocol and ordering audit).
 #[derive(Debug)]
-pub struct PoolShared {
+struct PoolShared {
     /// Round generation; bumped to start a round.
     gen: AtomicU64,
     /// Engine cycle for the current round, published before `gen`.
@@ -85,87 +65,31 @@ pub struct PoolShared {
     /// Set when a worker thread panics, so the coordinator's barrier
     /// wait fails fast instead of hanging.
     poisoned: AtomicBool,
-    /// Workers currently parked on `wake` awaiting a generation.
-    sleepers: AtomicUsize,
-    /// Coordinator parked on `wake` awaiting arrivals.
-    coordinator_parked: AtomicBool,
-    /// Busy-wait budget before yielding ([`SPIN_ROUNDS`] on multicore
-    /// hosts, `0` on single-core ones).
-    spin_rounds: u32,
-    park: Mutex<()>,
-    wake: Condvar,
 }
 
 impl PoolShared {
     /// Worker-side wait for a generation newer than `seen`; returns the
     /// observed generation.
     fn wait_for_round(&self, seen: u64) -> u64 {
-        for _ in 0..self.spin_rounds {
-            // ordering: optimistic fast path; on a hit, the SeqCst load
-            // pairs with the SeqCst bump and carries the round data.
-            let g = self.gen.load(Ordering::SeqCst);
-            if g != seen {
-                return g;
-            }
-            hint::spin_loop();
-        }
-        for _ in 0..YIELD_ROUNDS {
-            // ordering: same as the spin phase above.
-            let g = self.gen.load(Ordering::SeqCst);
-            if g != seen {
-                return g;
-            }
-            thread::yield_now();
-        }
-        // Park. The sleeper count is registered *before* re-checking the
-        // generation, and the coordinator bumps `gen` before reading
-        // `sleepers`: a Dekker (store→load) pair. The SeqCst total order
-        // guarantees at least one side sees the other — either this
-        // thread sees the new generation below, or the coordinator sees
-        // the sleeper and notifies under the park lock. A wake cannot be
-        // lost (proven by the model suite: the seeded Release/Acquire
-        // mutant of this pair deadlocks under loomlite).
-        // ordering: Dekker store half, paired with gen.
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut guard = park_lock(&self.park);
+        let mut waits = 0u32;
         loop {
-            // ordering: Dekker load half, paired with the sleepers
-            // registration above; also the acquire edge for round data.
-            let g = self.gen.load(Ordering::SeqCst);
+            // ordering: pairs with the Release bump in `next_generation`;
+            // carries the round data stored before it.
+            let g = self.gen.load(Ordering::Acquire);
             if g != seen {
-                // ordering: only gates redundant notifies; a stale
-                // positive count merely costs the coordinator a
-                // harmless lock+notify.
-                self.sleepers.fetch_sub(1, Ordering::Relaxed);
                 return g;
             }
-            guard = self
-                .wake
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Coordinator-side round start: publishes the cycle parameters and
-    /// releases the workers.
-    fn start_round(&self, now_sys: u64, draining: bool) {
-        // ordering: workers of the previous round have all arrived
-        // (finish_round returned), so only the coordinator touches
-        // `arrived` here; the gen bump below publishes the reset.
-        self.arrived.store(0, Ordering::Relaxed);
-        // ordering: round data rides the release edge of the gen bump.
-        self.now_sys.store(now_sys, Ordering::Relaxed);
-        // ordering: same as now_sys.
-        self.draining.store(draining, Ordering::Relaxed);
-        // ordering: SeqCst for the Dekker pair with `sleepers` (see
-        // wait_for_round); the RMW's release half publishes the three
-        // stores above to whoever acquires the new generation.
-        self.gen.fetch_add(1, Ordering::SeqCst);
-        // ordering: Dekker load half, paired with a worker's sleeper
-        // registration.
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = park_lock(&self.park);
-            self.wake.notify_all();
+            if waits < SPIN_ROUNDS {
+                hint::spin_loop();
+            } else if waits < SPIN_ROUNDS + YIELD_ROUNDS {
+                thread::yield_now();
+            } else {
+                // The bump precedes its unpark, which sets this
+                // thread's token if it is not parked yet: the next
+                // re-read sees the bump (see the module docs).
+                thread::park();
+            }
+            waits = waits.saturating_add(1);
         }
     }
 
@@ -177,71 +101,24 @@ impl PoolShared {
     /// Panics if a worker thread panicked (its share of the work is
     /// lost).
     fn finish_round(&self, workers: usize) {
-        let mut spins = 0u32;
+        let mut waits = 0u32;
         loop {
             // ordering: pairs with the sentinel's Release store; only
             // the flag value matters (the panic is the payload).
             if self.poisoned.load(Ordering::Acquire) {
                 panic!("engine worker thread panicked mid-cycle");
             }
-            // ordering: optimistic fast path; the authoritative check
-            // is the SeqCst load in the parked loop below.
+            // ordering: pairs with each worker's Release arrival, so
+            // the workers' rounds happen-before the return.
             if self.arrived.load(Ordering::Acquire) == workers {
                 return;
             }
-            spins += 1;
-            if spins < self.spin_rounds {
+            if waits < SPIN_ROUNDS {
                 hint::spin_loop();
-                continue;
-            }
-            if spins < self.spin_rounds + YIELD_ROUNDS {
+                waits += 1;
+            } else {
                 thread::yield_now();
-                continue;
             }
-            // Park until the last worker arrives. `coordinator_parked`
-            // is registered *before* re-checking `arrived`, and each
-            // worker bumps `arrived` before reading the flag: the
-            // second Dekker pair (again proven lost-wakeup-free by the
-            // model suite).
-            // ordering: Dekker store half, paired with arrived.
-            self.coordinator_parked.store(true, Ordering::SeqCst);
-            {
-                let mut guard = park_lock(&self.park);
-                loop {
-                    // ordering: re-check under the lock; pairs with
-                    // the sentinel's store + notify-under-lock.
-                    if self.poisoned.load(Ordering::Acquire) {
-                        panic!("engine worker thread panicked mid-cycle");
-                    }
-                    // ordering: Dekker load half, paired with a
-                    // worker's arrival bump.
-                    if self.arrived.load(Ordering::SeqCst) == workers {
-                        break;
-                    }
-                    guard = self
-                        .wake
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-            // ordering: a stale `true` only costs a worker a harmless
-            // lock+notify on some later round.
-            self.coordinator_parked.store(false, Ordering::Relaxed);
-            return;
-        }
-    }
-
-    /// Worker-side arrival: reports this worker's round as done and
-    /// wakes the coordinator if it is parked.
-    fn arrive(&self) {
-        // ordering: Dekker store half, paired with coordinator_parked;
-        // the SeqCst RMW also keeps concurrent arrivals lossless.
-        self.arrived.fetch_add(1, Ordering::SeqCst);
-        // ordering: Dekker load half, paired with the coordinator's
-        // parked registration.
-        if self.coordinator_parked.load(Ordering::SeqCst) {
-            let _guard = park_lock(&self.park);
-            self.wake.notify_all();
         }
     }
 }
@@ -253,14 +130,8 @@ struct PanicSentinel(Arc<PoolShared>);
 impl Drop for PanicSentinel {
     fn drop(&mut self) {
         if thread::panicking() {
-            // ordering: publish the flag before the wakeup; the
-            // coordinator's Acquire load pairs with it.
+            // ordering: the coordinator's Acquire load pairs with it.
             self.0.poisoned.store(true, Ordering::Release);
-            // Wake a parked coordinator unconditionally: notify happens
-            // under the same lock as its re-check, so the panic cannot
-            // slip between check and wait.
-            let _guard = park_lock(&self.0.park);
-            self.0.wake.notify_all();
         }
     }
 }
@@ -268,11 +139,10 @@ impl Drop for PanicSentinel {
 /// The long-lived worker threads of
 /// [`ExecutionMode::Threaded`](crate::ExecutionMode::Threaded), plus
 /// their shared generation barrier. Dropping the pool shuts the workers
-/// down and joins them — including workers parked mid-wait (the
-/// shutdown generation bump follows the same Dekker-paired wake
-/// protocol as a normal round).
+/// down and joins them, parked ones included: the shutdown generation
+/// wakes them exactly as a round does.
 #[derive(Debug)]
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -284,11 +154,10 @@ impl WorkerPool {
     /// [`WorkerPool::start_round`]) is *not* part of `workers` — it
     /// participates by doing its own share between `start_round` and
     /// `finish_round`.
-    pub fn spawn<W>(workers: Vec<W>) -> WorkerPool
+    pub(crate) fn spawn<W>(workers: Vec<W>) -> WorkerPool
     where
         W: FnMut(u64, bool) + Send + 'static,
     {
-        let multicore = thread::available_parallelism().map_or(1, |n| n.get()) > 1;
         let shared = Arc::new(PoolShared {
             gen: AtomicU64::new(0),
             now_sys: AtomicU64::new(0),
@@ -296,11 +165,6 @@ impl WorkerPool {
             arrived: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            coordinator_parked: AtomicBool::new(false),
-            spin_rounds: if multicore { SPIN_ROUNDS } else { 0 },
-            park: Mutex::new(()),
-            wake: Condvar::new(),
         });
         let handles = workers
             .into_iter()
@@ -314,20 +178,21 @@ impl WorkerPool {
                         let mut seen = 0u64;
                         loop {
                             seen = shared.wait_for_round(seen);
-                            // ordering: set before the gen bump that
-                            // published this generation; the SeqCst gen
-                            // read is the acquire edge.
+                            // ordering: stored before the gen bump that
+                            // published this generation; the Acquire
+                            // gen read is the edge.
                             if shared.shutdown.load(Ordering::Relaxed) {
                                 return;
                             }
-                            // ordering: published before the gen bump;
-                            // the gen edge makes this round's value the
-                            // only readable one.
+                            // ordering: same as shutdown.
                             let now_sys = shared.now_sys.load(Ordering::Relaxed);
-                            // ordering: same as now_sys.
+                            // ordering: same as shutdown.
                             let draining = shared.draining.load(Ordering::Relaxed);
                             work(now_sys, draining);
-                            shared.arrive();
+                            // ordering: Release pairs with the
+                            // coordinator's Acquire read in finish_round;
+                            // the RMW keeps concurrent arrivals lossless.
+                            shared.arrived.fetch_add(1, Ordering::Release);
                         }
                     })
                     .expect("spawn engine worker thread")
@@ -339,8 +204,16 @@ impl WorkerPool {
     /// Starts a round: every worker runs its closure once with these
     /// parameters. The caller should do its own share of the work, then
     /// call [`WorkerPool::finish_round`].
-    pub fn start_round(&self, now_sys: u64, draining: bool) {
-        self.shared.start_round(now_sys, draining);
+    pub(crate) fn start_round(&self, now_sys: u64, draining: bool) {
+        // ordering: every worker of the previous round has arrived
+        // (finish_round returned), so only the coordinator touches
+        // `arrived` here; the gen bump publishes the reset.
+        self.shared.arrived.store(0, Ordering::Relaxed);
+        // ordering: round data rides the release edge of the gen bump.
+        self.shared.now_sys.store(now_sys, Ordering::Relaxed);
+        // ordering: same as now_sys.
+        self.shared.draining.store(draining, Ordering::Relaxed);
+        self.next_generation();
     }
 
     /// Waits until every worker has finished the round started by the
@@ -349,24 +222,27 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Panics if a worker thread panicked.
-    pub fn finish_round(&self) {
+    pub(crate) fn finish_round(&self) {
         self.shared.finish_round(self.handles.len());
+    }
+
+    /// Publishes a new generation, then unparks every worker.
+    fn next_generation(&self) {
+        // ordering: Release publishes the stores before it to every
+        // worker that acquires the new generation.
+        self.shared.gen.fetch_add(1, Ordering::Release);
+        for handle in &self.handles {
+            handle.thread().unpark();
+        }
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // ordering: rides the release edge of the shutdown generation
-        // bump below, exactly like round data.
+        // bump, exactly like round data.
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        // ordering: same SeqCst Dekker bump as start_round — parked
-        // workers are woken through the identical protocol.
-        self.shared.gen.fetch_add(1, Ordering::SeqCst);
-        // ordering: Dekker load half, paired with sleeper registration.
-        if self.shared.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = park_lock(&self.shared.park);
-            self.shared.wake.notify_all();
-        }
+        self.next_generation();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -384,7 +260,7 @@ mod tests {
     /// lost-wakeup or shutdown hang in the pool trips this, diagnosably.
     fn with_watchdog<F: FnOnce() + Send + 'static>(f: F) {
         let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
+        thread::spawn(move || {
             f();
             let _ = tx.send(());
         });
@@ -392,19 +268,37 @@ mod tests {
             .expect("worker pool operation hung (or panicked)");
     }
 
+    /// A round as worker `.0` ran it: `(worker, now_sys, draining)`.
+    type Round = (usize, u64, bool);
+
+    /// `n` workers that each send every round they run to `tx`.
+    fn reporting_workers(
+        tx: &mpsc::Sender<Round>,
+        n: usize,
+    ) -> Vec<impl FnMut(u64, bool) + Send + 'static> {
+        (0..n)
+            .map(|i| {
+                let tx = tx.clone();
+                move |now_sys: u64, draining: bool| tx.send((i, now_sys, draining)).unwrap()
+            })
+            .collect()
+    }
+
+    /// The `(now_sys, draining)` rounds each of `n` workers reported,
+    /// in the order it ran them.
+    fn rounds_run(rx: &mpsc::Receiver<Round>, n: usize) -> Vec<Vec<(u64, bool)>> {
+        let mut runs = vec![Vec::new(); n];
+        for (i, now_sys, draining) in rx.try_iter() {
+            runs[i].push((now_sys, draining));
+        }
+        runs
+    }
+
     #[test]
     fn rounds_deliver_params_to_every_worker_in_order() {
         with_watchdog(|| {
-            let log = std::sync::Arc::new(std::sync::Mutex::new(vec![Vec::new(); 2]));
-            let workers: Vec<_> = (0..2)
-                .map(|i| {
-                    let log = std::sync::Arc::clone(&log);
-                    move |now_sys: u64, draining: bool| {
-                        log.lock().unwrap()[i].push((now_sys, draining));
-                    }
-                })
-                .collect();
-            let pool = WorkerPool::spawn(workers);
+            let (tx, rx) = mpsc::channel();
+            let pool = WorkerPool::spawn(reporting_workers(&tx, 2));
             assert_eq!(pool.handles.len(), 2);
             for r in 1..=3u64 {
                 pool.start_round(r, r == 3);
@@ -412,9 +306,29 @@ mod tests {
             }
             drop(pool);
             let expect = vec![(1, false), (2, false), (3, true)];
-            for seen in log.lock().unwrap().iter() {
-                assert_eq!(*seen, expect);
+            assert_eq!(rounds_run(&rx, 2), vec![expect; 2]);
+        });
+    }
+
+    #[test]
+    fn parked_workers_wake_for_every_round() {
+        const ROUNDS: u64 = 200;
+        with_watchdog(|| {
+            let (tx, rx) = mpsc::channel();
+            let pool = WorkerPool::spawn(reporting_workers(&tx, 2));
+            for r in 1..=ROUNDS {
+                // Every tenth round starts after an idle gap long enough
+                // for the workers to use up their spin and yield budgets
+                // and park, so only `start_round`'s unpark wakes them.
+                if r % 10 == 1 {
+                    thread::sleep(Duration::from_millis(2));
+                }
+                pool.start_round(r, r % 3 == 0);
+                pool.finish_round();
             }
+            drop(pool);
+            let expect: Vec<(u64, bool)> = (1..=ROUNDS).map(|r| (r, r % 3 == 0)).collect();
+            assert_eq!(rounds_run(&rx, 2), vec![expect; 2]);
         });
     }
 
@@ -423,8 +337,8 @@ mod tests {
         with_watchdog(|| {
             let pool = WorkerPool::spawn(vec![|_: u64, _: bool| {}; 3]);
             // Give the workers time to burn their spin/yield budgets and
-            // park on the condvar, so Drop exercises the wakeup path.
-            std::thread::sleep(Duration::from_millis(20));
+            // park, so Drop exercises the wakeup path.
+            thread::sleep(Duration::from_millis(20));
             drop(pool);
         });
     }

@@ -56,7 +56,8 @@ fn trace(packets: usize) -> Vec<PacketDescriptor> {
 fn resident_keys(engine: &ShardedFlowLut) -> HashSet<FlowKey> {
     let mut keys = HashSet::new();
     for i in 0..engine.shard_count() {
-        keys.extend(engine.shard(i).table().iter().map(|(key, _)| key));
+        let shard = engine.shard(i);
+        keys.extend(shard.table().records_after(None).map(|(_, r)| r.key));
     }
     keys
 }

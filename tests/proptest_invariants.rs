@@ -83,10 +83,9 @@ proptest! {
             prop_assert_eq!(table.occupancy().total(), table.len());
         }
         // Every resident key is found exactly where its ID says.
-        for (k, loc) in table.iter() {
-            let fid = table.peek(&k).unwrap();
-            prop_assert_eq!(fid.decode(2), loc);
-            prop_assert!(model.contains(&k));
+        for (fid, record) in table.records_after(None) {
+            prop_assert_eq!(table.peek(&record.key), Some(fid));
+            prop_assert!(model.contains(&record.key));
         }
     }
 

@@ -8,22 +8,20 @@
 //! | rule            | scope                               | requirement |
 //! |-----------------|-------------------------------------|-------------|
 //! | `crate-attrs`   | first-party crate roots             | `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` |
-//! | `sync-facade`   | `crates/engine/src` (non-test)      | no direct `std::sync`/`std::thread`/`std::hint` — use `flowlut_core::sync` |
 //! | `ordering-doc`  | `crates/*/src` (non-test)           | every `Ordering::` site has an adjacent `// ordering:` justification |
 //! | `no-panic`      | engine/core/cam/hash src (non-test) | no `.unwrap()`/`.expect(`/`panic!(` outside `xtask/lint_allow.txt` |
 //! | `stale-allow`   | `xtask/lint_allow.txt`              | every entry still matches ≥1 live panic site |
 //! | `bench-schema`  | committed `BENCH_*.json`            | parses as JSON and keeps its schema keys |
 //!
-//! The source rules (`sync-facade`, `ordering-doc`, `no-panic`) are
-//! **token-accurate**: they lex the file with [`crate::lexer`] instead
-//! of substring-matching lines, so patterns inside string literals,
-//! raw strings, and comments can no longer produce false positives.
+//! The source rules (`ordering-doc`, `no-panic`) are **token-accurate**:
+//! they lex the file with [`crate::lexer`] instead of substring-matching
+//! lines, so patterns inside string literals, raw strings, and comments
+//! can no longer produce false positives.
 //! `#[cfg(test)]` scoping still uses the line-level tracker
 //! ([`non_test_lines`]) to decide which token lines are live.
 //!
 //! The vendored shims under `vendor/` (ports of external crates) are
-//! exempt from `crate-attrs` — except `vendor/loomlite`, which is
-//! first-party.
+//! exempt from `crate-attrs`.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -128,39 +126,6 @@ pub fn check_crate_attrs(path: &str, src: &str) -> Vec<Violation> {
 /// The 1-based line numbers outside `#[cfg(test)]` items.
 fn live_lines(src: &str) -> HashSet<usize> {
     non_test_lines(src).iter().map(|(n, _)| *n).collect()
-}
-
-/// `sync-facade`: engine sources must reach every synchronization
-/// primitive through `flowlut_core::sync`, never `std` directly —
-/// otherwise the model suite silently stops covering that primitive.
-/// Token-accurate: `std::sync` inside a string or comment is content,
-/// not a violation.
-pub fn check_sync_facade(path: &str, src: &str) -> Vec<Violation> {
-    let live = live_lines(src);
-    let toks: Vec<Tok> = lex(src)
-        .into_iter()
-        .filter(|t| t.kind != TokKind::Comment)
-        .collect();
-    let mut out = Vec::new();
-    for w in toks.windows(3) {
-        if w[0].is_ident("std")
-            && w[1].is_punct("::")
-            && w[2].kind == TokKind::Ident
-            && ["sync", "thread", "hint"].contains(&w[2].text.as_str())
-            && live.contains(&w[0].line)
-        {
-            out.push(violation(
-                path,
-                w[0].line,
-                "sync-facade",
-                format!(
-                    "direct `std::{}` use — import it from `flowlut_core::sync` so the model checker sees it",
-                    w[2].text
-                ),
-            ));
-        }
-    }
-    out
 }
 
 /// `ordering-doc`: every atomic-ordering choice must carry a nearby
@@ -668,12 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn facade_imports_pass() {
-        let src = "use flowlut_core::sync::{Arc, Mutex};\nfn f() {}\n";
-        assert_eq!(check_sync_facade("crates/engine/src/a.rs", src), vec![]);
-    }
-
-    #[test]
     fn documented_ordering_passes() {
         let src = "fn f(a: &A) {\n    // ordering: Dekker store half.\n    a.x.store(1, Ordering::SeqCst);\n    a.y.load(Ordering::Relaxed); // ordering: gated by x.\n}\n";
         assert_eq!(check_ordering_comments("crates/e/src/p.rs", src), vec![]);
@@ -712,22 +671,6 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert!(v[0].msg.contains("forbid(unsafe_code)"));
         assert!(v[1].msg.contains("deny(missing_docs)"));
-    }
-
-    #[test]
-    fn direct_std_sync_flagged() {
-        let src = "use std::sync::Mutex;\nfn f() { std::thread::spawn(|| {}); }\n";
-        let v = check_sync_facade("crates/engine/src/a.rs", src);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0].line, 1);
-        assert!(v[1].msg.contains("std::thread"));
-    }
-
-    #[test]
-    fn std_sync_in_test_module_is_exempt() {
-        let src =
-            "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n    fn t() {}\n}\n";
-        assert_eq!(check_sync_facade("crates/engine/src/a.rs", src), vec![]);
     }
 
     #[test]
@@ -899,13 +842,6 @@ mod tests {
     }
 
     // -- token accuracy: literals and comments are not code --
-
-    #[test]
-    fn facade_token_in_string_or_comment_passes() {
-        let src =
-            "// std::sync is mentioned here\nfn f() { let s = \"std::thread::spawn\"; g(s); }\n";
-        assert_eq!(check_sync_facade("crates/engine/src/a.rs", src), vec![]);
-    }
 
     #[test]
     fn panic_token_in_string_passes_but_code_flagged() {

@@ -1,12 +1,11 @@
 //! Workspace task runner: `cargo xtask lint` and `cargo xtask analyze`.
 //!
 //! `lint` runs the repo-specific static-analysis pass described in
-//! DESIGN.md §Static analysis: crate-root hygiene attributes, the
-//! token-accurate `flowlut_core::sync` facade boundary, `// ordering:`
-//! justifications on every atomic site, the hot-path no-panic rule
-//! (with `xtask/lint_allow.txt` as the vetted-exception list, whose
-//! entries must all stay live), and the committed `BENCH_*.json`
-//! schema.
+//! DESIGN.md §Static analysis: crate-root hygiene attributes,
+//! `// ordering:` justifications on every atomic site, the hot-path
+//! no-panic rule (with `xtask/lint_allow.txt` as the vetted-exception
+//! list, whose entries must all stay live), and the committed
+//! `BENCH_*.json` schema.
 //!
 //! `analyze` runs the call-graph-aware pass on top of the same token
 //! lexer: it recovers `fn`/`impl` items and a conservative call graph
@@ -134,15 +133,14 @@ fn run_lint(root: &Path) -> (usize, Vec<Violation>) {
     let mut out: Vec<Violation> = Vec::new();
     let allowlist = lint::parse_allowlist(&read(&root.join("xtask/lint_allow.txt")));
 
-    // crate-attrs: first-party crate roots (workspace crates, the
-    // first-party vendored model checker, and this task runner; the
-    // remaining vendor/ shims are ports of external crates and exempt).
+    // crate-attrs: first-party crate roots (workspace crates and this
+    // task runner; the vendor/ shims are ports of external crates and
+    // exempt).
     let mut roots: Vec<PathBuf> = crate_dirs(root)
         .into_iter()
         .map(|d| d.join("src/lib.rs"))
         .filter(|p| p.is_file())
         .collect();
-    roots.push(root.join("vendor/loomlite/src/lib.rs"));
     roots.push(root.join("xtask/src/main.rs"));
     for path in roots {
         files += 1;
@@ -165,9 +163,6 @@ fn run_lint(root: &Path) -> (usize, Vec<Violation>) {
         for (rp, src) in sources {
             files += 1;
             out.extend(lint::check_ordering_comments(&rp, &src));
-            if crate_name == "engine" {
-                out.extend(lint::check_sync_facade(&rp, &src));
-            }
             if hot {
                 out.extend(lint::check_no_panic(&rp, &src, &allowlist));
             }
@@ -217,27 +212,18 @@ fn run_analyze(root: &Path) -> analyze::AnalyzeResult {
     let allow = analyze::parse_analyze_allow(&read(&root.join("xtask/analyze_allow.txt")));
     let panic_allow = lint::parse_allowlist(&read(&root.join("xtask/lint_allow.txt")));
     let mut res = analyze::analyze_sources(&sources, analyze::ENTRY_POINTS, &allow, &panic_allow);
-    // The token-accurate facade/ordering rules are part of this pass
-    // too; fold their violations in as findings.
+    // The token-accurate ordering rule is part of this pass too; fold
+    // its violations in as findings.
     let test_files = analyze::declared_test_files(&sources);
     for (rp, src) in sources
         .iter()
         .filter(|(rp, _)| rp.starts_with("crates/") && !test_files.contains(rp))
     {
-        let mut extra = Vec::new();
-        if rp.starts_with("crates/engine/src") {
-            extra.extend(lint::check_sync_facade(rp, src));
-        }
-        extra.extend(lint::check_ordering_comments(rp, src));
-        for v in extra {
+        for v in lint::check_ordering_comments(rp, src) {
             res.findings.push(analyze::Finding {
                 file: v.file,
                 line: v.line,
-                rule: if v.rule == "sync-facade" {
-                    "sync-facade"
-                } else {
-                    "ordering-doc"
-                },
+                rule: "ordering-doc",
                 chain: String::new(),
                 msg: v.msg,
             });
